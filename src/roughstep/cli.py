@@ -6,8 +6,9 @@ the effective seed, and a sha256 per artifact, so a directory is
 self-describing and a rerun with the same config and seed is byte-identical.
 
 Exit codes: 0 success, 2 config error (unknown keys, missing values,
-inadmissible parameters), 3 numerical failure (non-finite states or an
-explosion the config did not declare).
+inadmissible parameters, a field that does not fit its driver or initial
+state), 3 numerical failure (non-finite states or an explosion the config
+did not declare).
 """
 
 from __future__ import annotations
@@ -91,6 +92,15 @@ def _build_field(block: dict) -> VectorField:
 
 def _build_driver(block: dict, seed_override, need_area: bool):
     """Driver path plus (optionally) an area process from a config block."""
+    try:
+        return _driver_from_block(block, seed_override, need_area)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _driver_from_block(block: dict, seed_override, need_area: bool):
     _check_keys(
         block,
         "driver",
@@ -156,6 +166,21 @@ def _build_driver(block: dict, seed_override, need_area: bool):
     raise ConfigError(f"unknown driver kind {kind!r}")
 
 
+def _initial_state(raw, field: VectorField, path) -> np.ndarray:
+    """``y0`` as an array, refused unless it, the field and the driver fit."""
+    try:
+        y0 = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"y0 is not a list of numbers: {exc}") from exc
+    if y0.shape != (field.n,):
+        raise ConfigError(f"y0 has shape {list(y0.shape)}, the field needs [{field.n}]")
+    if not np.all(np.isfinite(y0)):
+        raise ConfigError("y0 must be finite")
+    if field.d != path.d:
+        raise ConfigError(f"the field is driven by d={field.d}, the driver has d={path.d}")
+    return y0
+
+
 def _bc_dict(bc: BrownianConfig) -> dict:
     return {"d": bc.d, "level": bc.level, "t_end": bc.t_end, "substeps": bc.substeps}
 
@@ -189,7 +214,7 @@ def _cmd_solve(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
         config["driver"], seed_override, need_area=sch.scheme == "corrected"
     )
     field = _build_field(config["field"])
-    y0 = np.asarray(config["y0"], dtype=float)
+    y0 = _initial_state(config["y0"], field, path)
     if sch.scheme == "corrected":
         traj = corrected_solve(field, path, area, y0, config=sch)
     else:
@@ -247,15 +272,19 @@ def _cmd_convergence(config: dict, out: Path, seed_override) -> tuple[dict, dict
         config["driver"], seed_override, need_area=need_area
     )
     field = _build_field(config["field"])
-    report = convergence_study(
-        field, path, np.asarray(config["y0"], dtype=float),
-        k_values=[int(k) for k in config["k_values"]],
-        scheme=sch.scheme,
-        area=area,
-        reference=_ORACLES[oracle_name],
-        drop_coarsest=int(config.get("drop_coarsest", 2)),
-        config=sch,
-    )
+    y0 = _initial_state(config["y0"], field, path)
+    try:
+        report = convergence_study(
+            field, path, y0,
+            k_values=[int(k) for k in config["k_values"]],
+            scheme=sch.scheme,
+            area=area,
+            reference=_ORACLES[oracle_name],
+            drop_coarsest=int(config.get("drop_coarsest", 2)),
+            config=sch,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     resolved = {
         "driver": resolved_driver,
         "field": config["field"],

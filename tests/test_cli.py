@@ -144,6 +144,35 @@ class TestConfigErrors:
         })
         assert main(["condition21", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("subcommand, config", [
+        ("solve", {**SOLVE_CONFIG, "driver": {**SOLVE_CONFIG["driver"], "level": 30}}),
+        ("solve", {**SOLVE_CONFIG, "y0": [float("nan")]}),
+        ("solve", {**SOLVE_CONFIG, "field": {"kind": "diagonal_linear", "n": 2},
+                   "y0": [1.0, 1.0]}),
+        ("convergence", {
+            "driver": {"kind": "brownian", "d": 2, "level": 8, "seed": 42},
+            "field": {"kind": "constant", "matrix": [[1.0, 0.5]]},
+            "y0": [1.0],
+            "k_values": [16, 64],
+            "oracle": "gbm_ito",
+        }),
+        ("convergence", {
+            "driver": {"kind": "brownian", "d": 1, "level": 8, "seed": 42},
+            "field": {"kind": "scalar_linear"},
+            "y0": [1.0],
+            "k_values": [16, 48],
+            "oracle": "gbm_ito",
+        }),
+    ], ids=["level-out-of-range", "nan-y0", "field-driver-mismatch", "oracle-needs-d1",
+            "mesh-not-dividing-grid"])
+    def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, subcommand, config):
+        cfg = _write_config(tmp_path, "bad.json", config)
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_subcommand_exits_via_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["frobnicate", "--config", "x", "--out", "y"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from roughstep.core import AreaProcess, DriverPath, VectorField
+from roughstep.core import AreaProcess, DriverPath, GrowthEnvelope, VectorField
 from roughstep.drivers import (
     BrownianConfig,
     CounterexampleConfig,
@@ -28,9 +28,11 @@ from roughstep.drivers import (
     load_driver,
     perturbed_area,
     power_law_envelope,
+    process_envelope,
     save_driver,
     stratonovich_area,
 )
+from roughstep.drivers import _mollifier_weights
 
 
 class TestBrownianPath:
@@ -404,6 +406,48 @@ class TestExplosionDriver:
             ExplosionConfig(y_max=5.0)
         with pytest.raises(ValueError):
             ExplosionConfig(t_pad=1.0)
+
+
+class TestProcessEnvelope:
+    """Endpoint homogenization of power laws against the full u-grid scan."""
+
+    CFG = ExplosionConfig(n_grid=256)
+
+    def _pair(self, env):
+        # a plain GrowthEnvelope with the same callables takes the full scan
+        full = GrowthEnvelope(env.growth, env.area_growth, env.beta)
+        return process_envelope(env, 1.5, self.CFG), process_envelope(full, 1.5, self.CFG)
+
+    @pytest.mark.parametrize("growth_exp, area_exp", [(1.2, 0.4), (2.4, 1.6), (2.6, 2.2)])
+    def test_endpoint_rule_is_bitwise_full_scan(self, growth_exp, area_exp):
+        env = power_law_envelope(growth_exp, area_exp, 0.8)
+        assert (env.growth_exp, env.area_exp) == (growth_exp, area_exp)
+        fast, full = self._pair(env)
+        assert fast.r_hom == 2
+        assert np.array_equal(fast.dstar_tab, full.dstar_tab)
+        assert np.array_equal(fast.astar_tab, full.astar_tab)
+
+    def test_exponent_at_r_hom_agrees_to_roundoff(self):
+        # u^2 (y/u)^2 ties across the whole u-grid in exact arithmetic
+        fast, full = self._pair(power_law_envelope(2.0, 1.2, 0.8))
+        np.testing.assert_allclose(fast.dstar_tab, full.dstar_tab, rtol=1e-15, atol=0)
+        assert np.array_equal(fast.astar_tab, full.astar_tab)
+
+    def test_interior_infimum_takes_the_full_scan(self):
+        """u^2 D(y/u) with D = R^2.4 + R^1.2 is least near u = 0.56 y, so the
+        endpoints alone overestimate the homogenized envelope."""
+        env = GrowthEnvelope(
+            growth=lambda r: np.asarray(r) ** 2.4 + np.asarray(r) ** 1.2,
+            area_growth=lambda r: np.asarray(r) ** 1.6 + np.asarray(r) ** 0.4,
+            beta=0.8,
+        )
+        proc = process_envelope(env, 1.5, self.CFG)
+        nodes, weights = _mollifier_weights()
+        u = np.array([1.0, self.CFG.u_max])
+        ys = np.outer(proc.y_tab, nodes)[..., None] / u
+        ends = 2.0**-proc.r_hom * np.min(u**proc.r_hom * env.growth(ys), axis=-1) @ weights
+        assert np.all(proc.dstar_tab <= ends * (1 + 1e-12))
+        assert np.any(proc.dstar_tab < 0.9 * ends)
 
 
 class TestSerialization:
