@@ -5,10 +5,10 @@ writes its artifacts plus ``manifest.json`` with the resolved configuration,
 the effective seed, and a sha256 per artifact, so a directory is
 self-describing and a rerun with the same config and seed is byte-identical.
 
-Exit codes: 0 success, 2 config error (unknown keys, missing values,
-inadmissible parameters, a field that does not fit its driver or initial
-state), 3 numerical failure (non-finite states or an explosion the config
-did not declare).
+Exit codes: 0 success, 2 config error (unknown keys, missing or non-numeric
+values, inadmissible parameters, a field that does not fit its driver or
+initial state), 3 numerical failure (non-finite states or an explosion the
+config did not declare).
 """
 
 from __future__ import annotations
@@ -62,12 +62,19 @@ def _check_keys(block: dict, where: str, allowed: set, required: set) -> None:
         raise ConfigError(f"missing keys {missing} in {where}")
 
 
-def _effective_seed(block_seed, override):
+def _read(block: dict, key: str, convert, default=None):
+    """``convert(block.get(key, default))``; a value it refuses (null, text) is a config error."""
+    value = block.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} has an invalid value {value!r}") from exc
+
+
+def _effective_seed(block: dict, override):
     if override is not None:
         return int(override)
-    if block_seed is None:
-        return None
-    return int(block_seed)
+    return None if block.get("seed") is None else _read(block, "seed", int)
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +89,14 @@ def _build_field(block: dict) -> VectorField:
     if kind == "diagonal_linear":
         if "n" not in block:
             raise ConfigError("diagonal_linear field needs n")
-        return VectorField.diagonal_linear(int(block["n"]))
+        return VectorField.diagonal_linear(_read(block, "n", int))
     if kind == "constant":
         if "matrix" not in block:
             raise ConfigError("constant field needs a matrix")
-        return VectorField.constant(np.asarray(block["matrix"], dtype=float))
+        matrix = _read(block, "matrix", lambda m: np.asarray(m, dtype=float))
+        if matrix.ndim != 2 or not np.all(np.isfinite(matrix)):
+            raise ConfigError("constant field needs an (n, d) matrix of finite numbers")
+        return VectorField.constant(matrix)
     raise ConfigError(f"unknown field kind {kind!r}")
 
 
@@ -110,15 +120,15 @@ def _driver_from_block(block: dict, seed_override, need_area: bool):
     )
     kind = block["kind"]
     if kind == "brownian":
-        seed = _effective_seed(block.get("seed"), seed_override)
+        seed = _effective_seed(block, seed_override)
         if seed is None:
             raise ConfigError("brownian driver needs a seed")
         bc = BrownianConfig(
-            d=int(block.get("d", 1)),
-            level=int(block.get("level", 10)),
+            d=_read(block, "d", int, 1),
+            level=_read(block, "level", int, 10),
             seed=seed,
-            t_end=float(block.get("t_end", 1.0)),
-            substeps=int(block.get("substeps", 16)),
+            t_end=_read(block, "t_end", float, 1.0),
+            substeps=_read(block, "substeps", int, 16),
         )
         path = brownian_path(bc)
         area_kind = block.get("area", "ito" if need_area else "none")
@@ -136,8 +146,8 @@ def _driver_from_block(block: dict, seed_override, need_area: bool):
         if "coeffs" not in block:
             raise ConfigError("polynomial driver needs coeffs")
         poly = PolynomialPath(np.asarray(block["coeffs"], dtype=float))
-        t_end = float(block.get("t_end", 1.0))
-        samples = int(block.get("samples", 1025))
+        t_end = _read(block, "t_end", float, 1.0)
+        samples = _read(block, "samples", int, 1025)
         path = poly.sample(np.linspace(0.0, t_end, samples))
         area_kind = block.get("area", "analytic")
         if area_kind == "analytic":
@@ -155,9 +165,9 @@ def _driver_from_block(block: dict, seed_override, need_area: bool):
             "coeffs": np.asarray(block["coeffs"], dtype=float).tolist(),
         }
     if kind == "chain":
-        alpha = float(block.get("alpha", 0.7))
-        depth = int(block.get("depth", 4))
-        samples = int(block.get("samples", 2**14))
+        alpha = _read(block, "alpha", float, 0.7)
+        depth = _read(block, "depth", int, 4)
+        samples = _read(block, "samples", int, 2**14)
         curve = build_chain_curve(alpha, depth)
         path = curve.sample(samples)
         if need_area:
@@ -191,9 +201,9 @@ def _build_scheme(block: dict | None) -> SchemeConfig:
     try:
         return SchemeConfig(
             scheme=block.get("scheme", "euler"),
-            explosion_threshold=float(block.get("explosion_threshold", 1e6)),
-            gamma=None if block.get("gamma") is None else float(block["gamma"]),
-            p=None if block.get("p") is None else float(block["p"]),
+            explosion_threshold=_read(block, "explosion_threshold", float, 1e6),
+            gamma=None if block.get("gamma") is None else _read(block, "gamma", float),
+            p=None if block.get("p") is None else _read(block, "p", float),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -236,17 +246,18 @@ def _cmd_solve(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
     dft = config.get("defect")
     if dft is not None:
         _check_keys(dft, "defect", {"gamma", "p", "pairs", "max_span"}, {"gamma", "p"})
+        gamma, p = _read(dft, "gamma", float), _read(dft, "p", float)
+        max_span = _read(dft, "max_span", int, 64)
         report = defect(
-            traj, field, path,
-            float(dft["gamma"]), float(dft["p"]),
+            traj, field, path, gamma, p,
             area=area,
             pairs=dft.get("pairs", "window"),
-            max_span=int(dft.get("max_span", 64)),
+            max_span=max_span,
         )
         artifacts["defect.json"] = lambda p: _write_json(p, report.to_dict())
-        resolved["defect"] = {"gamma": float(dft["gamma"]), "p": float(dft["p"]),
+        resolved["defect"] = {"gamma": gamma, "p": p,
                               "pairs": dft.get("pairs", "window"),
-                              "max_span": int(dft.get("max_span", 64))}
+                              "max_span": max_span}
     return artifacts, resolved
 
 
@@ -273,14 +284,16 @@ def _cmd_convergence(config: dict, out: Path, seed_override) -> tuple[dict, dict
     )
     field = _build_field(config["field"])
     y0 = _initial_state(config["y0"], field, path)
+    k_values = _read(config, "k_values", lambda v: [int(k) for k in v])
+    drop_coarsest = _read(config, "drop_coarsest", int, 2)
     try:
         report = convergence_study(
             field, path, y0,
-            k_values=[int(k) for k in config["k_values"]],
+            k_values=k_values,
             scheme=sch.scheme,
             area=area,
             reference=_ORACLES[oracle_name],
-            drop_coarsest=int(config.get("drop_coarsest", 2)),
+            drop_coarsest=drop_coarsest,
             config=sch,
         )
     except ValueError as exc:
@@ -290,9 +303,9 @@ def _cmd_convergence(config: dict, out: Path, seed_override) -> tuple[dict, dict
         "field": config["field"],
         "scheme": {"scheme": sch.scheme},
         "y0": list(map(float, config["y0"])),
-        "k_values": [int(k) for k in config["k_values"]],
+        "k_values": k_values,
         "oracle": oracle_name,
-        "drop_coarsest": int(config.get("drop_coarsest", 2)),
+        "drop_coarsest": drop_coarsest,
     }
     return {"rate.json": lambda p: _write_json(p, report.to_dict())}, resolved
 
@@ -300,8 +313,8 @@ def _cmd_convergence(config: dict, out: Path, seed_override) -> tuple[dict, dict
 def _cmd_chen_check(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
     _check_keys(config, "config", {"driver", "n_triples", "triple_seed"}, {"driver"})
     path, area, resolved_driver = _build_driver(config["driver"], seed_override, need_area=True)
-    n_triples = int(config.get("n_triples", 1000))
-    triple_seed = int(config.get("triple_seed", 0))
+    n_triples = _read(config, "n_triples", int, 1000)
+    triple_seed = _read(config, "triple_seed", int, 0)
     res = chen_residuals(area, n_triples=n_triples, seed=triple_seed)
     payload = {
         "kind": area.kind,
@@ -326,10 +339,10 @@ def _cmd_condition21(config: dict, out: Path, seed_override) -> tuple[dict, dict
     driver["area"] = "ito"
     path, ito, resolved_driver = _build_driver(driver, seed_override, need_area=True)
     strat = stratonovich_area(ito)
-    alpha = float(config["alpha"])
-    beta = float(config["beta"])
-    levels = [int(j) for j in config.get("levels", range(4, 13))]
-    cap = int(config.get("window_cap", 2**12))
+    alpha = _read(config, "alpha", float)
+    beta = _read(config, "beta", float)
+    levels = _read(config, "levels", lambda v: [int(j) for j in v], range(4, 13))
+    cap = _read(config, "window_cap", int, 2**12)
     stat_ito = condition21_stat(ito, alpha, beta, levels=levels, window_cap=cap)
     stat_strat = condition21_stat(strat, alpha, beta, levels=levels, window_cap=cap)
     payload = {
@@ -350,6 +363,9 @@ def _cmd_nonuniqueness(config: dict, out: Path, seed_override) -> tuple[dict, di
     _check_keys(block, "exponents", allowed, set())
     try:
         cfg = CounterexampleConfig(**block)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    try:
         report = nonuniqueness_demo(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -373,14 +389,12 @@ def _cmd_explosion(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
     env_block = config["envelope"]
     _check_keys(env_block, "envelope", {"growth_exp", "area_exp", "beta"},
                 {"growth_exp", "area_exp", "beta"})
+    exps = {k: _read(env_block, k, float) for k in ("growth_exp", "area_exp", "beta")}
+    p = _read(config, "p", float)
+    gamma = _read(config, "gamma", float, 1.0 + exps["beta"])
+    r_max = _read(config, "r_max", float, 2.0**20)
     try:
-        env = power_law_envelope(
-            float(env_block["growth_exp"]), float(env_block["area_exp"]),
-            float(env_block["beta"]),
-        )
-        p = float(config["p"])
-        gamma = float(config.get("gamma", 1.0 + env.beta))
-        r_max = float(config.get("r_max", 2.0**20))
+        env = power_law_envelope(exps["growth_exp"], exps["area_exp"], exps["beta"])
         crit = explosion_criterion(env, p, gamma, r_max)
         payload = {"criterion": crit.to_dict()}
         if bool(config.get("include_driver", True)):
@@ -393,12 +407,10 @@ def _cmd_explosion(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
                 else float(traj.times[traj.exploded_at]),
                 "max_state": float(np.max(traj.states)),
             }
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     resolved = {
-        "envelope": {k: float(env_block[k]) for k in ("growth_exp", "area_exp", "beta")},
+        "envelope": exps,
         "p": p, "gamma": gamma, "r_max": r_max,
         "include_driver": bool(config.get("include_driver", True)),
     }
@@ -411,15 +423,16 @@ def _cmd_curve(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
         {"alpha", "depth", "n_pairs", "samples", "seed"},
         {"alpha", "depth"},
     )
-    seed = _effective_seed(config.get("seed"), seed_override)
+    seed = _effective_seed(config, seed_override)
     if seed is None:
         raise ConfigError("curve band sampling needs a seed")
+    alpha, depth = _read(config, "alpha", float), _read(config, "depth", int)
     try:
-        curve = build_chain_curve(float(config["alpha"]), int(config["depth"]))
+        curve = build_chain_curve(alpha, depth)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    n_pairs = int(config.get("n_pairs", 10**4))
-    samples = int(config.get("samples", 2**14))
+    n_pairs = _read(config, "n_pairs", int, 10**4)
+    samples = _read(config, "samples", int, 2**14)
     rng = np.random.default_rng(seed)
     c_lower, c_upper = curve.band_stats(n_pairs, rng)
     exponent = holder_estimate(curve.sample(samples))

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -94,17 +94,6 @@ class Partition:
     def mesh(self) -> float:
         """Largest cell width."""
         return float(np.max(self.widths))
-
-    def refine(self, factor: int) -> "Partition":
-        """Split every cell into ``factor`` equal sub-cells."""
-        if factor < 1:
-            raise ValueError("factor must be a positive integer")
-        if factor == 1:
-            return self
-        t = self.times
-        ratios = np.arange(factor) / factor
-        inner = t[:-1, None] + np.diff(t)[:, None] * ratios[None, :]
-        return Partition(np.append(inner.ravel(), t[-1]))
 
 
 @dataclass(frozen=True)
@@ -211,30 +200,59 @@ class ControlModulus:
         return float(out) if out.ndim == 0 else out
 
 
+_FIT_BLOCK = 64  # samples per block in control_fit's branch-and-bound
+_FIT_PAIRS = 2**14  # block pairs bounded per vectorized chunk
+
+
 def control_fit(path: DriverPath, p: float) -> ControlModulus:
     """Fit the smallest linear control dominating a path's p-variation on-grid.
 
     The constant is ``c = max over all grid pairs (s, t)`` of
-    ``max_i |x_i(t) - x_i(s)|^p / (t - s)`` (componentwise sup norm).  All
-    pairs are scanned, one vectorized pass per lag, so the fit is exact for
-    the sampled grid rather than a heuristic over adjacent cells.
+    ``max_i |x_i(t) - x_i(s)|^p / (t - s)`` (componentwise sup norm), exact
+    for the sampled grid.  Pairs under 64 samples apart, so all pairs inside
+    a 64-sample block, are scanned one vectorized pass per lag.  A pair in
+    blocks ``I < J`` has ``|dx_i| <= max(max_J - min_I, max_I - min_J)`` and a
+    gap of at least ``t[first_J] - t[last_I]``.  Block pairs are evaluated in
+    full, largest such bound first (kept only above an attained lower bound,
+    to hold memory near linear in the block count), until the bound no longer
+    exceeds the running ``c``.  Bounds are inflated by ``1 + 1e-12`` so that
+    neither a tie with the lower bound nor a last-ulp difference in ``pow``
+    prunes the block pair holding the maximum.  Every ratio is formed by the
+    same elementwise operations (``max |dx|``, ``**p``, ``/ gap``) and ``max``
+    is exact, so ``c`` is bitwise the value of an all-pairs scan.
     """
     if not p > 0:
         raise ValueError("p must be positive")
     t = path.times
-    v = path.values
-    # Sound pruning: no increment can exceed the global component range, and
-    # the smallest gap at a given lag only grows with the lag, so once the
-    # optimistic ratio drops under the running max no later lag can win.
-    span = float(np.max(np.max(v, axis=0) - np.min(v, axis=0)))
-    cap = span**p
+    v = np.ascontiguousarray(path.values.T)  # (d, N): sup norms reduce axis 0
     c = 0.0
-    for lag in range(1, t.size):
-        gap = t[lag:] - t[:-lag]
-        if cap <= c * float(np.min(gap)):
-            break
-        inc = np.max(np.abs(v[lag:] - v[:-lag]), axis=1)
-        c = max(c, float(np.max(inc**p / gap)))
+    for lag in range(1, min(_FIT_BLOCK, t.size)):
+        inc = np.max(np.abs(v[:, lag:] - v[:, :-lag]), axis=0)
+        c = max(c, float(np.max(inc**p / (t[lag:] - t[:-lag]))))
+    starts = np.arange(0, t.size, _FIT_BLOCK)
+    ends = np.minimum(starts + _FIT_BLOCK, t.size) - 1
+    bmin, bmax = np.minimum.reduceat(v, starts, axis=1), np.maximum.reduceat(v, starts, axis=1)
+    n = starts.size
+    step = max(1, _FIT_PAIRS // n)
+    floor, kept = c, []
+    for i0 in range(0, n - 1, step):
+        ii, jj = np.nonzero(np.arange(i0, min(i0 + step, n - 1))[:, None] < np.arange(n))
+        ii += i0
+        reach = np.max(np.maximum(bmax[:, jj] - bmin[:, ii], bmax[:, ii] - bmin[:, jj]), axis=0)
+        reach **= p
+        floor = max(floor, float(np.max(reach / (t[ends[jj]] - t[starts[ii]]))))
+        upper = reach / (t[starts[jj]] - t[ends[ii]]) * (1 + 1e-12)
+        keep = upper > floor
+        kept.append((upper[keep], ii[keep], jj[keep]))
+    if kept:
+        upper, rows, cols = (np.concatenate(a) for a in zip(*kept))
+        for m in np.argsort(-upper, kind="stable"):
+            if upper[m] <= c:
+                break
+            i = slice(starts[rows[m]], ends[rows[m]] + 1)
+            j = slice(starts[cols[m]], ends[cols[m]] + 1)
+            inc = np.max(np.abs(v[:, None, j] - v[:, i, None]), axis=0)
+            c = max(c, float(np.max(inc**p / (t[None, j] - t[i, None]))))
     return ControlModulus(c=c, p=float(p))
 
 
@@ -316,9 +334,6 @@ class AreaProcess:
     def n_intervals(self) -> int:
         return self.per_interval.shape[0]
 
-    def interval(self, k: int) -> np.ndarray:
-        return self.per_interval[k]
-
     def pair(self, i: int, j: int) -> np.ndarray:
         """Area over grid pair ``(times[i], times[j])``, ``i <= j``."""
         if not 0 <= i <= j <= self.n_intervals:
@@ -354,8 +369,7 @@ class VectorField:
             along for defect exponent defaults (not enforced).
 
     Missing derivatives raise on access; schemes that need them say so in the
-    error.  Finite-difference versions are available for cross-checks via
-    :meth:`deriv1_fd` but are never silently substituted.
+    error.  No approximation is ever silently substituted.
     """
 
     def __init__(
@@ -411,35 +425,6 @@ class VectorField:
         if out.shape != expected:
             raise ValueError(f"deriv2 returned shape {out.shape}, expected {expected}")
         return out
-
-    def deriv1_fd(self, y, eps: float = 1e-6) -> np.ndarray:
-        """Central finite-difference first derivative, for cross-checks."""
-        y = np.asarray(y, dtype=float)
-        out = np.empty((self.n, self.n, self.d))
-        for h in range(self.n):
-            step = np.zeros(self.n)
-            step[h] = eps
-            out[h] = (self.eval(y + step) - self.eval(y - step)) / (2 * eps)
-        return out
-
-    def check_deriv1(self, points: Sequence[np.ndarray], rtol: float = 1e-5) -> float:
-        """Compare attached deriv1 against central differences at sample states.
-
-        Returns the worst relative discrepancy and raises if it exceeds
-        ``rtol``.  Scale is the max of 1 and the derivative magnitude so flat
-        directions do not produce spurious failures.
-        """
-        worst = 0.0
-        for y in points:
-            exact = self.deriv1(y)
-            approx = self.deriv1_fd(y)
-            scale = max(1.0, float(np.max(np.abs(exact))))
-            worst = max(worst, float(np.max(np.abs(exact - approx))) / scale)
-        if worst > rtol:
-            raise ValueError(
-                f"deriv1 disagrees with finite differences: rel err {worst:.3e} > {rtol:.1e}"
-            )
-        return worst
 
     def correction_tensor(self, y) -> np.ndarray:
         """Second-order coefficient ``G[i, r, j] = sum_h f[h, r] * D1[h, i, j]``.

@@ -113,6 +113,8 @@ def _run_scheme(
     y = np.asarray(y0, dtype=float).reshape(-1).copy()
     if y.size != field.n:
         raise ValueError(f"y0 has dimension {y.size}, field expects {field.n}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"y0 must be finite, got {y.tolist()}")
     states = [y.copy()]
     exploded_at = None
     if float(np.linalg.norm(y)) > cfg.explosion_threshold:

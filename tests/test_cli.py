@@ -163,8 +163,14 @@ class TestConfigErrors:
             "k_values": [16, 48],
             "oracle": "gbm_ito",
         }),
+        ("solve", {**SOLVE_CONFIG, "driver": {**SOLVE_CONFIG["driver"], "level": None}}),
+        ("condition21", {"driver": {"kind": "brownian", "d": 1, "level": 8, "seed": 42},
+                         "alpha": None, "beta": 0.55}),
+        ("explosion", {"envelope": {"growth_exp": 1.2, "area_exp": 0.4, "beta": 0.8},
+                       "p": None, "include_driver": False}),
+        ("solve", {**SOLVE_CONFIG, "field": {"kind": "constant", "matrix": [[None]]}}),
     ], ids=["level-out-of-range", "nan-y0", "field-driver-mismatch", "oracle-needs-d1",
-            "mesh-not-dividing-grid"])
+            "mesh-not-dividing-grid", "null-level", "null-alpha", "null-p", "null-matrix"])
     def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, subcommand, config):
         cfg = _write_config(tmp_path, "bad.json", config)
         out = tmp_path / "out"

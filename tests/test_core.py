@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
+import roughstep.core as core
 from roughstep.core import (
     AreaProcess,
     ControlModulus,
@@ -18,6 +21,7 @@ from roughstep.core import (
     chen_combine,
     control_fit,
 )
+from roughstep.drivers import CounterexampleConfig, example1_driver
 
 
 class TestPartition:
@@ -96,6 +100,91 @@ class TestControlFit:
             inc = np.max(np.abs(sub.values[lag:] - sub.values[:-lag]), axis=1)
             gap = sub.times[lag:] - sub.times[:-lag]
             assert np.all(inc**2.5 <= fit.c * gap * (1 + 1e-12))
+
+
+def _all_lags_fit(path: DriverPath, p: float, first_lag: int = 1) -> float:
+    """Max of ``max_i |dx_i|^p / dt`` over every pair from ``first_lag`` up, unpruned."""
+    t, v = path.times, path.values
+    c = 0.0
+    for lag in range(first_lag, t.size):
+        inc = np.max(np.abs(v[lag:] - v[:-lag]), axis=1)
+        c = max(c, float(np.max(inc**p / (t[lag:] - t[:-lag]))))
+    return c
+
+
+@st.composite
+def _random_paths(draw):
+    """Non-uniform grids of 2-300 points; cumulated draws give walks, runs and ties."""
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 2))
+    gaps = draw(hnp.arrays(np.float64, n, elements=st.floats(1e-3, 10.0)))
+    steps = draw(hnp.arrays(np.float64, (n, d), elements=st.floats(-10.0, 10.0)))
+    return DriverPath(np.cumsum(gaps), np.cumsum(steps, axis=0))
+
+
+class TestControlFitExact:
+    """The block branch-and-bound must return the all-pairs constant bit for bit."""
+
+    def test_geometric_grid(self):
+        cfg = CounterexampleConfig(grid=2048)
+        path, _ = example1_driver(cfg)
+        fit = control_fit(path, cfg.p).c
+        assert fit == _all_lags_fit(path, cfg.p)
+
+    def test_random_nonuniform_planar_path(self):
+        rng = np.random.default_rng(2024)
+        dt = rng.exponential(size=1000)
+        times = np.cumsum(dt)
+        values = np.cumsum(rng.normal(size=(1000, 2)) * np.sqrt(dt)[:, None], axis=0)
+        path = DriverPath(times, values)
+        fit = control_fit(path, 2.5).c
+        assert fit == _all_lags_fit(path, 2.5)
+        # The maximum sits more than one block apart, so pruning decided it.
+        assert fit == _all_lags_fit(path, 2.5, first_lag=64)
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 129])
+    @pytest.mark.parametrize("kind", ["ramp", "walk"])
+    def test_block_edges_and_partial_blocks(self, n, kind):
+        rng = np.random.default_rng(n)
+        times = np.cumsum(rng.uniform(0.5, 1.5, size=n))
+        if kind == "ramp":
+            # |dx|^2 / dt grows with the gap: the maximum is the first and last sample.
+            values = 2.0 * times
+        else:
+            values = np.cumsum(rng.normal(size=(n, 2)), axis=0)
+        path = DriverPath(times, values)
+        assert control_fit(path, 2.0).c == _all_lags_fit(path, 2.0)
+
+    @pytest.mark.parametrize("i, j", [(63, 64), (127, 128), (0, 127), (60, 130)])
+    def test_maximum_on_block_boundary(self, i, j):
+        """A unit rise from sample i to sample j puts the maximum on exactly (i, j)."""
+        times = np.linspace(0.0, 1.0, 200)
+        k = np.arange(200)
+        path = DriverPath(times, np.clip((k - i) / (j - i), 0.0, 1.0))
+        fit = control_fit(path, 2.0).c
+        assert fit == _all_lags_fit(path, 2.0)
+        assert fit == 1.0 / (times[j] - times[i])
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_small_blocks(self, monkeypatch, block):
+        """One-sample blocks make each bound tie its ratio; 2 and 5 leave short last blocks."""
+        rng = np.random.default_rng(block)
+        path = DriverPath(np.cumsum(rng.exponential(size=300)),
+                          np.cumsum(rng.normal(size=(300, 2)), axis=0))
+        monkeypatch.setattr(core, "_FIT_BLOCK", block)
+        assert control_fit(path, 2.5).c == _all_lags_fit(path, 2.5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(path=_random_paths(), p=st.floats(1.0, 3.0),
+           block=st.integers(4, 70), chunk=st.integers(1, 40))
+    def test_matches_all_lags_on_random_paths(self, path, p, block, chunk):
+        want = _all_lags_fit(path, p)
+        assert control_fit(path, p).c == want
+        # Small blocks and chunks put every branch to work on short paths.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_FIT_BLOCK", block)
+            mp.setattr(core, "_FIT_PAIRS", chunk)
+            assert control_fit(path, p).c == want
 
 
 class TestControlModulus:

@@ -119,6 +119,15 @@ class TestEulerSolve:
         with pytest.raises(NumericsError):
             euler_solve(bad, path, np.array([1.0]))
 
+    @pytest.mark.parametrize("y0", [[np.nan], [np.inf], [-np.inf]], ids=["nan", "inf", "-inf"])
+    def test_non_finite_initial_state_refused_before_stepping(self, gbm_field, y0):
+        path = PolynomialPath(np.array([[0.0, 1.0]])).sample(np.linspace(0, 1, 9))
+        area = analytic_area(PolynomialPath(np.array([[0.0, 1.0]])), path)
+        with pytest.raises(ValueError, match="y0 must be finite"):
+            euler_solve(gbm_field, path, y0)
+        with pytest.raises(ValueError, match="y0 must be finite"):
+            corrected_solve(gbm_field, path, area, y0)
+
 
 class TestCorrectedSolve:
     def test_single_step_is_milstein(self, gbm_field):
