@@ -197,13 +197,11 @@ def _bc_dict(bc: BrownianConfig) -> dict:
 
 def _build_scheme(block: dict | None) -> SchemeConfig:
     block = block or {}
-    _check_keys(block, "scheme", {"scheme", "explosion_threshold", "gamma", "p"}, set())
+    _check_keys(block, "scheme", {"scheme", "explosion_threshold"}, set())
     try:
         return SchemeConfig(
             scheme=block.get("scheme", "euler"),
             explosion_threshold=_read(block, "explosion_threshold", float, 1e6),
-            gamma=None if block.get("gamma") is None else _read(block, "gamma", float),
-            p=None if block.get("p") is None else _read(block, "p", float),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -238,8 +236,7 @@ def _cmd_solve(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
     resolved = {
         "driver": resolved_driver,
         "field": config["field"],
-        "scheme": {"scheme": sch.scheme, "explosion_threshold": sch.explosion_threshold,
-                   "gamma": sch.gamma, "p": sch.p},
+        "scheme": {"scheme": sch.scheme, "explosion_threshold": sch.explosion_threshold},
         "y0": y0.tolist(),
         "expect_explosion": expect,
     }

@@ -354,6 +354,11 @@ class AreaProcess:
         return AreaProcess(self.path, per_interval, kind, seed=self.seed, substeps=self.substeps)
 
 
+def _correction_tensor(f: np.ndarray, d1: np.ndarray) -> np.ndarray:
+    """``G[i, r, j] = sum_h f[h, r] * D1[h, i, j]`` from evaluated ``f`` and ``D1``."""
+    return np.einsum("hr,hij->irj", f, d1)
+
+
 class VectorField:
     """A coefficient field ``f: R^n -> R^{n x d}`` with optional derivatives.
 
@@ -432,9 +437,7 @@ class VectorField:
         This is the tensor contracted against the area block in the corrected
         scheme step.
         """
-        f = self.eval(y)
-        d1 = self.deriv1(y)
-        return np.einsum("hr,hij->irj", f, d1)
+        return _correction_tensor(self.eval(y), self.deriv1(y))
 
     @classmethod
     def constant(cls, matrix) -> "VectorField":

@@ -1,11 +1,9 @@
 """One-step schemes for controlled systems, their defects, and derived flows.
 
-The two basic schemes share a skeleton: walk a partition of the driver grid,
-apply an update built from the field at the left endpoint, stop early if the
-state norm crosses the explosion threshold.  The corrected scheme adds the
-second-order term contracting :meth:`VectorField.correction_tensor` against
-the interval's area block, which is exactly the term whose omission the
-two-point defect measures.
+Everything here rests on one map, the left-point step ``y -> y + f(y) dx
+(+ G(y) : A)`` over a cell.  :func:`_coefficients` and :func:`_advance` are
+its single definition, shared by the solvers and :func:`defect`, so adjacent
+defects under the scheme that made a trajectory are zero by construction.
 
 Beyond the basic solvers this module provides:
 
@@ -35,6 +33,7 @@ from .core import (
     Partition,
     Trajectory,
     VectorField,
+    _correction_tensor,
     control_fit,
 )
 
@@ -50,26 +49,59 @@ __all__ = [
     "window_pairs",
 ]
 
+_SCHEMES = ("euler", "corrected")
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
     """Solver knobs; the default threshold matches the CLI contract.
 
     ``scheme`` is a dispatch tag ("euler" or "corrected") consumed by callers
-    that pick a solver from configuration, e.g. the CLI.  ``gamma`` and ``p``
-    ride along for defect reporting; the solvers themselves ignore them.
+    that pick a solver from configuration, e.g. the CLI.
     """
 
     scheme: str = "euler"
     explosion_threshold: float = 1e6
-    gamma: float | None = None
-    p: float | None = None
 
     def __post_init__(self):
-        if self.scheme not in ("euler", "corrected"):
+        if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme tag {self.scheme!r}")
         if not self.explosion_threshold > 0:
             raise ValueError("explosion threshold must be positive")
+
+
+def _coefficients(field: VectorField, y: np.ndarray, corrected: bool):
+    """Left-point coefficients of the step: ``(f(y), G(y))``, ``G`` None for Euler."""
+    f = field.eval(y)
+    return f, (_correction_tensor(f, field.deriv1(y)) if corrected else None)
+
+
+def _advance(y, f, g, dx, a) -> np.ndarray:
+    """The one-step map ``y + f dx (+ G : A)``; ``a`` is unused when ``g`` is None."""
+    y = y + f @ dx
+    if g is not None:
+        y = y + np.einsum("irj,rj->i", g, a)
+    return y
+
+
+def _check_fit(field: VectorField, path: DriverPath, y0, area: AreaProcess | None):
+    """``y0`` as a fresh float vector, refused unless it, the driver and the area fit.
+
+    An area fits when it was built on ``path`` or on equal times and values.
+    """
+    y = np.array(y0, dtype=float).reshape(-1)
+    if y.size != field.n:
+        raise ValueError(f"state has dimension {y.size}, field expects {field.n}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"y0 must be finite, got {y.tolist()}")
+    if field.d != path.d:
+        raise ValueError(f"field is driven by d={field.d}, the path has d={path.d}")
+    if area is not None and area.path is not path and not (
+        np.array_equal(area.path.times, path.times)
+        and np.array_equal(area.path.values, path.values)
+    ):
+        raise ValueError("area process was built on a different path than the driver")
+    return y
 
 
 def _grid_indices(path: DriverPath, partition: Partition | None) -> np.ndarray:
@@ -90,31 +122,26 @@ def _grid_indices(path: DriverPath, partition: Partition | None) -> np.ndarray:
     take_left = np.abs(path.times[left] - pts) < np.abs(path.times[idx] - pts)
     idx = np.where(take_left, left, idx)
     scale = max(1.0, float(np.max(np.abs(path.times))))
-    if np.any(np.abs(path.times[idx] - pts) > 1e-12 * scale):
-        bad = pts[np.abs(path.times[idx] - pts) > 1e-12 * scale][0]
-        raise ValueError(f"partition point {bad!r} is not on the driver grid")
+    off = np.abs(path.times[idx] - pts) > 1e-12 * scale
+    if np.any(off):
+        raise ValueError(f"partition point {pts[off][0]!r} is not on the driver grid")
     if np.any(np.diff(idx) <= 0):
         raise ValueError("partition maps to non-increasing grid indices")
     return idx
 
 
 def _run_scheme(
-    field: VectorField,
     path: DriverPath,
-    y0,
+    y: np.ndarray,
     partition: Partition | None,
     config: SchemeConfig | None,
     step,
     tag: str,
 ) -> Trajectory:
+    """Walk the partition from the checked initial state ``y`` with ``step``."""
     cfg = config or SchemeConfig()
     idx = _grid_indices(path, partition)
     times = path.times[idx]
-    y = np.asarray(y0, dtype=float).reshape(-1).copy()
-    if y.size != field.n:
-        raise ValueError(f"y0 has dimension {y.size}, field expects {field.n}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError(f"y0 must be finite, got {y.tolist()}")
     states = [y.copy()]
     exploded_at = None
     if float(np.linalg.norm(y)) > cfg.explosion_threshold:
@@ -130,13 +157,20 @@ def _run_scheme(
             if float(np.linalg.norm(y)) > cfg.explosion_threshold:
                 exploded_at = k + 1
                 break
-    states = np.asarray(states)
-    return Trajectory(
-        times=times[: states.shape[0]],
-        states=states,
-        scheme=tag,
-        exploded_at=exploded_at,
-    )
+    return Trajectory(times[: len(states)], np.asarray(states), tag, exploded_at)
+
+
+def _solve(field, path, area, y0, partition, config) -> Trajectory:
+    """Euler when ``area`` is None, corrected otherwise."""
+    y = _check_fit(field, path, y0, area)
+    corrected = area is not None
+    x = path.values
+
+    def step(y, i, j):
+        f, g = _coefficients(field, y, corrected)
+        return _advance(y, f, g, x[j] - x[i], area.pair(i, j) if corrected else None)
+
+    return _run_scheme(path, y, partition, config, step, "corrected" if corrected else "euler")
 
 
 def euler_solve(
@@ -147,12 +181,7 @@ def euler_solve(
     config: SchemeConfig | None = None,
 ) -> Trajectory:
     """First-order scheme: y += f(y) dx per cell."""
-    x = path.values
-
-    def step(y, i, j):
-        return y + field.eval(y) @ (x[j] - x[i])
-
-    return _run_scheme(field, path, y0, partition, config, step, "euler")
+    return _solve(field, path, None, y0, partition, config)
 
 
 def corrected_solve(
@@ -169,21 +198,9 @@ def corrected_solve(
     cell, looked up through the process's Chen algebra so coarse partitions
     stay consistent with the fine grid.
     """
-    if area.path is not path and not np.array_equal(area.path.times, path.times):
-        raise ValueError("area process was built on a different grid than the path")
     if not field.has_deriv1:
         raise NotImplementedError("corrected scheme needs the field's first derivative")
-    x = path.values
-
-    def step(y, i, j):
-        a = area.pair(i, j)
-        return (
-            y
-            + field.eval(y) @ (x[j] - x[i])
-            + np.einsum("irj,rj->i", field.correction_tensor(y), a)
-        )
-
-    return _run_scheme(field, path, y0, partition, config, step, "corrected")
+    return _solve(field, path, area, y0, partition, config)
 
 
 def augmented_solve(
@@ -202,7 +219,8 @@ def augmented_solve(
     one-step map, so its output converges to the Jacobian of the discrete
     flow at the same rate as the state and, for a fixed partition, *is* that
     Jacobian up to roundoff.  States are ``concat(y, Z.ravel())`` with
-    ``Z[i, N] = d y_i / d y0_N`` flattened row-major.
+    ``Z[i, N] = d y_i / d y0_N`` flattened row-major; the trajectory is
+    labelled with ``scheme``.
 
     Args:
         scheme: ``"euler"`` or ``"corrected"``.
@@ -210,20 +228,17 @@ def augmented_solve(
     """
     n = field.n
     x = path.values
-    if scheme not in ("euler", "corrected"):
+    if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if scheme == "corrected":
-        if area is None:
-            raise ValueError("corrected augmented solve needs an area process")
-        if not (field.has_deriv1 and field.has_deriv2):
-            raise NotImplementedError(
-                "corrected augmented solve needs first and second derivatives"
-            )
-    elif not field.has_deriv1:
-        raise NotImplementedError("augmented solve needs the field's first derivative")
+    corrected = scheme == "corrected"
+    if corrected and area is None:
+        raise ValueError("corrected augmented solve needs an area process")
+    if not field.has_deriv1 or (corrected and not field.has_deriv2):
+        raise NotImplementedError("augmented solve needs deriv1, and deriv2 when corrected")
 
+    y = _check_fit(field, path, y0, area if corrected else None)
     z_init = np.eye(n) if z0 is None else np.asarray(z0, dtype=float).reshape(n, n)
-    big0 = np.concatenate([np.asarray(y0, dtype=float).reshape(-1), z_init.ravel()])
+    big0 = np.concatenate([y, z_init.ravel()])
 
     def step(big, i, j):
         y = big[:n]
@@ -231,22 +246,18 @@ def augmented_solve(
         dx = x[j] - x[i]
         f = field.eval(y)
         d1 = field.deriv1(y)
-        y_new = y + f @ dx
+        a = area.pair(i, j) if corrected else None
+        y_new = _advance(y, f, _correction_tensor(f, d1) if corrected else None, dx, a)
         z_new = z + np.einsum("hij,hN,j->iN", d1, z, dx)
-        if scheme == "corrected":
-            a = area.pair(i, j)
+        if corrected:
             d2 = field.deriv2(y)
-            y_new = y_new + np.einsum("hr,hij,rj->i", f, d1, a)
             z_new = z_new + np.einsum("qhr,qN,hij,rj->iN", d1, z, d1, a)
             z_new = z_new + np.einsum("hr,qhij,qN,rj->iN", f, d2, z, a)
         return np.concatenate([y_new, z_new.ravel()])
 
     # Explosion is judged on the full augmented state; callers who care about
     # the bare state norm should solve it separately.
-    aug_field_n = n + n * n
-    shim = VectorField(aug_field_n, path.d, lambda y: np.zeros((aug_field_n, path.d)))
-    traj = _run_scheme(shim, path, big0, partition, config, step, f"augmented-{scheme}")
-    return traj
+    return _run_scheme(path, big0, partition, config, step, scheme)
 
 
 def jacobian_view(trajectory: Trajectory, n: int) -> np.ndarray:
@@ -422,22 +433,17 @@ def extended_solve(
     # The extended state contains a literal driver copy, so a state-norm
     # explosion test against the default threshold stays meaningful.
     traj = corrected_solve(ext, path, area, big0, partition=partition, config=config)
-    traj.scheme = "extended-corrected"
     return ExtendedSolution(
         trajectory=traj, base_field=field, path=path, n=field.n, d=path.d
     )
 
 
 def window_pairs(n_points: int, max_span: int) -> np.ndarray:
-    """All index pairs (k, l), k < l <= k + max_span, as an (m, 2) array."""
-    if n_points < 2:
-        return np.zeros((0, 2), dtype=int)
-    pairs = [
-        (k, l)
-        for k in range(n_points - 1)
-        for l in range(k + 1, min(k + max_span, n_points - 1) + 1)
-    ]
-    return np.asarray(pairs, dtype=int)
+    """All index pairs (k, l), k < l <= k + max_span, as an (m, 2) array sorted by k, l."""
+    k = np.arange(n_points - 1)[:, None]
+    l = k + np.arange(1, min(max_span, n_points - 1) + 1)
+    keep = l < n_points
+    return np.column_stack([np.broadcast_to(k, l.shape)[keep], l[keep]])
 
 
 def defect(
@@ -453,10 +459,10 @@ def defect(
 ) -> DefectReport:
     """Two-point defect report for an Euler or corrected trajectory.
 
-    For the Euler scheme the defect over (s, t) is
-    ``y_t - y_s - f(y_s) (x_t - x_s)``; the corrected scheme subtracts its
-    area term as well.  Magnitudes are componentwise sup norms, compared to
-    ``omega(s, t)^(gamma / p)``; the fitted constant is the max ratio.
+    For an Euler trajectory the defect over (s, t) is
+    ``y_t - y_s - f(y_s) (x_t - x_s)``; for ``trajectory.scheme == "corrected"``
+    the area term is subtracted too.  Magnitudes are componentwise sup norms,
+    compared to ``omega(s, t)^(gamma / p)``; the fitted constant is the max ratio.
 
     Args:
         pairs: ``None`` or ``"window"`` for all pairs up to ``max_span``
@@ -469,12 +475,11 @@ def defect(
     """
     if gamma <= 0 or p <= 0:
         raise ValueError("gamma and p must be positive")
+    _check_fit(field, path, trajectory.states[0], area)
     idx = _grid_indices(path, Partition(trajectory.times))
     x = path.values
     y = trajectory.states
-    corrected = trajectory.scheme.startswith("corrected") or trajectory.scheme.startswith(
-        "extended"
-    )
+    corrected = trajectory.scheme == "corrected"
     if corrected and area is None:
         raise ValueError("corrected-scheme defects need the area process")
     if gamma > 2 and area is None:
@@ -484,9 +489,7 @@ def defect(
         pair_arr = window_pairs(idx.size, max_span)
         policy = "window"
     elif isinstance(pairs, str) and pairs == "adjacent":
-        pair_arr = np.column_stack(
-            [np.arange(idx.size - 1), np.arange(1, idx.size)]
-        )
+        pair_arr = window_pairs(idx.size, 1)
         policy = "adjacent"
     else:
         pair_arr = np.asarray(pairs, dtype=int)
@@ -497,24 +500,20 @@ def defect(
         raise ValueError("no pairs to evaluate")
 
     if control is None:
-        control = control_fit(
-            DriverPath(trajectory.times, x[idx]), p
-        )
+        control = control_fit(DriverPath(trajectory.times, x[idx]), p)
 
     mags = np.empty(pair_arr.shape[0])
-    for m, (k, l) in enumerate(pair_arr):
+    last = None
+    # visiting pairs by left index evaluates f and G once per distinct k
+    for m in np.argsort(pair_arr[:, 0], kind="stable"):
+        k, l = pair_arr[m]
         if not 0 <= k < l < idx.size:
             raise IndexError(f"pair ({k}, {l}) outside the trajectory")
-        dx = x[idx[l]] - x[idx[k]]
-        # mirror the solver's operation order exactly, so the defect of an
-        # adjacent pair under the matching scheme cancels bitwise to zero
-        recon = y[k] + field.eval(y[k]) @ dx
-        if corrected:
-            a = area.pair(idx[k], idx[l])
-            recon = recon + np.einsum(
-                "irj,rj->i", field.correction_tensor(y[k]), a
-            )
-        mags[m] = np.max(np.abs(y[l] - recon))
+        if k != last:
+            f, g = _coefficients(field, y[k], corrected)
+            last = k
+        a = area.pair(idx[k], idx[l]) if corrected else None
+        mags[m] = np.max(np.abs(y[l] - _advance(y[k], f, g, x[idx[l]] - x[idx[k]], a)))
 
     omegas = control.omega(trajectory.times[pair_arr[:, 0]], trajectory.times[pair_arr[:, 1]])
     ratios = mags / omegas ** (gamma / p)

@@ -20,6 +20,7 @@ from roughstep.drivers import (
     brownian_path,
     build_chain_curve,
     example1_driver,
+    example1_solution_pair,
     explosion_driver,
     ito_area,
     power_law_envelope,
@@ -90,6 +91,13 @@ def example1():
     cfg = CounterexampleConfig()
     path, field = example1_driver(cfg)
     return cfg, path, field
+
+
+@pytest.fixture(scope="session")
+def example1_pair(example1):
+    """The flat and grown solutions of example 1 on its driver grid."""
+    cfg, path, _ = example1
+    return example1_solution_pair(cfg, path)
 
 
 @pytest.fixture(scope="session")

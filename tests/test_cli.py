@@ -169,8 +169,11 @@ class TestConfigErrors:
         ("explosion", {"envelope": {"growth_exp": 1.2, "area_exp": 0.4, "beta": 0.8},
                        "p": None, "include_driver": False}),
         ("solve", {**SOLVE_CONFIG, "field": {"kind": "constant", "matrix": [[None]]}}),
+        ("solve", {**SOLVE_CONFIG, "scheme": {"scheme": "corrected", "gamma": 1.5}}),
+        ("solve", {**SOLVE_CONFIG, "scheme": {"scheme": "corrected", "p": 2.0}}),
     ], ids=["level-out-of-range", "nan-y0", "field-driver-mismatch", "oracle-needs-d1",
-            "mesh-not-dividing-grid", "null-level", "null-alpha", "null-p", "null-matrix"])
+            "mesh-not-dividing-grid", "null-level", "null-alpha", "null-p", "null-matrix",
+            "scheme-gamma", "scheme-p"])
     def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, subcommand, config):
         cfg = _write_config(tmp_path, "bad.json", config)
         out = tmp_path / "out"

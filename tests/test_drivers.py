@@ -19,7 +19,6 @@ from roughstep.drivers import (
     degenerate_area,
     example1_driver,
     example1_field,
-    example1_solution_pair,
     example2_driver,
     example2_modified_field,
     explosion_driver,
@@ -230,35 +229,34 @@ class TestOscillatoryCounterexample:
         assert field.eval(np.array([1.0, y2]))[1, 1] == 1.0
         assert field.smoothness == gamma and not field.has_deriv1
 
-    def test_flat_branch_and_shared_component(self, example1):
-        cfg, path, _ = example1
-        flat, grown = example1_solution_pair(cfg, path)
+    def test_flat_branch_and_shared_component(self, example1, example1_pair):
+        _, path, _ = example1
+        flat, grown = example1_pair
         assert np.array_equal(flat.states[:, 0], np.zeros(path.times.size))
         assert np.array_equal(flat.states[:, 1], path.values[:, 1])
         assert np.array_equal(grown.states[:, 1], path.values[:, 1])
         assert np.all(grown.states[1:, 0] > 0)
 
-    def test_grown_branch_matches_quadrature_oracle(self, example1):
+    def test_grown_branch_matches_quadrature_oracle(self, example1, example1_pair):
         cfg, path, _ = example1
-        _, grown = example1_solution_pair(cfg, path)
+        _, grown = example1_pair
         i = int(np.searchsorted(path.times, 0.1))
         want = oracles.spiral_increment(cfg.gamma, cfg.beta_exp, cfg.rho_exp,
                                         path.times[i], path.times[-1])
         got = grown.states[-1, 0] - grown.states[i, 0]
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_grown_branch_leading_power(self, example1):
+    def test_grown_branch_leading_power(self, example1, example1_pair):
         cfg, path, _ = example1
-        _, grown = example1_solution_pair(cfg, path)
+        _, grown = example1_pair
         c0 = oracles.spiral_level_constant(cfg.gamma, cfg.beta_exp, cfg.rho_exp)
         for j in (200, 1000):
             t = path.times[j]
             assert grown.states[j, 0] == pytest.approx(
                 c0 * t**cfg.growth_exponent, rel=1e-10)
 
-    def test_terminal_separation_golden(self, example1):
-        cfg, path, _ = example1
-        flat, grown = example1_solution_pair(cfg, path)
+    def test_terminal_separation_golden(self, example1_pair):
+        flat, grown = example1_pair
         sep = abs(grown.states[-1, 0] - flat.states[-1, 0])
         assert sep == pytest.approx(0.001958296852956953, rel=1e-12)
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from roughstep.core import (
@@ -12,7 +14,13 @@ from roughstep.core import (
     Partition,
     VectorField,
 )
-from roughstep.drivers import PolynomialPath, analytic_area
+from roughstep.drivers import (
+    BrownianConfig,
+    PolynomialPath,
+    analytic_area,
+    brownian_path,
+    ito_area,
+)
 from roughstep.schemes import (
     SchemeConfig,
     augmented_solve,
@@ -40,6 +48,15 @@ def _linear_field(matrix: np.ndarray) -> VectorField:
         return out
 
     return VectorField(n, 1, func, deriv1=deriv1, smoothness=np.inf)
+
+
+def _linear_field_d(mats: np.ndarray) -> VectorField:
+    """f(y)[:, j] = M_j y against a driver of dimension ``len(mats)``."""
+    m = np.asarray(mats, dtype=float)
+    d, n, _ = m.shape
+    return VectorField(n, d, lambda y: (m @ y).T,
+                       deriv1=lambda y: np.transpose(m, (2, 1, 0)).copy(),
+                       smoothness=np.inf)
 
 
 class TestSchemeConfig:
@@ -97,6 +114,11 @@ class TestEulerSolve:
         _, path, _ = bm1
         with pytest.raises(ValueError):
             euler_solve(gbm_field, path, np.array([1.0, 2.0]))
+
+    def test_field_driver_dimension_checked(self, bm1, smooth22):
+        _, path, _ = bm1
+        with pytest.raises(ValueError, match="driven by d=2, the path has d=1"):
+            euler_solve(smooth22, path, np.zeros(2))
 
     def test_explosion_threshold_truncates(self, gbm_field):
         path = PolynomialPath(np.array([[0.0, 1.0]])).sample(np.linspace(0, 1, 33))
@@ -226,6 +248,20 @@ class TestAugmentedSolve:
         with pytest.raises(NotImplementedError):
             augmented_solve(no_d2, path, np.zeros(2), scheme="corrected", area=ito)
 
+    @pytest.mark.parametrize("scheme", ["euler", "corrected"])
+    def test_state_block_equals_plain_solve_bitwise(
+            self, bm2, smooth22, uniform_partition, scheme):
+        _, path, ito, _ = bm2
+        part = uniform_partition(64)
+        y0 = np.array([0.4, -0.2])
+        aug = augmented_solve(smooth22, path, y0, scheme=scheme, area=ito, partition=part)
+        if scheme == "euler":
+            plain = euler_solve(smooth22, path, y0, partition=part)
+        else:
+            plain = corrected_solve(smooth22, path, ito, y0, partition=part)
+        assert np.array_equal(aug.states[:, :2], plain.states)
+        assert aug.scheme == plain.scheme == scheme
+
     def test_jacobian_view_checks_width(self, bm1, gbm_field):
         _, path, _ = bm1
         traj = euler_solve(gbm_field, path.subsample(512), np.array([1.0]))
@@ -248,6 +284,12 @@ class TestExtendedSolve:
         sol = extended_solve(smooth22, path, ito, np.array([0.4, -0.2]), partition=part)
         plain = corrected_solve(smooth22, path, ito, np.array([0.4, -0.2]), partition=part)
         assert np.allclose(sol.y_states, plain.states, rtol=0, atol=1e-12)
+
+    def test_trajectory_is_labelled_corrected(self, poly_pair):
+        _, path, area = poly_pair
+        field = VectorField.constant(np.array([[1.0, 0.0]]))
+        sol = extended_solve(field, path, area, np.array([0.0]))
+        assert sol.trajectory.scheme == "corrected"
 
     def test_tables_on_linear_driver_are_half_squares(self):
         """With f = 1 and x = t every table increment is (t-s)^2 / 2."""
@@ -311,6 +353,15 @@ class TestWindowPairs:
         got = window_pairs(200, 16)
         assert np.max(got[:, 1] - got[:, 0]) == 16
 
+    @pytest.mark.parametrize("n_points, max_span", [
+        (0, 4), (2, 1), (7, 3), (10, 9), (10, 10), (6, 50), (300, 16), (65, 64)])
+    def test_matches_brute_force_enumeration(self, n_points, max_span):
+        want = [(k, l) for k in range(n_points) for l in range(k + 1, n_points)
+                if l - k <= max_span]
+        got = window_pairs(n_points, max_span)
+        assert got.shape == (len(want), 2)
+        assert [tuple(row) for row in got.tolist()] == want
+
 
 class TestDefect:
     def test_adjacent_euler_defect_is_exactly_zero(self, bm1, gbm_field):
@@ -330,6 +381,30 @@ class TestDefect:
         report = defect(traj, smooth22, path, gamma=1.5, p=2.5, area=ito,
                         pairs="adjacent")
         assert np.array_equal(report.magnitudes, np.zeros(64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(mats=hnp.arrays(float, (2, 2, 2), elements=st.floats(-2.0, 2.0)),
+           interior=st.sets(st.integers(1, 511), max_size=40),
+           y0=hnp.arrays(float, 2, elements=st.floats(-1.0, 1.0)))
+    def test_adjacent_defects_vanish_on_random_linear_fields(
+            self, poly_pair, mats, interior, y0):
+        _, path, area = poly_pair
+        field = _linear_field_d(mats)
+        part = Partition(path.times[[0, *sorted(interior), 512]])
+        for traj, used_area in [
+            (euler_solve(field, path, y0, partition=part), None),
+            (corrected_solve(field, path, area, y0, partition=part), area),
+        ]:
+            report = defect(traj, field, path, gamma=1.5, p=2.5, area=used_area,
+                            pairs="adjacent")
+            assert np.array_equal(report.magnitudes, np.zeros(traj.times.size - 1))
+
+    def test_field_must_fit_the_trajectory(self, bm2, smooth22, uniform_partition):
+        _, path, _, _ = bm2
+        aug = augmented_solve(smooth22, path, np.array([0.4, -0.2]),
+                              partition=uniform_partition(16))
+        with pytest.raises(ValueError, match="state has dimension 6, field expects 2"):
+            defect(aug, smooth22, path, gamma=1.5, p=2.5)
 
     def test_window_report_fields(self, bm1, gbm_field):
         _, path, _ = bm1
@@ -391,3 +466,39 @@ class TestDefect:
         with pytest.raises(IndexError):
             defect(traj, gbm_field, sub, gamma=1.5, p=2.5,
                    pairs=np.array([[0, 999]]))
+
+
+class TestAreaBinding:
+    """An area must belong to the driver it is used with, not just share its grid."""
+
+    @pytest.fixture(scope="class")
+    def seeds_1_2(self):
+        cfg1 = BrownianConfig(d=2, level=6, seed=1)
+        cfg2 = BrownianConfig(d=2, level=6, seed=2)
+        path1 = brownian_path(cfg1)
+        return path1, ito_area(path1, cfg1), ito_area(brownian_path(cfg2), cfg2)
+
+    @pytest.mark.parametrize("consumer", ["corrected_solve", "augmented_solve", "defect"])
+    def test_area_of_another_path_refused(self, seeds_1_2, smooth22, consumer):
+        path, own, foreign = seeds_1_2
+        assert np.array_equal(foreign.path.times, path.times)
+        y0 = np.array([0.4, -0.2])
+        calls = {
+            "corrected_solve": lambda area: corrected_solve(smooth22, path, area, y0),
+            "augmented_solve": lambda area: augmented_solve(
+                smooth22, path, y0, scheme="corrected", area=area),
+            "defect": lambda area: defect(
+                corrected_solve(smooth22, path, own, y0), smooth22, path,
+                gamma=1.5, p=2.5, area=area),
+        }
+        calls[consumer](own)
+        with pytest.raises(ValueError, match="different path"):
+            calls[consumer](foreign)
+
+    def test_area_on_an_equal_rebuilt_path_accepted(self, seeds_1_2, smooth22):
+        path, own, _ = seeds_1_2
+        rebuilt = brownian_path(BrownianConfig(d=2, level=6, seed=1))
+        assert rebuilt is not own.path
+        y0 = np.array([0.4, -0.2])
+        assert np.array_equal(corrected_solve(smooth22, rebuilt, own, y0).states,
+                              corrected_solve(smooth22, path, own, y0).states)
