@@ -23,6 +23,7 @@ from .core import (
     Partition,
     Trajectory,
     VectorField,
+    _pair_max,
     chen_combine,
     control_fit,
 )
@@ -114,7 +115,7 @@ def convergence_study(
     area: AreaProcess | None = None,
     reference: Callable | np.ndarray | None = None,
     drop_coarsest: int = 2,
-    config: SchemeConfig | None = None,
+    explosion_threshold: float = 1e6,
 ) -> RateReport:
     """Run one scheme over nested uniform partitions and regress the error.
 
@@ -125,6 +126,7 @@ def convergence_study(
     stands in; that fallback requires the grid to be at least 16x finer than
     the finest requested mesh, and an area process.
 
+    ``explosion_threshold`` bounds every solve, as in :class:`SchemeConfig`.
     Errors are Euclidean distances between terminal states.  Zero errors are
     excluded from the regression; if every mesh is exact the report says so
     instead of fitting a slope.
@@ -134,8 +136,7 @@ def convergence_study(
         raise ValueError("need at least two mesh sizes")
     if any(path.n_intervals % k for k in ks):
         raise ValueError("every mesh size must divide the driver grid")
-    if scheme not in ("euler", "corrected"):
-        raise ValueError(f"unknown scheme {scheme!r}")
+    config = SchemeConfig(scheme=scheme, explosion_threshold=explosion_threshold)
     if scheme == "corrected" and area is None:
         raise ValueError("corrected scheme needs an area process")
 
@@ -284,15 +285,22 @@ def condition21_stat(
     levels: Sequence[int] = range(4, 13),
     window_cap: int = 2**12,
 ) -> ConditionStat:
-    """Exhaustive windowed-cancellation scan over dyadic levels.
+    """Exact windowed-cancellation maximum over dyadic levels.
 
-    At each level the blocks are the areas of the 2^j uniform cells; every
-    window start is scanned for every window length up to ``window_cap``
-    (lengths above the cap are skipped, which only matters beyond level 12).
-    Magnitudes are max-entry norms of the summed blocks.
+    At each level the blocks are the areas of the 2^j uniform cells, and the
+    statistic is the largest ratio ``|P[m] - P[k]| / ((m - k)^beta h^(2 alpha))``
+    over windows of at most ``window_cap`` blocks, with ``P`` the level's
+    prefix sums and ``|.|`` the max-entry norm.  The search is the exact block
+    branch-and-bound of :func:`roughstep.core._pair_max`, so every window is
+    accounted for without scanning every window length, and each ratio is
+    bitwise the float ``mag / (w**beta * h ** (2 * alpha))``.  Tie rule: among
+    equal ratios the shortest window wins, then the larger magnitude, then
+    the smallest ``k``; across levels the coarsest level wins.
     """
     if not (0 < alpha < 1 and 0 < beta < 1):
         raise ValueError("alpha and beta must lie in (0, 1)")
+    if window_cap < 1:
+        raise ValueError(f"window_cap must be at least 1, got {window_cap}")
     levels = sorted(set(int(j) for j in levels))
     depth = _dyadic_depth(area)
     if levels and levels[-1] > depth:
@@ -306,19 +314,15 @@ def condition21_stat(
     for j in levels:
         prefix, h = _level_prefix(area, j)
         n = prefix.shape[0] - 1
-        level_best = 0.0
-        level_arg = (0, 1)
-        for w in range(1, min(n, window_cap) + 1):
-            mags = np.max(np.abs(prefix[w:] - prefix[:-w]), axis=(1, 2))
-            k = int(np.argmax(mags))
-            ratio = float(mags[k]) / (w**beta * h ** (2 * alpha))
-            if ratio > level_best:
-                level_best = ratio
-                level_arg = (k, k + w)
+        table = np.array([w**beta * h ** (2 * alpha) for w in range(n + 1)])
+        pos = np.arange(n + 1)
+        level_best, k, m = _pair_max(
+            prefix.reshape(n + 1, -1).T, None, lambda k, m: table[pos[m] - pos[k]], window_cap
+        )
         per_level.append(level_best)
         if level_best > best_value:
             best_value = level_best
-            best_arg = (level_arg[0], level_arg[1], h)
+            best_arg = (k, m, h)
     return ConditionStat(
         alpha=float(alpha),
         beta=float(beta),

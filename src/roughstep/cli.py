@@ -45,7 +45,7 @@ from .drivers import (
     power_law_envelope,
     stratonovich_area,
 )
-from .schemes import SchemeConfig, corrected_solve, defect, euler_solve
+from .schemes import SchemeConfig, _check_fit, corrected_solve, defect, euler_solve
 from . import __version__
 
 
@@ -179,16 +179,9 @@ def _driver_from_block(block: dict, seed_override, need_area: bool):
 def _initial_state(raw, field: VectorField, path) -> np.ndarray:
     """``y0`` as an array, refused unless it, the field and the driver fit."""
     try:
-        y0 = np.asarray(raw, dtype=float)
+        return _check_fit(field, path, raw, None)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"y0 is not a list of numbers: {exc}") from exc
-    if y0.shape != (field.n,):
-        raise ConfigError(f"y0 has shape {list(y0.shape)}, the field needs [{field.n}]")
-    if not np.all(np.isfinite(y0)):
-        raise ConfigError("y0 must be finite")
-    if field.d != path.d:
-        raise ConfigError(f"the field is driven by d={field.d}, the driver has d={path.d}")
-    return y0
+        raise ConfigError(str(exc)) from exc
 
 
 def _bc_dict(bc: BrownianConfig) -> dict:
@@ -291,7 +284,7 @@ def _cmd_convergence(config: dict, out: Path, seed_override) -> tuple[dict, dict
             area=area,
             reference=_ORACLES[oracle_name],
             drop_coarsest=drop_coarsest,
-            config=sch,
+            explosion_threshold=sch.explosion_threshold,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -299,7 +292,7 @@ def _cmd_convergence(config: dict, out: Path, seed_override) -> tuple[dict, dict
         "driver": resolved_driver,
         "field": config["field"],
         "scheme": {"scheme": sch.scheme},
-        "y0": list(map(float, config["y0"])),
+        "y0": y0.tolist(),
         "k_values": k_values,
         "oracle": oracle_name,
         "drop_coarsest": drop_coarsest,
@@ -340,8 +333,11 @@ def _cmd_condition21(config: dict, out: Path, seed_override) -> tuple[dict, dict
     beta = _read(config, "beta", float)
     levels = _read(config, "levels", lambda v: [int(j) for j in v], range(4, 13))
     cap = _read(config, "window_cap", int, 2**12)
-    stat_ito = condition21_stat(ito, alpha, beta, levels=levels, window_cap=cap)
-    stat_strat = condition21_stat(strat, alpha, beta, levels=levels, window_cap=cap)
+    try:
+        stat_ito = condition21_stat(ito, alpha, beta, levels=levels, window_cap=cap)
+        stat_strat = condition21_stat(strat, alpha, beta, levels=levels, window_cap=cap)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     payload = {
         "ito": stat_ito.to_dict(),
         "stratonovich": stat_strat.to_dict(),

@@ -200,8 +200,98 @@ class ControlModulus:
         return float(out) if out.ndim == 0 else out
 
 
-_FIT_BLOCK = 64  # samples per block in control_fit's branch-and-bound
+_FIT_BLOCK = 64  # samples per block in _pair_max's branch-and-bound
 _FIT_PAIRS = 2**14  # block pairs bounded per vectorized chunk
+
+
+def _pair_max(v, p, weight, cap=None) -> tuple[float, int, int]:
+    """Exact ``max over k < m`` of ``max_c |v[c, m] - v[c, k]|^p / weight(k, m)``.
+
+    ``v`` has shape ``(c, N)``; ``p=None`` leaves the increment unpowered.
+    ``weight(k, m)`` gives positive weights for every pair, never decreasing
+    as ``[k, m]`` widens; ``k`` and ``m`` are broadcastable index arrays or,
+    in the one-gap passes, the slices ``[0, N - gap)`` and ``[gap, N)``.
+    Only pairs with ``m - k <= cap`` count.
+    Returns ``(ratio, k, m)``.  Among equal ratios the smallest gap ``m - k``
+    wins, then the larger increment, then the smallest ``k``.
+
+    Gaps under ``_FIT_BLOCK`` are scanned one vectorized pass per gap.  The
+    index range is cut into ``_FIT_BLOCK``-sample blocks; a pair in blocks
+    ``I < J`` has an increment of at most ``max(bmax_J - bmin_I, bmax_I -
+    bmin_J)`` and a weight of at least the one at the smallest gap.  Block
+    pairs within the cap are evaluated in full, largest such bound first,
+    until a bound falls below the running best; a bound equal to it is still
+    visited, so that ties are seen.  Bounds are inflated by ``1 + 1e-12`` so
+    that a last-ulp difference in ``pow`` cannot prune the pair holding the
+    maximum (a subnormal bound stays tied, hence the tie visit), and they are
+    kept only at or above an attained lower bound (the increment over the
+    widest gap within the cap), which holds memory near linear in the block
+    count.  The search starts from ``(0, 1)`` at ratio 0, the first pair
+    under the tie rule, so a zero maximum is reported there.  Every ratio is
+    formed by the same elementwise operations and ``max`` is exact, so the
+    result is bitwise that of an all-pairs scan.
+    """
+    v = np.ascontiguousarray(v)
+    n = v.shape[1]
+    cap = n - 1 if cap is None else min(int(cap), n - 1)
+    # (ratio, -gap, increment, -k): the largest wins.
+    best = (0.0, -1, 0.0, 0)
+
+    def offer(num, ratio, shortest, pairs):
+        nonlocal best
+        r = float(ratio.max())
+        if (r, -shortest) >= best[:2]:  # it can win or tie on ratio and gap
+            hit = np.nonzero(ratio == r)
+            k, m = pairs(*hit)
+            num = num[hit]
+            i = np.lexsort((k, -num, m - k))[0]
+            best = max(best, (r, int(k[i] - m[i]), float(num[i]), -int(k[i])))
+
+    for gap in range(1, min(_FIT_BLOCK, cap + 1)):
+        num = np.max(np.abs(v[:, gap:] - v[:, :-gap]), axis=0)
+        if p is not None:
+            num = num**p
+        ratio = num / weight(slice(0, n - gap), slice(gap, n))
+        offer(num, ratio, gap, lambda a, gap=gap: (a, a + gap))
+    starts = np.arange(0, n, _FIT_BLOCK)
+    ends = np.minimum(starts + _FIT_BLOCK, n) - 1
+    bmin, bmax = np.minimum.reduceat(v, starts, axis=1), np.maximum.reduceat(v, starts, axis=1)
+    nb = starts.size
+    step = max(1, _FIT_PAIRS // nb)
+    floor, kept = best[0], []
+    blocks = np.arange(nb)
+    for i0 in range(0, nb - 1, step):
+        rows = blocks[i0 : min(i0 + step, nb - 1), None]
+        ii, jj = np.nonzero((rows < blocks) & (starts - ends[rows] <= cap))
+        ii += i0
+        reach = np.max(np.maximum(bmax[:, jj] - bmin[:, ii], bmax[:, ii] - bmin[:, jj]), axis=0)
+        if p is not None:
+            reach **= p
+        lower = reach / weight(starts[ii], ends[jj])
+        if cap < n - 1:
+            lower = lower[ends[jj] - starts[ii] <= cap]
+        floor = max(floor, float(lower.max(initial=-math.inf)))
+        upper = reach / weight(ends[ii], starts[jj]) * (1 + 1e-12)
+        keep = (upper >= floor) & (upper > 0)  # zero ratios never beat the start (0, 1)
+        kept.append((upper[keep], ii[keep], jj[keep]))
+    if kept:
+        upper, rows, cols = (np.concatenate(a) for a in zip(*kept))
+        for q in np.argsort(-upper, kind="stable"):
+            if upper[q] < best[0]:
+                break
+            i = slice(starts[rows[q]], ends[rows[q]] + 1)
+            j = slice(starts[cols[q]], ends[cols[q]] + 1)
+            k, m = np.arange(i.start, i.stop)[:, None], np.arange(j.start, j.stop)
+            num = np.abs(v[:, None, j] - v[:, i, None]).max(axis=0)
+            if p is not None:
+                num = num**p
+            ratio = num / weight(k, m)
+            if j.stop - i.start > cap + 1:  # the block pair straddles the cap
+                ratio[m - k > cap] = -np.inf
+            shortest = j.start - i.stop + 1
+            offer(num, ratio, shortest, lambda a, b, i=i, j=j: (a + i.start, b + j.start))
+    k = -best[3]
+    return best[0], k, k - best[1]
 
 
 def control_fit(path: DriverPath, p: float) -> ControlModulus:
@@ -209,50 +299,13 @@ def control_fit(path: DriverPath, p: float) -> ControlModulus:
 
     The constant is ``c = max over all grid pairs (s, t)`` of
     ``max_i |x_i(t) - x_i(s)|^p / (t - s)`` (componentwise sup norm), exact
-    for the sampled grid.  Pairs under 64 samples apart, so all pairs inside
-    a 64-sample block, are scanned one vectorized pass per lag.  A pair in
-    blocks ``I < J`` has ``|dx_i| <= max(max_J - min_I, max_I - min_J)`` and a
-    gap of at least ``t[first_J] - t[last_I]``.  Block pairs are evaluated in
-    full, largest such bound first (kept only above an attained lower bound,
-    to hold memory near linear in the block count), until the bound no longer
-    exceeds the running ``c``.  Bounds are inflated by ``1 + 1e-12`` so that
-    neither a tie with the lower bound nor a last-ulp difference in ``pow``
-    prunes the block pair holding the maximum.  Every ratio is formed by the
-    same elementwise operations (``max |dx|``, ``**p``, ``/ gap``) and ``max``
-    is exact, so ``c`` is bitwise the value of an all-pairs scan.
+    for the sampled grid: :func:`_pair_max` returns bitwise the value of an
+    all-pairs scan.
     """
     if not p > 0:
         raise ValueError("p must be positive")
     t = path.times
-    v = np.ascontiguousarray(path.values.T)  # (d, N): sup norms reduce axis 0
-    c = 0.0
-    for lag in range(1, min(_FIT_BLOCK, t.size)):
-        inc = np.max(np.abs(v[:, lag:] - v[:, :-lag]), axis=0)
-        c = max(c, float(np.max(inc**p / (t[lag:] - t[:-lag]))))
-    starts = np.arange(0, t.size, _FIT_BLOCK)
-    ends = np.minimum(starts + _FIT_BLOCK, t.size) - 1
-    bmin, bmax = np.minimum.reduceat(v, starts, axis=1), np.maximum.reduceat(v, starts, axis=1)
-    n = starts.size
-    step = max(1, _FIT_PAIRS // n)
-    floor, kept = c, []
-    for i0 in range(0, n - 1, step):
-        ii, jj = np.nonzero(np.arange(i0, min(i0 + step, n - 1))[:, None] < np.arange(n))
-        ii += i0
-        reach = np.max(np.maximum(bmax[:, jj] - bmin[:, ii], bmax[:, ii] - bmin[:, jj]), axis=0)
-        reach **= p
-        floor = max(floor, float(np.max(reach / (t[ends[jj]] - t[starts[ii]]))))
-        upper = reach / (t[starts[jj]] - t[ends[ii]]) * (1 + 1e-12)
-        keep = upper > floor
-        kept.append((upper[keep], ii[keep], jj[keep]))
-    if kept:
-        upper, rows, cols = (np.concatenate(a) for a in zip(*kept))
-        for m in np.argsort(-upper, kind="stable"):
-            if upper[m] <= c:
-                break
-            i = slice(starts[rows[m]], ends[rows[m]] + 1)
-            j = slice(starts[cols[m]], ends[cols[m]] + 1)
-            inc = np.max(np.abs(v[:, None, j] - v[:, i, None]), axis=0)
-            c = max(c, float(np.max(inc**p / (t[None, j] - t[i, None]))))
+    c, _, _ = _pair_max(path.values.T, p, lambda k, m: t[m] - t[k])
     return ControlModulus(c=c, p=float(p))
 
 
@@ -314,17 +367,15 @@ class AreaProcess:
         self.kind = kind
         self.seed = seed
         self.substeps = substeps
-        # Prefix fold P[k] = area over (t_0, t_k), built left to right.
-        prefix = np.empty((path.n_intervals + 1, d, d))
-        prefix[0] = 0.0
+        # Prefix fold P[k + 1] = (P[k] + A_k) + (x_k - x_0) (x) (x_{k+1} - x_k), as
+        # one cumulative sum over the interleaved terms A_0, outer_0, A_1, ...
         x = path.values
-        for k in range(path.n_intervals):
-            prefix[k + 1] = (
-                prefix[k]
-                + per_interval[k]
-                + np.outer(x[k] - x[0], x[k + 1] - x[k])
-            )
-        self._prefix = prefix
+        terms = np.empty((path.n_intervals, 2, d, d))
+        terms[:, 0] = per_interval
+        np.multiply((x[:-1] - x[0])[:, :, None], np.diff(x, axis=0)[:, None, :], out=terms[:, 1])
+        np.cumsum(terms.reshape(-1, d, d), axis=0, out=terms.reshape(-1, d, d))
+        self._prefix = np.zeros((path.n_intervals + 1, d, d))
+        self._prefix[1:] = terms[:, 1]
 
     @property
     def d(self) -> int:

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
+import roughstep.core as core
 from roughstep.core import AreaProcess, DriverPath, VectorField
 from roughstep.drivers import (
     BrownianConfig,
@@ -18,6 +21,7 @@ from roughstep.drivers import (
     stratonovich_area,
 )
 from roughstep.analysis import (
+    _level_prefix,
     chen_residuals,
     condition21_recompute,
     condition21_stat,
@@ -163,6 +167,123 @@ class TestCondition21:
         bad = AreaProcess(ragged, np.zeros((100, 2, 2)), "degenerate")
         with pytest.raises(ValueError):
             condition21_stat(bad, 0.45, 0.55, levels=[4])
+
+
+def _all_windows_stat(area, alpha, beta, levels, window_cap):
+    """Every window length at every level, unpruned: ``(value, argmax, per_level)``.
+
+    Per length the first largest magnitude is taken, and a ratio replaces the
+    running best only when strictly larger, so the shortest window, then the
+    larger magnitude, then the smallest k win ties, and the coarsest level.
+    """
+    value, argmax, per_level = -math.inf, None, []
+    for j in sorted(set(levels)):
+        prefix, h = _level_prefix(area, j)
+        n = prefix.shape[0] - 1
+        best, arg = 0.0, (0, 1)
+        for w in range(1, min(n, window_cap) + 1):
+            mags = np.max(np.abs(prefix[w:] - prefix[:-w]), axis=(1, 2))
+            k = int(np.argmax(mags))
+            ratio = float(mags[k]) / (w**beta * h ** (2 * alpha))
+            if ratio > best:
+                best, arg = ratio, (k, k + w)
+        per_level.append(best)
+        if best > value:
+            value, argmax = best, (arg[0], arg[1], h)
+    return value, argmax, per_level
+
+
+def _flat_path_area(blocks):
+    """An area on a constant path, so the finest level's prefix is the blocks' cumsum."""
+    n = len(blocks)
+    path = DriverPath(np.linspace(0.0, 1.0, n + 1), np.zeros((n + 1, 1)))
+    return AreaProcess(path, np.asarray(blocks, dtype=float).reshape(n, 1, 1), "perturbed")
+
+
+@st.composite
+def _random_areas(draw):
+    """Areas on 2^0..2^7 intervals; rounding the draws to integers makes ties."""
+    depth = draw(st.integers(0, 7))
+    n, d = 2**depth, draw(st.integers(1, 2))
+    x = draw(hnp.arrays(np.float64, (n + 1, d), elements=st.floats(-4.0, 4.0)))
+    blocks = draw(hnp.arrays(np.float64, (n, d, d), elements=st.floats(-4.0, 4.0)))
+    if draw(st.booleans()):
+        x, blocks = np.round(x), np.round(blocks)
+    return AreaProcess(DriverPath(np.linspace(0.0, 1.0, n + 1), x), blocks, "perturbed")
+
+
+class TestCondition21Exact:
+    """The block search must return the all-window-lengths scan bit for bit, argmax included."""
+
+    @pytest.mark.parametrize("cap", [1, 63, 64, 65, 200, 1023, 1024, 4096])
+    @pytest.mark.parametrize("which", ["ito", "stratonovich"])
+    def test_matches_all_windows_scan(self, areas10, which, cap):
+        area = areas10[which == "stratonovich"]
+        stat = condition21_stat(area, 0.45, 0.55, levels=range(2, 11), window_cap=cap)
+        want = _all_windows_stat(area, 0.45, 0.55, range(2, 11), cap)
+        assert (stat.value, stat.argmax, stat.per_level) == want
+        assert condition21_recompute(area, 0.45, 0.55, *stat.argmax) == stat.value
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 64])
+    @pytest.mark.parametrize("blocks, argmax", [
+        ([0, -1, 0, 0, 0.5, 0.5, 0.5, 0.5], (1, 2)),
+        ([0.5, 0.5, 0.5, 0.5, 0, 0, -1, 0], (6, 7)),
+    ], ids=["short-window-first", "long-window-first"])
+    def test_tie_goes_to_the_shortest_window(self, monkeypatch, block, blocks, argmax):
+        """With beta 1/2 a window of 4 summing to 2 ties a window of 1 summing to 1 exactly."""
+        monkeypatch.setattr(core, "_FIT_BLOCK", block)
+        area = _flat_path_area(blocks)
+        stat = condition21_stat(area, 0.25, 0.5, levels=[3])
+        h = 1.0 / 8
+        assert stat.value == 1.0 / h**0.5
+        assert stat.argmax == (*argmax, h)
+        assert (stat.value, stat.argmax, stat.per_level) == _all_windows_stat(
+            area, 0.25, 0.5, [3], 8)
+
+    @pytest.mark.parametrize("block", [1, 2, 64])
+    def test_flat_area_reports_the_first_window_of_the_coarsest_level(self, monkeypatch, block):
+        """Every ratio is 0, a tie everywhere: the first window of the coarsest level wins."""
+        monkeypatch.setattr(core, "_FIT_BLOCK", block)
+        stat = condition21_stat(_flat_path_area(np.zeros(32)), 0.45, 0.55, levels=[1, 3, 5])
+        assert stat.value == 0.0 and stat.per_level == [0.0, 0.0, 0.0]
+        assert stat.argmax == (0, 1, 0.5)
+
+    @pytest.mark.parametrize("block", [1, 64])
+    @pytest.mark.parametrize("blocks, beta, argmax", [
+        ([5e-324], 0.5, (0, 1)),
+        ([0.0, 5e-324, 0.0, 0.0], 0.01, (1, 2)),
+    ], ids=["lone", "tied-across-gaps"])
+    def test_subnormal_maxima(self, monkeypatch, block, blocks, beta, argmax):
+        """``1 + 1e-12`` cannot lift a subnormal bound above the ratios it bounds.
+
+        Only visiting bounds equal to the floor finds the lone maximum, and
+        only visiting bounds equal to the running best finds the gap-1 window
+        that ties (after rounding) the longer windows from 0, visited first.
+        """
+        monkeypatch.setattr(core, "_FIT_BLOCK", block)
+        area = _flat_path_area(blocks)
+        level = len(blocks).bit_length() - 1
+        stat = condition21_stat(area, 0.5, beta, levels=[level])
+        assert stat.argmax[:2] == argmax
+        assert (stat.value, stat.argmax, stat.per_level) == _all_windows_stat(
+            area, 0.5, beta, [level], 8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(area=_random_areas(), alpha=st.floats(0.01, 0.99), beta=st.floats(0.01, 0.99),
+           cap=st.integers(1, 300), block=st.integers(1, 70), chunk=st.integers(1, 40))
+    def test_matches_all_windows_scan_on_random_areas(self, area, alpha, beta, cap, block, chunk):
+        depth = area.n_intervals.bit_length() - 1
+        levels = range(depth + 1)
+        want = _all_windows_stat(area, alpha, beta, levels, cap)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_FIT_BLOCK", block)
+            mp.setattr(core, "_FIT_PAIRS", chunk)
+            stat = condition21_stat(area, alpha, beta, levels=levels, window_cap=cap)
+        assert (stat.value, stat.argmax, stat.per_level) == want
+
+    def test_window_cap_below_one_refused(self, areas10):
+        with pytest.raises(ValueError):
+            condition21_stat(areas10[0], 0.45, 0.55, levels=range(4, 11), window_cap=0)
 
 
 class TestRiemannRecovery:

@@ -23,6 +23,11 @@ SOLVE_CONFIG = {
     "defect": {"gamma": 3.0, "p": 2.0, "pairs": "window", "max_span": 16},
 }
 
+C21_CONFIG = {
+    "driver": {"kind": "brownian", "d": 2, "level": 6, "seed": 42},
+    "alpha": 0.45, "beta": 0.55, "levels": [2, 6],
+}
+
 
 class TestSolve:
     def test_writes_expected_artifacts(self, tmp_path):
@@ -171,9 +176,15 @@ class TestConfigErrors:
         ("solve", {**SOLVE_CONFIG, "field": {"kind": "constant", "matrix": [[None]]}}),
         ("solve", {**SOLVE_CONFIG, "scheme": {"scheme": "corrected", "gamma": 1.5}}),
         ("solve", {**SOLVE_CONFIG, "scheme": {"scheme": "corrected", "p": 2.0}}),
+        ("condition21", {**C21_CONFIG, "levels": []}),
+        ("condition21", {**C21_CONFIG, "levels": [9]}),
+        ("condition21", {**C21_CONFIG, "levels": [-1]}),
+        ("condition21", {**C21_CONFIG, "window_cap": 0}),
+        ("condition21", {**C21_CONFIG, "alpha": 1.5}),
     ], ids=["level-out-of-range", "nan-y0", "field-driver-mismatch", "oracle-needs-d1",
             "mesh-not-dividing-grid", "null-level", "null-alpha", "null-p", "null-matrix",
-            "scheme-gamma", "scheme-p"])
+            "scheme-gamma", "scheme-p", "c21-no-levels", "c21-level-finer-than-driver",
+            "c21-negative-level", "c21-window-cap-0", "c21-alpha-out-of-range"])
     def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, subcommand, config):
         cfg = _write_config(tmp_path, "bad.json", config)
         out = tmp_path / "out"

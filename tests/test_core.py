@@ -262,6 +262,17 @@ class TestAreaProcess:
         with pytest.raises(ValueError):
             AreaProcess(path, np.zeros((32, 2, 2)), "levy")
 
+    @pytest.mark.parametrize("d, n", [(1, 200), (2, 4096), (3, 64)])
+    def test_prefix_is_the_left_to_right_fold_bitwise(self, d, n):
+        rng = np.random.default_rng(d * n)
+        path = DriverPath(np.linspace(0, 1, n + 1), np.cumsum(rng.normal(size=(n + 1, d)), axis=0))
+        area = AreaProcess(path, rng.normal(size=(n, d, d)), "perturbed")
+        x = path.values
+        want = np.zeros((n + 1, d, d))
+        for k in range(n):
+            want[k + 1] = want[k] + area.per_interval[k] + np.outer(x[k] - x[0], x[k + 1] - x[k])
+        assert np.array_equal(area._prefix, want)
+
     def test_with_intervals_swaps_blocks_only(self, toy):
         path, area = toy
         other = area.with_intervals(np.zeros((32, 2, 2)), "degenerate")
