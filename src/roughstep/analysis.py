@@ -267,9 +267,7 @@ def _level_prefix(area: AreaProcess, level: int) -> tuple[np.ndarray, float]:
     blocks = area.per_interval
     incs = area.path.increments
     for _ in range(depth - level):
-        blocks = blocks[0::2] + blocks[1::2] + np.einsum(
-            "ki,kj->kij", incs[0::2], incs[1::2]
-        )
+        blocks = chen_combine(blocks[0::2], blocks[1::2], incs[0::2], incs[1::2])
         incs = incs[0::2] + incs[1::2]
     prefix = np.zeros((blocks.shape[0] + 1,) + blocks.shape[1:])
     np.cumsum(blocks, axis=0, out=prefix[1:])
@@ -636,13 +634,11 @@ def chen_residuals(
     """
     if area.n_intervals < 2:
         raise ValueError("need at least two intervals to form a triple")
+    if n_triples < 1:
+        raise ValueError(f"need at least one triple, got {n_triples}")
     rng = np.random.default_rng(seed)
+    draws = [rng.choice(area.n_intervals + 1, size=3, replace=False) for _ in range(n_triples)]
+    i, j, k = np.sort(draws, axis=1).T
     x = area.path.values
-    residuals = np.empty(n_triples)
-    for m in range(n_triples):
-        i, j, k = np.sort(rng.choice(area.n_intervals + 1, size=3, replace=False))
-        combined = chen_combine(
-            area.pair(i, j), area.pair(j, k), x[j] - x[i], x[k] - x[j]
-        )
-        residuals[m] = float(np.max(np.abs(area.pair(i, k) - combined)))
-    return residuals
+    combined = chen_combine(area.pairs(i, j), area.pairs(j, k), x[j] - x[i], x[k] - x[j])
+    return np.max(np.abs(area.pairs(i, k) - combined), axis=(1, 2))

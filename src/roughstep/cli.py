@@ -7,8 +7,8 @@ self-describing and a rerun with the same config and seed is byte-identical.
 
 Exit codes: 0 success, 2 config error (unknown keys, missing or non-numeric
 values, inadmissible parameters, a field that does not fit its driver or
-initial state), 3 numerical failure (non-finite states or an explosion the
-config did not declare).
+initial state), 3 numerical failure (non-finite states or results, or an
+explosion the config did not declare).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,7 +46,8 @@ from .drivers import (
     power_law_envelope,
     stratonovich_area,
 )
-from .schemes import SchemeConfig, _check_fit, corrected_solve, defect, euler_solve
+from .schemes import (SchemeConfig, _check_fit, _defect_pairs, corrected_solve, defect,
+                      euler_solve)
 from . import __version__
 
 
@@ -63,12 +65,16 @@ def _check_keys(block: dict, where: str, allowed: set, required: set) -> None:
 
 
 def _read(block: dict, key: str, convert, default=None):
-    """``convert(block.get(key, default))``; a value it refuses (null, text) is a config error."""
+    """``convert(block.get(key, default))``; a value it refuses (null, text, an
+    infinite int) or a non-finite float is a config error."""
     value = block.get(key, default)
     try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
+        out = convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} has an invalid value {value!r}") from exc
+    if isinstance(out, float) and not math.isfinite(out):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return out
 
 
 def _effective_seed(block: dict, override):
@@ -201,7 +207,8 @@ def _build_scheme(block: dict | None) -> SchemeConfig:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (artifact dict, resolved-config dict)
+# subcommand handlers: each returns (artifact dict, resolved-config dict); an
+# artifact is a JSON payload or a writer taking the target path
 
 
 def _cmd_solve(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
@@ -238,16 +245,15 @@ def _cmd_solve(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
         _check_keys(dft, "defect", {"gamma", "p", "pairs", "max_span"}, {"gamma", "p"})
         gamma, p = _read(dft, "gamma", float), _read(dft, "p", float)
         max_span = _read(dft, "max_span", int, 64)
-        report = defect(
-            traj, field, path, gamma, p,
-            area=area,
-            pairs=dft.get("pairs", "window"),
-            max_span=max_span,
-        )
-        artifacts["defect.json"] = lambda p: _write_json(p, report.to_dict())
-        resolved["defect"] = {"gamma": gamma, "p": p,
-                              "pairs": dft.get("pairs", "window"),
-                              "max_span": max_span}
+        pairs = dft.get("pairs", "window")
+        try:
+            _defect_pairs(traj.times.size, gamma, p, traj.scheme == "corrected", area,
+                          pairs, max_span)
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ConfigError(f"defect: {exc}") from exc
+        report = defect(traj, field, path, gamma, p, area=area, pairs=pairs, max_span=max_span)
+        artifacts["defect.json"] = report.to_dict()
+        resolved["defect"] = {"gamma": gamma, "p": p, "pairs": pairs, "max_span": max_span}
     return artifacts, resolved
 
 
@@ -297,7 +303,7 @@ def _cmd_convergence(config: dict, out: Path, seed_override) -> tuple[dict, dict
         "oracle": oracle_name,
         "drop_coarsest": drop_coarsest,
     }
-    return {"rate.json": lambda p: _write_json(p, report.to_dict())}, resolved
+    return {"rate.json": report.to_dict()}, resolved
 
 
 def _cmd_chen_check(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
@@ -305,7 +311,10 @@ def _cmd_chen_check(config: dict, out: Path, seed_override) -> tuple[dict, dict]
     path, area, resolved_driver = _build_driver(config["driver"], seed_override, need_area=True)
     n_triples = _read(config, "n_triples", int, 1000)
     triple_seed = _read(config, "triple_seed", int, 0)
-    res = chen_residuals(area, n_triples=n_triples, seed=triple_seed)
+    try:
+        res = chen_residuals(area, n_triples=n_triples, seed=triple_seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     payload = {
         "kind": area.kind,
         "n_triples": n_triples,
@@ -314,7 +323,7 @@ def _cmd_chen_check(config: dict, out: Path, seed_override) -> tuple[dict, dict]
         "mean_residual": float(np.mean(res)),
     }
     resolved = {"driver": resolved_driver, "n_triples": n_triples, "triple_seed": triple_seed}
-    return {"chen.json": lambda p: _write_json(p, payload)}, resolved
+    return {"chen.json": payload}, resolved
 
 
 def _cmd_condition21(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
@@ -345,7 +354,7 @@ def _cmd_condition21(config: dict, out: Path, seed_override) -> tuple[dict, dict
     }
     resolved = {"driver": resolved_driver, "alpha": alpha, "beta": beta,
                 "levels": levels, "window_cap": cap}
-    return {"condition21.json": lambda p: _write_json(p, payload)}, resolved
+    return {"condition21.json": payload}, resolved
 
 
 def _cmd_nonuniqueness(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
@@ -368,7 +377,7 @@ def _cmd_nonuniqueness(config: dict, out: Path, seed_override) -> tuple[dict, di
         "t_min_factor": cfg.t_min_factor, "ramp": cfg.ramp,
     }}
     return {
-        "nonuniqueness.json": lambda p: _write_json(p, report.to_dict()),
+        "nonuniqueness.json": report.to_dict(),
         "trajectory.csv": lambda p: report.traj_b.write_csv(p),
     }, resolved
 
@@ -407,7 +416,7 @@ def _cmd_explosion(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
         "p": p, "gamma": gamma, "r_max": r_max,
         "include_driver": bool(config.get("include_driver", True)),
     }
-    return {"explosion.json": lambda path: _write_json(path, payload)}, resolved
+    return {"explosion.json": payload}, resolved
 
 
 def _cmd_curve(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
@@ -420,15 +429,14 @@ def _cmd_curve(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
     if seed is None:
         raise ConfigError("curve band sampling needs a seed")
     alpha, depth = _read(config, "alpha", float), _read(config, "depth", int)
-    try:
-        curve = build_chain_curve(alpha, depth)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     n_pairs = _read(config, "n_pairs", int, 10**4)
     samples = _read(config, "samples", int, 2**14)
-    rng = np.random.default_rng(seed)
-    c_lower, c_upper = curve.band_stats(n_pairs, rng)
-    exponent = holder_estimate(curve.sample(samples))
+    try:
+        curve = build_chain_curve(alpha, depth)
+        c_lower, c_upper = curve.band_stats(n_pairs, np.random.default_rng(seed))
+        exponent = holder_estimate(curve.sample(samples))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     payload = {
         "alpha": curve.alpha,
         "depth": curve.depth,
@@ -442,7 +450,7 @@ def _cmd_curve(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
     }
     resolved = {"alpha": curve.alpha, "depth": curve.depth, "n_pairs": n_pairs,
                 "samples": samples, "seed": seed}
-    return {"curve.json": lambda p: _write_json(p, payload)}, resolved
+    return {"curve.json": payload}, resolved
 
 
 _HANDLERS = {
@@ -460,10 +468,12 @@ _HANDLERS = {
 # plumbing
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+def _json_text(obj) -> str:
+    """Artifact JSON; a non-finite number is a numerical failure, never written."""
+    try:
+        return json.dumps(obj, indent=1, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericsError(f"non-finite number in the results: {exc}") from exc
 
 
 def _sha256(path: Path) -> str:
@@ -496,6 +506,9 @@ def main(argv=None) -> int:
             raise ConfigError("config must be a JSON object")
         handler = _HANDLERS[args.subcommand]
         artifacts, resolved = handler(config, out, args.seed)
+        # serialized before the output directory exists, so a refusal leaves none
+        texts = {name: _json_text(a) for name, a in artifacts.items() if isinstance(a, dict)}
+        _json_text(resolved)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -505,9 +518,12 @@ def main(argv=None) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     hashes = {}
-    for name, writer in sorted(artifacts.items()):
+    for name, artifact in sorted(artifacts.items()):
         target = out / name
-        writer(target)
+        if name in texts:
+            target.write_text(texts[name])
+        else:
+            artifact(target)
         hashes[name] = _sha256(target)
     manifest = {
         "subcommand": args.subcommand,
@@ -516,7 +532,7 @@ def main(argv=None) -> int:
         "config": resolved,
         "artifacts": hashes,
     }
-    _write_json(out / "manifest.json", manifest)
+    (out / "manifest.json").write_text(_json_text(manifest))
     return 0
 
 

@@ -318,7 +318,8 @@ def chen_combine(
     """Combine areas over [s, u] and [u, t] into the area over [s, t].
 
     The cross term is the outer product of the first increment with the
-    second: ``A(s,t) = A(s,u) + A(u,t) + inc(s,u) ⊗ inc(u,t)``.
+    second: ``A(s,t) = A(s,u) + A(u,t) + inc(s,u) ⊗ inc(u,t)``.  Leading axes
+    are a batch: ``(m, d, d)`` areas with ``(m, d)`` increments.
     """
     area_left = np.asarray(area_left, dtype=float)
     area_right = np.asarray(area_right, dtype=float)
@@ -326,7 +327,8 @@ def chen_combine(
         raise ValueError(
             f"area blocks must share a shape, got {area_left.shape} vs {area_right.shape}"
         )
-    return area_left + area_right + np.outer(inc_left, inc_right)
+    inc_left, inc_right = np.asarray(inc_left), np.asarray(inc_right)
+    return area_left + area_right + inc_left[..., :, None] * inc_right[..., None, :]
 
 
 class AreaProcess:
@@ -334,10 +336,10 @@ class AreaProcess:
 
     ``per_interval[k]`` is the d x d area over ``(times[k], times[k+1])``.
     Areas over coarser pairs are *defined* by folding those blocks with the
-    Chen identity; :meth:`pair` implements the fold through a cached prefix
-    table so a query costs O(d^2) instead of O(span).  Adjacent pairs return
-    the stored block itself (bitwise), which downstream defect reports rely
-    on.
+    Chen identity; :meth:`pairs` implements the fold through a cached prefix
+    table so a query costs O(d^2) instead of O(span), and :meth:`pair` is its
+    one-row case.  Adjacent pairs return the stored block itself (bitwise),
+    which downstream defect reports rely on.
 
     ``kind`` tags the construction ("ito", "stratonovich", "degenerate",
     "analytic", "perturbed") and is carried through serialization untouched.
@@ -387,18 +389,28 @@ class AreaProcess:
 
     def pair(self, i: int, j: int) -> np.ndarray:
         """Area over grid pair ``(times[i], times[j])``, ``i <= j``."""
-        if not 0 <= i <= j <= self.n_intervals:
-            raise IndexError(f"pair ({i}, {j}) outside grid with {self.n_intervals} intervals")
-        if i == j:
-            return np.zeros((self.d, self.d))
-        if j == i + 1:
-            return self.per_interval[i].copy()
+        return self.pairs([i], [j])[0]
+
+    def pairs(self, i, j) -> np.ndarray:
+        """Areas over the grid pairs ``(times[i[m]], times[j[m]])``, shape ``(m, d, d)``.
+
+        Each area is ``P[j] - P[i] - (x_i - x_0) (x) (x_j - x_i)`` from the
+        prefix table; adjacent pairs take a copy of their stored block and
+        ``i == j`` gives zeros.
+        """
+        i, j = (np.asarray(v, dtype=np.intp).reshape(-1) for v in (i, j))
+        bad = (i < 0) | (i > j) | (j > self.n_intervals)
+        if np.any(bad):
+            m = np.argmax(bad)
+            raise IndexError(
+                f"pair ({i[m]}, {j[m]}) outside grid with {self.n_intervals} intervals")
         x = self.path.values
-        return (
-            self._prefix[j]
-            - self._prefix[i]
-            - np.outer(x[i] - x[0], x[j] - x[i])
-        )
+        dx = x[j] - x[i]
+        out = self._prefix[j] - self._prefix[i] - (x[i] - x[0])[:, :, None] * dx[:, None, :]
+        adjacent = j == i + 1
+        out[adjacent] = self.per_interval[i[adjacent]]
+        out[i == j] = 0.0
+        return out
 
     def with_intervals(self, per_interval: np.ndarray, kind: str) -> "AreaProcess":
         """Same path and metadata, different per-interval blocks."""
@@ -597,6 +609,7 @@ class DefectReport:
     bound ``|defect| <= M * omega^(gamma/p)`` hold on every requested pair.
     ``pair_policy`` records which pairs were scanned ("adjacent", "window",
     "custom") since the fitted constant is only meaningful relative to it.
+    ``times`` is the trajectory's time grid, which ``pairs`` index.
     """
 
     scheme: str
@@ -608,9 +621,16 @@ class DefectReport:
     p: float
     control: ControlModulus
     pair_policy: str
+    times: np.ndarray
 
     def to_dict(self) -> dict:
+        """Summary with the worst pair: the first pair of maximal ratio, as ``np.argmax``."""
+        worst = int(np.argmax(self.ratios))
+        k, l = (int(v) for v in self.pairs[worst])
         return {
+            "worst_pair": [k, l],
+            "worst_times": [float(self.times[k]), float(self.times[l])],
+            "worst_ratio": float(self.ratios[worst]),
             "scheme": self.scheme,
             "gamma": self.gamma,
             "p": self.p,

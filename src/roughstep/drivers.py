@@ -222,6 +222,8 @@ class PolynomialPath:
 
     def __post_init__(self):
         coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
+        if coeffs.ndim != 2 or coeffs.shape[1] == 0 or not np.all(np.isfinite(coeffs)):
+            raise ValueError("polynomial needs a (d, m) array of finite coefficients, m >= 1")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -952,6 +954,8 @@ class ChainCurve:
         band is excluded: the evaluator is piecewise constant below the depth
         resolution, so gaps under delta_depth can sit inside one cell.
         """
+        if n_pairs < 1:
+            raise ValueError(f"need at least one query pair, got {n_pairs}")
         c_upper, c_lower = 0.0, math.inf
         for _ in range(n_pairs):
             r = int(rng.integers(1, self.depth))  # 1 .. depth-1

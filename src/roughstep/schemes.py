@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 _SCHEMES = ("euler", "corrected")
+_DEFECT_BLOCK = 2**14  # pairs reconstructed per batched step in defect
 
 
 @dataclass(frozen=True)
@@ -70,17 +71,24 @@ class SchemeConfig:
             raise ValueError("explosion threshold must be positive")
 
 
-def _coefficients(field: VectorField, y: np.ndarray, corrected: bool):
-    """Left-point coefficients of the step: ``(f(y), G(y))``, ``G`` None for Euler."""
-    f = field.eval(y)
-    return f, (_correction_tensor(f, field.deriv1(y)) if corrected else None)
+def _coefficients(field: VectorField, y: np.ndarray, corrected: bool, d1=None):
+    """Left-point coefficients of the step: ``(f(y), G(y))``, ``G`` None for Euler.
+
+    Both are C-contiguous, whatever layout the field returns: ``f @ dx`` on a
+    transposed ``f`` rounds differently from the stacked product in
+    :func:`defect`.  ``d1`` is the first derivative at ``y`` if already evaluated.
+    """
+    f = np.ascontiguousarray(field.eval(y))
+    if not corrected:
+        return f, None
+    return f, np.ascontiguousarray(_correction_tensor(f, field.deriv1(y) if d1 is None else d1))
 
 
 def _advance(y, f, g, dx, a) -> np.ndarray:
-    """The one-step map ``y + f dx (+ G : A)``; ``a`` is unused when ``g`` is None."""
-    y = y + f @ dx
+    """The step ``y + f dx (+ G : A)`` over leading batch axes; ``a`` unused if ``g`` is None."""
+    y = y + (f @ dx[..., None])[..., 0]
     if g is not None:
-        y = y + np.einsum("irj,rj->i", g, a)
+        y = y + np.einsum("...irj,...rj->...i", g, a)
     return y
 
 
@@ -130,17 +138,23 @@ def _grid_indices(path: DriverPath, partition: Partition | None) -> np.ndarray:
     return idx
 
 
+def _cells(path: DriverPath, partition: Partition | None, area: AreaProcess | None):
+    """Grid indices of the partition, each cell's increment and, given an area, its area."""
+    idx = _grid_indices(path, partition)
+    x = path.values[idx]
+    return idx, x[1:] - x[:-1], None if area is None else area.pairs(idx[:-1], idx[1:])
+
+
 def _run_scheme(
     path: DriverPath,
     y: np.ndarray,
-    partition: Partition | None,
+    idx: np.ndarray,
     config: SchemeConfig | None,
     step,
     tag: str,
 ) -> Trajectory:
-    """Walk the partition from the checked initial state ``y`` with ``step``."""
+    """Walk the grid points ``idx`` from the checked state ``y``; ``step(y, k)`` takes cell k."""
     cfg = config or SchemeConfig()
-    idx = _grid_indices(path, partition)
     times = path.times[idx]
     states = [y.copy()]
     exploded_at = None
@@ -148,7 +162,7 @@ def _run_scheme(
         exploded_at = 0
     else:
         for k in range(idx.size - 1):
-            y = step(y, idx[k], idx[k + 1])
+            y = step(y, k)
             if not np.all(np.isfinite(y)):
                 raise NumericsError(
                     f"non-finite state after step {k} (t={times[k + 1]:.6g}, scheme={tag})"
@@ -164,13 +178,13 @@ def _solve(field, path, area, y0, partition, config) -> Trajectory:
     """Euler when ``area`` is None, corrected otherwise."""
     y = _check_fit(field, path, y0, area)
     corrected = area is not None
-    x = path.values
+    idx, dx, a = _cells(path, partition, area)
 
-    def step(y, i, j):
+    def step(y, k):
         f, g = _coefficients(field, y, corrected)
-        return _advance(y, f, g, x[j] - x[i], area.pair(i, j) if corrected else None)
+        return _advance(y, f, g, dx[k], a[k] if corrected else None)
 
-    return _run_scheme(path, y, partition, config, step, "corrected" if corrected else "euler")
+    return _run_scheme(path, y, idx, config, step, "corrected" if corrected else "euler")
 
 
 def euler_solve(
@@ -227,7 +241,6 @@ def augmented_solve(
         z0: optional initial sensitivity, defaults to the identity.
     """
     n = field.n
-    x = path.values
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     corrected = scheme == "corrected"
@@ -239,15 +252,16 @@ def augmented_solve(
     y = _check_fit(field, path, y0, area if corrected else None)
     z_init = np.eye(n) if z0 is None else np.asarray(z0, dtype=float).reshape(n, n)
     big0 = np.concatenate([y, z_init.ravel()])
+    idx, dxs, areas = _cells(path, partition, area if corrected else None)
 
-    def step(big, i, j):
+    def step(big, k):
         y = big[:n]
         z = big[n:].reshape(n, n)
-        dx = x[j] - x[i]
-        f = field.eval(y)
+        dx = dxs[k]
         d1 = field.deriv1(y)
-        a = area.pair(i, j) if corrected else None
-        y_new = _advance(y, f, _correction_tensor(f, d1) if corrected else None, dx, a)
+        f, g = _coefficients(field, y, corrected, d1)
+        a = areas[k] if corrected else None
+        y_new = _advance(y, f, g, dx, a)
         z_new = z + np.einsum("hij,hN,j->iN", d1, z, dx)
         if corrected:
             d2 = field.deriv2(y)
@@ -257,7 +271,7 @@ def augmented_solve(
 
     # Explosion is judged on the full augmented state; callers who care about
     # the bare state norm should solve it separately.
-    return _run_scheme(path, big0, partition, config, step, scheme)
+    return _run_scheme(path, big0, idx, config, step, scheme)
 
 
 def jacobian_view(trajectory: Trajectory, n: int) -> np.ndarray:
@@ -446,6 +460,35 @@ def window_pairs(n_points: int, max_span: int) -> np.ndarray:
     return np.column_stack([np.broadcast_to(k, l.shape)[keep], l[keep]])
 
 
+def _defect_pairs(
+    n_points: int, gamma: float, p: float, corrected: bool, area, pairs, max_span: int
+) -> tuple[np.ndarray, str]:
+    """The checked pairs of a defect report and its policy name; ``ValueError`` for
+    arguments :func:`defect` cannot use, ``IndexError`` for a pair outside the trajectory."""
+    if not (0 < gamma < np.inf and 0 < p < np.inf):
+        raise ValueError("gamma and p must be finite and positive")
+    if area is None and (corrected or gamma > 2):
+        raise ValueError("corrected-scheme defects and exponents above 2 need the area process")
+    if pairs is None or isinstance(pairs, str):
+        policy = "window" if pairs is None else pairs
+        if policy not in ("window", "adjacent"):
+            raise ValueError(f"unknown pair policy {policy!r}")
+        pair_arr = window_pairs(n_points, max_span if policy == "window" else 1)
+    else:
+        pair_arr = np.asarray(pairs, dtype=int)
+        if pair_arr.ndim != 2 or pair_arr.shape[1] != 2:
+            raise ValueError("explicit pairs must be an (m, 2) integer array")
+        policy = "custom"
+        k, l = pair_arr.T
+        bad = (k < 0) | (k >= l) | (l >= n_points)
+        if np.any(bad):
+            k, l = pair_arr[np.argmax(bad)]
+            raise IndexError(f"pair ({k}, {l}) outside the trajectory")
+    if pair_arr.shape[0] == 0:
+        raise ValueError("no pairs to evaluate")
+    return pair_arr, policy
+
+
 def defect(
     trajectory: Trajectory,
     field: VectorField,
@@ -473,47 +516,31 @@ def defect(
             not drift with the grid); fitted on the trajectory's own grid
             points when omitted.
     """
-    if gamma <= 0 or p <= 0:
-        raise ValueError("gamma and p must be positive")
     _check_fit(field, path, trajectory.states[0], area)
     idx = _grid_indices(path, Partition(trajectory.times))
-    x = path.values
-    y = trajectory.states
     corrected = trajectory.scheme == "corrected"
-    if corrected and area is None:
-        raise ValueError("corrected-scheme defects need the area process")
-    if gamma > 2 and area is None:
-        raise ValueError("defect exponents above 2 need the area process")
-
-    if pairs is None or (isinstance(pairs, str) and pairs == "window"):
-        pair_arr = window_pairs(idx.size, max_span)
-        policy = "window"
-    elif isinstance(pairs, str) and pairs == "adjacent":
-        pair_arr = window_pairs(idx.size, 1)
-        policy = "adjacent"
-    else:
-        pair_arr = np.asarray(pairs, dtype=int)
-        if pair_arr.ndim != 2 or pair_arr.shape[1] != 2:
-            raise ValueError("explicit pairs must be an (m, 2) integer array")
-        policy = "custom"
-    if pair_arr.shape[0] == 0:
-        raise ValueError("no pairs to evaluate")
-
+    pair_arr, policy = _defect_pairs(idx.size, gamma, p, corrected, area, pairs, max_span)
+    x = path.values[idx]
+    y = trajectory.states
     if control is None:
-        control = control_fit(DriverPath(trajectory.times, x[idx]), p)
+        control = control_fit(DriverPath(trajectory.times, x), p)
 
+    # f and G once per distinct left point, then the reconstructions a block of pairs at a time
+    left, inv = np.unique(pair_arr[:, 0], return_inverse=True)
+    f_left = np.empty((left.size, field.n, field.d))
+    g_left = np.empty((left.size, field.n, field.d, field.d)) if corrected else None
+    for m, j in enumerate(left):
+        f_left[m], g = _coefficients(field, y[j], corrected)
+        if corrected:
+            g_left[m] = g
     mags = np.empty(pair_arr.shape[0])
-    last = None
-    # visiting pairs by left index evaluates f and G once per distinct k
-    for m in np.argsort(pair_arr[:, 0], kind="stable"):
-        k, l = pair_arr[m]
-        if not 0 <= k < l < idx.size:
-            raise IndexError(f"pair ({k}, {l}) outside the trajectory")
-        if k != last:
-            f, g = _coefficients(field, y[k], corrected)
-            last = k
-        a = area.pair(idx[k], idx[l]) if corrected else None
-        mags[m] = np.max(np.abs(y[l] - _advance(y[k], f, g, x[idx[l]] - x[idx[k]], a)))
+    for b in range(0, mags.size, _DEFECT_BLOCK):
+        blk = slice(b, b + _DEFECT_BLOCK)
+        k, l = pair_arr[blk].T
+        g = g_left[inv[blk]] if corrected else None
+        a = area.pairs(idx[k], idx[l]) if corrected else None
+        y_l = _advance(y[k], f_left[inv[blk]], g, x[l] - x[k], a)
+        mags[blk] = np.max(np.abs(y[l] - y_l), axis=1)
 
     omegas = control.omega(trajectory.times[pair_arr[:, 0]], trajectory.times[pair_arr[:, 1]])
     ratios = mags / omegas ** (gamma / p)
@@ -527,4 +554,5 @@ def defect(
         p=float(p),
         control=control,
         pair_policy=policy,
+        times=trajectory.times,
     )

@@ -459,3 +459,22 @@ class TestChenResiduals:
         area = AreaProcess(path, np.zeros((1, 1, 1)), "degenerate")
         with pytest.raises(ValueError):
             chen_residuals(area)
+
+    @pytest.mark.parametrize("which", ["ito", "strat"])
+    def test_equals_the_per_triple_loop_bitwise(self, bm2, which):
+        _, path, ito, strat = bm2
+        area = ito if which == "ito" else strat
+        rng = np.random.default_rng(11)
+        x = path.values
+        want = np.empty(300)
+        for m in range(300):
+            i, j, k = np.sort(rng.choice(area.n_intervals + 1, size=3, replace=False))
+            combined = area.pair(i, j) + area.pair(j, k) + np.outer(x[j] - x[i], x[k] - x[j])
+            want[m] = np.max(np.abs(area.pair(i, k) - combined))
+        assert np.array_equal(chen_residuals(area, n_triples=300, seed=11), want)
+
+    @pytest.mark.parametrize("n_triples", [0, -3])
+    def test_no_triples_rejected(self, poly_pair, n_triples):
+        _, _, area = poly_pair
+        with pytest.raises(ValueError, match="at least one triple"):
+            chen_residuals(area, n_triples=n_triples)

@@ -29,6 +29,11 @@ C21_CONFIG = {
 }
 
 
+CHEN_CONFIG = {"driver": {"kind": "brownian", "d": 2, "level": 6, "seed": 42, "area": "ito"}}
+
+CURVE_CONFIG = {"alpha": 0.7, "depth": 4, "seed": 1, "n_pairs": 50, "samples": 256}
+
+
 class TestSolve:
     def test_writes_expected_artifacts(self, tmp_path):
         cfg = _write_config(tmp_path, "solve.json", SOLVE_CONFIG)
@@ -181,16 +186,51 @@ class TestConfigErrors:
         ("condition21", {**C21_CONFIG, "levels": [-1]}),
         ("condition21", {**C21_CONFIG, "window_cap": 0}),
         ("condition21", {**C21_CONFIG, "alpha": 1.5}),
+        ("solve", {**SOLVE_CONFIG, "defect": {**SOLVE_CONFIG["defect"], "max_span": 0}}),
+        ("solve", {**SOLVE_CONFIG, "defect": {**SOLVE_CONFIG["defect"], "gamma": -3.0}}),
+        ("solve", {**SOLVE_CONFIG, "defect": {**SOLVE_CONFIG["defect"], "pairs": "bogus"}}),
+        ("solve", {**SOLVE_CONFIG, "driver": {**SOLVE_CONFIG["driver"], "level": 6},
+                   "defect": {**SOLVE_CONFIG["defect"], "pairs": [[0, 99]]}}),
+        ("solve", {**SOLVE_CONFIG, "scheme": {"scheme": "euler"},
+                   "driver": {"kind": "polynomial", "coeffs": [], "area": "none"}}),
+        ("chen-check", {**CHEN_CONFIG, "n_triples": 0}),
+        ("chen-check", {**CHEN_CONFIG, "n_triples": -3}),
+        ("curve", {**CURVE_CONFIG, "samples": 0}),
+        ("curve", {**CURVE_CONFIG, "samples": 1}),
+        ("curve", {**CURVE_CONFIG, "n_pairs": 0}),
+        ("curve", {**CURVE_CONFIG, "n_pairs": -5}),
+        ("solve", {**SOLVE_CONFIG, "driver": {**SOLVE_CONFIG["driver"], "level": float("inf")}}),
+        ("solve", {**SOLVE_CONFIG, "scheme": {"scheme": "corrected",
+                                              "explosion_threshold": float("inf")}}),
     ], ids=["level-out-of-range", "nan-y0", "field-driver-mismatch", "oracle-needs-d1",
             "mesh-not-dividing-grid", "null-level", "null-alpha", "null-p", "null-matrix",
             "scheme-gamma", "scheme-p", "c21-no-levels", "c21-level-finer-than-driver",
-            "c21-negative-level", "c21-window-cap-0", "c21-alpha-out-of-range"])
+            "c21-negative-level", "c21-window-cap-0", "c21-alpha-out-of-range",
+            "defect-max-span-0", "defect-negative-gamma", "defect-unknown-pairs",
+            "defect-pair-outside-trajectory", "polynomial-no-coeffs", "chen-no-triples",
+            "chen-negative-triples", "curve-no-samples", "curve-one-sample",
+            "curve-no-pairs", "curve-negative-pairs", "infinite-level",
+            "infinite-threshold"])
     def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, subcommand, config):
         cfg = _write_config(tmp_path, "bad.json", config)
         out = tmp_path / "out"
         assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_non_finite_result_exits_3_without_output(self, tmp_path, capsys):
+        # a constant driver fits the control constant 0, so every ratio is 0/0
+        cfg = _write_config(tmp_path, "flat.json", {
+            "driver": {"kind": "polynomial", "coeffs": [[1.0]], "area": "none", "samples": 65},
+            "field": {"kind": "scalar_linear"},
+            "y0": [1.0],
+            "defect": {"gamma": 1.5, "p": 2.0, "pairs": "adjacent"},
+        })
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning):
+            assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure")
         assert not out.exists()
 
     def test_unknown_subcommand_exits_via_argparse(self, tmp_path):

@@ -255,6 +255,39 @@ class TestAreaProcess:
             )
             assert np.allclose(area.pair(i, k), combined, rtol=0, atol=1e-12)
 
+    def test_pairs_match_pair_and_the_prefix_formula_bitwise(self, toy):
+        path, area = toy
+        x = path.values
+        i = np.array([0, 3, 5, 9, 32, 0, 31, 12, 7])
+        j = np.array([32, 11, 6, 9, 32, 1, 32, 30, 7])
+        got = area.pairs(i, j)
+        assert got.shape == (i.size, 2, 2)
+        for m, (a, b) in enumerate(zip(i, j)):
+            if a == b:
+                want = np.zeros((2, 2))
+            elif b == a + 1:
+                want = area.per_interval[a]
+            else:
+                want = area._prefix[b] - area._prefix[a] - np.outer(x[a] - x[0], x[b] - x[a])
+            assert np.array_equal(got[m], want)
+            assert np.array_equal(got[m], area.pair(a, b))
+
+    def test_adjacent_pairs_are_fresh_copies(self, toy):
+        _, area = toy
+        got = area.pairs(np.arange(32), np.arange(1, 33))
+        assert np.array_equal(got, area.per_interval)
+        assert not np.shares_memory(got, area.per_interval)
+        got[0] += 1.0
+        assert not np.array_equal(got[0], area.per_interval[0])
+
+    @pytest.mark.parametrize("i, j", [([-1], [3]), ([4], [3]), ([0, 2], [5, 33])])
+    def test_pairs_out_of_range_raise(self, toy, i, j):
+        _, area = toy
+        with pytest.raises(IndexError, match="outside grid with 32 intervals"):
+            area.pairs(i, j)
+        with pytest.raises(IndexError):
+            area.pair(i[-1], j[-1])
+
     def test_shape_and_kind_validation(self, toy):
         path, _ = toy
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Tests for the step schemes, augmented flows, and defect reports."""
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from roughstep.core import (
     DriverPath,
     NumericsError,
     Partition,
+    Trajectory,
     VectorField,
 )
 from roughstep.drivers import (
@@ -57,6 +60,48 @@ def _linear_field_d(mats: np.ndarray) -> VectorField:
     return VectorField(n, d, lambda y: (m @ y).T,
                        deriv1=lambda y: np.transpose(m, (2, 1, 0)).copy(),
                        smoothness=np.inf)
+
+
+def _tanh_field(mats: np.ndarray, layout: str) -> VectorField:
+    """f(y)[:, j] = M_j tanh(y), returned C-ordered, transposed or as a strided view."""
+    m = np.asarray(mats, dtype=float)
+    d, n, _ = m.shape
+    shapes = {
+        "C": lambda f: np.ascontiguousarray(f),
+        "transposed": lambda f: f,
+        "view": lambda f: np.repeat(f, 2, axis=1)[:, ::2],
+    }
+
+    def func(y):
+        return shapes[layout]((m @ np.tanh(y)).T)
+
+    def deriv1(y):
+        return np.transpose(m, (2, 1, 0)) / np.cosh(y)[:, None, None] ** 2
+
+    return VectorField(n, d, func, deriv1=deriv1, smoothness=np.inf)
+
+
+@lru_cache(maxsize=None)
+def _brownian_with_area(d: int):
+    cfg = BrownianConfig(d=d, level=5, seed=40 + d)
+    path = brownian_path(cfg)
+    return path, ito_area(path, cfg)
+
+
+def _reference_magnitudes(traj, field, path, area, pairs) -> np.ndarray:
+    """The defect of each pair, one pair at a time: the left-point step over
+    the pair with C-ordered coefficients, against the state at its right end."""
+    idx = np.searchsorted(path.times, traj.times)
+    x, y = path.values, traj.states
+    mags = np.empty(len(pairs))
+    for m, (k, l) in enumerate(pairs):
+        f = np.ascontiguousarray(field.eval(y[k]))
+        y_l = y[k] + f @ (x[idx[l]] - x[idx[k]])
+        if traj.scheme == "corrected":
+            g = np.ascontiguousarray(np.einsum("hr,hij->irj", f, field.deriv1(y[k])))
+            y_l = y_l + np.einsum("irj,rj->i", g, area.pair(idx[k], idx[l]))
+        mags[m] = np.max(np.abs(y[l] - y_l))
+    return mags
 
 
 class TestSchemeConfig:
@@ -398,6 +443,75 @@ class TestDefect:
             report = defect(traj, field, path, gamma=1.5, p=2.5, area=used_area,
                             pairs="adjacent")
             assert np.array_equal(report.magnitudes, np.zeros(traj.times.size - 1))
+
+    def test_adjacent_defects_vanish_for_equal_mats_regression(self, poly_pair):
+        # the field returns a transposed array; a solver stepping with it and a
+        # defect stacking the coefficients in C order differ by 8.9e-16 in the
+        # second cell, so both must take the C-ordered coefficients
+        _, path, area = poly_pair
+        field = _linear_field_d(np.full((2, 2, 2), 1.25))
+        part = Partition(path.times[[0, 5, 512]])
+        y0 = np.array([1.0, 1.0])
+        for traj, used_area in [
+            (euler_solve(field, path, y0, partition=part), None),
+            (corrected_solve(field, path, area, y0, partition=part), area),
+        ]:
+            report = defect(traj, field, path, gamma=1.5, p=2.5, area=used_area,
+                            pairs="adjacent")
+            assert np.array_equal(report.magnitudes, np.zeros(2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3), n=st.integers(1, 3),
+           layout=st.sampled_from(["C", "transposed", "view"]),
+           scheme=st.sampled_from(["euler", "corrected"]),
+           interior=st.sets(st.integers(1, 31), max_size=31))
+    def test_matches_per_pair_reference_loop(self, data, d, n, layout, scheme, interior):
+        path, area = _brownian_with_area(d)
+        mats = data.draw(hnp.arrays(float, (d, n, n), elements=st.floats(-1.5, 1.5)))
+        y0 = data.draw(hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)))
+        field = _tanh_field(mats, layout)
+        part = Partition(path.times[[0, *sorted(interior), 32]])
+        if scheme == "corrected":
+            traj, used_area = corrected_solve(field, path, area, y0, partition=part), area
+        else:
+            traj, used_area = euler_solve(field, path, y0, partition=part), None
+        n_points = traj.times.size
+        policy = data.draw(st.sampled_from(["window", "adjacent", "explicit"]))
+        if policy == "explicit":
+            pair = st.tuples(st.integers(0, n_points - 2), st.integers(1, n_points - 1)).filter(
+                lambda kl: kl[0] < kl[1])
+            pairs = data.draw(st.lists(pair, min_size=1, max_size=40))
+            pairs = np.array(pairs + pairs[: len(pairs) // 2])  # unsorted, with duplicates
+        else:
+            pairs = policy
+        report = defect(traj, field, path, gamma=1.5, p=2.5, area=used_area, pairs=pairs,
+                        max_span=data.draw(st.integers(1, 40)))
+        want = _reference_magnitudes(traj, field, path, used_area, report.pairs)
+        assert np.array_equal(report.magnitudes, want)
+        if policy == "explicit":
+            assert np.array_equal(report.pairs, pairs)
+
+    def test_worst_pair_names_the_fitted_constant(self, bm1, gbm_field):
+        _, path, _ = bm1
+        sub = path.subsample(64)
+        traj = euler_solve(gbm_field, sub, np.array([1.0]))
+        exact = Trajectory(sub.times, np.exp(sub.values - sub.times[:, None] / 2), "euler")
+        for report in (defect(traj, gbm_field, sub, gamma=1.5, p=2.5, max_span=8),
+                       defect(exact, gbm_field, sub, gamma=1.5, p=2.5, pairs="adjacent")):
+            out = report.to_dict()
+            k, l = out["worst_pair"]
+            first = int(np.argmax(report.ratios))
+            assert report.pairs[first].tolist() == [k, l]
+            assert out["worst_ratio"] == report.ratios[first] == report.fitted_constant
+            assert out["worst_times"] == [sub.times[k], sub.times[l]]
+            assert report.fitted_constant > 0
+
+    def test_worst_pair_tie_goes_to_the_first_pair(self, bm1, gbm_field):
+        _, path, _ = bm1
+        sub = path.subsample(16)
+        traj = euler_solve(gbm_field, sub, np.array([1.0]))
+        out = defect(traj, gbm_field, sub, gamma=1.5, p=2.5, pairs="adjacent").to_dict()
+        assert out["worst_pair"] == [0, 1] and out["worst_ratio"] == 0.0
 
     def test_field_must_fit_the_trajectory(self, bm2, smooth22, uniform_partition):
         _, path, _, _ = bm2
