@@ -3,138 +3,16 @@
 Pathwise one-step schemes for differential equations driven by irregular
 signals, the second-order (area) data they need, a gallery of drivers with
 prescribed regularity or blow-up behavior, and the estimators that check the
-advertised properties numerically.
+advertised properties numerically.  Every name a submodule lists in its
+``__all__`` is re-exported here.
 """
 
-from .core import (
-    AreaProcess,
-    ControlModulus,
-    DefectReport,
-    DriverPath,
-    GrowthEnvelope,
-    NumericsError,
-    Partition,
-    Trajectory,
-    VectorField,
-    chen_combine,
-    control_fit,
-)
-from .drivers import (
-    BrownianConfig,
-    ChainCurve,
-    CounterexampleConfig,
-    ExplosionConfig,
-    ExplosionDriver,
-    PolynomialPath,
-    analytic_area,
-    brownian_path,
-    build_chain_curve,
-    degenerate_area,
-    example1_driver,
-    example1_field,
-    example1_solution_pair,
-    example2_driver,
-    example2_modified_field,
-    explosion_driver,
-    holder_chain_curve,
-    ito_area,
-    load_driver,
-    perturbed_area,
-    power_law_envelope,
-    save_driver,
-    stratonovich_area,
-)
-from .schemes import (
-    ExtendedSolution,
-    SchemeConfig,
-    augmented_solve,
-    corrected_solve,
-    defect,
-    euler_solve,
-    extended_solve,
-    jacobian_view,
-    window_pairs,
-)
-from .analysis import (
-    ConditionStat,
-    CriterionReport,
-    NonuniquenessReport,
-    RateReport,
-    chen_residuals,
-    condition21_recompute,
-    condition21_stat,
-    convergence_study,
-    explosion_criterion,
-    gbm_terminal_ito,
-    gbm_terminal_stratonovich,
-    holder_estimate,
-    nonuniqueness_demo,
-    riemann_area_recovery,
-)
+from . import analysis, core, drivers, schemes
+from .core import *
+from .drivers import *
+from .schemes import *
+from .analysis import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "AreaProcess",
-    "ControlModulus",
-    "DefectReport",
-    "DriverPath",
-    "GrowthEnvelope",
-    "NumericsError",
-    "Partition",
-    "Trajectory",
-    "VectorField",
-    "chen_combine",
-    "control_fit",
-    # drivers
-    "BrownianConfig",
-    "ChainCurve",
-    "CounterexampleConfig",
-    "ExplosionConfig",
-    "ExplosionDriver",
-    "PolynomialPath",
-    "analytic_area",
-    "brownian_path",
-    "build_chain_curve",
-    "degenerate_area",
-    "example1_driver",
-    "example1_field",
-    "example1_solution_pair",
-    "example2_driver",
-    "example2_modified_field",
-    "explosion_driver",
-    "holder_chain_curve",
-    "ito_area",
-    "load_driver",
-    "perturbed_area",
-    "power_law_envelope",
-    "save_driver",
-    "stratonovich_area",
-    # schemes
-    "ExtendedSolution",
-    "SchemeConfig",
-    "augmented_solve",
-    "corrected_solve",
-    "defect",
-    "euler_solve",
-    "extended_solve",
-    "jacobian_view",
-    "window_pairs",
-    # analysis
-    "ConditionStat",
-    "CriterionReport",
-    "NonuniquenessReport",
-    "RateReport",
-    "chen_residuals",
-    "condition21_recompute",
-    "condition21_stat",
-    "convergence_study",
-    "explosion_criterion",
-    "gbm_terminal_ito",
-    "gbm_terminal_stratonovich",
-    "holder_estimate",
-    "nonuniqueness_demo",
-    "riemann_area_recovery",
-]
+__all__ = ["__version__", *core.__all__, *drivers.__all__, *schemes.__all__, *analysis.__all__]

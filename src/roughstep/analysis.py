@@ -339,11 +339,14 @@ def condition21_recompute(
 
     Follows the identical fold-prefix-difference arithmetic as the scan, so
     the returned float matches the scan's value bit for bit at the reported
-    argmax.
+    argmax.  ``h`` must be a level width ``span / 2**level`` to relative
+    1e-12; any other width is refused, not snapped to the nearest level.
     """
     times = area.path.times
     span = float(times[-1] - times[0])
-    level = round(math.log2(span / h))
+    level = round(math.log2(span / h)) if h > 0 else 0
+    if not abs(h - span / 2**level) <= 1e-12 * (span / 2**level):
+        raise ValueError(f"h={h!r} is not a dyadic width span / 2**level of the grid")
     prefix, h_level = _level_prefix(area, level)
     if not (0 <= k < m <= prefix.shape[0] - 1):
         raise ValueError(f"window ({k}, {m}) outside level {level}")
@@ -435,6 +438,8 @@ class CriterionReport:
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(32)
+# Octaves at the top of the range whose trend decides the verdict.
+_TAIL_OCTAVES = 5
 
 
 def explosion_criterion(
@@ -442,7 +447,6 @@ def explosion_criterion(
     p: float,
     gamma: float,
     r_max: float = 2.0**20,
-    tail_octaves: int = 5,
 ) -> CriterionReport:
     """Classify the growth-envelope integral as convergent or not.
 
@@ -481,7 +485,7 @@ def explosion_criterion(
     if np.any(~np.isfinite(partials)) or np.any(partials <= 0):
         raise ValueError("criterion integrand must be positive and finite")
 
-    n_tail = min(tail_octaves, n_oct)
+    n_tail = min(_TAIL_OCTAVES, n_oct)
     idx = np.arange(n_oct - n_tail, n_oct)
     tail_slope = float(np.polyfit(idx, np.log2(partials[idx]), 1)[0])
     # Octave contributions of R^q scale by 2^(q+1); break-even (q = -1) sits
@@ -593,9 +597,11 @@ def nonuniqueness_demo(cfg: CounterexampleConfig | None = None) -> Nonuniqueness
 # regularity fits and algebra checks
 
 
-def holder_estimate(
-    path: DriverPath, n_resample: int = 4096, max_lag: int = 256
-) -> float:
+# Largest lag, in resampled steps, of the Hölder fit.
+_HOLDER_MAX_LAG = 256
+
+
+def holder_estimate(path: DriverPath, n_resample: int = 4096) -> float:
     """Fitted Hölder exponent from sup increments over dyadic lags.
 
     The path is resampled uniformly (piecewise linearly) and the largest
@@ -610,7 +616,7 @@ def holder_estimate(
     dt = t[1] - t[0]
     lags, sups = [], []
     lag = 1
-    while lag <= min(max_lag, n_resample - 1):
+    while lag <= min(_HOLDER_MAX_LAG, n_resample - 1):
         sup = float(np.max(np.linalg.norm(x[lag:] - x[:-lag], axis=1)))
         if sup > 0.0:
             lags.append(lag * dt)

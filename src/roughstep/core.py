@@ -63,8 +63,8 @@ def _float_array(values, name: str, ndim: int) -> np.ndarray:
 class Partition:
     """A strictly increasing grid of times.
 
-    Solvers step cell by cell; analysis code mostly queries :meth:`mesh` and
-    the cell widths.  Partitions are value objects and never mutated.
+    Solvers step cell by cell over it.  Partitions are value objects and
+    never mutated.
     """
 
     times: np.ndarray
@@ -82,18 +82,6 @@ class Partition:
         if n_cells < 1:
             raise ValueError("n_cells must be positive")
         return cls(np.linspace(float(t0), float(t1), n_cells + 1))
-
-    @property
-    def n_cells(self) -> int:
-        return self.times.size - 1
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.times)
-
-    def mesh(self) -> float:
-        """Largest cell width."""
-        return float(np.max(self.widths))
 
 
 @dataclass(frozen=True)
@@ -642,6 +630,13 @@ class DefectReport:
         }
 
 
+# Radii on which GrowthEnvelope.validate checks the pairing inequality, and
+# the relative slack it allows for roundoff.
+_ENVELOPE_RADII = np.geomspace(1.0, 1e6, 61)
+_ENVELOPE_RADII.flags.writeable = False
+_ENVELOPE_SLACK = 1e-9
+
+
 @dataclass
 class GrowthEnvelope:
     """Radial growth data for explosion analysis.
@@ -661,21 +656,19 @@ class GrowthEnvelope:
         if not 0 < self.beta <= 1:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
 
-    def validate(self, radii=None, slack: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Check D(R) <= R^beta * A(R) on a sample of radii.
 
         The pairing inequality is what downstream criteria assume; violating
         it silently would make their verdicts meaningless, hence the explicit
         gate.
         """
-        if radii is None:
-            radii = np.geomspace(1.0, 1e6, 61)
-        radii = np.asarray(radii, dtype=float)
+        radii = _ENVELOPE_RADII
         dvals = np.asarray(self.growth(radii), dtype=float)
         avals = np.asarray(self.area_growth(radii), dtype=float)
         if np.any(dvals <= 0) or np.any(avals <= 0):
             raise ValueError("growth envelopes must be strictly positive")
-        bad = dvals > radii**self.beta * avals * (1 + slack)
+        bad = dvals > radii**self.beta * avals * (1 + _ENVELOPE_SLACK)
         if np.any(bad):
             r_bad = radii[bad][0]
             raise ValueError(

@@ -21,6 +21,7 @@ substreams so each ingredient is reproducible independently of call order.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -55,9 +56,7 @@ __all__ = [
     "build_chain_curve",
     "holder_chain_curve",
     "ExplosionConfig",
-    "ProcessedEnvelope",
     "power_law_envelope",
-    "process_envelope",
     "ExplosionDriver",
     "explosion_driver",
     "save_driver",
@@ -342,26 +341,26 @@ class CounterexampleConfig:
         return self.beta_exp * (self.gamma + 1) - self.rho_exp
 
 
-def _example1_values(cfg: CounterexampleConfig, t: np.ndarray) -> np.ndarray:
-    phase = t ** (-cfg.rho_exp)
-    amp = t**cfg.beta_exp
-    return np.column_stack([amp * np.cos(phase), amp * (2.0 + np.sin(phase))])
-
-
-def example1_driver(cfg: CounterexampleConfig):
-    """Oscillatory driver and its rough coefficient field, as a pair.
-
-    The grid is geometric from ``t_min_factor * t_max`` up to ``t_max`` with a
-    single initial cell down to t = 0, where both components vanish by the
-    amplitude factor ``t^beta``.  Returns ``(path, field)``.
+def _spiral_path(cfg: CounterexampleConfig, offset: float) -> DriverPath:
+    """``t^b (cos t^-r, offset + sin t^-r)`` on a geometric grid from
+    ``t_min_factor * t_max`` to ``t_max``, plus one cell down to t = 0, where
+    the amplitude ``t^b`` makes both components vanish.
     """
     t = np.concatenate([
         [0.0],
         np.geomspace(cfg.t_min_factor * cfg.t_max, cfg.t_max, cfg.grid),
     ])
-    values = np.vstack([np.zeros(2), _example1_values(cfg, t[1:])])
-    path = DriverPath(t, values, holder_alpha=cfg.holder_alpha, p=cfg.p)
-    return path, example1_field(cfg)
+    phase = t[1:] ** (-cfg.rho_exp)
+    amp = t[1:] ** cfg.beta_exp
+    values = np.vstack(
+        [np.zeros(2), np.column_stack([amp * np.cos(phase), amp * (offset + np.sin(phase))])]
+    )
+    return DriverPath(t, values, holder_alpha=cfg.holder_alpha, p=cfg.p)
+
+
+def example1_driver(cfg: CounterexampleConfig):
+    """Oscillatory driver ``t^b (cos t^-r, 2 + sin t^-r)`` and its rough field, as a pair."""
+    return _spiral_path(cfg, 2.0), example1_field(cfg)
 
 
 def example1_field(cfg: CounterexampleConfig) -> VectorField:
@@ -392,60 +391,44 @@ def example1_field(cfg: CounterexampleConfig) -> VectorField:
     return VectorField(2, 2, func, smoothness=gamma)
 
 
-def _periodic_harmonics(fn, n_samples: int = 4096, n_keep: int = 256):
-    """Mean and complex harmonics of a smooth 2*pi-periodic function."""
-    theta = np.arange(n_samples) * (2 * np.pi / n_samples)
-    spec = np.fft.rfft(fn(theta)) / n_samples
-    mean = float(spec[0].real)
-    return mean, 2.0 * spec[1 : n_keep + 1]
-
-
-def _oscillatory_tail(mean: float, harmonics: np.ndarray, a: float, u: np.ndarray,
-                      n_terms: int = 6) -> np.ndarray:
-    """``integral_u^inf s^-a g(s) ds`` for periodic g with the given spectrum.
-
-    The mean contributes the exact power tail; the zero-mean remainder is
-    expanded by repeated integration by parts against zero-mean periodic
-    antiderivatives.  Each pass gains a factor ~1/u, so with u >= 1e4 the
-    truncation after ``n_terms`` passes is far below double precision.
-    """
-    if a <= 1:
-        raise ValueError("tail integral needs a > 1")
-    u = np.asarray(u, dtype=float)
-    total = mean * u ** (1.0 - a) / (a - 1.0)
-    freqs = np.arange(1, harmonics.size + 1)
-    correction = np.zeros_like(u)
-    block = 4096
-    for lo in range(0, u.size, block):
-        uu = u[lo : lo + block]
-        phase = np.exp(1j * np.outer(uu, freqs))
-        fac = 1.0
-        acc = np.zeros(uu.size)
-        for k in range(1, n_terms + 1):
-            hk = harmonics / (1j * freqs) ** k
-            hk_at_u = (phase * hk[None, :]).sum(axis=1).real
-            acc -= fac * uu ** (-(a + k - 1.0)) * hk_at_u
-            fac *= a + k - 1.0
-        correction[lo : lo + block] = acc
-    return total + correction
-
-
 def _example1_grown_component(cfg: CounterexampleConfig, t: np.ndarray) -> np.ndarray:
-    """Semi-analytic values of the grown branch's first component.
+    """Semi-analytic values of the grown branch's first component (0 at t = 0).
 
-    Substituting u = s^-rho turns the defining integral into two oscillatory
-    power tails, handled by :func:`_oscillatory_tail`.  Exact zero at t = 0.
+    Substituting u = s^-rho gives the tails ``integral_u^inf s^-a g_c(s) ds``
+    of ``g_c = (2 + sin)^gamma (sin, cos)``, ``a = kappa + 1, kappa + 2``.  Each
+    mean gives an exact power tail; the zero-mean rest is integrated by parts
+    six times, pass j needing ``Re sum_k e^{iuk} 2 g_c[k] / (ik)^j``, so one
+    phase matrix per block of u serves all twelve passes.  Each pass gains a
+    factor ~1/u, and u >= 1e4 puts the truncation far below double precision.
     """
+    n_samples, n_keep, n_passes, block = 4096, 256, 6, 4096
     gamma, beta, rho = cfg.gamma, cfg.beta_exp, cfg.rho_exp
     kappa = (beta * (gamma + 1) - rho) / rho
-    mean1, harm1 = _periodic_harmonics(lambda th: (2 + np.sin(th)) ** gamma * np.sin(th))
-    mean2, harm2 = _periodic_harmonics(lambda th: (2 + np.sin(th)) ** gamma * np.cos(th))
+    if not kappa + 1.0 > 1.0:
+        raise ValueError("tail integral needs a > 1, i.e. beta * (gamma + 1) > rho")
+    theta = np.arange(n_samples) * (2 * np.pi / n_samples)
+    weight = (2 + np.sin(theta)) ** gamma
+    spec = np.fft.rfft(np.stack([weight * np.sin(theta), weight * np.cos(theta)])) / n_samples
+    freqs = np.arange(1, n_keep + 1)
+    passes = range(1, n_passes + 1)
+    # column c * n_passes + j - 1 holds 2 g_c[k] / (ik)^j
+    H = np.stack([2.0 * spec[c, 1 : n_keep + 1] / (1j * freqs) ** j
+                  for c in (0, 1) for j in passes], axis=1)
     out = np.zeros_like(t)
-    pos = t > 0
-    u = t[pos] ** (-rho)
-    out[pos] = _oscillatory_tail(mean1, harm1, kappa + 1.0, u) + (
-        beta / rho
-    ) * _oscillatory_tail(mean2, harm2, kappa + 2.0, u)
+    pos = np.flatnonzero(t > 0)
+    for lo in range(0, pos.size, block):
+        idx = pos[lo : lo + block]
+        u = t[idx] ** (-rho)
+        at_u = (np.exp(1j * np.outer(u, freqs)) @ H).real
+        tails = []
+        for c, a in enumerate((kappa + 1.0, kappa + 2.0)):
+            fac = 1.0
+            acc = np.zeros(u.size)
+            for j in passes:
+                acc -= fac * u ** (-(a + j - 1.0)) * at_u[:, c * n_passes + j - 1]
+                fac *= a + j - 1.0
+            tails.append(float(spec[c, 0].real) * u ** (1.0 - a) / (a - 1.0) + acc)
+        out[idx] = tails[0] + (beta / rho) * tails[1]
     return out
 
 
@@ -477,16 +460,7 @@ def example2_driver(cfg: CounterexampleConfig) -> DriverPath:
     exactly, yet feeding them to the corrected scheme steers the solution
     toward modified dynamics rather than the nominal ones.
     """
-    t = np.concatenate([
-        [0.0],
-        np.geomspace(cfg.t_min_factor * cfg.t_max, cfg.t_max, cfg.grid),
-    ])
-    phase = t[1:] ** (-cfg.rho_exp)
-    amp = t[1:] ** cfg.beta_exp
-    values = np.vstack(
-        [np.zeros(2), np.column_stack([amp * np.cos(phase), amp * np.sin(phase)])]
-    )
-    return DriverPath(t, values, holder_alpha=cfg.holder_alpha, p=cfg.p)
+    return _spiral_path(cfg, 0.0)
 
 
 def example2_modified_field(base: VectorField, rho_exp: float) -> VectorField:
@@ -532,46 +506,47 @@ _TRANSFORMS = [
 ]
 
 
-def _straight_zigzag_rows(k: int, extra: int) -> list[int]:
-    """Run endpoint rows for a straight serpentine consuming ``extra`` squares.
+def _straight_targets(k: int, extra: int) -> list[int]:
+    """Run end rows of a straight serpentine consuming ``extra`` squares.
 
-    Runs live on the k odd columns; pairs of legs swing up from the middle
+    Runs live on the k odd columns; pairs of runs swing up from the middle
     row and back, each pair of amplitude h eating 2h squares.
     """
-    n = 2 * k + 1
     if extra % 2:
         raise ValueError("extra squares must be even")
     swings = extra // 2
-    heights = []
+    targets = []
     for _ in range(k // 2):
         take = min(k - 1, swings)
-        heights.append(take)
+        targets += [k + take, k]
         swings -= take
     if swings:
         raise ValueError(f"straight chain cannot absorb {extra} extra squares at k={k}")
-    rows = [k]
-    for h in heights:
-        rows.extend([k + h, k])
-    while len(rows) < k + 1:
-        rows.append(k)
-    return rows[: k + 1]
+    return targets + [k] * (k % 2)
+
+
+def _serpentine(start: int, targets) -> list[tuple[int, int]]:
+    """Squares of a serpentine entering at (0, start).
+
+    Run i sweeps column 2i+1 from the current row to ``targets[i]``; each run
+    after the first starts with the one square on the even column between.
+    """
+    squares = [(0, start)]
+    cur = start
+    for i, target in enumerate(targets):
+        col = 2 * i + 1
+        if i:
+            squares.append((col - 1, cur))
+        step = 1 if target >= cur else -1
+        squares.extend((col, r) for r in range(cur, target + step, step))
+        cur = target
+    return squares
 
 
 def _straight_chain(k: int, m: int) -> list[tuple[int, int]]:
     """Canonical left-to-right chain of odd length m in the (2k+1)-grid."""
     n = 2 * k + 1
-    rows = _straight_zigzag_rows(k, m - n)
-    squares = [(0, k)]
-    cur = k
-    for i in range(k):
-        col = 2 * i + 1
-        target = rows[i + 1]
-        step = 1 if target >= cur else -1
-        for r in range(cur, target + step, step):
-            squares.append((col, r))
-        cur = target
-        if i < k - 1:
-            squares.append((col + 1, cur))
+    squares = _serpentine(k, _straight_targets(k, m - n))
     squares.append((n - 1, k))
     if len(squares) != m:
         raise AssertionError(f"straight chain built {len(squares)} squares, wanted {m}")
@@ -586,16 +561,7 @@ def _corner_leg_bounds(k: int) -> list[tuple[int, int]]:
     other columns are at least two away from it and may use the full
     interior height.
     """
-    n = 2 * k + 1
-    v = k // 2
-    bounds = []
-    for i in range(v):
-        col = 2 * i + 1
-        if col == k - 1:
-            bounds.append((1, k - 1))
-        else:
-            bounds.append((1, n - 2))
-    return bounds
+    return [(1, k - 1) if 2 * i + 1 == k - 1 else (1, 2 * k - 1) for i in range(k // 2)]
 
 
 def _corner_suffix(k: int) -> list[dict]:
@@ -682,7 +648,6 @@ def _corner_serpentine(k: int, m: int) -> list[tuple[int, int]]:
     the requested length.
     """
     n = 2 * k + 1
-    v = k // 2
     d_min, d_max = _corner_travel_range(k)
     slots = list(range(k, 2 * k - 3 + 1, 4))
     detour_cap = 2 * len(slots) * (k - 1)
@@ -691,18 +656,7 @@ def _corner_serpentine(k: int, m: int) -> list[tuple[int, int]]:
     need = m - (n + 1)  # always odd: m and n are odd
     d = min(d_max, need)
     detour = need - d
-    legs = _corner_legs(k, d)
-    squares = [(0, k)]
-    cur = k
-    for i in range(v):
-        col = 2 * i + 1
-        target = legs[i]
-        step = 1 if target >= cur else -1
-        for r in range(cur, target + step, step):
-            squares.append((col, r))
-        cur = target
-        if i < v - 1:
-            squares.append((col + 1, cur))
+    squares = _serpentine(k, _corner_legs(k, d))
     if k % 2 == 1:
         squares.append((k - 1, k - 1))
     # climb with optional detours
@@ -826,7 +780,15 @@ def _chain_with_sides(k: int, m: int, entry: str, exit_: str):
     return squares, entries, exits
 
 
-def _select_levels(alpha: float, depth: int, k_max: int = 12):
+# The largest sub-grid half-width k a level may use; the sides, whose indices
+# make a chain orientation the state 4 * entry + exit; and the query pairs
+# ChainCurve.band_stats evaluates per array pass.
+_K_MAX = 12
+_SIDES = "LRBT"
+_BAND_BLOCK = 4096
+
+
+def _select_levels(alpha: float, depth: int):
     """Greedy (k, m) sequence keeping eps_r / delta_r^alpha inside [1/3, 3].
 
     Smallest k wins; among feasible odd m in [n, capacity] the one pulling
@@ -836,8 +798,7 @@ def _select_levels(alpha: float, depth: int, k_max: int = 12):
     log_ratio = 0.0
     band = math.log(3.0)
     for level in range(depth):
-        placed = False
-        for k in range(3, k_max + 1):
+        for k in range(3, _K_MAX + 1):
             n = 2 * k + 1
             cap = _chain_capacity(k)
             best = None
@@ -848,15 +809,31 @@ def _select_levels(alpha: float, depth: int, k_max: int = 12):
             if best is not None:
                 levels.append((k, best[0]))
                 log_ratio = best[1]
-                placed = True
                 break
-        if not placed:
+        else:
             raise ValueError(
-                f"level {level + 1}: no odd m in [2k+1, k^2] with k <= {k_max} keeps "
+                f"level {level + 1}: no odd m in [2k+1, k^2] with k <= {_K_MAX} keeps "
                 f"eps/delta^alpha in [1/3, 3] at alpha={alpha} "
-                f"(running log-ratio {log_ratio:.3f}); a larger k_max may help"
+                f"(running log-ratio {log_ratio:.3f})"
             )
     return levels
+
+
+def _chain_table(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squares and successor states of the (k, m) chain in every orientation.
+
+    ``squares[s, i]`` is the (col, row) of square i of the chain in state s,
+    and ``succ[s, i]`` the state that square hands to its own sub-chain.  The
+    four rows with entry == exit are unused and stay zero.
+    """
+    squares = np.zeros((16, m, 2), dtype=np.int64)
+    succ = np.zeros((16, m), dtype=np.int64)
+    for entry, exit_ in itertools.permutations(range(4), 2):
+        sq, entries, exits = _chain_with_sides(k, m, _SIDES[entry], _SIDES[exit_])
+        squares[4 * entry + exit_] = sq
+        succ[4 * entry + exit_] = [4 * _SIDES.index(a) + _SIDES.index(b)
+                                   for a, b in zip(entries, exits)]
+    return squares, succ
 
 
 class ChainCurve:
@@ -874,66 +851,58 @@ class ChainCurve:
     eps_r / delta_r^alpha pinned to [1/3, 3] by level selection.
     """
 
-    def __init__(self, alpha: float, depth: int, k_max: int = 12):
+    def __init__(self, alpha: float, depth: int):
         if not 0.5 < alpha < 1:
             raise ValueError("alpha must lie in (1/2, 1)")
         if not 1 <= depth <= 8:
             raise ValueError("depth must lie in 1..8")
         self.alpha = float(alpha)
         self.depth = int(depth)
-        self.levels = _select_levels(alpha, depth, k_max=k_max)
+        self.levels = _select_levels(alpha, depth)
         self.n_seq = [2 * k + 1 for k, _ in self.levels]
         self.m_seq = [m for _, m in self.levels]
         self.eps = np.cumprod([1.0 / n for n in self.n_seq])
         self.delta = np.cumprod([1.0 / m for m in self.m_seq])
-        self.total_cells = 1
-        for m in self.m_seq:
-            self.total_cells *= m
-        self._cache: dict = {}
+        self.total_cells = math.prod(self.m_seq)
+        self._tables: dict = {}  # (k, m) -> _chain_table(k, m), built on first use
 
-    def _chain(self, level: int, entry: str, exit_: str):
-        k, m = self.levels[level]
-        key = (k, m, entry, exit_)
-        if key not in self._cache:
-            self._cache[key] = _chain_with_sides(k, m, entry, exit_)
-        return self._cache[key]
-
-    def digits(self, index: int) -> list[int]:
-        """Mixed-radix digits of a flat cell index, most significant first."""
-        if not 0 <= index < self.total_cells:
+    def digits(self, index) -> list:
+        """Mixed-radix digits of flat cell index(es), most significant first."""
+        rest = np.asarray(index)
+        if np.any((rest < 0) | (rest >= self.total_cells)):
             raise IndexError("cell index out of range")
         out = []
-        rest = index
         for m in reversed(self.m_seq):
-            out.append(rest % m)
-            rest //= m
+            rest, digit = np.divmod(rest, m)
+            out.append(digit)
         return out[::-1]
 
-    def eval_index(self, index: int) -> np.ndarray:
-        """Center of the depth-level square holding the given time cell."""
+    def eval_index(self, index) -> np.ndarray:
+        """Centers of the depth-level squares holding time cells ``index``.
+
+        ``index`` is a scalar or an array; the result adds an axis of length 2.
+        """
         digits = self.digits(index)
-        x0, y0, size = 0.0, 0.0, 1.0
-        entry, exit_ = "L", "R"
+        corner = np.zeros(np.shape(index) + (2,))
+        state = np.full(np.shape(index), 4 * _SIDES.index("L") + _SIDES.index("R"))
+        size = 1.0
         for level, digit in enumerate(digits):
-            squares, entries, exits = self._chain(level, entry, exit_)
-            c, r = squares[digit]
-            n = self.n_seq[level]
-            size /= n
-            x0 += c * size
-            y0 += r * size
-            entry, exit_ = entries[digit], exits[digit]
-        return np.array([x0 + 0.5 * size, y0 + 0.5 * size])
+            key = self.levels[level]
+            if key not in self._tables:
+                self._tables[key] = _chain_table(*key)
+            squares, succ = self._tables[key]
+            size /= self.n_seq[level]
+            corner += squares[state, digit] * size
+            state = succ[state, digit]
+        return corner + 0.5 * size
 
     def eval(self, t) -> np.ndarray:
-        """Curve value(s) at time(s) in [0, 1]."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty((t_arr.size, 2))
-        for i, ti in enumerate(t_arr):
-            idx = min(max(int(ti * self.total_cells), 0), self.total_cells - 1)
-            out[i] = self.eval_index(idx)
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return out[0]
-        return out
+        """Curve value(s) at time(s) in [0, 1]; times outside are clamped."""
+        t = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(t)):
+            raise ValueError("curve times must be finite")
+        idx = (np.clip(t, 0.0, 1.0) * self.total_cells).astype(np.int64)
+        return self.eval_index(np.minimum(idx, self.total_cells - 1))
 
     def sample(self, n_samples: int = 2**14) -> DriverPath:
         """Uniform-grid sample as a DriverPath (capped at 2**16 points)."""
@@ -953,20 +922,24 @@ class ChainCurve:
         constant and |du|/eps_{r+1} to the lower one (sup norm).  The deepest
         band is excluded: the evaluator is piecewise constant below the depth
         resolution, so gaps under delta_depth can sit inside one cell.
+        Pairs are drawn one at a time, so the stream is fixed per pair, and
+        evaluated ``_BAND_BLOCK`` at a time.
         """
         if n_pairs < 1:
             raise ValueError(f"need at least one query pair, got {n_pairs}")
         c_upper, c_lower = 0.0, math.inf
-        for _ in range(n_pairs):
-            r = int(rng.integers(1, self.depth))  # 1 .. depth-1
-            lo, hi = self.delta[r], self.delta[r - 1]
-            gap = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-            gap_cells = max(int(gap * self.total_cells), 1)
-            start = int(rng.integers(0, self.total_cells - gap_cells))
-            du = self.eval_index(start + gap_cells) - self.eval_index(start)
-            mag = float(np.max(np.abs(du)))
-            c_upper = max(c_upper, mag / self.eps[r - 1])
-            c_lower = min(c_lower, mag / self.eps[r])
+        for lo in range(0, n_pairs, _BAND_BLOCK):
+            draws = []
+            for _ in range(min(_BAND_BLOCK, n_pairs - lo)):
+                r = int(rng.integers(1, self.depth))  # 1 .. depth-1
+                gap = math.exp(rng.uniform(math.log(self.delta[r]), math.log(self.delta[r - 1])))
+                gap_cells = max(int(gap * self.total_cells), 1)
+                draws.append((r, int(rng.integers(0, self.total_cells - gap_cells)), gap_cells))
+            r, start, gap_cells = np.array(draws, dtype=np.int64).T
+            u = self.eval_index(np.stack([start, start + gap_cells]))
+            mag = np.max(np.abs(u[1] - u[0]), axis=1)
+            c_upper = max(c_upper, float(np.max(mag / self.eps[r - 1])))
+            c_lower = min(c_lower, float(np.min(mag / self.eps[r])))
         return c_lower, c_upper
 
 
@@ -1094,12 +1067,16 @@ class ProcessedEnvelope:
         return (d ** (1.0 - self.beta) / a) ** (1.0 / self.beta)
 
 
-def _mollifier_weights(n_nodes: int = 65):
+# Simpson nodes of the mollifier bump on [1, 2] (odd, so Simpson applies).
+_MOLLIFIER_NODES = 65
+
+
+def _mollifier_weights():
     """Simpson nodes/weights of the unit-mass bump on [1, 2]."""
-    u = np.linspace(1.0, 2.0, n_nodes)
+    u = np.linspace(1.0, 2.0, _MOLLIFIER_NODES)
     w = np.exp(-1.0 / np.maximum(1.0 - (2.0 * u - 3.0) ** 2, 1e-12))
     w[0] = w[-1] = 0.0
-    simps = np.ones(n_nodes)
+    simps = np.ones(_MOLLIFIER_NODES)
     simps[1:-1:2] = 4.0
     simps[2:-1:2] = 2.0
     simps *= (u[1] - u[0]) / 3.0
@@ -1189,7 +1166,6 @@ class ExplosionDriver:
     t_star: float
     y_grid: np.ndarray
     t_grid: np.ndarray
-    phase: np.ndarray
     processed: ProcessedEnvelope
     threshold: float = 1e6
 
@@ -1287,7 +1263,6 @@ def explosion_driver(
         t_star=t_star,
         y_grid=y,
         t_grid=t_of_y,
-        phase=lam,
         processed=proc,
     )
 

@@ -139,6 +139,15 @@ class TestCondition21:
         again = condition21_recompute(ito, 0.45, 0.55, *stat.argmax)
         assert again == stat.value
 
+    def test_recompute_refuses_a_width_off_the_dyadic_levels(self):
+        cfg = BrownianConfig(d=2, level=8, seed=42)
+        area = ito_area(brownian_path(cfg), cfg)
+        at_level_2 = condition21_recompute(area, 0.45, 0.55, 0, 1, 0.25)
+        assert condition21_recompute(area, 0.45, 0.55, 0, 1, 0.25 * (1 + 1e-13)) == at_level_2
+        for h in (0.3, 0.26, 0.0, float("nan")):
+            with pytest.raises(ValueError, match="dyadic"):
+                condition21_recompute(area, 0.45, 0.55, 0, 1, h)
+
     def test_drift_free_blocks_cancel_better(self, areas10):
         """The h/2 diagonal drift accumulates linearly over a window, so the
         drifted convention's windowed sums must dominate the centered ones."""

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from roughstep.cli import main
+from roughstep.drivers import holder_chain_curve
 
 
 def _write_config(tmp_path, name, payload):
@@ -116,6 +117,21 @@ class TestSolve:
         assert float(rows[-1].split(",")[1]) > 100.0
 
 
+    def test_chain_driver(self, tmp_path):
+        config = {
+            "driver": {"kind": "chain", "alpha": 0.7, "depth": 3, "samples": 257},
+            "field": {"kind": "constant", "matrix": [[1.0, 0.0]]},
+            "y0": [0.0],
+        }
+        cfg = _write_config(tmp_path, "chain.json", config)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "trajectory.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 257
+        x1 = holder_chain_curve(0.7, 3, n_samples=257).values[:, 0]
+        assert float(rows[-1].split(",")[1]) == pytest.approx(x1[-1] - x1[0], abs=1e-12)
+
+
 class TestConfigErrors:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         bad = dict(SOLVE_CONFIG)
@@ -202,6 +218,9 @@ class TestConfigErrors:
         ("solve", {**SOLVE_CONFIG, "driver": {**SOLVE_CONFIG["driver"], "level": float("inf")}}),
         ("solve", {**SOLVE_CONFIG, "scheme": {"scheme": "corrected",
                                               "explosion_threshold": float("inf")}}),
+        ("solve", {"driver": {"kind": "chain", "alpha": 0.7, "depth": 3, "samples": 257},
+                   "field": {"kind": "constant", "matrix": [[1.0, 0.0]]},
+                   "scheme": {"scheme": "corrected"}, "y0": [0.0]}),
     ], ids=["level-out-of-range", "nan-y0", "field-driver-mismatch", "oracle-needs-d1",
             "mesh-not-dividing-grid", "null-level", "null-alpha", "null-p", "null-matrix",
             "scheme-gamma", "scheme-p", "c21-no-levels", "c21-level-finer-than-driver",
@@ -210,7 +229,7 @@ class TestConfigErrors:
             "defect-pair-outside-trajectory", "polynomial-no-coeffs", "chen-no-triples",
             "chen-negative-triples", "curve-no-samples", "curve-one-sample",
             "curve-no-pairs", "curve-negative-pairs", "infinite-level",
-            "infinite-threshold"])
+            "infinite-threshold", "chain-corrected"])
     def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, subcommand, config):
         cfg = _write_config(tmp_path, "bad.json", config)
         out = tmp_path / "out"

@@ -31,7 +31,7 @@ from roughstep.drivers import (
     save_driver,
     stratonovich_area,
 )
-from roughstep.drivers import _mollifier_weights
+from roughstep.drivers import _chain_with_sides, _mollifier_weights
 
 
 class TestBrownianPath:
@@ -315,6 +315,59 @@ class TestChainCurve:
         assert rebuilt == index
         with pytest.raises(IndexError):
             chain6.digits(chain6.total_cells)
+
+    @staticmethod
+    def _walk(curve, index, chains):
+        """Center of the cell at ``index`` by one descent per level: the scalar reference."""
+        digits = []
+        for m in reversed(curve.m_seq):
+            digits.append(index % m)
+            index //= m
+        x0, y0, size = 0.0, 0.0, 1.0
+        entry, exit_ = "L", "R"
+        for level, digit in enumerate(reversed(digits)):
+            key = (*curve.levels[level], entry, exit_)
+            if key not in chains:
+                chains[key] = _chain_with_sides(*key)
+            squares, entries, exits = chains[key]
+            c, r = squares[digit]
+            size /= curve.n_seq[level]
+            x0 += c * size
+            y0 += r * size
+            entry, exit_ = entries[digit], exits[digit]
+        return np.array([x0 + 0.5 * size, y0 + 0.5 * size])
+
+    def test_eval_index_equals_the_per_index_walk(self, chain6):
+        rng = np.random.default_rng(5)
+        idx = np.concatenate([rng.integers(0, chain6.total_cells, 2000),
+                              [0, chain6.total_cells - 1]])
+        chains = {}
+        want = np.array([self._walk(chain6, int(i), chains) for i in idx])
+        assert np.array_equal(chain6.eval_index(idx), want)
+        assert np.array_equal(chain6.eval_index(int(idx[0])), want[0])
+
+    @pytest.mark.parametrize("seed", [0, 42, 2001])
+    def test_band_stats_equals_the_per_pair_loop(self, chain6, seed):
+        rng = np.random.default_rng(seed)
+        chains = {}
+        c_upper, c_lower = 0.0, math.inf
+        for _ in range(2000):
+            r = int(rng.integers(1, chain6.depth))
+            lo, hi = chain6.delta[r], chain6.delta[r - 1]
+            gap = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+            gap_cells = max(int(gap * chain6.total_cells), 1)
+            start = int(rng.integers(0, chain6.total_cells - gap_cells))
+            du = (self._walk(chain6, start + gap_cells, chains)
+                  - self._walk(chain6, start, chains))
+            mag = float(np.max(np.abs(du)))
+            c_upper = max(c_upper, mag / chain6.eps[r - 1])
+            c_lower = min(c_lower, mag / chain6.eps[r])
+        assert chain6.band_stats(2000, np.random.default_rng(seed)) == (c_lower, c_upper)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, [0.5, math.nan]])
+    def test_non_finite_times_refused(self, chain6, t):
+        with pytest.raises(ValueError):
+            chain6.eval(t)
 
     @pytest.mark.parametrize("alpha,depth", [(0.4, 4), (1.0, 4), (0.7, 0), (0.7, 9)])
     def test_parameter_validation(self, alpha, depth):
