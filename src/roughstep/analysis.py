@@ -134,6 +134,8 @@ def convergence_study(
     ks = sorted(int(k) for k in k_values)
     if len(ks) < 2:
         raise ValueError("need at least two mesh sizes")
+    if ks[0] < 1:
+        raise ValueError(f"mesh sizes must be at least 1, got {ks[0]}")
     if any(path.n_intervals % k for k in ks):
         raise ValueError("every mesh size must divide the driver grid")
     config = SchemeConfig(scheme=scheme, explosion_threshold=explosion_threshold)
@@ -636,12 +638,15 @@ def chen_residuals(
     For grid indices i < j < k the block over (i, k) must equal the two
     sub-blocks combined with the increment cross term; the residual is the
     max-entry distance.  Anything persistently above roundoff means the
-    process's algebra is broken.
+    process's algebra is broken.  Triples are drawn one at a time, 1 to 2**20
+    of them.
     """
     if area.n_intervals < 2:
         raise ValueError("need at least two intervals to form a triple")
     if n_triples < 1:
         raise ValueError(f"need at least one triple, got {n_triples}")
+    if n_triples > 2**20:
+        raise ValueError(f"at most 2**20 triples are drawn, got {n_triples}")
     rng = np.random.default_rng(seed)
     draws = [rng.choice(area.n_intervals + 1, size=3, replace=False) for _ in range(n_triples)]
     i, j, k = np.sort(draws, axis=1).T

@@ -1,23 +1,28 @@
 """Command-line front end: configure, run, and persist experiment suites.
 
-One JSON config per run, one output directory per run.  Every subcommand
-writes its artifacts plus ``manifest.json`` with the resolved configuration,
-the effective seed, and a sha256 per artifact, so a directory is
-self-describing and a rerun with the same config and seed is byte-identical.
+One JSON config per run, one output directory per run.  Each config block is
+declared once, as a table ``{key: (convert, default)}`` read by :func:`_block`.
+Every subcommand writes its artifacts plus ``manifest.json`` with the config
+as read (defaults filled in, the effective seed) and a sha256 per artifact, so
+a directory is self-describing and a rerun with the same config and seed is
+byte-identical.
 
-Exit codes: 0 success, 2 config error (unknown keys, missing or non-numeric
-values, inadmissible parameters, a field that does not fit its driver or
-initial state), 3 numerical failure (non-finite states or results, or an
-explosion the config did not declare).
+Exit codes: 0 success, 2 config error (a block that is not an object, unknown
+or missing keys, a value of the wrong type, inadmissible parameters, a field
+that does not fit its driver or initial state), 3 numerical failure
+(non-finite states or results, or an explosion the config did not declare).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,19 +40,18 @@ from .analysis import (
 from .core import NumericsError, VectorField
 from .drivers import (
     BrownianConfig,
+    ChainCurve,
     CounterexampleConfig,
     PolynomialPath,
     analytic_area,
     brownian_path,
-    build_chain_curve,
     degenerate_area,
     explosion_driver,
     ito_area,
     power_law_envelope,
     stratonovich_area,
 )
-from .schemes import (SchemeConfig, _check_fit, _defect_pairs, corrected_solve, defect,
-                      euler_solve)
+from .schemes import SchemeConfig, corrected_solve, defect, euler_solve
 from . import __version__
 
 
@@ -55,13 +59,7 @@ class ConfigError(ValueError):
     """Anything wrong with the run configuration (exit code 2)."""
 
 
-def _check_keys(block: dict, where: str, allowed: set, required: set) -> None:
-    unknown = sorted(set(block) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys {unknown} in {where}")
-    missing = sorted(required - set(block))
-    if missing:
-        raise ConfigError(f"missing keys {missing} in {where}")
+_REQUIRED = object()  # the default of a key the block must give
 
 
 def _read(block: dict, key: str, convert, default=None):
@@ -70,6 +68,8 @@ def _read(block: dict, key: str, convert, default=None):
     value = block.get(key, default)
     try:
         out = convert(value)
+    except ConfigError:
+        raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} has an invalid value {value!r}") from exc
     if isinstance(out, float) and not math.isfinite(out):
@@ -77,330 +77,277 @@ def _read(block: dict, key: str, convert, default=None):
     return out
 
 
-def _effective_seed(block: dict, override):
-    if override is not None:
-        return int(override)
-    return None if block.get("seed") is None else _read(block, "seed", int)
+def _block(raw, where: str, spec: dict) -> dict:
+    """The JSON object ``raw`` read against ``spec``, ``{key: (convert, default)}``.
+
+    Unknown keys and missing ``_REQUIRED`` ones are refused; every other key
+    is converted through :func:`_read`, its default filled in when absent.  A
+    key whose default is ``None`` is optional and stays absent when not given.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+    unknown = sorted(set(raw) - set(spec))
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown} in {where}")
+    missing = sorted(k for k, (_, default) in spec.items()
+                     if default is _REQUIRED and k not in raw)
+    if missing:
+        raise ConfigError(f"missing keys {missing} in {where}")
+    return {key: _read(raw, key, convert, default) for key, (convert, default) in spec.items()
+            if key in raw or default is not None}
 
 
-# ---------------------------------------------------------------------------
-# config-block builders
+def _kinded(raw, where: str, specs: dict) -> dict:
+    """``raw`` read by :func:`_block` against the spec of its ``kind`` in ``specs``."""
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if not isinstance(kind, str) or kind not in specs:
+        raise ConfigError(f"{where} needs a kind in {sorted(specs)}, got {raw!r}")
+    return _block(raw, f"{kind} {where}", {"kind": (str, _REQUIRED), **specs[kind]})
 
 
-def _build_field(block: dict) -> VectorField:
-    _check_keys(block, "field", {"kind", "matrix", "n"}, {"kind"})
-    kind = block["kind"]
-    if kind == "scalar_linear":
-        return VectorField.scalar_linear()
-    if kind == "diagonal_linear":
-        if "n" not in block:
-            raise ConfigError("diagonal_linear field needs n")
-        return VectorField.diagonal_linear(_read(block, "n", int))
-    if kind == "constant":
-        if "matrix" not in block:
-            raise ConfigError("constant field needs a matrix")
-        matrix = _read(block, "matrix", lambda m: np.asarray(m, dtype=float))
-        if matrix.ndim != 2 or not np.all(np.isfinite(matrix)):
-            raise ConfigError("constant field needs an (n, d) matrix of finite numbers")
-        return VectorField.constant(matrix)
-    raise ConfigError(f"unknown field kind {kind!r}")
-
-
-def _build_driver(block: dict, seed_override, need_area: bool):
-    """Driver path plus (optionally) an area process from a config block."""
+@contextmanager
+def _refused():
+    """A library's refusal of a config value (``ValueError``, ``IndexError``) as a config error."""
     try:
-        return _driver_from_block(block, seed_override, need_area)
-    except ConfigError:
-        raise
-    except ValueError as exc:
+        yield
+    except (ValueError, IndexError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _driver_from_block(block: dict, seed_override, need_area: bool):
-    _check_keys(
-        block,
-        "driver",
-        {"kind", "d", "level", "seed", "t_end", "substeps", "area",
-         "coeffs", "samples", "alpha", "depth"},
-        {"kind"},
-    )
+def _choice(*options):
+    """Converter refusing all but ``options`` (``1`` is not ``true``)."""
+    def convert(value):
+        if not any(type(value) is type(o) and value == o for o in options):
+            raise ValueError(f"expected one of {options}")
+        return value
+    return convert
+
+
+def _fields(cls) -> dict:
+    """Spec of a config dataclass: every field optional, converted to its default's type."""
+    return {f.name: (type(f.default), f.default) for f in dataclasses.fields(cls)}
+
+
+def _array(value) -> list:
+    """Nested list of finite floats."""
+    out = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("entries must be finite")
+    return out.tolist()
+
+
+def _ints(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError("expected a list")
+    return [int(v) for v in value]
+
+
+def _pairs(value):
+    """A pair policy name (or null for the window), else an (m, 2) index list."""
+    if value is None or isinstance(value, str):
+        return value
+    return np.asarray(value, dtype=np.int64).tolist()
+
+
+_DRIVERS = {
+    "brownian": {"d": (int, 1), "level": (int, 10), "seed": (int, None),
+                 "t_end": (float, 1.0), "substeps": (int, 16),
+                 "area": (_choice("ito", "stratonovich", "none"), None)},
+    "polynomial": {"coeffs": (_array, _REQUIRED), "t_end": (float, 1.0),
+                   "samples": (int, 1025),
+                   "area": (_choice("analytic", "degenerate", "none"), "analytic")},
+    "chain": {"alpha": (float, 0.7), "depth": (int, 4), "samples": (int, 2**14)},
+}
+_DRIVER = partial(_kinded, where="driver", specs=_DRIVERS)
+_FIELD = partial(_kinded, where="field", specs={
+    "scalar_linear": {},
+    "diagonal_linear": {"n": (int, _REQUIRED)},
+    "constant": {"matrix": (_array, _REQUIRED)},
+})
+_SCHEME = partial(_block, where="scheme", spec=_fields(SchemeConfig))
+
+
+def _seed(block: dict, override, who: str) -> int:
+    """The effective seed, ``--seed`` over the config's, recorded in ``block``."""
+    if override is not None:
+        block["seed"] = override
+    if "seed" not in block:
+        raise ConfigError(f"{who} needs a seed")
+    return block["seed"]
+
+
+def _driver(block: dict, seed_override, need_area: bool):
+    """Driver path and area process (``None`` without one) of a read driver block.
+
+    A brownian block gains its effective seed and area kind.  Refused before
+    anything is built when ``need_area`` and the driver has no area.
+    """
     kind = block["kind"]
     if kind == "brownian":
-        seed = _effective_seed(block, seed_override)
-        if seed is None:
-            raise ConfigError("brownian driver needs a seed")
-        bc = BrownianConfig(
-            d=_read(block, "d", int, 1),
-            level=_read(block, "level", int, 10),
-            seed=seed,
-            t_end=_read(block, "t_end", float, 1.0),
-            substeps=_read(block, "substeps", int, 16),
-        )
-        path = brownian_path(bc)
-        area_kind = block.get("area", "ito" if need_area else "none")
-        if area_kind == "none":
-            if need_area:
-                raise ConfigError("corrected scheme needs area: ito or stratonovich")
-            return path, None, {"kind": kind, "seed": seed, "area": "none", **_bc_dict(bc)}
-        if area_kind not in ("ito", "stratonovich"):
-            raise ConfigError(f"unknown area kind {area_kind!r} for brownian")
-        area = ito_area(path, bc)
-        if area_kind == "stratonovich":
-            area = stratonovich_area(area)
-        return path, area, {"kind": kind, "seed": seed, "area": area_kind, **_bc_dict(bc)}
-    if kind == "polynomial":
-        if "coeffs" not in block:
-            raise ConfigError("polynomial driver needs coeffs")
-        poly = PolynomialPath(np.asarray(block["coeffs"], dtype=float))
-        t_end = _read(block, "t_end", float, 1.0)
-        samples = _read(block, "samples", int, 1025)
-        path = poly.sample(np.linspace(0.0, t_end, samples))
-        area_kind = block.get("area", "analytic")
-        if area_kind == "analytic":
-            area = analytic_area(poly, path)
-        elif area_kind == "degenerate":
-            area = degenerate_area(path)
-        elif area_kind == "none":
-            area = None
-            if need_area:
-                raise ConfigError("corrected scheme needs an area")
-        else:
-            raise ConfigError(f"unknown area kind {area_kind!r} for polynomial")
-        return path, area, {
-            "kind": kind, "t_end": t_end, "samples": samples, "area": area_kind,
-            "coeffs": np.asarray(block["coeffs"], dtype=float).tolist(),
-        }
+        _seed(block, seed_override, "brownian driver")
+        block.setdefault("area", "ito" if need_area else "none")
+    if need_area and block.get("area", "none") == "none":
+        raise ConfigError(f"this run needs an area process; the {kind} driver has none")
     if kind == "chain":
-        alpha = _read(block, "alpha", float, 0.7)
-        depth = _read(block, "depth", int, 4)
-        samples = _read(block, "samples", int, 2**14)
-        curve = build_chain_curve(alpha, depth)
-        path = curve.sample(samples)
-        if need_area:
-            raise ConfigError("the chain curve ships no area process")
-        return path, None, {"kind": kind, "alpha": alpha, "depth": depth, "samples": samples}
-    raise ConfigError(f"unknown driver kind {kind!r}")
+        return ChainCurve(block["alpha"], block["depth"]).sample(block["samples"]), None
+    if kind == "polynomial":
+        poly = PolynomialPath(np.asarray(block["coeffs"]))
+        path = poly.sample(np.linspace(0.0, block["t_end"], block["samples"]))
+        if block["area"] == "degenerate":
+            return path, degenerate_area(path)
+        return path, analytic_area(poly, path) if block["area"] == "analytic" else None
+    bc = BrownianConfig(**{k: block[k] for k in ("d", "level", "seed", "t_end", "substeps")})
+    path = brownian_path(bc)
+    area = None if block["area"] == "none" else ito_area(path, bc)
+    return path, stratonovich_area(area) if block["area"] == "stratonovich" else area
 
 
-def _initial_state(raw, field: VectorField, path) -> np.ndarray:
-    """``y0`` as an array, refused unless it, the field and the driver fit."""
-    try:
-        return _check_fit(field, path, raw, None)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _bc_dict(bc: BrownianConfig) -> dict:
-    return {"d": bc.d, "level": bc.level, "t_end": bc.t_end, "substeps": bc.substeps}
-
-
-def _build_scheme(block: dict | None) -> SchemeConfig:
-    block = block or {}
-    _check_keys(block, "scheme", {"scheme", "explosion_threshold"}, set())
-    try:
-        return SchemeConfig(
-            scheme=block.get("scheme", "euler"),
-            explosion_threshold=_read(block, "explosion_threshold", float, 1e6),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _field(block: dict) -> VectorField:
+    """The field whose constructor the block's kind names, its other keys the arguments."""
+    return getattr(VectorField, block["kind"])(**{k: v for k, v in block.items() if k != "kind"})
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (artifact dict, resolved-config dict); an
-# artifact is a JSON payload or a writer taking the target path
+# subcommands: the spec of the config and a handler of the config as read, returning
+# artifacts, each a JSON payload or a writer of the target path
+
+_HANDLERS: dict = {}  # subcommand name -> (config spec, handler)
 
 
-def _cmd_solve(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
-    _check_keys(
-        config, "config",
-        {"driver", "field", "scheme", "y0", "defect", "expect_explosion"},
-        {"driver", "field", "y0"},
-    )
-    sch = _build_scheme(config.get("scheme"))
-    path, area, resolved_driver = _build_driver(
-        config["driver"], seed_override, need_area=sch.scheme == "corrected"
-    )
-    field = _build_field(config["field"])
-    y0 = _initial_state(config["y0"], field, path)
-    if sch.scheme == "corrected":
-        traj = corrected_solve(field, path, area, y0, config=sch)
-    else:
-        traj = euler_solve(field, path, y0, config=sch)
-    expect = bool(config.get("expect_explosion", False))
-    if traj.exploded and not expect:
-        raise NumericsError(
-            f"state crossed the explosion threshold at step {traj.exploded_at}"
-        )
-    artifacts = {"trajectory.csv": lambda p: traj.write_csv(p)}
-    resolved = {
-        "driver": resolved_driver,
-        "field": config["field"],
-        "scheme": {"scheme": sch.scheme, "explosion_threshold": sch.explosion_threshold},
-        "y0": y0.tolist(),
-        "expect_explosion": expect,
-    }
-    dft = config.get("defect")
-    if dft is not None:
-        _check_keys(dft, "defect", {"gamma", "p", "pairs", "max_span"}, {"gamma", "p"})
-        gamma, p = _read(dft, "gamma", float), _read(dft, "p", float)
-        max_span = _read(dft, "max_span", int, 64)
-        pairs = dft.get("pairs", "window")
-        try:
-            _defect_pairs(traj.times.size, gamma, p, traj.scheme == "corrected", area,
-                          pairs, max_span)
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ConfigError(f"defect: {exc}") from exc
-        report = defect(traj, field, path, gamma, p, area=area, pairs=pairs, max_span=max_span)
-        artifacts["defect.json"] = report.to_dict()
-        resolved["defect"] = {"gamma": gamma, "p": p, "pairs": pairs, "max_span": max_span}
-    return artifacts, resolved
+def _subcommand(name: str, spec: dict):
+    def register(handler):
+        _HANDLERS[name] = (spec, handler)
+        return handler
+    return register
 
 
-_ORACLES = {
-    "gbm_ito": gbm_terminal_ito,
-    "gbm_stratonovich": gbm_terminal_stratonovich,
-    "fine": None,
+_SYSTEM = {  # a field driven from y0 by one scheme
+    "driver": (_DRIVER, _REQUIRED),
+    "field": (_FIELD, _REQUIRED),
+    "scheme": (_SCHEME, {}),
+    "y0": (_array, _REQUIRED),
 }
 
 
-def _cmd_convergence(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
-    _check_keys(
-        config, "config",
-        {"driver", "field", "scheme", "y0", "k_values", "oracle", "drop_coarsest"},
-        {"driver", "field", "y0", "k_values"},
-    )
-    sch = _build_scheme(config.get("scheme"))
-    oracle_name = config.get("oracle", "fine")
-    if oracle_name not in _ORACLES:
-        raise ConfigError(f"unknown oracle {oracle_name!r}; have {sorted(_ORACLES)}")
-    need_area = sch.scheme == "corrected" or oracle_name == "fine"
-    path, area, resolved_driver = _build_driver(
-        config["driver"], seed_override, need_area=need_area
-    )
-    field = _build_field(config["field"])
-    y0 = _initial_state(config["y0"], field, path)
-    k_values = _read(config, "k_values", lambda v: [int(k) for k in v])
-    drop_coarsest = _read(config, "drop_coarsest", int, 2)
-    try:
+@_subcommand("solve", {
+    **_SYSTEM,
+    "defect": (partial(_block, where="defect", spec={
+        "gamma": (float, _REQUIRED), "p": (float, _REQUIRED),
+        "pairs": (_pairs, "window"), "max_span": (int, 64),
+    }), None),
+    "expect_explosion": (_choice(True, False), False),
+})
+def _cmd_solve(config: dict, seed_override) -> dict:
+    with _refused():
+        sch = SchemeConfig(**config["scheme"])
+        path, area = _driver(config["driver"], seed_override, sch.scheme == "corrected")
+        field = _field(config["field"])
+        if sch.scheme == "corrected":
+            traj = corrected_solve(field, path, area, config["y0"], config=sch)
+        else:
+            traj = euler_solve(field, path, config["y0"], config=sch)
+        if traj.exploded and not config["expect_explosion"]:
+            raise NumericsError("state crossed the explosion threshold at step "
+                                f"{traj.exploded_at}")
+        artifacts = {"trajectory.csv": traj.write_csv}
+        if "defect" in config:
+            report = defect(traj, field, path, area=area, **config["defect"])
+            artifacts["defect.json"] = report.to_dict()
+    return artifacts
+
+
+_ORACLES = {"gbm_ito": gbm_terminal_ito, "gbm_stratonovich": gbm_terminal_stratonovich,
+            "fine": None}
+
+
+@_subcommand("convergence", {
+    **_SYSTEM,
+    "k_values": (_ints, _REQUIRED),
+    "oracle": (_choice(*_ORACLES), "fine"),
+    "drop_coarsest": (int, 2),
+})
+def _cmd_convergence(config: dict, seed_override) -> dict:
+    with _refused():
+        sch = SchemeConfig(**config["scheme"])
+        need_area = sch.scheme == "corrected" or config["oracle"] == "fine"
+        path, area = _driver(config["driver"], seed_override, need_area)
         report = convergence_study(
-            field, path, y0,
-            k_values=k_values,
+            _field(config["field"]), path, config["y0"],
+            k_values=config["k_values"],
             scheme=sch.scheme,
             area=area,
-            reference=_ORACLES[oracle_name],
-            drop_coarsest=drop_coarsest,
+            reference=_ORACLES[config["oracle"]],
+            drop_coarsest=config["drop_coarsest"],
             explosion_threshold=sch.explosion_threshold,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    resolved = {
-        "driver": resolved_driver,
-        "field": config["field"],
-        "scheme": {"scheme": sch.scheme},
-        "y0": y0.tolist(),
-        "k_values": k_values,
-        "oracle": oracle_name,
-        "drop_coarsest": drop_coarsest,
-    }
-    return {"rate.json": report.to_dict()}, resolved
+    return {"rate.json": report.to_dict()}
 
 
-def _cmd_chen_check(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
-    _check_keys(config, "config", {"driver", "n_triples", "triple_seed"}, {"driver"})
-    path, area, resolved_driver = _build_driver(config["driver"], seed_override, need_area=True)
-    n_triples = _read(config, "n_triples", int, 1000)
-    triple_seed = _read(config, "triple_seed", int, 0)
-    try:
-        res = chen_residuals(area, n_triples=n_triples, seed=triple_seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    payload = {
+@_subcommand("chen-check", {
+    "driver": (_DRIVER, _REQUIRED),
+    "n_triples": (int, 1000),
+    "triple_seed": (int, 0),
+})
+def _cmd_chen_check(config: dict, seed_override) -> dict:
+    with _refused():
+        _, area = _driver(config["driver"], seed_override, need_area=True)
+        res = chen_residuals(area, n_triples=config["n_triples"], seed=config["triple_seed"])
+    return {"chen.json": {
         "kind": area.kind,
-        "n_triples": n_triples,
-        "triple_seed": triple_seed,
+        "n_triples": config["n_triples"],
+        "triple_seed": config["triple_seed"],
         "max_residual": float(np.max(res)),
         "mean_residual": float(np.mean(res)),
-    }
-    resolved = {"driver": resolved_driver, "n_triples": n_triples, "triple_seed": triple_seed}
-    return {"chen.json": payload}, resolved
-
-
-def _cmd_condition21(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
-    _check_keys(
-        config, "config",
-        {"driver", "alpha", "beta", "levels", "window_cap"},
-        {"driver", "alpha", "beta"},
-    )
-    driver = dict(config["driver"])
-    if driver.get("kind") != "brownian":
-        raise ConfigError("condition21 runs on the brownian driver")
-    driver["area"] = "ito"
-    path, ito, resolved_driver = _build_driver(driver, seed_override, need_area=True)
-    strat = stratonovich_area(ito)
-    alpha = _read(config, "alpha", float)
-    beta = _read(config, "beta", float)
-    levels = _read(config, "levels", lambda v: [int(j) for j in v], range(4, 13))
-    cap = _read(config, "window_cap", int, 2**12)
-    try:
-        stat_ito = condition21_stat(ito, alpha, beta, levels=levels, window_cap=cap)
-        stat_strat = condition21_stat(strat, alpha, beta, levels=levels, window_cap=cap)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    payload = {
-        "ito": stat_ito.to_dict(),
-        "stratonovich": stat_strat.to_dict(),
-        "finest_level_ratio": stat_strat.per_level[-1] / stat_ito.per_level[-1],
-    }
-    resolved = {"driver": resolved_driver, "alpha": alpha, "beta": beta,
-                "levels": levels, "window_cap": cap}
-    return {"condition21.json": payload}, resolved
-
-
-def _cmd_nonuniqueness(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
-    _check_keys(config, "config", {"exponents"}, set())
-    block = config.get("exponents", {})
-    allowed = {"gamma", "p", "beta_exp", "rho_exp", "t_max", "grid",
-               "t_min_factor", "ramp"}
-    _check_keys(block, "exponents", allowed, set())
-    try:
-        cfg = CounterexampleConfig(**block)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
-        report = nonuniqueness_demo(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    resolved = {"exponents": {
-        "gamma": cfg.gamma, "p": cfg.p, "beta_exp": cfg.beta_exp,
-        "rho_exp": cfg.rho_exp, "t_max": cfg.t_max, "grid": cfg.grid,
-        "t_min_factor": cfg.t_min_factor, "ramp": cfg.ramp,
     }}
-    return {
-        "nonuniqueness.json": report.to_dict(),
-        "trajectory.csv": lambda p: report.traj_b.write_csv(p),
-    }, resolved
 
 
-def _cmd_explosion(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
-    _check_keys(
-        config, "config",
-        {"envelope", "p", "gamma", "r_max", "include_driver"},
-        {"envelope", "p"},
-    )
-    env_block = config["envelope"]
-    _check_keys(env_block, "envelope", {"growth_exp", "area_exp", "beta"},
-                {"growth_exp", "area_exp", "beta"})
-    exps = {k: _read(env_block, k, float) for k in ("growth_exp", "area_exp", "beta")}
-    p = _read(config, "p", float)
-    gamma = _read(config, "gamma", float, 1.0 + exps["beta"])
-    r_max = _read(config, "r_max", float, 2.0**20)
-    try:
-        env = power_law_envelope(exps["growth_exp"], exps["area_exp"], exps["beta"])
-        crit = explosion_criterion(env, p, gamma, r_max)
-        payload = {"criterion": crit.to_dict()}
-        if bool(config.get("include_driver", True)):
-            drv = explosion_driver(env, p, gamma)
+@_subcommand("condition21", {
+    "driver": (partial(_kinded, where="driver", specs={"brownian": _DRIVERS["brownian"]}),
+               _REQUIRED),
+    "alpha": (float, _REQUIRED),
+    "beta": (float, _REQUIRED),
+    "levels": (_ints, list(range(4, 13))),
+    "window_cap": (int, 2**12),
+})
+def _cmd_condition21(config: dict, seed_override) -> dict:
+    config["driver"]["area"] = "ito"
+    with _refused():
+        _, ito = _driver(config["driver"], seed_override, need_area=True)
+        stats = [condition21_stat(area, config["alpha"], config["beta"],
+                                  levels=config["levels"], window_cap=config["window_cap"])
+                 for area in (ito, stratonovich_area(ito))]
+    return {"condition21.json": {
+        "ito": stats[0].to_dict(),
+        "stratonovich": stats[1].to_dict(),
+        "finest_level_ratio": stats[1].per_level[-1] / stats[0].per_level[-1],
+    }}
+
+
+@_subcommand("nonuniqueness", {
+    "exponents": (partial(_block, where="exponents", spec=_fields(CounterexampleConfig)), {}),
+})
+def _cmd_nonuniqueness(config: dict, seed_override) -> dict:
+    with _refused():
+        report = nonuniqueness_demo(CounterexampleConfig(**config["exponents"]))
+    return {"nonuniqueness.json": report.to_dict(), "trajectory.csv": report.traj_b.write_csv}
+
+
+@_subcommand("explosion", {
+    "envelope": (partial(_block, where="envelope", spec={
+        k: (float, _REQUIRED) for k in ("growth_exp", "area_exp", "beta")}), _REQUIRED),
+    "p": (float, _REQUIRED),
+    "gamma": (float, None),
+    "r_max": (float, 2.0**20),
+    "include_driver": (_choice(True, False), True),
+})
+def _cmd_explosion(config: dict, seed_override) -> dict:
+    gamma = config.setdefault("gamma", 1.0 + config["envelope"]["beta"])
+    with _refused():
+        env = power_law_envelope(**config["envelope"])
+        payload = {"criterion": explosion_criterion(env, config["p"], gamma,
+                                                    config["r_max"]).to_dict()}
+        if config["include_driver"]:
+            drv = explosion_driver(env, config["p"], gamma)
             traj = drv.state_trajectory()
             payload["driver"] = {
                 "t_star": drv.t_star,
@@ -409,35 +356,23 @@ def _cmd_explosion(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
                 else float(traj.times[traj.exploded_at]),
                 "max_state": float(np.max(traj.states)),
             }
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    resolved = {
-        "envelope": exps,
-        "p": p, "gamma": gamma, "r_max": r_max,
-        "include_driver": bool(config.get("include_driver", True)),
-    }
-    return {"explosion.json": payload}, resolved
+    return {"explosion.json": payload}
 
 
-def _cmd_curve(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
-    _check_keys(
-        config, "config",
-        {"alpha", "depth", "n_pairs", "samples", "seed"},
-        {"alpha", "depth"},
-    )
-    seed = _effective_seed(config, seed_override)
-    if seed is None:
-        raise ConfigError("curve band sampling needs a seed")
-    alpha, depth = _read(config, "alpha", float), _read(config, "depth", int)
-    n_pairs = _read(config, "n_pairs", int, 10**4)
-    samples = _read(config, "samples", int, 2**14)
-    try:
-        curve = build_chain_curve(alpha, depth)
-        c_lower, c_upper = curve.band_stats(n_pairs, np.random.default_rng(seed))
-        exponent = holder_estimate(curve.sample(samples))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    payload = {
+@_subcommand("curve", {
+    "alpha": (float, _REQUIRED),
+    "depth": (int, _REQUIRED),
+    "n_pairs": (int, 10**4),
+    "samples": (int, 2**14),
+    "seed": (int, None),
+})
+def _cmd_curve(config: dict, seed_override) -> dict:
+    seed = _seed(config, seed_override, "curve band sampling")
+    with _refused():
+        curve = ChainCurve(config["alpha"], config["depth"])
+        c_lower, c_upper = curve.band_stats(config["n_pairs"], np.random.default_rng(seed))
+        exponent = holder_estimate(curve.sample(config["samples"]))
+    return {"curve.json": {
         "alpha": curve.alpha,
         "depth": curve.depth,
         "levels": [[k, m] for k, m in curve.levels],
@@ -446,22 +381,8 @@ def _cmd_curve(config: dict, out: Path, seed_override) -> tuple[dict, dict]:
         "c_upper": c_upper,
         "band_ratio": c_upper / c_lower,
         "holder_exponent": exponent,
-        "n_pairs": n_pairs,
-    }
-    resolved = {"alpha": curve.alpha, "depth": curve.depth, "n_pairs": n_pairs,
-                "samples": samples, "seed": seed}
-    return {"curve.json": payload}, resolved
-
-
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "convergence": _cmd_convergence,
-    "chen-check": _cmd_chen_check,
-    "condition21": _cmd_condition21,
-    "nonuniqueness": _cmd_nonuniqueness,
-    "explosion": _cmd_explosion,
-    "curve": _cmd_curve,
-}
+        "n_pairs": config["n_pairs"],
+    }}
 
 
 # ---------------------------------------------------------------------------
@@ -499,16 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
+    spec, handler = _HANDLERS[args.subcommand]
     try:
-        raw = Path(args.config).read_text()
-        config = json.loads(raw)
-        if not isinstance(config, dict):
-            raise ConfigError("config must be a JSON object")
-        handler = _HANDLERS[args.subcommand]
-        artifacts, resolved = handler(config, out, args.seed)
+        config = _block(json.loads(Path(args.config).read_text()), "config", spec)
+        artifacts = handler(config, args.seed)
         # serialized before the output directory exists, so a refusal leaves none
         texts = {name: _json_text(a) for name, a in artifacts.items() if isinstance(a, dict)}
-        _json_text(resolved)
+        _json_text(config)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -529,7 +447,7 @@ def main(argv=None) -> int:
         "subcommand": args.subcommand,
         "version": __version__,
         "seed_override": args.seed,
-        "config": resolved,
+        "config": config,
         "artifacts": hashes,
     }
     (out / "manifest.json").write_text(_json_text(manifest))

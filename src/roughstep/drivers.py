@@ -53,7 +53,6 @@ __all__ = [
     "example2_driver",
     "example2_modified_field",
     "ChainCurve",
-    "build_chain_curve",
     "holder_chain_curve",
     "ExplosionConfig",
     "power_law_envelope",
@@ -313,6 +312,8 @@ class CounterexampleConfig:
     ramp: float = 0.15
 
     def __post_init__(self):
+        if not self.beta_exp > 0:
+            raise ValueError("beta_exp must be positive")
         chain = (self.gamma, self.rho_exp / self.beta_exp,
                  (self.rho_exp + 1) / self.beta_exp, self.p)
         if not (chain[0] < chain[1] < chain[2] < chain[3]):
@@ -905,10 +906,9 @@ class ChainCurve:
         return self.eval_index(np.minimum(idx, self.total_cells - 1))
 
     def sample(self, n_samples: int = 2**14) -> DriverPath:
-        """Uniform-grid sample as a DriverPath (capped at 2**16 points)."""
-        n_samples = min(int(n_samples), 2**16)
-        if n_samples < 2:
-            raise ValueError("need at least two samples")
+        """Uniform-grid sample of 2 to 2**16 points as a DriverPath."""
+        if not 2 <= n_samples <= 2**16:
+            raise ValueError(f"need 2 to 2**16 samples, got {n_samples}")
         times = np.linspace(0.0, 1.0, n_samples)
         return DriverPath(
             times, self.eval(times), holder_alpha=self.alpha, p=1.0 / self.alpha
@@ -923,10 +923,10 @@ class ChainCurve:
         band is excluded: the evaluator is piecewise constant below the depth
         resolution, so gaps under delta_depth can sit inside one cell.
         Pairs are drawn one at a time, so the stream is fixed per pair, and
-        evaluated ``_BAND_BLOCK`` at a time.
+        evaluated ``_BAND_BLOCK`` at a time; ``n_pairs`` is 1 to 2**20.
         """
-        if n_pairs < 1:
-            raise ValueError(f"need at least one query pair, got {n_pairs}")
+        if not 1 <= n_pairs <= 2**20:
+            raise ValueError(f"need 1 to 2**20 query pairs, got {n_pairs}")
         c_upper, c_lower = 0.0, math.inf
         for lo in range(0, n_pairs, _BAND_BLOCK):
             draws = []
@@ -943,13 +943,9 @@ class ChainCurve:
         return c_lower, c_upper
 
 
-def build_chain_curve(alpha: float, depth: int) -> ChainCurve:
-    return ChainCurve(alpha, depth)
-
-
 def holder_chain_curve(alpha: float, depth: int, n_samples: int = 2**14) -> DriverPath:
     """Sampled nested-chain curve with prescribed Holder exponent."""
-    return build_chain_curve(alpha, depth).sample(n_samples)
+    return ChainCurve(alpha, depth).sample(n_samples)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ import pytest
 from roughstep.core import Partition, VectorField
 from roughstep.drivers import (
     BrownianConfig,
+    ChainCurve,
     CounterexampleConfig,
     PolynomialPath,
     analytic_area,
     brownian_path,
-    build_chain_curve,
     example1_driver,
     example1_solution_pair,
     explosion_driver,
@@ -108,7 +108,7 @@ def spiral_driver():
 
 @pytest.fixture(scope="session")
 def chain6():
-    return build_chain_curve(0.7, 6)
+    return ChainCurve(0.7, 6)
 
 
 @pytest.fixture

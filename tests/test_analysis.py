@@ -99,6 +99,13 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(gbm_field, path, y0, k_values=[512, 1024], area=area)
 
+    @pytest.mark.parametrize("k_values", [[0, 4], [-4, 4]])
+    def test_mesh_below_one_rejected(self, bm1, gbm_field, k_values):
+        _, path, _ = bm1
+        with pytest.raises(ValueError, match="at least 1"):
+            convergence_study(gbm_field, path, np.array([1.0]), k_values=k_values,
+                              reference=gbm_terminal_ito)
+
     def test_report_serializes(self, bm1, gbm_field):
         _, path, _ = bm1
         report = convergence_study(gbm_field, path, np.array([1.0]),

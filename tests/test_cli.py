@@ -3,8 +3,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roughstep.cli import main
 from roughstep.drivers import holder_chain_curve
@@ -33,6 +37,12 @@ C21_CONFIG = {
 CHEN_CONFIG = {"driver": {"kind": "brownian", "d": 2, "level": 6, "seed": 42, "area": "ito"}}
 
 CURVE_CONFIG = {"alpha": 0.7, "depth": 4, "seed": 1, "n_pairs": 50, "samples": 256}
+
+CHAIN_SOLVE_CONFIG = {
+    "driver": {"kind": "chain", "alpha": 0.7, "depth": 3, "samples": 257},
+    "field": {"kind": "constant", "matrix": [[1.0, 0.0]]},
+    "y0": [0.0],
+}
 
 
 class TestSolve:
@@ -221,6 +231,30 @@ class TestConfigErrors:
         ("solve", {"driver": {"kind": "chain", "alpha": 0.7, "depth": 3, "samples": 257},
                    "field": {"kind": "constant", "matrix": [[1.0, 0.0]]},
                    "scheme": {"scheme": "corrected"}, "y0": [0.0]}),
+        ("solve", {**SOLVE_CONFIG, "scheme": {"scheme": "euler"},
+                   "driver": {"kind": "polynomial", "coeffs": {"a": 1}, "area": "none"}}),
+        ("solve", {**SOLVE_CONFIG, "defect": 3}),
+        ("explosion", {"envelope": None, "p": 1.5, "include_driver": False}),
+        ("solve", {**SOLVE_CONFIG, "driver": {**SOLVE_CONFIG["driver"], "samples": 257}}),
+        ("solve", {**CHAIN_SOLVE_CONFIG,
+                   "driver": {**CHAIN_SOLVE_CONFIG["driver"], "seed": 42}}),
+        ("solve", {**SOLVE_CONFIG, "field": {"kind": "scalar_linear", "n": 1}}),
+        ("explosion", {"envelope": {"growth_exp": 1.2, "area_exp": 0.4, "beta": 0.8},
+                       "p": 1.5, "include_driver": "no"}),
+        ("solve", {**SOLVE_CONFIG, "expect_explosion": "no"}),
+        ("convergence", {
+            "driver": {"kind": "brownian", "d": 1, "level": 8, "seed": 42},
+            "field": {"kind": "scalar_linear"},
+            "y0": [1.0],
+            "k_values": [0, 4],
+            "oracle": "gbm_ito",
+        }),
+        ("solve", {**CHAIN_SOLVE_CONFIG,
+                   "driver": {**CHAIN_SOLVE_CONFIG["driver"], "samples": 100000}}),
+        ("curve", {**CURVE_CONFIG, "samples": 100000}),
+        ("chen-check", {**CHEN_CONFIG, "n_triples": 2**20 + 1}),
+        ("curve", {**CURVE_CONFIG, "n_pairs": 2**20 + 1}),
+        ("nonuniqueness", {"exponents": {"beta_exp": 0.0}}),
     ], ids=["level-out-of-range", "nan-y0", "field-driver-mismatch", "oracle-needs-d1",
             "mesh-not-dividing-grid", "null-level", "null-alpha", "null-p", "null-matrix",
             "scheme-gamma", "scheme-p", "c21-no-levels", "c21-level-finer-than-driver",
@@ -229,7 +263,11 @@ class TestConfigErrors:
             "defect-pair-outside-trajectory", "polynomial-no-coeffs", "chen-no-triples",
             "chen-negative-triples", "curve-no-samples", "curve-one-sample",
             "curve-no-pairs", "curve-negative-pairs", "infinite-level",
-            "infinite-threshold", "chain-corrected"])
+            "infinite-threshold", "chain-corrected", "polynomial-coeffs-object",
+            "defect-not-object", "null-envelope", "samples-on-brownian", "seed-on-chain",
+            "n-on-scalar-linear", "include-driver-text", "expect-explosion-text",
+            "conv-zero-mesh", "chain-too-many-samples", "curve-too-many-samples",
+            "chen-too-many-triples", "curve-too-many-pairs", "zero-beta-exp"])
     def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, subcommand, config):
         cfg = _write_config(tmp_path, "bad.json", config)
         out = tmp_path / "out"
@@ -327,3 +365,93 @@ class TestOtherSubcommands:
         cfg = _write_config(tmp_path, "curve.json",
                             {"alpha": 0.7, "depth": 4, "n_pairs": 500})
         assert main(["curve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+# One small valid config per subcommand (one per driver kind for solve); every
+# driver stays at level 8 or below and the explosion driver is not built.
+FUZZ_BASES = {
+    "solve": [
+        {**SOLVE_CONFIG, "driver": {**SOLVE_CONFIG["driver"], "level": 6},
+         "scheme": {"scheme": "corrected", "explosion_threshold": 1e6},
+         "defect": {**SOLVE_CONFIG["defect"], "max_span": 8}, "expect_explosion": False},
+        {"driver": {"kind": "polynomial", "coeffs": [[0.0, 1.0], [0.0, 0.5]], "t_end": 1.0,
+                    "samples": 65, "area": "analytic"},
+         "field": {"kind": "diagonal_linear", "n": 2}, "scheme": {"scheme": "euler"},
+         "y0": [1.0, 1.0], "defect": {"gamma": 1.5, "p": 2.0, "pairs": [[0, 1], [0, 4]]}},
+        {**CHAIN_SOLVE_CONFIG, "driver": {**CHAIN_SOLVE_CONFIG["driver"], "depth": 2,
+                                          "samples": 65}},
+    ],
+    "convergence": [{
+        "driver": {"kind": "brownian", "d": 1, "level": 8, "seed": 42, "t_end": 1.0,
+                   "substeps": 4},
+        "field": {"kind": "scalar_linear"}, "scheme": {"scheme": "euler"}, "y0": [1.0],
+        "k_values": [4, 16], "oracle": "gbm_ito", "drop_coarsest": 0,
+    }],
+    "chen-check": [{**CHEN_CONFIG, "n_triples": 50, "triple_seed": 1}],
+    "condition21": [{**C21_CONFIG, "window_cap": 64}],
+    "nonuniqueness": [{"exponents": {"gamma": 1.05, "p": 1.9, "beta_exp": 4.0, "rho_exp": 5.0,
+                                     "t_max": 0.15, "grid": 256, "t_min_factor": 1e-3,
+                                     "ramp": 0.15}}],
+    "explosion": [{"envelope": {"growth_exp": 1.2, "area_exp": 0.4, "beta": 0.8},
+                   "p": 1.5, "gamma": 1.7, "r_max": 1e4, "include_driver": False}],
+    "curve": [{**CURVE_CONFIG, "depth": 2, "n_pairs": 20, "samples": 64}],
+}
+
+# Dropping these restores a valid but slow default: the 65,536-point grid (seconds).
+SLOW_DROPS = {("exponents",), ("exponents", "grid")}
+
+MUTATIONS = ("drop", "null", "wrong-type", "zero", "negative", "huge", "nested-list",
+             "unknown-key")
+
+
+def _key_paths(block, prefix=()):
+    for key, value in block.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _mutated(config, path, mutation):
+    config = json.loads(json.dumps(config))
+    *outer, key = path
+    block = config
+    for k in outer:
+        block = block[k]
+    if mutation == "drop":
+        del block[key]
+    elif mutation == "unknown-key":
+        block["bogus"] = 1
+    else:
+        block[key] = {"null": None, "zero": 0, "negative": -1, "huge": 1e300,
+                      "nested-list": [[1, [2]]],
+                      "wrong-type": 1 if isinstance(block[key], str) else "x"}[mutation]
+    return config
+
+
+@st.composite
+def _mutations(draw, subcommand):
+    base = draw(st.sampled_from(FUZZ_BASES[subcommand]))
+    mutation = draw(st.sampled_from(MUTATIONS))
+    paths = [p for p in _key_paths(base) if not (mutation == "drop" and p in SLOW_DROPS)]
+    path = draw(st.sampled_from(paths))
+    return _mutated(base, path, mutation), path, mutation
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("subcommand", sorted(FUZZ_BASES))
+    def test_mutated_config_ends_in_an_exit_code(self, subcommand):
+        @settings(max_examples=25, derandomize=True, deadline=None)
+        @given(_mutations(subcommand))
+        def check(case):
+            config, path, mutation = case
+            with tempfile.TemporaryDirectory() as tmp:
+                cfg = Path(tmp) / "config.json"
+                cfg.write_text(json.dumps(config))
+                out = Path(tmp) / "out"
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    code = main([subcommand, "--config", str(cfg), "--out", str(out)])
+                assert code in (0, 2, 3), (path, mutation)
+                assert code == 0 or not out.exists(), (path, mutation)
+
+        check()

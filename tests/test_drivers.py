@@ -10,12 +10,12 @@ import oracles
 from roughstep.core import AreaProcess, DriverPath, GrowthEnvelope, VectorField
 from roughstep.drivers import (
     BrownianConfig,
+    ChainCurve,
     CounterexampleConfig,
     ExplosionConfig,
     PolynomialPath,
     analytic_area,
     brownian_path,
-    build_chain_curve,
     degenerate_area,
     example1_driver,
     example1_field,
@@ -372,11 +372,11 @@ class TestChainCurve:
     @pytest.mark.parametrize("alpha,depth", [(0.4, 4), (1.0, 4), (0.7, 0), (0.7, 9)])
     def test_parameter_validation(self, alpha, depth):
         with pytest.raises(ValueError):
-            build_chain_curve(alpha, depth)
+            ChainCurve(alpha, depth)
 
     def test_near_half_exponent_is_infeasible(self):
         with pytest.raises(ValueError):
-            build_chain_curve(0.51, 6)
+            ChainCurve(0.51, 6)
 
     def test_sampled_path_metadata(self):
         path = holder_chain_curve(0.7, 3, n_samples=257)
