@@ -28,7 +28,7 @@ from .core import (
     control_fit,
 )
 from .drivers import CounterexampleConfig, example1_driver, example1_solution_pair
-from .schemes import DefectReport, SchemeConfig, corrected_solve, defect, euler_solve
+from .schemes import _SCHEMES, DefectReport, corrected_solve, defect, euler_solve
 
 __all__ = [
     "RateReport",
@@ -126,7 +126,9 @@ def convergence_study(
     stands in; that fallback requires the grid to be at least 16x finer than
     the finest requested mesh, and an area process.
 
-    ``explosion_threshold`` bounds every solve, as in :class:`SchemeConfig`.
+    ``scheme`` is ``"euler"`` or ``"corrected"``; ``explosion_threshold``
+    bounds every solve.  The fit leaves out the ``drop_coarsest`` (at least 0)
+    coarsest meshes, as long as two remain.
     Errors are Euclidean distances between terminal states.  Zero errors are
     excluded from the regression; if every mesh is exact the report says so
     instead of fitting a slope.
@@ -138,7 +140,10 @@ def convergence_study(
         raise ValueError(f"mesh sizes must be at least 1, got {ks[0]}")
     if any(path.n_intervals % k for k in ks):
         raise ValueError("every mesh size must divide the driver grid")
-    config = SchemeConfig(scheme=scheme, explosion_threshold=explosion_threshold)
+    if scheme not in _SCHEMES:
+        raise ValueError(f"unknown scheme tag {scheme!r}")
+    if drop_coarsest < 0:
+        raise ValueError(f"drop_coarsest must be at least 0, got {drop_coarsest}")
     if scheme == "corrected" and area is None:
         raise ValueError("corrected scheme needs an area process")
 
@@ -152,7 +157,8 @@ def convergence_study(
             raise ValueError(
                 "fine-mesh reference wants the grid 16x finer than the finest mesh"
             )
-        ref = corrected_solve(field, path, area, y0, config=config).final
+        ref = corrected_solve(field, path, area, y0,
+                              explosion_threshold=explosion_threshold).final
         oracle = "corrected scheme on the full grid"
     else:
         ref = np.asarray(reference, dtype=float).reshape(-1)
@@ -163,9 +169,9 @@ def convergence_study(
         stride = path.n_intervals // k
         part = Partition(path.times[::stride])
         if scheme == "euler":
-            traj = euler_solve(field, path, y0, partition=part, config=config)
+            traj = euler_solve(field, path, y0, part, explosion_threshold)
         else:
-            traj = corrected_solve(field, path, area, y0, partition=part, config=config)
+            traj = corrected_solve(field, path, area, y0, part, explosion_threshold)
         errors[m] = float(np.linalg.norm(traj.final - ref))
 
     keep = errors > 0.0

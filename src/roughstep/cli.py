@@ -51,7 +51,7 @@ from .drivers import (
     power_law_envelope,
     stratonovich_area,
 )
-from .schemes import SchemeConfig, corrected_solve, defect, euler_solve
+from .schemes import corrected_solve, defect, euler_solve
 from . import __version__
 
 
@@ -164,7 +164,8 @@ _FIELD = partial(_kinded, where="field", specs={
     "diagonal_linear": {"n": (int, _REQUIRED)},
     "constant": {"matrix": (_array, _REQUIRED)},
 })
-_SCHEME = partial(_block, where="scheme", spec=_fields(SchemeConfig))
+_SCHEME = partial(_block, where="scheme", spec={
+    "scheme": (_choice("euler", "corrected"), "euler"), "explosion_threshold": (float, 1e6)})
 
 
 def _seed(block: dict, override, who: str) -> int:
@@ -238,14 +239,14 @@ _SYSTEM = {  # a field driven from y0 by one scheme
     "expect_explosion": (_choice(True, False), False),
 })
 def _cmd_solve(config: dict, seed_override) -> dict:
+    scheme, threshold = config["scheme"]["scheme"], config["scheme"]["explosion_threshold"]
     with _refused():
-        sch = SchemeConfig(**config["scheme"])
-        path, area = _driver(config["driver"], seed_override, sch.scheme == "corrected")
+        path, area = _driver(config["driver"], seed_override, scheme == "corrected")
         field = _field(config["field"])
-        if sch.scheme == "corrected":
-            traj = corrected_solve(field, path, area, config["y0"], config=sch)
+        if scheme == "corrected":
+            traj = corrected_solve(field, path, area, config["y0"], explosion_threshold=threshold)
         else:
-            traj = euler_solve(field, path, config["y0"], config=sch)
+            traj = euler_solve(field, path, config["y0"], explosion_threshold=threshold)
         if traj.exploded and not config["expect_explosion"]:
             raise NumericsError("state crossed the explosion threshold at step "
                                 f"{traj.exploded_at}")
@@ -267,18 +268,17 @@ _ORACLES = {"gbm_ito": gbm_terminal_ito, "gbm_stratonovich": gbm_terminal_strato
     "drop_coarsest": (int, 2),
 })
 def _cmd_convergence(config: dict, seed_override) -> dict:
+    scheme = config["scheme"]
     with _refused():
-        sch = SchemeConfig(**config["scheme"])
-        need_area = sch.scheme == "corrected" or config["oracle"] == "fine"
+        need_area = scheme["scheme"] == "corrected" or config["oracle"] == "fine"
         path, area = _driver(config["driver"], seed_override, need_area)
         report = convergence_study(
             _field(config["field"]), path, config["y0"],
             k_values=config["k_values"],
-            scheme=sch.scheme,
             area=area,
             reference=_ORACLES[config["oracle"]],
             drop_coarsest=config["drop_coarsest"],
-            explosion_threshold=sch.explosion_threshold,
+            **scheme,
         )
     return {"rate.json": report.to_dict()}
 
@@ -302,15 +302,14 @@ def _cmd_chen_check(config: dict, seed_override) -> dict:
 
 
 @_subcommand("condition21", {
-    "driver": (partial(_kinded, where="driver", specs={"brownian": _DRIVERS["brownian"]}),
-               _REQUIRED),
+    "driver": (partial(_kinded, where="driver", specs={"brownian": {
+        **_DRIVERS["brownian"], "area": (_choice("ito"), "ito")}}), _REQUIRED),
     "alpha": (float, _REQUIRED),
     "beta": (float, _REQUIRED),
     "levels": (_ints, list(range(4, 13))),
     "window_cap": (int, 2**12),
 })
 def _cmd_condition21(config: dict, seed_override) -> dict:
-    config["driver"]["area"] = "ito"
     with _refused():
         _, ito = _driver(config["driver"], seed_override, need_area=True)
         stats = [condition21_stat(area, config["alpha"], config["beta"],
@@ -347,7 +346,7 @@ def _cmd_explosion(config: dict, seed_override) -> dict:
         payload = {"criterion": explosion_criterion(env, config["p"], gamma,
                                                     config["r_max"]).to_dict()}
         if config["include_driver"]:
-            drv = explosion_driver(env, config["p"], gamma)
+            drv = explosion_driver(env, config["p"])
             traj = drv.state_trajectory()
             payload["driver"] = {
                 "t_star": drv.t_star,

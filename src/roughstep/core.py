@@ -91,15 +91,10 @@ class DriverPath:
     ``values[k]`` is the signal at ``times[k]``.  Between grid points the path
     is piecewise linear: :meth:`eval` interpolates, and any code that needs
     off-grid values must go through it so the contract stays in one place.
-
-    ``holder_alpha`` and ``p`` are declared regularity parameters carried along
-    for fitting and reporting; they are not enforced here.
     """
 
     times: np.ndarray
     values: np.ndarray
-    holder_alpha: float | None = None
-    p: float | None = None
 
     def __post_init__(self):
         times = _float_array(self.times, "times", 1)
@@ -153,12 +148,7 @@ class DriverPath:
             raise ValueError(
                 f"stride {stride} does not divide {self.n_intervals} intervals"
             )
-        return DriverPath(
-            self.times[::stride],
-            self.values[::stride],
-            holder_alpha=self.holder_alpha,
-            p=self.p,
-        )
+        return DriverPath(self.times[::stride], self.values[::stride])
 
 
 @dataclass(frozen=True)
@@ -335,14 +325,7 @@ class AreaProcess:
 
     KINDS = ("ito", "stratonovich", "degenerate", "analytic", "perturbed")
 
-    def __init__(
-        self,
-        path: DriverPath,
-        per_interval: np.ndarray,
-        kind: str,
-        seed: int | None = None,
-        substeps: int | None = None,
-    ):
+    def __init__(self, path: DriverPath, per_interval: np.ndarray, kind: str):
         per_interval = np.asarray(per_interval, dtype=float)
         d = path.d
         expected = (path.n_intervals, d, d)
@@ -355,8 +338,6 @@ class AreaProcess:
         self.path = path
         self.per_interval = per_interval
         self.kind = kind
-        self.seed = seed
-        self.substeps = substeps
         # Prefix fold P[k + 1] = (P[k] + A_k) + (x_k - x_0) (x) (x_{k+1} - x_k), as
         # one cumulative sum over the interleaved terms A_0, outer_0, A_1, ...
         x = path.values
@@ -400,10 +381,6 @@ class AreaProcess:
         out[i == j] = 0.0
         return out
 
-    def with_intervals(self, per_interval: np.ndarray, kind: str) -> "AreaProcess":
-        """Same path and metadata, different per-interval blocks."""
-        return AreaProcess(self.path, per_interval, kind, seed=self.seed, substeps=self.substeps)
-
 
 def _correction_tensor(f: np.ndarray, d1: np.ndarray) -> np.ndarray:
     """``G[i, r, j] = sum_h f[h, r] * D1[h, i, j]`` from evaluated ``f`` and ``D1``."""
@@ -421,8 +398,6 @@ class VectorField:
             ``D1[h, i, j] = d f[i, j] / d y[h]``.
         deriv2: optional; maps a state to ``(n, n, n, d)`` with layout
             ``D2[q, h, i, j]``.
-        smoothness: declared Holder/Lipschitz grade of the field, carried
-            along for defect exponent defaults (not enforced).
 
     Missing derivatives raise on access; schemes that need them say so in the
     error.  No approximation is ever silently substituted.
@@ -435,17 +410,12 @@ class VectorField:
         func: Callable[[np.ndarray], np.ndarray],
         deriv1: Callable[[np.ndarray], np.ndarray] | None = None,
         deriv2: Callable[[np.ndarray], np.ndarray] | None = None,
-        smoothness: float | None = None,
     ):
         self.n = int(n)
         self.d = int(d)
         self._func = func
         self._deriv1 = deriv1
         self._deriv2 = deriv2
-        self.smoothness = smoothness
-
-    def __call__(self, y) -> np.ndarray:
-        return self.eval(y)
 
     def eval(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -499,26 +469,14 @@ class VectorField:
         n, d = matrix.shape
         zero1 = np.zeros((n, n, d))
         zero2 = np.zeros((n, n, n, d))
-        return cls(
-            n,
-            d,
-            lambda y: matrix,
-            deriv1=lambda y: zero1,
-            deriv2=lambda y: zero2,
-            smoothness=math.inf,
-        )
+        return cls(n, d, lambda y: matrix, deriv1=lambda y: zero1, deriv2=lambda y: zero2)
 
     @classmethod
     def scalar_linear(cls) -> "VectorField":
         """The 1-by-1 multiplicative field f(y) = y (geometric testbed)."""
-        return cls(
-            1,
-            1,
-            lambda y: y.reshape(1, 1).copy(),
-            deriv1=lambda y: np.ones((1, 1, 1)),
-            deriv2=lambda y: np.zeros((1, 1, 1, 1)),
-            smoothness=math.inf,
-        )
+        return cls(1, 1, lambda y: y.reshape(1, 1).copy(),
+                   deriv1=lambda y: np.ones((1, 1, 1)),
+                   deriv2=lambda y: np.zeros((1, 1, 1, 1)))
 
     @classmethod
     def diagonal_linear(cls, n: int) -> "VectorField":
@@ -533,14 +491,7 @@ class VectorField:
                 out[i, i, i] = 1.0
             return out
 
-        return cls(
-            n,
-            n,
-            func,
-            deriv1=deriv1,
-            deriv2=lambda y: np.zeros((n, n, n, n)),
-            smoothness=math.inf,
-        )
+        return cls(n, n, func, deriv1=deriv1, deriv2=lambda y: np.zeros((n, n, n, n)))
 
 
 @dataclass
@@ -594,7 +545,8 @@ class DefectReport:
 
     ``ratios[m] = magnitudes[m] / omega(s_m, t_m)^(gamma/p)`` and
     ``fitted_constant`` is their max, i.e. the smallest constant making the
-    bound ``|defect| <= M * omega^(gamma/p)`` hold on every requested pair.
+    bound ``|defect| <= M * omega^(gamma/p)`` hold on every requested pair: a
+    zero magnitude has ratio 0 even where omega is 0, a nonzero one there inf.
     ``pair_policy`` records which pairs were scanned ("adjacent", "window",
     "custom") since the fitted constant is only meaningful relative to it.
     ``times`` is the trajectory's time grid, which ``pairs`` index.

@@ -54,7 +54,6 @@ __all__ = [
     "example2_modified_field",
     "ChainCurve",
     "holder_chain_curve",
-    "ExplosionConfig",
     "power_law_envelope",
     "ExplosionDriver",
     "explosion_driver",
@@ -116,7 +115,7 @@ def brownian_path(config: BrownianConfig) -> DriverPath:
     incs = rng.standard_normal((k, config.d)) * math.sqrt(h)
     values = np.vstack([np.zeros(config.d), np.cumsum(incs, axis=0)])
     times = np.linspace(0.0, config.t_end, k + 1)
-    return DriverPath(times, values, holder_alpha=0.5, p=2.5)
+    return DriverPath(times, values)
 
 
 def _bridge_offdiag(path: DriverPath, config: BrownianConfig) -> np.ndarray:
@@ -158,7 +157,7 @@ def ito_area(path: DriverPath, config: BrownianConfig) -> AreaProcess:
     diag = 0.5 * (dw**2 - h[:, None])
     idx = np.arange(d)
     blocks[:, idx, idx] = diag
-    return AreaProcess(path, blocks, "ito", seed=config.seed, substeps=config.substeps)
+    return AreaProcess(path, blocks, "ito")
 
 
 def stratonovich_area(ito: AreaProcess) -> AreaProcess:
@@ -174,7 +173,7 @@ def stratonovich_area(ito: AreaProcess) -> AreaProcess:
     h = np.diff(ito.path.times)
     idx = np.arange(ito.d)
     blocks[:, idx, idx] += 0.5 * h[:, None]
-    return AreaProcess(ito.path, blocks, "stratonovich", seed=ito.seed, substeps=ito.substeps)
+    return AreaProcess(ito.path, blocks, "stratonovich")
 
 
 def degenerate_area(path: DriverPath) -> AreaProcess:
@@ -200,7 +199,7 @@ def perturbed_area(base: AreaProcess, phi: Callable[[float, float], np.ndarray])
     blocks = base.per_interval.copy()
     for k in range(base.n_intervals):
         blocks[k] += np.asarray(phi(t[k], t[k + 1]), dtype=float)
-    return AreaProcess(base.path, blocks, "perturbed", seed=base.seed, substeps=base.substeps)
+    return AreaProcess(base.path, blocks, "perturbed")
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +234,7 @@ class PolynomialPath:
 
     def sample(self, times) -> DriverPath:
         times = np.asarray(times, dtype=float)
-        return DriverPath(times, self.value(times), holder_alpha=1.0, p=1.0)
+        return DriverPath(times, self.value(times))
 
     def _cross_antiderivatives(self):
         # Q[r][j] = antiderivative of x_r * x_j'
@@ -333,10 +332,6 @@ class CounterexampleConfig:
             raise ValueError("t_max must be positive")
 
     @property
-    def holder_alpha(self) -> float:
-        return self.beta_exp / (self.rho_exp + 1)
-
-    @property
     def growth_exponent(self) -> float:
         """Leading power of the grown branch, beta*(gamma+1) - rho."""
         return self.beta_exp * (self.gamma + 1) - self.rho_exp
@@ -356,7 +351,7 @@ def _spiral_path(cfg: CounterexampleConfig, offset: float) -> DriverPath:
     values = np.vstack(
         [np.zeros(2), np.column_stack([amp * np.cos(phase), amp * (offset + np.sin(phase))])]
     )
-    return DriverPath(t, values, holder_alpha=cfg.holder_alpha, p=cfg.p)
+    return DriverPath(t, values)
 
 
 def example1_driver(cfg: CounterexampleConfig):
@@ -389,7 +384,7 @@ def example1_field(cfg: CounterexampleConfig) -> VectorField:
                 out[0, 0] = (u * u * (3 - 2 * u)) * y2**gamma
         return out
 
-    return VectorField(2, 2, func, smoothness=gamma)
+    return VectorField(2, 2, func)
 
 
 def _example1_grown_component(cfg: CounterexampleConfig, t: np.ndarray) -> np.ndarray:
@@ -479,8 +474,7 @@ def example2_modified_field(base: VectorField, rho_exp: float) -> VectorField:
 
     deriv1 = (lambda y: factor * base.deriv1(y)) if base.has_deriv1 else None
     deriv2 = (lambda y: factor * base.deriv2(y)) if base.has_deriv2 else None
-    return VectorField(base.n, base.d, func, deriv1=deriv1, deriv2=deriv2,
-                       smoothness=base.smoothness)
+    return VectorField(base.n, base.d, func, deriv1=deriv1, deriv2=deriv2)
 
 
 # ---------------------------------------------------------------------------
@@ -910,9 +904,7 @@ class ChainCurve:
         if not 2 <= n_samples <= 2**16:
             raise ValueError(f"need 2 to 2**16 samples, got {n_samples}")
         times = np.linspace(0.0, 1.0, n_samples)
-        return DriverPath(
-            times, self.eval(times), holder_alpha=self.alpha, p=1.0 / self.alpha
-        )
+        return DriverPath(times, self.eval(times))
 
     def band_stats(self, n_pairs: int, rng: np.random.Generator):
         """Empirical scale-band constants over random query pairs.
@@ -952,11 +944,23 @@ def holder_chain_curve(alpha: float, depth: int, n_samples: int = 2**14) -> Driv
 # Explosion driver from growth envelopes
 
 
-def _cumulative_simpson(fn, grid: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
+# The blow-up construction: state range [1, _Y_MAX] on a geometric grid of
+# _N_GRID cells, the homogenization u-grid of _U_POINTS points on [1, _U_MAX],
+# the quadrature tolerance, and the frozen tail of the driver after t_star
+# (its time span is _T_PAD * t_star).
+_Y_MAX = 1e7
+_N_GRID = 2**14
+_U_POINTS = 512
+_U_MAX = 1e4
+_RTOL = 1e-8
+_T_PAD = 1.05
+
+
+def _cumulative_simpson(fn, grid: np.ndarray) -> np.ndarray:
     """Cumulative integral of ``fn`` along ``grid`` (vectorized per cell).
 
     Every cell is integrated with composite Simpson, doubling the point count
-    until the Richardson difference is below tolerance relative to the
+    until the Richardson difference is below ``_RTOL`` relative to the
     running total.  ``fn`` must accept arrays.
     """
     lo, hi = grid[:-1], grid[1:]
@@ -972,31 +976,13 @@ def _cumulative_simpson(fn, grid: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
         cells = (hi - lo) / (6.0 * npts) * (vals * weights[None, :]).sum(axis=1)
         if prev is not None:
             err = np.max(np.abs(cells - prev))
-            if err <= rtol * max(float(np.sum(np.abs(cells))), 1e-300):
+            if err <= _RTOL * max(float(np.sum(np.abs(cells))), 1e-300):
                 break
             if npts > 64:
                 break
         prev = cells
         npts *= 2
     return np.concatenate([[0.0], np.cumsum(cells)])
-
-
-@dataclass(frozen=True)
-class ExplosionConfig:
-    """Tuning for the blow-up driver construction."""
-
-    y_max: float = 1e7
-    n_grid: int = 2**14
-    u_points: int = 512
-    u_max: float = 1e4
-    rtol: float = 1e-8
-    t_pad: float = 1.05
-
-    def __post_init__(self):
-        if self.y_max <= 10 or self.n_grid < 256 or self.u_points < 8:
-            raise ValueError("explosion config out of its sensible range")
-        if not self.t_pad > 1:
-            raise ValueError("t_pad must exceed 1")
 
 
 @dataclass
@@ -1027,7 +1013,6 @@ class ProcessedEnvelope:
     ``astar^-rho2 * dstar^-rho1`` whose total integral is the blow-up time.
     """
 
-    p: float
     beta: float
     r_hom: int
     rho1: float
@@ -1080,13 +1065,11 @@ def _mollifier_weights():
     return u, w * simps / mass
 
 
-def process_envelope(
-    envelope: GrowthEnvelope, p: float, config: ExplosionConfig | None = None
-) -> ProcessedEnvelope:
+def process_envelope(envelope: GrowthEnvelope, p: float) -> ProcessedEnvelope:
     """Homogenize and mollify a growth envelope for blow-up computations.
 
     Homogenization takes the infimum of ``u^r D(y/u)`` over a geometric
-    u-grid on [1, u_max], with ``r`` just above 1/min(rho1, rho2); the
+    u-grid on [1, _U_MAX], with ``r`` just above 1/min(rho1, rho2); the
     mollification averages over the dilation window [1, 2] against a bump,
     scaled by 2^-r.  Both steps map power laws to power laws (up to
     constants), which the acceptance oracle for the criterion relies on.
@@ -1098,7 +1081,6 @@ def process_envelope(
     bitwise those of the full scan unless ``e == r``, where all grid values
     tie in exact arithmetic and the two may differ by a few ulps.
     """
-    cfg = config or ExplosionConfig()
     beta = envelope.beta
     if not p - 1 < beta:
         raise ValueError(f"need beta > p - 1 for the construction (beta={beta}, p={p})")
@@ -1106,14 +1088,14 @@ def process_envelope(
     rho1 = (beta * p + 1.0 - p) / beta
     rho2 = (p - 1.0) / beta
     r_hom = int(math.floor(1.0 / min(rho1, rho2))) + 1
-    u_grid = np.geomspace(1.0, cfg.u_max, cfg.u_points)
+    u_grid = np.geomspace(1.0, _U_MAX, _U_POINTS)
     u_pow = u_grid**r_hom
     if isinstance(envelope, _PowerLawEnvelope):
         u_grid, u_pow = u_grid[[0, -1]], u_pow[[0, -1]]
 
     def homogenized(vals_fn, y):
         # inf over the u-grid of u^r * f(y/u); vectorized in y, chunked so
-        # the (points, u_points) work matrix stays a few tens of megabytes
+        # the (points, _U_POINTS) work matrix stays a few tens of megabytes
         y = np.asarray(y, dtype=float).ravel()
         out = np.empty(y.size)
         step = 8192
@@ -1122,8 +1104,8 @@ def process_envelope(
             out[lo : lo + step] = np.min(u_pow[None, :] * vals_fn(block), axis=1)
         return out
 
-    # dense tables out to 2*y_max so the mollifier window never extrapolates
-    y_tab = np.geomspace(1.0, 2.0 * cfg.y_max, cfg.n_grid + 1)
+    # dense tables out to 2 * _Y_MAX so the mollifier window never extrapolates
+    y_tab = np.geomspace(1.0, 2.0 * _Y_MAX, _N_GRID + 1)
     nodes, weights = _mollifier_weights()
     d_h = homogenized(envelope.growth, np.outer(y_tab, nodes)).reshape(
         y_tab.size, nodes.size
@@ -1135,7 +1117,6 @@ def process_envelope(
     dstar_tab = scale * d_h @ weights
     astar_tab = scale * a_h @ weights
     return ProcessedEnvelope(
-        p=p,
         beta=beta,
         r_hom=r_hom,
         rho1=rho1,
@@ -1186,19 +1167,10 @@ class ExplosionDriver:
         )
 
 
-def explosion_driver(
-    envelope: GrowthEnvelope,
-    p: float,
-    gamma: float | None = None,
-    config: ExplosionConfig | None = None,
-) -> ExplosionDriver:
+def explosion_driver(envelope: GrowthEnvelope, p: float) -> ExplosionDriver:
     """Build the spiral driver with a prescribed finite blow-up time.
 
-    ``gamma`` is the smoothness grade claimed for the constructed field; it
-    defaults to 1 + beta and must not exceed it (the construction cannot
-    deliver more) while staying above p (below that the correction theory
-    does not apply).  Unpack the result as ``field, path, t_star`` or keep
-    the richer object.
+    Unpack the result as ``field, path, t_star`` or keep the richer object.
 
     The state is time-changed so that ``y'(t) = D*(y)``-paced growth costs
     total time ``integral_1^inf astar^-rho2 dstar^-rho1 dy``; the driver
@@ -1208,21 +1180,12 @@ def explosion_driver(
     self-verifying: any residual seen downstream is quadrature and
     interpolation error, not modeling error.
 
-    Raises ValueError when the blow-up integral diverges (no finite t_star).
+    Raises ValueError when the blow-up integral diverges (no finite t_star),
+    decided from the integrand's tail exponent before any quadrature.
     """
-    cfg = config or ExplosionConfig()
-    if gamma is None:
-        gamma = 1.0 + envelope.beta
-    if not p < gamma <= 1.0 + envelope.beta + 1e-12:
-        raise ValueError(
-            f"gamma={gamma} must lie in (p, 1 + beta] = ({p}, {1.0 + envelope.beta}]"
-        )
-    proc = process_envelope(envelope, p, cfg)
-    y = np.geomspace(1.0, cfg.y_max, cfg.n_grid + 1)
-    t_of_y = _cumulative_simpson(proc.integrand, y, cfg.rtol)
-    lam = _cumulative_simpson(proc.phase_density, y, cfg.rtol)
-
-    # close the time integral over (y_max, inf) by power-tail extrapolation
+    proc = process_envelope(envelope, p)
+    y = np.geomspace(1.0, _Y_MAX, _N_GRID + 1)
+    # the time integral over (_Y_MAX, inf) is closed by power-tail extrapolation
     tail_window = y > y[-1] / 4.0
     ly, lf = np.log(y[tail_window]), np.log(proc.integrand(y[tail_window]))
     slope = np.polyfit(ly, lf, 1)[0]
@@ -1231,17 +1194,17 @@ def explosion_driver(
             "blow-up time integral diverges for this envelope "
             f"(local exponent {-slope:.4f} <= 1)"
         )
+    t_of_y = _cumulative_simpson(proc.integrand, y)
+    lam = _cumulative_simpson(proc.phase_density, y)
     tail = proc.integrand(y[-1]) * y[-1] / (-slope - 1.0)
     t_star = float(t_of_y[-1] + tail)
 
     radius = proc.radius_factor(y)
     xy = np.column_stack([radius * np.cos(lam), radius * np.sin(lam)])
-    times = t_of_y.copy()
     # freeze the driver at the origin from t_star onward
-    t_end = cfg.t_pad * t_star
-    times = np.concatenate([times, [t_star, t_end]])
+    times = np.concatenate([t_of_y, [t_star, _T_PAD * t_star]])
     xy = np.vstack([xy, [0.0, 0.0], [0.0, 0.0]])
-    path = DriverPath(times, xy, holder_alpha=None, p=p)
+    path = DriverPath(times, xy)
 
     y_lo = float(y[0])
     lam_tab, log_y_tab = lam, np.log(y)
@@ -1252,7 +1215,7 @@ def explosion_driver(
         d_here = float(proc.dstar(yy))
         return np.array([[-math.sin(lam_here) * d_here, math.cos(lam_here) * d_here]])
 
-    field = VectorField(1, 2, func, smoothness=gamma)
+    field = VectorField(1, 2, func)
     return ExplosionDriver(
         path=path,
         field=field,
@@ -1276,11 +1239,7 @@ def save_driver(filename, path: DriverPath, area: AreaProcess | None = None) -> 
         "d": path.d,
         "times": path.times.tolist(),
         "values": path.values.tolist(),
-        "holder_alpha": path.holder_alpha,
-        "p": path.p,
         "kind": area.kind if area is not None else None,
-        "seed": area.seed if area is not None else None,
-        "substeps": area.substeps if area is not None else None,
         "areas": area.per_interval.tolist() if area is not None else None,
     }
     with open(filename, "w") as fh:
@@ -1295,16 +1254,7 @@ def load_driver(filename):
     path = DriverPath(
         np.asarray(payload["times"], dtype=float),
         np.asarray(payload["values"], dtype=float),
-        holder_alpha=payload.get("holder_alpha"),
-        p=payload.get("p"),
     )
     if payload.get("areas") is None:
         return path, None
-    area = AreaProcess(
-        path,
-        np.asarray(payload["areas"], dtype=float),
-        payload["kind"],
-        seed=payload.get("seed"),
-        substeps=payload.get("substeps"),
-    )
-    return path, area
+    return path, AreaProcess(path, np.asarray(payload["areas"], dtype=float), payload["kind"])

@@ -38,7 +38,6 @@ from .core import (
 )
 
 __all__ = [
-    "SchemeConfig",
     "euler_solve",
     "corrected_solve",
     "augmented_solve",
@@ -51,24 +50,6 @@ __all__ = [
 
 _SCHEMES = ("euler", "corrected")
 _DEFECT_BLOCK = 2**14  # pairs reconstructed per batched step in defect
-
-
-@dataclass(frozen=True)
-class SchemeConfig:
-    """Solver knobs; the default threshold matches the CLI contract.
-
-    ``scheme`` is a dispatch tag ("euler" or "corrected") consumed by callers
-    that pick a solver from configuration, e.g. the CLI.
-    """
-
-    scheme: str = "euler"
-    explosion_threshold: float = 1e6
-
-    def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown scheme tag {self.scheme!r}")
-        if not self.explosion_threshold > 0:
-            raise ValueError("explosion threshold must be positive")
 
 
 def _coefficients(field: VectorField, y: np.ndarray, corrected: bool, d1=None):
@@ -146,19 +127,18 @@ def _cells(path: DriverPath, partition: Partition | None, area: AreaProcess | No
 
 
 def _run_scheme(
-    path: DriverPath,
-    y: np.ndarray,
-    idx: np.ndarray,
-    config: SchemeConfig | None,
-    step,
-    tag: str,
+    path: DriverPath, y: np.ndarray, idx: np.ndarray, threshold: float, step, tag: str
 ) -> Trajectory:
-    """Walk the grid points ``idx`` from the checked state ``y``; ``step(y, k)`` takes cell k."""
-    cfg = config or SchemeConfig()
+    """Walk the grid points ``idx`` from the checked state ``y``; ``step(y, k)`` takes cell k.
+
+    The walk stops at the first state whose Euclidean norm exceeds ``threshold``.
+    """
+    if not threshold > 0:
+        raise ValueError(f"explosion threshold must be positive, got {threshold}")
     times = path.times[idx]
     states = [y.copy()]
     exploded_at = None
-    if float(np.linalg.norm(y)) > cfg.explosion_threshold:
+    if float(np.linalg.norm(y)) > threshold:
         exploded_at = 0
     else:
         for k in range(idx.size - 1):
@@ -168,13 +148,13 @@ def _run_scheme(
                     f"non-finite state after step {k} (t={times[k + 1]:.6g}, scheme={tag})"
                 )
             states.append(y.copy())
-            if float(np.linalg.norm(y)) > cfg.explosion_threshold:
+            if float(np.linalg.norm(y)) > threshold:
                 exploded_at = k + 1
                 break
     return Trajectory(times[: len(states)], np.asarray(states), tag, exploded_at)
 
 
-def _solve(field, path, area, y0, partition, config) -> Trajectory:
+def _solve(field, path, area, y0, partition, threshold) -> Trajectory:
     """Euler when ``area`` is None, corrected otherwise."""
     y = _check_fit(field, path, y0, area)
     corrected = area is not None
@@ -184,7 +164,7 @@ def _solve(field, path, area, y0, partition, config) -> Trajectory:
         f, g = _coefficients(field, y, corrected)
         return _advance(y, f, g, dx[k], a[k] if corrected else None)
 
-    return _run_scheme(path, y, idx, config, step, "corrected" if corrected else "euler")
+    return _run_scheme(path, y, idx, threshold, step, "corrected" if corrected else "euler")
 
 
 def euler_solve(
@@ -192,10 +172,11 @@ def euler_solve(
     path: DriverPath,
     y0,
     partition: Partition | None = None,
-    config: SchemeConfig | None = None,
+    explosion_threshold: float = 1e6,
 ) -> Trajectory:
-    """First-order scheme: y += f(y) dx per cell."""
-    return _solve(field, path, None, y0, partition, config)
+    """First-order scheme: y += f(y) dx per cell, stopped once ``|y|`` exceeds
+    ``explosion_threshold``."""
+    return _solve(field, path, None, y0, partition, explosion_threshold)
 
 
 def corrected_solve(
@@ -204,7 +185,7 @@ def corrected_solve(
     area: AreaProcess,
     y0,
     partition: Partition | None = None,
-    config: SchemeConfig | None = None,
+    explosion_threshold: float = 1e6,
 ) -> Trajectory:
     """Second-order scheme: y += f(y) dx + G(y) : A per cell.
 
@@ -214,7 +195,7 @@ def corrected_solve(
     """
     if not field.has_deriv1:
         raise NotImplementedError("corrected scheme needs the field's first derivative")
-    return _solve(field, path, area, y0, partition, config)
+    return _solve(field, path, area, y0, partition, explosion_threshold)
 
 
 def augmented_solve(
@@ -224,7 +205,7 @@ def augmented_solve(
     scheme: str = "euler",
     area: AreaProcess | None = None,
     partition: Partition | None = None,
-    config: SchemeConfig | None = None,
+    explosion_threshold: float = 1e6,
     z0=None,
 ) -> Trajectory:
     """Solve state and initial-condition sensitivity together.
@@ -271,7 +252,7 @@ def augmented_solve(
 
     # Explosion is judged on the full augmented state; callers who care about
     # the bare state norm should solve it separately.
-    return _run_scheme(path, big0, idx, config, step, scheme)
+    return _run_scheme(path, big0, idx, explosion_threshold, step, scheme)
 
 
 def jacobian_view(trajectory: Trajectory, n: int) -> np.ndarray:
@@ -339,7 +320,7 @@ def extended_field(base: VectorField, d: int) -> VectorField:
             out[off_y + h, off_yf : off_yf + n * n] += blk
         return out
 
-    return VectorField(total, d, func, deriv1=deriv1, smoothness=base.smoothness)
+    return VectorField(total, d, func, deriv1=deriv1)
 
 
 @dataclass
@@ -428,7 +409,7 @@ def extended_solve(
     area: AreaProcess,
     y0,
     partition: Partition | None = None,
-    config: SchemeConfig | None = None,
+    explosion_threshold: float = 1e6,
 ) -> ExtendedSolution:
     """Solve the table-extended system with the corrected scheme.
 
@@ -446,7 +427,7 @@ def extended_solve(
     big0 = np.concatenate([x0, y0, np.zeros(ext.n - path.d - field.n)])
     # The extended state contains a literal driver copy, so a state-norm
     # explosion test against the default threshold stays meaningful.
-    traj = corrected_solve(ext, path, area, big0, partition=partition, config=config)
+    traj = corrected_solve(ext, path, area, big0, partition, explosion_threshold)
     return ExtendedSolution(
         trajectory=traj, base_field=field, path=path, n=field.n, d=path.d
     )
@@ -543,7 +524,9 @@ def defect(
         mags[blk] = np.max(np.abs(y[l] - y_l), axis=1)
 
     omegas = control.omega(trajectory.times[pair_arr[:, 0]], trajectory.times[pair_arr[:, 1]])
-    ratios = mags / omegas ** (gamma / p)
+    # a zero defect has ratio 0 whatever its omega; a nonzero one over omega 0 is inf
+    with np.errstate(divide="ignore"):
+        ratios = np.divide(mags, omegas ** (gamma / p), out=np.zeros_like(mags), where=mags != 0)
     return DefectReport(
         scheme=trajectory.scheme,
         pairs=pair_arr,

@@ -83,7 +83,7 @@ def smooth22():
         out[1, 1] = [[-math.sin(v), 0.0], [0.0, 0.0]]
         return out
 
-    return VectorField(2, 2, func, deriv1=d1, deriv2=d2, smoothness=math.inf)
+    return VectorField(2, 2, func, deriv1=d1, deriv2=d2)
 
 
 @pytest.fixture(scope="session")

@@ -106,6 +106,12 @@ class TestConvergenceStudy:
             convergence_study(gbm_field, path, np.array([1.0]), k_values=k_values,
                               reference=gbm_terminal_ito)
 
+    def test_negative_drop_coarsest_rejected(self, bm1, gbm_field):
+        _, path, _ = bm1
+        with pytest.raises(ValueError, match="drop_coarsest"):
+            convergence_study(gbm_field, path, np.array([1.0]), k_values=[16, 64, 256],
+                              reference=gbm_terminal_ito, drop_coarsest=-1)
+
     def test_report_serializes(self, bm1, gbm_field):
         _, path, _ = bm1
         report = convergence_study(gbm_field, path, np.array([1.0]),

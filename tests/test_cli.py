@@ -126,6 +126,20 @@ class TestSolve:
         rows = (out / "trajectory.csv").read_text().strip().splitlines()
         assert float(rows[-1].split(",")[1]) > 100.0
 
+    def test_constant_driver_fits_zero_constant(self, tmp_path):
+        # the control constant is 0 and so is every defect: each ratio is 0, not 0/0
+        cfg = _write_config(tmp_path, "flat.json", {
+            "driver": {"kind": "polynomial", "coeffs": [[1.0]], "area": "none", "samples": 65},
+            "field": {"kind": "scalar_linear"},
+            "y0": [1.0],
+            "defect": {"gamma": 1.5, "p": 2.0, "pairs": "adjacent"},
+        })
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "defect.json").read_text())
+        assert report["fitted_constant"] == 0.0 and report["control_c"] == 0.0
 
     def test_chain_driver(self, tmp_path):
         config = {
@@ -255,6 +269,17 @@ class TestConfigErrors:
         ("chen-check", {**CHEN_CONFIG, "n_triples": 2**20 + 1}),
         ("curve", {**CURVE_CONFIG, "n_pairs": 2**20 + 1}),
         ("nonuniqueness", {"exponents": {"beta_exp": 0.0}}),
+        ("convergence", {
+            "driver": {"kind": "brownian", "d": 1, "level": 8, "seed": 42},
+            "field": {"kind": "scalar_linear"},
+            "y0": [1.0],
+            "k_values": [16, 64, 256],
+            "oracle": "gbm_ito",
+            "drop_coarsest": -1,
+        }),
+        ("condition21", {**C21_CONFIG, "driver": {**C21_CONFIG["driver"], "area": "none"}}),
+        ("condition21", {**C21_CONFIG,
+                         "driver": {**C21_CONFIG["driver"], "area": "stratonovich"}}),
     ], ids=["level-out-of-range", "nan-y0", "field-driver-mismatch", "oracle-needs-d1",
             "mesh-not-dividing-grid", "null-level", "null-alpha", "null-p", "null-matrix",
             "scheme-gamma", "scheme-p", "c21-no-levels", "c21-level-finer-than-driver",
@@ -267,7 +292,8 @@ class TestConfigErrors:
             "defect-not-object", "null-envelope", "samples-on-brownian", "seed-on-chain",
             "n-on-scalar-linear", "include-driver-text", "expect-explosion-text",
             "conv-zero-mesh", "chain-too-many-samples", "curve-too-many-samples",
-            "chen-too-many-triples", "curve-too-many-pairs", "zero-beta-exp"])
+            "chen-too-many-triples", "curve-too-many-pairs", "zero-beta-exp",
+            "conv-negative-drop", "c21-area-none", "c21-area-stratonovich"])
     def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, subcommand, config):
         cfg = _write_config(tmp_path, "bad.json", config)
         out = tmp_path / "out"
@@ -277,16 +303,17 @@ class TestConfigErrors:
         assert not out.exists()
 
     def test_non_finite_result_exits_3_without_output(self, tmp_path, capsys):
-        # a constant driver fits the control constant 0, so every ratio is 0/0
-        cfg = _write_config(tmp_path, "flat.json", {
-            "driver": {"kind": "polynomial", "coeffs": [[1.0]], "area": "none", "samples": 65},
-            "field": {"kind": "scalar_linear"},
-            "y0": [1.0],
-            "defect": {"gamma": 1.5, "p": 2.0, "pairs": "adjacent"},
+        # increments near 1e-202 square to a control constant that underflows to 0,
+        # while roundoff leaves nonzero window defects: their ratios are inf
+        cfg = _write_config(tmp_path, "tiny.json", {
+            "driver": {"kind": "polynomial", "coeffs": [[0.0, 1e-200, 1e-200]],
+                       "area": "none", "samples": 65},
+            "field": {"kind": "constant", "matrix": [[1.0]]},
+            "y0": [0.0],
+            "defect": {"gamma": 1.5, "p": 2.0, "pairs": "window"},
         })
         out = tmp_path / "out"
-        with pytest.warns(RuntimeWarning):
-            assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("numerical failure")
         assert not out.exists()
 

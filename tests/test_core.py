@@ -295,6 +295,26 @@ class TestAreaProcess:
         with pytest.raises(ValueError):
             AreaProcess(path, np.zeros((32, 2, 2)), "levy")
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3), n=st.integers(2, 64),
+           x_exp=st.integers(-3, 3), a_exp=st.integers(-3, 3))
+    def test_pairs_satisfy_chen_on_random_triples(self, data, d, n, x_exp, a_exp):
+        """A(i, k) = A(i, j) + A(j, k) + dx(i, j) (x) dx(j, k) for i <= j <= k."""
+        unit = st.floats(-1.0, 1.0)
+        steps = data.draw(hnp.arrays(float, (n + 1, d), elements=unit)) * 10.0**x_exp
+        blocks = data.draw(hnp.arrays(float, (n, d, d), elements=unit)) * 10.0**a_exp
+        triples = np.sort(data.draw(hnp.arrays(np.intp, (16, 3), elements=st.integers(0, n))),
+                          axis=1)
+        path = DriverPath(np.linspace(0.0, 1.0, n + 1), np.cumsum(steps, axis=0))
+        area = AreaProcess(path, blocks, "perturbed")
+        i, j, k = triples.T
+        x = path.values
+        combined = chen_combine(area.pairs(i, j), area.pairs(j, k), x[j] - x[i], x[k] - x[j])
+        # roundoff of prefix sums over n blocks and n cross terms of the path's size
+        size = np.max(np.abs(x - x[0]))
+        tol = 1e-14 * n * (np.max(np.abs(blocks)) + size**2)
+        assert np.max(np.abs(area.pairs(i, k) - combined)) <= tol
+
     @pytest.mark.parametrize("d, n", [(1, 200), (2, 4096), (3, 64)])
     def test_prefix_is_the_left_to_right_fold_bitwise(self, d, n):
         rng = np.random.default_rng(d * n)
@@ -308,7 +328,7 @@ class TestAreaProcess:
 
     def test_with_intervals_swaps_blocks_only(self, toy):
         path, area = toy
-        other = area.with_intervals(np.zeros((32, 2, 2)), "degenerate")
+        other = AreaProcess(area.path, np.zeros((32, 2, 2)), "degenerate")
         assert other.kind == "degenerate"
         assert other.path is area.path
         assert np.array_equal(other.pair(4, 5), np.zeros((2, 2)))

@@ -1,6 +1,7 @@
 """Tests for the step schemes, augmented flows, and defect reports."""
 from __future__ import annotations
 
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from roughstep.core import (
     AreaProcess,
+    ControlModulus,
     DriverPath,
     NumericsError,
     Partition,
@@ -25,7 +27,6 @@ from roughstep.drivers import (
     ito_area,
 )
 from roughstep.schemes import (
-    SchemeConfig,
     augmented_solve,
     corrected_solve,
     defect,
@@ -50,7 +51,7 @@ def _linear_field(matrix: np.ndarray) -> VectorField:
             out[h, :, 0] = m[:, h]
         return out
 
-    return VectorField(n, 1, func, deriv1=deriv1, smoothness=np.inf)
+    return VectorField(n, 1, func, deriv1=deriv1)
 
 
 def _linear_field_d(mats: np.ndarray) -> VectorField:
@@ -58,8 +59,7 @@ def _linear_field_d(mats: np.ndarray) -> VectorField:
     m = np.asarray(mats, dtype=float)
     d, n, _ = m.shape
     return VectorField(n, d, lambda y: (m @ y).T,
-                       deriv1=lambda y: np.transpose(m, (2, 1, 0)).copy(),
-                       smoothness=np.inf)
+                       deriv1=lambda y: np.transpose(m, (2, 1, 0)).copy())
 
 
 def _tanh_field(mats: np.ndarray, layout: str) -> VectorField:
@@ -78,7 +78,7 @@ def _tanh_field(mats: np.ndarray, layout: str) -> VectorField:
     def deriv1(y):
         return np.transpose(m, (2, 1, 0)) / np.cosh(y)[:, None, None] ** 2
 
-    return VectorField(n, d, func, deriv1=deriv1, smoothness=np.inf)
+    return VectorField(n, d, func, deriv1=deriv1)
 
 
 @lru_cache(maxsize=None)
@@ -105,13 +105,15 @@ def _reference_magnitudes(traj, field, path, area, pairs) -> np.ndarray:
 
 
 class TestSchemeConfig:
-    def test_rejects_unknown_tag(self):
+    def test_rejects_unknown_tag(self, gbm_field):
+        path = PolynomialPath(np.array([[0.0, 1.0]])).sample(np.linspace(0, 1, 9))
         with pytest.raises(ValueError):
-            SchemeConfig(scheme="milstein")
+            augmented_solve(gbm_field, path, np.array([1.0]), scheme="milstein")
 
-    def test_rejects_bad_threshold(self):
+    def test_rejects_bad_threshold(self, gbm_field):
+        path = PolynomialPath(np.array([[0.0, 1.0]])).sample(np.linspace(0, 1, 9))
         with pytest.raises(ValueError):
-            SchemeConfig(explosion_threshold=0.0)
+            euler_solve(gbm_field, path, np.array([1.0]), explosion_threshold=0.0)
 
 
 class TestEulerSolve:
@@ -167,8 +169,7 @@ class TestEulerSolve:
 
     def test_explosion_threshold_truncates(self, gbm_field):
         path = PolynomialPath(np.array([[0.0, 1.0]])).sample(np.linspace(0, 1, 33))
-        cfg = SchemeConfig(explosion_threshold=2.0)
-        traj = euler_solve(gbm_field, path, np.array([1.0]), config=cfg)
+        traj = euler_solve(gbm_field, path, np.array([1.0]), explosion_threshold=2.0)
         assert traj.exploded
         assert traj.times.size == traj.exploded_at + 1
         assert np.linalg.norm(traj.states[-1]) > 2.0
@@ -176,8 +177,7 @@ class TestEulerSolve:
 
     def test_initial_state_beyond_threshold(self, gbm_field):
         path = PolynomialPath(np.array([[0.0, 1.0]])).sample(np.linspace(0, 1, 9))
-        cfg = SchemeConfig(explosion_threshold=0.5)
-        traj = euler_solve(gbm_field, path, np.array([1.0]), config=cfg)
+        traj = euler_solve(gbm_field, path, np.array([1.0]), explosion_threshold=0.5)
         assert traj.exploded_at == 0 and traj.states.shape == (1, 1)
 
     def test_non_finite_state_raises(self):
@@ -426,6 +426,30 @@ class TestDefect:
         report = defect(traj, smooth22, path, gamma=1.5, p=2.5, area=ito,
                         pairs="adjacent")
         assert np.array_equal(report.magnitudes, np.zeros(64))
+
+    def test_constant_driver_fits_zero_constant(self, gbm_field):
+        path = PolynomialPath(np.array([[1.0]])).sample(np.linspace(0, 1, 65))
+        traj = euler_solve(gbm_field, path, np.array([1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = defect(traj, gbm_field, path, gamma=1.5, p=2.0, pairs="adjacent")
+        assert report.control.c == 0.0
+        assert report.fitted_constant == 0.0
+        assert np.array_equal(report.ratios, np.zeros(64))
+
+    def test_zero_control_ratio_is_zero_or_inf(self, bm1, gbm_field):
+        """Over omega 0 a zero defect has ratio 0 and a nonzero one inf."""
+        _, path, _ = bm1
+        sub = path.subsample(256)
+        traj = euler_solve(gbm_field, sub, np.array([1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = defect(traj, gbm_field, sub, gamma=1.5, p=2.5, max_span=2,
+                            control=ControlModulus(c=0.0, p=2.5))
+        adjacent = report.pairs[:, 1] == report.pairs[:, 0] + 1
+        assert np.all(report.magnitudes[~adjacent] > 0)
+        assert np.array_equal(report.ratios[adjacent], np.zeros(np.count_nonzero(adjacent)))
+        assert np.all(report.ratios[~adjacent] == np.inf)
 
     @settings(max_examples=60, deadline=None)
     @given(mats=hnp.arrays(float, (2, 2, 2), elements=st.floats(-2.0, 2.0)),
