@@ -51,7 +51,7 @@ from .drivers import (
     power_law_envelope,
     stratonovich_area,
 )
-from .schemes import corrected_solve, defect, euler_solve
+from .schemes import _explosion_threshold, corrected_solve, defect, euler_solve
 from . import __version__
 
 
@@ -165,7 +165,8 @@ _FIELD = partial(_kinded, where="field", specs={
     "constant": {"matrix": (_array, _REQUIRED)},
 })
 _SCHEME = partial(_block, where="scheme", spec={
-    "scheme": (_choice("euler", "corrected"), "euler"), "explosion_threshold": (float, 1e6)})
+    "scheme": (_choice("euler", "corrected"), "euler"),
+    "explosion_threshold": (_explosion_threshold, 1e6)})
 
 
 def _seed(block: dict, override, who: str) -> int:

@@ -383,8 +383,8 @@ class AreaProcess:
 
 
 def _correction_tensor(f: np.ndarray, d1: np.ndarray) -> np.ndarray:
-    """``G[i, r, j] = sum_h f[h, r] * D1[h, i, j]`` from evaluated ``f`` and ``D1``."""
-    return np.einsum("hr,hij->irj", f, d1)
+    """``G[..., i, r, j] = sum_h f[..., h, r] * D1[..., h, i, j]`` from evaluated ``f`` and ``D1``."""
+    return np.einsum("...hr,...hij->...irj", f, d1)
 
 
 class VectorField:
@@ -398,9 +398,15 @@ class VectorField:
             ``D1[h, i, j] = d f[i, j] / d y[h]``.
         deriv2: optional; maps a state to ``(n, n, n, d)`` with layout
             ``D2[q, h, i, j]``.
+        batched: the three callables also map a batch of states ``(..., n)``
+            to ``(..., n, d)``, ``(..., n, n, d)`` and ``(..., n, n, n, d)``,
+            each row bitwise its single-state value.  Otherwise a batch is
+            evaluated one row at a time.
 
-    Missing derivatives raise on access; schemes that need them say so in the
-    error.  No approximation is ever silently substituted.
+    :meth:`eval`, :meth:`deriv1` and :meth:`deriv2` take a state or a batch
+    of states either way.  Missing derivatives raise on access; schemes that
+    need them say so in the error.  No approximation is ever silently
+    substituted.
     """
 
     def __init__(
@@ -410,21 +416,29 @@ class VectorField:
         func: Callable[[np.ndarray], np.ndarray],
         deriv1: Callable[[np.ndarray], np.ndarray] | None = None,
         deriv2: Callable[[np.ndarray], np.ndarray] | None = None,
+        batched: bool = False,
     ):
         self.n = int(n)
         self.d = int(d)
         self._func = func
         self._deriv1 = deriv1
         self._deriv2 = deriv2
+        self.batched = bool(batched)
+
+    def _apply(self, fn, y, tail: tuple, what: str) -> np.ndarray:
+        """``fn`` on a state or, row by row unless batched, on a batch of states."""
+        y = np.asarray(y, dtype=float)
+        expected = y.shape[:-1] + tail
+        if not self.batched and y.ndim > 1:
+            rows = y.reshape(-1, y.shape[-1])
+            return np.array([self._apply(fn, row, tail, what) for row in rows]).reshape(expected)
+        out = np.asarray(fn(y), dtype=float)
+        if out.shape != expected:
+            raise ValueError(f"{what} returned shape {out.shape}, expected {expected}")
+        return out
 
     def eval(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        out = np.asarray(self._func(y), dtype=float)
-        if out.shape != (self.n, self.d):
-            raise ValueError(
-                f"field returned shape {out.shape}, expected {(self.n, self.d)}"
-            )
-        return out
+        return self._apply(self._func, y, (self.n, self.d), "field")
 
     @property
     def has_deriv1(self) -> bool:
@@ -437,61 +451,55 @@ class VectorField:
     def deriv1(self, y) -> np.ndarray:
         if self._deriv1 is None:
             raise NotImplementedError("this field has no first derivative attached")
-        out = np.asarray(self._deriv1(np.asarray(y, dtype=float)), dtype=float)
-        expected = (self.n, self.n, self.d)
-        if out.shape != expected:
-            raise ValueError(f"deriv1 returned shape {out.shape}, expected {expected}")
-        return out
+        return self._apply(self._deriv1, y, (self.n, self.n, self.d), "deriv1")
 
     def deriv2(self, y) -> np.ndarray:
         if self._deriv2 is None:
             raise NotImplementedError("this field has no second derivative attached")
-        out = np.asarray(self._deriv2(np.asarray(y, dtype=float)), dtype=float)
-        expected = (self.n, self.n, self.n, self.d)
-        if out.shape != expected:
-            raise ValueError(f"deriv2 returned shape {out.shape}, expected {expected}")
-        return out
-
-    def correction_tensor(self, y) -> np.ndarray:
-        """Second-order coefficient ``G[i, r, j] = sum_h f[h, r] * D1[h, i, j]``.
-
-        This is the tensor contracted against the area block in the corrected
-        scheme step.
-        """
-        return _correction_tensor(self.eval(y), self.deriv1(y))
+        return self._apply(self._deriv2, y, (self.n, self.n, self.n, self.d), "deriv2")
 
     @classmethod
     def constant(cls, matrix) -> "VectorField":
         """Field with state-independent coefficients (derivatives vanish)."""
-        matrix = np.asarray(matrix, dtype=float)
+        matrix = _frozen(np.array(matrix, dtype=float))
         if matrix.ndim != 2:
             raise ValueError("constant field needs an (n, d) matrix")
         n, d = matrix.shape
-        zero1 = np.zeros((n, n, d))
-        zero2 = np.zeros((n, n, n, d))
-        return cls(n, d, lambda y: matrix, deriv1=lambda y: zero1, deriv2=lambda y: zero2)
+        zero1, zero2 = _frozen(np.zeros((n, n, d))), _frozen(np.zeros((n, n, n, d)))
+        return cls(n, d, lambda y: _per_state(matrix, y), deriv1=lambda y: _per_state(zero1, y),
+                   deriv2=lambda y: _per_state(zero2, y), batched=True)
 
     @classmethod
     def scalar_linear(cls) -> "VectorField":
         """The 1-by-1 multiplicative field f(y) = y (geometric testbed)."""
-        return cls(1, 1, lambda y: y.reshape(1, 1).copy(),
-                   deriv1=lambda y: np.ones((1, 1, 1)),
-                   deriv2=lambda y: np.zeros((1, 1, 1, 1)))
+        one, zero = _frozen(np.ones((1, 1, 1))), _frozen(np.zeros((1, 1, 1, 1)))
+        return cls(1, 1, lambda y: y[..., None].copy(), deriv1=lambda y: _per_state(one, y),
+                   deriv2=lambda y: _per_state(zero, y), batched=True)
 
     @classmethod
     def diagonal_linear(cls, n: int) -> "VectorField":
         """f[i, j] = delta_ij * y[i]: independent multiplicative components."""
+        d1 = np.zeros((n, n, n))
+        d1.reshape(-1)[:: n * n + n + 1] = 1.0
+        d1, d2 = _frozen(d1), _frozen(np.zeros((n, n, n, n)))
 
         def func(y):
-            return np.diag(y)
-
-        def deriv1(y):
-            out = np.zeros((n, n, n))
-            for i in range(n):
-                out[i, i, i] = 1.0
+            out = np.zeros(y.shape + (n,))
+            out.reshape(y.shape[:-1] + (n * n,))[..., :: n + 1] = y
             return out
 
-        return cls(n, n, func, deriv1=deriv1, deriv2=lambda y: np.zeros((n, n, n, n)))
+        return cls(n, n, func, deriv1=lambda y: _per_state(d1, y),
+                   deriv2=lambda y: _per_state(d2, y), batched=True)
+
+
+def _frozen(value: np.ndarray) -> np.ndarray:
+    value.flags.writeable = False
+    return value
+
+
+def _per_state(value: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A state-independent ``value`` at a state, or repeated over a batch of states."""
+    return value if y.ndim <= 1 else np.broadcast_to(value, y.shape[:-1] + value.shape)
 
 
 @dataclass

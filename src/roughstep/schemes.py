@@ -20,6 +20,7 @@ Beyond the basic solvers this module provides:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,14 +56,18 @@ _DEFECT_BLOCK = 2**14  # pairs reconstructed per batched step in defect
 def _coefficients(field: VectorField, y: np.ndarray, corrected: bool, d1=None):
     """Left-point coefficients of the step: ``(f(y), G(y))``, ``G`` None for Euler.
 
-    Both are C-contiguous, whatever layout the field returns: ``f @ dx`` on a
-    transposed ``f`` rounds differently from the stacked product in
-    :func:`defect`.  ``d1`` is the first derivative at ``y`` if already evaluated.
+    ``y`` is a state or a batch of states ``(..., n)``.  Both outputs are
+    C-contiguous and ``G`` is formed from a C-contiguous ``D1``, whatever
+    layout the field returns: ``f @ dx`` on a transposed ``f``, and the
+    contraction on a transposed ``D1``, round differently from the same
+    operation on a row of a stacked batch.  ``d1`` is the first derivative at
+    ``y`` if already evaluated.
     """
     f = np.ascontiguousarray(field.eval(y))
     if not corrected:
         return f, None
-    return f, np.ascontiguousarray(_correction_tensor(f, field.deriv1(y) if d1 is None else d1))
+    d1 = np.ascontiguousarray(field.deriv1(y) if d1 is None else d1)
+    return f, np.ascontiguousarray(_correction_tensor(f, d1))
 
 
 def _advance(y, f, g, dx, a) -> np.ndarray:
@@ -126,15 +131,23 @@ def _cells(path: DriverPath, partition: Partition | None, area: AreaProcess | No
     return idx, x[1:] - x[:-1], None if area is None else area.pairs(idx[:-1], idx[1:])
 
 
+def _explosion_threshold(value) -> float:
+    """``value`` as an explosion threshold: a float, refused unless positive."""
+    threshold = float(value)
+    if not threshold > 0:
+        raise ValueError(f"explosion threshold must be positive, got {value}")
+    return threshold
+
+
 def _run_scheme(
     path: DriverPath, y: np.ndarray, idx: np.ndarray, threshold: float, step, tag: str
 ) -> Trajectory:
-    """Walk the grid points ``idx`` from the checked state ``y``; ``step(y, k)`` takes cell k.
+    """Walk the grid points ``idx`` from the checked state ``y``; ``step(y, k)`` takes cell k
+    and returns a new array.
 
     The walk stops at the first state whose Euclidean norm exceeds ``threshold``.
     """
-    if not threshold > 0:
-        raise ValueError(f"explosion threshold must be positive, got {threshold}")
+    threshold = _explosion_threshold(threshold)
     times = path.times[idx]
     states = [y.copy()]
     exploded_at = None
@@ -143,12 +156,13 @@ def _run_scheme(
     else:
         for k in range(idx.size - 1):
             y = step(y, k)
-            if not np.all(np.isfinite(y)):
+            sq = float(y.dot(y))  # the square of np.linalg.norm(y), bitwise
+            if not math.isfinite(sq) and not np.all(np.isfinite(y)):
                 raise NumericsError(
                     f"non-finite state after step {k} (t={times[k + 1]:.6g}, scheme={tag})"
                 )
-            states.append(y.copy())
-            if float(np.linalg.norm(y)) > threshold:
+            states.append(y)
+            if math.sqrt(sq) > threshold:
                 exploded_at = k + 1
                 break
     return Trajectory(times[: len(states)], np.asarray(states), tag, exploded_at)
@@ -506,14 +520,10 @@ def defect(
     if control is None:
         control = control_fit(DriverPath(trajectory.times, x), p)
 
-    # f and G once per distinct left point, then the reconstructions a block of pairs at a time
+    # f and G at every distinct left point in one call, then the reconstructions
+    # a block of pairs at a time
     left, inv = np.unique(pair_arr[:, 0], return_inverse=True)
-    f_left = np.empty((left.size, field.n, field.d))
-    g_left = np.empty((left.size, field.n, field.d, field.d)) if corrected else None
-    for m, j in enumerate(left):
-        f_left[m], g = _coefficients(field, y[j], corrected)
-        if corrected:
-            g_left[m] = g
+    f_left, g_left = _coefficients(field, y[left], corrected)
     mags = np.empty(pair_arr.shape[0])
     for b in range(0, mags.size, _DEFECT_BLOCK):
         blk = slice(b, b + _DEFECT_BLOCK)

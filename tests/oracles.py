@@ -131,6 +131,43 @@ def spiral_level_constant(gamma: float, beta: float, rho: float) -> float:
     return rho * m1 / e_exp
 
 
+def spiral_grown_component(gamma: float, beta: float, rho: float, t: np.ndarray,
+                           n_keep: int = 256) -> np.ndarray:
+    """First component of example 1's grown branch from ``n_keep`` harmonics.
+
+    The reference the package's 32-frequency evaluator is held to bitwise:
+    the same tails ``integral_u^inf s^-a g_c(s) ds`` with ``u = t^-rho``,
+    ``a = kappa + 1, kappa + 2`` of ``g_c = (2 + sin)^gamma (sin, cos)``, each
+    mean as an exact power tail and the zero-mean rest integrated by parts six
+    times, kept to 256 harmonics where the spectrum is long past roundoff.
+    """
+    n_samples, n_passes, block = 4096, 6, 4096
+    kappa = (beta * (gamma + 1) - rho) / rho
+    theta = np.arange(n_samples) * (2 * np.pi / n_samples)
+    weight = (2 + np.sin(theta)) ** gamma
+    spec = np.fft.rfft(np.stack([weight * np.sin(theta), weight * np.cos(theta)])) / n_samples
+    freqs = np.arange(1, n_keep + 1)
+    passes = range(1, n_passes + 1)
+    H = np.stack([2.0 * spec[c, 1 : n_keep + 1] / (1j * freqs) ** j
+                  for c in (0, 1) for j in passes], axis=1)
+    out = np.zeros_like(t)
+    pos = np.flatnonzero(t > 0)
+    for lo in range(0, pos.size, block):
+        idx = pos[lo : lo + block]
+        u = t[idx] ** (-rho)
+        at_u = (np.exp(1j * np.outer(u, freqs)) @ H).real
+        tails = []
+        for c, a in enumerate((kappa + 1.0, kappa + 2.0)):
+            fac = 1.0
+            acc = np.zeros(u.size)
+            for j in passes:
+                acc -= fac * u ** (-(a + j - 1.0)) * at_u[:, c * n_passes + j - 1]
+                fac *= a + j - 1.0
+            tails.append(float(spec[c, 0].real) * u ** (1.0 - a) / (a - 1.0) + acc)
+        out[idx] = tails[0] + (beta / rho) * tails[1]
+    return out
+
+
 def chen_reference(a_st: np.ndarray, a_tu: np.ndarray, dx_st: np.ndarray,
                    dx_tu: np.ndarray) -> np.ndarray:
     """The two-interval consistency combination, written independently."""

@@ -13,9 +13,9 @@ import roughstep.core as core
 from roughstep.core import AreaProcess, DriverPath, VectorField
 from roughstep.drivers import (
     BrownianConfig,
+    ChainCurve,
     CounterexampleConfig,
     brownian_path,
-    holder_chain_curve,
     ito_area,
     power_law_envelope,
     stratonovich_area,
@@ -136,7 +136,8 @@ class TestCondition21:
         path = DriverPath(np.linspace(0, 1, 257), np.zeros((257, 2)))
         area = AreaProcess(path, np.zeros((256, 2, 2)), "degenerate")
         stat = condition21_stat(area, 0.45, 0.55, levels=[4, 8])
-        assert stat.value == 0.0
+        assert stat.value == 0.0 and stat.per_level == [0.0, 0.0]
+        assert stat.argmax == (0, 1, 2.0**-4)
 
     def test_quadratic_scaling(self, areas10):
         ito, _ = areas10
@@ -454,7 +455,7 @@ class TestHolderEstimate:
         assert 0.45 <= got <= 0.65
 
     def test_chain_curve_near_its_design_exponent(self):
-        path = holder_chain_curve(0.7, 3, n_samples=2**12)
+        path = ChainCurve(0.7, 3).sample(2**12)
         assert 0.6 <= holder_estimate(path) <= 0.85
 
     def test_needs_enough_samples(self):

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from roughstep import cli
 from roughstep.cli import main
-from roughstep.drivers import holder_chain_curve
+from roughstep.drivers import ChainCurve
 
 
 def _write_config(tmp_path, name, payload):
@@ -152,7 +153,7 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         rows = (out / "trajectory.csv").read_text().strip().splitlines()[1:]
         assert len(rows) == 257
-        x1 = holder_chain_curve(0.7, 3, n_samples=257).values[:, 0]
+        x1 = ChainCurve(0.7, 3).sample(257).values[:, 0]
         assert float(rows[-1].split(",")[1]) == pytest.approx(x1[-1] - x1[0], abs=1e-12)
 
 
@@ -185,6 +186,24 @@ class TestConfigErrors:
         code = main(["nonuniqueness", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "exponent chain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["solve", "convergence"])
+    @pytest.mark.parametrize("threshold", [0.0, -1.0])
+    def test_nonpositive_threshold_refused_before_the_driver(self, tmp_path, monkeypatch,
+                                                              capsys, subcommand, threshold):
+        def unbuilt(config):
+            raise AssertionError("the driver was built before the scheme block was refused")
+
+        monkeypatch.setattr(cli, "brownian_path", unbuilt)
+        config = {"driver": {"kind": "brownian", "d": 2, "level": 18, "seed": 1},
+                  "field": {"kind": "diagonal_linear", "n": 2},
+                  "scheme": {"scheme": "euler", "explosion_threshold": threshold},
+                  "y0": [1.0, 1.0]}
+        if subcommand == "convergence":
+            config["k_values"] = [4, 16]
+        cfg = _write_config(tmp_path, "bad.json", config)
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "explosion_threshold" in capsys.readouterr().err
 
     def test_condition21_requires_brownian_driver(self, tmp_path):
         cfg = _write_config(tmp_path, "c21.json", {

@@ -21,7 +21,12 @@ from roughstep.core import (
     chen_combine,
     control_fit,
 )
-from roughstep.drivers import CounterexampleConfig, example1_driver
+from roughstep.drivers import (
+    CounterexampleConfig,
+    example1_driver,
+    example1_field,
+    example2_modified_field,
+)
 
 
 class TestPartition:
@@ -75,8 +80,11 @@ class TestControlFit:
         assert fit.c == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_path_fits_zero(self):
+        """Every ratio is 0, so the maximum is reported at the first pair (0, 1)."""
         path = DriverPath(np.linspace(0, 1, 33), np.full((33, 2), 0.7))
         assert control_fit(path, 1.5).c == 0.0
+        t = path.times
+        assert core._pair_max(path.values.T, 1.5, lambda k, m: t[m] - t[k]) == (0.0, 0, 1)
 
     def test_pruned_scan_matches_brute_force(self):
         rng = np.random.default_rng(11)
@@ -340,7 +348,58 @@ class TestAreaProcess:
         assert np.allclose(other.pair(0, 32), acc, rtol=0, atol=1e-12)
 
 
+def _builtin_field(name: str, request) -> VectorField:
+    if name == "constant":
+        return VectorField.constant(np.array([[1.0, -2.0], [0.5, 3.0], [0.0, 1.0]]))
+    if name == "scalar_linear":
+        return VectorField.scalar_linear()
+    if name == "diagonal_linear":
+        return VectorField.diagonal_linear(3)
+    if name == "example1_field":
+        return example1_field(CounterexampleConfig(gamma=1.3, beta_exp=3.0, rho_exp=4.5))
+    if name == "example2_modified_field":
+        return example2_modified_field(VectorField.diagonal_linear(2), 5.0)
+    return request.getfixturevalue("spiral_driver").field
+
+
+def _random_states(n: int) -> np.ndarray:
+    """States ``(3, 40, n)`` over several scales, zeros included; for n = 2 one
+    sheet crosses example 1's collar ``|y1| / y2`` in (0.15, 0.3)."""
+    rng = np.random.default_rng(5)
+    states = rng.normal(size=(3, 40, n)) * 10.0 ** rng.integers(-3, 4, size=(3, 40, 1))
+    states[0, :4] = 0.0
+    if n == 2:
+        y2 = rng.uniform(0.0, 2.0, 40)
+        states[1] = np.column_stack([y2 * rng.uniform(-0.4, 0.4, 40), y2])
+    return states
+
+
 class TestVectorField:
+    @pytest.mark.parametrize("name", ["constant", "scalar_linear", "diagonal_linear",
+                                      "example1_field", "example2_modified_field", "explosion"])
+    def test_batch_is_the_stacked_single_states(self, request, name):
+        field = _builtin_field(name, request)
+        states = _random_states(field.n)
+        methods = [field.eval] + [m for m, has in ((field.deriv1, field.has_deriv1),
+                                                   (field.deriv2, field.has_deriv2)) if has]
+        for method in methods:
+            batch = method(states)
+            single = np.array([method(y) for y in states.reshape(-1, field.n)])
+            assert batch.shape == states.shape[:-1] + single.shape[1:]
+            assert batch.tobytes() == single.tobytes()
+
+    def test_per_row_user_field_is_looped(self, smooth22):
+        assert not smooth22.batched
+        states = _random_states(2)
+        for method in (smooth22.eval, smooth22.deriv1, smooth22.deriv2):
+            batch = method(states)
+            single = np.array([method(y) for y in states.reshape(-1, 2)])
+            assert batch.shape == states.shape[:-1] + single.shape[1:]
+            assert batch.tobytes() == single.tobytes()
+        bad = VectorField(n=2, d=2, func=lambda y: np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            bad.eval(states)
+
     def test_correction_tensor_contracts_first_derivative(self, smooth22):
         y = np.array([0.3, -0.8])
         f = smooth22.eval(y)
@@ -350,7 +409,7 @@ class TestVectorField:
             for r in range(2):
                 for j in range(2):
                     want[i, r, j] = sum(f[h, r] * d1[h, i, j] for h in range(2))
-        assert np.allclose(smooth22.correction_tensor(y), want, rtol=0, atol=1e-15)
+        assert np.allclose(core._correction_tensor(f, d1), want, rtol=0, atol=1e-15)
 
     def test_scalar_linear_is_multiplication(self):
         field = VectorField.scalar_linear()
@@ -364,7 +423,9 @@ class TestVectorField:
 
     def test_constant_field_has_zero_correction(self):
         field = VectorField.constant(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        assert np.array_equal(field.correction_tensor(np.zeros(2)), np.zeros((2, 2, 2)))
+        y = np.zeros(2)
+        got = core._correction_tensor(field.eval(y), field.deriv1(y))
+        assert np.array_equal(got, np.zeros((2, 2, 2)))
 
     def test_eval_rejects_wrong_output_shape(self):
         bad = VectorField(n=2, d=2, func=lambda y: np.zeros((3, 2)))

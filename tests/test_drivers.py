@@ -2,9 +2,13 @@
 from __future__ import annotations
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from roughstep import drivers
@@ -19,10 +23,10 @@ from roughstep.drivers import (
     degenerate_area,
     example1_driver,
     example1_field,
+    example1_solution_pair,
     example2_driver,
     example2_modified_field,
     explosion_driver,
-    holder_chain_curve,
     ito_area,
     load_driver,
     perturbed_area,
@@ -226,6 +230,22 @@ class TestOscillatoryCounterexample:
         assert field.eval(np.array([1.0, y2]))[1, 1] == 1.0
         assert not field.has_deriv1
 
+    def test_field_on_the_grown_branch_is_the_scalar_formula(self, example1, example1_pair):
+        """One batched call equals the per-state float formula bit for bit, whose
+        ``y2**gamma`` numpy's ``power`` misses by an ulp on some of these states."""
+        cfg, _, field = example1
+        _, grown = example1_pair
+        tau = cfg.ramp
+        want = np.zeros((grown.states.shape[0], 2, 2))
+        want[:, 1, 1] = 1.0
+        for m, (y1, y2) in enumerate(grown.states.tolist()):
+            if y2 > 0:
+                u = (abs(y1) - tau * y2) / (tau * y2)
+                if u > 0:
+                    u = min(u, 1.0)
+                    want[m, 0, 0] = (u * u * (3 - 2 * u)) * y2**cfg.gamma
+        assert field.eval(grown.states).tobytes() == want.tobytes()
+
     def test_flat_branch_and_shared_component(self, example1, example1_pair):
         _, path, _ = example1
         flat, grown = example1_pair
@@ -242,6 +262,21 @@ class TestOscillatoryCounterexample:
                                         path.times[i], path.times[-1])
         got = grown.states[-1, 0] - grown.states[i, 0]
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(grid=8192),
+        dict(gamma=1.3, beta_exp=3.0, rho_exp=4.5, grid=8192),
+        dict(gamma=1.01, beta_exp=5.0, rho_exp=5.2, t_max=0.5, grid=8192),
+        dict(gamma=1.5, beta_exp=2.0, rho_exp=3.5, t_max=1.0, p=2.5, grid=8192),
+        dict(gamma=1.2, beta_exp=6.0, rho_exp=7.5, t_max=0.9, t_min_factor=0.5, grid=8192),
+        dict(grid=32768),
+    ])
+    def test_grown_branch_bitwise_equal_to_256_harmonics(self, kwargs):
+        cfg = CounterexampleConfig(**kwargs)
+        path, _ = example1_driver(cfg)
+        _, grown = example1_solution_pair(cfg, path)
+        want = oracles.spiral_grown_component(cfg.gamma, cfg.beta_exp, cfg.rho_exp, path.times)
+        assert grown.states[:, 0].tobytes() == want.tobytes()
 
     def test_grown_branch_leading_power(self, example1, example1_pair):
         cfg, path, _ = example1
@@ -375,7 +410,7 @@ class TestChainCurve:
             ChainCurve(0.51, 6)
 
     def test_sampled_path_metadata(self):
-        path = holder_chain_curve(0.7, 3, n_samples=257)
+        path = ChainCurve(0.7, 3).sample(257)
         assert isinstance(path, DriverPath)
 
 
@@ -506,6 +541,29 @@ class TestSerialization:
         assert np.array_equal(loaded_path.times, sub.times)
         assert np.array_equal(loaded_path.values, sub.values)
         assert loaded_area.kind == "degenerate"
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 40), d=st.integers(1, 3),
+           kind=st.sampled_from([None, *AreaProcess.KINDS]))
+    def test_random_round_trip_is_byte_identical(self, data, n, d, kind):
+        finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        gaps = data.draw(hnp.arrays(np.float64, n, elements=st.floats(1e-6, 10.0)))
+        path = DriverPath(np.cumsum(gaps), data.draw(hnp.arrays(np.float64, (n, d), elements=finite)))
+        area = None if kind is None else AreaProcess(
+            path, data.draw(hnp.arrays(np.float64, (n - 1, d, d), elements=finite)), kind)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.json"), Path(tmp, "b.json")
+            save_driver(first, path, area)
+            loaded_path, loaded_area = load_driver(first)
+            save_driver(second, loaded_path, loaded_area)
+            assert first.read_bytes() == second.read_bytes()
+        assert loaded_path.times.tobytes() == path.times.tobytes()
+        assert loaded_path.values.tobytes() == path.values.tobytes()
+        if kind is None:
+            assert loaded_area is None
+        else:
+            assert loaded_area.kind == kind
+            assert loaded_area.per_interval.tobytes() == area.per_interval.tobytes()
 
     def test_path_only_round_trip(self, tmp_path):
         path = PolynomialPath(np.array([[0.0, 1.0]])).sample(np.linspace(0, 1, 9))

@@ -98,7 +98,8 @@ def _reference_magnitudes(traj, field, path, area, pairs) -> np.ndarray:
         f = np.ascontiguousarray(field.eval(y[k]))
         y_l = y[k] + f @ (x[idx[l]] - x[idx[k]])
         if traj.scheme == "corrected":
-            g = np.ascontiguousarray(np.einsum("hr,hij->irj", f, field.deriv1(y[k])))
+            d1 = np.ascontiguousarray(field.deriv1(y[k]))
+            g = np.ascontiguousarray(np.einsum("hr,hij->irj", f, d1))
             y_l = y_l + np.einsum("irj,rj->i", g, area.pair(idx[k], idx[l]))
         mags[m] = np.max(np.abs(y[l] - y_l))
     return mags
