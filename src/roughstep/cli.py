@@ -71,7 +71,7 @@ def _read(block: dict, key: str, convert, default=None):
     except ConfigError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} has an invalid value {value!r}") from exc
+        raise ConfigError(f"{key} has an invalid value {value!r}: {exc}") from exc
     if isinstance(out, float) and not math.isfinite(out):
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return out

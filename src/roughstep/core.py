@@ -479,6 +479,8 @@ class VectorField:
     @classmethod
     def diagonal_linear(cls, n: int) -> "VectorField":
         """f[i, j] = delta_ij * y[i]: independent multiplicative components."""
+        if n < 1:
+            raise ValueError(f"diagonal_linear field needs n >= 1, got {n}")
         d1 = np.zeros((n, n, n))
         d1.reshape(-1)[:: n * n + n + 1] = 1.0
         d1, d2 = _frozen(d1), _frozen(np.zeros((n, n, n, n)))

@@ -11,9 +11,6 @@ Beyond the basic solvers this module provides:
   to the initial condition, stepped by differentiating the scheme map itself,
   so the result is the exact Jacobian of the discrete flow (up to roundoff)
   rather than a new approximation.
-* :func:`extended_solve`: solves the system extended with three bilinear
-  tables (driver-weighted and state-weighted running integrals) used to probe
-  second-order consistency of the scheme on products.
 * :func:`defect`: two-point defect report with a fitted constant against a
   control modulus.
 """
@@ -21,7 +18,6 @@ Beyond the basic solvers this module provides:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +39,6 @@ __all__ = [
     "corrected_solve",
     "augmented_solve",
     "jacobian_view",
-    "ExtendedSolution",
-    "extended_solve",
     "defect",
     "window_pairs",
 ]
@@ -275,176 +269,6 @@ def jacobian_view(trajectory: Trajectory, n: int) -> np.ndarray:
         raise ValueError("trajectory does not look augmented for this dimension")
     ln = trajectory.states.shape[0]
     return trajectory.states[:, n:].reshape(ln, n, n)
-
-
-def _extended_layout(n: int, d: int):
-    off_y = d
-    off_xf = d + n
-    off_yx = off_xf + d * n
-    off_yf = off_yx + n * d
-    total = off_yf + n * n
-    return off_y, off_xf, off_yx, off_yf, total
-
-
-def extended_field(base: VectorField, d: int) -> VectorField:
-    """Coefficient field of the extended system on R^{d+n+dn+nd+nn}.
-
-    State layout: driver copy x (d), state y (n), then three running tables
-    flattened row-major: ``xf[i, l]`` integrating x_i against f_l dx,
-    ``yx[k, j]`` integrating y_k against dx_j, ``yf[k, l]`` integrating y_k
-    against f_l dx.  Only the x and y blocks feed back into the coefficients,
-    so the first derivative is sparse in the table directions and no second
-    derivative is needed by the corrected scheme on this system (the tables'
-    coefficients are at most bilinear in (x, y)).
-    """
-    n = base.n
-    off_y, off_xf, off_yx, off_yf, total = _extended_layout(n, d)
-    eye_d = np.eye(d)
-
-    def split(big):
-        return big[:d], big[off_y : off_y + n]
-
-    def func(big):
-        x, y = split(big)
-        f = base.eval(y)
-        out = np.zeros((total, d))
-        out[:d] = eye_d
-        out[off_y : off_y + n] = f
-        out[off_xf : off_xf + d * n] = (x[:, None, None] * f[None, :, :]).reshape(d * n, d)
-        out[off_yx : off_yx + n * d] = (y[:, None, None] * eye_d[None, :, :]).reshape(n * d, d)
-        out[off_yf : off_yf + n * n] = (y[:, None, None] * f[None, :, :]).reshape(n * n, d)
-        return out
-
-    def deriv1(big):
-        x, y = split(big)
-        f = base.eval(y)
-        d1 = base.deriv1(y)
-        out = np.zeros((total, total, d))
-        for h in range(n):
-            out[off_y + h, off_y : off_y + n] = d1[h]
-        for q in range(d):
-            for l in range(n):
-                out[q, off_xf + q * n + l] = f[l]
-        for h in range(n):
-            block = (x[:, None, None] * d1[h][None, :, :]).reshape(d * n, d)
-            out[off_y + h, off_xf : off_xf + d * n] = block
-            out[off_y + h, off_yx + h * d : off_yx + (h + 1) * d] = eye_d
-            out[off_y + h, off_yf + h * n : off_yf + (h + 1) * n] += f
-            blk = (y[:, None, None] * d1[h][None, :, :]).reshape(n * n, d)
-            out[off_y + h, off_yf : off_yf + n * n] += blk
-        return out
-
-    return VectorField(total, d, func, deriv1=deriv1)
-
-
-@dataclass
-class ExtendedSolution:
-    """Trajectory of the extended system plus calibrated two-point tables."""
-
-    trajectory: Trajectory
-    base_field: VectorField
-    path: DriverPath
-    n: int
-    d: int
-
-    def _blocks(self):
-        n, d = self.n, self.d
-        off_y, off_xf, off_yx, off_yf, total = _extended_layout(n, d)
-        s = self.trajectory.states
-        ln = s.shape[0]
-        return (
-            s[:, :d],
-            s[:, off_y : off_y + n],
-            s[:, off_xf : off_xf + d * n].reshape(ln, d, n),
-            s[:, off_yx : off_yx + n * d].reshape(ln, n, d),
-            s[:, off_yf : off_yf + n * n].reshape(ln, n, n),
-        )
-
-    @property
-    def x_states(self) -> np.ndarray:
-        return self._blocks()[0]
-
-    @property
-    def y_states(self) -> np.ndarray:
-        return self._blocks()[1]
-
-    def pair_tables(self, k: int, l: int) -> dict[str, np.ndarray]:
-        """Two-point table increments calibrated at the left endpoint.
-
-        The calibration subtracts the left-frozen bilinear term so that each
-        table starts from zero on its own interval:
-
-        * ``xf[i, m] -> xf(l) - xf(k) - x_i(k) * (f(y_k) dx)_m``
-        * ``yx[q, j] -> yx(l) - yx(k) - y_q(k) * dx_j``
-        * ``yf[q, m] -> yf(l) - yf(k) - y_q(k) * (f(y_k) dx)_m``
-        """
-        x, y, xf, yx, yf = self._blocks()
-        if not 0 <= k <= l < x.shape[0]:
-            raise IndexError("pair outside the solved range")
-        dx = x[l] - x[k]
-        fdx = self.base_field.eval(y[k]) @ dx
-        return {
-            "xf": xf[l] - xf[k] - np.outer(x[k], fdx),
-            "yx": yx[l] - yx[k] - np.outer(y[k], dx),
-            "yf": yf[l] - yf[k] - np.outer(y[k], fdx),
-        }
-
-    def chain_residuals(self, k: int, m: int, l: int) -> dict[str, float]:
-        """Max-norm residuals of the two-point tables' own chain identity.
-
-        For each table ``T`` the identity reads
-        ``T(k, l) = T(k, m) + T(m, l) + (left weight at m - left weight at k)
-        x (first-order increment over (m, l))`` and it holds exactly in exact
-        arithmetic because both sides telescope the same sums; the residual
-        reported here is pure floating-point noise plus nothing else.
-        """
-        x, y, _, _, _ = self._blocks()
-        t_kl = self.pair_tables(k, l)
-        t_km = self.pair_tables(k, m)
-        t_ml = self.pair_tables(m, l)
-        dx = x[l] - x[m]
-        f_k = self.base_field.eval(y[k])
-        f_m = self.base_field.eval(y[m])
-        cross = {
-            "xf": np.outer(x[m], f_m @ dx) - np.outer(x[k], f_k @ dx),
-            "yx": np.outer(y[m] - y[k], dx),
-            "yf": np.outer(y[m], f_m @ dx) - np.outer(y[k], f_k @ dx),
-        }
-        out = {}
-        for key in t_kl:
-            res = t_kl[key] - t_km[key] - t_ml[key] - cross[key]
-            out[key] = float(np.max(np.abs(res)))
-        return out
-
-
-def extended_solve(
-    field: VectorField,
-    path: DriverPath,
-    area: AreaProcess,
-    y0,
-    partition: Partition | None = None,
-    explosion_threshold: float = 1e6,
-) -> ExtendedSolution:
-    """Solve the table-extended system with the corrected scheme.
-
-    The x block reproduces the driver exactly (its coefficients are constant,
-    so the correction vanishes on it); the y block coincides with a plain
-    corrected solve; the three tables accumulate left-point bilinear sums
-    with their own second-order corrections.
-    """
-    if not field.has_deriv1:
-        raise NotImplementedError("extended solve needs the field's first derivative")
-    ext = extended_field(field, path.d)
-    idx = _grid_indices(path, partition)
-    x0 = path.values[idx[0]]
-    y0 = np.asarray(y0, dtype=float).reshape(-1)
-    big0 = np.concatenate([x0, y0, np.zeros(ext.n - path.d - field.n)])
-    # The extended state contains a literal driver copy, so a state-norm
-    # explosion test against the default threshold stays meaningful.
-    traj = corrected_solve(ext, path, area, big0, partition, explosion_threshold)
-    return ExtendedSolution(
-        trajectory=traj, base_field=field, path=path, n=field.n, d=path.d
-    )
 
 
 def window_pairs(n_points: int, max_span: int) -> np.ndarray:

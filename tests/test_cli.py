@@ -203,7 +203,9 @@ class TestConfigErrors:
             config["k_values"] = [4, 16]
         cfg = _write_config(tmp_path, "bad.json", config)
         assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "explosion_threshold" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "explosion_threshold" in err
+        assert "must be positive" in err
 
     def test_condition21_requires_brownian_driver(self, tmp_path):
         cfg = _write_config(tmp_path, "c21.json", {

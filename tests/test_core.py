@@ -421,6 +421,11 @@ class TestVectorField:
         y = np.array([1.0, -2.0, 0.5])
         assert np.array_equal(field.eval(y), np.diag(y))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_diagonal_linear_refuses_empty_dimension(self, n):
+        with pytest.raises(ValueError, match="diagonal_linear"):
+            VectorField.diagonal_linear(n)
+
     def test_constant_field_has_zero_correction(self):
         field = VectorField.constant(np.array([[1.0, 2.0], [0.0, 1.0]]))
         y = np.zeros(2)

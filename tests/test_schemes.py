@@ -31,7 +31,6 @@ from roughstep.schemes import (
     corrected_solve,
     defect,
     euler_solve,
-    extended_solve,
     jacobian_view,
     window_pairs,
 )
@@ -313,77 +312,6 @@ class TestAugmentedSolve:
         traj = euler_solve(gbm_field, path.subsample(512), np.array([1.0]))
         with pytest.raises(ValueError):
             jacobian_view(traj, 1)
-
-
-class TestExtendedSolve:
-    def test_driver_copy_reproduces_path(self, bm2, smooth22, uniform_partition):
-        _, path, ito, _ = bm2
-        part = uniform_partition(64)
-        sol = extended_solve(smooth22, path, ito, np.array([0.4, -0.2]), partition=part)
-        stride = path.n_intervals // 64
-        assert np.allclose(sol.x_states, path.values[::stride], rtol=0, atol=1e-12)
-
-    def test_state_block_matches_plain_corrected_solve(
-            self, bm2, smooth22, uniform_partition):
-        _, path, ito, _ = bm2
-        part = uniform_partition(64)
-        sol = extended_solve(smooth22, path, ito, np.array([0.4, -0.2]), partition=part)
-        plain = corrected_solve(smooth22, path, ito, np.array([0.4, -0.2]), partition=part)
-        assert np.allclose(sol.y_states, plain.states, rtol=0, atol=1e-12)
-
-    def test_trajectory_is_labelled_corrected(self, poly_pair):
-        _, path, area = poly_pair
-        field = VectorField.constant(np.array([[1.0, 0.0]]))
-        sol = extended_solve(field, path, area, np.array([0.0]))
-        assert sol.trajectory.scheme == "corrected"
-
-    def test_tables_on_linear_driver_are_half_squares(self):
-        """With f = 1 and x = t every table increment is (t-s)^2 / 2."""
-        poly = PolynomialPath(np.array([[0.0, 1.0]]))
-        path = poly.sample(np.linspace(0.0, 1.0, 129))
-        area = analytic_area(poly, path)
-        field = VectorField.constant(np.array([[1.0]]))
-        sol = extended_solve(field, path, area, np.array([0.0]))
-        t = path.times
-        for k, l in [(0, 128), (5, 17), (64, 100)]:
-            want = 0.5 * (t[l] - t[k]) ** 2
-            tables = sol.pair_tables(k, l)
-            for key in ("xf", "yx", "yf"):
-                assert tables[key][0, 0] == pytest.approx(want, abs=1e-10)
-
-    def test_zero_field_zeroes_fast_tables(self, poly_pair):
-        _, path, area = poly_pair
-        field = VectorField.constant(np.zeros((1, 2)))
-        sol = extended_solve(field, path, area, np.array([3.0]))
-        tables = sol.pair_tables(0, path.n_intervals)
-        assert np.array_equal(tables["xf"], np.zeros((2, 1)))
-        assert np.array_equal(tables["yf"], np.zeros((1, 1)))
-        # y never moves, so its calibrated cross table vanishes too
-        assert np.allclose(tables["yx"], np.zeros((1, 2)), rtol=0, atol=1e-15)
-
-    def test_chain_identity_residuals_are_roundoff(
-            self, bm2, smooth22, uniform_partition):
-        _, path, ito, _ = bm2
-        part = uniform_partition(128)
-        sol = extended_solve(smooth22, path, ito, np.array([0.4, -0.2]), partition=part)
-        rng = np.random.default_rng(17)
-        for _ in range(25):
-            k, m, l = np.sort(rng.choice(129, size=3, replace=False))
-            for value in sol.chain_residuals(k, m, l).values():
-                assert value <= 1e-8
-
-    def test_pair_indices_validated(self, poly_pair):
-        _, path, area = poly_pair
-        field = VectorField.constant(np.array([[1.0, 0.0]]))
-        sol = extended_solve(field, path, area, np.array([0.0]))
-        with pytest.raises(IndexError):
-            sol.pair_tables(10, 5)
-
-    def test_requires_first_derivative(self, poly_pair):
-        _, path, area = poly_pair
-        bare = VectorField(1, 2, lambda y: np.ones((1, 2)))
-        with pytest.raises(NotImplementedError):
-            extended_solve(bare, path, area, np.array([0.0]))
 
 
 class TestWindowPairs:
