@@ -483,13 +483,11 @@ def explosion_criterion(
         d = np.asarray(env.growth(r), dtype=float)
         return (a ** (1.0 - p) * d ** (p - 1.0 - beta * p)) ** (1.0 / beta)
 
-    partials = np.empty(n_oct)
-    for j in range(n_oct):
-        lo, hi = 2.0**j, 2.0 ** (j + 1)
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        partials[j] = half * float(
-            np.dot(_GAUSS_WEIGHTS, integrand(mid + half * _GAUSS_NODES))
-        )
+    # octave j is [2^j, 2^(j+1)]: midpoint 1.5 * 2^j, half-width 0.5 * 2^j, both exact
+    lo = np.ldexp(1.0, np.arange(n_oct))
+    mid, half = 1.5 * lo, 0.5 * lo
+    rows = integrand((mid[:, None] + half[:, None] * _GAUSS_NODES).ravel()).reshape(n_oct, -1)
+    partials = half * np.array([np.dot(_GAUSS_WEIGHTS, row) for row in rows])
     if np.any(~np.isfinite(partials)) or np.any(partials <= 0):
         raise ValueError("criterion integrand must be positive and finite")
 

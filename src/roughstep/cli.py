@@ -63,8 +63,8 @@ _REQUIRED = object()  # the default of a key the block must give
 
 
 def _read(block: dict, key: str, convert, default=None):
-    """``convert(block.get(key, default))``; a value it refuses (null, text, an
-    infinite int) or a non-finite float is a config error."""
+    """``convert(block.get(key, default))``; a value it refuses (null, text, a
+    fraction where an integer is read) or a non-finite float is a config error."""
     value = block.get(key, default)
     try:
         out = convert(value)
@@ -123,9 +123,27 @@ def _choice(*options):
     return convert
 
 
+def _float(value) -> float:
+    """A JSON number as a float; ``true``, text and null are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a number")
+    return float(value)
+
+
+def _int(value) -> int:
+    """A JSON integer; an integral float such as ``2.0`` reads as ``2``, a fractional
+    number, ``true``, text and null are refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("expected an integer")
+    return value
+
+
 def _fields(cls) -> dict:
     """Spec of a config dataclass: every field optional, converted to its default's type."""
-    return {f.name: (type(f.default), f.default) for f in dataclasses.fields(cls)}
+    return {f.name: ({int: _int, float: _float}[type(f.default)], f.default)
+            for f in dataclasses.fields(cls)}
 
 
 def _array(value) -> list:
@@ -139,34 +157,36 @@ def _array(value) -> list:
 def _ints(value) -> list:
     if not isinstance(value, list):
         raise TypeError("expected a list")
-    return [int(v) for v in value]
+    return [_int(v) for v in value]
 
 
 def _pairs(value):
-    """A pair policy name (or null for the window), else an (m, 2) index list."""
+    """A pair policy name (or null for the window), else a list of index pairs."""
     if value is None or isinstance(value, str):
         return value
-    return np.asarray(value, dtype=np.int64).tolist()
+    if not isinstance(value, list):
+        raise TypeError("expected a list of index pairs")
+    return [_ints(pair) for pair in value]
 
 
 _DRIVERS = {
-    "brownian": {"d": (int, 1), "level": (int, 10), "seed": (int, None),
-                 "t_end": (float, 1.0), "substeps": (int, 16),
+    "brownian": {"d": (_int, 1), "level": (_int, 10), "seed": (_int, None),
+                 "t_end": (_float, 1.0), "substeps": (_int, 16),
                  "area": (_choice("ito", "stratonovich", "none"), None)},
-    "polynomial": {"coeffs": (_array, _REQUIRED), "t_end": (float, 1.0),
-                   "samples": (int, 1025),
+    "polynomial": {"coeffs": (_array, _REQUIRED), "t_end": (_float, 1.0),
+                   "samples": (_int, 1025),
                    "area": (_choice("analytic", "degenerate", "none"), "analytic")},
-    "chain": {"alpha": (float, 0.7), "depth": (int, 4), "samples": (int, 2**14)},
+    "chain": {"alpha": (_float, 0.7), "depth": (_int, 4), "samples": (_int, 2**14)},
 }
 _DRIVER = partial(_kinded, where="driver", specs=_DRIVERS)
 _FIELD = partial(_kinded, where="field", specs={
     "scalar_linear": {},
-    "diagonal_linear": {"n": (int, _REQUIRED)},
+    "diagonal_linear": {"n": (_int, _REQUIRED)},
     "constant": {"matrix": (_array, _REQUIRED)},
 })
 _SCHEME = partial(_block, where="scheme", spec={
     "scheme": (_choice("euler", "corrected"), "euler"),
-    "explosion_threshold": (_explosion_threshold, 1e6)})
+    "explosion_threshold": (lambda v: _explosion_threshold(_float(v)), 1e6)})
 
 
 def _seed(block: dict, override, who: str) -> int:
@@ -234,8 +254,8 @@ _SYSTEM = {  # a field driven from y0 by one scheme
 @_subcommand("solve", {
     **_SYSTEM,
     "defect": (partial(_block, where="defect", spec={
-        "gamma": (float, _REQUIRED), "p": (float, _REQUIRED),
-        "pairs": (_pairs, "window"), "max_span": (int, 64),
+        "gamma": (_float, _REQUIRED), "p": (_float, _REQUIRED),
+        "pairs": (_pairs, "window"), "max_span": (_int, 64),
     }), None),
     "expect_explosion": (_choice(True, False), False),
 })
@@ -266,7 +286,7 @@ _ORACLES = {"gbm_ito": gbm_terminal_ito, "gbm_stratonovich": gbm_terminal_strato
     **_SYSTEM,
     "k_values": (_ints, _REQUIRED),
     "oracle": (_choice(*_ORACLES), "fine"),
-    "drop_coarsest": (int, 2),
+    "drop_coarsest": (_int, 2),
 })
 def _cmd_convergence(config: dict, seed_override) -> dict:
     scheme = config["scheme"]
@@ -286,8 +306,8 @@ def _cmd_convergence(config: dict, seed_override) -> dict:
 
 @_subcommand("chen-check", {
     "driver": (_DRIVER, _REQUIRED),
-    "n_triples": (int, 1000),
-    "triple_seed": (int, 0),
+    "n_triples": (_int, 1000),
+    "triple_seed": (_int, 0),
 })
 def _cmd_chen_check(config: dict, seed_override) -> dict:
     with _refused():
@@ -305,10 +325,10 @@ def _cmd_chen_check(config: dict, seed_override) -> dict:
 @_subcommand("condition21", {
     "driver": (partial(_kinded, where="driver", specs={"brownian": {
         **_DRIVERS["brownian"], "area": (_choice("ito"), "ito")}}), _REQUIRED),
-    "alpha": (float, _REQUIRED),
-    "beta": (float, _REQUIRED),
+    "alpha": (_float, _REQUIRED),
+    "beta": (_float, _REQUIRED),
     "levels": (_ints, list(range(4, 13))),
-    "window_cap": (int, 2**12),
+    "window_cap": (_int, 2**12),
 })
 def _cmd_condition21(config: dict, seed_override) -> dict:
     with _refused():
@@ -334,10 +354,10 @@ def _cmd_nonuniqueness(config: dict, seed_override) -> dict:
 
 @_subcommand("explosion", {
     "envelope": (partial(_block, where="envelope", spec={
-        k: (float, _REQUIRED) for k in ("growth_exp", "area_exp", "beta")}), _REQUIRED),
-    "p": (float, _REQUIRED),
-    "gamma": (float, None),
-    "r_max": (float, 2.0**20),
+        k: (_float, _REQUIRED) for k in ("growth_exp", "area_exp", "beta")}), _REQUIRED),
+    "p": (_float, _REQUIRED),
+    "gamma": (_float, None),
+    "r_max": (_float, 2.0**20),
     "include_driver": (_choice(True, False), True),
 })
 def _cmd_explosion(config: dict, seed_override) -> dict:
@@ -360,11 +380,11 @@ def _cmd_explosion(config: dict, seed_override) -> dict:
 
 
 @_subcommand("curve", {
-    "alpha": (float, _REQUIRED),
-    "depth": (int, _REQUIRED),
-    "n_pairs": (int, 10**4),
-    "samples": (int, 2**14),
-    "seed": (int, None),
+    "alpha": (_float, _REQUIRED),
+    "depth": (_int, _REQUIRED),
+    "n_pairs": (_int, 10**4),
+    "samples": (_int, 2**14),
+    "seed": (_int, None),
 })
 def _cmd_curve(config: dict, seed_override) -> dict:
     seed = _seed(config, seed_override, "curve band sampling")
@@ -389,44 +409,41 @@ def _cmd_curve(config: dict, seed_override) -> dict:
 # plumbing
 
 
-def _json_text(obj) -> str:
+def _json_bytes(obj) -> bytes:
     """Artifact JSON; a non-finite number is a numerical failure, never written."""
     try:
-        return json.dumps(obj, indent=1, sort_keys=True, allow_nan=False) + "\n"
+        return (json.dumps(obj, indent=1, sort_keys=True, allow_nan=False) + "\n").encode()
     except ValueError as exc:
         raise NumericsError(f"non-finite number in the results: {exc}") from exc
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """``roughstep <subcommand> --config FILE --out DIR [--seed N]``, flags in any order."""
     parser = argparse.ArgumentParser(
         prog="roughstep",
         description="Run rough-driver experiment suites from a JSON config.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _HANDLERS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True, help="JSON config file")
-        sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the seed in the config")
+    parser.add_argument("subcommand", choices=list(_HANDLERS))
+    parser.add_argument("--config", required=True, metavar="FILE", help="JSON config file")
+    parser.add_argument("--out", required=True, metavar="DIR", help="output directory")
+    parser.add_argument("--seed", type=int, metavar="N", help="override the seed in the config")
     return parser
 
 
+_PARSER = build_parser()  # after every @_subcommand, so ``choices`` names them all
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     out = Path(args.out)
     spec, handler = _HANDLERS[args.subcommand]
     try:
         config = _block(json.loads(Path(args.config).read_text()), "config", spec)
         artifacts = handler(config, args.seed)
         # serialized before the output directory exists, so a refusal leaves none
-        texts = {name: _json_text(a) for name, a in artifacts.items() if isinstance(a, dict)}
-        _json_text(config)
+        encoded = {name: _json_bytes(a) for name, a in artifacts.items() if isinstance(a, dict)}
+        _json_bytes(config)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -438,11 +455,13 @@ def main(argv=None) -> int:
     hashes = {}
     for name, artifact in sorted(artifacts.items()):
         target = out / name
-        if name in texts:
-            target.write_text(texts[name])
+        if name in encoded:
+            data = encoded[name]
+            target.write_bytes(data)
         else:
-            artifact(target)
-        hashes[name] = _sha256(target)
+            artifact(target)  # a writer is hashed from the file it wrote
+            data = target.read_bytes()
+        hashes[name] = hashlib.sha256(data).hexdigest()
     manifest = {
         "subcommand": args.subcommand,
         "version": __version__,
@@ -450,7 +469,7 @@ def main(argv=None) -> int:
         "config": config,
         "artifacts": hashes,
     }
-    (out / "manifest.json").write_text(_json_text(manifest))
+    (out / "manifest.json").write_bytes(_json_bytes(manifest))
     return 0
 
 

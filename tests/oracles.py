@@ -71,6 +71,29 @@ def power_law_verdict(area_exp: float, growth_exp: float, beta: float,
     return "diverges-trend" if q + 1.0 > -0.029 else "converges"
 
 
+def octave_criterion(growth, area_growth, beta: float, p: float,
+                     r_max: float = 2.0**20) -> tuple[np.ndarray, float, float]:
+    """Octave partials of {A^(1-p) D^(p-1-bp)}^(1/b), their sum and tail slope.
+
+    One octave [2^j, 2^(j+1)] at a time, each by 32-point Gauss-Legendre on
+    its own 32 nodes; the slope is the least-squares log2 trend of the last
+    five partials.
+    """
+    n_oct = int(math.floor(math.log2(r_max)))
+    partials = np.empty(n_oct)
+    for j in range(n_oct):
+        lo, hi = 2.0**j, 2.0 ** (j + 1)
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        r = mid + half * GAUSS_X
+        a = np.asarray(area_growth(r), dtype=float)
+        d = np.asarray(growth(r), dtype=float)
+        values = (a ** (1.0 - p) * d ** (p - 1.0 - beta * p)) ** (1.0 / beta)
+        partials[j] = half * float(np.dot(GAUSS_W, values))
+    idx = np.arange(n_oct - 5, n_oct)
+    slope = float(np.polyfit(idx, np.log2(partials[idx]), 1)[0])
+    return partials, float(np.sum(partials)), slope
+
+
 def central_jacobian(solver, y0: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Finite-difference terminal Jacobian of solver(y0) -> terminal state."""
     n = y0.size

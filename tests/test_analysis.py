@@ -382,6 +382,33 @@ class TestExplosionCriterion:
         assert report.total == pytest.approx(np.sum(report.partials), rel=1e-15)
         assert report.octaves.size == 20
 
+    @pytest.mark.parametrize("area_exp", [0.3, 0.6, 0.9, 1.2, 1.5])
+    @pytest.mark.parametrize("delta", [-0.4, -0.2, 0.0, 0.4, 0.8])
+    def test_gallery_matches_per_octave_oracle_bitwise(self, area_exp, delta):
+        env = power_law_envelope(area_exp + delta, area_exp, self.ENV["beta"])
+        self._assert_matches_oracle(env)
+
+    def test_one_dimensional_envelope_matches_per_octave_oracle_bitwise(self):
+        def vector_only(f):
+            def g(r):
+                assert isinstance(r, np.ndarray) and r.ndim == 1, r
+                return f(r)
+            return g
+
+        env = core.GrowthEnvelope(
+            growth=vector_only(lambda r: r**1.1 / (1.0 + np.log1p(r))),
+            area_growth=vector_only(lambda r: np.sqrt(r) * (2.0 + np.sin(np.log(r)))),
+            beta=self.ENV["beta"],
+        )
+        self._assert_matches_oracle(env)
+
+    def _assert_matches_oracle(self, env):
+        report = explosion_criterion(env, self.ENV["p"], self.ENV["gamma"])
+        partials, total, slope = oracles.octave_criterion(
+            env.growth, env.area_growth, env.beta, self.ENV["p"])
+        assert report.partials.tobytes() == partials.tobytes()
+        assert (report.total, report.tail_slope) == (total, slope)
+
     def test_input_validation(self):
         env = power_law_envelope(1.2, 0.4, 0.8)
         with pytest.raises(ValueError):

@@ -3,16 +3,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roughstep import cli
+from roughstep import __version__, cli
 from roughstep.cli import main
 from roughstep.drivers import ChainCurve
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _write_config(tmp_path, name, payload):
@@ -39,6 +45,9 @@ CHEN_CONFIG = {"driver": {"kind": "brownian", "d": 2, "level": 6, "seed": 42, "a
 
 CURVE_CONFIG = {"alpha": 0.7, "depth": 4, "seed": 1, "n_pairs": 50, "samples": 256}
 
+EXPLOSION_CONFIG = {"envelope": {"growth_exp": 1.2, "area_exp": 0.4, "beta": 0.8},
+                    "p": 1.5, "gamma": 1.7}
+
 CHAIN_SOLVE_CONFIG = {
     "driver": {"kind": "chain", "alpha": 0.7, "depth": 3, "samples": 257},
     "field": {"kind": "constant", "matrix": [[1.0, 0.0]]},
@@ -60,15 +69,24 @@ class TestSolve:
         assert report["fitted_constant"] > 0
 
     def test_manifest_hashes_are_correct(self, tmp_path):
-        cfg = _write_config(tmp_path, "solve.json", SOLVE_CONFIG)
-        out = tmp_path / "out"
-        main(["solve", "--config", cfg, "--out", str(out)])
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["subcommand"] == "solve"
-        assert manifest["seed_override"] is None
-        assert set(manifest["artifacts"]) == {"defect.json", "trajectory.csv"}
-        for name, digest in manifest["artifacts"].items():
-            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        # JSON artifacts are hashed from their encoded bytes, the CSV from the file
+        for i, (subcommand, config, artifacts) in enumerate([
+            ("solve", SOLVE_CONFIG, {"defect.json", "trajectory.csv"}),
+            ("explosion", EXPLOSION_CONFIG, {"explosion.json"}),
+            ("explosion", {**EXPLOSION_CONFIG, "include_driver": False}, {"explosion.json"}),
+            ("curve", CURVE_CONFIG, {"curve.json"}),
+            ("chen-check", CHEN_CONFIG, {"chen.json"}),
+        ]):
+            cfg = _write_config(tmp_path, f"config{i}.json", config)
+            out = tmp_path / f"out{i}"
+            assert main([subcommand, "--config", cfg, "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["subcommand"] == subcommand
+            assert manifest["seed_override"] is None
+            assert set(manifest["artifacts"]) == artifacts
+            assert {p.name for p in out.iterdir()} == artifacts | {"manifest.json"}
+            for name, digest in manifest["artifacts"].items():
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
     def test_config_is_resolved_with_defaults(self, tmp_path):
         cfg = _write_config(tmp_path, "solve.json", SOLVE_CONFIG)
@@ -301,6 +319,28 @@ class TestConfigErrors:
         ("condition21", {**C21_CONFIG, "driver": {**C21_CONFIG["driver"], "area": "none"}}),
         ("condition21", {**C21_CONFIG,
                          "driver": {**C21_CONFIG["driver"], "area": "stratonovich"}}),
+        ("solve", {**SOLVE_CONFIG, "field": {"kind": "diagonal_linear", "n": 1.5}}),
+        ("solve", {**SOLVE_CONFIG, "driver": {**SOLVE_CONFIG["driver"], "level": True}}),
+        ("solve", {**SOLVE_CONFIG, "driver": {**SOLVE_CONFIG["driver"], "level": "8"}}),
+        ("solve", {**SOLVE_CONFIG, "driver": {**SOLVE_CONFIG["driver"], "t_end": True}}),
+        ("solve", {**SOLVE_CONFIG, "defect": {**SOLVE_CONFIG["defect"], "max_span": 16.5}}),
+        ("solve", {**SOLVE_CONFIG, "defect": {**SOLVE_CONFIG["defect"],
+                                              "pairs": [[0, 4.5]]}}),
+        ("solve", {**SOLVE_CONFIG, "defect": {**SOLVE_CONFIG["defect"],
+                                              "pairs": [[0, True]]}}),
+        ("solve", {**SOLVE_CONFIG, "scheme": {"scheme": "corrected",
+                                              "explosion_threshold": True}}),
+        ("convergence", {
+            "driver": {"kind": "brownian", "d": 1, "level": 8, "seed": 42},
+            "field": {"kind": "scalar_linear"},
+            "y0": [1.0],
+            "k_values": [4.5, 16],
+            "oracle": "gbm_ito",
+        }),
+        ("condition21", {**C21_CONFIG, "levels": [True, 6]}),
+        ("nonuniqueness", {"exponents": {"grid": 256.5}}),
+        ("explosion", {**EXPLOSION_CONFIG, "p": True, "include_driver": False}),
+        ("curve", {**CURVE_CONFIG, "seed": True}),
     ], ids=["level-out-of-range", "nan-y0", "field-driver-mismatch", "oracle-needs-d1",
             "mesh-not-dividing-grid", "null-level", "null-alpha", "null-p", "null-matrix",
             "scheme-gamma", "scheme-p", "c21-no-levels", "c21-level-finer-than-driver",
@@ -314,7 +354,11 @@ class TestConfigErrors:
             "n-on-scalar-linear", "include-driver-text", "expect-explosion-text",
             "conv-zero-mesh", "chain-too-many-samples", "curve-too-many-samples",
             "chen-too-many-triples", "curve-too-many-pairs", "zero-beta-exp",
-            "conv-negative-drop", "c21-area-none", "c21-area-stratonovich"])
+            "conv-negative-drop", "c21-area-none", "c21-area-stratonovich",
+            "fractional-n", "boolean-level", "text-level", "boolean-t-end",
+            "fractional-max-span", "fractional-pair-index", "boolean-pair-index",
+            "boolean-threshold", "fractional-mesh", "boolean-c21-level",
+            "fractional-grid", "boolean-p", "boolean-curve-seed"])
     def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, subcommand, config):
         cfg = _write_config(tmp_path, "bad.json", config)
         out = tmp_path / "out"
@@ -341,6 +385,74 @@ class TestConfigErrors:
     def test_unknown_subcommand_exits_via_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["frobnicate", "--config", "x", "--out", "y"])
+
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        # 2.0 where an integer is read is the integer 2: same run, same manifest
+        as_float = {**SOLVE_CONFIG, "driver": {**SOLVE_CONFIG["driver"], "level": 8.0},
+                    "field": {"kind": "diagonal_linear", "n": 1.0},
+                    "defect": {**SOLVE_CONFIG["defect"], "max_span": 16.0}}
+        as_int = {**SOLVE_CONFIG, "field": {"kind": "diagonal_linear", "n": 1}}
+        outs = []
+        for name, config in (("float", as_float), ("int", as_int)):
+            outs.append(tmp_path / name)
+            cfg = _write_config(tmp_path, f"{name}.json", config)
+            assert main(["solve", "--config", cfg, "--out", str(outs[-1])]) == 0
+        manifest = json.loads((outs[0] / "manifest.json").read_text())
+        assert manifest["config"]["driver"]["level"] == 8
+        assert isinstance(manifest["config"]["driver"]["level"], int)
+        for name in ("manifest.json", "trajectory.csv", "defect.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+class TestParser:
+    @pytest.mark.parametrize("subcommand", sorted(cli._HANDLERS))
+    def test_every_subcommand_parses_its_flags(self, subcommand):
+        for argv in ([subcommand, "--config", "c.json", "--out", "o", "--seed", "7"],
+                     ["--seed", "7", "--out", "o", subcommand, "--config", "c.json"]):
+            args = cli._PARSER.parse_args(argv)
+            assert (args.subcommand, args.config, args.out, args.seed) == (
+                subcommand, "c.json", "o", 7)
+
+    def test_version_exits_0_and_prints_it(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.strip() == __version__
+
+    def test_missing_out_exits_without_output(self, tmp_path, monkeypatch):
+        cfg = _write_config(tmp_path, "curve.json", CURVE_CONFIG)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["curve", "--config", cfg])
+        assert exc.value.code != 0
+        assert [p.name for p in tmp_path.iterdir()] == ["curve.json"]
+
+    def test_no_state_leaks_between_calls(self, tmp_path):
+        cfg = _write_config(tmp_path, "curve.json", CURVE_CONFIG)
+        assert main(["curve", "--config", cfg, "--out", str(tmp_path / "a"), "--seed", "7"]) == 0
+        assert main(["curve", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        first, second = (json.loads((tmp_path / name / "manifest.json").read_text())
+                         for name in ("a", "b"))
+        assert (first["seed_override"], first["config"]["seed"]) == (7, 7)
+        assert second["seed_override"] is None
+        assert second["config"]["seed"] == CURVE_CONFIG["seed"]
+
+    def test_fresh_process_matches_in_process_run(self, tmp_path):
+        # a parser built before the subcommands registered would offer no choices
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        run = partial(subprocess.run, capture_output=True, text=True, env=env, timeout=120)
+        version = run([sys.executable, "-m", "roughstep.cli", "--version"])
+        assert version.returncode == 0 and version.stdout.strip() == __version__
+        cfg = _write_config(tmp_path, "gallery.json",
+                            {**EXPLOSION_CONFIG, "include_driver": False})
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        result = run([sys.executable, "-m", "roughstep.cli", "explosion",
+                      "--config", cfg, "--out", str(fresh)])
+        assert result.returncode == 0, result.stderr
+        assert main(["explosion", "--config", cfg, "--out", str(here)]) == 0
+        for name in ("manifest.json", "explosion.json"):
+            assert (fresh / name).read_bytes() == (here / name).read_bytes()
 
 
 class TestOtherSubcommands:
