@@ -11,6 +11,7 @@ interpretable without the code that made it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,7 +21,6 @@ from .core import (
     AreaProcess,
     DriverPath,
     GrowthEnvelope,
-    Partition,
     Trajectory,
     VectorField,
     _pair_max,
@@ -167,7 +167,7 @@ def convergence_study(
     errors = np.empty(len(ks))
     for m, k in enumerate(ks):
         stride = path.n_intervals // k
-        part = Partition(path.times[::stride])
+        part = np.arange(0, path.n_intervals + 1, stride)
         if scheme == "euler":
             traj = euler_solve(field, path, y0, part, explosion_threshold)
         else:
@@ -178,18 +178,6 @@ def convergence_study(
     n_zero = int(np.count_nonzero(~keep))
     ks_kept = np.asarray(ks)[keep]
     errs_kept = errors[keep]
-    if ks_kept.size == 0:
-        return RateReport(
-            k_values=ks_kept,
-            errors=errs_kept,
-            slope=math.nan,
-            intercept=math.nan,
-            oracle=oracle,
-            scheme=scheme,
-            exact=True,
-            n_dropped=0,
-            n_zero=n_zero,
-        )
     n_drop = min(drop_coarsest, max(0, ks_kept.size - 2))
     fit_k = ks_kept[n_drop:]
     fit_e = errs_kept[n_drop:]
@@ -204,7 +192,7 @@ def convergence_study(
         intercept=float(intercept),
         oracle=oracle,
         scheme=scheme,
-        exact=False,
+        exact=ks_kept.size == 0,
         n_dropped=n_drop,
         n_zero=n_zero,
     )
@@ -370,22 +358,19 @@ def condition21_recompute(
 def riemann_area_recovery(
     path: DriverPath,
     area: AreaProcess,
-    s: float,
-    t: float,
+    i: int,
+    j: int,
     n_list: Sequence[int],
 ) -> np.ndarray:
-    """Left-point Riemann sums over [s, t] against the stored area block.
+    """Left-point Riemann sums over the grid pair ``(times[i], times[j])`` against
+    the stored area block.
 
     The sum at resolution N is ``sum_k (x(u_k) - x(s)) (x(u_{k+1}) - x(u_k))``
-    over a uniform refinement; the error is the max-entry distance to the
-    area the process reports for the same pair.  ``s`` and ``t`` must be grid
-    times.
+    over a uniform refinement of ``[s, t] = [times[i], times[j]]``; the error is
+    the max-entry distance to ``area.pair(i, j)``, which refuses the indices
+    unless ``0 <= i <= j`` lie on the grid.
     """
-    i = _time_index(path, s)
-    j = _time_index(path, t)
-    if i > j:
-        raise ValueError("need s <= t")
-    target = area.pair(i, j)
+    target = area.pair(operator.index(i), operator.index(j))
     xs = path.values[i]
     errors = np.empty(len(n_list))
     for m, n in enumerate(n_list):
@@ -396,14 +381,6 @@ def riemann_area_recovery(
         riem = np.einsum("ki,kj->ij", xu[:-1] - xs, np.diff(xu, axis=0))
         errors[m] = float(np.max(np.abs(riem - target)))
     return errors
-
-
-def _time_index(path: DriverPath, t: float) -> int:
-    idx = int(np.argmin(np.abs(path.times - t)))
-    scale = max(abs(float(t)), float(path.times[-1] - path.times[0]))
-    if abs(path.times[idx] - t) > 1e-9 * scale:
-        raise ValueError(f"t={t} is not a grid time of the path")
-    return idx
 
 
 # ---------------------------------------------------------------------------

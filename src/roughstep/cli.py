@@ -147,8 +147,12 @@ def _fields(cls) -> dict:
 
 
 def _array(value) -> list:
-    """Nested list of finite floats."""
-    out = np.asarray(value, dtype=float)
+    """Nested list of finite floats, each entry read by :func:`_float`: ``np.asarray``
+    alone would read ``true`` as 1.0 and numeric text as its number."""
+    def floats(v):
+        return [floats(x) for x in v] if isinstance(v, list) else _float(v)
+
+    out = np.asarray(floats(value), dtype=float)
     if not np.all(np.isfinite(out)):
         raise ValueError("entries must be finite")
     return out.tolist()

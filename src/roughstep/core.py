@@ -2,9 +2,10 @@
 
 The pieces here are small and composable:
 
-* :class:`Partition` and :class:`DriverPath` describe when and where a driving
-  signal is sampled.  Off-grid values of a ``DriverPath`` are piecewise linear;
-  that is part of its contract, not an implementation detail.
+* :class:`DriverPath` describes when and where a driving signal is sampled.
+  Off-grid values are piecewise linear; that is part of its contract, not an
+  implementation detail.  A partition is an increasing integer array of grid
+  indices into it, never a float array of times.
 * :class:`ControlModulus` is a superadditive bound ``omega(s, t)`` on increment
   sizes; :func:`control_fit` produces the smallest linear one valid on a grid.
 * :class:`AreaProcess` stores second-order increments (Levy-area style) per
@@ -35,7 +36,6 @@ import numpy as np
 
 __all__ = [
     "NumericsError",
-    "Partition",
     "DriverPath",
     "ControlModulus",
     "control_fit",
@@ -57,31 +57,6 @@ def _float_array(values, name: str, ndim: int) -> np.ndarray:
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     return arr
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A strictly increasing grid of times.
-
-    Solvers step cell by cell over it.  Partitions are value objects and
-    never mutated.
-    """
-
-    times: np.ndarray
-
-    def __post_init__(self):
-        times = _float_array(self.times, "times", 1)
-        if times.size < 2:
-            raise ValueError("a partition needs at least two points")
-        if not np.all(np.diff(times) > 0):
-            raise ValueError("partition times must be strictly increasing")
-        object.__setattr__(self, "times", times)
-
-    @classmethod
-    def uniform(cls, t0: float, t1: float, n_cells: int) -> "Partition":
-        if n_cells < 1:
-            raise ValueError("n_cells must be positive")
-        return cls(np.linspace(float(t0), float(t1), n_cells + 1))
 
 
 @dataclass(frozen=True)

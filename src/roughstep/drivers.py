@@ -709,19 +709,12 @@ def _corner_chain(k: int, m: int) -> list[tuple[int, int]]:
 
 
 def _chain_capacity(k: int) -> int:
-    """Largest odd chain length feasible for *every* entry/exit geometry.
+    """Largest odd chain length the scale-band selection may use: k^2, less one if even.
 
-    The hard ceiling is k^2, the bound the scale-band selection relies on;
-    below it the binding constraint is whichever of the straight or corner
-    families saturates first.
+    The straight and corner families reach further than k^2 for every
+    k <= _K_MAX (at k = 3 they reach 11 and 13 against 9), so k^2 alone binds.
     """
-    n = 2 * k + 1
-    straight_max = n + 2 * (k // 2) * (k - 1)
-    d_max = _corner_travel_range(k)[1]
-    slots = len(range(k, 2 * k - 3 + 1, 4))
-    corner_max = max(n + 2 * (k - 1), n + 1 + d_max + 2 * slots * (k - 1))
-    cap = min(straight_max, corner_max, k * k)
-    return cap if cap % 2 else cap - 1
+    return k * k - 1 + k % 2
 
 
 def _validate_chain(squares, n: int, m: int, entry: str, exit_: str) -> None:
@@ -957,6 +950,14 @@ _RTOL = 1e-8
 _T_PAD = 1.05
 
 
+def _simpson_weights(n: int) -> np.ndarray:
+    """Composite Simpson weights 1, 4, 2, ..., 4, 1 on ``n`` (odd) equal-spaced nodes, unscaled."""
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
+
+
 def _cumulative_simpson(fn, grid: np.ndarray) -> np.ndarray:
     """Cumulative integral of ``fn`` along ``grid`` (vectorized per cell).
 
@@ -971,9 +972,7 @@ def _cumulative_simpson(fn, grid: np.ndarray) -> np.ndarray:
         offs = np.linspace(0.0, 1.0, 2 * npts + 1)
         pts = lo[:, None] + (hi - lo)[:, None] * offs[None, :]
         vals = fn(pts.ravel()).reshape(pts.shape)
-        weights = np.ones(2 * npts + 1)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
+        weights = _simpson_weights(2 * npts + 1)
         cells = (hi - lo) / (6.0 * npts) * (vals * weights[None, :]).sum(axis=1)
         if prev is not None:
             err = np.max(np.abs(cells - prev))
@@ -1007,7 +1006,7 @@ def power_law_envelope(growth_exp: float, area_exp: float, beta: float) -> Growt
 
 @dataclass
 class ProcessedEnvelope:
-    """Homogenized and mollified envelope data shared by driver and criterion.
+    """Homogenized and mollified envelope data of the blow-up driver.
 
     ``dstar``/``astar`` interpolate log-log tables, which is exact for
     power-law inputs.  ``integrand(y)`` is the blow-up time density
@@ -1058,10 +1057,7 @@ def _mollifier_weights():
     u = np.linspace(1.0, 2.0, _MOLLIFIER_NODES)
     w = np.exp(-1.0 / np.maximum(1.0 - (2.0 * u - 3.0) ** 2, 1e-12))
     w[0] = w[-1] = 0.0
-    simps = np.ones(_MOLLIFIER_NODES)
-    simps[1:-1:2] = 4.0
-    simps[2:-1:2] = 2.0
-    simps *= (u[1] - u[0]) / 3.0
+    simps = _simpson_weights(_MOLLIFIER_NODES) * ((u[1] - u[0]) / 3.0)
     mass = float(np.sum(w * simps))
     return u, w * simps / mass
 

@@ -27,7 +27,6 @@ from .core import (
     DefectReport,
     DriverPath,
     NumericsError,
-    Partition,
     Trajectory,
     VectorField,
     _correction_tensor,
@@ -92,33 +91,28 @@ def _check_fit(field: VectorField, path: DriverPath, y0, area: AreaProcess | Non
     return y
 
 
-def _grid_indices(path: DriverPath, partition: Partition | None) -> np.ndarray:
-    """Map partition times onto fine-grid indices.
+def _grid_indices(path: DriverPath, partition: np.ndarray | None) -> np.ndarray:
+    """The partition's driver-grid indices, every grid point when ``partition`` is None.
 
-    Partition points must be members of the driver grid (up to 1e-12 relative
-    slack, to absorb float construction differences); anything else is a user
-    error, not something to interpolate over silently.
+    A partition is an increasing integer array of at least two indices into
+    the driver grid; float times are refused, not searched for on the grid.
     """
     if partition is None:
         return np.arange(path.times.size)
-    pts = partition.times
-    idx = np.searchsorted(path.times, pts)
-    idx = np.clip(idx, 0, path.times.size - 1)
-    # searchsorted returns the left insertion point; the true neighbor can sit
-    # one slot earlier when pts[k] is a hair below a grid time.
-    left = np.clip(idx - 1, 0, path.times.size - 1)
-    take_left = np.abs(path.times[left] - pts) < np.abs(path.times[idx] - pts)
-    idx = np.where(take_left, left, idx)
-    scale = max(1.0, float(np.max(np.abs(path.times))))
-    off = np.abs(path.times[idx] - pts) > 1e-12 * scale
-    if np.any(off):
-        raise ValueError(f"partition point {pts[off][0]!r} is not on the driver grid")
+    idx = np.asarray(partition)
+    if idx.dtype.kind not in "iu":
+        raise TypeError(f"a partition is integer grid indices, not {idx.dtype} times")
+    idx = idx.astype(np.intp, copy=False)
+    if idx.ndim != 1 or idx.size < 2:
+        raise ValueError("a partition needs at least two grid indices")
     if np.any(np.diff(idx) <= 0):
-        raise ValueError("partition maps to non-increasing grid indices")
+        raise ValueError("partition indices must be strictly increasing")
+    if idx[0] < 0 or idx[-1] > path.n_intervals:
+        raise ValueError(f"partition indices must lie in [0, {path.n_intervals}]")
     return idx
 
 
-def _cells(path: DriverPath, partition: Partition | None, area: AreaProcess | None):
+def _cells(path: DriverPath, partition: np.ndarray | None, area: AreaProcess | None):
     """Grid indices of the partition, each cell's increment and, given an area, its area."""
     idx = _grid_indices(path, partition)
     x = path.values[idx]
@@ -179,7 +173,7 @@ def euler_solve(
     field: VectorField,
     path: DriverPath,
     y0,
-    partition: Partition | None = None,
+    partition: np.ndarray | None = None,
     explosion_threshold: float = 1e6,
 ) -> Trajectory:
     """First-order scheme: y += f(y) dx per cell, stopped once ``|y|`` exceeds
@@ -192,7 +186,7 @@ def corrected_solve(
     path: DriverPath,
     area: AreaProcess,
     y0,
-    partition: Partition | None = None,
+    partition: np.ndarray | None = None,
     explosion_threshold: float = 1e6,
 ) -> Trajectory:
     """Second-order scheme: y += f(y) dx + G(y) : A per cell.
@@ -212,7 +206,7 @@ def augmented_solve(
     y0,
     scheme: str = "euler",
     area: AreaProcess | None = None,
-    partition: Partition | None = None,
+    partition: np.ndarray | None = None,
     explosion_threshold: float = 1e6,
     z0=None,
 ) -> Trajectory:
@@ -325,6 +319,7 @@ def defect(
     ``y_t - y_s - f(y_s) (x_t - x_s)``; for ``trajectory.scheme == "corrected"``
     the area term is subtracted too.  Magnitudes are componentwise sup norms,
     compared to ``omega(s, t)^(gamma / p)``; the fitted constant is the max ratio.
+    ``trajectory.times`` must be driver grid times exactly, as every solver here gives.
 
     Args:
         pairs: ``None`` or ``"window"`` for all pairs up to ``max_span``
@@ -336,7 +331,10 @@ def defect(
             points when omitted.
     """
     _check_fit(field, path, trajectory.states[0], area)
-    idx = _grid_indices(path, Partition(trajectory.times))
+    idx = np.minimum(np.searchsorted(path.times, trajectory.times), path.n_intervals)
+    if not np.array_equal(path.times[idx], trajectory.times):
+        raise ValueError("trajectory times are not driver grid times")
+    idx = _grid_indices(path, idx)
     corrected = trajectory.scheme == "corrected"
     pair_arr, policy = _defect_pairs(idx.size, gamma, p, corrected, area, pairs, max_span)
     x = path.values[idx]

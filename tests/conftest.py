@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from roughstep.core import Partition, VectorField
+from roughstep.core import VectorField
 from roughstep.drivers import (
     BrownianConfig,
     ChainCurve,
@@ -113,7 +113,8 @@ def chain6():
 
 @pytest.fixture
 def uniform_partition():
-    def make(n, t_end=1.0):
-        return Partition.uniform(0.0, t_end, n)
+    """Grid indices of ``n`` equal cells of a driver path."""
+    def make(path, n):
+        return np.arange(0, path.n_intervals + 1, path.n_intervals // n)
 
     return make

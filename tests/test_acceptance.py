@@ -33,7 +33,7 @@ from roughstep.analysis import (
     nonuniqueness_demo,
 )
 from roughstep.cli import main
-from roughstep.core import Partition, VectorField, control_fit
+from roughstep.core import VectorField, control_fit
 from roughstep.drivers import (
     BrownianConfig,
     PolynomialPath,
@@ -251,7 +251,7 @@ def test_criterion_05_defect_constant_mesh_stability(bm1, gbm_field):
     traj = None
     for k in (2**10, 2**11):
         stride = path.n_intervals // k
-        part = Partition(path.times[::stride])
+        part = np.arange(0, path.n_intervals + 1, stride)
         traj = corrected_solve(gbm_field, path, area, y0, partition=part)
         report = defect(
             traj, gbm_field, path, gamma=3.0, p=2.0, area=area,

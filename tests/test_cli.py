@@ -341,6 +341,13 @@ class TestConfigErrors:
         ("nonuniqueness", {"exponents": {"grid": 256.5}}),
         ("explosion", {**EXPLOSION_CONFIG, "p": True, "include_driver": False}),
         ("curve", {**CURVE_CONFIG, "seed": True}),
+        ("solve", {**SOLVE_CONFIG, "y0": [True]}),
+        ("solve", {**SOLVE_CONFIG, "field": {"kind": "constant", "matrix": [[True]]}}),
+        ("solve", {**SOLVE_CONFIG, "field": {"kind": "constant", "matrix": [[1.0], [1.0]]},
+                   "y0": [True, 0.5]}),
+        ("solve", {**SOLVE_CONFIG, "driver": {"kind": "polynomial",
+                                              "coeffs": [[0.0, True, 0.5]]}}),
+        ("solve", {**SOLVE_CONFIG, "y0": ["1.0"]}),
     ], ids=["level-out-of-range", "nan-y0", "field-driver-mismatch", "oracle-needs-d1",
             "mesh-not-dividing-grid", "null-level", "null-alpha", "null-p", "null-matrix",
             "scheme-gamma", "scheme-p", "c21-no-levels", "c21-level-finer-than-driver",
@@ -358,7 +365,8 @@ class TestConfigErrors:
             "fractional-n", "boolean-level", "text-level", "boolean-t-end",
             "fractional-max-span", "fractional-pair-index", "boolean-pair-index",
             "boolean-threshold", "fractional-mesh", "boolean-c21-level",
-            "fractional-grid", "boolean-p", "boolean-curve-seed"])
+            "fractional-grid", "boolean-p", "boolean-curve-seed", "boolean-y0",
+            "boolean-matrix", "boolean-in-mixed-y0", "boolean-coeffs", "text-y0"])
     def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, subcommand, config):
         cfg = _write_config(tmp_path, "bad.json", config)
         out = tmp_path / "out"

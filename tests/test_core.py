@@ -15,7 +15,6 @@ from roughstep.core import (
     ControlModulus,
     DriverPath,
     GrowthEnvelope,
-    Partition,
     Trajectory,
     VectorField,
     chen_combine,
@@ -27,18 +26,6 @@ from roughstep.drivers import (
     example1_field,
     example2_modified_field,
 )
-
-
-class TestPartition:
-    def test_uniform_endpoints_and_count(self):
-        part = Partition.uniform(0.0, 2.0, 8)
-        assert part.times.size == 9
-        assert part.times[0] == 0.0 and part.times[-1] == 2.0
-
-    @pytest.mark.parametrize("times", [[0.0], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
-    def test_rejects_degenerate_grids(self, times):
-        with pytest.raises(ValueError):
-            Partition(np.asarray(times))
 
 
 class TestDriverPath:

@@ -35,7 +35,13 @@ from roughstep.drivers import (
     save_driver,
     stratonovich_area,
 )
-from roughstep.drivers import _chain_with_sides, _mollifier_weights
+from roughstep.drivers import (
+    _K_MAX,
+    _chain_capacity,
+    _chain_table,
+    _chain_with_sides,
+    _mollifier_weights,
+)
 
 
 class TestBrownianPath:
@@ -315,6 +321,14 @@ class TestChainCurve:
     def test_level_selection_golden(self, chain6):
         assert chain6.levels == [(3, 9), (3, 9), (5, 25), (6, 35), (7, 49), (6, 35)]
         assert chain6.total_cells == 121550625
+
+    @pytest.mark.parametrize("k", range(3, _K_MAX + 1))
+    def test_chain_at_capacity_builds_in_every_orientation(self, k):
+        """The selection may pick m = _chain_capacity(k); every orientation must exist."""
+        m = _chain_capacity(k)
+        assert m % 2 == 1 and k * k - 2 < m <= k * k
+        squares, _ = _chain_table(k, m)
+        assert squares.shape == (16, m, 2)
 
     def test_traverses_left_to_right(self, chain6):
         start, end = chain6.eval(0.0), chain6.eval(1.0)

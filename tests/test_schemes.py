@@ -15,7 +15,6 @@ from roughstep.core import (
     ControlModulus,
     DriverPath,
     NumericsError,
-    Partition,
     Trajectory,
     VectorField,
 )
@@ -141,7 +140,7 @@ class TestEulerSolve:
 
     def test_partition_restricts_steps(self, bm1, gbm_field, uniform_partition):
         _, path, _ = bm1
-        part = uniform_partition(16)
+        part = uniform_partition(path, 16)
         traj = euler_solve(gbm_field, path, np.array([1.0]), partition=part)
         assert traj.times.size == 17
         stride = path.n_intervals // 16
@@ -153,8 +152,23 @@ class TestEulerSolve:
 
     def test_partition_must_lie_on_grid(self, bm1, gbm_field):
         _, path, _ = bm1
-        part = Partition(np.array([0.0, 0.3333, 1.0]))
-        with pytest.raises(ValueError):
+        for part in ([0, 2048, path.n_intervals + 1], [-1, 2048, path.n_intervals]):
+            with pytest.raises(ValueError, match="must lie in"):
+                euler_solve(gbm_field, path, np.array([1.0]), partition=np.array(part))
+
+    @pytest.mark.parametrize("part, error, match", [
+        (np.linspace(0.0, 1.0, 17), TypeError, "integer grid indices, not float64 times"),
+        (np.array([0]), ValueError, "at least two"),
+        (np.array([[0, 16]]), ValueError, "at least two"),
+        (np.array([0, 16, 16]), ValueError, "strictly increasing"),
+        (np.array([0, 32, 16]), ValueError, "strictly increasing"),
+        (np.array([0, 32, 16], dtype=np.uint64), ValueError, "strictly increasing"),
+    ], ids=["float-times", "single", "two-dimensional", "repeated", "decreasing",
+            "decreasing-unsigned"])
+    def test_malformed_partition_refused(self, bm1, gbm_field, part, error, match):
+        """Float times are refused even when they are grid times: none is searched for."""
+        _, path, _ = bm1
+        with pytest.raises(error, match=match):
             euler_solve(gbm_field, path, np.array([1.0]), partition=part)
 
     def test_initial_state_dimension_checked(self, bm1, gbm_field):
@@ -214,7 +228,7 @@ class TestCorrectedSolve:
 
     def test_tracks_exponential_solution(self, bm1, gbm_field, uniform_partition):
         _, path, area = bm1
-        part = uniform_partition(256)
+        part = uniform_partition(path, 256)
         traj = corrected_solve(gbm_field, path, area, np.array([1.0]), partition=part)
         w_end = path.values[-1, 0]
         assert traj.states[-1, 0] == pytest.approx(
@@ -265,7 +279,7 @@ class TestAugmentedSolve:
     def test_corrected_sensitivity_matches_finite_differences(
             self, bm2, smooth22, uniform_partition):
         _, path, ito, _ = bm2
-        part = uniform_partition(128)
+        part = uniform_partition(path, 128)
         y0 = np.array([0.4, -0.2])
         traj = augmented_solve(smooth22, path, y0, scheme="corrected",
                                area=ito, partition=part)
@@ -297,7 +311,7 @@ class TestAugmentedSolve:
     def test_state_block_equals_plain_solve_bitwise(
             self, bm2, smooth22, uniform_partition, scheme):
         _, path, ito, _ = bm2
-        part = uniform_partition(64)
+        part = uniform_partition(path, 64)
         y0 = np.array([0.4, -0.2])
         aug = augmented_solve(smooth22, path, y0, scheme=scheme, area=ito, partition=part)
         if scheme == "euler":
@@ -349,7 +363,7 @@ class TestDefect:
     def test_adjacent_corrected_defect_is_exactly_zero(self, bm2, smooth22,
                                                        uniform_partition):
         _, path, ito, _ = bm2
-        part = uniform_partition(64)
+        part = uniform_partition(path, 64)
         traj = corrected_solve(smooth22, path, ito, np.array([0.4, -0.2]),
                                partition=part)
         report = defect(traj, smooth22, path, gamma=1.5, p=2.5, area=ito,
@@ -388,7 +402,7 @@ class TestDefect:
             self, poly_pair, mats, interior, y0):
         _, path, area = poly_pair
         field = _linear_field_d(mats)
-        part = Partition(path.times[[0, *sorted(interior), 512]])
+        part = np.array([0, *sorted(interior), 512])
         for traj, used_area in [
             (euler_solve(field, path, y0, partition=part), None),
             (corrected_solve(field, path, area, y0, partition=part), area),
@@ -403,7 +417,7 @@ class TestDefect:
         # second cell, so both must take the C-ordered coefficients
         _, path, area = poly_pair
         field = _linear_field_d(np.full((2, 2, 2), 1.25))
-        part = Partition(path.times[[0, 5, 512]])
+        part = np.array([0, 5, 512])
         y0 = np.array([1.0, 1.0])
         for traj, used_area in [
             (euler_solve(field, path, y0, partition=part), None),
@@ -423,7 +437,7 @@ class TestDefect:
         mats = data.draw(hnp.arrays(float, (d, n, n), elements=st.floats(-1.5, 1.5)))
         y0 = data.draw(hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)))
         field = _tanh_field(mats, layout)
-        part = Partition(path.times[[0, *sorted(interior), 32]])
+        part = np.array([0, *sorted(interior), 32])
         if scheme == "corrected":
             traj, used_area = corrected_solve(field, path, area, y0, partition=part), area
         else:
@@ -469,7 +483,7 @@ class TestDefect:
     def test_field_must_fit_the_trajectory(self, bm2, smooth22, uniform_partition):
         _, path, _, _ = bm2
         aug = augmented_solve(smooth22, path, np.array([0.4, -0.2]),
-                              partition=uniform_partition(16))
+                              partition=uniform_partition(path, 16))
         with pytest.raises(ValueError, match="state has dimension 6, field expects 2"):
             defect(aug, smooth22, path, gamma=1.5, p=2.5)
 
@@ -499,9 +513,20 @@ class TestDefect:
         assert again.control is modulus
         assert np.array_equal(own.magnitudes, again.magnitudes)
 
+    @pytest.mark.parametrize("move", ["shifted", "stretched"])
+    def test_trajectory_off_the_driver_grid_refused(self, bm1, gbm_field, move):
+        """Times must equal grid times exactly; a 1e-13 shift is no longer absorbed."""
+        _, path, _ = bm1
+        sub = path.subsample(64)
+        traj = euler_solve(gbm_field, sub, np.array([1.0]))
+        times = traj.times + 1e-13 if move == "shifted" else 2.0 * traj.times
+        with pytest.raises(ValueError, match="trajectory times are not driver grid times"):
+            defect(Trajectory(times, traj.states, traj.scheme), gbm_field, sub,
+                   gamma=1.5, p=2.5)
+
     def test_corrected_scheme_requires_area(self, bm2, smooth22, uniform_partition):
         _, path, ito, _ = bm2
-        part = uniform_partition(32)
+        part = uniform_partition(path, 32)
         traj = corrected_solve(smooth22, path, ito, np.zeros(2), partition=part)
         with pytest.raises(ValueError):
             defect(traj, smooth22, path, gamma=1.5, p=2.5)
