@@ -447,7 +447,6 @@ def main(argv=None) -> int:
         artifacts = handler(config, args.seed)
         # serialized before the output directory exists, so a refusal leaves none
         encoded = {name: _json_bytes(a) for name, a in artifacts.items() if isinstance(a, dict)}
-        _json_bytes(config)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

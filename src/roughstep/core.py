@@ -340,9 +340,12 @@ class AreaProcess:
 
         Each area is ``P[j] - P[i] - (x_i - x_0) (x) (x_j - x_i)`` from the
         prefix table; adjacent pairs take a copy of their stored block and
-        ``i == j`` gives zeros.
+        ``i == j`` gives zeros.  Float and boolean indices are refused.
         """
-        i, j = (np.asarray(v, dtype=np.intp).reshape(-1) for v in (i, j))
+        i, j = (np.asarray(v).reshape(-1) for v in (i, j))
+        if any(v.size and v.dtype.kind not in "iu" for v in (i, j)):
+            raise TypeError(f"grid indices are integers, not {i.dtype} and {j.dtype}")
+        i, j = i.astype(np.intp, copy=False), j.astype(np.intp, copy=False)
         bad = (i < 0) | (i > j) | (j > self.n_intervals)
         if np.any(bad):
             m = np.argmax(bad)

@@ -21,6 +21,7 @@ substreams so each ingredient is reproducible independently of call order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -487,24 +488,16 @@ def example2_modified_field(base: VectorField, rho_exp: float) -> VectorField:
 # Nested-chain curve with prescribed Holder exponent
 
 
-_SIDE_MIDDLE = {
-    "L": lambda n: (0, n // 2),
-    "R": lambda n: (n - 1, n // 2),
-    "B": lambda n: (n // 2, 0),
-    "T": lambda n: (n // 2, n - 1),
-}
-
-# The eight square symmetries as ((col, row) action, side relabeling).
-_TRANSFORMS = [
-    (lambda c, r, N: (c, r), {"L": "L", "R": "R", "T": "T", "B": "B"}),
-    (lambda c, r, N: (N - r, c), {"L": "B", "R": "T", "T": "L", "B": "R"}),
-    (lambda c, r, N: (N - c, N - r), {"L": "R", "R": "L", "T": "B", "B": "T"}),
-    (lambda c, r, N: (r, N - c), {"L": "T", "R": "B", "T": "R", "B": "L"}),
-    (lambda c, r, N: (N - c, r), {"L": "R", "R": "L", "T": "T", "B": "B"}),
-    (lambda c, r, N: (c, N - r), {"L": "L", "R": "R", "T": "B", "B": "T"}),
-    (lambda c, r, N: (r, c), {"L": "B", "R": "T", "T": "R", "B": "L"}),
-    (lambda c, r, N: (N - r, N - c), {"L": "T", "R": "B", "T": "L", "B": "R"}),
-]
+# A side is its outward unit step, in _SIDES order; a chain orientation is the
+# state 4 * entry + exit.  The eight square symmetries act on those steps and
+# on (col, row) squares centred at (k, k); the orientation search tries them
+# in this order, so the identity wins for the straight (L, R) pair.
+_SIDES = "LRBT"
+_SIDE_STEP = np.array([[-1, 0], [1, 0], [0, -1], [0, 1]])
+_SYMMETRIES = np.array([
+    [[1, 0], [0, 1]], [[0, -1], [1, 0]], [[-1, 0], [0, -1]], [[0, 1], [-1, 0]],
+    [[-1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1], [-1, 0]],
+])
 
 
 def _straight_targets(k: int, extra: int) -> list[int]:
@@ -547,11 +540,7 @@ def _serpentine(start: int, targets) -> list[tuple[int, int]]:
 def _straight_chain(k: int, m: int) -> list[tuple[int, int]]:
     """Canonical left-to-right chain of odd length m in the (2k+1)-grid."""
     n = 2 * k + 1
-    squares = _serpentine(k, _straight_targets(k, m - n))
-    squares.append((n - 1, k))
-    if len(squares) != m:
-        raise AssertionError(f"straight chain built {len(squares)} squares, wanted {m}")
-    return squares
+    return _serpentine(k, _straight_targets(k, m - n)) + [(n - 1, k)]
 
 
 def _corner_leg_bounds(k: int) -> list[tuple[int, int]]:
@@ -571,73 +560,41 @@ def _corner_suffix(k: int) -> list[dict]:
     ``suffix[i][row]`` is the (min, max) total vertical travel of legs
     i..v-1 starting from ``row``, or None when infeasible; legs must end on
     row k-1 beside the climb column, and a leg from a to b is admissible
-    when the swept interval fits the leg's bounds.  All values between min
-    and max with min's parity are achievable.
+    when the swept interval fits the leg's bounds, that is when both ends
+    do.  All values between min and max with min's parity are achievable.
     """
     v = k // 2
     bounds = _corner_leg_bounds(k)
-    target = k - 1
     rows = range(1, 2 * k)
-    suffix: list[dict] = [dict() for _ in range(v + 1)]
-    suffix[v] = {r: ((0, 0) if r == target else None) for r in rows}
+    suffix: list[dict] = [dict() for _ in range(v)]
+    suffix.append({r: ((0, 0) if r == k - 1 else None) for r in rows})
     for i in range(v - 1, -1, -1):
         blo, bhi = bounds[i]
+        ends = [(e, nxt) for e in range(blo, bhi + 1) if (nxt := suffix[i + 1][e])]
         for r in rows:
-            best = None
-            for e in range(blo, bhi + 1):
-                if not (blo <= min(r, e) and max(r, e) <= bhi):
-                    continue
-                nxt = suffix[i + 1].get(e)
-                if nxt is None:
-                    continue
-                step = abs(r - e)
-                lo, hi = step + nxt[0], step + nxt[1]
-                best = (
-                    (lo, hi) if best is None else (min(best[0], lo), max(best[1], hi))
-                )
-            suffix[i][r] = best
+            reach = [(abs(r - e) + lo, abs(r - e) + hi) for e, (lo, hi) in ends]
+            suffix[i][r] = ((min(lo for lo, _ in reach), max(hi for _, hi in reach))
+                            if reach and blo <= r <= bhi else None)
     return suffix
 
 
-def _corner_travel_range(k: int) -> tuple[int, int]:
-    """Min and max total vertical travel of the corner serpentine legs."""
-    rng = _corner_suffix(k)[0].get(k)
-    if rng is None:
-        raise AssertionError(f"corner serpentine has no legs at k={k}")
-    return rng
-
-
-def _corner_legs(k: int, d: int) -> list[int]:
+def _corner_legs(k: int, d: int, suffix: list[dict]) -> list[int]:
     """Run endpoint rows consuming exactly d squares of vertical travel.
 
     Greedy forward construction: each leg takes the largest admissible swing
-    that leaves the remaining travel achievable by the suffix table.
+    that leaves the remaining travel achievable by ``_corner_suffix(k)``.
     """
-    v = k // 2
-    bounds = _corner_leg_bounds(k)
-    suffix = _corner_suffix(k)
     cur, rem = k, d
     legs = []
-    for i in range(v):
-        blo, bhi = bounds[i]
-        chosen = None
+    for i, (blo, bhi) in enumerate(_corner_leg_bounds(k)):
         for e in sorted(range(blo, bhi + 1), key=lambda e: -abs(e - cur)):
-            if not (blo <= min(cur, e) and max(cur, e) <= bhi):
-                continue
-            nxt = suffix[i + 1].get(e)
-            if nxt is None:
-                continue
-            left = rem - abs(cur - e)
-            if nxt[0] <= left <= nxt[1] and (left - nxt[0]) % 2 == 0:
-                chosen = e
+            nxt, left = suffix[i + 1][e], rem - abs(cur - e)
+            if blo <= cur <= bhi and nxt and nxt[0] <= left <= nxt[1] and (left - nxt[0]) % 2 == 0:
                 break
-        if chosen is None:
+        else:
             raise ValueError(f"no corner leg assignment for k={k}, d={d}")
-        legs.append(chosen)
-        rem -= abs(cur - chosen)
-        cur = chosen
-    if rem:
-        raise AssertionError("corner legs left unconsumed travel")
+        legs.append(e)
+        cur, rem = e, left
     return legs
 
 
@@ -649,7 +606,8 @@ def _corner_serpentine(k: int, m: int) -> list[tuple[int, int]]:
     the requested length.
     """
     n = 2 * k + 1
-    d_min, d_max = _corner_travel_range(k)
+    suffix = _corner_suffix(k)
+    d_min, d_max = suffix[0][k]  # total vertical travel of the serpentine legs
     slots = list(range(k, 2 * k - 3 + 1, 4))
     detour_cap = 2 * len(slots) * (k - 1)
     if not (n + 1 + d_min <= m <= n + 1 + d_max + detour_cap):
@@ -657,7 +615,7 @@ def _corner_serpentine(k: int, m: int) -> list[tuple[int, int]]:
     need = m - (n + 1)  # always odd: m and n are odd
     d = min(d_max, need)
     detour = need - d
-    squares = _serpentine(k, _corner_legs(k, d))
+    squares = _serpentine(k, _corner_legs(k, d, suffix))
     if k % 2 == 1:
         squares.append((k - 1, k - 1))
     # climb with optional detours
@@ -668,8 +626,6 @@ def _corner_serpentine(k: int, m: int) -> list[tuple[int, int]]:
         if take:
             detour_per_slot[r] = take
             rem_det -= take
-    if rem_det:
-        raise AssertionError("detour bookkeeping failed")
     r = k - 1
     while r <= n - 1:
         squares.append((k, r))
@@ -683,27 +639,19 @@ def _corner_serpentine(k: int, m: int) -> list[tuple[int, int]]:
             r += 2  # the (k, r+2) square is appended by the loop head
             continue
         r += 1
-    if len(squares) != m:
-        raise AssertionError(f"corner serpentine built {len(squares)} squares, wanted {m}")
     return squares
 
 
 def _corner_chain(k: int, m: int) -> list[tuple[int, int]]:
     """Canonical left-to-top chain of odd length m."""
     n = 2 * k + 1
-    if m == n:
-        squares = [(c, k) for c in range(k + 1)]
-        squares += [(k, r) for r in range(k + 1, n)]
-        return squares
     j = (m - n) // 2
     if m <= n + 2 * (k - 1):
-        # dropped-L: dip j rows below the middle before turning
+        # dropped-L: dip j rows below the middle before turning (the L at j = 0)
         squares = [(0, k), (1, k)]
         squares += [(1, k - i) for i in range(1, j + 1)]
         squares += [(c, k - j) for c in range(2, k + 1)]
         squares += [(k, r) for r in range(k - j + 1, n)]
-        if len(squares) != m:
-            raise AssertionError("dropped-L length mismatch")
         return squares
     return _corner_serpentine(k, m)
 
@@ -717,68 +665,48 @@ def _chain_capacity(k: int) -> int:
     return k * k - 1 + k % 2
 
 
-def _validate_chain(squares, n: int, m: int, entry: str, exit_: str) -> None:
+def _side_of(steps: np.ndarray) -> np.ndarray:
+    """Index in _SIDES of each unit step: the side it leaves a square through."""
+    return np.argmax(steps @ _SIDE_STEP.T, axis=-1)
+
+
+def _validate_chain(squares: np.ndarray, k: int, m: int, entry: int, exit_: int) -> None:
     """Assert the geometric chain contract; raises AssertionError on breach."""
-    assert len(squares) == m, f"length {len(squares)} != {m}"
-    assert len(set(squares)) == m, "chain revisits a square"
-    first, last = squares[0], squares[-1]
-    assert first == _SIDE_MIDDLE[entry](n), f"bad entry square {first}"
-    assert last == _SIDE_MIDDLE[exit_](n), f"bad exit square {last}"
-    for i, (c, r) in enumerate(squares):
-        assert 0 <= c < n and 0 <= r < n, "square outside the grid"
-        if i not in (0, m - 1):
-            assert 1 <= c <= n - 2 and 1 <= r <= n - 2, (
-                f"interior square {squares[i]} touches the boundary"
-            )
-    for i in range(m - 1):
-        dc = abs(squares[i][0] - squares[i + 1][0])
-        dr = abs(squares[i][1] - squares[i + 1][1])
-        assert dc + dr == 1, f"squares {i},{i + 1} not side-adjacent"
-    for i in range(m):
-        for j in range(i + 2, m):
-            dc = abs(squares[i][0] - squares[j][0])
-            dr = abs(squares[i][1] - squares[j][1])
-            if j - i == 2:
-                assert dc + dr >= 2, f"squares {i},{j} touch along a side"
-            else:
-                assert max(dc, dr) >= 2, f"squares {i},{j} too close (gap {j - i})"
-
-
-def _chain_with_sides(k: int, m: int, entry: str, exit_: str):
-    """Oriented chain plus per-square (entry, exit) side labels."""
     n = 2 * k + 1
-    opposite = {"L": "R", "R": "L", "T": "B", "B": "T"}
-    if exit_ == opposite[entry]:
-        base = _straight_chain(k, m)
-        canon = ("L", "R")
-    else:
-        base = _corner_chain(k, m)
-        canon = ("L", "T")
-    for action, relabel in _TRANSFORMS:
-        if relabel[canon[0]] == entry and relabel[canon[1]] == exit_:
-            squares = [action(c, r, n - 1) for c, r in base]
-            break
-    else:  # pragma: no cover - the transform table is exhaustive
-        raise AssertionError(f"no symmetry maps {canon} to {(entry, exit_)}")
-    _validate_chain(squares, n, m, entry, exit_)
-    step_side = {(1, 0): ("R", "L"), (-1, 0): ("L", "R"), (0, 1): ("T", "B"), (0, -1): ("B", "T")}
-    entries = [entry]
-    exits = []
-    for i in range(m - 1):
-        dc = squares[i + 1][0] - squares[i][0]
-        dr = squares[i + 1][1] - squares[i][1]
-        out_side, in_side = step_side[(dc, dr)]
-        exits.append(out_side)
-        entries.append(in_side)
-    exits.append(exit_)
-    return squares, entries, exits
+    assert len(squares) == m, f"length {len(squares)} != {m}"
+    assert np.array_equal(squares[0], k + k * _SIDE_STEP[entry]), f"bad entry {squares[0]}"
+    assert np.array_equal(squares[-1], k + k * _SIDE_STEP[exit_]), f"bad exit {squares[-1]}"
+    assert np.all((squares >= 0) & (squares < n)), "square outside the grid"
+    assert np.all((squares[1:-1] >= 1) & (squares[1:-1] <= n - 2)), (
+        "interior square touches the boundary")
+    assert np.all(np.abs(np.diff(squares, axis=0)).sum(axis=1) == 1), "squares not side-adjacent"
+    # gap 2 may share a corner, never a side; larger gaps may not even touch
+    i, j = np.triu_indices(m, 2)
+    dist = np.abs(squares[i] - squares[j])
+    apart = np.where(j - i == 2, dist.sum(axis=1) >= 2, dist.max(axis=1) >= 2)
+    assert np.all(apart), f"squares {i[~apart][:1]},{j[~apart][:1]} too close"
 
 
-# The largest sub-grid half-width k a level may use; the sides, whose indices
-# make a chain orientation the state 4 * entry + exit; and the query pairs
+def _chain_with_sides(k: int, m: int, entry: int, exit_: int):
+    """Oriented chain squares plus per-square entry and exit side indices.
+
+    The base chain runs L to R (straight) or L to T (corner); the first of
+    _SYMMETRIES carrying its end steps onto ``entry``, ``exit_`` orients it.
+    """
+    straight = _SIDE_STEP[entry] @ _SIDE_STEP[exit_] == -1
+    base = np.array(_straight_chain(k, m) if straight else _corner_chain(k, m))
+    images = _SYMMETRIES @ _SIDE_STEP[[0, 1 if straight else 3]].T  # (8, 2, 2) column steps
+    sym = _SYMMETRIES[np.flatnonzero(np.all(images == _SIDE_STEP[[entry, exit_]].T,
+                                            axis=(1, 2)))[0]]
+    squares = (base - k) @ sym.T + k
+    _validate_chain(squares, k, m, entry, exit_)
+    steps = np.diff(squares, axis=0)
+    return squares, np.append(entry, _side_of(-steps)), np.append(_side_of(steps), exit_)
+
+
+# The largest sub-grid half-width k a level may use, and the query pairs
 # ChainCurve.band_stats evaluates per array pass.
 _K_MAX = 12
-_SIDES = "LRBT"
 _BAND_BLOCK = 4096
 
 
@@ -813,20 +741,22 @@ def _select_levels(alpha: float, depth: int):
     return levels
 
 
+@functools.cache
 def _chain_table(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Squares and successor states of the (k, m) chain in every orientation.
 
     ``squares[s, i]`` is the (col, row) of square i of the chain in state s,
     and ``succ[s, i]`` the state that square hands to its own sub-chain.  The
-    four rows with entry == exit are unused and stay zero.
+    four rows with entry == exit are unused and stay zero.  Built once per
+    (k, m) and cached, so both arrays are read-only.
     """
     squares = np.zeros((16, m, 2), dtype=np.int64)
     succ = np.zeros((16, m), dtype=np.int64)
     for entry, exit_ in itertools.permutations(range(4), 2):
-        sq, entries, exits = _chain_with_sides(k, m, _SIDES[entry], _SIDES[exit_])
+        sq, entries, exits = _chain_with_sides(k, m, entry, exit_)
         squares[4 * entry + exit_] = sq
-        succ[4 * entry + exit_] = [4 * _SIDES.index(a) + _SIDES.index(b)
-                                   for a, b in zip(entries, exits)]
+        succ[4 * entry + exit_] = 4 * entries + exits
+    squares.flags.writeable = succ.flags.writeable = False
     return squares, succ
 
 
@@ -858,7 +788,6 @@ class ChainCurve:
         self.eps = np.cumprod([1.0 / n for n in self.n_seq])
         self.delta = np.cumprod([1.0 / m for m in self.m_seq])
         self.total_cells = math.prod(self.m_seq)
-        self._tables: dict = {}  # (k, m) -> _chain_table(k, m), built on first use
 
     def digits(self, index) -> list:
         """Mixed-radix digits of flat cell index(es), most significant first."""
@@ -881,10 +810,7 @@ class ChainCurve:
         state = np.full(np.shape(index), 4 * _SIDES.index("L") + _SIDES.index("R"))
         size = 1.0
         for level, digit in enumerate(digits):
-            key = self.levels[level]
-            if key not in self._tables:
-                self._tables[key] = _chain_table(*key)
-            squares, succ = self._tables[key]
+            squares, succ = _chain_table(*self.levels[level])
             size /= self.n_seq[level]
             corner += squares[state, digit] * size
             state = succ[state, digit]
@@ -918,6 +844,9 @@ class ChainCurve:
         """
         if not 1 <= n_pairs <= 2**20:
             raise ValueError(f"need 1 to 2**20 query pairs, got {n_pairs}")
+        if self.depth < 2:
+            raise ValueError(f"band statistics need depth >= 2, got depth {self.depth}: "
+                             "the deepest band is excluded")
         c_upper, c_lower = 0.0, math.inf
         for lo in range(0, n_pairs, _BAND_BLOCK):
             draws = []
@@ -940,14 +869,16 @@ class ChainCurve:
 
 # The blow-up construction: state range [1, _Y_MAX] on a geometric grid of
 # _N_GRID cells, the homogenization u-grid of _U_POINTS points on [1, _U_MAX],
-# the quadrature tolerance, and the frozen tail of the driver after t_star
-# (its time span is _T_PAD * t_star).
+# the quadrature tolerance, the frozen tail of the driver after t_star
+# (its time span is _T_PAD * t_star), and the state at which the construction
+# trajectory counts as exploded.
 _Y_MAX = 1e7
 _N_GRID = 2**14
 _U_POINTS = 512
 _U_MAX = 1e4
 _RTOL = 1e-8
 _T_PAD = 1.05
+_EXPLOSION_STATE = 1e6
 
 
 def _simpson_weights(n: int) -> np.ndarray:
@@ -1132,7 +1063,7 @@ class ExplosionDriver:
     ``t_star`` (and is frozen at the origin afterwards), while the scalar
     state y(t) of ``field`` grows without bound.  ``state_trajectory``
     reports that growth on the construction grid with the explosion index
-    set at the first crossing of ``threshold``.
+    set at the first crossing of ``_EXPLOSION_STATE``.
     """
 
     path: DriverPath
@@ -1141,7 +1072,6 @@ class ExplosionDriver:
     y_grid: np.ndarray
     t_grid: np.ndarray
     processed: ProcessedEnvelope
-    threshold: float = 1e6
 
     def __iter__(self):
         # unpacks as (field, path, t_star) for callers that want the bare triple
@@ -1154,7 +1084,7 @@ class ExplosionDriver:
 
     def state_trajectory(self) -> Trajectory:
         y = self.y_grid
-        exploded = np.nonzero(y > self.threshold)[0]
+        exploded = np.nonzero(y > _EXPLOSION_STATE)[0]
         stop = exploded[0] if exploded.size else y.size - 1
         return Trajectory(
             times=self.t_grid[: stop + 1],

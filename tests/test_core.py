@@ -283,6 +283,15 @@ class TestAreaProcess:
         with pytest.raises(IndexError):
             area.pair(i[-1], j[-1])
 
+    @pytest.mark.parametrize("i, j", [([1.7], [3.2]), (np.array([0.0]), [3]), ([True], [3])])
+    def test_pairs_refuse_float_and_boolean_indices(self, toy, i, j):
+        _, area = toy
+        with pytest.raises(TypeError, match="grid indices are integers"):
+            area.pairs(i, j)
+        with pytest.raises(TypeError):
+            area.pair(i[0], 3)
+        assert area.pairs([], []).shape == (0, 2, 2)
+
     def test_shape_and_kind_validation(self, toy):
         path, _ = toy
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Tests for the driver constructions and their closed-form companions."""
 from __future__ import annotations
 
+import hashlib
 import math
 import tempfile
 from pathlib import Path
@@ -36,6 +37,7 @@ from roughstep.drivers import (
     stratonovich_area,
 )
 from roughstep.drivers import (
+    _EXPLOSION_STATE,
     _K_MAX,
     _chain_capacity,
     _chain_table,
@@ -330,6 +332,25 @@ class TestChainCurve:
         squares, _ = _chain_table(k, m)
         assert squares.shape == (16, m, 2)
 
+    def test_tables_golden(self):
+        """L, widest dropped-L, first serpentine and capacity chains, every orientation."""
+        digest = hashlib.sha256()
+        for k in range(3, _K_MAX + 1):
+            cap = _chain_capacity(k)
+            for m in sorted({2 * k + 1, min(4 * k - 1, cap), min(4 * k + 1, cap), cap}):
+                for table in _chain_table(k, m):
+                    digest.update(table.astype("<i8").tobytes())
+        assert digest.hexdigest() == (
+            "617b18c430d0ace6bd690adf1dc9d9fa65241f5c65217bcc0b5ed3c1a1604b2f")
+
+    def test_tables_are_cached_read_only(self):
+        first, again = _chain_table(5, 25), _chain_table(5, 25)
+        assert all(a is b and not a.flags.writeable for a, b in zip(first, again))
+
+    def test_band_stats_refuse_depth_one(self):
+        with pytest.raises(ValueError, match="depth"):
+            ChainCurve(0.7, 1).band_stats(10, np.random.default_rng(0))
+
     def test_traverses_left_to_right(self, chain6):
         start, end = chain6.eval(0.0), chain6.eval(1.0)
         assert start[0] < 1e-5 and end[0] > 1 - 1e-5
@@ -369,7 +390,7 @@ class TestChainCurve:
             digits.append(index % m)
             index //= m
         x0, y0, size = 0.0, 0.0, 1.0
-        entry, exit_ = "L", "R"
+        entry, exit_ = 0, 1
         for level, digit in enumerate(reversed(digits)):
             key = (*curve.levels[level], entry, exit_)
             if key not in chains:
@@ -452,8 +473,8 @@ class TestExplosionDriver:
     def test_threshold_crossing(self, spiral_driver):
         traj = spiral_driver.state_trajectory()
         assert traj.exploded
-        assert traj.states[traj.exploded_at, 0] > spiral_driver.threshold
-        assert np.all(traj.states[: traj.exploded_at, 0] <= spiral_driver.threshold)
+        assert traj.states[traj.exploded_at, 0] > _EXPLOSION_STATE
+        assert np.all(traj.states[: traj.exploded_at, 0] <= _EXPLOSION_STATE)
 
     def test_unpacks_as_triple(self, spiral_driver):
         field, path, t_star = spiral_driver
