@@ -51,8 +51,6 @@ __all__ = [
     "example1_driver",
     "example1_field",
     "example1_solution_pair",
-    "example2_driver",
-    "example2_modified_field",
     "ChainCurve",
     "power_law_envelope",
     "ExplosionDriver",
@@ -453,38 +451,6 @@ def example1_solution_pair(cfg: CounterexampleConfig, path: DriverPath):
 
 
 # ---------------------------------------------------------------------------
-# Spiral driver with a collapsed area (modified-dynamics demo)
-
-
-def example2_driver(cfg: CounterexampleConfig) -> DriverPath:
-    """Spiral driver ``t^b (cos t^-r, sin t^-r)`` on the same geometric grid.
-
-    Pair it with :func:`degenerate_area`: the collapsed blocks satisfy Chen
-    exactly, yet feeding them to the corrected scheme steers the solution
-    toward modified dynamics rather than the nominal ones.
-    """
-    return _spiral_path(cfg, 0.0)
-
-
-def example2_modified_field(base: VectorField, rho_exp: float) -> VectorField:
-    """Rescale a field by the literal factor ``(1 - rho_exp)``.
-
-    This is the effective coefficient toward which the corrected scheme
-    drifts when fed the collapsed area on the spiral driver.  The factor is
-    negative for rho_exp > 1; that sign flip is intentional and is the whole
-    point of the demonstration, not a bug.
-    """
-    factor = 1.0 - rho_exp
-
-    def func(y):
-        return factor * base.eval(y)
-
-    deriv1 = (lambda y: factor * base.deriv1(y)) if base.has_deriv1 else None
-    deriv2 = (lambda y: factor * base.deriv2(y)) if base.has_deriv2 else None
-    return VectorField(base.n, base.d, func, deriv1=deriv1, deriv2=deriv2, batched=True)
-
-
-# ---------------------------------------------------------------------------
 # Nested-chain curve with prescribed Holder exponent
 
 
@@ -687,27 +653,30 @@ def _validate_chain(squares: np.ndarray, k: int, m: int, entry: int, exit_: int)
     assert np.all(apart), f"squares {i[~apart][:1]},{j[~apart][:1]} too close"
 
 
-def _chain_with_sides(k: int, m: int, entry: int, exit_: int):
-    """Oriented chain squares plus per-square entry and exit side indices.
+def _chain_with_sides(base: np.ndarray, k: int, entry: int, exit_: int):
+    """Squares of ``base`` oriented onto ``entry``, ``exit_``, plus per-square
+    entry and exit side indices.
 
-    The base chain runs L to R (straight) or L to T (corner); the first of
-    _SYMMETRIES carrying its end steps onto ``entry``, ``exit_`` orients it.
+    ``base`` runs from L to the side of its last square, R (straight) or T
+    (corner); the first of _SYMMETRIES carrying its end steps onto ``entry``,
+    ``exit_`` orients it.  A square symmetry keeps every clause of the chain
+    contract, so a valid base gives valid orientations.
     """
-    straight = _SIDE_STEP[entry] @ _SIDE_STEP[exit_] == -1
-    base = np.array(_straight_chain(k, m) if straight else _corner_chain(k, m))
-    images = _SYMMETRIES @ _SIDE_STEP[[0, 1 if straight else 3]].T  # (8, 2, 2) column steps
+    images = _SYMMETRIES @ _SIDE_STEP[[0, _side_of(base[-1] - k)]].T  # (8, 2, 2) column steps
     sym = _SYMMETRIES[np.flatnonzero(np.all(images == _SIDE_STEP[[entry, exit_]].T,
                                             axis=(1, 2)))[0]]
     squares = (base - k) @ sym.T + k
-    _validate_chain(squares, k, m, entry, exit_)
     steps = np.diff(squares, axis=0)
     return squares, np.append(entry, _side_of(-steps)), np.append(_side_of(steps), exit_)
 
 
-# The largest sub-grid half-width k a level may use, and the query pairs
-# ChainCurve.band_stats evaluates per array pass.
+# The largest sub-grid half-width k a level may use, the query pairs
+# ChainCurve.band_stats evaluates per array pass, the pairs it decodes from
+# one block of PCG64 words, and the low half of a 64-bit word.
 _K_MAX = 12
 _BAND_BLOCK = 4096
+_DRAW_CHUNK = 128
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 def _select_levels(alpha: float, depth: int):
@@ -748,12 +717,17 @@ def _chain_table(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     ``squares[s, i]`` is the (col, row) of square i of the chain in state s,
     and ``succ[s, i]`` the state that square hands to its own sub-chain.  The
     four rows with entry == exit are unused and stay zero.  Built once per
-    (k, m) and cached, so both arrays are read-only.
+    (k, m) from one straight and one corner base chain, and cached, so both
+    arrays are read-only.
     """
     squares = np.zeros((16, m, 2), dtype=np.int64)
     succ = np.zeros((16, m), dtype=np.int64)
+    straight, corner = np.array(_straight_chain(k, m)), np.array(_corner_chain(k, m))
+    _validate_chain(straight, k, m, _SIDES.index("L"), _SIDES.index("R"))
+    _validate_chain(corner, k, m, _SIDES.index("L"), _SIDES.index("T"))
     for entry, exit_ in itertools.permutations(range(4), 2):
-        sq, entries, exits = _chain_with_sides(k, m, entry, exit_)
+        base = straight if _SIDE_STEP[entry] @ _SIDE_STEP[exit_] == -1 else corner
+        sq, entries, exits = _chain_with_sides(base, k, entry, exit_)
         squares[4 * entry + exit_] = sq
         succ[4 * entry + exit_] = 4 * entries + exits
     squares.flags.writeable = succ.flags.writeable = False
@@ -789,29 +763,24 @@ class ChainCurve:
         self.delta = np.cumprod([1.0 / m for m in self.m_seq])
         self.total_cells = math.prod(self.m_seq)
 
-    def digits(self, index) -> list:
-        """Mixed-radix digits of flat cell index(es), most significant first."""
-        rest = np.asarray(index)
-        if np.any((rest < 0) | (rest >= self.total_cells)):
-            raise IndexError("cell index out of range")
-        out = []
-        for m in reversed(self.m_seq):
-            rest, digit = np.divmod(rest, m)
-            out.append(digit)
-        return out[::-1]
-
     def eval_index(self, index) -> np.ndarray:
         """Centers of the depth-level squares holding time cells ``index``.
 
         ``index`` is a scalar or an array; the result adds an axis of length 2.
+        Level r reads the r-th mixed-radix digit of the index, most
+        significant first.
         """
-        digits = self.digits(index)
-        corner = np.zeros(np.shape(index) + (2,))
-        state = np.full(np.shape(index), 4 * _SIDES.index("L") + _SIDES.index("R"))
-        size = 1.0
-        for level, digit in enumerate(digits):
-            squares, succ = _chain_table(*self.levels[level])
-            size /= self.n_seq[level]
+        rest = np.asarray(index)
+        if np.any((rest < 0) | (rest >= self.total_cells)):
+            raise IndexError("cell index out of range")
+        corner = np.zeros(rest.shape + (2,))
+        state = np.full(rest.shape, 4 * _SIDES.index("L") + _SIDES.index("R"))
+        place, size = self.total_cells, 1.0
+        for (k, m), n in zip(self.levels, self.n_seq):
+            place //= m
+            digit, rest = np.divmod(rest, place)
+            squares, succ = _chain_table(k, m)
+            size /= n
             corner += squares[state, digit] * size
             state = succ[state, digit]
         return corner + 0.5 * size
@@ -839,8 +808,14 @@ class ChainCurve:
         constant and |du|/eps_{r+1} to the lower one (sup norm).  The deepest
         band is excluded: the evaluator is piecewise constant below the depth
         resolution, so gaps under delta_depth can sit inside one cell.
-        Pairs are drawn one at a time, so the stream is fixed per pair, and
-        evaluated ``_BAND_BLOCK`` at a time; ``n_pairs`` is 1 to 2**20.
+
+        The stream contract: the result and the state ``rng`` is left in are
+        those of ``n_pairs`` calls of :meth:`_draw_pair` in a row, each one
+        ``integers(1, depth)``, ``uniform(log delta_r, log delta_{r-1})`` and
+        ``integers(0, total_cells - gap_cells)``.  On PCG64 the pairs are
+        decoded as arrays from the generator's raw words (:meth:`_draw_pairs`);
+        any other bit generator makes those scalar calls.  Pairs are evaluated
+        ``_BAND_BLOCK`` at a time; ``n_pairs`` is 1 to 2**20.
         """
         if not 1 <= n_pairs <= 2**20:
             raise ValueError(f"need 1 to 2**20 query pairs, got {n_pairs}")
@@ -849,18 +824,86 @@ class ChainCurve:
                              "the deepest band is excluded")
         c_upper, c_lower = 0.0, math.inf
         for lo in range(0, n_pairs, _BAND_BLOCK):
-            draws = []
-            for _ in range(min(_BAND_BLOCK, n_pairs - lo)):
-                r = int(rng.integers(1, self.depth))  # 1 .. depth-1
-                gap = math.exp(rng.uniform(math.log(self.delta[r]), math.log(self.delta[r - 1])))
-                gap_cells = max(int(gap * self.total_cells), 1)
-                draws.append((r, int(rng.integers(0, self.total_cells - gap_cells)), gap_cells))
-            r, start, gap_cells = np.array(draws, dtype=np.int64).T
+            r, start, gap_cells = self._draw_pairs(min(_BAND_BLOCK, n_pairs - lo), rng)
             u = self.eval_index(np.stack([start, start + gap_cells]))
             mag = np.max(np.abs(u[1] - u[0]), axis=1)
             c_upper = max(c_upper, float(np.max(mag / self.eps[r - 1])))
             c_lower = min(c_lower, float(np.min(mag / self.eps[r])))
         return c_lower, c_upper
+
+    def _draw_pair(self, rng: np.random.Generator) -> tuple[int, int, int]:
+        """One query pair ``(r, start, gap_cells)`` by three scalar generator calls."""
+        r = int(rng.integers(1, self.depth))  # 1 .. depth-1
+        gap = math.exp(rng.uniform(math.log(self.delta[r]), math.log(self.delta[r - 1])))
+        gap_cells = max(int(gap * self.total_cells), 1)
+        return r, int(rng.integers(0, self.total_cells - gap_cells)), gap_cells
+
+    def _draw_pairs(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Rows r, start, gap_cells of ``n`` calls of :meth:`_draw_pair`, bitwise.
+
+        On PCG64 an integer draw maps a 32-bit half x to ``x * span >> 32``
+        (Lemire), rejecting it when the low 32 bits of the product fall below
+        ``2**32 % span``; the uniform draw takes a full word w as
+        ``(w >> 11) * 2**-53``.  Halves come low first, and a word's high half
+        waits as the spare (``has_uint32``, ``uinteger``).  A pair without a
+        rejection spends two words a, b and keeps the phase: with no spare it
+        reads r from low(a), the uniform from b and start from high(a); with
+        one it reads r from the spare, the uniform from a and start from
+        low(b), leaving high(b) spare.  Chunks of ``_DRAW_CHUNK`` pairs are
+        decoded as arrays up to the first rejection.  That pair is drawn by
+        the scalar calls, from the chunk's saved state stepped past the
+        decoded pairs, and it may flip the phase.
+        Other bit generators, ``depth == 2`` (r takes no bits) and curves over
+        2**32 cells (start takes a full word) make the scalar calls throughout.
+        """
+        out = np.empty((3, n), dtype=np.int64)
+        bits = rng.bit_generator
+        if type(bits) is not np.random.PCG64 or self.depth == 2 or self.total_cells > 2**32:
+            for i in range(n):
+                out[:, i] = self._draw_pair(rng)
+            return out
+        # uniform bounds per level index r - 1, as _draw_pair computes them
+        log_lo = np.array([math.log(d) for d in self.delta[1:]])
+        log_span = np.array([math.log(d) for d in self.delta[:-1]]) - log_lo
+        reject1 = 2**32 % (self.depth - 1)
+        done = 0
+        while done < n:
+            saved = bits.state
+            c = min(_DRAW_CHUNK, n - done)
+            words = bits.random_raw(2 * c)
+            a, b = words[0::2], words[1::2]
+            if saved["has_uint32"]:
+                int_words, word = b, a
+                x1 = np.concatenate(([np.uint64(saved["uinteger"])], b[:-1] >> 32))
+                x2 = b & _LOW32
+            else:
+                int_words, word = a, b
+                x1, x2 = a & _LOW32, a >> 32
+            prod1 = x1 * np.uint64(self.depth - 1)
+            level = prod1 >> 32  # r - 1
+            exponent = log_lo[level] + log_span[level] * ((word >> 11) * 2.0**-53)
+            gap = np.fromiter(map(math.exp, exponent.tolist()), float, c)  # math.exp as _draw_pair
+            gap_cells = np.maximum((gap * self.total_cells).astype(np.int64), 1)
+            span = (self.total_cells - gap_cells).astype(np.uint64)
+            prod2 = x2 * span
+            ok = ((prod1 & _LOW32) >= reject1) & ((prod2 & _LOW32) >= 2**32 % span)
+            bad = np.flatnonzero(~ok)
+            j = int(bad[0]) if bad.size else c
+            out[0, done:done + j] = level[:j] + 1
+            out[1, done:done + j] = prod2[:j] >> 32
+            out[2, done:done + j] = gap_cells[:j]
+            # leave the spare slot as the scalar calls would: the high half of
+            # the last pair's integer word, live in the odd phase, stale in the even
+            state = bits.state if j == c else saved
+            if j:
+                state["uinteger"] = int(int_words[j - 1] >> 32)
+            bits.state = state
+            if j < c:
+                bits.random_raw(2 * j)
+                out[:, done + j] = self._draw_pair(rng)
+                j += 1
+            done += j
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -195,3 +195,23 @@ def chen_reference(a_st: np.ndarray, a_tu: np.ndarray, dx_st: np.ndarray,
                    dx_tu: np.ndarray) -> np.ndarray:
     """The two-interval consistency combination, written independently."""
     return a_st + a_tu + np.outer(dx_st, dx_tu)
+
+
+# --- the chain curve's query pairs -----------------------------------------
+
+
+def chain_pair_draws(rng: np.random.Generator, n: int, depth: int, delta,
+                     total_cells: int) -> np.ndarray:
+    """``(3, n)`` rows r, start, gap_cells of the band-statistics query pairs.
+
+    One pair at a time, by three scalar generator calls: a level r in
+    [1, depth-1], a log-uniform gap in (delta[r], delta[r-1]] of at least one
+    cell, and a start cell leaving room for the gap.
+    """
+    draws = []
+    for _ in range(n):
+        r = int(rng.integers(1, depth))
+        gap = math.exp(rng.uniform(math.log(delta[r]), math.log(delta[r - 1])))
+        gap_cells = max(int(gap * total_cells), 1)
+        draws.append((r, int(rng.integers(0, total_cells - gap_cells)), gap_cells))
+    return np.array(draws, dtype=np.int64).T

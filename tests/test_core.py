@@ -24,7 +24,6 @@ from roughstep.drivers import (
     CounterexampleConfig,
     example1_driver,
     example1_field,
-    example2_modified_field,
 )
 
 
@@ -353,8 +352,6 @@ def _builtin_field(name: str, request) -> VectorField:
         return VectorField.diagonal_linear(3)
     if name == "example1_field":
         return example1_field(CounterexampleConfig(gamma=1.3, beta_exp=3.0, rho_exp=4.5))
-    if name == "example2_modified_field":
-        return example2_modified_field(VectorField.diagonal_linear(2), 5.0)
     return request.getfixturevalue("spiral_driver").field
 
 
@@ -372,7 +369,7 @@ def _random_states(n: int) -> np.ndarray:
 
 class TestVectorField:
     @pytest.mark.parametrize("name", ["constant", "scalar_linear", "diagonal_linear",
-                                      "example1_field", "example2_modified_field", "explosion"])
+                                      "example1_field", "explosion"])
     def test_batch_is_the_stacked_single_states(self, request, name):
         field = _builtin_field(name, request)
         states = _random_states(field.n)

@@ -25,8 +25,6 @@ from roughstep.drivers import (
     example1_driver,
     example1_field,
     example1_solution_pair,
-    example2_driver,
-    example2_modified_field,
     explosion_driver,
     ito_area,
     load_driver,
@@ -37,12 +35,13 @@ from roughstep.drivers import (
     stratonovich_area,
 )
 from roughstep.drivers import (
+    _BAND_BLOCK,
     _EXPLOSION_STATE,
     _K_MAX,
     _chain_capacity,
     _chain_table,
-    _chain_with_sides,
     _mollifier_weights,
+    _spiral_path,
 )
 
 
@@ -138,7 +137,7 @@ class TestDegenerateArea:
                 assert np.allclose(area.pair(i, k), want, rtol=0, atol=1e-13)
 
     def test_consistency_on_spiral_driver(self):
-        path = example2_driver(CounterexampleConfig(grid=2048))
+        path = _spiral_path(CounterexampleConfig(grid=2048), 0.0)
         area = degenerate_area(path)
         x = path.values
         rng = np.random.default_rng(4)
@@ -304,19 +303,12 @@ class TestOscillatoryCounterexample:
 class TestSpiralDemo:
     def test_driver_matches_formula(self):
         cfg = CounterexampleConfig(grid=512)
-        path = example2_driver(cfg)
+        path = _spiral_path(cfg, 0.0)
         t = path.times[1:]
         amp, phase = t**cfg.beta_exp, t ** (-cfg.rho_exp)
         assert np.array_equal(path.values[1:, 0], amp * np.cos(phase))
         assert np.array_equal(path.values[1:, 1], amp * np.sin(phase))
         assert np.array_equal(path.values[0], np.zeros(2))
-
-    def test_modified_field_is_scaled_original(self, smooth22):
-        mod = example2_modified_field(smooth22, 5.0)
-        y = np.array([0.4, -1.1])
-        assert np.array_equal(mod.eval(y), -4.0 * smooth22.eval(y))
-        assert np.array_equal(mod.deriv1(y), -4.0 * smooth22.deriv1(y))
-        assert np.array_equal(mod.deriv2(y), -4.0 * smooth22.deriv2(y))
 
 
 class TestChainCurve:
@@ -373,62 +365,84 @@ class TestChainCurve:
         assert hi == pytest.approx(1.3076923076923053, rel=1e-9)
 
     def test_digit_round_trip(self, chain6):
-        index = 87654321
-        digits = chain6.digits(index)
-        rebuilt = 0
-        for m, digit in zip(chain6.m_seq, digits):
-            rebuilt = rebuilt * m + digit
-        assert rebuilt == index
-        with pytest.raises(IndexError):
-            chain6.digits(chain6.total_cells)
+        """Indices on either side of every mixed-radix digit carry land where the walk does."""
+        places = np.cumprod(chain6.m_seq[::-1])[:-1]
+        index = np.concatenate([places - 1, places, [87654321, chain6.total_cells - 1]])
+        want = np.array([self._walk(chain6, int(i)) for i in index])
+        assert np.array_equal(chain6.eval_index(index), want)
+        for outside in (-1, chain6.total_cells):
+            with pytest.raises(IndexError):
+                chain6.eval_index(outside)
 
     @staticmethod
-    def _walk(curve, index, chains):
+    def _walk(curve, index):
         """Center of the cell at ``index`` by one descent per level: the scalar reference."""
         digits = []
         for m in reversed(curve.m_seq):
             digits.append(index % m)
             index //= m
         x0, y0, size = 0.0, 0.0, 1.0
-        entry, exit_ = 0, 1
+        state = 1  # entry L, exit R
         for level, digit in enumerate(reversed(digits)):
-            key = (*curve.levels[level], entry, exit_)
-            if key not in chains:
-                chains[key] = _chain_with_sides(*key)
-            squares, entries, exits = chains[key]
-            c, r = squares[digit]
+            squares, succ = _chain_table(*curve.levels[level])
+            c, r = squares[state, digit]
             size /= curve.n_seq[level]
             x0 += c * size
             y0 += r * size
-            entry, exit_ = entries[digit], exits[digit]
+            state = succ[state, digit]
         return np.array([x0 + 0.5 * size, y0 + 0.5 * size])
 
     def test_eval_index_equals_the_per_index_walk(self, chain6):
         rng = np.random.default_rng(5)
         idx = np.concatenate([rng.integers(0, chain6.total_cells, 2000),
                               [0, chain6.total_cells - 1]])
-        chains = {}
-        want = np.array([self._walk(chain6, int(i), chains) for i in idx])
+        want = np.array([self._walk(chain6, int(i)) for i in idx])
         assert np.array_equal(chain6.eval_index(idx), want)
         assert np.array_equal(chain6.eval_index(int(idx[0])), want[0])
 
-    @pytest.mark.parametrize("seed", [0, 42, 2001])
+    @staticmethod
+    def _assert_band_stats_equal_the_loop(curve, n_pairs, make_rng):
+        """Draws, constants and the generator state left behind are the per-pair loop's."""
+        loop = make_rng()
+        want = oracles.chain_pair_draws(loop, n_pairs, curve.depth, curve.delta,
+                                        curve.total_cells)
+        assert np.array_equal(curve._draw_pairs(n_pairs, make_rng()), want)
+        r, start, gap_cells = want
+        u = curve.eval_index(np.stack([start, start + gap_cells]))
+        mag = np.max(np.abs(u[1] - u[0]), axis=1)
+        rng = make_rng()
+        assert curve.band_stats(n_pairs, rng) == (float(np.min(mag / curve.eps[r])),
+                                                  float(np.max(mag / curve.eps[r - 1])))
+        np.testing.assert_equal(rng.bit_generator.state, loop.bit_generator.state)
+
+    @pytest.mark.parametrize("seed", [0, 42, *range(2001, 2025)])
     def test_band_stats_equals_the_per_pair_loop(self, chain6, seed):
-        rng = np.random.default_rng(seed)
-        chains = {}
-        c_upper, c_lower = 0.0, math.inf
-        for _ in range(2000):
-            r = int(rng.integers(1, chain6.depth))
-            lo, hi = chain6.delta[r], chain6.delta[r - 1]
-            gap = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-            gap_cells = max(int(gap * chain6.total_cells), 1)
-            start = int(rng.integers(0, chain6.total_cells - gap_cells))
-            du = (self._walk(chain6, start + gap_cells, chains)
-                  - self._walk(chain6, start, chains))
-            mag = float(np.max(np.abs(du)))
-            c_upper = max(c_upper, mag / chain6.eps[r - 1])
-            c_lower = min(c_lower, mag / chain6.eps[r])
-        assert chain6.band_stats(2000, np.random.default_rng(seed)) == (c_lower, c_upper)
+        """2000 pairs meet about 20 Lemire rejections, each flipping the word phase."""
+        self._assert_band_stats_equal_the_loop(chain6, 2000, lambda: np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("alpha,depth,n_pairs", [
+        (0.7, 2, 500),  # the level draw takes no bits
+        (0.65, 7, 300),  # 2.8e12 cells: the start draw takes a full word
+        (0.9, 3, 2000), (0.7, 4, 2000), (0.8, 5, 2000),
+    ])
+    def test_band_stats_equals_the_loop_on_other_curves(self, alpha, depth, n_pairs):
+        curve = ChainCurve(alpha, depth)
+        self._assert_band_stats_equal_the_loop(curve, n_pairs, lambda: np.random.default_rng(7))
+
+    def test_band_stats_equals_the_loop_from_a_held_half_word(self, chain6):
+        """A generator holding a spare 32-bit half starts in the odd phase, so its first
+        rejection falls there; the pairs also span two evaluation blocks."""
+        def make_rng():
+            rng = np.random.default_rng(2024)
+            rng.integers(0, 7)
+            return rng
+
+        assert make_rng().bit_generator.state["has_uint32"] == 1
+        self._assert_band_stats_equal_the_loop(chain6, _BAND_BLOCK + 1000, make_rng)
+
+    def test_band_stats_equals_the_loop_on_mt19937(self, chain6):
+        self._assert_band_stats_equal_the_loop(
+            chain6, 500, lambda: np.random.Generator(np.random.MT19937(42)))
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, [0.5, math.nan]])
     def test_non_finite_times_refused(self, chain6, t):
