@@ -11,7 +11,6 @@ interpretable without the code that made it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -37,8 +36,6 @@ __all__ = [
     "gbm_terminal_stratonovich",
     "ConditionStat",
     "condition21_stat",
-    "condition21_recompute",
-    "riemann_area_recovery",
     "CriterionReport",
     "explosion_criterion",
     "NonuniquenessReport",
@@ -208,8 +205,8 @@ class ConditionStat:
 
     The normalizer is ``(m - k)^beta * h^(2 alpha)`` for a window of
     ``m - k`` blocks of width ``h``.  ``argmax`` is the winning
-    ``(k, m, h)``; recomputing the ratio there reproduces ``value`` bitwise,
-    see :func:`condition21_recompute`.  ``per_level`` lists the max ratio at
+    ``(k, m, h)``: the ratio of that one window, folded and summed at width
+    ``h``, is ``value`` bit for bit.  ``per_level`` lists the max ratio at
     each dyadic level separately, coarse to fine.
     """
 
@@ -254,8 +251,7 @@ def _level_prefix(area: AreaProcess, level: int) -> tuple[np.ndarray, float]:
 
     Folding halves the block count repeatedly with the pairwise combination
     rule, so the level-j blocks are exactly the areas over width-h dyadic
-    cells.  The same function serves the scan and the argmax recomputation,
-    which keeps the two bitwise consistent.
+    cells.
     """
     depth = _dyadic_depth(area)
     if not 0 <= level <= depth:
@@ -326,61 +322,6 @@ def condition21_stat(
         per_level=per_level,
         window_cap=int(window_cap),
     )
-
-
-def condition21_recompute(
-    area: AreaProcess, alpha: float, beta: float, k: int, m: int, h: float
-) -> float:
-    """Re-evaluate the window statistic at one (k, m, h) triple.
-
-    Follows the identical fold-prefix-difference arithmetic as the scan, so
-    the returned float matches the scan's value bit for bit at the reported
-    argmax.  ``h`` must be a level width ``span / 2**level`` to relative
-    1e-12; any other width is refused, not snapped to the nearest level.
-    """
-    times = area.path.times
-    span = float(times[-1] - times[0])
-    level = round(math.log2(span / h)) if h > 0 else 0
-    if not abs(h - span / 2**level) <= 1e-12 * (span / 2**level):
-        raise ValueError(f"h={h!r} is not a dyadic width span / 2**level of the grid")
-    prefix, h_level = _level_prefix(area, level)
-    if not (0 <= k < m <= prefix.shape[0] - 1):
-        raise ValueError(f"window ({k}, {m}) outside level {level}")
-    w = m - k
-    mag = float(np.max(np.abs(prefix[m] - prefix[k])))
-    return mag / (w**beta * h_level ** (2 * alpha))
-
-
-# ---------------------------------------------------------------------------
-# Riemann-sum recovery of stored areas
-
-
-def riemann_area_recovery(
-    path: DriverPath,
-    area: AreaProcess,
-    i: int,
-    j: int,
-    n_list: Sequence[int],
-) -> np.ndarray:
-    """Left-point Riemann sums over the grid pair ``(times[i], times[j])`` against
-    the stored area block.
-
-    The sum at resolution N is ``sum_k (x(u_k) - x(s)) (x(u_{k+1}) - x(u_k))``
-    over a uniform refinement of ``[s, t] = [times[i], times[j]]``; the error is
-    the max-entry distance to ``area.pair(i, j)``, which refuses the indices
-    unless ``0 <= i <= j`` lie on the grid.
-    """
-    target = area.pair(operator.index(i), operator.index(j))
-    xs = path.values[i]
-    errors = np.empty(len(n_list))
-    for m, n in enumerate(n_list):
-        if n < 1:
-            raise ValueError("refinement counts must be positive")
-        u = np.linspace(path.times[i], path.times[j], int(n) + 1)
-        xu = path.eval(u)
-        riem = np.einsum("ki,kj->ij", xu[:-1] - xs, np.diff(xu, axis=0))
-        errors[m] = float(np.max(np.abs(riem - target)))
-    return errors
 
 
 # ---------------------------------------------------------------------------

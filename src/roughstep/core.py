@@ -27,7 +27,6 @@ refer back to these):
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -482,6 +481,9 @@ def _per_state(value: np.ndarray, y: np.ndarray) -> np.ndarray:
     return value if y.ndim <= 1 else np.broadcast_to(value, y.shape[:-1] + value.shape)
 
 
+_CSV_ROWS = 4096  # rows per block written by Trajectory.write_csv
+
+
 @dataclass
 class Trajectory:
     """Output of a solver run.
@@ -519,12 +521,17 @@ class Trajectory:
         return self.exploded_at is not None
 
     def write_csv(self, filename) -> None:
-        """Write ``t, y_1, ..., y_n`` rows; floats via repr for reproducibility."""
+        """Write a ``t,y_1,...,y_n`` header and one row per time: repr floats, CRLF ends.
+
+        Rows go out ``_CSV_ROWS`` at a time as plain floats from ``tolist``,
+        so no whole-file string is ever held.
+        """
+        table = np.column_stack((self.times, self.states))
         with open(filename, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"y_{i + 1}" for i in range(self.n)])
-            for t, row in zip(self.times, self.states):
-                writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+            fh.write(",".join(["t"] + [f"y_{i + 1}" for i in range(self.n)]) + "\r\n")
+            for start in range(0, len(table), _CSV_ROWS):
+                rows = table[start : start + _CSV_ROWS].tolist()
+                fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in rows]))
 
 
 @dataclass

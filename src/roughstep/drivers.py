@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
@@ -55,8 +54,6 @@ __all__ = [
     "power_law_envelope",
     "ExplosionDriver",
     "explosion_driver",
-    "save_driver",
-    "load_driver",
 ]
 
 
@@ -520,7 +517,8 @@ def _corner_leg_bounds(k: int) -> list[tuple[int, int]]:
     return [(1, k - 1) if 2 * i + 1 == k - 1 else (1, 2 * k - 1) for i in range(k // 2)]
 
 
-def _corner_suffix(k: int) -> list[dict]:
+@functools.cache
+def _corner_suffix(k: int) -> tuple[tuple, ...]:
     """Travel ranges achievable by serpentine leg suffixes.
 
     ``suffix[i][row]`` is the (min, max) total vertical travel of legs
@@ -528,23 +526,22 @@ def _corner_suffix(k: int) -> list[dict]:
     row k-1 beside the climb column, and a leg from a to b is admissible
     when the swept interval fits the leg's bounds, that is when both ends
     do.  All values between min and max with min's parity are achievable.
+    Cached per k, hence tuples: a caller cannot change the shared ranges.
     """
     v = k // 2
     bounds = _corner_leg_bounds(k)
-    rows = range(1, 2 * k)
-    suffix: list[dict] = [dict() for _ in range(v)]
-    suffix.append({r: ((0, 0) if r == k - 1 else None) for r in rows})
+    rows = range(2 * k)
+    suffix: list = [None] * v + [tuple((0, 0) if r == k - 1 else None for r in rows)]
     for i in range(v - 1, -1, -1):
         blo, bhi = bounds[i]
         ends = [(e, nxt) for e in range(blo, bhi + 1) if (nxt := suffix[i + 1][e])]
-        for r in rows:
-            reach = [(abs(r - e) + lo, abs(r - e) + hi) for e, (lo, hi) in ends]
-            suffix[i][r] = ((min(lo for lo, _ in reach), max(hi for _, hi in reach))
-                            if reach and blo <= r <= bhi else None)
-    return suffix
+        reach = [[(abs(r - e) + lo, abs(r - e) + hi) for e, (lo, hi) in ends] for r in rows]
+        suffix[i] = tuple((min(lo for lo, _ in rr), max(hi for _, hi in rr))
+                          if rr and blo <= r <= bhi else None for r, rr in zip(rows, reach))
+    return tuple(suffix)
 
 
-def _corner_legs(k: int, d: int, suffix: list[dict]) -> list[int]:
+def _corner_legs(k: int, d: int, suffix: tuple[tuple, ...]) -> list[int]:
     """Run endpoint rows consuming exactly d squares of vertical travel.
 
     Greedy forward construction: each leg takes the largest admissible swing
@@ -1194,37 +1191,3 @@ def explosion_driver(envelope: GrowthEnvelope, p: float) -> ExplosionDriver:
         t_grid=t_of_y,
         processed=proc,
     )
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def save_driver(filename, path: DriverPath, area: AreaProcess | None = None) -> None:
-    """Write a path (and optional area) as canonical JSON.
-
-    Floats serialize via repr so a load/save round trip is byte-identical.
-    """
-    payload = {
-        "d": path.d,
-        "times": path.times.tolist(),
-        "values": path.values.tolist(),
-        "kind": area.kind if area is not None else None,
-        "areas": area.per_interval.tolist() if area is not None else None,
-    }
-    with open(filename, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def load_driver(filename):
-    """Inverse of :func:`save_driver`; returns ``(path, area_or_None)``."""
-    with open(filename) as fh:
-        payload = json.load(fh)
-    path = DriverPath(
-        np.asarray(payload["times"], dtype=float),
-        np.asarray(payload["values"], dtype=float),
-    )
-    if payload.get("areas") is None:
-        return path, None
-    return path, AreaProcess(path, np.asarray(payload["areas"], dtype=float), payload["kind"])

@@ -2,12 +2,17 @@
 
 Everything in this module is deliberately written against plain numpy and
 math, never against the package under test, so each oracle fails or passes
-on its own arithmetic.  Where an oracle has a tunable resolution the chosen
-value puts its own error several orders below the tolerance it backs.
+on its own arithmetic.  The two area checks read the arrays of the package's
+path and area objects, and ``riemann_area_recovery`` measures its sums
+against ``area.pair``, the quantity it checks.  Where an oracle has a
+tunable resolution the chosen value puts its own error several orders below
+the tolerance it backs.
 """
 from __future__ import annotations
 
+import csv
 import math
+import operator
 
 import numpy as np
 
@@ -197,6 +202,61 @@ def chen_reference(a_st: np.ndarray, a_tu: np.ndarray, dx_st: np.ndarray,
     return a_st + a_tu + np.outer(dx_st, dx_tu)
 
 
+# --- stored areas: the condition-2.1 window and Riemann sums --------------
+
+
+def condition21_recompute(area, alpha: float, beta: float, k: int, m: int,
+                          h: float) -> float:
+    """The condition-2.1 ratio of the one window ``(k, m)`` of width-h blocks.
+
+    The stored blocks are folded pairwise, ``A + A' + dx ⊗ dx'``, down to the
+    level of width h, and the max-entry norm of the window's prefix-sum
+    difference is divided by ``(m - k)^beta h^(2 alpha)``: the scan's own
+    operations, so at its argmax the two agree bit for bit.  ``h`` must be a
+    level width ``span / 2**level`` to relative 1e-12; any other is refused.
+    """
+    times = area.path.times
+    span = float(times[-1] - times[0])
+    level = round(math.log2(span / h)) if h > 0 else 0
+    if not abs(h - span / 2**level) <= 1e-12 * (span / 2**level):
+        raise ValueError(f"h={h!r} is not a dyadic width span / 2**level of the grid")
+    blocks, incs = area.per_interval, np.diff(area.path.values, axis=0)
+    if not 1 <= 2**level <= blocks.shape[0]:
+        raise ValueError(f"level {level} outside the grid")
+    while blocks.shape[0] > 2**level:
+        blocks = blocks[0::2] + blocks[1::2] + incs[0::2, :, None] * incs[1::2, None, :]
+        incs = incs[0::2] + incs[1::2]
+    prefix = np.zeros((blocks.shape[0] + 1,) + blocks.shape[1:])
+    np.cumsum(blocks, axis=0, out=prefix[1:])
+    if not 0 <= k < m <= blocks.shape[0]:
+        raise ValueError(f"window ({k}, {m}) outside level {level}")
+    mag = float(np.max(np.abs(prefix[m] - prefix[k])))
+    return mag / ((m - k) ** beta * ((times[-1] - times[0]) / 2**level) ** (2 * alpha))
+
+
+def riemann_area_recovery(path, area, i: int, j: int, n_list) -> np.ndarray:
+    """Left-point Riemann sums over the grid pair ``(times[i], times[j])`` against
+    the stored area block.
+
+    The sum at resolution N is ``sum_k (x(u_k) - x(s)) (x(u_{k+1}) - x(u_k))``
+    over a uniform refinement of ``[s, t] = [times[i], times[j]]`` of the
+    piecewise-linear path; the error is the max-entry distance to
+    ``area.pair(i, j)``, which refuses the indices unless ``0 <= i <= j`` lie
+    on the grid.
+    """
+    target = area.pair(operator.index(i), operator.index(j))
+    xs = path.values[i]
+    errors = np.empty(len(n_list))
+    for m, n in enumerate(n_list):
+        if n < 1:
+            raise ValueError("refinement counts must be positive")
+        u = np.linspace(path.times[i], path.times[j], int(n) + 1)
+        xu = np.column_stack([np.interp(u, path.times, col) for col in path.values.T])
+        riem = np.einsum("ki,kj->ij", xu[:-1] - xs, np.diff(xu, axis=0))
+        errors[m] = float(np.max(np.abs(riem - target)))
+    return errors
+
+
 # --- the chain curve's query pairs -----------------------------------------
 
 
@@ -215,3 +275,15 @@ def chain_pair_draws(rng: np.random.Generator, n: int, depth: int, delta,
         gap_cells = max(int(gap * total_cells), 1)
         draws.append((r, int(rng.integers(0, total_cells - gap_cells)), gap_cells))
     return np.array(draws, dtype=np.int64).T
+
+
+# --- the trajectory CSV ----------------------------------------------------
+
+
+def trajectory_csv(filename, times: np.ndarray, states: np.ndarray) -> None:
+    """``t, y_1, ..., y_n`` rows through ``csv.writer``, one repr float at a time."""
+    with open(filename, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"y_{i + 1}" for i in range(states.shape[1])])
+        for t, row in zip(times, states):
+            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])

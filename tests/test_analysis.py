@@ -23,7 +23,6 @@ from roughstep.drivers import (
 from roughstep.analysis import (
     _level_prefix,
     chen_residuals,
-    condition21_recompute,
     condition21_stat,
     convergence_study,
     explosion_criterion,
@@ -31,7 +30,6 @@ from roughstep.analysis import (
     gbm_terminal_stratonovich,
     holder_estimate,
     nonuniqueness_demo,
-    riemann_area_recovery,
 )
 
 
@@ -150,17 +148,18 @@ class TestCondition21:
     def test_argmax_recompute_is_bitwise(self, areas10):
         ito, _ = areas10
         stat = condition21_stat(ito, 0.45, 0.55, levels=range(4, 11))
-        again = condition21_recompute(ito, 0.45, 0.55, *stat.argmax)
+        again = oracles.condition21_recompute(ito, 0.45, 0.55, *stat.argmax)
         assert again == stat.value
 
     def test_recompute_refuses_a_width_off_the_dyadic_levels(self):
         cfg = BrownianConfig(d=2, level=8, seed=42)
         area = ito_area(brownian_path(cfg), cfg)
-        at_level_2 = condition21_recompute(area, 0.45, 0.55, 0, 1, 0.25)
-        assert condition21_recompute(area, 0.45, 0.55, 0, 1, 0.25 * (1 + 1e-13)) == at_level_2
+        at_level_2 = oracles.condition21_recompute(area, 0.45, 0.55, 0, 1, 0.25)
+        nudged = oracles.condition21_recompute(area, 0.45, 0.55, 0, 1, 0.25 * (1 + 1e-13))
+        assert nudged == at_level_2
         for h in (0.3, 0.26, 0.0, float("nan")):
             with pytest.raises(ValueError, match="dyadic"):
-                condition21_recompute(area, 0.45, 0.55, 0, 1, h)
+                oracles.condition21_recompute(area, 0.45, 0.55, 0, 1, h)
 
     def test_drift_free_blocks_cancel_better(self, areas10):
         """The h/2 diagonal drift accumulates linearly over a window, so the
@@ -245,7 +244,7 @@ class TestCondition21Exact:
         stat = condition21_stat(area, 0.45, 0.55, levels=range(2, 11), window_cap=cap)
         want = _all_windows_stat(area, 0.45, 0.55, range(2, 11), cap)
         assert (stat.value, stat.argmax, stat.per_level) == want
-        assert condition21_recompute(area, 0.45, 0.55, *stat.argmax) == stat.value
+        assert oracles.condition21_recompute(area, 0.45, 0.55, *stat.argmax) == stat.value
 
     @pytest.mark.parametrize("block", [1, 2, 3, 64])
     @pytest.mark.parametrize("blocks, argmax", [
@@ -312,21 +311,21 @@ class TestCondition21Exact:
 class TestRiemannRecovery:
     def test_polynomial_area_recovered_at_first_order(self, poly_pair):
         _, path, area = poly_pair
-        errs = riemann_area_recovery(path, area, 0, 512, [16, 64, 256, 1024])
+        errs = oracles.riemann_area_recovery(path, area, 0, 512, [16, 64, 256, 1024])
         assert np.all(np.diff(errs) < 0)
         assert errs[0] / errs[-1] == pytest.approx(64.0, rel=0.2)
 
     def test_empty_span_is_exact(self, poly_pair):
         _, path, area = poly_pair
-        errs = riemann_area_recovery(path, area, 256, 256, [4, 16])
+        errs = oracles.riemann_area_recovery(path, area, 256, 256, [4, 16])
         assert np.array_equal(errs, np.zeros(2))
 
     def test_ito_block_matched_below_grid_resolution(self, bm1):
         """Sub-grid sums see the realized quadratic variation, which is what
         the centered convention stores; the trend down is noisy but real."""
         _, path, area = bm1
-        errs = riemann_area_recovery(path, area, 1024, 3072,
-                                     [8, 16, 32, 64, 128, 256, 512, 1024])
+        errs = oracles.riemann_area_recovery(path, area, 1024, 3072,
+                                             [8, 16, 32, 64, 128, 256, 512, 1024])
         assert errs[-1] < errs[0]
         assert int(np.sum(np.diff(errs) > 0)) <= 3
         assert errs[-1] < 0.05
@@ -336,21 +335,21 @@ class TestRiemannRecovery:
         at rate 1/N to the drifted block, half the squared increment."""
         _, path, ito = bm1
         strat = stratonovich_area(ito)
-        errs = riemann_area_recovery(path, strat, 1024, 3072,
-                                     [8192, 32768, 131072])
+        errs = oracles.riemann_area_recovery(path, strat, 1024, 3072,
+                                             [8192, 32768, 131072])
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=1e-6)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=1e-6)
 
     def test_input_validation(self, poly_pair):
         _, path, area = poly_pair
         with pytest.raises(TypeError):
-            riemann_area_recovery(path, area, 0.5, 512, [4])
+            oracles.riemann_area_recovery(path, area, 0.5, 512, [4])
         with pytest.raises(IndexError):
-            riemann_area_recovery(path, area, 256, 128, [4])
+            oracles.riemann_area_recovery(path, area, 256, 128, [4])
         with pytest.raises(IndexError):
-            riemann_area_recovery(path, area, 0, 513, [4])
+            oracles.riemann_area_recovery(path, area, 0, 513, [4])
         with pytest.raises(ValueError):
-            riemann_area_recovery(path, area, 0, 512, [0])
+            oracles.riemann_area_recovery(path, area, 0, 512, [0])
 
 
 class TestExplosionCriterion:

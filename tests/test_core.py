@@ -444,6 +444,27 @@ class TestTrajectory:
         assert np.array_equal(got[:, 0], times)
         assert np.array_equal(got[:, 1], states[:, 0])
 
+    @pytest.mark.parametrize("shape", ["blocks", "special", "one-row"])
+    def test_csv_bytes_equal_the_csv_writer(self, tmp_path, shape):
+        """Header, repr floats and CRLF row ends, byte for byte as ``csv.writer`` writes them."""
+        if shape == "blocks":
+            rows = 2 * core._CSV_ROWS + 3
+            times = np.linspace(0.0, 1.0, rows)
+            states = np.random.default_rng(7).standard_normal((rows, 3)).cumsum(axis=0)
+        elif shape == "special":
+            times = np.array([0.0, 1e-7, 0.1 + 0.2, 1e16])
+            states = np.array([[-0.0, 5e-324], [1e16, 1e-7], [0.1 + 0.2, -1.5e308],
+                               [5e-324, -0.0]])
+        else:
+            times, states = np.array([0.0]), np.array([[1e6]])
+        traj = Trajectory(times, states, scheme="euler",
+                          exploded_at=0 if shape == "one-row" else None)
+        traj.write_csv(tmp_path / "got.csv")
+        oracles.trajectory_csv(tmp_path / "want.csv", times, states)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.count(b"\r\n") == times.size + 1
+
     def test_exploded_flag(self):
         traj = Trajectory(np.array([0.0, 1.0]), np.array([[0.0], [9.0]]),
                           scheme="euler", exploded_at=1)

@@ -3,17 +3,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
 import oracles
 from roughstep import drivers
-from roughstep.core import AreaProcess, DriverPath, GrowthEnvelope, VectorField
+from roughstep.core import DriverPath, GrowthEnvelope, VectorField
 from roughstep.drivers import (
     BrownianConfig,
     ChainCurve,
@@ -27,11 +23,9 @@ from roughstep.drivers import (
     example1_solution_pair,
     explosion_driver,
     ito_area,
-    load_driver,
     perturbed_area,
     power_law_envelope,
     process_envelope,
-    save_driver,
     stratonovich_area,
 )
 from roughstep.drivers import (
@@ -339,6 +333,12 @@ class TestChainCurve:
         first, again = _chain_table(5, 25), _chain_table(5, 25)
         assert all(a is b and not a.flags.writeable for a, b in zip(first, again))
 
+    def test_corner_suffix_is_cached_read_only(self):
+        suffix = drivers._corner_suffix(6)
+        assert suffix is drivers._corner_suffix(6)
+        with pytest.raises(TypeError):
+            suffix[0][6] = (0, 0)
+
     def test_band_stats_refuse_depth_one(self):
         with pytest.raises(ValueError, match="depth"):
             ChainCurve(0.7, 1).band_stats(10, np.random.default_rng(0))
@@ -568,56 +568,3 @@ class TestProcessEnvelope:
         ends = 2.0**-proc.r_hom * np.min(u**proc.r_hom * env.growth(ys), axis=-1) @ weights
         assert np.all(proc.dstar_tab <= ends * (1 + 1e-12))
         assert np.any(proc.dstar_tab < 0.9 * ends)
-
-
-class TestSerialization:
-    def test_round_trip_is_byte_identical(self, tmp_path, poly_pair):
-        _, path, area = poly_pair
-        first = tmp_path / "a.json"
-        second = tmp_path / "b.json"
-        save_driver(first, path, area)
-        loaded_path, loaded_area = load_driver(first)
-        save_driver(second, loaded_path, loaded_area)
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_arrays_and_metadata_survive(self, tmp_path, bm1):
-        cfg, path, area = bm1
-        target = tmp_path / "drv.json"
-        sub = path.subsample(64)
-        sub_area = AreaProcess(sub, area.per_interval[::64] * 0.0, "degenerate")
-        save_driver(target, sub, sub_area)
-        loaded_path, loaded_area = load_driver(target)
-        assert np.array_equal(loaded_path.times, sub.times)
-        assert np.array_equal(loaded_path.values, sub.values)
-        assert loaded_area.kind == "degenerate"
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), n=st.integers(2, 40), d=st.integers(1, 3),
-           kind=st.sampled_from([None, *AreaProcess.KINDS]))
-    def test_random_round_trip_is_byte_identical(self, data, n, d, kind):
-        finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
-        gaps = data.draw(hnp.arrays(np.float64, n, elements=st.floats(1e-6, 10.0)))
-        path = DriverPath(np.cumsum(gaps), data.draw(hnp.arrays(np.float64, (n, d), elements=finite)))
-        area = None if kind is None else AreaProcess(
-            path, data.draw(hnp.arrays(np.float64, (n - 1, d, d), elements=finite)), kind)
-        with tempfile.TemporaryDirectory() as tmp:
-            first, second = Path(tmp, "a.json"), Path(tmp, "b.json")
-            save_driver(first, path, area)
-            loaded_path, loaded_area = load_driver(first)
-            save_driver(second, loaded_path, loaded_area)
-            assert first.read_bytes() == second.read_bytes()
-        assert loaded_path.times.tobytes() == path.times.tobytes()
-        assert loaded_path.values.tobytes() == path.values.tobytes()
-        if kind is None:
-            assert loaded_area is None
-        else:
-            assert loaded_area.kind == kind
-            assert loaded_area.per_interval.tobytes() == area.per_interval.tobytes()
-
-    def test_path_only_round_trip(self, tmp_path):
-        path = PolynomialPath(np.array([[0.0, 1.0]])).sample(np.linspace(0, 1, 9))
-        target = tmp_path / "p.json"
-        save_driver(target, path)
-        loaded_path, loaded_area = load_driver(target)
-        assert loaded_area is None
-        assert np.array_equal(loaded_path.values, path.values)
