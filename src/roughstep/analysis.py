@@ -246,28 +246,6 @@ def _dyadic_depth(area: AreaProcess) -> int:
     return depth
 
 
-def _level_prefix(area: AreaProcess, level: int) -> tuple[np.ndarray, float]:
-    """Blocks folded to 2^level intervals, returned as prefix sums.
-
-    Folding halves the block count repeatedly with the pairwise combination
-    rule, so the level-j blocks are exactly the areas over width-h dyadic
-    cells.
-    """
-    depth = _dyadic_depth(area)
-    if not 0 <= level <= depth:
-        raise ValueError(f"level {level} outside [0, {depth}]")
-    blocks = area.per_interval
-    incs = area.path.increments
-    for _ in range(depth - level):
-        blocks = chen_combine(blocks[0::2], blocks[1::2], incs[0::2], incs[1::2])
-        incs = incs[0::2] + incs[1::2]
-    prefix = np.zeros((blocks.shape[0] + 1,) + blocks.shape[1:])
-    np.cumsum(blocks, axis=0, out=prefix[1:])
-    times = area.path.times
-    h = (times[-1] - times[0]) / 2**level
-    return prefix, h
-
-
 def condition21_stat(
     area: AreaProcess,
     alpha: float,
@@ -286,6 +264,14 @@ def condition21_stat(
     bitwise the float ``mag / (w**beta * h ** (2 * alpha))``.  Tie rule: among
     equal ratios the shortest window wins, then the larger magnitude, then
     the smallest ``k``; across levels the coarsest level wins.
+
+    Summation contract: the blocks are folded once, from the finest grid to
+    the coarsest requested level, each fold the pairwise
+    :func:`~roughstep.core.chen_combine` of neighbours, and each requested
+    level's prefix sums are taken on the way; these are the floats of
+    folding the finest grid down to that level alone.  The weights
+    ``w**beta`` are Python floats computed once up to the finest level, and
+    each level multiplies them by its ``h ** (2 * alpha)``.
     """
     if not (0 < alpha < 1 and 0 < beta < 1):
         raise ValueError("alpha and beta must lie in (0, 1)")
@@ -297,20 +283,28 @@ def condition21_stat(
         raise ValueError(f"level {levels[-1]} finer than the grid (depth {depth})")
     if not levels:
         raise ValueError("no levels requested")
+    if levels[0] < 0:
+        raise ValueError(f"level {levels[0]} outside [0, {depth}]")
 
-    best_value = -math.inf
-    best_arg = (0, 1, math.nan)
-    per_level = []
-    for j in levels:
-        prefix, h = _level_prefix(area, j)
-        n = prefix.shape[0] - 1
-        table = np.array([w**beta * h ** (2 * alpha) for w in range(n + 1)])
-        pos = np.arange(n + 1)
+    wb = np.array([w**beta for w in range(2 ** levels[-1] + 1)])
+    blocks, incs, times = area.per_interval, area.path.increments, area.path.times
+    best_value, best_arg, per_level = -math.inf, (0, 1, math.nan), []
+    for j in range(depth, levels[0] - 1, -1):
+        if j < depth:
+            blocks = chen_combine(blocks[0::2], blocks[1::2], incs[0::2], incs[1::2])
+            incs = incs[0::2] + incs[1::2]
+        if j not in levels:
+            continue
+        n = blocks.shape[0]
+        prefix = np.zeros((n + 1,) + blocks.shape[1:])
+        np.cumsum(blocks, axis=0, out=prefix[1:])
+        h = (times[-1] - times[0]) / 2**j
+        table, pos = wb[: n + 1] * h ** (2 * alpha), np.arange(n + 1)
         level_best, k, m = _pair_max(
             prefix.reshape(n + 1, -1).T, None, lambda k, m: table[pos[m] - pos[k]], window_cap
         )
-        per_level.append(level_best)
-        if level_best > best_value:
+        per_level.insert(0, level_best)
+        if level_best >= best_value:  # fine to coarse, so a tie goes to the coarser level
             best_value = level_best
             best_arg = (k, m, h)
     return ConditionStat(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -118,20 +118,29 @@ def _bridge_offdiag(path: DriverPath, config: BrownianConfig) -> np.ndarray:
 
     Each interval gets a single d-dimensional bridge with ``substeps``
     pieces, conditioned on the observed increment; all (i, j) entries are
-    computed from the same realization.
+    computed from the same realization.  Summation contract: the
+    ``(k, substeps, d)`` normals are laid out substep-major, and every sum
+    over substeps (the bridge mean, the running position, the Riemann sum)
+    adds the substeps one at a time in order, each step an elementwise
+    operation on rows of all k intervals.
     """
-    k = path.n_intervals
-    d = path.d
     r = config.substeps
-    h = np.diff(path.times)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _BRIDGE_STREAM]))
-    xi = rng.standard_normal((k, r, d))
-    xi -= xi.mean(axis=1, keepdims=True)
-    dw = path.increments
-    sub = dw[:, None, :] / r + xi * np.sqrt(h[:, None, None] / r)
-    # partial sums *before* each substep (left endpoint of the substep)
-    left = np.cumsum(sub, axis=1) - sub
-    return np.einsum("kmi,kmj->kij", left, sub)
+    xi = rng.standard_normal((path.n_intervals, r, path.d)).transpose(1, 2, 0).copy()
+    tot = xi[0].copy()
+    for m in range(1, r):
+        tot += xi[m]
+    mean = tot / r
+    drift = path.increments.T / r
+    scale = np.sqrt(np.diff(path.times) / r)
+    run = np.zeros_like(drift)
+    out = np.zeros((path.d, path.d, path.n_intervals))
+    for m in range(r):
+        s = drift + (xi[m] - mean) * scale
+        run = run + s
+        left = run - s  # partial sum before this substep: its left endpoint
+        out += left[:, None] * s[None, :]
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
 def ito_area(path: DriverPath, config: BrownianConfig) -> AreaProcess:

@@ -2,9 +2,9 @@
 
 Everything in this module is deliberately written against plain numpy and
 math, never against the package under test, so each oracle fails or passes
-on its own arithmetic.  The two area checks read the arrays of the package's
-path and area objects, and ``riemann_area_recovery`` measures its sums
-against ``area.pair``, the quantity it checks.  Where an oracle has a
+on its own arithmetic.  The stored-area oracles read the arrays of the
+package's path and area objects, and ``riemann_area_recovery`` measures its
+sums against ``area.pair``, the quantity it checks.  Where an oracle has a
 tunable resolution the chosen value puts its own error several orders below
 the tolerance it backs.
 """
@@ -202,24 +202,31 @@ def chen_reference(a_st: np.ndarray, a_tu: np.ndarray, dx_st: np.ndarray,
     return a_st + a_tu + np.outer(dx_st, dx_tu)
 
 
-# --- stored areas: the condition-2.1 window and Riemann sums --------------
+# --- stored areas: the bridge, the condition-2.1 window and Riemann sums ---
 
 
-def condition21_recompute(area, alpha: float, beta: float, k: int, m: int,
-                          h: float) -> float:
-    """The condition-2.1 ratio of the one window ``(k, m)`` of width-h blocks.
+def bridge_offdiag(dw: np.ndarray, h: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Left-point Riemann sums of one Brownian bridge per interval, ``(k, d, d)``.
 
-    The stored blocks are folded pairwise, ``A + A' + dx ⊗ dx'``, down to the
-    level of width h, and the max-entry norm of the window's prefix-sum
-    difference is divided by ``(m - k)^beta h^(2 alpha)``: the scan's own
-    operations, so at its argmax the two agree bit for bit.  ``h`` must be a
-    level width ``span / 2**level`` to relative 1e-12; any other is refused.
+    ``xi`` holds the ``(k, r, d)`` standard normals of the r substeps.  They
+    are centred on their mean over the substeps and scaled by ``sqrt(h / r)``,
+    and ``dw / r`` is added, so each interval's substeps sum to its increment
+    ``dw``; the sum over substeps of (position before the substep) ⊗
+    (substep) is taken by ``cumsum`` and ``einsum``.
     """
-    times = area.path.times
-    span = float(times[-1] - times[0])
-    level = round(math.log2(span / h)) if h > 0 else 0
-    if not abs(h - span / 2**level) <= 1e-12 * (span / 2**level):
-        raise ValueError(f"h={h!r} is not a dyadic width span / 2**level of the grid")
+    r = xi.shape[1]
+    xi = xi - xi.mean(axis=1, keepdims=True)
+    sub = dw[:, None, :] / r + xi * np.sqrt(h[:, None, None] / r)
+    left = np.cumsum(sub, axis=1) - sub
+    return np.einsum("kmi,kmj->kij", left, sub)
+
+
+def level_prefix(area, level: int) -> tuple[np.ndarray, float]:
+    """The stored blocks folded to ``2**level`` intervals, as prefix sums, with the width h.
+
+    Neighbouring blocks are folded pairwise, ``A + A' + dx ⊗ dx'``, from the
+    fine grid down, so the level's blocks are the areas of its width-h cells.
+    """
     blocks, incs = area.per_interval, np.diff(area.path.values, axis=0)
     if not 1 <= 2**level <= blocks.shape[0]:
         raise ValueError(f"level {level} outside the grid")
@@ -228,10 +235,30 @@ def condition21_recompute(area, alpha: float, beta: float, k: int, m: int,
         incs = incs[0::2] + incs[1::2]
     prefix = np.zeros((blocks.shape[0] + 1,) + blocks.shape[1:])
     np.cumsum(blocks, axis=0, out=prefix[1:])
-    if not 0 <= k < m <= blocks.shape[0]:
+    times = area.path.times
+    return prefix, (times[-1] - times[0]) / 2**level
+
+
+def condition21_recompute(area, alpha: float, beta: float, k: int, m: int,
+                          h: float) -> float:
+    """The condition-2.1 ratio of the one window ``(k, m)`` of width-h blocks.
+
+    The stored blocks are folded by :func:`level_prefix` to the level of
+    width h, and the max-entry norm of the window's prefix-sum difference is
+    divided by ``(m - k)^beta h^(2 alpha)``: the scan's own operations, so at
+    its argmax the two agree bit for bit.  ``h`` must be a level width
+    ``span / 2**level`` to relative 1e-12; any other is refused.
+    """
+    times = area.path.times
+    span = float(times[-1] - times[0])
+    level = round(math.log2(span / h)) if h > 0 else 0
+    if not abs(h - span / 2**level) <= 1e-12 * (span / 2**level):
+        raise ValueError(f"h={h!r} is not a dyadic width span / 2**level of the grid")
+    prefix, width = level_prefix(area, level)
+    if not 0 <= k < m < prefix.shape[0]:
         raise ValueError(f"window ({k}, {m}) outside level {level}")
     mag = float(np.max(np.abs(prefix[m] - prefix[k])))
-    return mag / ((m - k) ** beta * ((times[-1] - times[0]) / 2**level) ** (2 * alpha))
+    return mag / ((m - k) ** beta * width ** (2 * alpha))
 
 
 def riemann_area_recovery(path, area, i: int, j: int, n_list) -> np.ndarray:

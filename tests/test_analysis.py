@@ -21,7 +21,6 @@ from roughstep.drivers import (
     stratonovich_area,
 )
 from roughstep.analysis import (
-    _level_prefix,
     chen_residuals,
     condition21_stat,
     convergence_study,
@@ -200,7 +199,7 @@ def _all_windows_stat(area, alpha, beta, levels, window_cap):
     """
     value, argmax, per_level = -math.inf, None, []
     for j in sorted(set(levels)):
-        prefix, h = _level_prefix(area, j)
+        prefix, h = oracles.level_prefix(area, j)
         n = prefix.shape[0] - 1
         best, arg = 0.0, (0, 1)
         for w in range(1, min(n, window_cap) + 1):
@@ -212,6 +211,29 @@ def _all_windows_stat(area, alpha, beta, levels, window_cap):
         per_level.append(best)
         if best > value:
             value, argmax = best, (arg[0], arg[1], h)
+    return value, argmax, per_level
+
+
+def _refold_stat(area, alpha, beta, levels, window_cap=2**12):
+    """The scan level by level: ``(value, argmax, per_level)``.
+
+    Each level is folded again from the finest grid, and its weights are a
+    comprehension of Python floats ``w**beta * h ** (2 * alpha)``; the search
+    is the same ``_pair_max``, and a level replaces the best only when
+    strictly larger, coarse to fine.
+    """
+    value, argmax, per_level = -math.inf, (0, 1, math.nan), []
+    for j in sorted(set(levels)):
+        prefix, h = oracles.level_prefix(area, j)
+        n = prefix.shape[0] - 1
+        table = np.array([w**beta * h ** (2 * alpha) for w in range(n + 1)])
+        pos = np.arange(n + 1)
+        best, k, m = core._pair_max(
+            prefix.reshape(n + 1, -1).T, None, lambda k, m: table[pos[m] - pos[k]], window_cap
+        )
+        per_level.append(best)
+        if best > value:
+            value, argmax = best, (k, m, h)
     return value, argmax, per_level
 
 
@@ -232,6 +254,28 @@ def _random_areas(draw):
     if draw(st.booleans()):
         x, blocks = np.round(x), np.round(blocks)
     return AreaProcess(DriverPath(np.linspace(0.0, 1.0, n + 1), x), blocks, "perturbed")
+
+
+@pytest.fixture(scope="module")
+def areas12():
+    cfg = BrownianConfig(d=2, level=12, seed=7)
+    ito = ito_area(brownian_path(cfg), cfg)
+    return ito, stratonovich_area(ito)
+
+
+class TestCondition21Parity:
+    """One fold chain and one weight table give the per-level re-fold's bits."""
+
+    @pytest.mark.parametrize("levels", [range(4, 13), [12], [0, 3, 12]],
+                             ids=["4-12", "12", "0-3-12"])
+    @pytest.mark.parametrize("which", ["ito", "stratonovich"])
+    def test_equals_the_per_level_refold(self, areas12, which, levels):
+        area = areas12[which == "stratonovich"]
+        stat = condition21_stat(area, 0.45, 0.55, levels=levels)
+        value, argmax, per_level = _refold_stat(area, 0.45, 0.55, levels)
+        assert stat.argmax == argmax
+        assert np.array([stat.value, *stat.per_level]).tobytes() == np.array(
+            [value, *per_level]).tobytes()
 
 
 class TestCondition21Exact:

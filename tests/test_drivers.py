@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -9,17 +10,15 @@ import pytest
 
 import oracles
 from roughstep import drivers
-from roughstep.core import DriverPath, GrowthEnvelope, VectorField
+from roughstep.core import DriverPath, GrowthEnvelope
 from roughstep.drivers import (
     BrownianConfig,
     ChainCurve,
     CounterexampleConfig,
     PolynomialPath,
-    analytic_area,
     brownian_path,
     degenerate_area,
     example1_driver,
-    example1_field,
     example1_solution_pair,
     explosion_driver,
     ito_area,
@@ -104,6 +103,29 @@ class TestBrownianAreas:
         area_hi = ito_area(brownian_path(hi), hi)
         assert np.array_equal(area_lo.per_interval[:, 0, 0], area_hi.per_interval[:, 0, 0])
         assert not np.array_equal(area_lo.per_interval[:, 0, 1], area_hi.per_interval[:, 0, 1])
+
+
+class TestBridge:
+    """``_bridge_offdiag`` is bitwise the mean/cumsum/einsum oracle on the same normals.
+
+    d = 1 is left out: with substeps >= 16 numpy reduces the oracle's
+    contiguous length-``substeps`` axis pairwise in ``mean`` and ``einsum``,
+    so the bits differ there by up to 3e-17; ``ito_area`` never builds a
+    bridge at d = 1.
+    """
+
+    @pytest.mark.parametrize("substeps", [2, 3, 16, 17])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_equals_the_oracle_bitwise(self, d, substeps):
+        for level, seed, t_end in itertools.product([1, 6, 11], [0, 42, 2024], [1.0, 2.5]):
+            cfg = BrownianConfig(d=d, level=level, seed=seed, t_end=t_end, substeps=substeps)
+            path = brownian_path(cfg)
+            seeds = np.random.SeedSequence([seed, drivers._BRIDGE_STREAM])
+            xi = np.random.default_rng(seeds).standard_normal((cfg.n_intervals, substeps, d))
+            want = oracles.bridge_offdiag(path.increments, np.diff(path.times), xi)
+            got = drivers._bridge_offdiag(path, cfg)
+            assert got.flags.c_contiguous and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (level, seed, t_end)
 
 
 class TestDegenerateArea:
