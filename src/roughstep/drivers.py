@@ -917,13 +917,15 @@ class ChainCurve:
 
 
 # The blow-up construction: state range [1, _Y_MAX] on a geometric grid of
-# _N_GRID cells, the homogenization u-grid of _U_POINTS points on [1, _U_MAX],
+# _N_GRID cells, the homogenization u-grid of _U_POINTS points on [1, _U_MAX]
+# (folded over _HOM_ROWS table rows at a time),
 # the quadrature tolerance, the frozen tail of the driver after t_star
 # (its time span is _T_PAD * t_star), and the state at which the construction
 # trajectory counts as exploded.
 _Y_MAX = 1e7
 _N_GRID = 2**14
 _U_POINTS = 512
+_HOM_ROWS = 1024
 _U_MAX = 1e4
 _RTOL = 1e-8
 _T_PAD = 1.05
@@ -1057,10 +1059,20 @@ def process_envelope(envelope: GrowthEnvelope, p: float) -> ProcessedEnvelope:
     scan, which any other envelope still gets.  The tables are therefore
     bitwise those of the full scan unless ``e == r``, where all grid values
     tie in exact arithmetic and the two may differ by a few ulps.
+
+    The infimum is a fold over the u-grid: ``u_0^r f(y/u_0)``, then
+    ``np.minimum`` with ``u_j^r f(y/u_j)`` for each later u, which is exact
+    and order-free, so it equals a row-wise ``np.min`` bit for bit.  It runs
+    over blocks of ``_HOM_ROWS`` table rows so the temporaries stay small,
+    and the mollifier weights are contracted in one matmul over the whole
+    table, since a short tail block would round differently.
+
+    Raises ValueError unless ``1 < p < 1 + beta`` (at ``p <= 1``
+    ``rho2 <= 0`` leaves no homogenization degree).
     """
     beta = envelope.beta
-    if not p - 1 < beta:
-        raise ValueError(f"need beta > p - 1 for the construction (beta={beta}, p={p})")
+    if not (p > 1 and p - 1 < beta):
+        raise ValueError(f"need 1 < p < 1 + beta for the construction (beta={beta}, p={p})")
     envelope.validate()
     rho1 = (beta * p + 1.0 - p) / beta
     rho2 = (p - 1.0) / beta
@@ -1070,26 +1082,19 @@ def process_envelope(envelope: GrowthEnvelope, p: float) -> ProcessedEnvelope:
     if isinstance(envelope, _PowerLawEnvelope):
         u_grid, u_pow = u_grid[[0, -1]], u_pow[[0, -1]]
 
-    def homogenized(vals_fn, y):
-        # inf over the u-grid of u^r * f(y/u); vectorized in y, chunked so
-        # the (points, _U_POINTS) work matrix stays a few tens of megabytes
-        y = np.asarray(y, dtype=float).ravel()
-        out = np.empty(y.size)
-        step = 8192
-        for lo in range(0, y.size, step):
-            block = y[lo : lo + step, None] / u_grid[None, :]
-            out[lo : lo + step] = np.min(u_pow[None, :] * vals_fn(block), axis=1)
-        return out
-
     # dense tables out to 2 * _Y_MAX so the mollifier window never extrapolates
     y_tab = np.geomspace(1.0, 2.0 * _Y_MAX, _N_GRID + 1)
     nodes, weights = _mollifier_weights()
-    d_h = homogenized(envelope.growth, np.outer(y_tab, nodes)).reshape(
-        y_tab.size, nodes.size
-    )
-    a_h = homogenized(envelope.area_growth, np.outer(y_tab, nodes)).reshape(
-        y_tab.size, nodes.size
-    )
+    d_h = np.empty((y_tab.size, nodes.size))
+    a_h = np.empty_like(d_h)
+    for lo in range(0, y_tab.size, _HOM_ROWS):
+        points = y_tab[lo : lo + _HOM_ROWS, None] * nodes
+        for vals_fn, table in ((envelope.growth, d_h), (envelope.area_growth, a_h)):
+            # inf over the u-grid of u^r * f(y/u)
+            out = table[lo : lo + _HOM_ROWS]
+            out[...] = u_pow[0] * vals_fn(points / u_grid[0])
+            for u, w in zip(u_grid[1:], u_pow[1:]):
+                np.minimum(out, w * vals_fn(points / u), out=out)
     scale = 2.0**-r_hom
     dstar_tab = scale * d_h @ weights
     astar_tab = scale * a_h @ weights

@@ -349,6 +349,8 @@ class TestConfigErrors:
                                               "coeffs": [[0.0, True, 0.5]]}}),
         ("solve", {**SOLVE_CONFIG, "y0": ["1.0"]}),
         ("curve", {**CURVE_CONFIG, "depth": 1}),
+        ("explosion", {"envelope": {"growth_exp": 1.2, "area_exp": 0.4, "beta": 0.8},
+                       "p": 1.0}),
     ], ids=["level-out-of-range", "nan-y0", "field-driver-mismatch", "oracle-needs-d1",
             "mesh-not-dividing-grid", "null-level", "null-alpha", "null-p", "null-matrix",
             "scheme-gamma", "scheme-p", "c21-no-levels", "c21-level-finer-than-driver",
@@ -367,7 +369,8 @@ class TestConfigErrors:
             "fractional-max-span", "fractional-pair-index", "boolean-pair-index",
             "boolean-threshold", "fractional-mesh", "boolean-c21-level",
             "fractional-grid", "boolean-p", "boolean-curve-seed", "boolean-y0",
-            "boolean-matrix", "boolean-in-mixed-y0", "boolean-coeffs", "text-y0", "curve-depth-1"])
+            "boolean-matrix", "boolean-in-mixed-y0", "boolean-coeffs", "text-y0", "curve-depth-1",
+            "explosion-p-1"])
     def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, subcommand, config):
         cfg = _write_config(tmp_path, "bad.json", config)
         out = tmp_path / "out"

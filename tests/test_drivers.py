@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -548,6 +549,14 @@ class TestExplosionDriver:
             explosion_driver(power_law_envelope(0.6, 0.3, 0.8), 1.5)
 
 
+def _two_term_envelope():
+    return GrowthEnvelope(
+        growth=lambda r: np.asarray(r) ** 2.4 + np.asarray(r) ** 1.2,
+        area_growth=lambda r: np.asarray(r) ** 1.6 + np.asarray(r) ** 0.4,
+        beta=0.8,
+    )
+
+
 class TestProcessEnvelope:
     """Endpoint homogenization of power laws against the full u-grid scan."""
 
@@ -578,11 +587,7 @@ class TestProcessEnvelope:
     def test_interior_infimum_takes_the_full_scan(self):
         """u^2 D(y/u) with D = R^2.4 + R^1.2 is least near u = 0.56 y, so the
         endpoints alone overestimate the homogenized envelope."""
-        env = GrowthEnvelope(
-            growth=lambda r: np.asarray(r) ** 2.4 + np.asarray(r) ** 1.2,
-            area_growth=lambda r: np.asarray(r) ** 1.6 + np.asarray(r) ** 0.4,
-            beta=0.8,
-        )
+        env = _two_term_envelope()
         proc = process_envelope(env, 1.5)
         nodes, weights = _mollifier_weights()
         u = np.array([1.0, drivers._U_MAX])
@@ -590,3 +595,51 @@ class TestProcessEnvelope:
         ends = 2.0**-proc.r_hom * np.min(u**proc.r_hom * env.growth(ys), axis=-1) @ weights
         assert np.all(proc.dstar_tab <= ends * (1 + 1e-12))
         assert np.any(proc.dstar_tab < 0.9 * ends)
+
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    def test_p_at_most_one_is_refused(self, p):
+        # rho2 = (p - 1) / beta is 0 at p = 1 and negative below
+        with pytest.raises(ValueError, match="1 < p"):
+            process_envelope(power_law_envelope(1.2, 0.4, 0.8), p)
+
+
+class TestEnvelopeFold:
+    """The row-blocked u-grid fold against the row-wise ``np.min`` scan."""
+
+    @pytest.mark.parametrize("env, n_grid", [
+        # full grid: 16,385 rows are 16 full blocks and a 1-row tail
+        (power_law_envelope(1.2, 0.4, 0.8), None),
+        (power_law_envelope(0.9, 0.9, 0.8), None),
+        (power_law_envelope(1.1, 0.3, 0.8), 1024),
+        (power_law_envelope(2.3, 1.5, 0.8), 1024),
+        # the r_hom tie: every u-grid value of u^2 (y/u)^2 agrees in exact arithmetic
+        (power_law_envelope(2.0, 1.2, 0.8), 1024),
+        # the interior infimum folds over all _U_POINTS columns
+        (_two_term_envelope(), 256),
+    ], ids=["benchmark", "gallery-0.9-0.9", "gallery-1.1-0.3", "gallery-2.3-1.5",
+            "r-hom-tie", "two-term"])
+    def test_tables_are_bitwise_the_min_scan(self, monkeypatch, env, n_grid):
+        if n_grid is not None:
+            monkeypatch.setattr(drivers, "_N_GRID", n_grid)
+        proc = process_envelope(env, 1.5)
+        u_grid = np.geomspace(1.0, drivers._U_MAX, drivers._U_POINTS)
+        if isinstance(env, drivers._PowerLawEnvelope):
+            u_grid = u_grid[[0, -1]]
+        nodes, weights = _mollifier_weights()
+        dstar, astar = oracles.envelope_tables(env.growth, env.area_growth, proc.y_tab,
+                                               nodes, weights, u_grid, proc.r_hom)
+        assert proc.dstar_tab.tobytes() == dstar.tobytes()
+        assert proc.astar_tab.tobytes() == astar.tobytes()
+
+    def test_peak_memory_stays_blocked(self):
+        # the two (16,385, 65) homogenized tables and one scaled copy are ~24.4 MiB;
+        # folding the whole table at once adds two full-table temporaries (~41 MiB)
+        env = power_law_envelope(1.2, 0.4, 0.8)
+        process_envelope(env, 1.5)
+        tracemalloc.start()
+        try:
+            process_envelope(env, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
