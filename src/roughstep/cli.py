@@ -7,10 +7,12 @@ as read (defaults filled in, the effective seed) and a sha256 per artifact, so
 a directory is self-describing and a rerun with the same config and seed is
 byte-identical.
 
-Exit codes: 0 success, 2 config error (a block that is not an object, unknown
-or missing keys, a value of the wrong type, inadmissible parameters, a field
-that does not fit its driver or initial state), 3 numerical failure
-(non-finite states or results, or an explosion the config did not declare).
+Exit codes, decided in :func:`main` alone: 0 success, 2 config error (a block
+that is not an object, unknown or missing keys, a value of the wrong type,
+inadmissible parameters, a field that does not fit its driver or initial
+state, an ``--out`` that is not a directory), 3 numerical failure (non-finite
+states or results, an arithmetic overflow, or an explosion the config did not
+declare).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import hashlib
 import json
 import math
 import sys
-from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -103,15 +104,6 @@ def _kinded(raw, where: str, specs: dict) -> dict:
     if not isinstance(kind, str) or kind not in specs:
         raise ConfigError(f"{where} needs a kind in {sorted(specs)}, got {raw!r}")
     return _block(raw, f"{kind} {where}", {"kind": (str, _REQUIRED), **specs[kind]})
-
-
-@contextmanager
-def _refused():
-    """A library's refusal of a config value (``ValueError``, ``IndexError``) as a config error."""
-    try:
-        yield
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _choice(*options):
@@ -265,20 +257,19 @@ _SYSTEM = {  # a field driven from y0 by one scheme
 })
 def _cmd_solve(config: dict, seed_override) -> dict:
     scheme, threshold = config["scheme"]["scheme"], config["scheme"]["explosion_threshold"]
-    with _refused():
-        path, area = _driver(config["driver"], seed_override, scheme == "corrected")
-        field = _field(config["field"])
-        if scheme == "corrected":
-            traj = corrected_solve(field, path, area, config["y0"], explosion_threshold=threshold)
-        else:
-            traj = euler_solve(field, path, config["y0"], explosion_threshold=threshold)
-        if traj.exploded and not config["expect_explosion"]:
-            raise NumericsError("state crossed the explosion threshold at step "
-                                f"{traj.exploded_at}")
-        artifacts = {"trajectory.csv": traj.write_csv}
-        if "defect" in config:
-            report = defect(traj, field, path, area=area, **config["defect"])
-            artifacts["defect.json"] = report.to_dict()
+    path, area = _driver(config["driver"], seed_override, scheme == "corrected")
+    field = _field(config["field"])
+    if scheme == "corrected":
+        traj = corrected_solve(field, path, area, config["y0"], explosion_threshold=threshold)
+    else:
+        traj = euler_solve(field, path, config["y0"], explosion_threshold=threshold)
+    if traj.exploded and not config["expect_explosion"]:
+        raise NumericsError("state crossed the explosion threshold at step "
+                            f"{traj.exploded_at}")
+    artifacts = {"trajectory.csv": traj.write_csv}
+    if "defect" in config:
+        report = defect(traj, field, path, area=area, **config["defect"])
+        artifacts["defect.json"] = report.to_dict()
     return artifacts
 
 
@@ -294,17 +285,16 @@ _ORACLES = {"gbm_ito": gbm_terminal_ito, "gbm_stratonovich": gbm_terminal_strato
 })
 def _cmd_convergence(config: dict, seed_override) -> dict:
     scheme = config["scheme"]
-    with _refused():
-        need_area = scheme["scheme"] == "corrected" or config["oracle"] == "fine"
-        path, area = _driver(config["driver"], seed_override, need_area)
-        report = convergence_study(
-            _field(config["field"]), path, config["y0"],
-            k_values=config["k_values"],
-            area=area,
-            reference=_ORACLES[config["oracle"]],
-            drop_coarsest=config["drop_coarsest"],
-            **scheme,
-        )
+    need_area = scheme["scheme"] == "corrected" or config["oracle"] == "fine"
+    path, area = _driver(config["driver"], seed_override, need_area)
+    report = convergence_study(
+        _field(config["field"]), path, config["y0"],
+        k_values=config["k_values"],
+        area=area,
+        reference=_ORACLES[config["oracle"]],
+        drop_coarsest=config["drop_coarsest"],
+        **scheme,
+    )
     return {"rate.json": report.to_dict()}
 
 
@@ -314,9 +304,8 @@ def _cmd_convergence(config: dict, seed_override) -> dict:
     "triple_seed": (_int, 0),
 })
 def _cmd_chen_check(config: dict, seed_override) -> dict:
-    with _refused():
-        _, area = _driver(config["driver"], seed_override, need_area=True)
-        res = chen_residuals(area, n_triples=config["n_triples"], seed=config["triple_seed"])
+    _, area = _driver(config["driver"], seed_override, need_area=True)
+    res = chen_residuals(area, n_triples=config["n_triples"], seed=config["triple_seed"])
     return {"chen.json": {
         "kind": area.kind,
         "n_triples": config["n_triples"],
@@ -335,11 +324,10 @@ def _cmd_chen_check(config: dict, seed_override) -> dict:
     "window_cap": (_int, 2**12),
 })
 def _cmd_condition21(config: dict, seed_override) -> dict:
-    with _refused():
-        _, ito = _driver(config["driver"], seed_override, need_area=True)
-        stats = [condition21_stat(area, config["alpha"], config["beta"],
-                                  levels=config["levels"], window_cap=config["window_cap"])
-                 for area in (ito, stratonovich_area(ito))]
+    _, ito = _driver(config["driver"], seed_override, need_area=True)
+    stats = [condition21_stat(area, config["alpha"], config["beta"],
+                              levels=config["levels"], window_cap=config["window_cap"])
+             for area in (ito, stratonovich_area(ito))]
     return {"condition21.json": {
         "ito": stats[0].to_dict(),
         "stratonovich": stats[1].to_dict(),
@@ -351,8 +339,7 @@ def _cmd_condition21(config: dict, seed_override) -> dict:
     "exponents": (partial(_block, where="exponents", spec=_fields(CounterexampleConfig)), {}),
 })
 def _cmd_nonuniqueness(config: dict, seed_override) -> dict:
-    with _refused():
-        report = nonuniqueness_demo(CounterexampleConfig(**config["exponents"]))
+    report = nonuniqueness_demo(CounterexampleConfig(**config["exponents"]))
     return {"nonuniqueness.json": report.to_dict(), "trajectory.csv": report.traj_b.write_csv}
 
 
@@ -366,20 +353,19 @@ def _cmd_nonuniqueness(config: dict, seed_override) -> dict:
 })
 def _cmd_explosion(config: dict, seed_override) -> dict:
     gamma = config.setdefault("gamma", 1.0 + config["envelope"]["beta"])
-    with _refused():
-        env = power_law_envelope(**config["envelope"])
-        payload = {"criterion": explosion_criterion(env, config["p"], gamma,
-                                                    config["r_max"]).to_dict()}
-        if config["include_driver"]:
-            drv = explosion_driver(env, config["p"])
-            traj = drv.state_trajectory()
-            payload["driver"] = {
-                "t_star": drv.t_star,
-                "exploded": traj.exploded,
-                "explosion_time": None if not traj.exploded
-                else float(traj.times[traj.exploded_at]),
-                "max_state": float(np.max(traj.states)),
-            }
+    env = power_law_envelope(**config["envelope"])
+    payload = {"criterion": explosion_criterion(env, config["p"], gamma,
+                                                config["r_max"]).to_dict()}
+    if config["include_driver"]:
+        drv = explosion_driver(env, config["p"])
+        traj = drv.state_trajectory()
+        payload["driver"] = {
+            "t_star": drv.t_star,
+            "exploded": traj.exploded,
+            "explosion_time": None if not traj.exploded
+            else float(traj.times[traj.exploded_at]),
+            "max_state": float(np.max(traj.states)),
+        }
     return {"explosion.json": payload}
 
 
@@ -392,10 +378,9 @@ def _cmd_explosion(config: dict, seed_override) -> dict:
 })
 def _cmd_curve(config: dict, seed_override) -> dict:
     seed = _seed(config, seed_override, "curve band sampling")
-    with _refused():
-        curve = ChainCurve(config["alpha"], config["depth"])
-        c_lower, c_upper = curve.band_stats(config["n_pairs"], np.random.default_rng(seed))
-        exponent = holder_estimate(curve.sample(config["samples"]))
+    curve = ChainCurve(config["alpha"], config["depth"])
+    c_lower, c_upper = curve.band_stats(config["n_pairs"], np.random.default_rng(seed))
+    exponent = holder_estimate(curve.sample(config["samples"]))
     return {"curve.json": {
         "alpha": curve.alpha,
         "depth": curve.depth,
@@ -447,14 +432,13 @@ def main(argv=None) -> int:
         artifacts = handler(config, args.seed)
         # serialized before the output directory exists, so a refusal leaves none
         encoded = {name: _json_bytes(a) for name, a in artifacts.items() if isinstance(a, dict)}
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+        out.mkdir(parents=True, exist_ok=True)
+    except (ValueError, IndexError, OSError) as exc:  # ConfigError and JSONDecodeError too
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericsError as exc:
+    except (NumericsError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-
-    out.mkdir(parents=True, exist_ok=True)
     hashes = {}
     for name, artifact in sorted(artifacts.items()):
         target = out / name

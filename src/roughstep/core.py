@@ -101,18 +101,9 @@ class DriverPath:
         return np.diff(self.values, axis=0)
 
     def eval(self, t) -> np.ndarray:
-        """Piecewise-linear value(s) at time(s) ``t``.
-
-        Scalar ``t`` gives shape ``(d,)``; an array of shape ``(m,)`` gives
-        ``(m, d)``.  Queries outside the grid clamp to the endpoint values.
-        """
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty((t_arr.size, self.d))
-        for j in range(self.d):
-            out[:, j] = np.interp(t_arr, self.times, self.values[:, j])
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return out[0]
-        return out
+        """The piecewise-linear path at the 1-D array of times ``t``, shape ``(m, d)``.
+        Queries outside the grid clamp to the endpoint values."""
+        return np.column_stack([np.interp(t, self.times, v) for v in self.values.T])
 
     def subsample(self, stride: int) -> "DriverPath":
         """Keep every ``stride``-th sample (endpoints always included)."""
@@ -501,12 +492,9 @@ class Trajectory:
 
     def __post_init__(self):
         self.times = _float_array(self.times, "times", 1)
-        states = np.asarray(self.states, dtype=float)
-        if states.ndim == 1:
-            states = states[:, None]
-        if states.shape[0] != self.times.size:
+        self.states = _float_array(self.states, "states", 2)
+        if self.states.shape[0] != self.times.size:
             raise ValueError("times and states disagree in length")
-        self.states = states
 
     @property
     def n(self) -> int:

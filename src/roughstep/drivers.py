@@ -252,38 +252,25 @@ class PolynomialPath:
             out.append(row)
         return out
 
-    def area(self, s: float, t: float) -> np.ndarray:
-        """Exact area block over (s, t)."""
+    def area(self, s, t) -> np.ndarray:
+        """Exact area blocks over ``(s, t)``: ``(d, d)`` for scalar times, ``(m, d, d)``
+        for arrays of ``m`` interval ends."""
         q = self._cross_antiderivatives()
-        poly = np.polynomial.polynomial
-        xs = self.value(s)
-        out = np.empty((self.d, self.d))
+        polyv = np.polynomial.polynomial.polyval
+        s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+        xs, xt = self.value(s), self.value(t)
+        out = np.empty(np.broadcast_shapes(s.shape, t.shape) + (self.d, self.d))
         for r in range(self.d):
             for j in range(self.d):
-                raw = poly.polyval(t, q[r][j]) - poly.polyval(s, q[r][j])
-                out[r, j] = raw - xs[r] * (
-                    poly.polyval(t, self.coeffs[j]) - poly.polyval(s, self.coeffs[j])
-                )
+                raw = polyv(t, q[r][j]) - polyv(s, q[r][j])
+                out[..., r, j] = raw - xs[..., r] * (xt[..., j] - xs[..., j])
         return out
 
 
 def analytic_area(poly: PolynomialPath, path: DriverPath) -> AreaProcess:
-    """Exact per-interval area blocks of a polynomial path on a given grid.
-
-    The grid values of ``path`` are trusted to come from ``poly.sample``;
-    only the times are used here.
-    """
-    q = poly._cross_antiderivatives()
-    polyv = np.polynomial.polynomial.polyval
-    t = path.times
-    x = poly.value(t)
-    k = path.n_intervals
-    blocks = np.empty((k, poly.d, poly.d))
-    for r in range(poly.d):
-        for j in range(poly.d):
-            prim = polyv(t, q[r][j])
-            blocks[:, r, j] = (prim[1:] - prim[:-1]) - x[:-1, r] * (x[1:, j] - x[:-1, j])
-    return AreaProcess(path, blocks, "analytic")
+    """Exact per-interval area blocks of a polynomial path on the grid of ``path``,
+    which is trusted to come from ``poly.sample``; only its times are used."""
+    return AreaProcess(path, poly.area(path.times[:-1], path.times[1:]), "analytic")
 
 
 # ---------------------------------------------------------------------------
@@ -1095,17 +1082,16 @@ def process_envelope(envelope: GrowthEnvelope, p: float) -> ProcessedEnvelope:
             out[...] = u_pow[0] * vals_fn(points / u_grid[0])
             for u, w in zip(u_grid[1:], u_pow[1:]):
                 np.minimum(out, w * vals_fn(points / u), out=out)
-    scale = 2.0**-r_hom
-    dstar_tab = scale * d_h @ weights
-    astar_tab = scale * a_h @ weights
+    d_h *= 2.0**-r_hom  # in place: no second table-sized array
+    a_h *= 2.0**-r_hom
     return ProcessedEnvelope(
         beta=beta,
         r_hom=r_hom,
         rho1=rho1,
         rho2=rho2,
         y_tab=y_tab,
-        dstar_tab=dstar_tab,
-        astar_tab=astar_tab,
+        dstar_tab=d_h @ weights,
+        astar_tab=a_h @ weights,
     )
 
 

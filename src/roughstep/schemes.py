@@ -288,7 +288,10 @@ def _defect_pairs(
             raise ValueError(f"unknown pair policy {policy!r}")
         pair_arr = window_pairs(n_points, max_span if policy == "window" else 1)
     else:
-        pair_arr = np.asarray(pairs, dtype=int)
+        pair_arr = np.asarray(pairs)
+        if pair_arr.size and pair_arr.dtype.kind not in "iu":
+            raise TypeError(f"explicit pairs are integer indices, not {pair_arr.dtype}")
+        pair_arr = pair_arr.astype(int, copy=False)
         if pair_arr.ndim != 2 or pair_arr.shape[1] != 2:
             raise ValueError("explicit pairs must be an (m, 2) integer array")
         policy = "custom"

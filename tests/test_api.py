@@ -1,5 +1,6 @@
-"""The package namespace assembled from the submodules' ``__all__`` lists, and
-the module-level imports of the package and its tests."""
+"""The package namespace assembled from the submodules' ``__all__`` lists, the
+module-level imports of the package and its tests, and the package's
+module-level definitions."""
 from __future__ import annotations
 
 import ast
@@ -52,3 +53,45 @@ def test_no_unused_module_level_import(path):
 def test_the_import_scan_sees_an_unused_name():
     source = "from __future__ import annotations\nimport os, sys as system\nfrom a import b\n"
     assert _unused_imports(source + "__all__ = ['b']\nsystem.exit\n") == ["os"]
+
+
+def _definitions(tree: ast.Module) -> list[str]:
+    """Module-level functions, classes and assigned names of a module.
+
+    Dunder names and handlers registered by ``@_subcommand``, which are called
+    through the registry and never by name, are left out.
+    """
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_subcommand"
+                       for d in node.decorator_list):
+                names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("__")]
+
+
+def _named(trees) -> set[str]:
+    """Every name read and every attribute taken anywhere in ``trees``."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+def test_no_dead_module_level_definition():
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
+    named = _named(trees.values())
+    dead = [f"{path.name}:{name}" for path, tree in sorted(trees.items())
+            if path.parent.name == "roughstep" for name in _definitions(tree)
+            if name not in named]
+    assert dead == []
+
+
+def test_the_definition_scan_sees_a_dead_name():
+    source = ("def f(): pass\ndef g(): f()\nX = 1\nY: int = 2\nprint(Y)\nclass C: pass\n"
+              "@_subcommand('run', {})\ndef handler(): pass\n__all__ = []\nobj.attr = X\n")
+    tree = ast.parse(source)
+    assert sorted(set(_definitions(tree)) - _named([tree])) == ["C", "g"]

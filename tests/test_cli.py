@@ -351,6 +351,8 @@ class TestConfigErrors:
         ("curve", {**CURVE_CONFIG, "depth": 1}),
         ("explosion", {"envelope": {"growth_exp": 1.2, "area_exp": 0.4, "beta": 0.8},
                        "p": 1.0}),
+        ("nonuniqueness", {"exponents": {"gamma": 1.05, "p": 5.0, "beta_exp": 1.0,
+                                         "rho_exp": 3.0}}),
     ], ids=["level-out-of-range", "nan-y0", "field-driver-mismatch", "oracle-needs-d1",
             "mesh-not-dividing-grid", "null-level", "null-alpha", "null-p", "null-matrix",
             "scheme-gamma", "scheme-p", "c21-no-levels", "c21-level-finer-than-driver",
@@ -370,7 +372,7 @@ class TestConfigErrors:
             "boolean-threshold", "fractional-mesh", "boolean-c21-level",
             "fractional-grid", "boolean-p", "boolean-curve-seed", "boolean-y0",
             "boolean-matrix", "boolean-in-mixed-y0", "boolean-coeffs", "text-y0", "curve-depth-1",
-            "explosion-p-1"])
+            "explosion-p-1", "nonuniqueness-tail-integral"])
     def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, subcommand, config):
         cfg = _write_config(tmp_path, "bad.json", config)
         out = tmp_path / "out"
@@ -392,6 +394,30 @@ class TestConfigErrors:
         out = tmp_path / "out"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("numerical failure")
+        assert not out.exists()
+
+    def test_out_naming_a_file_exits_2_and_leaves_it(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, "solve.json", SOLVE_CONFIG)
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "Traceback" not in err
+        assert out.read_text() == "not a directory\n"
+
+    def test_oracle_overflow_exits_3_without_output(self, tmp_path, capsys):
+        # on seed 1 the increment over t_end = 1e6 is about 941, and exp(941) overflows
+        cfg = _write_config(tmp_path, "huge.json", {
+            "driver": {"kind": "brownian", "d": 1, "level": 6, "t_end": 1e6},
+            "field": {"kind": "scalar_linear"},
+            "y0": [1.0],
+            "k_values": [4, 16],
+            "oracle": "gbm_stratonovich",
+        })
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", cfg, "--out", str(out), "--seed", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure") and "Traceback" not in err
         assert not out.exists()
 
     def test_unknown_subcommand_exits_via_argparse(self, tmp_path):
@@ -491,6 +517,18 @@ class TestOtherSubcommands:
         out = tmp_path / "out"
         assert main(["chen-check", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "chen.json").read_text())
+        assert report["max_residual"] <= 1e-12
+
+    def test_chen_check_degenerate_polynomial(self, tmp_path):
+        cfg = _write_config(tmp_path, "chen.json", {
+            "driver": {"kind": "polynomial", "coeffs": [[0.0, 1.0, 0.5], [1.0, -2.0, 3.0]],
+                       "area": "degenerate", "samples": 129},
+            "n_triples": 200,
+        })
+        out = tmp_path / "out"
+        assert main(["chen-check", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "chen.json").read_text())
+        assert report["kind"] == "degenerate"
         assert report["max_residual"] <= 1e-12
 
     def test_condition21(self, tmp_path):

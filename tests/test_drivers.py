@@ -179,6 +179,14 @@ class TestPolynomialArea:
             assert np.allclose(area.pair(i, k), poly.area(t[i], t[k]),
                                rtol=0, atol=1e-13)
 
+    def test_area_on_arrays_is_the_scalar_area_per_interval(self, poly_pair):
+        poly, path, _ = poly_pair
+        s, t = path.times[[0, 17, 100]], path.times[[64, 401, 512]]
+        blocks = poly.area(s, t)
+        assert blocks.shape == (3, poly.d, poly.d)
+        for m in range(3):
+            assert blocks[m].tobytes() == poly.area(s[m], t[m]).tobytes()
+
     def test_richardson_sums_converge_to_closed_form(self, poly_pair):
         poly, _, _ = poly_pair
         got = oracles.richardson_area(poly.value, 0.2, 0.9, 4096)

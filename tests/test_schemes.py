@@ -559,6 +559,16 @@ class TestDefect:
             defect(traj, gbm_field, sub, gamma=1.5, p=2.5,
                    pairs=np.array([[0, 999]]))
 
+    @pytest.mark.parametrize("pairs", [[[0.9, 3.7]], [[False, True]], np.array([[0.0, 3.0]])])
+    def test_float_and_boolean_pairs_refused(self, bm1, gbm_field, pairs):
+        """Explicit pairs are integer indices, as partitions are: ``[[0.9, 3.7]]`` is
+        not read as ``(0, 3)`` nor ``[[False, True]]`` as ``(0, 1)``."""
+        _, path, _ = bm1
+        sub = path.subsample(32)
+        traj = euler_solve(gbm_field, sub, np.array([1.0]))
+        with pytest.raises(TypeError, match="explicit pairs are integer indices"):
+            defect(traj, gbm_field, sub, gamma=1.5, p=2.5, pairs=pairs)
+
 
 class TestAreaBinding:
     """An area must belong to the driver it is used with, not just share its grid."""
