@@ -10,9 +10,10 @@ byte-identical.
 Exit codes, decided in :func:`main` alone: 0 success, 2 config error (a block
 that is not an object, unknown or missing keys, a value of the wrong type,
 inadmissible parameters, a field that does not fit its driver or initial
-state, an ``--out`` that is not a directory), 3 numerical failure (non-finite
-states or results, an arithmetic overflow, or an explosion the config did not
-declare).
+state, an ``--out`` that is not a directory, an artifact that cannot be
+written), 3 numerical failure (non-finite states or results, an arithmetic
+overflow, or an explosion the config did not declare).  A run is complete
+only once ``manifest.json`` is written, last.
 """
 
 from __future__ import annotations
@@ -433,30 +434,29 @@ def main(argv=None) -> int:
         # serialized before the output directory exists, so a refusal leaves none
         encoded = {name: _json_bytes(a) for name, a in artifacts.items() if isinstance(a, dict)}
         out.mkdir(parents=True, exist_ok=True)
+        hashes = {}
+        for name, artifact in sorted(artifacts.items()):
+            target = out / name
+            if name in encoded:
+                target.write_bytes(encoded[name])
+            else:
+                artifact(target)  # a writer is hashed from the file it wrote
+                encoded[name] = target.read_bytes()
+            hashes[name] = hashlib.sha256(encoded[name]).hexdigest()
+        manifest = {
+            "subcommand": args.subcommand,
+            "version": __version__,
+            "seed_override": args.seed,
+            "config": config,
+            "artifacts": hashes,
+        }
+        (out / "manifest.json").write_bytes(_json_bytes(manifest))
     except (ValueError, IndexError, OSError) as exc:  # ConfigError and JSONDecodeError too
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericsError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    hashes = {}
-    for name, artifact in sorted(artifacts.items()):
-        target = out / name
-        if name in encoded:
-            data = encoded[name]
-            target.write_bytes(data)
-        else:
-            artifact(target)  # a writer is hashed from the file it wrote
-            data = target.read_bytes()
-        hashes[name] = hashlib.sha256(data).hexdigest()
-    manifest = {
-        "subcommand": args.subcommand,
-        "version": __version__,
-        "seed_override": args.seed,
-        "config": config,
-        "artifacts": hashes,
-    }
-    (out / "manifest.json").write_bytes(_json_bytes(manifest))
     return 0
 
 

@@ -12,7 +12,7 @@ Everything a scheme consumes is produced here as a (:class:`DriverPath`,
   geometric grid with a semi-analytic quadrature for the grown branch;
 * a self-similar nested-chain curve with prescribed Holder exponent,
   evaluated on demand because its finest resolution is never materialized;
-* a spiral driver carrying a prescribed blow-up time, assembled from radial
+* a spiral driver carrying a prescribed blow-up time, built from power-law
   growth envelopes by homogenization, mollification, and a time change.
 
 All random constructions are driven by ``np.random.SeedSequence([seed, tag])``
@@ -904,15 +904,12 @@ class ChainCurve:
 
 
 # The blow-up construction: state range [1, _Y_MAX] on a geometric grid of
-# _N_GRID cells, the homogenization u-grid of _U_POINTS points on [1, _U_MAX]
-# (folded over _HOM_ROWS table rows at a time),
-# the quadrature tolerance, the frozen tail of the driver after t_star
-# (its time span is _T_PAD * t_star), and the state at which the construction
-# trajectory counts as exploded.
+# _N_GRID cells, the homogenization u-range [1, _U_MAX], the quadrature
+# tolerance, the frozen tail of the driver after t_star (its time span is
+# _T_PAD * t_star), and the state at which the construction trajectory counts
+# as exploded.
 _Y_MAX = 1e7
 _N_GRID = 2**14
-_U_POINTS = 512
-_HOM_ROWS = 1024
 _U_MAX = 1e4
 _RTOL = 1e-8
 _T_PAD = 1.05
@@ -945,9 +942,7 @@ def _cumulative_simpson(fn, grid: np.ndarray) -> np.ndarray:
         cells = (hi - lo) / (6.0 * npts) * (vals * weights[None, :]).sum(axis=1)
         if prev is not None:
             err = np.max(np.abs(cells - prev))
-            if err <= _RTOL * max(float(np.sum(np.abs(cells))), 1e-300):
-                break
-            if npts > 64:
+            if err <= _RTOL * max(float(np.sum(np.abs(cells))), 1e-300) or npts > 64:
                 break
         prev = cells
         npts *= 2
@@ -977,34 +972,30 @@ def power_law_envelope(growth_exp: float, area_exp: float, beta: float) -> Growt
 class ProcessedEnvelope:
     """Homogenized and mollified envelope data of the blow-up driver.
 
-    ``dstar``/``astar`` interpolate log-log tables, which is exact for
-    power-law inputs.  ``integrand(y)`` is the blow-up time density
-    ``astar^-rho2 * dstar^-rho1`` whose total integral is the blow-up time.
+    ``dstar(y) = c * max(y, 1)^e`` with ``(c, e)`` the pair ``d_law``, and
+    ``astar`` likewise with ``a_law``.  ``integrand(y)`` is the blow-up time
+    density ``astar^-rho2 * dstar^-rho1`` whose total integral is the blow-up
+    time.
     """
 
     beta: float
     r_hom: int
     rho1: float
     rho2: float
-    y_tab: np.ndarray
-    dstar_tab: np.ndarray
-    astar_tab: np.ndarray
+    d_law: tuple[float, float]
+    a_law: tuple[float, float]
 
-    def __post_init__(self):
-        self._log_y = np.log(self.y_tab)
-        self._log_d = np.log(self.dstar_tab)
-        self._log_a = np.log(self.astar_tab)
-
-    def _interp(self, y, log_tab):
-        y = np.asarray(y, dtype=float)
-        out = np.exp(np.interp(np.log(np.maximum(y, self.y_tab[0])), self._log_y, log_tab))
+    @staticmethod
+    def _power(y, law):
+        c, e = law
+        out = c * np.maximum(np.asarray(y, dtype=float), 1.0) ** e
         return out if out.ndim else float(out)
 
     def dstar(self, y):
-        return self._interp(y, self._log_d)
+        return self._power(y, self.d_law)
 
     def astar(self, y):
-        return self._interp(y, self._log_a)
+        return self._power(y, self.a_law)
 
     def integrand(self, y):
         return self.astar(y) ** (-self.rho2) * self.dstar(y) ** (-self.rho1)
@@ -1013,8 +1004,7 @@ class ProcessedEnvelope:
         return (self.astar(y) / self.dstar(y)) ** (1.0 / self.beta)
 
     def radius_factor(self, y):
-        d, a = self.dstar(y), self.astar(y)
-        return (d ** (1.0 - self.beta) / a) ** (1.0 / self.beta)
+        return (self.dstar(y) ** (1.0 - self.beta) / self.astar(y)) ** (1.0 / self.beta)
 
 
 # Simpson nodes of the mollifier bump on [1, 2] (odd, so Simpson applies).
@@ -1032,31 +1022,28 @@ def _mollifier_weights():
 
 
 def process_envelope(envelope: GrowthEnvelope, p: float) -> ProcessedEnvelope:
-    """Homogenize and mollify a growth envelope for blow-up computations.
+    """Homogenize and mollify a power-law envelope for blow-up computations.
 
-    Homogenization takes the infimum of ``u^r D(y/u)`` over a geometric
-    u-grid on [1, _U_MAX], with ``r`` just above 1/min(rho1, rho2); the
-    mollification averages over the dilation window [1, 2] against a bump,
-    scaled by 2^-r.  Both steps map power laws to power laws (up to
-    constants), which the acceptance oracle for the criterion relies on.
+    Homogenization takes ``inf u^r f(y/u)`` over u in [1, _U_MAX], with
+    ``r`` the least integer above 1/min(rho1, rho2); mollification averages
+    the result over the dilation window [1, 2] against a unit-mass bump and
+    scales it by 2^-r.  For ``f(R) = R^e`` both steps are closed forms:
 
-    For an envelope from :func:`power_law_envelope`, ``u^r (y/u)^e =
-    y^e u^(r-e)`` is monotone in u, so only the two endpoints of the u-grid
-    are scanned; they are evaluated with the same operations as the full
-    scan, which any other envelope still gets.  The tables are therefore
-    bitwise those of the full scan unless ``e == r``, where all grid values
-    tie in exact arithmetic and the two may differ by a few ulps.
+    * ``u^r (y/u)^e = y^e u^(r-e)`` is monotone in u, so the infimum sits at
+      an end of the u-range and is ``y^e min(1, _U_MAX^(r-e))``;
+    * averaging ``(y s)^e`` over s against the bump gives ``y^e`` times the
+      bump's e-th moment, ``weights @ nodes**e`` on its Simpson nodes.
 
-    The infimum is a fold over the u-grid: ``u_0^r f(y/u_0)``, then
-    ``np.minimum`` with ``u_j^r f(y/u_j)`` for each later u, which is exact
-    and order-free, so it equals a row-wise ``np.min`` bit for bit.  It runs
-    over blocks of ``_HOM_ROWS`` table rows so the temporaries stay small,
-    and the mollifier weights are contracted in one matmul over the whole
-    table, since a short tail block would round differently.
+    So ``f* (y) = 2^-r min(1, _U_MAX^(r-e)) (weights @ nodes**e) y^e``, for D
+    and for A.  Below y = 1 both are held at their value at 1.
 
-    Raises ValueError unless ``1 < p < 1 + beta`` (at ``p <= 1``
-    ``rho2 <= 0`` leaves no homogenization degree).
+    Raises ValueError for an envelope not made by :func:`power_law_envelope`
+    (its exponents are what the closed form needs) and unless
+    ``1 < p < 1 + beta`` (at ``p <= 1`` ``rho2 <= 0`` leaves no
+    homogenization degree).
     """
+    if not isinstance(envelope, _PowerLawEnvelope):
+        raise ValueError("the blow-up construction takes only power_law_envelope envelopes")
     beta = envelope.beta
     if not (p > 1 and p - 1 < beta):
         raise ValueError(f"need 1 < p < 1 + beta for the construction (beta={beta}, p={p})")
@@ -1064,35 +1051,13 @@ def process_envelope(envelope: GrowthEnvelope, p: float) -> ProcessedEnvelope:
     rho1 = (beta * p + 1.0 - p) / beta
     rho2 = (p - 1.0) / beta
     r_hom = int(math.floor(1.0 / min(rho1, rho2))) + 1
-    u_grid = np.geomspace(1.0, _U_MAX, _U_POINTS)
-    u_pow = u_grid**r_hom
-    if isinstance(envelope, _PowerLawEnvelope):
-        u_grid, u_pow = u_grid[[0, -1]], u_pow[[0, -1]]
-
-    # dense tables out to 2 * _Y_MAX so the mollifier window never extrapolates
-    y_tab = np.geomspace(1.0, 2.0 * _Y_MAX, _N_GRID + 1)
     nodes, weights = _mollifier_weights()
-    d_h = np.empty((y_tab.size, nodes.size))
-    a_h = np.empty_like(d_h)
-    for lo in range(0, y_tab.size, _HOM_ROWS):
-        points = y_tab[lo : lo + _HOM_ROWS, None] * nodes
-        for vals_fn, table in ((envelope.growth, d_h), (envelope.area_growth, a_h)):
-            # inf over the u-grid of u^r * f(y/u)
-            out = table[lo : lo + _HOM_ROWS]
-            out[...] = u_pow[0] * vals_fn(points / u_grid[0])
-            for u, w in zip(u_grid[1:], u_pow[1:]):
-                np.minimum(out, w * vals_fn(points / u), out=out)
-    d_h *= 2.0**-r_hom  # in place: no second table-sized array
-    a_h *= 2.0**-r_hom
-    return ProcessedEnvelope(
-        beta=beta,
-        r_hom=r_hom,
-        rho1=rho1,
-        rho2=rho2,
-        y_tab=y_tab,
-        dstar_tab=d_h @ weights,
-        astar_tab=a_h @ weights,
-    )
+
+    def law(e):
+        return 2.0**-r_hom * min(1.0, _U_MAX ** (r_hom - e)) * float(weights @ nodes**e), e
+
+    return ProcessedEnvelope(beta=beta, r_hom=r_hom, rho1=rho1, rho2=rho2,
+                             d_law=law(envelope.growth_exp), a_law=law(envelope.area_exp))
 
 
 @dataclass
@@ -1118,20 +1083,14 @@ class ExplosionDriver:
         return iter((self.field, self.path, self.t_star))
 
     def state_of_t(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        logy = np.interp(t, self.t_grid, np.log(self.y_grid))
-        return np.exp(logy)
+        return np.exp(np.interp(t, self.t_grid, np.log(self.y_grid)))
 
     def state_trajectory(self) -> Trajectory:
-        y = self.y_grid
-        exploded = np.nonzero(y > _EXPLOSION_STATE)[0]
-        stop = exploded[0] if exploded.size else y.size - 1
-        return Trajectory(
-            times=self.t_grid[: stop + 1],
-            states=y[: stop + 1, None],
-            scheme="construction",
-            exploded_at=int(exploded[0]) if exploded.size else None,
-        )
+        hit = np.flatnonzero(self.y_grid > _EXPLOSION_STATE)
+        at = int(hit[0]) if hit.size else None
+        stop = self.y_grid.size if at is None else at + 1
+        return Trajectory(times=self.t_grid[:stop], states=self.y_grid[:stop, None],
+                          scheme="construction", exploded_at=at)
 
 
 def explosion_driver(envelope: GrowthEnvelope, p: float) -> ExplosionDriver:
@@ -1147,21 +1106,29 @@ def explosion_driver(envelope: GrowthEnvelope, p: float) -> ExplosionDriver:
     self-verifying: any residual seen downstream is quadrature and
     interpolation error, not modeling error.
 
-    Raises ValueError when the blow-up integral diverges (no finite t_star),
-    decided from the integrand's tail exponent before any quadrature.
+    ``envelope`` must come from :func:`power_law_envelope`, whose exponents
+    give the processed envelope in closed form (see :func:`process_envelope`);
+    :func:`roughstep.analysis.explosion_criterion` classifies any
+    :class:`GrowthEnvelope`.
+
+    Raises ValueError for any other envelope, when the blow-up integral
+    diverges (no finite t_star), decided from the integrand's exact tail
+    exponent before any quadrature, and when the envelope blows up so fast
+    that the time grid stops increasing in floating point before ``_Y_MAX``.
     """
     proc = process_envelope(envelope, p)
     y = np.geomspace(1.0, _Y_MAX, _N_GRID + 1)
-    # the time integral over (_Y_MAX, inf) is closed by power-tail extrapolation
-    tail_window = y > y[-1] / 4.0
-    ly, lf = np.log(y[tail_window]), np.log(proc.integrand(y[tail_window]))
-    slope = np.polyfit(ly, lf, 1)[0]
+    # the integrand is the power y^slope, so the time integral over
+    # (_Y_MAX, inf) is closed exactly
+    slope = -(proc.rho2 * envelope.area_exp + proc.rho1 * envelope.growth_exp)
     if slope >= -1.0 - 1e-6:
-        raise ValueError(
-            "blow-up time integral diverges for this envelope "
-            f"(local exponent {-slope:.4f} <= 1)"
-        )
+        raise ValueError("blow-up time integral diverges for this envelope "
+                         f"(tail exponent {-slope:.4f} <= 1)")
     t_of_y = _cumulative_simpson(proc.integrand, y)
+    stalled = np.flatnonzero(np.diff(t_of_y) <= 0)
+    if stalled.size:
+        raise ValueError("the envelope blows up too fast for the construction's time grid: "
+                         f"the time stops increasing from y = {y[stalled[0]]:.4g}")
     lam = _cumulative_simpson(proc.phase_density, y)
     tail = proc.integrand(y[-1]) * y[-1] / (-slope - 1.0)
     t_star = float(t_of_y[-1] + tail)
@@ -1173,21 +1140,13 @@ def explosion_driver(envelope: GrowthEnvelope, p: float) -> ExplosionDriver:
     xy = np.vstack([xy, [0.0, 0.0], [0.0, 0.0]])
     path = DriverPath(times, xy)
 
-    y_lo = float(y[0])
-    lam_tab, log_y_tab = lam, np.log(y)
+    log_y = np.log(y)
 
     def func(state):
-        yy = max(float(state[0]), y_lo)
-        lam_here = float(np.interp(math.log(yy), log_y_tab, lam_tab))
-        d_here = float(proc.dstar(yy))
+        yy = max(float(state[0]), 1.0)
+        lam_here = float(np.interp(math.log(yy), log_y, lam))
+        d_here = proc.dstar(yy)
         return np.array([[-math.sin(lam_here) * d_here, math.cos(lam_here) * d_here]])
 
-    field = VectorField(1, 2, func)
-    return ExplosionDriver(
-        path=path,
-        field=field,
-        t_star=t_star,
-        y_grid=y,
-        t_grid=t_of_y,
-        processed=proc,
-    )
+    return ExplosionDriver(path=path, field=VectorField(1, 2, func), t_star=t_star,
+                           y_grid=y, t_grid=t_of_y, processed=proc)

@@ -74,24 +74,39 @@ def _definitions(tree: ast.Module) -> list[str]:
 
 
 def _named(trees) -> set[str]:
-    """Every name read and every attribute taken anywhere in ``trees``."""
-    return {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-            or isinstance(node, ast.Attribute)}
+    """Every name read, every attribute taken and every literal ``__all__`` entry in ``trees``."""
+    named = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                named |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    return named
+
+
+def _dead(trees: dict) -> list[str]:
+    """Module-level definitions of the package that the package neither reads nor
+    exports; a read from a test does not keep a name alive."""
+    library = {path: tree for path, tree in trees.items() if path.parent.name == "roughstep"}
+    named = _named(library.values())
+    return [f"{path.name}:{name}" for path, tree in sorted(library.items())
+            for name in _definitions(tree) if name not in named]
 
 
 def test_no_dead_module_level_definition():
-    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
-    named = _named(trees.values())
-    dead = [f"{path.name}:{name}" for path, tree in sorted(trees.items())
-            if path.parent.name == "roughstep" for name in _definitions(tree)
-            if name not in named]
-    assert dead == []
+    assert _dead({path: ast.parse(path.read_text()) for path in SOURCES}) == []
 
 
 def test_the_definition_scan_sees_a_dead_name():
     source = ("def f(): pass\ndef g(): f()\nX = 1\nY: int = 2\nprint(Y)\nclass C: pass\n"
-              "@_subcommand('run', {})\ndef handler(): pass\n__all__ = []\nobj.attr = X\n")
-    tree = ast.parse(source)
-    assert sorted(set(_definitions(tree)) - _named([tree])) == ["C", "g"]
+              "@_subcommand('run', {})\ndef handler(): pass\n__all__ = ['E']\ndef E(): pass\n"
+              "obj.attr = X\nT = 3\n")
+    trees = {Path("roughstep/m.py"): ast.parse(source),
+             Path("tests/test_m.py"): ast.parse("from roughstep.m import T\nprint(T)\n")}
+    assert _dead(trees) == ["m.py:g", "m.py:C", "m.py:T"]

@@ -405,6 +405,25 @@ class TestConfigErrors:
         assert err.startswith("config error") and "Traceback" not in err
         assert out.read_text() == "not a directory\n"
 
+    def test_saturating_time_grid_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, "fast.json", {
+            "envelope": {"growth_exp": 2.3, "area_exp": 1.5, "beta": 0.8}, "p": 1.5})
+        out = tmp_path / "out"
+        assert main(["explosion", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "too fast" in err
+        assert not out.exists()
+
+    def test_unwritable_artifact_exits_2_without_manifest(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, "explosion.json",
+                            {**EXPLOSION_CONFIG, "include_driver": False})
+        out = tmp_path / "out"
+        (out / "explosion.json").mkdir(parents=True)
+        assert main(["explosion", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["explosion.json"]
+
     def test_oracle_overflow_exits_3_without_output(self, tmp_path, capsys):
         # on seed 1 the increment over t_end = 1e6 is about 941, and exp(941) overflows
         cfg = _write_config(tmp_path, "huge.json", {

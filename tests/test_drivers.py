@@ -556,6 +556,14 @@ class TestExplosionDriver:
         with pytest.raises(ValueError, match="diverges"):
             explosion_driver(power_law_envelope(0.6, 0.3, 0.8), 1.5)
 
+    @pytest.mark.parametrize("growth_exp, area_exp, y_stall", [
+        (2.3, 1.5, "8.054e+06"), (2.6, 2.2, "1.119e+05")])
+    def test_saturating_time_grid_is_refused(self, growth_exp, area_exp, y_stall):
+        # the time increments of these fast blow-ups fall below float resolution
+        with pytest.raises(ValueError, match="too fast") as info:
+            explosion_driver(power_law_envelope(growth_exp, area_exp, 0.8), 1.5)
+        assert str(info.value).endswith(f"y = {y_stall}")
+
 
 def _two_term_envelope():
     return GrowthEnvelope(
@@ -566,43 +574,12 @@ def _two_term_envelope():
 
 
 class TestProcessEnvelope:
-    """Endpoint homogenization of power laws against the full u-grid scan."""
+    """The closed-form power laws of homogenization and mollification."""
 
-    @pytest.fixture(autouse=True)
-    def _small_grid(self, monkeypatch):
-        monkeypatch.setattr(drivers, "_N_GRID", 256)
-
-    def _pair(self, env):
-        # a plain GrowthEnvelope with the same callables takes the full scan
-        full = GrowthEnvelope(env.growth, env.area_growth, env.beta)
-        return process_envelope(env, 1.5), process_envelope(full, 1.5)
-
-    @pytest.mark.parametrize("growth_exp, area_exp", [(1.2, 0.4), (2.4, 1.6), (2.6, 2.2)])
-    def test_endpoint_rule_is_bitwise_full_scan(self, growth_exp, area_exp):
-        env = power_law_envelope(growth_exp, area_exp, 0.8)
-        assert (env.growth_exp, env.area_exp) == (growth_exp, area_exp)
-        fast, full = self._pair(env)
-        assert fast.r_hom == 2
-        assert np.array_equal(fast.dstar_tab, full.dstar_tab)
-        assert np.array_equal(fast.astar_tab, full.astar_tab)
-
-    def test_exponent_at_r_hom_agrees_to_roundoff(self):
-        # u^2 (y/u)^2 ties across the whole u-grid in exact arithmetic
-        fast, full = self._pair(power_law_envelope(2.0, 1.2, 0.8))
-        np.testing.assert_allclose(fast.dstar_tab, full.dstar_tab, rtol=1e-15, atol=0)
-        assert np.array_equal(fast.astar_tab, full.astar_tab)
-
-    def test_interior_infimum_takes_the_full_scan(self):
-        """u^2 D(y/u) with D = R^2.4 + R^1.2 is least near u = 0.56 y, so the
-        endpoints alone overestimate the homogenized envelope."""
-        env = _two_term_envelope()
-        proc = process_envelope(env, 1.5)
-        nodes, weights = _mollifier_weights()
-        u = np.array([1.0, drivers._U_MAX])
-        ys = np.outer(proc.y_tab, nodes)[..., None] / u
-        ends = 2.0**-proc.r_hom * np.min(u**proc.r_hom * env.growth(ys), axis=-1) @ weights
-        assert np.all(proc.dstar_tab <= ends * (1 + 1e-12))
-        assert np.any(proc.dstar_tab < 0.9 * ends)
+    def test_non_power_law_envelope_is_refused(self):
+        for build in (process_envelope, explosion_driver):
+            with pytest.raises(ValueError, match="power_law_envelope"):
+                build(_two_term_envelope(), 1.5)
 
     @pytest.mark.parametrize("p", [1.0, 0.5])
     def test_p_at_most_one_is_refused(self, p):
@@ -612,36 +589,29 @@ class TestProcessEnvelope:
 
 
 class TestEnvelopeFold:
-    """The row-blocked u-grid fold against the row-wise ``np.min`` scan."""
+    """The closed form against the oracle's row-wise ``np.min`` scan of the u-grid."""
 
-    @pytest.mark.parametrize("env, n_grid", [
-        # full grid: 16,385 rows are 16 full blocks and a 1-row tail
-        (power_law_envelope(1.2, 0.4, 0.8), None),
-        (power_law_envelope(0.9, 0.9, 0.8), None),
-        (power_law_envelope(1.1, 0.3, 0.8), 1024),
-        (power_law_envelope(2.3, 1.5, 0.8), 1024),
+    @pytest.mark.parametrize("growth_exp, area_exp", [
+        (1.2, 0.4), (0.9, 0.9), (1.1, 0.3), (2.3, 1.5),
         # the r_hom tie: every u-grid value of u^2 (y/u)^2 agrees in exact arithmetic
-        (power_law_envelope(2.0, 1.2, 0.8), 1024),
-        # the interior infimum folds over all _U_POINTS columns
-        (_two_term_envelope(), 256),
+        (2.0, 1.2),
+        (2.4, 1.6), (2.6, 2.2),
     ], ids=["benchmark", "gallery-0.9-0.9", "gallery-1.1-0.3", "gallery-2.3-1.5",
-            "r-hom-tie", "two-term"])
-    def test_tables_are_bitwise_the_min_scan(self, monkeypatch, env, n_grid):
-        if n_grid is not None:
-            monkeypatch.setattr(drivers, "_N_GRID", n_grid)
+            "r-hom-tie", "2.4-1.6", "2.6-2.2"])
+    def test_closed_form_matches_the_min_scan(self, growth_exp, area_exp):
+        env = power_law_envelope(growth_exp, area_exp, 0.8)
         proc = process_envelope(env, 1.5)
-        u_grid = np.geomspace(1.0, drivers._U_MAX, drivers._U_POINTS)
-        if isinstance(env, drivers._PowerLawEnvelope):
-            u_grid = u_grid[[0, -1]]
+        y = np.geomspace(1.0, 2.0 * drivers._Y_MAX, 129)
         nodes, weights = _mollifier_weights()
-        dstar, astar = oracles.envelope_tables(env.growth, env.area_growth, proc.y_tab,
+        u_grid = np.geomspace(1.0, drivers._U_MAX, 512)
+        dstar, astar = oracles.envelope_tables(env.growth, env.area_growth, y,
                                                nodes, weights, u_grid, proc.r_hom)
-        assert proc.dstar_tab.tobytes() == dstar.tobytes()
-        assert proc.astar_tab.tobytes() == astar.tobytes()
+        np.testing.assert_allclose(proc.dstar(y), dstar, rtol=2e-15, atol=0)
+        np.testing.assert_allclose(proc.astar(y), astar, rtol=2e-15, atol=0)
 
     def test_peak_memory_stays_blocked(self):
-        # the two (16,385, 65) homogenized tables and one scaled copy are ~24.4 MiB;
-        # folding the whole table at once adds two full-table temporaries (~41 MiB)
+        # the closed form holds only the 65 mollifier nodes and the 61 pairing radii
+        # (3.6 KiB peak measured)
         env = power_law_envelope(1.2, 0.4, 0.8)
         process_envelope(env, 1.5)
         tracemalloc.start()
@@ -650,4 +620,4 @@ class TestEnvelopeFold:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 64 * 2**10
