@@ -20,6 +20,7 @@ from .core import (
     AreaProcess,
     DriverPath,
     GrowthEnvelope,
+    NumericsError,
     Trajectory,
     VectorField,
     _pair_max,
@@ -124,8 +125,11 @@ def convergence_study(
     the finest requested mesh, and an area process.
 
     ``scheme`` is ``"euler"`` or ``"corrected"``; ``explosion_threshold``
-    bounds every solve.  The fit leaves out the ``drop_coarsest`` (at least 0)
-    coarsest meshes, as long as two remain.
+    bounds every solve, and a mesh or fine-grid reference that crosses it
+    raises :class:`NumericsError` naming the mesh and the crossing index,
+    since a stopped solve has no terminal state to compare.  The fit leaves
+    out the ``drop_coarsest`` (at least 0) coarsest meshes, as long as two
+    remain.
     Errors are Euclidean distances between terminal states.  Zero errors are
     excluded from the regression; if every mesh is exact the report says so
     instead of fitting a slope.
@@ -154,8 +158,11 @@ def convergence_study(
             raise ValueError(
                 "fine-mesh reference wants the grid 16x finer than the finest mesh"
             )
-        ref = corrected_solve(field, path, area, y0,
-                              explosion_threshold=explosion_threshold).final
+        fine = corrected_solve(field, path, area, y0, explosion_threshold=explosion_threshold)
+        if fine.exploded:
+            raise NumericsError("the fine-grid reference crossed the explosion threshold "
+                                f"at index {fine.exploded_at}")
+        ref = fine.final
         oracle = "corrected scheme on the full grid"
     else:
         ref = np.asarray(reference, dtype=float).reshape(-1)
@@ -169,6 +176,9 @@ def convergence_study(
             traj = euler_solve(field, path, y0, part, explosion_threshold)
         else:
             traj = corrected_solve(field, path, area, y0, part, explosion_threshold)
+        if traj.exploded:
+            raise NumericsError(f"mesh k={k} crossed the explosion threshold "
+                                f"at index {traj.exploded_at}")
         errors[m] = float(np.linalg.norm(traj.final - ref))
 
     keep = errors > 0.0

@@ -904,14 +904,12 @@ class ChainCurve:
 
 
 # The blow-up construction: state range [1, _Y_MAX] on a geometric grid of
-# _N_GRID cells, the homogenization u-range [1, _U_MAX], the quadrature
-# tolerance, the frozen tail of the driver after t_star (its time span is
-# _T_PAD * t_star), and the state at which the construction trajectory counts
-# as exploded.
+# _N_GRID cells, the homogenization u-range [1, _U_MAX], the frozen tail of the
+# driver after t_star (its time span is _T_PAD * t_star), and the state at
+# which the construction trajectory counts as exploded.
 _Y_MAX = 1e7
 _N_GRID = 2**14
 _U_MAX = 1e4
-_RTOL = 1e-8
 _T_PAD = 1.05
 _EXPLOSION_STATE = 1e6
 
@@ -924,29 +922,11 @@ def _simpson_weights(n: int) -> np.ndarray:
     return w
 
 
-def _cumulative_simpson(fn, grid: np.ndarray) -> np.ndarray:
-    """Cumulative integral of ``fn`` along ``grid`` (vectorized per cell).
-
-    Every cell is integrated with composite Simpson, doubling the point count
-    until the Richardson difference is below ``_RTOL`` relative to the
-    running total.  ``fn`` must accept arrays.
-    """
-    lo, hi = grid[:-1], grid[1:]
-    prev = None
-    npts = 2
-    while True:
-        offs = np.linspace(0.0, 1.0, 2 * npts + 1)
-        pts = lo[:, None] + (hi - lo)[:, None] * offs[None, :]
-        vals = fn(pts.ravel()).reshape(pts.shape)
-        weights = _simpson_weights(2 * npts + 1)
-        cells = (hi - lo) / (6.0 * npts) * (vals * weights[None, :]).sum(axis=1)
-        if prev is not None:
-            err = np.max(np.abs(cells - prev))
-            if err <= _RTOL * max(float(np.sum(np.abs(cells))), 1e-300) or npts > 64:
-                break
-        prev = cells
-        npts *= 2
-    return np.concatenate([[0.0], np.cumsum(cells)])
+def _power_integral(log_y, e: float):
+    """``integral_1^y u^e du`` from ``log y``: ``expm1((e+1) log y) / (e+1)``, ``log y`` at e = -1."""
+    if e == -1.0:
+        return log_y
+    return np.expm1((e + 1.0) * log_y) / (e + 1.0)
 
 
 @dataclass
@@ -973,9 +953,7 @@ class ProcessedEnvelope:
     """Homogenized and mollified envelope data of the blow-up driver.
 
     ``dstar(y) = c * max(y, 1)^e`` with ``(c, e)`` the pair ``d_law``, and
-    ``astar`` likewise with ``a_law``.  ``integrand(y)`` is the blow-up time
-    density ``astar^-rho2 * dstar^-rho1`` whose total integral is the blow-up
-    time.
+    ``astar`` likewise with ``a_law``.
     """
 
     beta: float
@@ -996,15 +974,6 @@ class ProcessedEnvelope:
 
     def astar(self, y):
         return self._power(y, self.a_law)
-
-    def integrand(self, y):
-        return self.astar(y) ** (-self.rho2) * self.dstar(y) ** (-self.rho1)
-
-    def phase_density(self, y):
-        return (self.astar(y) / self.dstar(y)) ** (1.0 / self.beta)
-
-    def radius_factor(self, y):
-        return (self.dstar(y) ** (1.0 - self.beta) / self.astar(y)) ** (1.0 / self.beta)
 
 
 # Simpson nodes of the mollifier bump on [1, 2] (odd, so Simpson applies).
@@ -1103,8 +1072,11 @@ def explosion_driver(envelope: GrowthEnvelope, p: float) -> ExplosionDriver:
     rotates with phase ``lambda(y)`` and radius ``alpha(y)`` chosen so that
     ``f(y) x'(t) = y'(t)`` holds identically.  The identity
     ``dstar * radius * phase' = 1`` is what makes the construction
-    self-verifying: any residual seen downstream is quadrature and
-    interpolation error, not modeling error.
+    self-verifying: any residual seen downstream is interpolation error, not
+    modeling error.  Both densities are powers ``c y^e`` of the state, so the
+    time ``t(y)``, the blow-up time ``t_star = t(inf)`` and the phase are
+    their integrals from 1 in closed form; the field evaluates that same
+    phase at its state.
 
     ``envelope`` must come from :func:`power_law_envelope`, whose exponents
     give the processed envelope in closed form (see :func:`process_envelope`);
@@ -1112,39 +1084,43 @@ def explosion_driver(envelope: GrowthEnvelope, p: float) -> ExplosionDriver:
     :class:`GrowthEnvelope`.
 
     Raises ValueError for any other envelope, when the blow-up integral
-    diverges (no finite t_star), decided from the integrand's exact tail
-    exponent before any quadrature, and when the envelope blows up so fast
-    that the time grid stops increasing in floating point before ``_Y_MAX``.
+    diverges (no finite t_star), decided from the time density's exponent,
+    and when the envelope blows up so fast that the time grid stops
+    increasing in floating point before ``_Y_MAX``.
     """
     proc = process_envelope(envelope, p)
-    y = np.geomspace(1.0, _Y_MAX, _N_GRID + 1)
-    # the integrand is the power y^slope, so the time integral over
-    # (_Y_MAX, inf) is closed exactly
-    slope = -(proc.rho2 * envelope.area_exp + proc.rho1 * envelope.growth_exp)
-    if slope >= -1.0 - 1e-6:
+    (c_d, e_d), (c_a, e_a) = proc.d_law, proc.a_law
+    # time density astar^-rho2 dstar^-rho1 and phase density (astar/dstar)^(1/beta),
+    # both powers c y^e of the state
+    time_c, time_e = c_a**-proc.rho2 * c_d**-proc.rho1, -(proc.rho2 * e_a + proc.rho1 * e_d)
+    phase_c, phase_e = (c_a / c_d) ** (1.0 / proc.beta), (e_a - e_d) / proc.beta
+    if time_e >= -1.0 - 1e-6:
         raise ValueError("blow-up time integral diverges for this envelope "
-                         f"(tail exponent {-slope:.4f} <= 1)")
-    t_of_y = _cumulative_simpson(proc.integrand, y)
+                         f"(tail exponent {-time_e:.4f} <= 1)")
+    y = np.geomspace(1.0, _Y_MAX, _N_GRID + 1)
+    log_y = np.log(y)
+    t_of_y = time_c * _power_integral(log_y, time_e)
     stalled = np.flatnonzero(np.diff(t_of_y) <= 0)
     if stalled.size:
         raise ValueError("the envelope blows up too fast for the construction's time grid: "
                          f"the time stops increasing from y = {y[stalled[0]]:.4g}")
-    lam = _cumulative_simpson(proc.phase_density, y)
-    tail = proc.integrand(y[-1]) * y[-1] / (-slope - 1.0)
-    t_star = float(t_of_y[-1] + tail)
+    t_star = time_c / (-time_e - 1.0)
 
-    radius = proc.radius_factor(y)
+    def phase(log_state):
+        return phase_c * _power_integral(log_state, phase_e)
+
+    lam = phase(log_y)
+    # the radius that makes dstar * radius * phase' = 1
+    radius = 1.0 / (proc.dstar(y) * phase_c * y**phase_e)
     xy = np.column_stack([radius * np.cos(lam), radius * np.sin(lam)])
     # freeze the driver at the origin from t_star onward
     times = np.concatenate([t_of_y, [t_star, _T_PAD * t_star]])
     xy = np.vstack([xy, [0.0, 0.0], [0.0, 0.0]])
     path = DriverPath(times, xy)
 
-    log_y = np.log(y)
-
     def func(state):
         yy = max(float(state[0]), 1.0)
-        lam_here = float(np.interp(math.log(yy), log_y, lam))
+        lam_here = float(phase(math.log(yy)))
         d_here = proc.dstar(yy)
         return np.array([[-math.sin(lam_here) * d_here, math.cos(lam_here) * d_here]])
 

@@ -220,6 +220,31 @@ def envelope_tables(growth, area_growth, y_tab: np.ndarray, nodes: np.ndarray,
     return scale * homogenized(growth) @ weights, scale * homogenized(area_growth) @ weights
 
 
+def cumulative_simpson(fn, grid: np.ndarray) -> np.ndarray:
+    """Cumulative integral of ``fn`` along ``grid``, starting at 0.
+
+    Every cell is integrated with composite Simpson, doubling the point count
+    (from 5 to at most 257 nodes a cell) until the largest change of a cell
+    is below 1e-8 times the total.  ``fn`` must accept arrays.
+    """
+    lo, hi = grid[:-1], grid[1:]
+    prev = None
+    npts = 2
+    while True:
+        offs = np.linspace(0.0, 1.0, 2 * npts + 1)
+        weights = np.ones(offs.size)
+        weights[1:-1:2] = 4.0
+        weights[2:-1:2] = 2.0
+        vals = fn(lo[:, None] + (hi - lo)[:, None] * offs[None, :])
+        cells = (hi - lo) / (6.0 * npts) * (vals @ weights)
+        if prev is not None and (
+                np.max(np.abs(cells - prev)) <= 1e-8 * np.sum(np.abs(cells)) or npts > 64):
+            break
+        prev = cells
+        npts *= 2
+    return np.concatenate([[0.0], np.cumsum(cells)])
+
+
 def chen_reference(a_st: np.ndarray, a_tu: np.ndarray, dx_st: np.ndarray,
                    dx_tu: np.ndarray) -> np.ndarray:
     """The two-interval consistency combination, written independently."""

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 import roughstep.core as core
-from roughstep.core import AreaProcess, DriverPath, VectorField
+from roughstep.core import AreaProcess, DriverPath, NumericsError, VectorField
 from roughstep.drivers import (
     BrownianConfig,
     ChainCurve,
@@ -108,6 +108,18 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="drop_coarsest"):
             convergence_study(gbm_field, path, np.array([1.0]), k_values=[16, 64, 256],
                               reference=gbm_terminal_ito, drop_coarsest=-1)
+
+    @pytest.mark.parametrize("reference, message", [
+        (gbm_terminal_ito, "mesh k=16 crossed the explosion threshold at index 1"),
+        (None, "the fine-grid reference crossed the explosion threshold at index 23"),
+    ], ids=["mesh", "fine-reference"])
+    def test_a_crossing_solve_is_refused(self, bm1, gbm_field, reference, message):
+        # a solve stopped at the threshold has no terminal state at T to fit
+        _, path, area = bm1
+        with pytest.raises(NumericsError) as info:
+            convergence_study(gbm_field, path, np.array([1.0]), k_values=[16, 64, 256],
+                              area=area, reference=reference, explosion_threshold=1.05)
+        assert str(info.value) == message
 
     def test_report_serializes(self, bm1, gbm_field):
         _, path, _ = bm1

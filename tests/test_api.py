@@ -55,22 +55,27 @@ def test_the_import_scan_sees_an_unused_name():
     assert _unused_imports(source + "__all__ = ['b']\nsystem.exit\n") == ["os"]
 
 
-def _definitions(tree: ast.Module) -> list[str]:
-    """Module-level functions, classes and assigned names of a module.
+def _definitions(tree: ast.Module) -> list[tuple[str, str]]:
+    """Module-level functions, classes and assigned names of a module, and the
+    private methods of its classes, as ``(label, name)`` pairs.
 
-    Dunder names and handlers registered by ``@_subcommand``, which are called
-    through the registry and never by name, are left out.
+    A method is labelled ``Class._name``.  Dunder names and handlers
+    registered by ``@_subcommand``, which are called through the registry and
+    never by name, are left out.
     """
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             if not any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_subcommand"
                        for d in node.decorator_list):
-                names.append(node.name)
+                names.append((node.name, node.name))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [name for name in names if not name.startswith("__")]
+            names += [(t.id, t.id) for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            names += [(f"{node.name}.{m.name}", m.name) for m in node.body
+                      if isinstance(m, ast.FunctionDef) and m.name.startswith("_")]
+    return [(label, name) for label, name in names if not name.startswith("__")]
 
 
 def _named(trees) -> set[str]:
@@ -91,12 +96,13 @@ def _named(trees) -> set[str]:
 
 
 def _dead(trees: dict) -> list[str]:
-    """Module-level definitions of the package that the package neither reads nor
-    exports; a read from a test does not keep a name alive."""
+    """Module-level definitions and private methods of the package that the
+    package neither reads nor exports; a read from a test does not keep a name
+    alive."""
     library = {path: tree for path, tree in trees.items() if path.parent.name == "roughstep"}
     named = _named(library.values())
-    return [f"{path.name}:{name}" for path, tree in sorted(library.items())
-            for name in _definitions(tree) if name not in named]
+    return [f"{path.name}:{label}" for path, tree in sorted(library.items())
+            for label, name in _definitions(tree) if name not in named]
 
 
 def test_no_dead_module_level_definition():
@@ -106,7 +112,11 @@ def test_no_dead_module_level_definition():
 def test_the_definition_scan_sees_a_dead_name():
     source = ("def f(): pass\ndef g(): f()\nX = 1\nY: int = 2\nprint(Y)\nclass C: pass\n"
               "@_subcommand('run', {})\ndef handler(): pass\n__all__ = ['E']\ndef E(): pass\n"
-              "obj.attr = X\nT = 3\n")
+              "obj.attr = X\nT = 3\n"
+              "class K:\n    def __init__(self): self._used()\n    def _used(self): pass\n"
+              "    def _unused(self): pass\n    def _test_only(self): pass\n"
+              "    def public(self): pass\nK()\n")
     trees = {Path("roughstep/m.py"): ast.parse(source),
-             Path("tests/test_m.py"): ast.parse("from roughstep.m import T\nprint(T)\n")}
-    assert _dead(trees) == ["m.py:g", "m.py:C", "m.py:T"]
+             Path("tests/test_m.py"): ast.parse("from roughstep.m import K, T\n"
+                                                "print(T, K()._test_only())\n")}
+    assert _dead(trees) == ["m.py:g", "m.py:C", "m.py:T", "m.py:K._unused", "m.py:K._test_only"]

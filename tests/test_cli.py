@@ -424,6 +424,26 @@ class TestConfigErrors:
         assert err.startswith("config error") and "Traceback" not in err
         assert sorted(p.name for p in out.iterdir()) == ["explosion.json"]
 
+    @pytest.mark.parametrize("oracle, crossing", [
+        ("gbm_ito", "mesh k=16"), ("fine", "the fine-grid reference")])
+    def test_crossing_convergence_solve_exits_3_without_output(self, tmp_path, capsys,
+                                                               oracle, crossing):
+        # the config declares no explosion, and a solve stopped at the threshold
+        # has no terminal state at T
+        cfg = _write_config(tmp_path, "crossing.json", {
+            "driver": {"kind": "brownian", "d": 1, "level": 12, "seed": 42},
+            "field": {"kind": "scalar_linear"},
+            "scheme": {"scheme": "euler", "explosion_threshold": 1.05},
+            "y0": [1.0],
+            "k_values": [16, 64, 256],
+            "oracle": oracle,
+        })
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {crossing} crossed the explosion threshold")
+        assert not out.exists()
+
     def test_oracle_overflow_exits_3_without_output(self, tmp_path, capsys):
         # on seed 1 the increment over t_end = 1e6 is about 941, and exp(941) overflows
         cfg = _write_config(tmp_path, "huge.json", {

@@ -556,8 +556,42 @@ class TestExplosionDriver:
         with pytest.raises(ValueError, match="diverges"):
             explosion_driver(power_law_envelope(0.6, 0.3, 0.8), 1.5)
 
+    @pytest.mark.parametrize("area_exp, delta", [
+        (0.3, 0.8), (0.6, 0.4), (0.6, 0.8), (0.9, -0.2), (0.9, 0.0), (0.9, 0.4), (0.9, 0.8),
+        (1.2, -0.4), (1.2, -0.2), (1.2, 0.0), (1.2, 0.4), (1.2, 0.8),
+        (1.5, -0.4), (1.5, -0.2), (1.5, 0.0), (1.5, 0.4),
+    ])
+    def test_closed_form_matches_the_simpson_quadrature(self, area_exp, delta):
+        """Time grid, blow-up time and phase against cell-wise Simpson sums of the
+        densities, on the 16 envelopes of gate 09's gallery that build (the other
+        nine diverge or, at 2.3/1.5, stall the time grid)."""
+        drv = explosion_driver(power_law_envelope(area_exp + delta, area_exp, 0.8), 1.5)
+        proc, y = drv.processed, drv.y_grid
+
+        def time_density(u):
+            return proc.astar(u) ** -proc.rho2 * proc.dstar(u) ** -proc.rho1
+
+        t_grid = oracles.cumulative_simpson(time_density, y)
+        tail_exp = proc.rho2 * proc.a_law[1] + proc.rho1 * proc.d_law[1]
+        t_star = t_grid[-1] + time_density(y[-1]) * y[-1] / (tail_exp - 1.0)
+        phase = oracles.cumulative_simpson(
+            lambda u: (proc.astar(u) / proc.dstar(u)) ** (1.0 / proc.beta), y)
+        np.testing.assert_allclose(drv.t_grid, t_grid, rtol=1e-12, atol=0)
+        assert drv.t_star == pytest.approx(t_star, rel=1e-12)
+        # the phase as the path ships it: the angle of each node against the oracle's
+        nodes = drv.path.values[:-2, 0] + 1j * drv.path.values[:-2, 1]
+        assert np.all(np.abs(np.angle(nodes * np.exp(-1j * phase))) <= 1e-12 * phase)
+
+    def test_phase_exponent_minus_one_takes_the_log(self):
+        # (A / D)^(1/beta) = c y^((0.5 - 1.5) / 1.0) = c / y: the phase is c log y
+        drv = explosion_driver(power_law_envelope(1.5, 0.5, 1.0), 1.5)
+        assert drv.t_star == pytest.approx(14.758377771691354, rel=1e-12)
+        # a growth exponent 1e-9 off takes the expm1 form; 5.4e-9 apart measured
+        near = explosion_driver(power_law_envelope(1.5 - 1e-9, 0.5, 1.0), 1.5)
+        np.testing.assert_allclose(drv.path.values, near.path.values, rtol=0, atol=1e-7)
+
     @pytest.mark.parametrize("growth_exp, area_exp, y_stall", [
-        (2.3, 1.5, "8.054e+06"), (2.6, 2.2, "1.119e+05")])
+        (2.3, 1.5, "4.437e+06"), (2.6, 2.2, "7.416e+04")])
     def test_saturating_time_grid_is_refused(self, growth_exp, area_exp, y_stall):
         # the time increments of these fast blow-ups fall below float resolution
         with pytest.raises(ValueError, match="too fast") as info:
