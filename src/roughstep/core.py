@@ -350,11 +350,6 @@ class AreaProcess:
         return out
 
 
-def _correction_tensor(f: np.ndarray, d1: np.ndarray) -> np.ndarray:
-    """``G[..., i, r, j] = sum_h f[..., h, r] * D1[..., h, i, j]`` from evaluated ``f`` and ``D1``."""
-    return np.einsum("...hr,...hij->...irj", f, d1)
-
-
 class VectorField:
     """A coefficient field ``f: R^n -> R^{n x d}`` with optional derivatives.
 

@@ -1,8 +1,10 @@
 """One-step schemes for controlled systems, their defects, and derived flows.
 
 Everything here rests on one map, the left-point step ``y -> y + f(y) dx
-(+ G(y) : A)`` over a cell.  :func:`_coefficients` and :func:`_advance` are
-its single definition, shared by the solvers and :func:`defect`, so adjacent
+(+ G(y) : A)`` over a cell, taken as one matmul ``w = f @ [dx | A]`` and
+``G : A = sum_{h,j} D1[h, i, j] (f A)[h, j]``, so ``G`` is never formed.
+:func:`_coefficients` and :func:`_advance` are its single definition, shared
+by the solvers, :func:`augmented_solve` and :func:`defect`, so adjacent
 defects under the scheme that made a trajectory are zero by construction.
 
 Beyond the basic solvers this module provides:
@@ -29,7 +31,6 @@ from .core import (
     NumericsError,
     Trajectory,
     VectorField,
-    _correction_tensor,
     control_fit,
 )
 
@@ -47,27 +48,30 @@ _DEFECT_BLOCK = 2**14  # pairs reconstructed per batched step in defect
 
 
 def _coefficients(field: VectorField, y: np.ndarray, corrected: bool, d1=None):
-    """Left-point coefficients of the step: ``(f(y), G(y))``, ``G`` None for Euler.
+    """Left-point coefficients of the step: ``(f(y), D1(y))`` with ``D1``'s first two
+    axes swapped to ``[..., i, h, j]``, ``D1`` None for Euler.
 
     ``y`` is a state or a batch of states ``(..., n)``.  Both outputs are
-    C-contiguous and ``G`` is formed from a C-contiguous ``D1``, whatever
-    layout the field returns: ``f @ dx`` on a transposed ``f``, and the
-    contraction on a transposed ``D1``, round differently from the same
-    operation on a row of a stacked batch.  ``d1`` is the first derivative at
-    ``y`` if already evaluated.
+    C-contiguous whatever layout the field returns: ``f @ m`` on a transposed
+    ``f``, and the contraction on a transposed ``D1``, round differently from
+    the same operation on a row of a stacked batch.  ``d1`` is the first
+    derivative at ``y`` if already evaluated.
     """
     f = np.ascontiguousarray(field.eval(y))
     if not corrected:
         return f, None
-    d1 = np.ascontiguousarray(field.deriv1(y) if d1 is None else d1)
-    return f, np.ascontiguousarray(_correction_tensor(f, d1))
+    return f, np.ascontiguousarray((field.deriv1(y) if d1 is None else d1).swapaxes(-3, -2))
 
 
-def _advance(y, f, g, dx, a) -> np.ndarray:
-    """The step ``y + f dx (+ G : A)`` over leading batch axes; ``a`` unused if ``g`` is None."""
-    y = y + (f @ dx[..., None])[..., 0]
-    if g is not None:
-        y = y + np.einsum("...irj,...rj->...i", g, a)
+def _advance(y, f, d1, m) -> np.ndarray:
+    """The step ``y + f dx (+ G : A)`` over leading batch axes from the cell's
+    driver block ``m = [dx | A]`` (``[dx]``, ``d1`` None, for Euler): ``w = f @ m``
+    holds ``f dx`` then ``f A``, and ``G : A`` contracts ``D1`` with ``f A`` over
+    one contiguous ``(h, j)`` block, one inner loop on a batch as on one state."""
+    w = f @ m
+    y = y + w[..., 0]
+    if d1 is not None:
+        y = y + np.einsum("...ihj,...hj->...i", d1, np.ascontiguousarray(w[..., 1:]))
     return y
 
 
@@ -112,11 +116,17 @@ def _grid_indices(path: DriverPath, partition: np.ndarray | None) -> np.ndarray:
     return idx
 
 
+def _driver_blocks(path: DriverPath, area: AreaProcess | None, i, j) -> np.ndarray:
+    """The driver block ``[dx | A]`` over each grid pair ``(i[m], j[m])``, ``(m, d, 1 + d)``,
+    or ``[dx]``, ``(m, d, 1)``, without an area."""
+    dx = (path.values[j] - path.values[i])[..., None]
+    return np.concatenate([dx, *([] if area is None else [area.pairs(i, j)])], axis=-1)
+
+
 def _cells(path: DriverPath, partition: np.ndarray | None, area: AreaProcess | None):
-    """Grid indices of the partition, each cell's increment and, given an area, its area."""
+    """Grid indices of the partition and each cell's driver block."""
     idx = _grid_indices(path, partition)
-    x = path.values[idx]
-    return idx, x[1:] - x[:-1], None if area is None else area.pairs(idx[:-1], idx[1:])
+    return idx, _driver_blocks(path, area, idx[:-1], idx[1:])
 
 
 def _explosion_threshold(value) -> float:
@@ -160,11 +170,10 @@ def _solve(field, path, area, y0, partition, threshold) -> Trajectory:
     """Euler when ``area`` is None, corrected otherwise."""
     y = _check_fit(field, path, y0, area)
     corrected = area is not None
-    idx, dx, a = _cells(path, partition, area)
+    idx, m = _cells(path, partition, area)
 
     def step(y, k):
-        f, g = _coefficients(field, y, corrected)
-        return _advance(y, f, g, dx[k], a[k] if corrected else None)
+        return _advance(y, *_coefficients(field, y, corrected), m[k])
 
     return _run_scheme(path, y, idx, threshold, step, "corrected" if corrected else "euler")
 
@@ -234,17 +243,19 @@ def augmented_solve(
 
     y = _check_fit(field, path, y0, area if corrected else None)
     z_init = np.eye(n) if z0 is None else np.asarray(z0, dtype=float).reshape(n, n)
+    if not np.all(np.isfinite(z_init)):
+        raise ValueError(f"z0 must be finite, got {z_init.tolist()}")
     big0 = np.concatenate([y, z_init.ravel()])
-    idx, dxs, areas = _cells(path, partition, area if corrected else None)
+    idx, ms = _cells(path, partition, area if corrected else None)
 
     def step(big, k):
         y = big[:n]
         z = big[n:].reshape(n, n)
-        dx = dxs[k]
+        m = ms[k]
+        dx, a = m[:, 0], m[:, 1:]
         d1 = field.deriv1(y)
-        f, g = _coefficients(field, y, corrected, d1)
-        a = areas[k] if corrected else None
-        y_new = _advance(y, f, g, dx, a)
+        f, d1_step = _coefficients(field, y, corrected, d1)
+        y_new = _advance(y, f, d1_step, m)
         z_new = z + np.einsum("hij,hN,j->iN", d1, z, dx)
         if corrected:
             d2 = field.deriv2(y)
@@ -345,17 +356,18 @@ def defect(
     if control is None:
         control = control_fit(DriverPath(trajectory.times, x), p)
 
-    # f and G at every distinct left point in one call, then the reconstructions
+    # f and D1 at every distinct left point in one call, then the reconstructions
     # a block of pairs at a time
-    left, inv = np.unique(pair_arr[:, 0], return_inverse=True)
-    f_left, g_left = _coefficients(field, y[left], corrected)
+    counts = np.bincount(pair_arr[:, 0], minlength=idx.size)
+    left, inv = np.flatnonzero(counts), (np.cumsum(counts > 0) - 1)[pair_arr[:, 0]]
+    f_left, d1_left = _coefficients(field, y[left], corrected)
     mags = np.empty(pair_arr.shape[0])
     for b in range(0, mags.size, _DEFECT_BLOCK):
         blk = slice(b, b + _DEFECT_BLOCK)
         k, l = pair_arr[blk].T
-        g = g_left[inv[blk]] if corrected else None
-        a = area.pairs(idx[k], idx[l]) if corrected else None
-        y_l = _advance(y[k], f_left[inv[blk]], g, x[l] - x[k], a)
+        m = _driver_blocks(path, area if corrected else None, idx[k], idx[l])
+        d1 = d1_left[inv[blk]] if corrected else None
+        y_l = _advance(y[k], f_left[inv[blk]], d1, m)
         mags[blk] = np.max(np.abs(y[l] - y_l), axis=1)
 
     omegas = control.omega(trajectory.times[pair_arr[:, 0]], trajectory.times[pair_arr[:, 1]])

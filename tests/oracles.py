@@ -19,11 +19,10 @@ import numpy as np
 GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(32)
 
 
-def left_riemann_area(values: np.ndarray, s_idx: int, t_idx: int) -> np.ndarray:
-    """Left-point second-order sums sum_k (x_k - x_s)(x_{k+1} - x_k)."""
-    seg = values[s_idx : t_idx + 1]
-    rel = seg[:-1] - seg[0]
-    return np.einsum("ki,kj->ij", rel, np.diff(seg, axis=0))
+def correction_tensor(f: np.ndarray, d1: np.ndarray) -> np.ndarray:
+    """``G[..., i, r, j] = sum_h f[..., h, r] * D1[..., h, i, j]``, the correction
+    tensor of the corrected step ``y + f dx + G : A``, formed explicitly."""
+    return np.einsum("...hr,...hij->...irj", f, d1)
 
 
 def richardson_area(poly_eval, s: float, t: float, n: int) -> np.ndarray:

@@ -1,6 +1,6 @@
 """The package namespace assembled from the submodules' ``__all__`` lists, the
-module-level imports of the package and its tests, and the package's
-module-level definitions."""
+module-level imports of the package and its tests, and the module-level
+definitions of the package and of the test oracles."""
 from __future__ import annotations
 
 import ast
@@ -97,12 +97,19 @@ def _named(trees) -> set[str]:
 
 def _dead(trees: dict) -> list[str]:
     """Module-level definitions and private methods of the package that the
-    package neither reads nor exports; a read from a test does not keep a name
-    alive."""
+    package neither reads nor exports, then oracles of ``tests/oracles.py``
+    that no other test module reads.  A read from a test does not keep a
+    package name alive, nor a read from the oracle module an oracle."""
     library = {path: tree for path, tree in trees.items() if path.parent.name == "roughstep"}
-    named = _named(library.values())
-    return [f"{path.name}:{label}" for path, tree in sorted(library.items())
-            for label, name in _definitions(tree) if name not in named]
+    oracles = {path: tree for path, tree in trees.items() if path.name == "oracles.py"}
+    tests = {path: tree for path, tree in trees.items()
+             if path.parent.name == "tests" and path.name != "oracles.py"}
+    dead = []
+    for modules, readers in ((library, library), (oracles, tests)):
+        named = _named(readers.values())
+        dead += [f"{path.name}:{label}" for path, tree in sorted(modules.items())
+                 for label, name in _definitions(tree) if name not in named]
+    return dead
 
 
 def test_no_dead_module_level_definition():
@@ -116,7 +123,10 @@ def test_the_definition_scan_sees_a_dead_name():
               "class K:\n    def __init__(self): self._used()\n    def _used(self): pass\n"
               "    def _unused(self): pass\n    def _test_only(self): pass\n"
               "    def public(self): pass\nK()\n")
+    oracle_source = "def read(): pass\ndef helper(): pass\ndef chained(): helper()\n"
     trees = {Path("roughstep/m.py"): ast.parse(source),
-             Path("tests/test_m.py"): ast.parse("from roughstep.m import K, T\n"
-                                                "print(T, K()._test_only())\n")}
-    assert _dead(trees) == ["m.py:g", "m.py:C", "m.py:T", "m.py:K._unused", "m.py:K._test_only"]
+             Path("tests/oracles.py"): ast.parse(oracle_source),
+             Path("tests/test_m.py"): ast.parse("import oracles\nfrom roughstep.m import K, T\n"
+                                                "print(T, K()._test_only(), oracles.read())\n")}
+    assert _dead(trees) == ["m.py:g", "m.py:C", "m.py:T", "m.py:K._unused", "m.py:K._test_only",
+                            "oracles.py:helper", "oracles.py:chained"]

@@ -393,17 +393,6 @@ class TestVectorField:
         with pytest.raises(ValueError):
             bad.eval(states)
 
-    def test_correction_tensor_contracts_first_derivative(self, smooth22):
-        y = np.array([0.3, -0.8])
-        f = smooth22.eval(y)
-        d1 = smooth22.deriv1(y)
-        want = np.zeros((2, 2, 2))
-        for i in range(2):
-            for r in range(2):
-                for j in range(2):
-                    want[i, r, j] = sum(f[h, r] * d1[h, i, j] for h in range(2))
-        assert np.allclose(core._correction_tensor(f, d1), want, rtol=0, atol=1e-15)
-
     def test_scalar_linear_is_multiplication(self):
         field = VectorField.scalar_linear()
         assert field.eval(np.array([2.5]))[0, 0] == 2.5
@@ -418,12 +407,6 @@ class TestVectorField:
     def test_diagonal_linear_refuses_empty_dimension(self, n):
         with pytest.raises(ValueError, match="diagonal_linear"):
             VectorField.diagonal_linear(n)
-
-    def test_constant_field_has_zero_correction(self):
-        field = VectorField.constant(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        y = np.zeros(2)
-        got = core._correction_tensor(field.eval(y), field.deriv1(y))
-        assert np.array_equal(got, np.zeros((2, 2, 2)))
 
     def test_eval_rejects_wrong_output_shape(self):
         bad = VectorField(n=2, d=2, func=lambda y: np.zeros((3, 2)))

@@ -26,6 +26,8 @@ from roughstep.drivers import (
     ito_area,
 )
 from roughstep.schemes import (
+    _advance,
+    _coefficients,
     augmented_solve,
     corrected_solve,
     defect,
@@ -88,19 +90,65 @@ def _brownian_with_area(d: int):
 
 def _reference_magnitudes(traj, field, path, area, pairs) -> np.ndarray:
     """The defect of each pair, one pair at a time: the left-point step over
-    the pair with C-ordered coefficients, against the state at its right end."""
+    the pair with C-ordered coefficients, ``w = f @ [dx | A]`` and then ``D1``,
+    as ``[i, h, j]``, contracted with ``f A``, against the state at its right end."""
     idx = np.searchsorted(path.times, traj.times)
     x, y = path.values, traj.states
+    corrected = traj.scheme == "corrected"
     mags = np.empty(len(pairs))
     for m, (k, l) in enumerate(pairs):
         f = np.ascontiguousarray(field.eval(y[k]))
-        y_l = y[k] + f @ (x[idx[l]] - x[idx[k]])
-        if traj.scheme == "corrected":
-            d1 = np.ascontiguousarray(field.deriv1(y[k]))
-            g = np.ascontiguousarray(np.einsum("hr,hij->irj", f, d1))
-            y_l = y_l + np.einsum("irj,rj->i", g, area.pair(idx[k], idx[l]))
+        block = (x[idx[l]] - x[idx[k]])[:, None]
+        if corrected:
+            block = np.hstack([block, area.pair(idx[k], idx[l])])
+        w = f @ block
+        y_l = y[k] + w[:, 0]
+        if corrected:
+            d1 = np.ascontiguousarray(field.deriv1(y[k]).swapaxes(0, 1))
+            y_l = y_l + np.einsum("ihj,hj->i", d1, np.ascontiguousarray(w[:, 1:]))
         mags[m] = np.max(np.abs(y[l] - y_l))
     return mags
+
+
+class TestStepKernel:
+    """The corrected step's ``G : A`` is ``D1`` contracted with ``f A``; ``G`` is never formed.
+
+    With ``y = 0`` and ``dx = 0`` the step returns its correction term alone, exactly.
+    """
+
+    @pytest.mark.parametrize("layout", ["C", "transposed", "view"])
+    @pytest.mark.parametrize("d, n", [(1, 1), (1, 3), (2, 2), (3, 2), (2, 3)])
+    def test_correction_matches_the_tensor_oracle(self, layout, d, n):
+        rng = np.random.default_rng(100 * d + n)
+        field = _tanh_field(rng.uniform(-1.5, 1.5, (d, n, n)), layout)
+        y = rng.uniform(-1.0, 1.0, (32, n))
+        a = rng.normal(size=(32, d, d))
+        m = np.concatenate([np.zeros((32, d, 1)), a], axis=-1)
+        got = _advance(np.zeros((32, n)), *_coefficients(field, y, True), m)
+        f = np.stack([field.eval(v) for v in y])
+        d1 = np.stack([field.deriv1(v) for v in y])
+        want = np.einsum("...irj,...rj->...i", oracles.correction_tensor(f, d1), a)
+        scale = np.einsum("...hr,...hij,...rj->...i", np.abs(f), np.abs(d1), np.abs(a))
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+        single = [_advance(np.zeros(n), *_coefficients(field, v, True), mk) for v, mk in zip(y, m)]
+        assert np.array_equal(np.array(single), got)
+
+    def test_tensor_oracle_contracts_first_derivative(self, smooth22):
+        y = np.array([0.3, -0.8])
+        f = smooth22.eval(y)
+        d1 = smooth22.deriv1(y)
+        want = np.zeros((2, 2, 2))
+        for i in range(2):
+            for r in range(2):
+                for j in range(2):
+                    want[i, r, j] = sum(f[h, r] * d1[h, i, j] for h in range(2))
+        assert np.allclose(oracles.correction_tensor(f, d1), want, rtol=0, atol=1e-15)
+
+    def test_constant_field_has_zero_correction(self):
+        field = VectorField.constant(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        m = np.concatenate([np.zeros((2, 1)), np.array([[0.3, -1.2], [0.7, 0.4]])], axis=-1)
+        assert np.array_equal(_advance(np.zeros(2), *_coefficients(field, np.zeros(2), True), m),
+                              np.zeros(2))
 
 
 class TestSchemeConfig:
@@ -297,6 +345,15 @@ class TestAugmentedSolve:
         seeded = augmented_solve(_linear_field(m), sub, np.ones(2), z0=z0)
         want = jacobian_view(base, 2)[-1] @ z0
         assert np.allclose(jacobian_view(seeded, 2)[-1], want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_initial_sensitivity_refused(self, bm1, bad):
+        """A non-finite ``z0`` is an input error, refused before stepping: not an
+        explosion at index 0 nor a ``NumericsError`` after step 0."""
+        _, path, _ = bm1
+        with pytest.raises(ValueError, match="z0 must be finite"):
+            augmented_solve(_linear_field(np.eye(1)), path.subsample(16), np.ones(1),
+                            z0=[[bad]])
 
     def test_corrected_needs_area_and_second_derivative(self, bm2):
         _, path, ito, _ = bm2
