@@ -28,7 +28,7 @@ from .core import (
     control_fit,
 )
 from .drivers import CounterexampleConfig, example1_driver, example1_solution_pair
-from .schemes import _SCHEMES, DefectReport, corrected_solve, defect, euler_solve
+from .schemes import _SCHEMES, DefectReport, _solve, corrected_solve, defect
 
 __all__ = [
     "RateReport",
@@ -118,18 +118,25 @@ def convergence_study(
     """Run one scheme over nested uniform partitions and regress the error.
 
     All meshes subsample the same driver realization, so the study measures
-    discretization error alone.  ``reference`` is either a callable
-    ``(path, y0) -> terminal state`` (closed-form oracle), a terminal state
-    array, or ``None``, in which case the corrected scheme on the full grid
-    stands in; that fallback requires the grid to be at least 16x finer than
-    the finest requested mesh, and an area process.
+    discretization error alone, and they are stepped in one lockstep walk
+    (see :func:`roughstep.schemes._run_scheme`), each bitwise its own solve.
+    ``reference`` is either a callable ``(path, y0) -> terminal state``
+    (closed-form oracle), a terminal state array, each of the field's state
+    dimension, or ``None``, in which case the corrected scheme on the full
+    grid stands in; that fallback requires the grid to be at least 16x finer
+    than the finest requested mesh, and an area process.  A corrected study
+    walks it as one more member; an Euler study solves it first.
 
     ``scheme`` is ``"euler"`` or ``"corrected"``; ``explosion_threshold``
     bounds every solve, and a mesh or fine-grid reference that crosses it
-    raises :class:`NumericsError` naming the mesh and the crossing index,
-    since a stopped solve has no terminal state to compare.  The fit leaves
-    out the ``drop_coarsest`` (at least 0) coarsest meshes, as long as two
-    remain.
+    raises :class:`NumericsError` naming the mesh and its own crossing index,
+    since a stopped solve has no terminal state to compare.  The walk stops
+    after the first round in which a member crosses, so the member named is
+    the first, in the order fine-grid reference then ascending mesh size, of
+    those crossing in that earliest round: a larger mesh crossing in an
+    earlier round is named ahead of a smaller one that would cross later.
+    The fit leaves out the ``drop_coarsest`` (at least 0) coarsest meshes, as
+    long as two remain.
     Errors are Euclidean distances between terminal states.  Zero errors are
     excluded from the regression; if every mesh is exact the report says so
     instead of fitting a slope.
@@ -148,6 +155,9 @@ def convergence_study(
     if scheme == "corrected" and area is None:
         raise ValueError("corrected scheme needs an area process")
 
+    parts = [np.arange(0, path.n_intervals + 1, path.n_intervals // k) for k in ks]
+    names = [f"mesh k={k}" for k in ks]
+    ref = None
     if callable(reference):
         ref = np.asarray(reference(path, y0), dtype=float).reshape(-1)
         oracle = getattr(reference, "__name__", "callable oracle")
@@ -158,28 +168,31 @@ def convergence_study(
             raise ValueError(
                 "fine-mesh reference wants the grid 16x finer than the finest mesh"
             )
-        fine = corrected_solve(field, path, area, y0, explosion_threshold=explosion_threshold)
-        if fine.exploded:
-            raise NumericsError("the fine-grid reference crossed the explosion threshold "
-                                f"at index {fine.exploded_at}")
-        ref = fine.final
         oracle = "corrected scheme on the full grid"
+        if scheme == "corrected":
+            parts.insert(0, None)
+            names.insert(0, "the fine-grid reference")
+        else:
+            fine = corrected_solve(field, path, area, y0, explosion_threshold=explosion_threshold)
+            if fine.exploded:
+                raise NumericsError("the fine-grid reference crossed the explosion threshold "
+                                    f"at index {fine.exploded_at}")
+            ref = fine.final
     else:
         ref = np.asarray(reference, dtype=float).reshape(-1)
         oracle = "fixed terminal state"
+    if ref is not None and ref.size != field.n:
+        raise ValueError(f"reference has {ref.size} components, the field's state has {field.n}")
 
-    errors = np.empty(len(ks))
-    for m, k in enumerate(ks):
-        stride = path.n_intervals // k
-        part = np.arange(0, path.n_intervals + 1, stride)
-        if scheme == "euler":
-            traj = euler_solve(field, path, y0, part, explosion_threshold)
-        else:
-            traj = corrected_solve(field, path, area, y0, part, explosion_threshold)
+    trajs = _solve(field, path, area if scheme == "corrected" else None, y0, parts,
+                   explosion_threshold)
+    for name, traj in zip(names, trajs):
         if traj.exploded:
-            raise NumericsError(f"mesh k={k} crossed the explosion threshold "
+            raise NumericsError(f"{name} crossed the explosion threshold "
                                 f"at index {traj.exploded_at}")
-        errors[m] = float(np.linalg.norm(traj.final - ref))
+    if ref is None:
+        ref = trajs.pop(0).final
+    errors = np.array([float(np.linalg.norm(traj.final - ref)) for traj in trajs])
 
     keep = errors > 0.0
     n_zero = int(np.count_nonzero(~keep))

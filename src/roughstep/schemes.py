@@ -6,6 +6,9 @@ Everything here rests on one map, the left-point step ``y -> y + f(y) dx
 :func:`_coefficients` and :func:`_advance` are its single definition, shared
 by the solvers, :func:`augmented_solve` and :func:`defect`, so adjacent
 defects under the scheme that made a trajectory are zero by construction.
+Every solve is a walk of :func:`_run_scheme`: one partition for the solvers,
+and the nested meshes of a convergence study stepped in lockstep, each
+member bitwise its own solve.
 
 Beyond the basic solvers this module provides:
 
@@ -63,16 +66,16 @@ def _coefficients(field: VectorField, y: np.ndarray, corrected: bool, d1=None):
     return f, np.ascontiguousarray((field.deriv1(y) if d1 is None else d1).swapaxes(-3, -2))
 
 
-def _advance(y, f, d1, m) -> np.ndarray:
+def _advance(y, f, d1, m) -> tuple[np.ndarray, np.ndarray]:
     """The step ``y + f dx (+ G : A)`` over leading batch axes from the cell's
-    driver block ``m = [dx | A]`` (``[dx]``, ``d1`` None, for Euler): ``w = f @ m``
-    holds ``f dx`` then ``f A``, and ``G : A`` contracts ``D1`` with ``f A`` over
+    driver block ``m = [dx | A]`` (``[dx]``, ``d1`` None, for Euler), and ``w = f @ m``,
+    which holds ``f dx`` then ``f A``: ``G : A`` contracts ``D1`` with ``f A`` over
     one contiguous ``(h, j)`` block, one inner loop on a batch as on one state."""
     w = f @ m
     y = y + w[..., 0]
     if d1 is not None:
         y = y + np.einsum("...ihj,...hj->...i", d1, np.ascontiguousarray(w[..., 1:]))
-    return y
+    return y, w
 
 
 def _check_fit(field: VectorField, path: DriverPath, y0, area: AreaProcess | None):
@@ -123,12 +126,6 @@ def _driver_blocks(path: DriverPath, area: AreaProcess | None, i, j) -> np.ndarr
     return np.concatenate([dx, *([] if area is None else [area.pairs(i, j)])], axis=-1)
 
 
-def _cells(path: DriverPath, partition: np.ndarray | None, area: AreaProcess | None):
-    """Grid indices of the partition and each cell's driver block."""
-    idx = _grid_indices(path, partition)
-    return idx, _driver_blocks(path, area, idx[:-1], idx[1:])
-
-
 def _explosion_threshold(value) -> float:
     """``value`` as an explosion threshold: a float, refused unless positive."""
     threshold = float(value)
@@ -138,22 +135,81 @@ def _explosion_threshold(value) -> float:
 
 
 def _run_scheme(
-    path: DriverPath, y: np.ndarray, idx: np.ndarray, threshold: float, step, tag: str
-) -> Trajectory:
-    """Walk the grid points ``idx`` from the checked state ``y``; ``step(y, k)`` takes cell k
-    and returns a new array.
+    path: DriverPath,
+    area: AreaProcess | None,
+    y: np.ndarray,
+    parts: list[np.ndarray],
+    threshold: float,
+    step,
+    tag: str,
+) -> list[Trajectory]:
+    """Walk the members ``parts``, grid-index arrays of partitions of ``path``, in lockstep
+    from the checked state ``y``; ``step(y, m)`` advances a state ``(n,)`` or a stack of
+    states ``(M, n)`` over its driver blocks ``m`` (``area`` None: ``[dx]``) and returns a
+    new array.
 
-    The walk stops at the first state whose Euclidean norm exceeds ``threshold``.
+    Members are stepped in order of cell count, so the ones still running at round ``r``
+    are a contiguous suffix of one stack: a round is one ``step`` on that slice, its
+    driver blocks read from one array (filled up to the second-longest member's count)
+    and one finiteness and threshold check.  Once the longest member is the only one
+    left it continues alone on a 1-D view of its row, so a one-member walk is the
+    single-state loop.  Each member is bitwise its own walk: a stacked step, the field's
+    included (see :class:`VectorField` ``batched``), equals its rows stepped alone.
+
+    A member stops at the first state whose Euclidean norm exceeds ``threshold``, with
+    that index as ``exploded_at``.  A walk of several members stops after the first round
+    in which any of them goes non-finite or crosses: if the first such member in the
+    order of ``parts`` went non-finite it raises :class:`NumericsError`, and otherwise
+    every member ends at that round, the crossed ones with ``exploded_at`` set.
     """
     threshold = _explosion_threshold(threshold)
-    times = path.times[idx]
-    states = [y.copy()]
-    exploded_at = None
     if float(np.linalg.norm(y)) > threshold:
-        exploded_at = 0
+        return [Trajectory(path.times[p[:1]], y[None], tag, 0) for p in parts]
+    order = sorted(range(len(parts)), key=lambda i: parts[i].size)
+    counts = [parts[i].size - 1 for i in order]
+    rounds = counts[-2] if len(parts) > 1 else 0
+    rest = parts[order[-1]][rounds:]  # the longest member past the lockstep rounds
+    tail_blocks = _driver_blocks(path, area, rest[:-1], rest[1:])
+    hist = np.empty((rounds + 1, len(parts), y.size))
+    hist[0] = y
+    m = np.zeros((rounds, len(parts)) + tail_blocks.shape[1:])
+    for pos, i in enumerate(order):
+        p = parts[i][: rounds + 1]
+        m[: p.size - 1, pos] = _driver_blocks(path, area, p[:-1], p[1:])
+    exploded = {}  # position in ``order`` -> crossing index
+    j0, stop, ys = 0, None, hist[0]
+    for r in range(rounds):
+        while counts[j0] <= r:  # a member finished: drop its row and its blocks
+            j0, ys, m = j0 + 1, ys[1:], m[:, 1:]
+        ys = step(ys, m[r])
+        hist[r + 1, j0:] = ys
+        sq = np.vecdot(ys, ys).tolist()  # each row's y.dot(y), bitwise
+        # a float sum of squares bounds each of them and carries any NaN or inf, so
+        # one comparison clears a round; past it each member is judged on its own
+        if not math.sqrt(sum(sq)) <= threshold and not all(
+            math.sqrt(s) <= threshold for s in sq
+        ):
+            stop = r + 1
+            break
+    del m  # not held through the longest member's tail
+    if stop is not None:
+        for i in range(len(parts)):
+            pos = order.index(i)
+            if pos < j0:
+                continue
+            row, s = ys[pos - j0], sq[pos - j0]
+            if not math.isfinite(s) and not np.all(np.isfinite(row)):
+                if not exploded:
+                    raise NumericsError(f"non-finite state after step {stop - 1} "
+                                        f"(t={path.times[parts[i][stop]]:.6g}, scheme={tag})")
+            elif math.sqrt(s) > threshold:
+                exploded[pos] = stop
     else:
-        for k in range(idx.size - 1):
-            y = step(y, k)
+        times = path.times[parts[order[-1]]]
+        y = hist[rounds, -1]
+        states = [hist[: rounds + 1, -1].reshape(-1)]
+        for k, b in enumerate(tail_blocks, rounds):
+            y = step(y, b)
             sq = float(y.dot(y))  # the square of np.linalg.norm(y), bitwise
             if not math.isfinite(sq) and not np.all(np.isfinite(y)):
                 raise NumericsError(
@@ -161,21 +217,33 @@ def _run_scheme(
                 )
             states.append(y)
             if math.sqrt(sq) > threshold:
-                exploded_at = k + 1
+                exploded[len(order) - 1] = k + 1
                 break
-    return Trajectory(times[: len(states)], np.asarray(states), tag, exploded_at)
+        tail = np.concatenate(states).reshape(-1, y.size)
+
+    out = [None] * len(parts)
+    for pos, i in enumerate(order):
+        if stop is None and pos == len(order) - 1:
+            states = tail
+        else:
+            states = hist[: min(counts[pos], rounds if stop is None else stop) + 1, pos]
+        out[i] = Trajectory(path.times[parts[i][: len(states)]], states, tag, exploded.get(pos))
+    return out
 
 
-def _solve(field, path, area, y0, partition, threshold) -> Trajectory:
-    """Euler when ``area`` is None, corrected otherwise."""
-    y = _check_fit(field, path, y0, area)
+def _solve(field, path, area, y0, partitions, threshold) -> list[Trajectory]:
+    """One walk of ``partitions`` (None: every grid point), Euler when ``area`` is None,
+    corrected otherwise."""
     corrected = area is not None
-    idx, m = _cells(path, partition, area)
+    if corrected and not field.has_deriv1:
+        raise NotImplementedError("corrected scheme needs the field's first derivative")
+    y = _check_fit(field, path, y0, area)
+    parts = [_grid_indices(path, p) for p in partitions]
 
-    def step(y, k):
-        return _advance(y, *_coefficients(field, y, corrected), m[k])
+    def step(y, m):
+        return _advance(y, *_coefficients(field, y, corrected), m)[0]
 
-    return _run_scheme(path, y, idx, threshold, step, "corrected" if corrected else "euler")
+    return _run_scheme(path, area, y, parts, threshold, step, "corrected" if corrected else "euler")
 
 
 def euler_solve(
@@ -187,7 +255,7 @@ def euler_solve(
 ) -> Trajectory:
     """First-order scheme: y += f(y) dx per cell, stopped once ``|y|`` exceeds
     ``explosion_threshold``."""
-    return _solve(field, path, None, y0, partition, explosion_threshold)
+    return _solve(field, path, None, y0, [partition], explosion_threshold)[0]
 
 
 def corrected_solve(
@@ -204,9 +272,7 @@ def corrected_solve(
     cell, looked up through the process's Chen algebra so coarse partitions
     stay consistent with the fine grid.
     """
-    if not field.has_deriv1:
-        raise NotImplementedError("corrected scheme needs the field's first derivative")
-    return _solve(field, path, area, y0, partition, explosion_threshold)
+    return _solve(field, path, area, y0, [partition], explosion_threshold)[0]
 
 
 def augmented_solve(
@@ -246,26 +312,27 @@ def augmented_solve(
     if not np.all(np.isfinite(z_init)):
         raise ValueError(f"z0 must be finite, got {z_init.tolist()}")
     big0 = np.concatenate([y, z_init.ravel()])
-    idx, ms = _cells(path, partition, area if corrected else None)
+    parts = [_grid_indices(path, partition)]
 
-    def step(big, k):
-        y = big[:n]
-        z = big[n:].reshape(n, n)
-        m = ms[k]
-        dx, a = m[:, 0], m[:, 1:]
+    def step(big, m):
+        y, z = big[:n], big[n:].reshape(n, n)
         d1 = field.deriv1(y)
         f, d1_step = _coefficients(field, y, corrected, d1)
-        y_new = _advance(y, f, d1_step, m)
-        z_new = z + np.einsum("hij,hN,j->iN", d1, z, dx)
+        y_new, w = _advance(y, f, d1_step, m)
+        # z += K^T z with K[q, i] = d(step)_i / d y_q - delta_qi, one operand pair at a
+        # time: D1 [dx | A] holds D1 dx and D1 A, which is contracted with D1 over
+        # (h, j), as D2 is with the kernel's f A
+        dm = d1 @ m
+        k = dm[..., 0]
         if corrected:
-            d2 = field.deriv2(y)
-            z_new = z_new + np.einsum("qhr,qN,hij,rj->iN", d1, z, d1, a)
-            z_new = z_new + np.einsum("hr,qhij,qN,rj->iN", f, d2, z, a)
-        return np.concatenate([y_new, z_new.ravel()])
+            k = k + dm[..., 1:].reshape(n, -1) @ d1_step.reshape(n, -1).T
+            k = k + np.einsum("qhij,hj->qi", field.deriv2(y), w[:, 1:])
+        return np.concatenate([y_new, (z + k.T @ z).ravel()])
 
     # Explosion is judged on the full augmented state; callers who care about
     # the bare state norm should solve it separately.
-    return _run_scheme(path, big0, idx, explosion_threshold, step, scheme)
+    area = area if corrected else None
+    return _run_scheme(path, area, big0, parts, explosion_threshold, step, scheme)[0]
 
 
 def jacobian_view(trajectory: Trajectory, n: int) -> np.ndarray:
@@ -367,7 +434,7 @@ def defect(
         k, l = pair_arr[blk].T
         m = _driver_blocks(path, area if corrected else None, idx[k], idx[l])
         d1 = d1_left[inv[blk]] if corrected else None
-        y_l = _advance(y[k], f_left[inv[blk]], d1, m)
+        y_l = _advance(y[k], f_left[inv[blk]], d1, m)[0]
         mags[blk] = np.max(np.abs(y[l] - y_l), axis=1)
 
     omegas = control.omega(trajectory.times[pair_arr[:, 0]], trajectory.times[pair_arr[:, 1]])

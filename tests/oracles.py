@@ -25,6 +25,26 @@ def correction_tensor(f: np.ndarray, d1: np.ndarray) -> np.ndarray:
     return np.einsum("...hr,...hij->...irj", f, d1)
 
 
+def sequential_rate(solve, ks, n_intervals: int, ref: np.ndarray,
+                    drop_coarsest: int = 2) -> tuple[np.ndarray, float]:
+    """Errors and fitted slope of a convergence study, one solve per mesh.
+
+    ``solve(partition)`` returns the terminal state over the grid indices
+    ``partition``; mesh ``k`` takes every ``n_intervals // k``-th grid point,
+    meshes in ascending order.  Zero errors are left out, then the
+    ``drop_coarsest`` coarsest meshes while two remain, and the slope is that
+    of the least-squares line through ``(log2 k, log2 error)``.
+    """
+    ks = np.sort(np.asarray(ks))
+    errors = np.array([float(np.linalg.norm(solve(np.arange(0, n_intervals + 1, n_intervals // k))
+                                            - ref)) for k in ks])
+    ks, errors = ks[errors > 0], errors[errors > 0]
+    drop = min(drop_coarsest, max(0, ks.size - 2))
+    if ks.size - drop < 2:
+        return errors, math.nan
+    return errors, float(np.polyfit(np.log2(ks[drop:]), np.log2(errors[drop:]), 1)[0])
+
+
 def richardson_area(poly_eval, s: float, t: float, n: int) -> np.ndarray:
     """Riemann-refinement area with one Richardson step.
 

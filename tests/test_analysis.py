@@ -121,6 +121,16 @@ class TestConvergenceStudy:
                               area=area, reference=reference, explosion_threshold=1.05)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("reference", [gbm_terminal_ito, np.array([1.0])],
+                             ids=["callable", "array"])
+    def test_reference_of_another_size_is_refused(self, bm1, reference):
+        # a terminal state of one component would broadcast against a state of two
+        _, path, _ = bm1
+        field = VectorField.constant([[1.0], [2.0]])
+        with pytest.raises(ValueError, match="reference has 1 components, the field's state has 2"):
+            convergence_study(field, path, np.array([1.0, 1.0]), k_values=[16, 64, 256],
+                              reference=reference)
+
     def test_report_serializes(self, bm1, gbm_field):
         _, path, _ = bm1
         report = convergence_study(gbm_field, path, np.array([1.0]),

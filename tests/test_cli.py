@@ -353,6 +353,13 @@ class TestConfigErrors:
                        "p": 1.0}),
         ("nonuniqueness", {"exponents": {"gamma": 1.05, "p": 5.0, "beta_exp": 1.0,
                                          "rho_exp": 3.0}}),
+        ("convergence", {
+            "driver": {"kind": "brownian", "d": 1, "level": 8, "seed": 42},
+            "field": {"kind": "constant", "matrix": [[1.0], [2.0]]},
+            "y0": [1.0, 1.0],
+            "k_values": [16, 64],
+            "oracle": "gbm_ito",
+        }),
     ], ids=["level-out-of-range", "nan-y0", "field-driver-mismatch", "oracle-needs-d1",
             "mesh-not-dividing-grid", "null-level", "null-alpha", "null-p", "null-matrix",
             "scheme-gamma", "scheme-p", "c21-no-levels", "c21-level-finer-than-driver",
@@ -372,7 +379,7 @@ class TestConfigErrors:
             "boolean-threshold", "fractional-mesh", "boolean-c21-level",
             "fractional-grid", "boolean-p", "boolean-curve-seed", "boolean-y0",
             "boolean-matrix", "boolean-in-mixed-y0", "boolean-coeffs", "text-y0", "curve-depth-1",
-            "explosion-p-1", "nonuniqueness-tail-integral"])
+            "explosion-p-1", "nonuniqueness-tail-integral", "oracle-size-not-state"])
     def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, subcommand, config):
         cfg = _write_config(tmp_path, "bad.json", config)
         out = tmp_path / "out"

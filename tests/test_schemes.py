@@ -1,6 +1,7 @@
 """Tests for the step schemes, augmented flows, and defect reports."""
 from __future__ import annotations
 
+import re
 import warnings
 from functools import lru_cache
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from roughstep.analysis import convergence_study, gbm_terminal_ito
 from roughstep.core import (
     AreaProcess,
     ControlModulus,
@@ -28,6 +30,7 @@ from roughstep.drivers import (
 from roughstep.schemes import (
     _advance,
     _coefficients,
+    _solve,
     augmented_solve,
     corrected_solve,
     defect,
@@ -81,6 +84,46 @@ def _tanh_field(mats: np.ndarray, layout: str) -> VectorField:
     return VectorField(n, d, func, deriv1=deriv1)
 
 
+def _batched_tanh_field(mats: np.ndarray) -> VectorField:
+    """The field of :func:`_tanh_field` on a batch of states in one call, each row as
+    the elementwise product and last-axis sum it takes on one state."""
+    m = np.asarray(mats, dtype=float)
+    d, n, _ = m.shape
+    rows = np.ascontiguousarray(np.transpose(m, (1, 0, 2)))  # rows[i, j] = M_j[i, :]
+
+    def func(y):
+        return (rows * np.tanh(y)[..., None, None, :]).sum(-1)
+
+    def deriv1(y):
+        return np.transpose(m, (2, 1, 0)) / np.cosh(y)[..., :, None, None] ** 2
+
+    return VectorField(n, d, func, deriv1=deriv1, batched=True)
+
+
+@lru_cache(maxsize=None)
+def _walk_driver(d: int):
+    """A 1,024-cell Brownian driver and its Ito area: 16x finer than a 64-cell mesh."""
+    cfg = BrownianConfig(d=d, level=10, seed=60 + d)
+    path = brownian_path(cfg)
+    return path, ito_area(path, cfg)
+
+
+def _walk_failure(members, solve) -> str:
+    """What a walk of ``members``, ``(name, partition)`` pairs, raises, from each member
+    solved alone: of the members failing in the earliest round, the first listed."""
+    failures = []
+    for name, part in members:
+        try:
+            traj = solve(part)
+        except NumericsError as err:  # non-finite after cell k, in round k
+            failures.append((int(re.search(r"after step (\d+)", str(err)).group(1)), str(err)))
+        else:
+            if traj.exploded:
+                failures.append((traj.exploded_at - 1, f"{name} crossed the explosion "
+                                                       f"threshold at index {traj.exploded_at}"))
+    return min(failures, key=lambda f: f[0])[1]
+
+
 @lru_cache(maxsize=None)
 def _brownian_with_area(d: int):
     cfg = BrownianConfig(d=d, level=5, seed=40 + d)
@@ -124,13 +167,14 @@ class TestStepKernel:
         y = rng.uniform(-1.0, 1.0, (32, n))
         a = rng.normal(size=(32, d, d))
         m = np.concatenate([np.zeros((32, d, 1)), a], axis=-1)
-        got = _advance(np.zeros((32, n)), *_coefficients(field, y, True), m)
+        got, _ = _advance(np.zeros((32, n)), *_coefficients(field, y, True), m)
         f = np.stack([field.eval(v) for v in y])
         d1 = np.stack([field.deriv1(v) for v in y])
         want = np.einsum("...irj,...rj->...i", oracles.correction_tensor(f, d1), a)
         scale = np.einsum("...hr,...hij,...rj->...i", np.abs(f), np.abs(d1), np.abs(a))
         assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
-        single = [_advance(np.zeros(n), *_coefficients(field, v, True), mk) for v, mk in zip(y, m)]
+        single = [_advance(np.zeros(n), *_coefficients(field, v, True), mk)[0]
+                  for v, mk in zip(y, m)]
         assert np.array_equal(np.array(single), got)
 
     def test_tensor_oracle_contracts_first_derivative(self, smooth22):
@@ -147,7 +191,7 @@ class TestStepKernel:
     def test_constant_field_has_zero_correction(self):
         field = VectorField.constant(np.array([[1.0, 2.0], [0.0, 1.0]]))
         m = np.concatenate([np.zeros((2, 1)), np.array([[0.3, -1.2], [0.7, 0.4]])], axis=-1)
-        assert np.array_equal(_advance(np.zeros(2), *_coefficients(field, np.zeros(2), True), m),
+        assert np.array_equal(_advance(np.zeros(2), *_coefficients(field, np.zeros(2), True), m)[0],
                               np.zeros(2))
 
 
@@ -383,6 +427,133 @@ class TestAugmentedSolve:
         traj = euler_solve(gbm_field, path.subsample(512), np.array([1.0]))
         with pytest.raises(ValueError):
             jacobian_view(traj, 1)
+
+
+class TestLockstepWalk:
+    """A convergence study steps its meshes, and a corrected study its fine-grid
+    reference too, in one walk; each member is bitwise its own solve."""
+
+    @staticmethod
+    def _solver(field, path, area, y0, scheme, threshold=1e6):
+        if scheme == "euler":
+            return lambda part: euler_solve(field, path, y0, part, threshold)
+        return lambda part: corrected_solve(field, path, area, y0, part, threshold)
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (2, 2), (3, 2), (2, 3)])
+    def test_batched_tanh_rows_are_single_states(self, n, d):
+        field = _batched_tanh_field(np.random.default_rng(n + d).uniform(-1.5, 1.5, (d, n, n)))
+        y = np.random.default_rng(7).uniform(-1.0, 1.0, (8, n))
+        assert np.array_equal(field.eval(y), np.stack([field.eval(v) for v in y]))
+        assert np.array_equal(field.deriv1(y), np.stack([field.deriv1(v) for v in y]))
+
+    @pytest.mark.parametrize("scheme", ["euler", "corrected"])
+    @pytest.mark.parametrize("batched", [False, True], ids=["rowwise", "batched"])
+    @pytest.mark.parametrize("n, d", [(1, 1), (2, 2), (3, 2), (2, 3)])
+    def test_study_equals_sequential_solves(self, n, d, batched, scheme):
+        rng = np.random.default_rng(10 * n + d)
+        mats = rng.uniform(-1.5, 1.5, (d, n, n))
+        field = _batched_tanh_field(mats) if batched else _tanh_field(mats, "C")
+        path, area = _walk_driver(d)
+        y0 = rng.uniform(-1.0, 1.0, n)
+        ks = [4, 8, 16, 32, 64]
+        report = convergence_study(field, path, y0, ks, scheme, area)
+        fine = corrected_solve(field, path, area, y0).final
+        errors, slope = oracles.sequential_rate(
+            lambda part: self._solver(field, path, area, y0, scheme)(part).final,
+            ks, path.n_intervals, fine)
+        assert np.array_equal(report.errors, errors) and report.slope == slope
+
+    @pytest.mark.parametrize("scheme", ["euler", "corrected"])
+    def test_each_member_is_its_own_solve(self, scheme):
+        path, area = _walk_driver(2)
+        field = _batched_tanh_field(np.random.default_rng(5).uniform(-1.5, 1.5, (2, 2, 2)))
+        y0 = np.array([0.3, -0.6])
+        parts = [np.arange(0, 1025, 1024 // k) for k in (64, 4, 256, 4)] + [None]
+        walked = _solve(field, path, area if scheme == "corrected" else None, y0, parts, 1e6)
+        for part, traj in zip(parts, walked):
+            alone = self._solver(field, path, area, y0, scheme)(part)
+            assert np.array_equal(traj.times, alone.times)
+            assert np.array_equal(traj.states, alone.states)
+            assert traj.scheme == alone.scheme and not traj.exploded
+
+    def test_duplicate_meshes(self):
+        path, area = _walk_driver(2)
+        field = _batched_tanh_field(np.random.default_rng(3).uniform(-1.5, 1.5, (2, 2, 2)))
+        y0 = np.array([0.5, 0.1])
+        ks = [16, 4, 16, 64, 4]
+        report = convergence_study(field, path, y0, ks, "corrected", area)
+        errors, slope = oracles.sequential_rate(
+            lambda part: corrected_solve(field, path, area, y0, part).final,
+            ks, path.n_intervals, corrected_solve(field, path, area, y0).final)
+        assert np.array_equal(report.errors, errors) and report.slope == slope
+        assert report.k_values.tolist() == [4, 4, 16, 16, 64]
+
+    @pytest.mark.parametrize("scheme, threshold", [
+        ("euler", 1.01), ("euler", 1.12), ("euler", 1.25), ("euler", 1.3),
+        ("corrected", 1.01), ("corrected", 1.09), ("corrected", 1.25), ("corrected", 1.55),
+    ])
+    def test_a_crossing_is_named_with_its_own_solve_index(self, bm1, gbm_field, scheme,
+                                                          threshold):
+        _, path, area = bm1
+        ks = [16, 64, 256]
+        members = [(f"mesh k={k}", np.arange(0, path.n_intervals + 1, path.n_intervals // k))
+                   for k in ks]
+        if scheme == "corrected":
+            members.insert(0, ("the fine-grid reference", None))
+        y0 = np.array([1.0])
+        want = _walk_failure(members, self._solver(gbm_field, path, area, y0, scheme, threshold))
+        with pytest.raises(NumericsError) as info:
+            convergence_study(gbm_field, path, y0, ks, scheme, area,
+                              reference=gbm_terminal_ito if scheme == "euler" else None,
+                              explosion_threshold=threshold)
+        assert str(info.value) == want
+
+    def test_the_fine_member_crossing_alone_is_named(self, bm1, gbm_field):
+        # no mesh crosses 1.55; the fine member crosses after every mesh has finished
+        _, path, area = bm1
+        fine = corrected_solve(gbm_field, path, area, np.array([1.0]), explosion_threshold=1.55)
+        with pytest.raises(NumericsError) as info:
+            convergence_study(gbm_field, path, np.array([1.0]), [16, 64, 256], "corrected",
+                              area, explosion_threshold=1.55)
+        assert fine.exploded_at > 256
+        assert str(info.value) == ("the fine-grid reference crossed the explosion threshold "
+                                   f"at index {fine.exploded_at}")
+
+    def test_a_larger_mesh_crossing_in_an_earlier_round_is_named_first(self, bm1, gbm_field):
+        _, path, _ = bm1
+        coarse = euler_solve(gbm_field, path, np.array([1.0]), np.arange(0, 4097, 256), 1.12)
+        assert coarse.exploded_at > 1  # mesh k=16 crosses, but only in a later round
+        with pytest.raises(NumericsError) as info:
+            convergence_study(gbm_field, path, np.array([1.0]), [16, 64, 256],
+                              reference=gbm_terminal_ito, explosion_threshold=1.12)
+        assert str(info.value) == "mesh k=64 crossed the explosion threshold at index 1"
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["rowwise", "batched"])
+    def test_no_state_past_a_crossing_is_evaluated(self, bm1, batched):
+        _, path, area = bm1
+
+        def func(y):
+            assert np.all(np.abs(y) <= 1.12), "a state past the threshold was stepped"
+            return y[..., None].copy()
+
+        field = VectorField(1, 1, func, deriv1=lambda y: np.ones(y.shape[:-1] + (1, 1, 1)),
+                            batched=batched)
+        with pytest.raises(NumericsError, match="crossed the explosion threshold"):
+            convergence_study(field, path, np.array([1.0]), [16, 64, 256], "corrected", area,
+                              explosion_threshold=1.12)
+
+    @pytest.mark.parametrize("cap", [1.05, 1.2, 1.4])
+    def test_a_non_finite_member_raises_its_own_message(self, bm1, cap):
+        _, path, _ = bm1
+        field = VectorField(1, 1, lambda y: np.where(y > cap, np.nan, y)[..., None],
+                            batched=True)
+        ks = [16, 64, 256]
+        members = [(f"mesh k={k}", np.arange(0, path.n_intervals + 1, path.n_intervals // k))
+                   for k in ks]
+        want = _walk_failure(members, self._solver(field, path, None, np.array([1.0]), "euler"))
+        with pytest.raises(NumericsError) as info:
+            convergence_study(field, path, np.array([1.0]), ks, reference=gbm_terminal_ito)
+        assert str(info.value) == want and want.startswith("non-finite state after step")
 
 
 class TestWindowPairs:
