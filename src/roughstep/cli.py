@@ -221,8 +221,11 @@ def _driver(block: dict, seed_override, need_area: bool):
     return path, stratonovich_area(area) if block["area"] == "stratonovich" else area
 
 
-def _field(block: dict) -> VectorField:
-    """The field whose constructor the block's kind names, its other keys the arguments."""
+def _field(block: dict, d: int) -> VectorField:
+    """The field whose constructor the block's kind names, its other keys the arguments;
+    a diagonal_linear ``n`` other than the driver's ``d`` refused before any tensor."""
+    if block["kind"] == "diagonal_linear" and block["n"] != d:
+        raise ConfigError(f"field is driven by d={block['n']}, the driver has d={d}")
     return getattr(VectorField, block["kind"])(**{k: v for k, v in block.items() if k != "kind"})
 
 
@@ -259,7 +262,7 @@ _SYSTEM = {  # a field driven from y0 by one scheme
 def _cmd_solve(config: dict, seed_override) -> dict:
     scheme, threshold = config["scheme"]["scheme"], config["scheme"]["explosion_threshold"]
     path, area = _driver(config["driver"], seed_override, scheme == "corrected")
-    field = _field(config["field"])
+    field = _field(config["field"], path.d)
     if scheme == "corrected":
         traj = corrected_solve(field, path, area, config["y0"], explosion_threshold=threshold)
     else:
@@ -289,7 +292,7 @@ def _cmd_convergence(config: dict, seed_override) -> dict:
     need_area = scheme["scheme"] == "corrected" or config["oracle"] == "fine"
     path, area = _driver(config["driver"], seed_override, need_area)
     report = convergence_study(
-        _field(config["field"]), path, config["y0"],
+        _field(config["field"], path.d), path, config["y0"],
         k_values=config["k_values"],
         area=area,
         reference=_ORACLES[config["oracle"]],
@@ -451,7 +454,7 @@ def main(argv=None) -> int:
             "artifacts": hashes,
         }
         (out / "manifest.json").write_bytes(_json_bytes(manifest))
-    except (ValueError, IndexError, OSError) as exc:  # ConfigError and JSONDecodeError too
+    except (ValueError, IndexError, OSError, MemoryError) as exc:  # or a config too big to build
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericsError, ArithmeticError) as exc:

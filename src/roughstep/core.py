@@ -12,7 +12,8 @@ The pieces here are small and composable:
   fine-grid interval and reconstructs the area of any coarser pair through the
   Chen identity, so every consumer sees one consistent algebra.
 * :class:`VectorField` bundles a coefficient field with its first two
-  derivative tensors.  :class:`Trajectory`, :class:`DefectReport` and
+  derivative tensors, callables or constant arrays; the step kernel takes a
+  constant one once per walk.  :class:`Trajectory`, :class:`DefectReport` and
   :class:`GrowthEnvelope` are the outputs and inputs of the scheme layer.
 
 Index conventions used throughout the package (shapes in comments elsewhere
@@ -366,6 +367,9 @@ class VectorField:
             each row bitwise its single-state value.  Otherwise a batch is
             evaluated one row at a time.
 
+    Any of the three may instead be a constant array of its shape: refused
+    (``ValueError``) unless finite, made read-only and broadcast over a batch.
+
     :meth:`eval`, :meth:`deriv1` and :meth:`deriv2` take a state or a batch
     of states either way.  Missing derivatives raise on access; schemes that
     need them say so in the error.  No approximation is ever silently
@@ -376,26 +380,31 @@ class VectorField:
         self,
         n: int,
         d: int,
-        func: Callable[[np.ndarray], np.ndarray],
-        deriv1: Callable[[np.ndarray], np.ndarray] | None = None,
-        deriv2: Callable[[np.ndarray], np.ndarray] | None = None,
+        func: Callable[[np.ndarray], np.ndarray] | np.ndarray,
+        deriv1: Callable[[np.ndarray], np.ndarray] | np.ndarray | None = None,
+        deriv2: Callable[[np.ndarray], np.ndarray] | np.ndarray | None = None,
         batched: bool = False,
     ):
         self.n = int(n)
         self.d = int(d)
-        self._func = func
-        self._deriv1 = deriv1
-        self._deriv2 = deriv2
+        self._func = _checked(func, (self.n, self.d), "field")
+        self._deriv1 = _checked(deriv1, (self.n, self.n, self.d), "deriv1")
+        self._deriv2 = _checked(deriv2, (self.n, self.n, self.n, self.d), "deriv2")
         self.batched = bool(batched)
 
     def _apply(self, fn, y, tail: tuple, what: str) -> np.ndarray:
-        """``fn`` on a state or, row by row unless batched, on a batch of states."""
-        y = np.asarray(y, dtype=float)
+        """``fn`` at a state or a batch of states: a callable row by row unless batched."""
+        if type(y) is not np.ndarray or y.dtype is not _FLOAT:
+            y = np.asarray(y, dtype=float)
+        if type(fn) is np.ndarray:
+            return fn if y.ndim <= 1 else np.broadcast_to(fn, y.shape[:-1] + fn.shape)
         expected = y.shape[:-1] + tail
         if not self.batched and y.ndim > 1:
             rows = y.reshape(-1, y.shape[-1])
             return np.array([self._apply(fn, row, tail, what) for row in rows]).reshape(expected)
-        out = np.asarray(fn(y), dtype=float)
+        out = fn(y)
+        if type(out) is not np.ndarray or out.dtype is not _FLOAT:
+            out = np.asarray(out, dtype=float)
         if out.shape != expected:
             raise ValueError(f"{what} returned shape {out.shape}, expected {expected}")
         return out
@@ -424,50 +433,50 @@ class VectorField:
     @classmethod
     def constant(cls, matrix) -> "VectorField":
         """Field with state-independent coefficients (derivatives vanish)."""
-        matrix = _frozen(np.array(matrix, dtype=float))
+        matrix = np.array(matrix, dtype=float)
         if matrix.ndim != 2:
             raise ValueError("constant field needs an (n, d) matrix")
         n, d = matrix.shape
-        zero1, zero2 = _frozen(np.zeros((n, n, d))), _frozen(np.zeros((n, n, n, d)))
-        return cls(n, d, lambda y: _per_state(matrix, y), deriv1=lambda y: _per_state(zero1, y),
-                   deriv2=lambda y: _per_state(zero2, y), batched=True)
+        return cls(n, d, matrix, deriv1=np.zeros((n, n, d)), deriv2=np.zeros((n, n, n, d)),
+                   batched=True)
 
     @classmethod
     def scalar_linear(cls) -> "VectorField":
         """The 1-by-1 multiplicative field f(y) = y (geometric testbed)."""
-        one, zero = _frozen(np.ones((1, 1, 1))), _frozen(np.zeros((1, 1, 1, 1)))
-        return cls(1, 1, lambda y: y[..., None].copy(), deriv1=lambda y: _per_state(one, y),
-                   deriv2=lambda y: _per_state(zero, y), batched=True)
+        return cls(1, 1, lambda y: y[..., None].copy(), deriv1=np.ones((1, 1, 1)),
+                   deriv2=np.zeros((1, 1, 1, 1)), batched=True)
 
     @classmethod
     def diagonal_linear(cls, n: int) -> "VectorField":
         """f[i, j] = delta_ij * y[i]: independent multiplicative components."""
         if n < 1:
             raise ValueError(f"diagonal_linear field needs n >= 1, got {n}")
-        d1 = np.zeros((n, n, n))
-        d1.reshape(-1)[:: n * n + n + 1] = 1.0
-        d1, d2 = _frozen(d1), _frozen(np.zeros((n, n, n, n)))
+        d1 = np.einsum("hi,ij->hij", np.eye(n), np.eye(n))  # delta_hi delta_ij
 
         def func(y):
             out = np.zeros(y.shape + (n,))
             out.reshape(y.shape[:-1] + (n * n,))[..., :: n + 1] = y
             return out
 
-        return cls(n, n, func, deriv1=lambda y: _per_state(d1, y),
-                   deriv2=lambda y: _per_state(d2, y), batched=True)
+        return cls(n, n, func, deriv1=d1, deriv2=np.zeros((n, n, n, n)), batched=True)
 
 
-def _frozen(value: np.ndarray) -> np.ndarray:
+def _checked(value, shape: tuple, what: str):
+    """``value``, a constant one as a read-only float array refused unless finite and of
+    ``shape``; a float array is not copied, so zeros never touched cost no memory."""
+    if value is None or callable(value):
+        return value
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise ValueError(f"constant {what} has shape {value.shape}, expected {shape}")
+    if not (np.isfinite(value.min(initial=0.0)) and np.isfinite(value.max(initial=0.0))):
+        raise ValueError(f"constant {what} must be finite")
     value.flags.writeable = False
     return value
 
 
-def _per_state(value: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """A state-independent ``value`` at a state, or repeated over a batch of states."""
-    return value if y.ndim <= 1 else np.broadcast_to(value, y.shape[:-1] + value.shape)
-
-
 _CSV_ROWS = 4096  # rows per block written by Trajectory.write_csv
+_FLOAT = np.dtype(float)  # VectorField converts no array of it
 
 
 @dataclass

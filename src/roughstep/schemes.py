@@ -50,20 +50,25 @@ _SCHEMES = ("euler", "corrected")
 _DEFECT_BLOCK = 2**14  # pairs reconstructed per batched step in defect
 
 
+def _kernel_layout(d1: np.ndarray) -> np.ndarray:
+    """``D1[..., h, i, j]`` as the kernel takes it: a C-contiguous ``[..., i, h, j]``."""
+    return np.ascontiguousarray(d1.swapaxes(-3, -2))
+
+
 def _coefficients(field: VectorField, y: np.ndarray, corrected: bool, d1=None):
-    """Left-point coefficients of the step: ``(f(y), D1(y))`` with ``D1``'s first two
-    axes swapped to ``[..., i, h, j]``, ``D1`` None for Euler.
+    """Left-point coefficients of the step: ``(f(y), D1(y))`` with ``D1`` in the kernel's
+    layout (:func:`_kernel_layout`), None for Euler.
 
     ``y`` is a state or a batch of states ``(..., n)``.  Both outputs are
     C-contiguous whatever layout the field returns: ``f @ m`` on a transposed
     ``f``, and the contraction on a transposed ``D1``, round differently from
     the same operation on a row of a stacked batch.  ``d1`` is the first
-    derivative at ``y`` if already evaluated.
+    derivative at ``y`` in the kernel's layout if already at hand.
     """
     f = np.ascontiguousarray(field.eval(y))
     if not corrected:
         return f, None
-    return f, np.ascontiguousarray((field.deriv1(y) if d1 is None else d1).swapaxes(-3, -2))
+    return f, _kernel_layout(field.deriv1(y)) if d1 is None else d1
 
 
 def _advance(y, f, d1, m) -> tuple[np.ndarray, np.ndarray]:
@@ -239,9 +244,13 @@ def _solve(field, path, area, y0, partitions, threshold) -> list[Trajectory]:
         raise NotImplementedError("corrected scheme needs the field's first derivative")
     y = _check_fit(field, path, y0, area)
     parts = [_grid_indices(path, p) for p in partitions]
+    tile = None  # a constant D1 in the kernel's layout once per walk, a row per member
+    if corrected and isinstance(field._deriv1, np.ndarray):
+        tile = _kernel_layout(np.broadcast_to(field._deriv1, (len(parts),) + field._deriv1.shape))
 
     def step(y, m):
-        return _advance(y, *_coefficients(field, y, corrected), m)[0]
+        d1 = None if tile is None else tile[-1] if y.ndim == 1 else tile[-len(y):]
+        return _advance(y, *_coefficients(field, y, corrected, d1), m)[0]
 
     return _run_scheme(path, area, y, parts, threshold, step, "corrected" if corrected else "euler")
 
@@ -314,10 +323,14 @@ def augmented_solve(
     big0 = np.concatenate([y, z_init.ravel()])
     parts = [_grid_indices(path, partition)]
 
+    # a constant D1 in the kernel's layout once per walk
+    const1 = _kernel_layout(field._deriv1) if isinstance(field._deriv1, np.ndarray) else None
+
     def step(big, m):
         y, z = big[:n], big[n:].reshape(n, n)
         d1 = field.deriv1(y)
-        f, d1_step = _coefficients(field, y, corrected, d1)
+        step1 = const1 if const1 is not None or not corrected else _kernel_layout(d1)
+        f, d1_step = _coefficients(field, y, corrected, step1)
         y_new, w = _advance(y, f, d1_step, m)
         # z += K^T z with K[q, i] = d(step)_i / d y_q - delta_qi, one operand pair at a
         # time: D1 [dx | A] holds D1 dx and D1 A, which is contracted with D1 over

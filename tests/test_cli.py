@@ -360,6 +360,13 @@ class TestConfigErrors:
             "k_values": [16, 64],
             "oracle": "gbm_ito",
         }),
+        # requests beyond any address space, so that nothing is allocated whatever the
+        # host's overcommit policy: an (n, n, n) tensor of 8e18 bytes, 8e17 bytes of samples
+        ("solve", {"driver": {"kind": "brownian", "d": 2, "level": 4, "seed": 1},
+                   "field": {"kind": "diagonal_linear", "n": 10**6}, "y0": [1.0, 1.0]}),
+        ("solve", {**SOLVE_CONFIG, "scheme": {"scheme": "euler"},
+                   "driver": {"kind": "polynomial", "coeffs": [[0.0, 1.0]], "area": "none",
+                              "samples": 1e17}}),
     ], ids=["level-out-of-range", "nan-y0", "field-driver-mismatch", "oracle-needs-d1",
             "mesh-not-dividing-grid", "null-level", "null-alpha", "null-p", "null-matrix",
             "scheme-gamma", "scheme-p", "c21-no-levels", "c21-level-finer-than-driver",
@@ -379,7 +386,8 @@ class TestConfigErrors:
             "boolean-threshold", "fractional-mesh", "boolean-c21-level",
             "fractional-grid", "boolean-p", "boolean-curve-seed", "boolean-y0",
             "boolean-matrix", "boolean-in-mixed-y0", "boolean-coeffs", "text-y0", "curve-depth-1",
-            "explosion-p-1", "nonuniqueness-tail-integral", "oracle-size-not-state"])
+            "explosion-p-1", "nonuniqueness-tail-integral", "oracle-size-not-state",
+            "huge-diagonal-n-not-driver-d", "polynomial-samples-beyond-memory"])
     def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, subcommand, config):
         cfg = _write_config(tmp_path, "bad.json", config)
         out = tmp_path / "out"

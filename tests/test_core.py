@@ -393,6 +393,30 @@ class TestVectorField:
         with pytest.raises(ValueError):
             bad.eval(states)
 
+    @pytest.mark.parametrize("parts", [
+        {"func": np.zeros((2, 3))},
+        {"func": np.zeros((2, 2)), "deriv1": np.zeros((2, 2))},
+        {"func": np.zeros((2, 2)), "deriv2": np.zeros((2, 2, 2))},
+        {"func": np.array([[0.0, np.inf], [0.0, 0.0]])},
+        {"func": np.zeros((2, 2)), "deriv1": np.full((2, 2, 2), np.nan)},
+        {"func": np.zeros((2, 2)), "deriv2": np.full((2, 2, 2, 2), -np.inf)},
+    ], ids=["func-shape", "deriv1-shape", "deriv2-shape", "func-inf", "deriv1-nan",
+            "deriv2-inf"])
+    def test_constant_part_of_wrong_shape_or_not_finite_is_refused(self, parts):
+        with pytest.raises(ValueError, match="constant"):
+            VectorField(2, 2, **parts)
+
+    def test_constant_derivative_is_frozen_and_broadcast_over_a_batch(self):
+        d1 = np.arange(8.0).reshape(2, 2, 2)
+        field = VectorField(2, 2, np.zeros((2, 2)), deriv1=d1)
+        with pytest.raises(ValueError, match="read-only"):
+            d1[0, 0, 0] = -1.0
+        one = field.deriv1(np.zeros(2))
+        assert one is d1 and not one.flags.writeable
+        batch = field.deriv1(np.zeros((3, 4, 2)))
+        assert batch.shape == (3, 4, 2, 2, 2) and not batch.flags.writeable
+        assert np.array_equal(batch, np.broadcast_to(one, batch.shape))
+
     def test_scalar_linear_is_multiplication(self):
         field = VectorField.scalar_linear()
         assert field.eval(np.array([2.5]))[0, 0] == 2.5

@@ -556,6 +556,61 @@ class TestLockstepWalk:
         assert str(info.value) == want and want.startswith("non-finite state after step")
 
 
+def _as_callables(field: VectorField) -> VectorField:
+    """``field`` with each constant part replaced by a batched callable returning the
+    same value for one state, broadcast over a batch of states."""
+    def call(value):
+        if value is None or callable(value):
+            return value
+        return lambda y: value if y.ndim <= 1 else np.broadcast_to(value, y.shape[:-1]
+                                                                     + value.shape)
+
+    parts = (field._func, field._deriv1, field._deriv2)
+    return VectorField(field.n, field.d, *(call(v) for v in parts), batched=field.batched)
+
+
+_TWIN_MATS = np.array([[[1.0, -0.5], [0.25, 2.0]], [[0.0, 0.75], [-1.5, 0.5]]])
+
+
+class TestConstantDerivatives:
+    """A field part given as a constant array, which the schemes take into the step
+    kernel's layout once per walk, steps bitwise as the same part given as a callable."""
+
+    @pytest.mark.parametrize("name", ["scalar_linear", "diagonal_linear", "constant",
+                                      "general_linear"])
+    def test_constant_and_callable_twins_agree_bitwise(self, name):
+        # the built-in linear fields' D1 is symmetric in its first two axes, the
+        # general linear field's (f[:, j] = M_j y) is not
+        field = {
+            "scalar_linear": VectorField.scalar_linear,
+            "diagonal_linear": lambda: VectorField.diagonal_linear(2),
+            "constant": lambda: VectorField.constant(_TWIN_MATS[0]),
+            "general_linear": lambda: VectorField(
+                2, 2, lambda y: (_TWIN_MATS @ y).T, deriv1=np.transpose(_TWIN_MATS, (2, 1, 0)),
+                deriv2=np.zeros((2, 2, 2, 2))),
+        }[name]()
+        twin = _as_callables(field)
+        assert isinstance(field._deriv1, np.ndarray) and callable(twin._deriv1)
+        path, area = _walk_driver(field.d)
+        y0 = np.linspace(1.0, 0.5, field.n)
+
+        def outputs(f):
+            euler = euler_solve(f, path, y0)
+            corrected = corrected_solve(f, path, area, y0)
+            study = convergence_study(f, path, y0, [4, 16, 64], scheme="corrected", area=area)
+            out = [euler.states, corrected.states, study.errors]
+            out += [augmented_solve(f, path, y0, scheme=s, area=area).states
+                    for s in ("euler", "corrected")]
+            for traj in (euler, corrected):
+                out.append(defect(traj, f, path, 3.0, 2.0, area=area, max_span=8).magnitudes)
+                adjacent = defect(traj, f, path, 3.0, 2.0, area=area, pairs="adjacent")
+                assert not adjacent.magnitudes.any()
+            return out
+
+        for got, want in zip(outputs(field), outputs(twin), strict=True):
+            assert np.array_equal(got, want)
+
+
 class TestWindowPairs:
     def test_small_case_enumerated(self):
         got = window_pairs(5, 2)
