@@ -437,8 +437,8 @@ class VectorField:
         if matrix.ndim != 2:
             raise ValueError("constant field needs an (n, d) matrix")
         n, d = matrix.shape
-        return cls(n, d, matrix, deriv1=np.zeros((n, n, d)), deriv2=np.zeros((n, n, n, d)),
-                   batched=True)
+        return cls(n, d, matrix, deriv1=np.zeros((n, n, d)),
+                   deriv2=np.broadcast_to(0.0, (n, n, n, d)), batched=True)
 
     @classmethod
     def scalar_linear(cls) -> "VectorField":
@@ -458,18 +458,21 @@ class VectorField:
             out.reshape(y.shape[:-1] + (n * n,))[..., :: n + 1] = y
             return out
 
-        return cls(n, n, func, deriv1=d1, deriv2=np.zeros((n, n, n, n)), batched=True)
+        return cls(n, n, func, deriv1=d1, deriv2=np.broadcast_to(0.0, (n, n, n, n)),
+                   batched=True)
 
 
 def _checked(value, shape: tuple, what: str):
     """``value``, a constant one as a read-only float array refused unless finite and of
-    ``shape``; a float array is not copied, so zeros never touched cost no memory."""
+    ``shape``; a float array is not copied, so a zero-stride ``np.broadcast_to`` costs
+    no memory, and its finiteness is read from the elements it holds."""
     if value is None or callable(value):
         return value
     value = np.asarray(value, dtype=float)
     if value.shape != shape:
         raise ValueError(f"constant {what} has shape {value.shape}, expected {shape}")
-    if not (np.isfinite(value.min(initial=0.0)) and np.isfinite(value.max(initial=0.0))):
+    held = value[tuple(slice(None) if s else slice(1) for s in value.strides)]
+    if not (np.isfinite(held.min(initial=0.0)) and np.isfinite(held.max(initial=0.0))):
         raise ValueError(f"constant {what} must be finite")
     value.flags.writeable = False
     return value

@@ -132,10 +132,11 @@ def _driver_blocks(path: DriverPath, area: AreaProcess | None, i, j) -> np.ndarr
 
 
 def _explosion_threshold(value) -> float:
-    """``value`` as an explosion threshold: a float, refused unless positive."""
+    """``value`` as an explosion threshold: a float, refused outside ``(0, 1e150]``, where
+    ``sqrt(y . y)`` cannot overflow for a state under it."""
     threshold = float(value)
-    if not threshold > 0:
-        raise ValueError(f"explosion threshold must be positive, got {value}")
+    if not 0 < threshold <= 1e150:
+        raise ValueError(f"explosion threshold must be positive and at most 1e150, got {value}")
     return threshold
 
 
@@ -156,20 +157,19 @@ def _run_scheme(
     Members are stepped in order of cell count, so the ones still running at round ``r``
     are a contiguous suffix of one stack: a round is one ``step`` on that slice, its
     driver blocks read from one array (filled up to the second-longest member's count)
-    and one finiteness and threshold check.  Once the longest member is the only one
-    left it continues alone on a 1-D view of its row, so a one-member walk is the
-    single-state loop.  Each member is bitwise its own walk: a stacked step, the field's
-    included (see :class:`VectorField` ``batched``), equals its rows stepped alone.
+    and one threshold check.  Once the longest member is the only one left it continues
+    alone on a 1-D view of its row, so a one-member walk is the single-state loop.  Each
+    member is bitwise its own walk: a stacked step, the field's included (see
+    :class:`VectorField` ``batched``), equals its rows stepped alone.
 
-    A member stops at the first state whose Euclidean norm exceeds ``threshold``, with
-    that index as ``exploded_at``.  A walk of several members stops after the first round
-    in which any of them goes non-finite or crosses: if the first such member in the
-    order of ``parts`` went non-finite it raises :class:`NumericsError`, and otherwise
-    every member ends at that round, the crossed ones with ``exploded_at`` set.
+    One rule stops the walk: every running member ends at the first index ``stop`` (the
+    initial state is index 0) at which one of them fails ``sqrt(y . y) <= threshold``,
+    as a NaN does.  The loops only detect ``stop``; one classifier then visits the running
+    members in the order of ``parts``.  A non-finite state raises :class:`NumericsError`
+    unless an earlier member crossed; a finite one whose norm exceeds ``threshold``, its
+    square overflowing or not, crossed, with ``exploded_at = stop``.
     """
     threshold = _explosion_threshold(threshold)
-    if float(np.linalg.norm(y)) > threshold:
-        return [Trajectory(path.times[p[:1]], y[None], tag, 0) for p in parts]
     order = sorted(range(len(parts)), key=lambda i: parts[i].size)
     counts = [parts[i].size - 1 for i in order]
     rounds = counts[-2] if len(parts) > 1 else 0
@@ -181,9 +181,8 @@ def _run_scheme(
     for pos, i in enumerate(order):
         p = parts[i][: rounds + 1]
         m[: p.size - 1, pos] = _driver_blocks(path, area, p[:-1], p[1:])
-    exploded = {}  # position in ``order`` -> crossing index
-    j0, stop, ys = 0, None, hist[0]
-    for r in range(rounds):
+    j0, ys, stop = 0, hist[0], None if math.sqrt(y.dot(y)) <= threshold else 0
+    for r in range(rounds if stop is None else 0):
         while counts[j0] <= r:  # a member finished: drop its row and its blocks
             j0, ys, m = j0 + 1, ys[1:], m[:, 1:]
         ys = step(ys, m[r])
@@ -197,42 +196,29 @@ def _run_scheme(
             stop = r + 1
             break
     del m  # not held through the longest member's tail
-    if stop is not None:
-        for i in range(len(parts)):
-            pos = order.index(i)
-            if pos < j0:
-                continue
-            row, s = ys[pos - j0], sq[pos - j0]
-            if not math.isfinite(s) and not np.all(np.isfinite(row)):
-                if not exploded:
-                    raise NumericsError(f"non-finite state after step {stop - 1} "
-                                        f"(t={path.times[parts[i][stop]]:.6g}, scheme={tag})")
-            elif math.sqrt(s) > threshold:
-                exploded[pos] = stop
-    else:
-        times = path.times[parts[order[-1]]]
-        y = hist[rounds, -1]
-        states = [hist[: rounds + 1, -1].reshape(-1)]
-        for k, b in enumerate(tail_blocks, rounds):
-            y = step(y, b)
-            sq = float(y.dot(y))  # the square of np.linalg.norm(y), bitwise
-            if not math.isfinite(sq) and not np.all(np.isfinite(y)):
-                raise NumericsError(
-                    f"non-finite state after step {k} (t={times[k + 1]:.6g}, scheme={tag})"
-                )
-            states.append(y)
-            if math.sqrt(sq) > threshold:
-                exploded[len(order) - 1] = k + 1
-                break
-        tail = np.concatenate(states).reshape(-1, y.size)
+    y, states = hist[rounds, -1], [hist[:, -1].reshape(-1)]
+    for k, b in enumerate(tail_blocks if stop is None else (), rounds):
+        y = step(y, b)
+        states.append(y)
+        if not math.sqrt(y.dot(y)) <= threshold:
+            j0, ys, stop = len(parts) - 1, y[None], k + 1
+            break
+    last = np.concatenate(states).reshape(-1, y.size)
 
-    out = [None] * len(parts)
-    for pos, i in enumerate(order):
-        if stop is None and pos == len(order) - 1:
-            states = tail
-        else:
-            states = hist[: min(counts[pos], rounds if stop is None else stop) + 1, pos]
-        out[i] = Trajectory(path.times[parts[i][: len(states)]], states, tag, exploded.get(pos))
+    out, crossed = [], False  # the classifier, in the order of ``parts``
+    for i, p in enumerate(parts):
+        pos = order.index(i)
+        end, exploded_at = counts[pos], None
+        if stop is not None and pos >= j0:  # running when the walk stopped
+            end, row = stop, ys[pos - j0]
+            if not np.all(np.isfinite(row)):
+                if not crossed:
+                    raise NumericsError(f"non-finite state after step {stop - 1} "
+                                        f"(t={path.times[p[stop]]:.6g}, scheme={tag})")
+            elif math.sqrt(row.dot(row)) > threshold:
+                crossed, exploded_at = True, stop
+        states = last if pos == len(parts) - 1 else hist[:, pos]
+        out.append(Trajectory(path.times[p[: end + 1]], states[: end + 1], tag, exploded_at))
     return out
 
 
@@ -425,6 +411,9 @@ def defect(
             points when omitted.
     """
     _check_fit(field, path, trajectory.states[0], area)
+    if trajectory.times.size < 2:
+        raise ValueError("a defect needs two states, the trajectory has a single state "
+                         f"(t={trajectory.times[0]:.6g}, exploded_at={trajectory.exploded_at})")
     idx = np.minimum(np.searchsorted(path.times, trajectory.times), path.n_intervals)
     if not np.array_equal(path.times[idx], trajectory.times):
         raise ValueError("trajectory times are not driver grid times")

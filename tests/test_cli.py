@@ -396,6 +396,21 @@ class TestConfigErrors:
         assert err.startswith("config error") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, message", [
+        ({**SOLVE_CONFIG, "scheme": {"scheme": "euler", "explosion_threshold": 1e200}},
+         "must be positive and at most 1e150, got 1e+200"),
+        ({**SOLVE_CONFIG, "scheme": {"scheme": "euler", "explosion_threshold": 0.5},
+          "expect_explosion": True},
+         "a defect needs two states, the trajectory has a single state (t=0, exploded_at=0)"),
+    ], ids=["threshold-above-1e150", "defect-on-a-single-state"])
+    def test_refusal_names_its_cause(self, tmp_path, capsys, config, message):
+        cfg = _write_config(tmp_path, "bad.json", config)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and message in err
+        assert not out.exists()
+
     def test_non_finite_result_exits_3_without_output(self, tmp_path, capsys):
         # increments near 1e-202 square to a control constant that underflows to 0,
         # while roundoff leaves nonzero window defects: their ratios are inf

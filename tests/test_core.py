@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -400,8 +401,9 @@ class TestVectorField:
         {"func": np.array([[0.0, np.inf], [0.0, 0.0]])},
         {"func": np.zeros((2, 2)), "deriv1": np.full((2, 2, 2), np.nan)},
         {"func": np.zeros((2, 2)), "deriv2": np.full((2, 2, 2, 2), -np.inf)},
+        {"func": np.zeros((2, 2)), "deriv2": np.broadcast_to(np.nan, (2, 2, 2, 2))},
     ], ids=["func-shape", "deriv1-shape", "deriv2-shape", "func-inf", "deriv1-nan",
-            "deriv2-inf"])
+            "deriv2-inf", "deriv2-zero-stride-nan"])
     def test_constant_part_of_wrong_shape_or_not_finite_is_refused(self, parts):
         with pytest.raises(ValueError, match="constant"):
             VectorField(2, 2, **parts)
@@ -416,6 +418,21 @@ class TestVectorField:
         batch = field.deriv1(np.zeros((3, 4, 2)))
         assert batch.shape == (3, 4, 2, 2, 2) and not batch.flags.writeable
         assert np.array_equal(batch, np.broadcast_to(one, batch.shape))
+
+    @pytest.mark.parametrize("build", [lambda: VectorField.diagonal_linear(64),
+                                       lambda: VectorField.constant(np.ones((256, 2)))],
+                             ids=["diagonal_linear-64", "constant-256x2"])
+    def test_zero_second_derivative_is_not_allocated(self, build):
+        # a dense zero D2 would take 128 and 256 MiB; the zero-stride one takes none
+        tracemalloc.start()
+        try:
+            field = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        d2 = field.deriv2(np.ones(field.n))
+        assert not d2.flags.writeable and not np.any(d2[0, 0])
 
     def test_scalar_linear_is_multiplication(self):
         field = VectorField.scalar_linear()

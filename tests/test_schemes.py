@@ -207,6 +207,21 @@ class TestSchemeConfig:
             euler_solve(gbm_field, path, np.array([1.0]), explosion_threshold=0.0)
 
 
+    @pytest.mark.parametrize("threshold", [1e200, np.inf, np.nan])
+    def test_rejects_a_threshold_whose_square_overflows(self, threshold):
+        # above 1.3e154 a state under the threshold can have y . y = inf
+        path = PolynomialPath(np.array([[0.0, 1.0]])).sample(np.linspace(0, 1, 9))
+        with pytest.raises(ValueError, match="at most 1e150"):
+            euler_solve(VectorField.constant([[0.0]]), path, [1e160],
+                        explosion_threshold=threshold)
+
+    def test_threshold_at_the_bound_judges_states_by_their_norm(self):
+        path = PolynomialPath(np.array([[0.0, 1.0]])).sample(np.linspace(0, 1, 9))
+        zero = VectorField.constant([[0.0]])
+        assert euler_solve(zero, path, [1e149], explosion_threshold=1e150).exploded_at is None
+        assert euler_solve(zero, path, [1e160], explosion_threshold=1e150).exploded_at == 0
+
+
 class TestEulerSolve:
     def test_zero_field_keeps_state(self, bm1):
         _, path, _ = bm1
@@ -556,6 +571,85 @@ class TestLockstepWalk:
         assert str(info.value) == want and want.startswith("non-finite state after step")
 
 
+class TestStopRule:
+    """The edges of the one stop rule: the initial state is index 0, a state is judged
+    by its values, and in one round the first member in ``parts`` order decides."""
+
+    @staticmethod
+    def _ramp():
+        """x(t) = t on 64 cells."""
+        return PolynomialPath(np.array([[0.0, 1.0]])).sample(np.linspace(0.0, 1.0, 65))
+
+    def test_an_initial_crossing_ends_every_member_at_index_0(self, bm1, gbm_field):
+        _, path, area = bm1
+        coarse, fine = (np.arange(0, path.n_intervals + 1, path.n_intervals // k)
+                        for k in (16, 256))
+        walked = _solve(gbm_field, path, area, np.array([1.0]), [coarse, None, fine], 0.5)
+        for traj in walked:
+            assert traj.exploded_at == 0 and traj.states.tolist() == [[1.0]]
+            assert traj.times.tolist() == [0.0] and traj.scheme == "corrected"
+
+    @pytest.mark.parametrize("scheme, reference, first", [
+        ("corrected", None, "the fine-grid reference"),
+        ("euler", gbm_terminal_ito, "mesh k=16"),
+    ])
+    def test_an_initial_crossing_names_the_first_member(self, bm1, gbm_field, scheme,
+                                                        reference, first):
+        _, path, area = bm1
+        with pytest.raises(NumericsError) as info:
+            convergence_study(gbm_field, path, np.array([1.0]), [64, 16, 256], scheme, area,
+                              reference=reference, explosion_threshold=0.5)
+        assert str(info.value) == f"{first} crossed the explosion threshold at index 0"
+
+    @staticmethod
+    def _jump_field():
+        """y, then 1e302 once y passes 1.05: one Euler step of 1/64 or 1/32 lands near
+        1e300, finite with an infinite square."""
+        return VectorField(1, 1, lambda y: np.where(y > 1.05, 1e302, y)[..., None],
+                           batched=True)
+
+    def test_a_finite_state_with_an_infinite_square_crosses_in_the_tail(self):
+        traj = euler_solve(self._jump_field(), self._ramp(), [1.0], explosion_threshold=1e6)
+        y = traj.states[-1]
+        with np.errstate(over="ignore"):
+            assert traj.exploded_at == 5 and np.all(np.isfinite(y)) and np.isinf(y @ y)
+
+    def test_a_finite_state_with_an_infinite_square_crosses_in_a_round(self):
+        coarse = np.arange(0, 65, 2)
+        with np.errstate(over="ignore"):  # the round's vecdot overflows
+            fine, crossed = _solve(self._jump_field(), self._ramp(), None, [1.0],
+                                   [None, coarse], 1e6)
+            y = crossed.states[-1]
+            assert np.all(np.isfinite(y)) and np.isinf(y @ y)
+        assert crossed.exploded_at == 3 and crossed.times.size == 4
+        # the full grid ends in the same round, under the threshold
+        assert fine.exploded_at is None and fine.times.size == 4
+        assert np.all(np.abs(fine.states) <= 1.05)
+
+    @staticmethod
+    def _nan_band_field():
+        """y, but NaN for y in (1 + 1/64, (1 + 1/64)**2 + 1e-3): the 64-cell Euler walk
+        from 1 goes non-finite at index 3, where the 16-cell one crosses 1.15."""
+        lo, hi = 1 + 1 / 64, (1 + 1 / 64) ** 2 + 1e-3
+        return VectorField(1, 1, lambda y: np.where((y > lo) & (y < hi), np.nan, y)[..., None],
+                           batched=True)
+
+    def test_a_crossing_and_a_non_finite_state_in_one_round(self):
+        field, path = self._nan_band_field(), self._ramp()
+        with pytest.raises(NumericsError) as info:
+            convergence_study(field, path, np.array([1.0]), [16, 64], "euler",
+                              reference=np.array([1.0]), explosion_threshold=1.15)
+        assert str(info.value) == "mesh k=16 crossed the explosion threshold at index 3"
+        parts = [np.arange(0, 65), np.arange(0, 65, 4)]
+        with pytest.raises(NumericsError) as info:
+            _solve(field, path, None, [1.0], parts, 1.15)
+        assert str(info.value) == "non-finite state after step 2 (t=0.046875, scheme=euler)"
+        # the crossing member visited first ends the walk, the non-finite one beside it
+        coarse, fine = _solve(field, path, None, [1.0], parts[::-1], 1.15)
+        assert coarse.exploded_at == 3 and fine.exploded_at is None
+        assert fine.times.size == 4 and np.isnan(fine.states[-1, 0])
+
+
 def _as_callables(field: VectorField) -> VectorField:
     """``field`` with each constant part replaced by a batched callable returning the
     same value for one state, broadcast over a batch of states."""
@@ -652,6 +746,12 @@ class TestDefect:
         report = defect(traj, smooth22, path, gamma=1.5, p=2.5, area=ito,
                         pairs="adjacent")
         assert np.array_equal(report.magnitudes, np.zeros(64))
+
+    def test_single_state_trajectory_refused_naming_it(self, gbm_field):
+        path = PolynomialPath(np.array([[0.0, 1.0]])).sample(np.linspace(0, 1, 9))
+        traj = euler_solve(gbm_field, path, np.array([1.0]), explosion_threshold=0.5)
+        with pytest.raises(ValueError, match=r"the trajectory has a single state \(t=0,"):
+            defect(traj, gbm_field, path, gamma=1.5, p=2.0)
 
     def test_constant_driver_fits_zero_constant(self, gbm_field):
         path = PolynomialPath(np.array([[1.0]])).sample(np.linspace(0, 1, 65))
