@@ -106,16 +106,6 @@ class DriverPath:
         Queries outside the grid clamp to the endpoint values."""
         return np.column_stack([np.interp(t, self.times, v) for v in self.values.T])
 
-    def subsample(self, stride: int) -> "DriverPath":
-        """Keep every ``stride``-th sample (endpoints always included)."""
-        if stride < 1:
-            raise ValueError("stride must be a positive integer")
-        if self.n_intervals % stride:
-            raise ValueError(
-                f"stride {stride} does not divide {self.n_intervals} intervals"
-            )
-        return DriverPath(self.times[::stride], self.values[::stride])
-
 
 @dataclass(frozen=True)
 class ControlModulus:

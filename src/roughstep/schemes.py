@@ -41,13 +41,15 @@ __all__ = [
     "euler_solve",
     "corrected_solve",
     "augmented_solve",
-    "jacobian_view",
     "defect",
     "window_pairs",
 ]
 
 _SCHEMES = ("euler", "corrected")
 _DEFECT_BLOCK = 2**14  # pairs reconstructed per batched step in defect
+# einsum's C entry point: ``np.einsum`` without ``optimize`` calls it after a Python-level
+# dispatch that costs about as much as the contraction of one state
+_contract = getattr(np._core.multiarray, "c_einsum", np.einsum)
 
 
 def _kernel_layout(d1: np.ndarray) -> np.ndarray:
@@ -79,7 +81,7 @@ def _advance(y, f, d1, m) -> tuple[np.ndarray, np.ndarray]:
     w = f @ m
     y = y + w[..., 0]
     if d1 is not None:
-        y = y + np.einsum("...ihj,...hj->...i", d1, np.ascontiguousarray(w[..., 1:]))
+        y = y + _contract("...ihj,...hj->...i", d1, np.ascontiguousarray(w[..., 1:]))
     return y, w
 
 
@@ -132,11 +134,12 @@ def _driver_blocks(path: DriverPath, area: AreaProcess | None, i, j) -> np.ndarr
 
 
 def _explosion_threshold(value) -> float:
-    """``value`` as an explosion threshold: a float, refused outside ``(0, 1e150]``, where
-    ``sqrt(y . y)`` cannot overflow for a state under it."""
+    """``value`` as an explosion threshold: a float, refused outside ``[1e-150, 1e150]``,
+    where ``y . y`` neither overflows for a state under it nor underflows for one above."""
     threshold = float(value)
-    if not 0 < threshold <= 1e150:
-        raise ValueError(f"explosion threshold must be positive and at most 1e150, got {value}")
+    if not 1e-150 <= threshold <= 1e150:
+        raise ValueError("explosion threshold must be positive, at least 1e-150 and at most "
+                         f"1e150, got {value}")
     return threshold
 
 
@@ -158,9 +161,10 @@ def _run_scheme(
     are a contiguous suffix of one stack: a round is one ``step`` on that slice, its
     driver blocks read from one array (filled up to the second-longest member's count)
     and one threshold check.  Once the longest member is the only one left it continues
-    alone on a 1-D view of its row, so a one-member walk is the single-state loop.  Each
-    member is bitwise its own walk: a stacked step, the field's included (see
-    :class:`VectorField` ``batched``), equals its rows stepped alone.
+    alone on a 1-D view of its row, into one array sized for its whole walk, so a
+    one-member walk is the single-state loop.  Each member is bitwise its own walk: a
+    stacked step, the field's included (see :class:`VectorField` ``batched``), equals its
+    rows stepped alone.
 
     One rule stops the walk: every running member ends at the first index ``stop`` (the
     initial state is index 0) at which one of them fails ``sqrt(y . y) <= threshold``,
@@ -196,14 +200,16 @@ def _run_scheme(
             stop = r + 1
             break
     del m  # not held through the longest member's tail
-    y, states = hist[rounds, -1], [hist[:, -1].reshape(-1)]
+    last = np.empty((counts[-1] + 1, y.size))  # the longest member's states, tail included
+    last[: rounds + 1] = hist[:, -1]
+    y = last[rounds]
     for k, b in enumerate(tail_blocks if stop is None else (), rounds):
-        y = step(y, b)
-        states.append(y)
+        y = last[k + 1] = step(y, b)
         if not math.sqrt(y.dot(y)) <= threshold:
             j0, ys, stop = len(parts) - 1, y[None], k + 1
             break
-    last = np.concatenate(states).reshape(-1, y.size)
+    if stop is not None:  # the longest member stopped: keep none of its buffer past stop
+        last = last[: stop + 1].copy()
 
     out, crossed = [], False  # the classifier, in the order of ``parts``
     for i, p in enumerate(parts):
@@ -230,12 +236,13 @@ def _solve(field, path, area, y0, partitions, threshold) -> list[Trajectory]:
         raise NotImplementedError("corrected scheme needs the field's first derivative")
     y = _check_fit(field, path, y0, area)
     parts = [_grid_indices(path, p) for p in partitions]
-    tile = None  # a constant D1 in the kernel's layout once per walk, a row per member
+    tile = row = None  # a constant D1 in the kernel's layout once per walk, a row per member
     if corrected and isinstance(field._deriv1, np.ndarray):
         tile = _kernel_layout(np.broadcast_to(field._deriv1, (len(parts),) + field._deriv1.shape))
+        row = tile[-1]
 
     def step(y, m):
-        d1 = None if tile is None else tile[-1] if y.ndim == 1 else tile[-len(y):]
+        d1 = row if y.ndim == 1 else None if tile is None else tile[-len(y):]
         return _advance(y, *_coefficients(field, y, corrected, d1), m)[0]
 
     return _run_scheme(path, area, y, parts, threshold, step, "corrected" if corrected else "euler")
@@ -325,21 +332,13 @@ def augmented_solve(
         k = dm[..., 0]
         if corrected:
             k = k + dm[..., 1:].reshape(n, -1) @ d1_step.reshape(n, -1).T
-            k = k + np.einsum("qhij,hj->qi", field.deriv2(y), w[:, 1:])
+            k = k + _contract("qhij,hj->qi", field.deriv2(y), w[:, 1:])
         return np.concatenate([y_new, (z + k.T @ z).ravel()])
 
     # Explosion is judged on the full augmented state; callers who care about
     # the bare state norm should solve it separately.
     area = area if corrected else None
     return _run_scheme(path, area, big0, parts, explosion_threshold, step, scheme)[0]
-
-
-def jacobian_view(trajectory: Trajectory, n: int) -> np.ndarray:
-    """Reshape an augmented trajectory's sensitivity block to ``(L, n, n)``."""
-    if trajectory.states.shape[1] != n + n * n:
-        raise ValueError("trajectory does not look augmented for this dimension")
-    ln = trajectory.states.shape[0]
-    return trajectory.states[:, n:].reshape(ln, n, n)
 
 
 def window_pairs(n_points: int, max_span: int) -> np.ndarray:

@@ -6,7 +6,8 @@ on its own arithmetic.  The stored-area oracles read the arrays of the
 package's path and area objects, and ``riemann_area_recovery`` measures its
 sums against ``area.pair``, the quantity it checks.  Where an oracle has a
 tunable resolution the chosen value puts its own error several orders below
-the tolerance it backs.
+the tolerance it backs.  Two helpers reshape the package's objects for tests
+and compute nothing: ``subsample`` and ``jacobian_view``.
 """
 from __future__ import annotations
 
@@ -16,7 +17,25 @@ import operator
 
 import numpy as np
 
+from roughstep.core import DriverPath
+
 GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(32)
+
+
+def subsample(path: DriverPath, stride: int) -> DriverPath:
+    """``path`` keeping every ``stride``-th sample (endpoints always included)."""
+    if stride < 1:
+        raise ValueError("stride must be a positive integer")
+    if path.n_intervals % stride:
+        raise ValueError(f"stride {stride} does not divide {path.n_intervals} intervals")
+    return DriverPath(path.times[::stride], path.values[::stride])
+
+
+def jacobian_view(trajectory, n: int) -> np.ndarray:
+    """An augmented trajectory's sensitivity block reshaped to ``(L, n, n)``."""
+    if trajectory.states.shape[1] != n + n * n:
+        raise ValueError("trajectory does not look augmented for this dimension")
+    return trajectory.states[:, n:].reshape(-1, n, n)
 
 
 def correction_tensor(f: np.ndarray, d1: np.ndarray) -> np.ndarray:

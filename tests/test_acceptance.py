@@ -50,7 +50,6 @@ from roughstep.schemes import (
     augmented_solve,
     corrected_solve,
     defect,
-    jacobian_view,
 )
 
 # Skew perturbation used to exercise the perturbed-area construction.
@@ -283,7 +282,7 @@ def test_criterion_06_derivative_flow_matches_fd(poly_pair, smooth22):
     poly, path, area = poly_pair
     z0 = np.array([0.4, -0.3])
     aug = augmented_solve(smooth22, path, z0, scheme="corrected", area=area)
-    jac = jacobian_view(aug, 2)[-1]
+    jac = oracles.jacobian_view(aug, 2)[-1]
     fd = oracles.central_jacobian(
         lambda y: corrected_solve(smooth22, path, area, y).states[-1], z0
     )

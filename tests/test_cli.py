@@ -398,11 +398,13 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("config, message", [
         ({**SOLVE_CONFIG, "scheme": {"scheme": "euler", "explosion_threshold": 1e200}},
-         "must be positive and at most 1e150, got 1e+200"),
+         "must be positive, at least 1e-150 and at most 1e150, got 1e+200"),
+        ({**SOLVE_CONFIG, "scheme": {"scheme": "euler", "explosion_threshold": 1e-200}},
+         "must be positive, at least 1e-150 and at most 1e150, got 1e-200"),
         ({**SOLVE_CONFIG, "scheme": {"scheme": "euler", "explosion_threshold": 0.5},
           "expect_explosion": True},
          "a defect needs two states, the trajectory has a single state (t=0, exploded_at=0)"),
-    ], ids=["threshold-above-1e150", "defect-on-a-single-state"])
+    ], ids=["threshold-above-1e150", "threshold-below-1e-150", "defect-on-a-single-state"])
     def test_refusal_names_its_cause(self, tmp_path, capsys, config, message):
         cfg = _write_config(tmp_path, "bad.json", config)
         out = tmp_path / "out"

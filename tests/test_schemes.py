@@ -30,12 +30,12 @@ from roughstep.drivers import (
 from roughstep.schemes import (
     _advance,
     _coefficients,
+    _contract,
     _solve,
     augmented_solve,
     corrected_solve,
     defect,
     euler_solve,
-    jacobian_view,
     window_pairs,
 )
 
@@ -177,6 +177,17 @@ class TestStepKernel:
                   for v, mk in zip(y, m)]
         assert np.array_equal(np.array(single), got)
 
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("n, d", [(n, d) for n in (1, 2, 3) for d in (1, 2, 3)])
+    def test_contraction_is_einsum_bitwise(self, n, d, rows):
+        # the C entry point gives np.einsum's bits, and a stacked batch its rows' bits
+        rng = np.random.default_rng(1000 * rows + 10 * n + d)
+        d1, fa = rng.normal(size=(rows, n, n, d)), rng.normal(size=(rows, n, d))
+        got = _contract("...ihj,...hj->...i", d1, fa)
+        assert np.array_equal(got, np.einsum("...ihj,...hj->...i", d1, fa))
+        single = [_contract("...ihj,...hj->...i", a, b) for a, b in zip(d1, fa)]
+        assert np.array_equal(np.array(single), got)
+
     def test_tensor_oracle_contracts_first_derivative(self, smooth22):
         y = np.array([0.3, -0.8])
         f = smooth22.eval(y)
@@ -221,17 +232,31 @@ class TestSchemeConfig:
         assert euler_solve(zero, path, [1e149], explosion_threshold=1e150).exploded_at is None
         assert euler_solve(zero, path, [1e160], explosion_threshold=1e150).exploded_at == 0
 
+    def test_rejects_a_threshold_whose_square_underflows(self):
+        # below about 1e-154 the square of a state just above the threshold is
+        # subnormal, and below about 1e-162 it is 0
+        path = PolynomialPath(np.array([[0.0, 1.0]])).sample(np.linspace(0, 1, 9))
+        with pytest.raises(ValueError, match="at least 1e-150 and at most 1e150, got 1e-200"):
+            euler_solve(VectorField.constant([[0.0]]), path, [1e-190],
+                        explosion_threshold=1e-200)
+
+    def test_threshold_at_the_lower_bound_judges_states_by_their_norm(self):
+        path = PolynomialPath(np.array([[0.0, 1.0]])).sample(np.linspace(0, 1, 9))
+        zero = VectorField.constant([[0.0]])
+        assert euler_solve(zero, path, [1e-151], explosion_threshold=1e-150).exploded_at is None
+        assert euler_solve(zero, path, [1e-149], explosion_threshold=1e-150).exploded_at == 0
+
 
 class TestEulerSolve:
     def test_zero_field_keeps_state(self, bm1):
         _, path, _ = bm1
         field = VectorField.constant(np.zeros((2, 1)))
-        traj = euler_solve(field, path.subsample(256), np.array([1.5, -2.0]))
+        traj = euler_solve(field, oracles.subsample(path, 256), np.array([1.5, -2.0]))
         assert np.array_equal(traj.states, np.tile([1.5, -2.0], (17, 1)))
 
     def test_matches_manual_loop_bitwise(self, bm1, gbm_field):
         _, path, _ = bm1
-        sub = path.subsample(64)
+        sub = oracles.subsample(path, 64)
         traj = euler_solve(gbm_field, sub, np.array([1.0]))
         y = np.array([1.0])
         for k in range(sub.n_intervals):
@@ -358,16 +383,16 @@ class TestAugmentedSolve:
     def test_zero_field_keeps_identity_sensitivity(self, bm1):
         _, path, _ = bm1
         field = VectorField.constant(np.zeros((2, 1)))
-        traj = augmented_solve(field, path.subsample(256), np.array([0.5, 0.5]))
-        jac = jacobian_view(traj, 2)
+        traj = augmented_solve(field, oracles.subsample(path, 256), np.array([0.5, 0.5]))
+        jac = oracles.jacobian_view(traj, 2)
         assert np.array_equal(jac, np.tile(np.eye(2), (17, 1, 1)))
 
     def test_linear_field_jacobian_is_transition_product(self, bm1):
         _, path, _ = bm1
-        sub = path.subsample(64)
+        sub = oracles.subsample(path, 64)
         m = np.array([[0.2, -0.7], [0.4, 0.1]])
         traj = augmented_solve(_linear_field(m), sub, np.array([1.0, -1.0]))
-        jac = jacobian_view(traj, 2)[-1]
+        jac = oracles.jacobian_view(traj, 2)[-1]
         prod = np.eye(2)
         for k in range(sub.n_intervals):
             dx = float(sub.values[k + 1, 0] - sub.values[k, 0])
@@ -376,12 +401,12 @@ class TestAugmentedSolve:
 
     def test_euler_sensitivity_matches_finite_differences(self, bm2, smooth22):
         _, path, _, _ = bm2
-        sub = path.subsample(64)
+        sub = oracles.subsample(path, 64)
         y0 = np.array([0.4, -0.2])
         traj = augmented_solve(smooth22, sub, y0)
         fd = oracles.central_jacobian(
             lambda z: euler_solve(smooth22, sub, z).states[-1], y0)
-        assert np.allclose(jacobian_view(traj, 2)[-1], fd, rtol=0, atol=1e-6)
+        assert np.allclose(oracles.jacobian_view(traj, 2)[-1], fd, rtol=0, atol=1e-6)
 
     def test_corrected_sensitivity_matches_finite_differences(
             self, bm2, smooth22, uniform_partition):
@@ -393,17 +418,17 @@ class TestAugmentedSolve:
         fd = oracles.central_jacobian(
             lambda z: corrected_solve(smooth22, path, ito, z,
                                       partition=part).states[-1], y0)
-        assert np.allclose(jacobian_view(traj, 2)[-1], fd, rtol=0, atol=1e-6)
+        assert np.allclose(oracles.jacobian_view(traj, 2)[-1], fd, rtol=0, atol=1e-6)
 
     def test_custom_initial_sensitivity_composes(self, bm1):
         _, path, _ = bm1
-        sub = path.subsample(128)
+        sub = oracles.subsample(path, 128)
         m = np.array([[0.3, 0.0], [-0.5, 0.2]])
         z0 = np.array([[2.0, 1.0], [0.0, 1.0]])
         base = augmented_solve(_linear_field(m), sub, np.ones(2))
         seeded = augmented_solve(_linear_field(m), sub, np.ones(2), z0=z0)
-        want = jacobian_view(base, 2)[-1] @ z0
-        assert np.allclose(jacobian_view(seeded, 2)[-1], want, rtol=0, atol=1e-12)
+        want = oracles.jacobian_view(base, 2)[-1] @ z0
+        assert np.allclose(oracles.jacobian_view(seeded, 2)[-1], want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
     def test_non_finite_initial_sensitivity_refused(self, bm1, bad):
@@ -411,7 +436,7 @@ class TestAugmentedSolve:
         explosion at index 0 nor a ``NumericsError`` after step 0."""
         _, path, _ = bm1
         with pytest.raises(ValueError, match="z0 must be finite"):
-            augmented_solve(_linear_field(np.eye(1)), path.subsample(16), np.ones(1),
+            augmented_solve(_linear_field(np.eye(1)), oracles.subsample(path, 16), np.ones(1),
                             z0=[[bad]])
 
     def test_corrected_needs_area_and_second_derivative(self, bm2):
@@ -439,9 +464,9 @@ class TestAugmentedSolve:
 
     def test_jacobian_view_checks_width(self, bm1, gbm_field):
         _, path, _ = bm1
-        traj = euler_solve(gbm_field, path.subsample(512), np.array([1.0]))
+        traj = euler_solve(gbm_field, oracles.subsample(path, 512), np.array([1.0]))
         with pytest.raises(ValueError):
-            jacobian_view(traj, 1)
+            oracles.jacobian_view(traj, 1)
 
 
 class TestLockstepWalk:
@@ -626,6 +651,25 @@ class TestStopRule:
         assert fine.exploded_at is None and fine.times.size == 4
         assert np.all(np.abs(fine.states) <= 1.05)
 
+    @pytest.mark.parametrize("meshes", [[], [16, 256]])
+    def test_a_corrected_crossing_in_the_tail_keeps_its_states_only(self, bm1, gbm_field,
+                                                                    meshes):
+        # no mesh crosses 1.55; the fine member crosses after every mesh has finished
+        _, path, area = bm1
+        parts = [np.arange(0, path.n_intervals + 1, path.n_intervals // k) for k in meshes]
+        fine = _solve(gbm_field, path, area, [1.0], parts + [None], 1.55)[-1]
+        assert fine.exploded_at > 256 and fine.states.shape == (fine.exploded_at + 1, 1)
+        owner = fine.states if fine.states.base is None else fine.states.base
+        assert owner.nbytes == fine.states.nbytes  # no buffer for the uncrossed cells
+        y, want = np.array([1.0]), [[1.0]]
+        d1 = np.ascontiguousarray(gbm_field.deriv1(y).swapaxes(0, 1))
+        for k in range(fine.exploded_at):  # the step as np.einsum contracts it
+            w = gbm_field.eval(y) @ np.hstack([(path.values[k + 1] - path.values[k])[:, None],
+                                               area.pair(k, k + 1)])
+            y = y + w[:, 0] + np.einsum("ihj,hj->i", d1, np.ascontiguousarray(w[:, 1:]))
+            want.append(y)
+        assert np.array_equal(fine.states, np.array(want))
+
     @staticmethod
     def _nan_band_field():
         """y, but NaN for y in (1 + 1/64, (1 + 1/64)**2 + 1e-3): the 64-cell Euler walk
@@ -731,7 +775,7 @@ class TestWindowPairs:
 class TestDefect:
     def test_adjacent_euler_defect_is_exactly_zero(self, bm1, gbm_field):
         _, path, _ = bm1
-        sub = path.subsample(16)
+        sub = oracles.subsample(path, 16)
         traj = euler_solve(gbm_field, sub, np.array([1.0]))
         report = defect(traj, gbm_field, sub, gamma=1.5, p=2.5, pairs="adjacent")
         assert np.array_equal(report.magnitudes, np.zeros(sub.n_intervals))
@@ -766,7 +810,7 @@ class TestDefect:
     def test_zero_control_ratio_is_zero_or_inf(self, bm1, gbm_field):
         """Over omega 0 a zero defect has ratio 0 and a nonzero one inf."""
         _, path, _ = bm1
-        sub = path.subsample(256)
+        sub = oracles.subsample(path, 256)
         traj = euler_solve(gbm_field, sub, np.array([1.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -843,7 +887,7 @@ class TestDefect:
 
     def test_worst_pair_names_the_fitted_constant(self, bm1, gbm_field):
         _, path, _ = bm1
-        sub = path.subsample(64)
+        sub = oracles.subsample(path, 64)
         traj = euler_solve(gbm_field, sub, np.array([1.0]))
         exact = Trajectory(sub.times, np.exp(sub.values - sub.times[:, None] / 2), "euler")
         for report in (defect(traj, gbm_field, sub, gamma=1.5, p=2.5, max_span=8),
@@ -858,7 +902,7 @@ class TestDefect:
 
     def test_worst_pair_tie_goes_to_the_first_pair(self, bm1, gbm_field):
         _, path, _ = bm1
-        sub = path.subsample(16)
+        sub = oracles.subsample(path, 16)
         traj = euler_solve(gbm_field, sub, np.array([1.0]))
         out = defect(traj, gbm_field, sub, gamma=1.5, p=2.5, pairs="adjacent").to_dict()
         assert out["worst_pair"] == [0, 1] and out["worst_ratio"] == 0.0
@@ -872,7 +916,7 @@ class TestDefect:
 
     def test_window_report_fields(self, bm1, gbm_field):
         _, path, _ = bm1
-        sub = path.subsample(64)
+        sub = oracles.subsample(path, 64)
         traj = euler_solve(gbm_field, sub, np.array([1.0]))
         report = defect(traj, gbm_field, sub, gamma=1.5, p=2.5, max_span=8)
         assert report.pair_policy == "window"
@@ -885,7 +929,7 @@ class TestDefect:
 
     def test_explicit_pairs_and_reused_control(self, bm1, gbm_field):
         _, path, _ = bm1
-        sub = path.subsample(64)
+        sub = oracles.subsample(path, 64)
         traj = euler_solve(gbm_field, sub, np.array([1.0]))
         own = defect(traj, gbm_field, sub, gamma=1.5, p=2.5,
                      pairs=np.array([[0, 3], [10, 40]]))
@@ -900,7 +944,7 @@ class TestDefect:
     def test_trajectory_off_the_driver_grid_refused(self, bm1, gbm_field, move):
         """Times must equal grid times exactly; a 1e-13 shift is no longer absorbed."""
         _, path, _ = bm1
-        sub = path.subsample(64)
+        sub = oracles.subsample(path, 64)
         traj = euler_solve(gbm_field, sub, np.array([1.0]))
         times = traj.times + 1e-13 if move == "shifted" else 2.0 * traj.times
         with pytest.raises(ValueError, match="trajectory times are not driver grid times"):
@@ -916,7 +960,7 @@ class TestDefect:
 
     def test_steep_exponents_require_area(self, bm1, gbm_field):
         _, path, _ = bm1
-        sub = path.subsample(32)
+        sub = oracles.subsample(path, 32)
         traj = euler_solve(gbm_field, sub, np.array([1.0]))
         with pytest.raises(ValueError):
             defect(traj, gbm_field, sub, gamma=2.5, p=2.0)
@@ -924,14 +968,14 @@ class TestDefect:
     @pytest.mark.parametrize("gamma,p", [(0.0, 2.0), (1.0, -1.0)])
     def test_exponent_validation(self, bm1, gbm_field, gamma, p):
         _, path, _ = bm1
-        sub = path.subsample(32)
+        sub = oracles.subsample(path, 32)
         traj = euler_solve(gbm_field, sub, np.array([1.0]))
         with pytest.raises(ValueError):
             defect(traj, gbm_field, sub, gamma=gamma, p=p)
 
     def test_malformed_pair_inputs(self, bm1, gbm_field):
         _, path, _ = bm1
-        sub = path.subsample(32)
+        sub = oracles.subsample(path, 32)
         traj = euler_solve(gbm_field, sub, np.array([1.0]))
         with pytest.raises(ValueError):
             defect(traj, gbm_field, sub, gamma=1.5, p=2.5, pairs=np.arange(6))
@@ -947,7 +991,7 @@ class TestDefect:
         """Explicit pairs are integer indices, as partitions are: ``[[0.9, 3.7]]`` is
         not read as ``(0, 3)`` nor ``[[False, True]]`` as ``(0, 1)``."""
         _, path, _ = bm1
-        sub = path.subsample(32)
+        sub = oracles.subsample(path, 32)
         traj = euler_solve(gbm_field, sub, np.array([1.0]))
         with pytest.raises(TypeError, match="explicit pairs are integer indices"):
             defect(traj, gbm_field, sub, gamma=1.5, p=2.5, pairs=pairs)
