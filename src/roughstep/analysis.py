@@ -545,13 +545,16 @@ _HOLDER_MAX_LAG = 256
 def holder_estimate(path: DriverPath, n_resample: int = 4096) -> float:
     """Fitted Hölder exponent from sup increments over dyadic lags.
 
-    The path is resampled uniformly (piecewise linearly) and the largest
-    Euclidean increment at lags 1, 2, 4, ... is regressed against the lag on
-    log axes.  A constant path has no increments to fit and reports +inf,
-    matching the convention that flat paths are infinitely regular.
+    The path is resampled uniformly (piecewise linearly) on ``n_resample``
+    intervals, at least 3 so that two lags fit, and the largest Euclidean
+    increment at lags 1, 2, 4, ... is regressed against the lag on log axes.
+    A constant path has no increments to fit and reports +inf, matching the
+    convention that flat paths are infinitely regular.
     """
     if path.times.size < 64:
         raise ValueError("need at least 64 samples for a regularity fit")
+    if n_resample < 3:
+        raise ValueError(f"need n_resample >= 3 for two lags to fit, got {n_resample}")
     t = np.linspace(path.times[0], path.times[-1], n_resample + 1)
     x = path.eval(t)
     dt = t[1] - t[0]

@@ -502,102 +502,39 @@ def _straight_chain(k: int, m: int) -> list[tuple[int, int]]:
     return _serpentine(k, _straight_targets(k, m - n)) + [(n - 1, k)]
 
 
-def _corner_leg_bounds(k: int) -> list[tuple[int, int]]:
-    """Row interval each serpentine run may sweep, per leg.
-
-    Runs live on odd columns left of the climb column k.  Only a run on
-    column k-1 (the last one when k is even) is pinned below the climb; all
-    other columns are at least two away from it and may use the full
-    interior height.
-    """
-    return [(1, k - 1) if 2 * i + 1 == k - 1 else (1, 2 * k - 1) for i in range(k // 2)]
-
-
-@functools.cache
-def _corner_suffix(k: int) -> tuple[tuple, ...]:
-    """Travel ranges achievable by serpentine leg suffixes.
-
-    ``suffix[i][row]`` is the (min, max) total vertical travel of legs
-    i..v-1 starting from ``row``, or None when infeasible; legs must end on
-    row k-1 beside the climb column, and a leg from a to b is admissible
-    when the swept interval fits the leg's bounds, that is when both ends
-    do.  All values between min and max with min's parity are achievable.
-    Cached per k, hence tuples: a caller cannot change the shared ranges.
-    """
-    v = k // 2
-    bounds = _corner_leg_bounds(k)
-    rows = range(2 * k)
-    suffix: list = [None] * v + [tuple((0, 0) if r == k - 1 else None for r in rows)]
-    for i in range(v - 1, -1, -1):
-        blo, bhi = bounds[i]
-        ends = [(e, nxt) for e in range(blo, bhi + 1) if (nxt := suffix[i + 1][e])]
-        reach = [[(abs(r - e) + lo, abs(r - e) + hi) for e, (lo, hi) in ends] for r in rows]
-        suffix[i] = tuple((min(lo for lo, _ in rr), max(hi for _, hi in rr))
-                          if rr and blo <= r <= bhi else None for r, rr in zip(rows, reach))
-    return tuple(suffix)
-
-
-def _corner_legs(k: int, d: int, suffix: tuple[tuple, ...]) -> list[int]:
-    """Run endpoint rows consuming exactly d squares of vertical travel.
-
-    Greedy forward construction: each leg takes the largest admissible swing
-    that leaves the remaining travel achievable by ``_corner_suffix(k)``.
-    """
-    cur, rem = k, d
-    legs = []
-    for i, (blo, bhi) in enumerate(_corner_leg_bounds(k)):
-        for e in sorted(range(blo, bhi + 1), key=lambda e: -abs(e - cur)):
-            nxt, left = suffix[i + 1][e], rem - abs(cur - e)
-            if blo <= cur <= bhi and nxt and nxt[0] <= left <= nxt[1] and (left - nxt[0]) % 2 == 0:
-                break
-        else:
-            raise ValueError(f"no corner leg assignment for k={k}, d={d}")
-        legs.append(e)
-        cur, rem = e, left
-    return legs
-
-
 def _corner_serpentine(k: int, m: int) -> list[tuple[int, int]]:
-    """Left-to-top chain: serpentine in the lower-left strip, then a climb.
+    """Left-to-top chain: a zigzag serpentine in the lower-left strip, then a climb.
 
-    The climb along the exit column can host rectangular detours into the
-    right half (stride-4 slots) when the serpentine strip alone cannot reach
-    the requested length.
+    The serpentine's k // 2 runs live on the odd columns left of the climb
+    column k and alternate between rows 1 and 2k-1, the most travel the strip
+    holds; the last run ends on row k-1 beside the climb.  A run on column
+    k-1 (the last one when k is even) may not pass row k-1, so the run before
+    it ends on row 1 for even k and on row 2k-1 for odd k.  The climb along
+    the exit column absorbs the rest of the length in rectangular detours
+    into the right half (stride-4 slots).  Every length _select_levels picks
+    past the dropped-L range is reached this way (see its docstring); any
+    other length is refused.
     """
     n = 2 * k + 1
-    suffix = _corner_suffix(k)
-    d_min, d_max = suffix[0][k]  # total vertical travel of the serpentine legs
-    slots = list(range(k, 2 * k - 3 + 1, 4))
-    detour_cap = 2 * len(slots) * (k - 1)
-    if not (n + 1 + d_min <= m <= n + 1 + d_max + detour_cap):
+    v = k // 2
+    legs = [2 * k - 1 if (k + v - i) % 2 else 1 for i in range(v - 1)] + [k - 1]
+    travel = sum(abs(b - a) for a, b in zip([k] + legs, legs))
+    slots = range(k, 2 * k - 2, 4)
+    detour = m - (n + 1) - travel
+    if not 0 <= detour <= 2 * len(slots) * (k - 1):
         raise ValueError(f"corner serpentine cannot reach m={m} at k={k}")
-    need = m - (n + 1)  # always odd: m and n are odd
-    d = min(d_max, need)
-    detour = need - d
-    squares = _serpentine(k, _corner_legs(k, d, suffix))
+    squares = _serpentine(k, legs)
     if k % 2 == 1:
         squares.append((k - 1, k - 1))
-    # climb with optional detours
-    detour_per_slot = {}
-    rem_det = detour // 2
-    for r in slots:
-        take = min(k - 1, rem_det)
-        if take:
-            detour_per_slot[r] = take
-            rem_det -= take
-    r = k - 1
-    while r <= n - 1:
+    left, r = detour // 2, k - 1
+    while r < n:
         squares.append((k, r))
-        if r in detour_per_slot:
-            dd = detour_per_slot[r]
-            for c in range(k + 1, k + dd + 1):
-                squares.append((c, r))
-            squares.append((k + dd, r + 1))
-            for c in range(k + dd, k, -1):
-                squares.append((c, r + 2))
-            r += 2  # the (k, r+2) square is appended by the loop head
-            continue
-        r += 1
+        take = min(k - 1, left) if r in slots else 0
+        if take:  # out along row r, up one, back along row r + 2
+            left -= take
+            squares += [(c, r) for c in range(k + 1, k + take + 1)] + [(k + take, r + 1)]
+            squares += [(c, r + 2) for c in range(k + take, k, -1)]
+        r += 2 if take else 1
     return squares
 
 
@@ -677,6 +614,17 @@ def _select_levels(alpha: float, depth: int):
 
     Smallest k wins; among feasible odd m in [n, capacity] the one pulling
     the running ratio closest to 1 wins.
+
+    Only eleven (k, m) pairs are ever picked: (3, 7), (3, 9) and
+    (k, _chain_capacity(k)) for 4 <= k <= 12.  The running log-ratio lr is 0
+    at the first level and lies in [-log 3, log 3] after each; write
+    cand(m) = lr + alpha log m - log n.  At k = 3, cand(7) = lr - (1 - alpha)
+    log 7 is below log 3, so k = 3 fails only if cand(7) < -log 3; then
+    cand(9), larger by alpha log(9/7) < 0.26, is below log 3 and must be
+    below -log 3 too.  Going up one k raises the largest candidate by less
+    than log(25/15) < log 3.  So at the first k >= 4 with a candidate in the
+    band every candidate is negative, and as they grow with m the capacity
+    is the one closest to 0.
     """
     levels = []
     log_ratio = 0.0

@@ -407,7 +407,7 @@ def defect(
         control: reuse a pre-fitted modulus (recommended when comparing
             reports across partitions of the same driver, so the scale does
             not drift with the grid); fitted on the trajectory's own grid
-            points when omitted.
+            points when omitted.  Its ``p`` must equal ``p``.
     """
     _check_fit(field, path, trajectory.states[0], area)
     if trajectory.times.size < 2:
@@ -423,6 +423,8 @@ def defect(
     y = trajectory.states
     if control is None:
         control = control_fit(DriverPath(trajectory.times, x), p)
+    elif control.p != p:
+        raise ValueError(f"control was fitted for p={control.p}, the defect is asked at p={p}")
 
     # f and D1 at every distinct left point in one call, then the reconstructions
     # a block of pairs at a time

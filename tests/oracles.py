@@ -7,7 +7,8 @@ package's path and area objects, and ``riemann_area_recovery`` measures its
 sums against ``area.pair``, the quantity it checks.  Where an oracle has a
 tunable resolution the chosen value puts its own error several orders below
 the tolerance it backs.  Two helpers reshape the package's objects for tests
-and compute nothing: ``subsample`` and ``jacobian_view``.
+and compute nothing: ``subsample`` and ``jacobian_view``.  One sets numpy's
+PCG64 up to emit chosen words: ``pcg64_state_emitting``.
 """
 from __future__ import annotations
 
@@ -389,6 +390,31 @@ def chain_pair_draws(rng: np.random.Generator, n: int, depth: int, delta,
         gap_cells = max(int(gap * total_cells), 1)
         draws.append((r, int(rng.integers(0, total_cells - gap_cells)), gap_cells))
     return np.array(draws, dtype=np.int64).T
+
+
+def pcg64_state_emitting(first: int, second: int) -> dict:
+    """A PCG64 ``bit_generator.state`` whose next two raw words are ``first``, ``second``.
+
+    numpy's PCG64 steps its 128-bit state s to ``s * mult + inc``, then
+    outputs the XSL-RR word ``rotr64(hi ^ lo, hi >> 58)`` of the new state.
+    Each word is inverted to a state with a fixed high half; the increment is
+    the one stepping the first state onto the second, kept odd (a full-period
+    stream) by flipping the low bit of the second state's high half.
+    """
+    mult, m64, m128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**64 - 1, 2**128 - 1
+
+    def state_of(word, hi):
+        rot = hi >> 58
+        return hi << 64 | (((word << rot | word >> (64 - rot)) & m64) ^ hi)
+
+    s1 = state_of(first, 0x0123456789ABCDEF)
+    s2 = state_of(second, 0xFEDCBA9876543210)
+    if (s2 - s1 * mult) % 2 == 0:
+        s2 = state_of(second, 0xFEDCBA9876543211)
+    inc = (s2 - s1 * mult) & m128
+    s0 = (s1 - inc) * pow(mult, -1, 2**128) & m128
+    return {"bit_generator": "PCG64", "state": {"state": s0, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
 
 
 # --- the trajectory CSV ----------------------------------------------------

@@ -557,6 +557,14 @@ class TestHolderEstimate:
         with pytest.raises(ValueError):
             holder_estimate(path)
 
+    @pytest.mark.parametrize("n_resample", [1, 2])
+    def test_fewer_than_three_resamples_refused(self, bm1, n_resample):
+        """Under three resamples fewer than two lags fit: that is no evidence of regularity."""
+        _, path, _ = bm1
+        with pytest.raises(ValueError, match="n_resample >= 3"):
+            holder_estimate(path, n_resample=n_resample)
+        assert math.isfinite(holder_estimate(path, n_resample=3))
+
 
 class TestChenResiduals:
     @pytest.mark.parametrize("which", ["ito", "strat"])
@@ -595,3 +603,36 @@ class TestChenResiduals:
         _, _, area = poly_pair
         with pytest.raises(ValueError, match="at least one triple"):
             chen_residuals(area, n_triples=n_triples)
+
+
+def _bent_area():
+    """A 2**3-interval area whose times are not uniform."""
+    times = np.array([0.0, 0.1, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8, 1.0])
+    path = DriverPath(times, np.zeros((9, 2)))
+    return AreaProcess(path, np.zeros((8, 2, 2)), kind="ito")
+
+
+def _nan_envelope():
+    """Positive and paired on the radii ``validate`` checks, NaN past 1e7."""
+    return core.GrowthEnvelope(growth=lambda r: np.where(r < 1e7, r**1.2, np.nan),
+                               area_growth=lambda r: r**0.4, beta=0.8)
+
+
+class TestRefusals:
+    """Each input check of the estimators raises its own error type."""
+
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: gbm_terminal_stratonovich(
+            DriverPath([0.0, 1.0], np.zeros((2, 2))), [1.0]), ValueError, "one-dimensional"),
+        (lambda: convergence_study(VectorField.scalar_linear(),
+                                   DriverPath(np.linspace(0, 1, 65), np.zeros(65)),
+                                   [1.0], [2, 4]), ValueError, "needs an area process"),
+        (lambda: condition21_stat(_bent_area(), 0.45, 0.55, levels=[1, 2]), ValueError,
+         "must be uniform"),
+        (lambda: explosion_criterion(_nan_envelope(), 1.5, 1.7, r_max=2.0**30), ValueError,
+         "positive and finite"),
+    ], ids=["stratonovich-oracle-d2", "fine-fallback-without-area", "non-uniform-area-grid",
+            "criterion-integrand-nan"])
+    def test_refused(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()

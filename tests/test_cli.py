@@ -404,7 +404,13 @@ class TestConfigErrors:
         ({**SOLVE_CONFIG, "scheme": {"scheme": "euler", "explosion_threshold": 0.5},
           "expect_explosion": True},
          "a defect needs two states, the trajectory has a single state (t=0, exploded_at=0)"),
-    ], ids=["threshold-above-1e150", "threshold-below-1e-150", "defect-on-a-single-state"])
+        # json.dumps writes inf as Infinity, which json.loads reads back
+        ({**SOLVE_CONFIG, "driver": {**SOLVE_CONFIG["driver"], "t_end": float("inf")}},
+         "t_end must be finite, got inf"),
+        ({**SOLVE_CONFIG, "defect": {**SOLVE_CONFIG["defect"], "pairs": 5}},
+         "pairs has an invalid value 5: expected a list of index pairs"),
+    ], ids=["threshold-above-1e150", "threshold-below-1e-150", "defect-on-a-single-state",
+            "infinite-t-end", "pairs-a-number"])
     def test_refusal_names_its_cause(self, tmp_path, capsys, config, message):
         cfg = _write_config(tmp_path, "bad.json", config)
         out = tmp_path / "out"

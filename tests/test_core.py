@@ -512,3 +512,33 @@ class TestGrowthEnvelope:
                              beta=0.8)
         with pytest.raises(ValueError):
             env.validate()
+
+
+class TestRefusals:
+    """Each input check of the value types raises its own error type."""
+
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: DriverPath(np.zeros((2, 2)), np.zeros((2, 1))), ValueError,
+         "times must be 1-dimensional"),
+        (lambda: Trajectory([0.0, 1.0], [1.0, 2.0], scheme="euler"), ValueError,
+         "states must be 2-dimensional"),
+        (lambda: DriverPath([0.0], [[0.0]]), ValueError, "at least two samples"),
+        (lambda: DriverPath([0.0, 1.0, 1.0], np.zeros((3, 1))), ValueError,
+         "strictly increasing"),
+        (lambda: control_fit(DriverPath([0.0, 1.0], [[0.0], [1.0]]), 0.0), ValueError,
+         "p must be positive"),
+        (lambda: chen_combine(np.zeros((2, 2)), np.zeros((3, 3)), np.zeros(2), np.zeros(3)),
+         ValueError, "must share a shape"),
+        (lambda: VectorField(1, 1, np.ones((1, 1))).deriv1([0.0]), NotImplementedError,
+         "no first derivative"),
+        (lambda: VectorField(1, 1, np.ones((1, 1))).deriv2([0.0]), NotImplementedError,
+         "no second derivative"),
+        (lambda: VectorField.constant([1.0, 2.0]), ValueError, r"\(n, d\) matrix"),
+        (lambda: GrowthEnvelope(growth=lambda r: 0.0 * r, area_growth=lambda r: 1.0 + 0.0 * r,
+                                beta=0.5).validate(), ValueError, "strictly positive"),
+    ], ids=["driver-times-2d", "trajectory-states-1d", "one-sample-path",
+            "repeated-time", "control-fit-p-0", "chen-shape-mismatch", "no-deriv1",
+            "no-deriv2", "constant-field-not-2d", "envelope-not-positive"])
+    def test_refused(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()

@@ -336,6 +336,10 @@ class TestSpiralDemo:
         assert np.array_equal(path.values[0], np.zeros(2))
 
 
+# (3, 7), (3, 9) and every capacity chain from k = 4: all that _select_levels picks
+_REACHABLE_LEVELS = [(3, 7), (3, 9)] + [(k, _chain_capacity(k)) for k in range(4, _K_MAX + 1)]
+
+
 class TestChainCurve:
     def test_level_selection_golden(self, chain6):
         assert chain6.levels == [(3, 9), (3, 9), (5, 25), (6, 35), (7, 49), (6, 35)]
@@ -350,25 +354,33 @@ class TestChainCurve:
         assert squares.shape == (16, m, 2)
 
     def test_tables_golden(self):
-        """L, widest dropped-L, first serpentine and capacity chains, every orientation."""
+        """The eleven pairs level selection can pick, every orientation."""
         digest = hashlib.sha256()
-        for k in range(3, _K_MAX + 1):
-            cap = _chain_capacity(k)
-            for m in sorted({2 * k + 1, min(4 * k - 1, cap), min(4 * k + 1, cap), cap}):
-                for table in _chain_table(k, m):
-                    digest.update(table.astype("<i8").tobytes())
+        for k, m in _REACHABLE_LEVELS:
+            for table in _chain_table(k, m):
+                digest.update(table.astype("<i8").tobytes())
         assert digest.hexdigest() == (
-            "617b18c430d0ace6bd690adf1dc9d9fa65241f5c65217bcc0b5ed3c1a1604b2f")
+            "636cab42625cfbfd0b932ac80511fccd2274ad375ac7e2c967a1ad483706d40f")
 
     def test_tables_are_cached_read_only(self):
         first, again = _chain_table(5, 25), _chain_table(5, 25)
         assert all(a is b and not a.flags.writeable for a, b in zip(first, again))
 
-    def test_corner_suffix_is_cached_read_only(self):
-        suffix = drivers._corner_suffix(6)
-        assert suffix is drivers._corner_suffix(6)
-        with pytest.raises(TypeError):
-            suffix[0][6] = (0, 0)
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_selection_picks_only_the_reachable_levels(self, depth):
+        """The argument in _select_levels' docstring, on a grid of 4000 alphas."""
+        picked = set()
+        for alpha in np.linspace(0.5, 1.0, 4002)[1:-1].tolist():
+            try:
+                picked.update(drivers._select_levels(alpha, depth))
+            except ValueError:  # alpha too close to 1/2 for this depth
+                pass
+        assert picked <= set(_REACHABLE_LEVELS)
+
+    @pytest.mark.parametrize("k, m", [(5, 31), (6, 25), (6, 45), (12, 133)])
+    def test_corner_chain_refuses_a_length_the_zigzag_cannot_make(self, k, m):
+        with pytest.raises(ValueError, match=f"cannot reach m={m} at k={k}"):
+            drivers._corner_chain(k, m)
 
     def test_band_stats_refuse_depth_one(self):
         with pytest.raises(ValueError, match="depth"):
@@ -470,6 +482,38 @@ class TestChainCurve:
 
         assert make_rng().bit_generator.state["has_uint32"] == 1
         self._assert_band_stats_equal_the_loop(chain6, _BAND_BLOCK + 1000, make_rng)
+
+    def test_band_stats_draw_the_gap_with_math_exp(self, chain6):
+        """A pair whose exponent floors to a different gap under ``np.exp``.
+
+        Near log(N / total_cells) the two exps of an exponent can straddle N.
+        The search walks the 53-bit uniforms decoding close to such a point at
+        level r = 3; the generator is then set to emit that uniform's word
+        after an integer word drawing r = 3 and a start that is not rejected.
+        """
+        r, total = 3, chain6.total_cells
+        log_lo = math.log(chain6.delta[r])
+        log_span = math.log(chain6.delta[r - 1]) - log_lo
+        for n in range(int(chain6.delta[r] * total) + 1, int(chain6.delta[r - 1] * total)):
+            k0 = round((math.log(n / total) - log_lo) / log_span * 2**53)
+            ks = np.arange(k0 - 16, k0 + 17, dtype=np.uint64)
+            x = log_lo + log_span * (ks * 2.0**-53)
+            by_math = np.array([int(math.exp(v) * total) for v in x.tolist()])
+            split = np.flatnonzero(by_math != (np.exp(x) * total).astype(np.int64))
+            if split.size:
+                break
+        uniform_word = int(ks[split[0]]) << 11
+        int_word = 0x12345678 << 32 | 2**31  # low half: r - 1 = 2 of 5 levels
+
+        def make_rng():
+            rng = np.random.Generator(np.random.PCG64())
+            rng.bit_generator.state = oracles.pcg64_state_emitting(int_word, uniform_word)
+            return rng
+
+        assert make_rng().bit_generator.random_raw(2).tolist() == [int_word, uniform_word]
+        want = oracles.chain_pair_draws(make_rng(), 1, chain6.depth, chain6.delta, total)
+        assert want[0, 0] == r and want[2, 0] == by_math[split[0]]
+        self._assert_band_stats_equal_the_loop(chain6, 1, make_rng)
 
     def test_band_stats_equals_the_loop_on_mt19937(self, chain6):
         self._assert_band_stats_equal_the_loop(

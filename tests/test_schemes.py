@@ -19,6 +19,7 @@ from roughstep.core import (
     NumericsError,
     Trajectory,
     VectorField,
+    control_fit,
 )
 from roughstep.drivers import (
     BrownianConfig,
@@ -939,6 +940,15 @@ class TestDefect:
                        pairs=np.array([[0, 3], [10, 40]]), control=modulus)
         assert again.control is modulus
         assert np.array_equal(own.magnitudes, again.magnitudes)
+
+    def test_control_fitted_for_another_p_refused(self, bm1, gbm_field):
+        """A modulus fitted at p = 2.5 would mix two variation scales in a p = 2 report."""
+        _, path, _ = bm1
+        sub = oracles.subsample(path, 64)
+        traj = euler_solve(gbm_field, sub, np.array([1.0]))
+        modulus = control_fit(sub, 2.5)
+        with pytest.raises(ValueError, match=r"fitted for p=2\.5.*asked at p=2\.0"):
+            defect(traj, gbm_field, sub, gamma=1.5, p=2.0, control=modulus)
 
     @pytest.mark.parametrize("move", ["shifted", "stretched"])
     def test_trajectory_off_the_driver_grid_refused(self, bm1, gbm_field, move):
