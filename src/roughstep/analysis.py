@@ -580,8 +580,13 @@ def chen_residuals(
     For grid indices i < j < k the block over (i, k) must equal the two
     sub-blocks combined with the increment cross term; the residual is the
     max-entry distance.  Anything persistently above roundoff means the
-    process's algebra is broken.  Triples are drawn one at a time, 1 to 2**20
-    of them.
+    process's algebra is broken.  1 to 2**20 triples are drawn.
+
+    Stream contract: the sorted triples and the generator's final state are
+    those of ``n_triples`` calls ``rng.choice(n + 1, 3, replace=False)``, with
+    ``n = area.n_intervals``.  numpy draws one by Floyd's method, ``a <= n - 2``,
+    ``b <= n - 1`` (``n - 1`` if it hits ``a``), ``c <= n`` (``n`` if it hits
+    ``a`` or ``b``), then shuffle draws below 3 and 2: one ``integers`` call here.
     """
     if area.n_intervals < 2:
         raise ValueError("need at least two intervals to form a triple")
@@ -590,8 +595,11 @@ def chen_residuals(
     if n_triples > 2**20:
         raise ValueError(f"at most 2**20 triples are drawn, got {n_triples}")
     rng = np.random.default_rng(seed)
-    draws = [rng.choice(area.n_intervals + 1, size=3, replace=False) for _ in range(n_triples)]
-    i, j, k = np.sort(draws, axis=1).T
+    n = area.n_intervals
+    a, b, c, _, _ = rng.integers(0, np.tile([n - 1, n, n + 1, 3, 2], n_triples)).reshape(-1, 5).T
+    b = np.where(b == a, n - 1, b)
+    c = np.where((c == a) | (c == b), n, c)
+    i, j, k = np.sort([a, b, c], axis=0)
     x = area.path.values
     combined = chen_combine(area.pairs(i, j), area.pairs(j, k), x[j] - x[i], x[k] - x[j])
     return np.max(np.abs(area.pairs(i, k) - combined), axis=(1, 2))

@@ -4,7 +4,7 @@ Everything a scheme consumes is produced here as a (:class:`DriverPath`,
 :class:`AreaProcess`) pair on a concrete grid:
 
 * Brownian paths with Ito or Stratonovich area blocks (exact diagonals,
-  bridge-substep off-diagonals), plus degenerate and user-perturbed variants;
+  bridge-substep off-diagonals), plus a degenerate variant;
 * polynomial paths with closed-form area blocks, the reference case where
   every estimate can be checked against exact calculus;
 * an oscillatory two-component driver whose integral equation has two exact
@@ -25,7 +25,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -43,7 +42,6 @@ __all__ = [
     "ito_area",
     "stratonovich_area",
     "degenerate_area",
-    "perturbed_area",
     "PolynomialPath",
     "analytic_area",
     "CounterexampleConfig",
@@ -191,19 +189,6 @@ def degenerate_area(path: DriverPath) -> AreaProcess:
     x = path.values
     blocks = -np.einsum("ki,kj->kij", x[:-1], np.diff(x, axis=0))
     return AreaProcess(path, blocks, "degenerate")
-
-
-def perturbed_area(base: AreaProcess, phi: Callable[[float, float], np.ndarray]) -> AreaProcess:
-    """Add a per-interval perturbation ``phi(s, t)`` to an existing area.
-
-    Coarse pairs inherit the perturbation through the Chen fold like any
-    other block content.  ``phi`` must return a (d, d) array.
-    """
-    t = base.path.times
-    blocks = base.per_interval.copy()
-    for k in range(base.n_intervals):
-        blocks[k] += np.asarray(phi(t[k], t[k + 1]), dtype=float)
-    return AreaProcess(base.path, blocks, "perturbed")
 
 
 # ---------------------------------------------------------------------------
@@ -612,42 +597,33 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 def _select_levels(alpha: float, depth: int):
     """Greedy (k, m) sequence keeping eps_r / delta_r^alpha inside [1/3, 3].
 
-    Smallest k wins; among feasible odd m in [n, capacity] the one pulling
-    the running ratio closest to 1 wins.
+    Smallest k wins; among its feasible odd m in [n, capacity] the one
+    pulling the running ratio closest to 1 wins, the smaller m on a tie.
 
-    Only eleven (k, m) pairs are ever picked: (3, 7), (3, 9) and
-    (k, _chain_capacity(k)) for 4 <= k <= 12.  The running log-ratio lr is 0
-    at the first level and lies in [-log 3, log 3] after each; write
-    cand(m) = lr + alpha log m - log n.  At k = 3, cand(7) = lr - (1 - alpha)
-    log 7 is below log 3, so k = 3 fails only if cand(7) < -log 3; then
-    cand(9), larger by alpha log(9/7) < 0.26, is below log 3 and must be
+    Only eleven (k, m) pairs can win, so only they are checked: (3, 7),
+    (3, 9) and (k, _chain_capacity(k)) for 4 <= k <= 12.  The running
+    log-ratio lr is 0 at the first level and lies in [-log 3, log 3] after
+    each; write cand(m) = lr + alpha log m - log n.  At k = 3, cand(7) = lr -
+    (1 - alpha) log 7 is below log 3, so k = 3 fails only if cand(7) < -log 3;
+    then cand(9), larger by alpha log(9/7) < 0.26, is below log 3 and must be
     below -log 3 too.  Going up one k raises the largest candidate by less
     than log(25/15) < log 3.  So at the first k >= 4 with a candidate in the
     band every candidate is negative, and as they grow with m the capacity
     is the one closest to 0.
     """
-    levels = []
-    log_ratio = 0.0
-    band = math.log(3.0)
+    pairs = [(3, 7), (3, 9)] + [(k, _chain_capacity(k)) for k in range(4, _K_MAX + 1)]
+    levels, log_ratio, band = [], 0.0, math.log(3.0)
     for level in range(depth):
-        for k in range(3, _K_MAX + 1):
-            n = 2 * k + 1
-            cap = _chain_capacity(k)
-            best = None
-            for m in range(n, cap + 1, 2):
-                cand = log_ratio + alpha * math.log(m) - math.log(n)
-                if abs(cand) <= band and (best is None or abs(cand) < abs(best[1])):
-                    best = (m, cand)
-            if best is not None:
-                levels.append((k, best[0]))
-                log_ratio = best[1]
-                break
-        else:
+        fits = [(k, abs(cand), m, cand) for k, m in pairs
+                if abs(cand := log_ratio + alpha * math.log(m) - math.log(2 * k + 1)) <= band]
+        if not fits:
             raise ValueError(
                 f"level {level + 1}: no odd m in [2k+1, k^2] with k <= {_K_MAX} keeps "
                 f"eps/delta^alpha in [1/3, 3] at alpha={alpha} "
                 f"(running log-ratio {log_ratio:.3f})"
             )
+        k, _, m, log_ratio = min(fits)
+        levels.append((k, m))
     return levels
 
 

@@ -168,10 +168,11 @@ def _run_scheme(
 
     One rule stops the walk: every running member ends at the first index ``stop`` (the
     initial state is index 0) at which one of them fails ``sqrt(y . y) <= threshold``,
-    as a NaN does.  The loops only detect ``stop``; one classifier then visits the running
-    members in the order of ``parts``.  A non-finite state raises :class:`NumericsError`
-    unless an earlier member crossed; a finite one whose norm exceeds ``threshold``, its
-    square overflowing or not, crossed, with ``exploded_at = stop``.
+    as a NaN does.  The loops only detect ``stop`` and keep the running members' ``y . y``;
+    one classifier then judges those members by them (an overflow warns once), in the
+    order of ``parts``.  A non-finite state raises :class:`NumericsError` unless an
+    earlier member crossed; a finite one whose norm exceeds ``threshold``, its square
+    overflowing or not, crossed, with ``exploded_at = stop``.
     """
     threshold = _explosion_threshold(threshold)
     order = sorted(range(len(parts)), key=lambda i: parts[i].size)
@@ -185,7 +186,8 @@ def _run_scheme(
     for pos, i in enumerate(order):
         p = parts[i][: rounds + 1]
         m[: p.size - 1, pos] = _driver_blocks(path, area, p[:-1], p[1:])
-    j0, ys, stop = 0, hist[0], None if math.sqrt(y.dot(y)) <= threshold else 0
+    j0, ys, sq = 0, hist[0], [y.dot(y)] * len(parts)
+    stop = None if math.sqrt(sq[0]) <= threshold else 0
     for r in range(rounds if stop is None else 0):
         while counts[j0] <= r:  # a member finished: drop its row and its blocks
             j0, ys, m = j0 + 1, ys[1:], m[:, 1:]
@@ -205,8 +207,8 @@ def _run_scheme(
     y = last[rounds]
     for k, b in enumerate(tail_blocks if stop is None else (), rounds):
         y = last[k + 1] = step(y, b)
-        if not math.sqrt(y.dot(y)) <= threshold:
-            j0, ys, stop = len(parts) - 1, y[None], k + 1
+        if not math.sqrt(s := y.dot(y)) <= threshold:
+            j0, ys, sq, stop = len(parts) - 1, y[None], [s], k + 1
             break
     if stop is not None:  # the longest member stopped: keep none of its buffer past stop
         last = last[: stop + 1].copy()
@@ -221,7 +223,7 @@ def _run_scheme(
                 if not crossed:
                     raise NumericsError(f"non-finite state after step {stop - 1} "
                                         f"(t={path.times[p[stop]]:.6g}, scheme={tag})")
-            elif math.sqrt(row.dot(row)) > threshold:
+            elif math.sqrt(sq[pos - j0]) > threshold:
                 crossed, exploded_at = True, stop
         states = last if pos == len(parts) - 1 else hist[:, pos]
         out.append(Trajectory(path.times[p[: end + 1]], states[: end + 1], tag, exploded_at))

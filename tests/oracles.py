@@ -7,7 +7,8 @@ package's path and area objects, and ``riemann_area_recovery`` measures its
 sums against ``area.pair``, the quantity it checks.  Where an oracle has a
 tunable resolution the chosen value puts its own error several orders below
 the tolerance it backs.  Two helpers reshape the package's objects for tests
-and compute nothing: ``subsample`` and ``jacobian_view``.  One sets numpy's
+and compute nothing: ``subsample`` and ``jacobian_view``.  One builds a test
+area by shifting each block of another: ``perturbed_area``.  One sets numpy's
 PCG64 up to emit chosen words: ``pcg64_state_emitting``.
 """
 from __future__ import annotations
@@ -18,7 +19,7 @@ import operator
 
 import numpy as np
 
-from roughstep.core import DriverPath
+from roughstep.core import AreaProcess, DriverPath
 
 GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(32)
 
@@ -30,6 +31,19 @@ def subsample(path: DriverPath, stride: int) -> DriverPath:
     if path.n_intervals % stride:
         raise ValueError(f"stride {stride} does not divide {path.n_intervals} intervals")
     return DriverPath(path.times[::stride], path.values[::stride])
+
+
+def perturbed_area(base: AreaProcess, phi) -> AreaProcess:
+    """Add a per-interval perturbation ``phi(s, t)``, a (d, d) array, to an existing area.
+
+    Coarse pairs inherit the perturbation through the Chen fold like any
+    other block content.
+    """
+    t = base.path.times
+    blocks = base.per_interval.copy()
+    for k in range(base.n_intervals):
+        blocks[k] += np.asarray(phi(t[k], t[k + 1]), dtype=float)
+    return AreaProcess(base.path, blocks, "perturbed")
 
 
 def jacobian_view(trajectory, n: int) -> np.ndarray:

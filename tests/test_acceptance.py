@@ -42,7 +42,6 @@ from roughstep.drivers import (
     degenerate_area,
     explosion_driver,
     ito_area,
-    perturbed_area,
     power_law_envelope,
     stratonovich_area,
 )
@@ -79,7 +78,7 @@ def test_criterion_01_area_consistency():
         "ito": ito,
         "stratonovich": stratonovich_area(ito),
         "degenerate": degenerate_area(path),
-        "perturbed": perturbed_area(ito, lambda s, t: (t - s) * _SPIN),
+        "perturbed": oracles.perturbed_area(ito, lambda s, t: (t - s) * _SPIN),
         "analytic": analytic_area(poly, poly_path),
     }
     worst = max(

@@ -305,12 +305,15 @@ class TestCondition21Exact:
 
     @pytest.mark.parametrize("cap", [1, 63, 64, 65, 200, 1023, 1024, 4096])
     @pytest.mark.parametrize("which", ["ito", "stratonovich"])
-    def test_matches_all_windows_scan(self, areas10, which, cap):
+    def test_matches_all_windows_scan(self, monkeypatch, areas10, which, cap):
         area = areas10[which == "stratonovich"]
         stat = condition21_stat(area, 0.45, 0.55, levels=range(2, 11), window_cap=cap)
         want = _all_windows_stat(area, 0.45, 0.55, range(2, 11), cap)
         assert (stat.value, stat.argmax, stat.per_level) == want
         assert oracles.condition21_recompute(area, 0.45, 0.55, *stat.argmax) == stat.value
+        monkeypatch.setattr(core, "_fit_block", lambda n: 64)  # caps astride 64's edges
+        stat = condition21_stat(area, 0.45, 0.55, levels=range(2, 11), window_cap=cap)
+        assert (stat.value, stat.argmax, stat.per_level) == want
 
     @pytest.mark.parametrize("block", [1, 2, 3, 64])
     @pytest.mark.parametrize("blocks, argmax", [
@@ -319,7 +322,7 @@ class TestCondition21Exact:
     ], ids=["short-window-first", "long-window-first"])
     def test_tie_goes_to_the_shortest_window(self, monkeypatch, block, blocks, argmax):
         """With beta 1/2 a window of 4 summing to 2 ties a window of 1 summing to 1 exactly."""
-        monkeypatch.setattr(core, "_FIT_BLOCK", block)
+        monkeypatch.setattr(core, "_fit_block", lambda n: block)
         area = _flat_path_area(blocks)
         stat = condition21_stat(area, 0.25, 0.5, levels=[3])
         h = 1.0 / 8
@@ -331,7 +334,7 @@ class TestCondition21Exact:
     @pytest.mark.parametrize("block", [1, 2, 64])
     def test_flat_area_reports_the_first_window_of_the_coarsest_level(self, monkeypatch, block):
         """Every ratio is 0, a tie everywhere: the first window of the coarsest level wins."""
-        monkeypatch.setattr(core, "_FIT_BLOCK", block)
+        monkeypatch.setattr(core, "_fit_block", lambda n: block)
         stat = condition21_stat(_flat_path_area(np.zeros(32)), 0.45, 0.55, levels=[1, 3, 5])
         assert stat.value == 0.0 and stat.per_level == [0.0, 0.0, 0.0]
         assert stat.argmax == (0, 1, 0.5)
@@ -348,7 +351,7 @@ class TestCondition21Exact:
         only visiting bounds equal to the running best finds the gap-1 window
         that ties (after rounding) the longer windows from 0, visited first.
         """
-        monkeypatch.setattr(core, "_FIT_BLOCK", block)
+        monkeypatch.setattr(core, "_fit_block", lambda n: block)
         area = _flat_path_area(blocks)
         level = len(blocks).bit_length() - 1
         stat = condition21_stat(area, 0.5, beta, levels=[level])
@@ -364,7 +367,7 @@ class TestCondition21Exact:
         levels = range(depth + 1)
         want = _all_windows_stat(area, alpha, beta, levels, cap)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_FIT_BLOCK", block)
+            mp.setattr(core, "_fit_block", lambda n: block)
             mp.setattr(core, "_FIT_PAIRS", chunk)
             stat = condition21_stat(area, alpha, beta, levels=levels, window_cap=cap)
         assert (stat.value, stat.argmax, stat.per_level) == want
@@ -597,6 +600,30 @@ class TestChenResiduals:
             combined = area.pair(i, j) + area.pair(j, k) + np.outer(x[j] - x[i], x[k] - x[j])
             want[m] = np.max(np.abs(area.pair(i, k) - combined))
         assert np.array_equal(chen_residuals(area, n_triples=300, seed=11), want)
+
+    @pytest.mark.parametrize("n, n_triples", [
+        (2, 400), (3, 400), (5, 400), (2**14, 400), (5, 1), (2**14, 1)])
+    def test_draws_the_triples_of_the_per_triple_choice_loop(self, monkeypatch, n, n_triples):
+        """The stream contract: the triples, and the generator's state after them, are
+        those of one ``rng.choice(n + 1, 3, replace=False)`` per triple, sorted.  On a
+        few intervals Floyd's collision rule fires often."""
+        rng = np.random.default_rng(n)
+        path = DriverPath(np.linspace(0.0, 1.0, n + 1), rng.normal(size=(n + 1, 2)))
+        area = AreaProcess(path, rng.normal(size=(n, 2, 2)), "perturbed")
+        seen, pairs = [], area.pairs
+        monkeypatch.setattr(area, "pairs", lambda i, j: seen.append((i, j)) or pairs(i, j))
+        drawn, looped = np.random.default_rng(7), np.random.default_rng(7)
+        res = chen_residuals(area, n_triples, seed=drawn)  # default_rng passes it through
+        i, j, k = np.sort([looped.choice(n + 1, size=3, replace=False)
+                           for _ in range(n_triples)], axis=1).T
+        assert [(a.tolist(), b.tolist()) for a, b in seen] == [
+            (i.tolist(), j.tolist()), (j.tolist(), k.tolist()), (i.tolist(), k.tolist())]
+        assert drawn.bit_generator.state == looped.bit_generator.state
+        x = path.values
+        want = [np.max(np.abs(area.pair(a, c) - (area.pair(a, b) + area.pair(b, c)
+                                                 + np.outer(x[b] - x[a], x[c] - x[b]))))
+                for a, b, c in zip(i, j, k)]
+        assert np.array_equal(res, want)
 
     @pytest.mark.parametrize("n_triples", [0, -3])
     def test_no_triples_rejected(self, poly_pair, n_triples):

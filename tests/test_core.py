@@ -120,13 +120,20 @@ def _random_paths(draw):
 class TestControlFitExact:
     """The block branch-and-bound must return the all-pairs constant bit for bit."""
 
-    def test_geometric_grid(self):
+    @pytest.mark.parametrize("n, block", [
+        (2, 1), (17, 2), (65, 4), (4097, 32), (16385, 64), (65537, 64)])
+    def test_block_size_grows_as_half_the_root_up_to_64(self, n, block):
+        assert core._fit_block(n) == block
+
+    def test_geometric_grid(self, monkeypatch):
         cfg = CounterexampleConfig(grid=2048)
         path, _ = example1_driver(cfg)
         fit = control_fit(path, cfg.p).c
         assert fit == _all_lags_fit(path, cfg.p)
+        monkeypatch.setattr(core, "_fit_block", lambda n: 64)
+        assert control_fit(path, cfg.p).c == fit
 
-    def test_random_nonuniform_planar_path(self):
+    def test_random_nonuniform_planar_path(self, monkeypatch):
         rng = np.random.default_rng(2024)
         dt = rng.exponential(size=1000)
         times = np.cumsum(dt)
@@ -136,10 +143,12 @@ class TestControlFitExact:
         assert fit == _all_lags_fit(path, 2.5)
         # The maximum sits more than one block apart, so pruning decided it.
         assert fit == _all_lags_fit(path, 2.5, first_lag=64)
+        monkeypatch.setattr(core, "_fit_block", lambda n: 64)
+        assert control_fit(path, 2.5).c == fit
 
     @pytest.mark.parametrize("n", [2, 63, 64, 65, 129])
     @pytest.mark.parametrize("kind", ["ramp", "walk"])
-    def test_block_edges_and_partial_blocks(self, n, kind):
+    def test_block_edges_and_partial_blocks(self, monkeypatch, n, kind):
         rng = np.random.default_rng(n)
         times = np.cumsum(rng.uniform(0.5, 1.5, size=n))
         if kind == "ramp":
@@ -148,10 +157,13 @@ class TestControlFitExact:
         else:
             values = np.cumsum(rng.normal(size=(n, 2)), axis=0)
         path = DriverPath(times, values)
-        assert control_fit(path, 2.0).c == _all_lags_fit(path, 2.0)
+        want = _all_lags_fit(path, 2.0)
+        assert control_fit(path, 2.0).c == want
+        monkeypatch.setattr(core, "_fit_block", lambda n: 64)  # the edges named above
+        assert control_fit(path, 2.0).c == want
 
     @pytest.mark.parametrize("i, j", [(63, 64), (127, 128), (0, 127), (60, 130)])
-    def test_maximum_on_block_boundary(self, i, j):
+    def test_maximum_on_block_boundary(self, monkeypatch, i, j):
         """A unit rise from sample i to sample j puts the maximum on exactly (i, j)."""
         times = np.linspace(0.0, 1.0, 200)
         k = np.arange(200)
@@ -159,6 +171,8 @@ class TestControlFitExact:
         fit = control_fit(path, 2.0).c
         assert fit == _all_lags_fit(path, 2.0)
         assert fit == 1.0 / (times[j] - times[i])
+        monkeypatch.setattr(core, "_fit_block", lambda n: 64)  # the boundaries named above
+        assert control_fit(path, 2.0).c == fit
 
     @pytest.mark.parametrize("block", [1, 2, 5])
     def test_small_blocks(self, monkeypatch, block):
@@ -166,7 +180,7 @@ class TestControlFitExact:
         rng = np.random.default_rng(block)
         path = DriverPath(np.cumsum(rng.exponential(size=300)),
                           np.cumsum(rng.normal(size=(300, 2)), axis=0))
-        monkeypatch.setattr(core, "_FIT_BLOCK", block)
+        monkeypatch.setattr(core, "_fit_block", lambda n: block)
         assert control_fit(path, 2.5).c == _all_lags_fit(path, 2.5)
 
     @settings(max_examples=150, deadline=None)
@@ -177,7 +191,7 @@ class TestControlFitExact:
         assert control_fit(path, p).c == want
         # Small blocks and chunks put every branch to work on short paths.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_FIT_BLOCK", block)
+            mp.setattr(core, "_fit_block", lambda n: block)
             mp.setattr(core, "_FIT_PAIRS", chunk)
             assert control_fit(path, p).c == want
 

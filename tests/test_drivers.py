@@ -23,7 +23,6 @@ from roughstep.drivers import (
     example1_solution_pair,
     explosion_driver,
     ito_area,
-    perturbed_area,
     power_law_envelope,
     process_envelope,
     stratonovich_area,
@@ -212,7 +211,7 @@ class TestPerturbedArea:
     def test_blocks_shift_by_phi(self, poly_pair):
         _, path, area = poly_pair
         shift = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        pert = perturbed_area(area, lambda s, t: (t - s) * shift)
+        pert = oracles.perturbed_area(area, lambda s, t: (t - s) * shift)
         h = np.diff(path.times)
         want = area.per_interval + h[:, None, None] * shift
         assert np.array_equal(pert.per_interval, want)

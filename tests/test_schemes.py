@@ -652,6 +652,20 @@ class TestStopRule:
         assert fine.exploded_at is None and fine.times.size == 4
         assert np.all(np.abs(fine.states) <= 1.05)
 
+    @pytest.mark.parametrize("coarse", [None, np.arange(0, 65, 2)], ids=["tail", "round"])
+    def test_a_crossing_whose_square_overflows_warns_once(self, coarse):
+        """The first step lands at 1e200 / 64, whose square overflows: the loop that
+        detects the crossing squares it, and the classifier reuses that square."""
+        field, path = VectorField.constant([[1e200]]), self._ramp()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            walked = (_solve(field, path, None, [0.0], [None, coarse], 1e150) if coarse is not None
+                      else [euler_solve(field, path, [0.0], explosion_threshold=1e150)])
+        assert [str(w.message) for w in caught] == [
+            f"overflow encountered in {'dot' if coarse is None else 'vecdot'}"]
+        assert all(w.category is RuntimeWarning for w in caught)
+        assert [traj.exploded_at for traj in walked] == [1] * len(walked)
+
     @pytest.mark.parametrize("meshes", [[], [16, 256]])
     def test_a_corrected_crossing_in_the_tail_keeps_its_states_only(self, bm1, gbm_field,
                                                                     meshes):
