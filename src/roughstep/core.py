@@ -306,14 +306,15 @@ class AreaProcess:
         self.per_interval = per_interval
         self.kind = kind
         # Prefix fold P[k + 1] = (P[k] + A_k) + (x_k - x_0) (x) (x_{k+1} - x_k), as
-        # one cumulative sum over the interleaved terms A_0, outer_0, A_1, ...
+        # one cumulative sum over the interleaved terms A_0, outer_0, A_1, ...,
+        # laid out (d, d, 2k) so that the sum runs along the contiguous axis.
         x = path.values
-        terms = np.empty((path.n_intervals, 2, d, d))
-        terms[:, 0] = per_interval
-        np.multiply((x[:-1] - x[0])[:, :, None], np.diff(x, axis=0)[:, None, :], out=terms[:, 1])
-        np.cumsum(terms.reshape(-1, d, d), axis=0, out=terms.reshape(-1, d, d))
+        terms = np.empty((d, d, 2 * path.n_intervals))
+        terms[:, :, 0::2] = per_interval.transpose(1, 2, 0)
+        np.multiply((x[:-1] - x[0]).T[:, None], np.diff(x, axis=0).T[None], out=terms[:, :, 1::2])
+        np.cumsum(terms, axis=-1, out=terms)
         self._prefix = np.zeros((path.n_intervals + 1, d, d))
-        self._prefix[1:] = terms[:, 1]
+        self._prefix[1:] = terms[:, :, 1::2].transpose(2, 0, 1)
 
     @property
     def d(self) -> int:

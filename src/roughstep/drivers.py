@@ -64,6 +64,8 @@ __all__ = [
 # calibrated against these exact streams.
 _PATH_STREAM = 27
 _BRIDGE_STREAM = 28
+# Bridge normals held at once (512 KiB), in whole intervals: see _bridge_offdiag.
+_BRIDGE_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -120,24 +122,30 @@ def _bridge_offdiag(path: DriverPath, config: BrownianConfig) -> np.ndarray:
     ``(k, substeps, d)`` normals are laid out substep-major, and every sum
     over substeps (the bridge mean, the running position, the Riemann sum)
     adds the substeps one at a time in order, each step an elementwise
-    operation on rows of all k intervals.
+    operation on rows of a chunk's intervals.  Stream contract: the normals are
+    drawn ``max(1, _BRIDGE_CHUNK // (substeps * d))`` intervals at a time, and
+    consecutive draws of C-order rows read the one-call stream (the generator
+    keeps no normal between calls), so the bits are those of a single draw.
     """
-    r = config.substeps
+    r, d, k = config.substeps, path.d, path.n_intervals
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _BRIDGE_STREAM]))
-    xi = rng.standard_normal((path.n_intervals, r, path.d)).transpose(1, 2, 0).copy()
-    tot = xi[0].copy()
-    for m in range(1, r):
-        tot += xi[m]
-    mean = tot / r
     drift = path.increments.T / r
     scale = np.sqrt(np.diff(path.times) / r)
-    run = np.zeros_like(drift)
-    out = np.zeros((path.d, path.d, path.n_intervals))
-    for m in range(r):
-        s = drift + (xi[m] - mean) * scale
-        run = run + s
-        left = run - s  # partial sum before this substep: its left endpoint
-        out += left[:, None] * s[None, :]
+    out = np.zeros((d, d, k))
+    step = max(1, _BRIDGE_CHUNK // (r * d))
+    for a in range(0, k, step):
+        dr, sc, o = drift[:, a:a + step], scale[a:a + step], out[:, :, a:a + step]
+        xi = rng.standard_normal((sc.size, r, d)).transpose(1, 2, 0).copy()
+        tot = xi[0].copy()
+        for m in range(1, r):
+            tot += xi[m]
+        mean = tot / r
+        run = np.zeros_like(mean)
+        for m in range(r):
+            s = dr + (xi[m] - mean) * sc
+            run = run + s
+            left = run - s  # partial sum before this substep: its left endpoint
+            o += left[:, None] * s[None, :]
     return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
@@ -146,10 +154,15 @@ def ito_area(path: DriverPath, config: BrownianConfig) -> AreaProcess:
 
     The diagonal needs no simulation at all: per interval it equals
     ``(dW_j^2 - h) / 2`` pathwise.  Off-diagonals use the shared bridge of
-    :func:`_bridge_offdiag`.  For d = 1 the bridge is skipped entirely.
+    :func:`_bridge_offdiag`.  For d = 1 the bridge is skipped entirely.  A path
+    whose d, interval count or end time is not the config's raises ValueError.
     """
     k = path.n_intervals
     d = path.d
+    got = (d, k, float(path.times[-1]))
+    want = (config.d, config.n_intervals, float(config.t_end))
+    if got != want:
+        raise ValueError(f"path (d, intervals, t_end) = {got} does not match its config's {want}")
     h = np.diff(path.times)
     dw = path.increments
     if d == 1:

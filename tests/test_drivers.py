@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -126,6 +127,64 @@ class TestBridge:
             got = drivers._bridge_offdiag(path, cfg)
             assert got.flags.c_contiguous and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (level, seed, t_end)
+
+    @pytest.mark.parametrize("d, substeps, level, chunks", [
+        (2, 16, 13, 4), (2, 16, 14, 8), (5, 17, 12, 6)])
+    def test_chunked_draws_equal_the_oracle_on_one_draw_bitwise(self, d, substeps, level, chunks):
+        """Above one chunk.  For d = 5 with 17 substeps a chunk is 771 intervals,
+        which does not divide 4096, so the last of the 6 chunks is partial."""
+        step = max(1, drivers._BRIDGE_CHUNK // (substeps * d))
+        assert -(-2**level // step) == chunks
+        cfg = BrownianConfig(d=d, level=level, seed=2024, t_end=2.5, substeps=substeps)
+        path = brownian_path(cfg)
+        seeds = np.random.SeedSequence([cfg.seed, drivers._BRIDGE_STREAM])
+        xi = np.random.default_rng(seeds).standard_normal((cfg.n_intervals, substeps, d))
+        want = oracles.bridge_offdiag(path.increments, np.diff(path.times), xi)
+        assert drivers._bridge_offdiag(path, cfg).tobytes() == want.tobytes()
+
+    def test_every_chunk_size_gives_the_same_bits(self, monkeypatch):
+        cfg = BrownianConfig(d=3, level=7, seed=5, substeps=5)
+        path = brownian_path(cfg)
+        want = drivers._bridge_offdiag(path, cfg).tobytes()
+        for chunk in [1, 15, 16, 100, 2**20]:  # 1, 1, 1, 6 and all 128 intervals a chunk
+            monkeypatch.setattr(drivers, "_BRIDGE_CHUNK", chunk)
+            assert drivers._bridge_offdiag(path, cfg).tobytes() == want, chunk
+
+    def test_streams_the_normals(self):
+        """At level 14, d = 2 the one-call draw alone is 4 MiB of normals; the
+        chunked bridge peaks below that (2.5 MiB measured)."""
+        cfg = BrownianConfig(d=2, level=14, seed=3)
+        path = brownian_path(cfg)
+        drivers._bridge_offdiag(path, cfg)
+        tracemalloc.start()
+        try:
+            drivers._bridge_offdiag(path, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+class TestItoAreaRefusesAForeignPath:
+    @pytest.mark.parametrize("built, given, sides", [
+        (BrownianConfig(d=3, level=5, seed=1, t_end=2.0), BrownianConfig(d=2, level=6, seed=1),
+         "(3, 32, 2.0) does not match its config's (2, 64, 1.0)"),
+        (BrownianConfig(d=3, level=6, seed=1), BrownianConfig(d=2, level=6, seed=1),
+         "(3, 64, 1.0) does not match its config's (2, 64, 1.0)"),
+        (BrownianConfig(d=2, level=5, seed=1), BrownianConfig(d=2, level=6, seed=1),
+         "(2, 32, 1.0) does not match its config's (2, 64, 1.0)"),
+        (BrownianConfig(d=2, level=6, seed=1, t_end=2.0), BrownianConfig(d=2, level=6, seed=1),
+         "(2, 64, 2.0) does not match its config's (2, 64, 1.0)"),
+        (BrownianConfig(d=1, level=6, seed=1), BrownianConfig(d=1, level=6, seed=1, t_end=0.5),
+         "(1, 64, 1.0) does not match its config's (1, 64, 0.5)"),
+    ], ids=["all", "d", "intervals", "t_end", "t_end-d1"])
+    def test_names_both_sides(self, built, given, sides):
+        with pytest.raises(ValueError, match=re.escape(f"path (d, intervals, t_end) = {sides}")):
+            ito_area(brownian_path(built), given)
+
+    def test_a_different_seed_is_not_refused(self):
+        path = brownian_path(BrownianConfig(d=2, level=4, seed=1))
+        assert ito_area(path, BrownianConfig(d=2, level=4, seed=2)).n_intervals == 16
 
 
 class TestDegenerateArea:

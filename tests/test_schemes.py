@@ -231,7 +231,8 @@ class TestSchemeConfig:
         path = PolynomialPath(np.array([[0.0, 1.0]])).sample(np.linspace(0, 1, 9))
         zero = VectorField.constant([[0.0]])
         assert euler_solve(zero, path, [1e149], explosion_threshold=1e150).exploded_at is None
-        assert euler_solve(zero, path, [1e160], explosion_threshold=1e150).exploded_at == 0
+        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+            assert euler_solve(zero, path, [1e160], explosion_threshold=1e150).exploded_at == 0
 
     def test_rejects_a_threshold_whose_square_underflows(self):
         # below about 1e-154 the square of a state just above the threshold is
@@ -635,7 +636,8 @@ class TestStopRule:
                            batched=True)
 
     def test_a_finite_state_with_an_infinite_square_crosses_in_the_tail(self):
-        traj = euler_solve(self._jump_field(), self._ramp(), [1.0], explosion_threshold=1e6)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+            traj = euler_solve(self._jump_field(), self._ramp(), [1.0], explosion_threshold=1e6)
         y = traj.states[-1]
         with np.errstate(over="ignore"):
             assert traj.exploded_at == 5 and np.all(np.isfinite(y)) and np.isinf(y @ y)
