@@ -11,6 +11,7 @@ interpretable without the code that made it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -85,23 +86,24 @@ class RateReport:
         }
 
 
-def gbm_terminal_ito(path: DriverPath, y0) -> np.ndarray:
-    """Terminal value of dY = Y dX in the Ito sense for a scalar driver."""
+def _gbm_terminal(path: DriverPath, y0, drift: float) -> np.ndarray:
+    """``y0 exp(dw - drift * span)``, the terminal value of dY = Y dX for a scalar driver."""
     if path.d != 1:
         raise ValueError("closed-form oracle is one-dimensional")
     dw = float(path.values[-1, 0] - path.values[0, 0])
     span = float(path.times[-1] - path.times[0])
     y0 = float(np.asarray(y0).reshape(-1)[0])
-    return np.array([y0 * math.exp(dw - 0.5 * span)])
+    return np.array([y0 * math.exp(dw - drift * span)])
+
+
+def gbm_terminal_ito(path: DriverPath, y0) -> np.ndarray:
+    """Terminal value of dY = Y dX in the Ito sense for a scalar driver."""
+    return _gbm_terminal(path, y0, 0.5)
 
 
 def gbm_terminal_stratonovich(path: DriverPath, y0) -> np.ndarray:
     """Terminal value of dY = Y dX in the Stratonovich sense."""
-    if path.d != 1:
-        raise ValueError("closed-form oracle is one-dimensional")
-    dw = float(path.values[-1, 0] - path.values[0, 0])
-    y0 = float(np.asarray(y0).reshape(-1)[0])
-    return np.array([y0 * math.exp(dw)])
+    return _gbm_terminal(path, y0, 0.0)
 
 
 def convergence_study(
@@ -120,6 +122,7 @@ def convergence_study(
     All meshes subsample the same driver realization, so the study measures
     discretization error alone, and they are stepped in one lockstep walk
     (see :func:`roughstep.schemes._run_scheme`), each bitwise its own solve.
+    ``k_values`` are integer mesh sizes; a float is refused (``TypeError``).
     ``reference`` is either a callable ``(path, y0) -> terminal state``
     (closed-form oracle), a terminal state array, each of the field's state
     dimension, or ``None``, in which case the corrected scheme on the full
@@ -141,7 +144,7 @@ def convergence_study(
     excluded from the regression; if every mesh is exact the report says so
     instead of fitting a slope.
     """
-    ks = sorted(int(k) for k in k_values)
+    ks = sorted(operator.index(k) for k in k_values)  # a fractional size is refused
     if len(ks) < 2:
         raise ValueError("need at least two mesh sizes")
     if ks[0] < 1:

@@ -28,7 +28,9 @@ refer back to these):
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -281,10 +283,10 @@ class AreaProcess:
 
     ``per_interval[k]`` is the d x d area over ``(times[k], times[k+1])``.
     Areas over coarser pairs are *defined* by folding those blocks with the
-    Chen identity; :meth:`pairs` implements the fold through a cached prefix
-    table so a query costs O(d^2) instead of O(span), and :meth:`pair` is its
-    one-row case.  Adjacent pairs return the stored block itself (bitwise),
-    which downstream defect reports rely on.
+    Chen identity; :meth:`pairs` implements the fold through a prefix table,
+    built on the first query and cached, so a query costs O(d^2) instead of
+    O(span).  Adjacent pairs return the stored block itself (bitwise), which
+    downstream defect reports rely on.
 
     ``kind`` tags the construction ("ito", "stratonovich", "degenerate",
     "analytic", "perturbed") and is carried through serialization untouched.
@@ -305,16 +307,20 @@ class AreaProcess:
         self.path = path
         self.per_interval = per_interval
         self.kind = kind
-        # Prefix fold P[k + 1] = (P[k] + A_k) + (x_k - x_0) (x) (x_{k+1} - x_k), as
-        # one cumulative sum over the interleaved terms A_0, outer_0, A_1, ...,
-        # laid out (d, d, 2k) so that the sum runs along the contiguous axis.
-        x = path.values
-        terms = np.empty((d, d, 2 * path.n_intervals))
-        terms[:, :, 0::2] = per_interval.transpose(1, 2, 0)
+
+    @functools.cached_property
+    def _prefix(self) -> np.ndarray:
+        """Prefix fold ``P[k + 1] = (P[k] + A_k) + (x_k - x_0) (x) (x_{k+1} - x_k)``, as one
+        cumulative sum over the interleaved terms ``A_0, outer_0, A_1, ...``, laid out
+        ``(d, d, 2k)`` so that the sum runs along the contiguous axis."""
+        x, d, k = self.path.values, self.d, self.n_intervals
+        terms = np.empty((d, d, 2 * k))
+        terms[:, :, 0::2] = self.per_interval.transpose(1, 2, 0)
         np.multiply((x[:-1] - x[0]).T[:, None], np.diff(x, axis=0).T[None], out=terms[:, :, 1::2])
         np.cumsum(terms, axis=-1, out=terms)
-        self._prefix = np.zeros((path.n_intervals + 1, d, d))
-        self._prefix[1:] = terms[:, :, 1::2].transpose(2, 0, 1)
+        prefix = np.zeros((k + 1, d, d))
+        prefix[1:] = terms[:, :, 1::2].transpose(2, 0, 1)
+        return prefix
 
     @property
     def d(self) -> int:
@@ -323,10 +329,6 @@ class AreaProcess:
     @property
     def n_intervals(self) -> int:
         return self.per_interval.shape[0]
-
-    def pair(self, i: int, j: int) -> np.ndarray:
-        """Area over grid pair ``(times[i], times[j])``, ``i <= j``."""
-        return self.pairs([i], [j])[0]
 
     def pairs(self, i, j) -> np.ndarray:
         """Areas over the grid pairs ``(times[i[m]], times[j[m]])``, shape ``(m, d, d)``.
@@ -357,25 +359,22 @@ class VectorField:
     """A coefficient field ``f: R^n -> R^{n x d}`` with optional derivatives.
 
     Args:
-        n: state dimension.
-        d: driver dimension.
-        func: maps a state ``(n,)`` to coefficients ``(n, d)``.
-        deriv1: optional; maps a state to ``(n, n, d)`` with layout
+        n: state dimension, an integer of at least 1.
+        d: driver dimension, likewise.
+        func: maps states ``(..., n)`` to coefficients ``(..., n, d)``.
+        deriv1: optional; maps states to ``(..., n, n, d)`` with layout
             ``D1[h, i, j] = d f[i, j] / d y[h]``.
-        deriv2: optional; maps a state to ``(n, n, n, d)`` with layout
+        deriv2: optional; maps states to ``(..., n, n, n, d)`` with layout
             ``D2[q, h, i, j]``.
-        batched: the three callables also map a batch of states ``(..., n)``
-            to ``(..., n, d)``, ``(..., n, n, d)`` and ``(..., n, n, n, d)``,
-            each row bitwise its single-state value.  Otherwise a batch is
-            evaluated one row at a time.
 
+    Every callable is called with a single state ``(n,)`` or a batch of
+    states ``(..., n)`` and maps the batch row for row, each row bitwise its
+    single-state value: the lockstep walk and the defect report rely on it.
     Any of the three may instead be a constant array of its shape: refused
     (``ValueError``) unless finite, made read-only and broadcast over a batch.
 
-    :meth:`eval`, :meth:`deriv1` and :meth:`deriv2` take a state or a batch
-    of states either way.  Missing derivatives raise on access; schemes that
-    need them say so in the error.  No approximation is ever silently
-    substituted.
+    Missing derivatives raise on access; schemes that need them say so in the
+    error.  No approximation is ever silently substituted.
     """
 
     def __init__(
@@ -385,25 +384,21 @@ class VectorField:
         func: Callable[[np.ndarray], np.ndarray] | np.ndarray,
         deriv1: Callable[[np.ndarray], np.ndarray] | np.ndarray | None = None,
         deriv2: Callable[[np.ndarray], np.ndarray] | np.ndarray | None = None,
-        batched: bool = False,
     ):
-        self.n = int(n)
-        self.d = int(d)
+        self.n, self.d = operator.index(n), operator.index(d)  # a float is refused
+        if min(self.n, self.d) < 1:
+            raise ValueError(f"a field needs n, d >= 1, got n={self.n}, d={self.d}")
         self._func = _checked(func, (self.n, self.d), "field")
         self._deriv1 = _checked(deriv1, (self.n, self.n, self.d), "deriv1")
         self._deriv2 = _checked(deriv2, (self.n, self.n, self.n, self.d), "deriv2")
-        self.batched = bool(batched)
 
     def _apply(self, fn, y, tail: tuple, what: str) -> np.ndarray:
-        """``fn`` at a state or a batch of states: a callable row by row unless batched."""
+        """``fn`` at a state or a batch of states, its shape checked."""
         if type(y) is not np.ndarray or y.dtype is not _FLOAT:
             y = np.asarray(y, dtype=float)
         if type(fn) is np.ndarray:
             return fn if y.ndim <= 1 else np.broadcast_to(fn, y.shape[:-1] + fn.shape)
         expected = y.shape[:-1] + tail
-        if not self.batched and y.ndim > 1:
-            rows = y.reshape(-1, y.shape[-1])
-            return np.array([self._apply(fn, row, tail, what) for row in rows]).reshape(expected)
         out = fn(y)
         if type(out) is not np.ndarray or out.dtype is not _FLOAT:
             out = np.asarray(out, dtype=float)
@@ -440,13 +435,13 @@ class VectorField:
             raise ValueError("constant field needs an (n, d) matrix")
         n, d = matrix.shape
         return cls(n, d, matrix, deriv1=np.zeros((n, n, d)),
-                   deriv2=np.broadcast_to(0.0, (n, n, n, d)), batched=True)
+                   deriv2=np.broadcast_to(0.0, (n, n, n, d)))
 
     @classmethod
     def scalar_linear(cls) -> "VectorField":
         """The 1-by-1 multiplicative field f(y) = y (geometric testbed)."""
         return cls(1, 1, lambda y: y[..., None].copy(), deriv1=np.ones((1, 1, 1)),
-                   deriv2=np.zeros((1, 1, 1, 1)), batched=True)
+                   deriv2=np.zeros((1, 1, 1, 1)))
 
     @classmethod
     def diagonal_linear(cls, n: int) -> "VectorField":
@@ -460,8 +455,7 @@ class VectorField:
             out.reshape(y.shape[:-1] + (n * n,))[..., :: n + 1] = y
             return out
 
-        return cls(n, n, func, deriv1=d1, deriv2=np.broadcast_to(0.0, (n, n, n, n)),
-                   batched=True)
+        return cls(n, n, func, deriv1=d1, deriv2=np.broadcast_to(0.0, (n, n, n, n)))
 
 
 def _checked(value, shape: tuple, what: str):

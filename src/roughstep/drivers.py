@@ -376,7 +376,7 @@ def example1_field(cfg: CounterexampleConfig) -> VectorField:
         out[..., 0, 0][on] = (u * u * (3 - 2 * u)) * power
         return out
 
-    return VectorField(2, 2, func, batched=True)
+    return VectorField(2, 2, func)
 
 
 def _example1_grown_component(cfg: CounterexampleConfig, t: np.ndarray) -> np.ndarray:
@@ -1056,10 +1056,10 @@ def explosion_driver(envelope: GrowthEnvelope, p: float) -> ExplosionDriver:
     path = DriverPath(times, xy)
 
     def func(state):
-        yy = max(float(state[0]), 1.0)
-        lam_here = float(phase(math.log(yy)))
-        d_here = proc.dstar(yy)
-        return np.array([[-math.sin(lam_here) * d_here, math.cos(lam_here) * d_here]])
+        y_here = np.maximum(state[..., :1], 1.0)
+        lam_here = phase(np.log(y_here))
+        d_here = proc.dstar(y_here)[..., None]
+        return np.stack([-np.sin(lam_here), np.cos(lam_here)], axis=-1) * d_here
 
     return ExplosionDriver(path=path, field=VectorField(1, 2, func), t_star=t_star,
                            y_grid=y, t_grid=t_of_y, processed=proc)

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 _SCHEMES = ("euler", "corrected")
-_DEFECT_BLOCK = 2**14  # pairs reconstructed per batched step in defect
+_DEFECT_BLOCK = 2**14  # pairs reconstructed per stacked step in defect
 # einsum's C entry point: ``np.einsum`` without ``optimize`` calls it after a Python-level
 # dispatch that costs about as much as the contraction of one state
 _contract = getattr(np._core.multiarray, "c_einsum", np.einsum)
@@ -163,8 +163,8 @@ def _run_scheme(
     and one threshold check.  Once the longest member is the only one left it continues
     alone on a 1-D view of its row, into one array sized for its whole walk, so a
     one-member walk is the single-state loop.  Each member is bitwise its own walk: a
-    stacked step, the field's included (see :class:`VectorField` ``batched``), equals its
-    rows stepped alone.
+    stacked step, the field's included (see :class:`VectorField`), equals its rows
+    stepped alone.
 
     One rule stops the walk: every running member ends at the first index ``stop`` (the
     initial state is index 0) at which one of them fails ``sqrt(y . y) <= threshold``,

@@ -6,8 +6,6 @@ driver); all of them are pure values, so sharing is safe.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -64,23 +62,23 @@ def smooth22():
     """A dense 2x2 field with hand-written first and second derivatives."""
 
     def func(y):
-        u, v = float(y[0]), float(y[1])
-        return np.array([[math.sin(v), math.cos(u)], [0.25 * u * v, 1.0]])
+        u, v = y[..., 0], y[..., 1]
+        out = np.ones(y.shape[:-1] + (2, 2))
+        out[..., 0, 0], out[..., 0, 1], out[..., 1, 0] = np.sin(v), np.cos(u), 0.25 * u * v
+        return out
 
     def d1(y):
-        u, v = float(y[0]), float(y[1])
-        out = np.zeros((2, 2, 2))
-        out[0] = [[0.0, -math.sin(u)], [0.25 * v, 0.0]]
-        out[1] = [[math.cos(v), 0.0], [0.25 * u, 0.0]]
+        u, v = y[..., 0], y[..., 1]
+        out = np.zeros(y.shape[:-1] + (2, 2, 2))
+        out[..., 0, 0, 1], out[..., 0, 1, 0] = -np.sin(u), 0.25 * v
+        out[..., 1, 0, 0], out[..., 1, 1, 0] = np.cos(v), 0.25 * u
         return out
 
     def d2(y):
-        u, v = float(y[0]), float(y[1])
-        out = np.zeros((2, 2, 2, 2))
-        out[0, 0] = [[0.0, -math.cos(u)], [0.0, 0.0]]
-        out[0, 1] = [[0.0, 0.0], [0.25, 0.0]]
-        out[1, 0] = [[0.0, 0.0], [0.25, 0.0]]
-        out[1, 1] = [[-math.sin(v), 0.0], [0.0, 0.0]]
+        u, v = y[..., 0], y[..., 1]
+        out = np.zeros(y.shape[:-1] + (2, 2, 2, 2))
+        out[..., 0, 0, 0, 1], out[..., 1, 1, 0, 0] = -np.cos(u), -np.sin(v)
+        out[..., 0, 1, 1, 0] = out[..., 1, 0, 1, 0] = 0.25
         return out
 
     return VectorField(2, 2, func, deriv1=d1, deriv2=d2)

@@ -105,6 +105,20 @@ def gbm_strat_terminal(w_increment: float, y0: float) -> float:
     return y0 * math.exp(w_increment)
 
 
+def explosion_field(processed, state) -> np.ndarray:
+    """The blow-up driver's field at one state ``(1,)``, in per-state float arithmetic:
+    ``D*(y) (-sin lambda(y), cos lambda(y))`` with ``y`` clamped to 1 from below and
+    ``lambda`` the phase integral ``integral_1^y (A*/D*)^(1/beta)`` in closed form."""
+    (c_d, e_d), (c_a, e_a) = processed.d_law, processed.a_law
+    phase_c, phase_e = (c_a / c_d) ** (1.0 / processed.beta), (e_a - e_d) / processed.beta
+    y = max(float(state[0]), 1.0)
+    log_y = math.log(y)
+    lam = phase_c * (log_y if phase_e == -1.0
+                     else math.expm1((phase_e + 1.0) * log_y) / (phase_e + 1.0))
+    d_here = c_d * y**e_d
+    return np.array([[-math.sin(lam) * d_here, math.cos(lam) * d_here]])
+
+
 def milstein_step(y: float, dw: float, h: float) -> float:
     """One multiplicative-noise corrected step, written out by hand."""
     return y * (1.0 + dw + 0.5 * (dw * dw - h))
@@ -370,10 +384,10 @@ def riemann_area_recovery(path, area, i: int, j: int, n_list) -> np.ndarray:
     The sum at resolution N is ``sum_k (x(u_k) - x(s)) (x(u_{k+1}) - x(u_k))``
     over a uniform refinement of ``[s, t] = [times[i], times[j]]`` of the
     piecewise-linear path; the error is the max-entry distance to
-    ``area.pair(i, j)``, which refuses the indices unless ``0 <= i <= j`` lie
-    on the grid.
+    the area over the pair, which :meth:`AreaProcess.pairs` refuses unless
+    ``0 <= i <= j`` lie on the grid.
     """
-    target = area.pair(operator.index(i), operator.index(j))
+    target = area.pairs([operator.index(i)], [operator.index(j)])[0]
     xs = path.values[i]
     errors = np.empty(len(n_list))
     for m, n in enumerate(n_list):

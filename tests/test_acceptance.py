@@ -88,7 +88,7 @@ def test_criterion_01_area_consistency():
     riemann_gap = float(
         np.max(
             np.abs(
-                constructions["analytic"].pair(102, 461)
+                constructions["analytic"].pairs([102], [461])[0]
                 - oracles.richardson_area(
                     poly.value, poly_path.times[102], poly_path.times[461], 2**14
                 )

@@ -45,6 +45,16 @@ class TestClosedFormTerminals:
         got = gbm_terminal_stratonovich(path, 2.0)[0]
         assert got == pytest.approx(oracles.gbm_strat_terminal(w, 2.0), rel=1e-15)
 
+    def test_stratonovich_terminal_is_the_plain_exponential_bitwise(self, bm1, bm2):
+        # the two oracles share one body; rate.json records each by its own name
+        _, path, _ = bm1
+        dw = float(path.values[-1, 0] - path.values[0, 0])
+        assert gbm_terminal_stratonovich(path, [2.0]).tolist() == [2.0 * math.exp(dw)]
+        assert gbm_terminal_ito.__name__ == "gbm_terminal_ito"
+        assert gbm_terminal_stratonovich.__name__ == "gbm_terminal_stratonovich"
+        with pytest.raises(ValueError, match="one-dimensional"):
+            gbm_terminal_stratonovich(bm2[1], 1.0)
+
     def test_scalar_only(self, bm2):
         _, path, _, _ = bm2
         with pytest.raises(ValueError):
@@ -102,6 +112,16 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="at least 1"):
             convergence_study(gbm_field, path, np.array([1.0]), k_values=k_values,
                               reference=gbm_terminal_ito)
+
+    def test_fractional_mesh_sizes_refused(self, bm1, gbm_field):
+        _, path, _ = bm1
+        for ks in ([16.9, 32.2, 64.7], [16.0, 64.0]):
+            with pytest.raises(TypeError):
+                convergence_study(gbm_field, path, np.array([1.0]), k_values=ks,
+                                  reference=gbm_terminal_ito)
+        report = convergence_study(gbm_field, path, np.array([1.0]), reference=gbm_terminal_ito,
+                                   k_values=np.array([16, 64, 256], dtype=np.int32))
+        assert report.k_values.tolist() == [16, 64, 256]
 
     def test_negative_drop_coarsest_rejected(self, bm1, gbm_field):
         _, path, _ = bm1
@@ -597,8 +617,9 @@ class TestChenResiduals:
         want = np.empty(300)
         for m in range(300):
             i, j, k = np.sort(rng.choice(area.n_intervals + 1, size=3, replace=False))
-            combined = area.pair(i, j) + area.pair(j, k) + np.outer(x[j] - x[i], x[k] - x[j])
-            want[m] = np.max(np.abs(area.pair(i, k) - combined))
+            a_ij, a_jk, a_ik = area.pairs([i, j, i], [j, k, k])
+            combined = a_ij + a_jk + np.outer(x[j] - x[i], x[k] - x[j])
+            want[m] = np.max(np.abs(a_ik - combined))
         assert np.array_equal(chen_residuals(area, n_triples=300, seed=11), want)
 
     @pytest.mark.parametrize("n, n_triples", [
@@ -620,9 +641,10 @@ class TestChenResiduals:
             (i.tolist(), j.tolist()), (j.tolist(), k.tolist()), (i.tolist(), k.tolist())]
         assert drawn.bit_generator.state == looped.bit_generator.state
         x = path.values
-        want = [np.max(np.abs(area.pair(a, c) - (area.pair(a, b) + area.pair(b, c)
-                                                 + np.outer(x[b] - x[a], x[c] - x[b]))))
-                for a, b, c in zip(i, j, k)]
+        want = []
+        for a, b, c in zip(i, j, k):
+            a_ab, a_bc, a_ac = area.pairs([a, b, a], [b, c, c])
+            want.append(np.max(np.abs(a_ac - (a_ab + a_bc + np.outer(x[b] - x[a], x[c] - x[b])))))
         assert np.array_equal(res, want)
 
     @pytest.mark.parametrize("n_triples", [0, -3])

@@ -238,8 +238,8 @@ class TestAreaProcess:
 
     def test_adjacent_pair_is_the_stored_block(self, toy):
         _, area = toy
-        assert area.pair(5, 6) is not area.per_interval[5]
-        assert np.array_equal(area.pair(5, 6), area.per_interval[5])
+        assert area.pairs([5], [6])[0] is not area.per_interval[5]
+        assert np.array_equal(area.pairs([5], [6])[0], area.per_interval[5])
 
     def test_pair_equals_explicit_fold(self, toy):
         path, area = toy
@@ -247,11 +247,11 @@ class TestAreaProcess:
         acc = area.per_interval[3].copy()
         for k in range(4, 11):
             acc = chen_combine(acc, area.per_interval[k], x[k] - x[3], x[k + 1] - x[k])
-        assert np.allclose(area.pair(3, 11), acc, rtol=0, atol=1e-12)
+        assert np.allclose(area.pairs([3], [11])[0], acc, rtol=0, atol=1e-12)
 
     def test_empty_pair_is_zero(self, toy):
         _, area = toy
-        assert np.array_equal(area.pair(9, 9), np.zeros((2, 2)))
+        assert np.array_equal(area.pairs([9], [9])[0], np.zeros((2, 2)))
 
     def test_consistency_on_random_triples(self, toy):
         path, area = toy
@@ -260,9 +260,9 @@ class TestAreaProcess:
         for _ in range(50):
             i, j, k = np.sort(rng.choice(33, size=3, replace=False))
             combined = oracles.chen_reference(
-                area.pair(i, j), area.pair(j, k), x[j] - x[i], x[k] - x[j]
+                area.pairs([i], [j])[0], area.pairs([j], [k])[0], x[j] - x[i], x[k] - x[j]
             )
-            assert np.allclose(area.pair(i, k), combined, rtol=0, atol=1e-12)
+            assert np.allclose(area.pairs([i], [k])[0], combined, rtol=0, atol=1e-12)
 
     def test_pairs_match_pair_and_the_prefix_formula_bitwise(self, toy):
         path, area = toy
@@ -279,7 +279,7 @@ class TestAreaProcess:
             else:
                 want = area._prefix[b] - area._prefix[a] - np.outer(x[a] - x[0], x[b] - x[a])
             assert np.array_equal(got[m], want)
-            assert np.array_equal(got[m], area.pair(a, b))
+            assert np.array_equal(got[m], area.pairs([a], [b])[0])
 
     def test_adjacent_pairs_are_fresh_copies(self, toy):
         _, area = toy
@@ -295,7 +295,7 @@ class TestAreaProcess:
         with pytest.raises(IndexError, match="outside grid with 32 intervals"):
             area.pairs(i, j)
         with pytest.raises(IndexError):
-            area.pair(i[-1], j[-1])
+            area.pairs([i[-1]], [j[-1]])
 
     @pytest.mark.parametrize("i, j", [([1.7], [3.2]), (np.array([0.0]), [3]), ([True], [3])])
     def test_pairs_refuse_float_and_boolean_indices(self, toy, i, j):
@@ -303,7 +303,7 @@ class TestAreaProcess:
         with pytest.raises(TypeError, match="grid indices are integers"):
             area.pairs(i, j)
         with pytest.raises(TypeError):
-            area.pair(i[0], 3)
+            area.pairs([i[0]], [3])
         assert area.pairs([], []).shape == (0, 2, 2)
 
     def test_shape_and_kind_validation(self, toy):
@@ -344,18 +344,25 @@ class TestAreaProcess:
             want[k + 1] = want[k] + area.per_interval[k] + np.outer(x[k] - x[0], x[k + 1] - x[k])
         assert np.array_equal(area._prefix, want)
 
+    def test_prefix_is_built_on_the_first_query(self, toy):
+        path, area = toy
+        fresh = AreaProcess(path, area.per_interval, area.kind)
+        assert "_prefix" not in vars(fresh)
+        assert np.array_equal(fresh.pairs([3], [11]), area.pairs([3], [11]))
+        assert np.array_equal(vars(fresh)["_prefix"], area._prefix)
+
     def test_with_intervals_swaps_blocks_only(self, toy):
         path, area = toy
         other = AreaProcess(area.path, np.zeros((32, 2, 2)), "degenerate")
         assert other.kind == "degenerate"
         assert other.path is area.path
-        assert np.array_equal(other.pair(4, 5), np.zeros((2, 2)))
+        assert np.array_equal(other.pairs([4], [5])[0], np.zeros((2, 2)))
         # over longer spans only the cross terms of the fold remain
         x = path.values
         acc = np.zeros((2, 2))
         for k in range(1, 32):
             acc = acc + np.outer(x[k] - x[0], x[k + 1] - x[k])
-        assert np.allclose(other.pair(0, 32), acc, rtol=0, atol=1e-12)
+        assert np.allclose(other.pairs([0], [32])[0], acc, rtol=0, atol=1e-12)
 
 
 def _builtin_field(name: str, request) -> VectorField:
@@ -395,18 +402,6 @@ class TestVectorField:
             single = np.array([method(y) for y in states.reshape(-1, field.n)])
             assert batch.shape == states.shape[:-1] + single.shape[1:]
             assert batch.tobytes() == single.tobytes()
-
-    def test_per_row_user_field_is_looped(self, smooth22):
-        assert not smooth22.batched
-        states = _random_states(2)
-        for method in (smooth22.eval, smooth22.deriv1, smooth22.deriv2):
-            batch = method(states)
-            single = np.array([method(y) for y in states.reshape(-1, 2)])
-            assert batch.shape == states.shape[:-1] + single.shape[1:]
-            assert batch.tobytes() == single.tobytes()
-        bad = VectorField(n=2, d=2, func=lambda y: np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            bad.eval(states)
 
     @pytest.mark.parametrize("parts", [
         {"func": np.zeros((2, 3))},
@@ -465,8 +460,20 @@ class TestVectorField:
 
     def test_eval_rejects_wrong_output_shape(self):
         bad = VectorField(n=2, d=2, func=lambda y: np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            bad.eval(np.zeros(2))
+        for y in (np.zeros(2), np.zeros((4, 2))):
+            with pytest.raises(ValueError, match="field returned shape"):
+                bad.eval(y)
+
+    @pytest.mark.parametrize("n, d, error", [
+        (2.7, 1.2, TypeError), (2.0, 1, TypeError), (2, np.float64(1.0), TypeError),
+        (0, 1, ValueError), (2, -1, ValueError)])
+    def test_refuses_non_integral_or_empty_dimensions(self, n, d, error):
+        with pytest.raises(error):
+            VectorField(n, d, lambda y: np.zeros(y.shape[:-1] + (2, 1)))
+
+    def test_accepts_numpy_integer_dimensions(self):
+        field = VectorField(np.int64(2), np.uint8(1), np.zeros((2, 1)))
+        assert (field.n, field.d) == (2, 1) and type(field.n) is int
 
 
 class TestTrajectory:

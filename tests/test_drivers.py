@@ -209,7 +209,7 @@ class TestDegenerateArea:
         for i in range(18):
             for k in range(i + 1, 18):
                 want = -np.outer(x[i], x[k] - x[i])
-                assert np.allclose(area.pair(i, k), want, rtol=0, atol=1e-13)
+                assert np.allclose(area.pairs([i], [k])[0], want, rtol=0, atol=1e-13)
 
     def test_consistency_on_spiral_driver(self):
         path = _spiral_path(CounterexampleConfig(grid=2048), 0.0)
@@ -219,22 +219,22 @@ class TestDegenerateArea:
         for _ in range(100):
             i, j, k = np.sort(rng.choice(x.shape[0], size=3, replace=False))
             combined = oracles.chen_reference(
-                area.pair(i, j), area.pair(j, k), x[j] - x[i], x[k] - x[j]
+                area.pairs([i], [j])[0], area.pairs([j], [k])[0], x[j] - x[i], x[k] - x[j]
             )
-            assert np.allclose(area.pair(i, k), combined, rtol=0, atol=1e-15)
+            assert np.allclose(area.pairs([i], [k])[0], combined, rtol=0, atol=1e-15)
 
 
 class TestPolynomialArea:
     def test_monomial_pair_full_span(self, poly_pair):
         poly, path, area = poly_pair
         want = np.array([[0.5, 2.0 / 3.0], [1.0 / 3.0, 0.5]])
-        assert np.allclose(area.pair(0, path.n_intervals), want, rtol=0, atol=1e-12)
+        assert np.allclose(area.pairs([0], [path.n_intervals])[0], want, rtol=0, atol=1e-12)
 
     def test_fold_matches_direct_closed_form(self, poly_pair):
         poly, path, area = poly_pair
         t = path.times
         for i, k in [(0, 64), (17, 401), (100, 512)]:
-            assert np.allclose(area.pair(i, k), poly.area(t[i], t[k]),
+            assert np.allclose(area.pairs([i], [k])[0], poly.area(t[i], t[k]),
                                rtol=0, atol=1e-13)
 
     def test_area_on_arrays_is_the_scalar_area_per_interval(self, poly_pair):
@@ -633,6 +633,15 @@ class TestExplosionDriver:
         path = spiral_driver.path
         assert np.array_equal(path.values[-2:], np.zeros((2, 2)))
         assert path.times[-1] == pytest.approx(1.05 * spiral_driver.t_star, rel=1e-12)
+
+    def test_field_is_the_per_state_formula(self, spiral_driver):
+        """The batch field matches the per-state float formula on the construction
+        grid and on states below 1, where it is clamped to its value at 1."""
+        states = np.concatenate([spiral_driver.y_grid, np.linspace(-3.0, 1.0, 41)])[:, None]
+        got = spiral_driver.field.eval(states)
+        want = np.array([oracles.explosion_field(spiral_driver.processed, y) for y in states])
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
+        assert np.array_equal(got[-41:], np.broadcast_to(got[0], (41, 1, 2)))
 
     def test_polyline_integral_reproduces_state_growth(self, spiral_driver):
         """Integrate f(y(t)) dx along the shipped polyline and compare with

@@ -47,13 +47,10 @@ def _linear_field(matrix: np.ndarray) -> VectorField:
     n = m.shape[0]
 
     def func(y):
-        return (m @ y)[:, None]
+        return (m * y[..., None, :]).sum(-1)[..., None]
 
-    def deriv1(y):
-        out = np.zeros((n, n, 1))
-        for h in range(n):
-            out[h, :, 0] = m[:, h]
-        return out
+    def deriv1(y):  # D1[h, i, 0] = M[i, h]
+        return np.broadcast_to(m.T[:, :, None], y.shape[:-1] + (n, n, 1))
 
     return VectorField(n, 1, func, deriv1=deriv1)
 
@@ -62,43 +59,44 @@ def _linear_field_d(mats: np.ndarray) -> VectorField:
     """f(y)[:, j] = M_j y against a driver of dimension ``len(mats)``."""
     m = np.asarray(mats, dtype=float)
     d, n, _ = m.shape
-    return VectorField(n, d, lambda y: (m @ y).T,
-                       deriv1=lambda y: np.transpose(m, (2, 1, 0)).copy())
+    d1 = np.transpose(m, (2, 1, 0))
+    return VectorField(n, d, lambda y: (m * y[..., None, None, :]).sum(-1).swapaxes(-1, -2),
+                       deriv1=lambda y: np.broadcast_to(d1, y.shape[:-1] + d1.shape))
 
 
-def _tanh_field(mats: np.ndarray, layout: str) -> VectorField:
-    """f(y)[:, j] = M_j tanh(y), returned C-ordered, transposed or as a strided view."""
+def _tanh_field(mats: np.ndarray, layout: str = "C") -> VectorField:
+    """f(y)[:, j] = M_j tanh(y), returned C-ordered, transposed or as a strided view.
+
+    Each row of a batch is the elementwise product and last-axis sum it takes on
+    one state, so a batch maps bitwise row for row."""
     m = np.asarray(mats, dtype=float)
     d, n, _ = m.shape
     shapes = {
         "C": lambda f: np.ascontiguousarray(f),
         "transposed": lambda f: f,
-        "view": lambda f: np.repeat(f, 2, axis=1)[:, ::2],
+        "view": lambda f: np.repeat(f, 2, axis=-1)[..., ::2],
     }
 
     def func(y):
-        return shapes[layout]((m @ np.tanh(y)).T)
-
-    def deriv1(y):
-        return np.transpose(m, (2, 1, 0)) / np.cosh(y)[:, None, None] ** 2
-
-    return VectorField(n, d, func, deriv1=deriv1)
-
-
-def _batched_tanh_field(mats: np.ndarray) -> VectorField:
-    """The field of :func:`_tanh_field` on a batch of states in one call, each row as
-    the elementwise product and last-axis sum it takes on one state."""
-    m = np.asarray(mats, dtype=float)
-    d, n, _ = m.shape
-    rows = np.ascontiguousarray(np.transpose(m, (1, 0, 2)))  # rows[i, j] = M_j[i, :]
-
-    def func(y):
-        return (rows * np.tanh(y)[..., None, None, :]).sum(-1)
+        return shapes[layout]((m * np.tanh(y)[..., None, None, :]).sum(-1).swapaxes(-1, -2))
 
     def deriv1(y):
         return np.transpose(m, (2, 1, 0)) / np.cosh(y)[..., :, None, None] ** 2
 
-    return VectorField(n, d, func, deriv1=deriv1, batched=True)
+    return VectorField(n, d, func, deriv1=deriv1)
+
+
+def _per_state_tanh_field(mats: np.ndarray) -> VectorField:
+    """The field of :func:`_tanh_field` written for one state, as a matmul, and looped
+    over a batch one state at a time by ``np.vectorize``: a function written for one
+    state meets the batch contract that way."""
+    m = np.asarray(mats, dtype=float)
+    d, n, _ = m.shape
+    d1 = np.transpose(m, (2, 1, 0))
+    return VectorField(
+        n, d, np.vectorize(lambda y: (m @ np.tanh(y)).T, signature="(n)->(n,d)"),
+        deriv1=np.vectorize(lambda y: d1 / np.cosh(y)[:, None, None] ** 2,
+                            signature="(n)->(n,n,d)"))
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +142,7 @@ def _reference_magnitudes(traj, field, path, area, pairs) -> np.ndarray:
         f = np.ascontiguousarray(field.eval(y[k]))
         block = (x[idx[l]] - x[idx[k]])[:, None]
         if corrected:
-            block = np.hstack([block, area.pair(idx[k], idx[l])])
+            block = np.hstack([block, area.pairs([idx[k]], [idx[l]])[0]])
         w = f @ block
         y_l = y[k] + w[:, 0]
         if corrected:
@@ -483,7 +481,7 @@ class TestLockstepWalk:
 
     @pytest.mark.parametrize("n, d", [(1, 1), (2, 2), (3, 2), (2, 3)])
     def test_batched_tanh_rows_are_single_states(self, n, d):
-        field = _batched_tanh_field(np.random.default_rng(n + d).uniform(-1.5, 1.5, (d, n, n)))
+        field = _tanh_field(np.random.default_rng(n + d).uniform(-1.5, 1.5, (d, n, n)))
         y = np.random.default_rng(7).uniform(-1.0, 1.0, (8, n))
         assert np.array_equal(field.eval(y), np.stack([field.eval(v) for v in y]))
         assert np.array_equal(field.deriv1(y), np.stack([field.deriv1(v) for v in y]))
@@ -494,7 +492,7 @@ class TestLockstepWalk:
     def test_study_equals_sequential_solves(self, n, d, batched, scheme):
         rng = np.random.default_rng(10 * n + d)
         mats = rng.uniform(-1.5, 1.5, (d, n, n))
-        field = _batched_tanh_field(mats) if batched else _tanh_field(mats, "C")
+        field = _tanh_field(mats) if batched else _per_state_tanh_field(mats)
         path, area = _walk_driver(d)
         y0 = rng.uniform(-1.0, 1.0, n)
         ks = [4, 8, 16, 32, 64]
@@ -508,7 +506,7 @@ class TestLockstepWalk:
     @pytest.mark.parametrize("scheme", ["euler", "corrected"])
     def test_each_member_is_its_own_solve(self, scheme):
         path, area = _walk_driver(2)
-        field = _batched_tanh_field(np.random.default_rng(5).uniform(-1.5, 1.5, (2, 2, 2)))
+        field = _tanh_field(np.random.default_rng(5).uniform(-1.5, 1.5, (2, 2, 2)))
         y0 = np.array([0.3, -0.6])
         parts = [np.arange(0, 1025, 1024 // k) for k in (64, 4, 256, 4)] + [None]
         walked = _solve(field, path, area if scheme == "corrected" else None, y0, parts, 1e6)
@@ -520,7 +518,7 @@ class TestLockstepWalk:
 
     def test_duplicate_meshes(self):
         path, area = _walk_driver(2)
-        field = _batched_tanh_field(np.random.default_rng(3).uniform(-1.5, 1.5, (2, 2, 2)))
+        field = _tanh_field(np.random.default_rng(3).uniform(-1.5, 1.5, (2, 2, 2)))
         y0 = np.array([0.5, 0.1])
         ks = [16, 4, 16, 64, 4]
         report = convergence_study(field, path, y0, ks, "corrected", area)
@@ -578,8 +576,9 @@ class TestLockstepWalk:
             assert np.all(np.abs(y) <= 1.12), "a state past the threshold was stepped"
             return y[..., None].copy()
 
-        field = VectorField(1, 1, func, deriv1=lambda y: np.ones(y.shape[:-1] + (1, 1, 1)),
-                            batched=batched)
+        if not batched:  # a function of one state, looped over a batch
+            func = np.vectorize(func, signature="(n)->(n,d)")
+        field = VectorField(1, 1, func, deriv1=lambda y: np.ones(y.shape[:-1] + (1, 1, 1)))
         with pytest.raises(NumericsError, match="crossed the explosion threshold"):
             convergence_study(field, path, np.array([1.0]), [16, 64, 256], "corrected", area,
                               explosion_threshold=1.12)
@@ -587,8 +586,7 @@ class TestLockstepWalk:
     @pytest.mark.parametrize("cap", [1.05, 1.2, 1.4])
     def test_a_non_finite_member_raises_its_own_message(self, bm1, cap):
         _, path, _ = bm1
-        field = VectorField(1, 1, lambda y: np.where(y > cap, np.nan, y)[..., None],
-                            batched=True)
+        field = VectorField(1, 1, lambda y: np.where(y > cap, np.nan, y)[..., None])
         ks = [16, 64, 256]
         members = [(f"mesh k={k}", np.arange(0, path.n_intervals + 1, path.n_intervals // k))
                    for k in ks]
@@ -632,8 +630,7 @@ class TestStopRule:
     def _jump_field():
         """y, then 1e302 once y passes 1.05: one Euler step of 1/64 or 1/32 lands near
         1e300, finite with an infinite square."""
-        return VectorField(1, 1, lambda y: np.where(y > 1.05, 1e302, y)[..., None],
-                           batched=True)
+        return VectorField(1, 1, lambda y: np.where(y > 1.05, 1e302, y)[..., None])
 
     def test_a_finite_state_with_an_infinite_square_crosses_in_the_tail(self):
         with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
@@ -682,7 +679,7 @@ class TestStopRule:
         d1 = np.ascontiguousarray(gbm_field.deriv1(y).swapaxes(0, 1))
         for k in range(fine.exploded_at):  # the step as np.einsum contracts it
             w = gbm_field.eval(y) @ np.hstack([(path.values[k + 1] - path.values[k])[:, None],
-                                               area.pair(k, k + 1)])
+                                               area.pairs([k], [k + 1])[0]])
             y = y + w[:, 0] + np.einsum("ihj,hj->i", d1, np.ascontiguousarray(w[:, 1:]))
             want.append(y)
         assert np.array_equal(fine.states, np.array(want))
@@ -692,8 +689,7 @@ class TestStopRule:
         """y, but NaN for y in (1 + 1/64, (1 + 1/64)**2 + 1e-3): the 64-cell Euler walk
         from 1 goes non-finite at index 3, where the 16-cell one crosses 1.15."""
         lo, hi = 1 + 1 / 64, (1 + 1 / 64) ** 2 + 1e-3
-        return VectorField(1, 1, lambda y: np.where((y > lo) & (y < hi), np.nan, y)[..., None],
-                           batched=True)
+        return VectorField(1, 1, lambda y: np.where((y > lo) & (y < hi), np.nan, y)[..., None])
 
     def test_a_crossing_and_a_non_finite_state_in_one_round(self):
         field, path = self._nan_band_field(), self._ramp()
@@ -712,8 +708,8 @@ class TestStopRule:
 
 
 def _as_callables(field: VectorField) -> VectorField:
-    """``field`` with each constant part replaced by a batched callable returning the
-    same value for one state, broadcast over a batch of states."""
+    """``field`` with each constant part replaced by a callable returning the same
+    value for one state, broadcast over a batch of states."""
     def call(value):
         if value is None or callable(value):
             return value
@@ -721,7 +717,7 @@ def _as_callables(field: VectorField) -> VectorField:
                                                                      + value.shape)
 
     parts = (field._func, field._deriv1, field._deriv2)
-    return VectorField(field.n, field.d, *(call(v) for v in parts), batched=field.batched)
+    return VectorField(field.n, field.d, *(call(v) for v in parts))
 
 
 _TWIN_MATS = np.array([[[1.0, -0.5], [0.25, 2.0]], [[0.0, 0.75], [-1.5, 0.5]]])
@@ -741,7 +737,7 @@ class TestConstantDerivatives:
             "diagonal_linear": lambda: VectorField.diagonal_linear(2),
             "constant": lambda: VectorField.constant(_TWIN_MATS[0]),
             "general_linear": lambda: VectorField(
-                2, 2, lambda y: (_TWIN_MATS @ y).T, deriv1=np.transpose(_TWIN_MATS, (2, 1, 0)),
+                2, 2, _linear_field_d(_TWIN_MATS).eval, deriv1=np.transpose(_TWIN_MATS, (2, 1, 0)),
                 deriv2=np.zeros((2, 2, 2, 2))),
         }[name]()
         twin = _as_callables(field)
