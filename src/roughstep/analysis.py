@@ -11,7 +11,6 @@ interpretable without the code that made it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,6 +24,7 @@ from .core import (
     Trajectory,
     VectorField,
     _pair_max,
+    _size,
     chen_combine,
     control_fit,
 )
@@ -144,7 +144,7 @@ def convergence_study(
     excluded from the regression; if every mesh is exact the report says so
     instead of fitting a slope.
     """
-    ks = sorted(operator.index(k) for k in k_values)  # a fractional size is refused
+    ks = sorted(_size(k, "mesh size") for k in k_values)
     if len(ks) < 2:
         raise ValueError("need at least two mesh sizes")
     if ks[0] < 1:
@@ -301,9 +301,10 @@ def condition21_stat(
     """
     if not (0 < alpha < 1 and 0 < beta < 1):
         raise ValueError("alpha and beta must lie in (0, 1)")
+    window_cap = _size(window_cap, "window_cap")
     if window_cap < 1:
         raise ValueError(f"window_cap must be at least 1, got {window_cap}")
-    levels = sorted(set(int(j) for j in levels))
+    levels = sorted(set(_size(j, "level") for j in levels))
     depth = _dyadic_depth(area)
     if levels and levels[-1] > depth:
         raise ValueError(f"level {levels[-1]} finer than the grid (depth {depth})")
@@ -340,7 +341,7 @@ def condition21_stat(
         argmax=best_arg,
         levels=levels,
         per_level=per_level,
-        window_cap=int(window_cap),
+        window_cap=window_cap,
     )
 
 
@@ -591,6 +592,7 @@ def chen_residuals(
     ``b <= n - 1`` (``n - 1`` if it hits ``a``), ``c <= n`` (``n`` if it hits
     ``a`` or ``b``), then shuffle draws below 3 and 2: one ``integers`` call here.
     """
+    n_triples = _size(n_triples, "n_triples")
     if area.n_intervals < 2:
         raise ValueError("need at least two intervals to form a triple")
     if n_triples < 1:

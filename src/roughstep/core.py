@@ -54,6 +54,16 @@ class NumericsError(RuntimeError):
     """A solver or estimator produced a non-finite value it cannot explain."""
 
 
+def _size(value, name: str) -> int:
+    """``value`` as an ``int``; a float or a bool is refused with ``TypeError``."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be an integer, not a bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _float_array(values, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != ndim:
@@ -136,7 +146,7 @@ class ControlModulus:
         return float(out) if out.ndim == 0 else out
 
 
-_FIT_PAIRS = 2**14  # block pairs bounded per vectorized chunk
+_FIT_PAIRS = 2**14  # block or sub-block pairs bounded per vectorized chunk
 
 
 def _fit_block(n: int) -> int:  # samples per block in _pair_max on n samples
@@ -158,24 +168,43 @@ def _pair_max(v, p, weight, cap=None) -> tuple[float, int, int]:
     vectorized pass per gap.  The index range is cut into ``b``-sample
     blocks; a pair in blocks ``I < J`` has an increment of at most
     ``max(bmax_J - bmin_I, bmax_I - bmin_J)`` and a weight of at least the
-    one at the smallest gap.  Block pairs within the cap are evaluated in
-    full, largest such bound first, until a bound falls below the running
-    best; a bound equal to it is still visited, so that ties are seen.
-    Bounds are inflated by ``1 + 1e-12`` so that a last-ulp difference in
-    ``pow`` cannot prune the pair holding the maximum (a subnormal bound
-    stays tied, hence the tie visit), and they are kept only at or above an
-    attained lower bound (the increment over the widest gap within the cap),
-    which holds memory near linear in the block count.  The search starts
-    from ``(0, 1)`` at ratio 0, the first pair under the tie rule, so a zero
-    maximum is reported there.  Every ratio is formed by the same
-    elementwise operations and ``max`` is exact, so the result is bitwise
-    that of an all-pairs scan, whatever the block size.
+    one at the smallest gap.  Block pairs within the cap whose bound is at
+    or above an attained lower bound (the increment over the widest gap
+    within the cap) are kept, which holds memory near linear in the block
+    count.  Each kept block pair, largest bound first and while its bound
+    is at or above the running best, is split into sub-block pairs:
+    sub-blocks of ``s = max(1, b // 4)`` samples from each block's start,
+    the last one of a block allowed to be short.  Each sub-block pair is
+    bounded by the same rule (``-inf`` when its smallest gap is past the
+    cap), and those below the running best are dropped.  A block pair then
+    evaluates in full the smallest run of its sub-block rows against the
+    smallest run of its sub-block columns that holds every survivor, so it
+    is never more than one visit.  Block pairs go largest surviving bound
+    first, until that bound falls below the running best; a bound equal to
+    it is still visited, so that ties are seen.  Bounds are inflated by
+    ``1 + 1e-12`` so that a last-ulp difference in ``pow`` cannot prune the
+    pair holding the maximum (a subnormal bound stays tied, hence the tie
+    visits).  The search starts from ``(0, 1)`` at ratio 0, the first pair
+    under the tie rule, so a zero maximum is reported there.  Every ratio is
+    formed by the same elementwise operations and ``max`` is exact, so the
+    result is bitwise that of an all-pairs scan, whatever the block and
+    sub-block sizes.
 
-    Block rule ``b = min(64, max(1, isqrt(N) // 2))``: the one-gap passes
-    cost ``b`` sweeps and the bounds ``(N / b)^2`` block pairs.  Against a
-    fixed 64 it cuts the condition-2.1 scan by about a quarter.  The cap holds
-    the geometric control fits at 64: at 32,769 and 65,537 points blocks of
-    90 and 128 were slower.
+    Cost.  The one-gap passes are ``b`` sweeps, the block bounds cover
+    ``(N / b)^2`` block pairs (formed by broadcasting a chunk of rows against
+    every block, cheaper than gathering each pair's extrema) and each
+    refined block pair has ``ceil(b / s)^2`` sub-block pairs, 16 when 4
+    divides ``b``.  Block rule ``b = min(64, max(1, isqrt(N) // 2))``:
+    against a fixed 64 it cut the condition-2.1 scan by about a quarter, and
+    the cap holds the geometric control fits at 64 (at 32,769 and 65,537
+    points blocks of 90 and 128 were slower).  The two-level bound keeps the
+    visits small at the finest levels: on six level-12 Brownian
+    condition-2.1 prefixes (4,097 samples, ``b = 32``) 110-140 block pairs
+    survive the block bounds; visiting them whole evaluated 117,000-136,000
+    pairs, the runs of surviving sub-blocks 190-2,100.  Against sub-blocks
+    of ``b // 4``, ``b // 2`` was 10-14% slower at levels 10-12 and on a
+    Brownian level-12 control fit, ``b // 8`` 5-28% slower at levels 9-12
+    (but about 10% faster on that control fit).
     """
     v = np.ascontiguousarray(v)
     n = v.shape[1]
@@ -202,16 +231,26 @@ def _pair_max(v, p, weight, cap=None) -> tuple[float, int, int]:
         offer(num, ratio, gap, lambda a, gap=gap: (a, a + gap))
     starts = np.arange(0, n, block)
     ends = np.minimum(starts + block, n) - 1
-    bmin, bmax = np.minimum.reduceat(v, starts, axis=1), np.maximum.reduceat(v, starts, axis=1)
     nb = starts.size
+    # Sub-blocks of `sub` samples from each block's start.  One past the end
+    # of a short last block stands for its last sample (the column appended).
+    sub = max(1, block // 4)
+    s_lo = np.minimum(starts[:, None] + np.arange(0, block, sub), n)
+    ext = np.concatenate((v, v[:, -1:]), axis=1)
+    s_min = np.minimum.reduceat(ext, s_lo.ravel(), axis=1).reshape(-1, nb, s_lo.shape[1])
+    s_max = np.maximum.reduceat(ext, s_lo.ravel(), axis=1).reshape(s_min.shape)
+    s_lo = np.minimum(s_lo, n - 1)
+    s_hi = np.minimum(s_lo + sub - 1, ends[:, None])
+    bmin, bmax = s_min.min(axis=2), s_max.max(axis=2)
     step = max(1, _FIT_PAIRS // nb)
-    floor, kept = best[0], []
     blocks = np.arange(nb)
+    floor, kept = best[0], [(np.empty(0), blocks[:0], blocks[:0])]  # one block makes no pass
     for i0 in range(0, nb - 1, step):
-        rows = blocks[i0 : min(i0 + step, nb - 1), None]
-        ii, jj = np.nonzero((rows < blocks) & (starts - ends[rows] <= cap))
+        r = slice(i0, min(i0 + step, nb - 1))
+        ii, jj = np.nonzero((blocks[r, None] < blocks) & (starts - ends[r, None] <= cap))
+        reach = np.maximum(bmax[:, None] - bmin[:, r, None], bmax[:, r, None] - bmin[:, None])
+        reach = reach.max(axis=0)[ii, jj]
         ii += i0
-        reach = np.max(np.maximum(bmax[:, jj] - bmin[:, ii], bmax[:, ii] - bmin[:, jj]), axis=0)
         if p is not None:
             reach **= p
         lower = reach / weight(starts[ii], ends[jj])
@@ -221,19 +260,42 @@ def _pair_max(v, p, weight, cap=None) -> tuple[float, int, int]:
         upper = reach / weight(ends[ii], starts[jj]) * (1 + 1e-12)
         keep = (upper >= floor) & (upper > 0)  # zero ratios never beat the start (0, 1)
         kept.append((upper[keep], ii[keep], jj[keep]))
-    if kept:
-        upper, rows, cols = (np.concatenate(a) for a in zip(*kept))
-        for q in np.argsort(-upper, kind="stable"):
-            if upper[q] < best[0]:
+    upper, rows, cols = (np.concatenate(a) for a in zip(*kept))
+    order = np.argsort(-upper, kind="stable")
+    upper, rows, cols = upper[order], rows[order], cols[order]
+    step = max(1, _FIT_PAIRS // s_lo.shape[1] ** 2)
+    for q0 in range(0, upper.size, step):
+        if upper[q0] < best[0]:
+            break
+        ii, jj = rows[q0 : q0 + step], cols[q0 : q0 + step]
+        reach = np.max(np.maximum(s_max[:, jj, None, :] - s_min[:, ii, :, None],
+                                  s_max[:, ii, :, None] - s_min[:, jj, None, :]), axis=0)
+        if p is not None:
+            reach **= p
+        k, m = s_hi[ii][:, :, None], s_lo[jj][:, None, :]
+        bound = reach / weight(k, m) * (1 + 1e-12)
+        if cap < n - 1:
+            bound[m - k > cap] = -np.inf
+        # Each block pair visits the smallest run of its sub-block rows and
+        # columns that holds every survivor, so no more visits, nor pairs,
+        # than whole block pairs take: ties can keep every sub-block pair.
+        live = bound >= max(best[0], 5e-324)  # zero ratios never beat the start (0, 1)
+        top = np.where(live, bound, 0.0).max(axis=(1, 2))
+        in_i, in_j = live.any(axis=2), live.any(axis=1)
+        x0, x1 = in_i.argmax(axis=1), in_i.shape[1] - 1 - in_i[:, ::-1].argmax(axis=1)
+        y0, y1 = in_j.argmax(axis=1), in_j.shape[1] - 1 - in_j[:, ::-1].argmax(axis=1)
+        lo_i, hi_i = s_lo[ii, x0], s_hi[ii, x1] + 1
+        lo_j, hi_j = s_lo[jj, y0], s_hi[jj, y1] + 1
+        for t in np.argsort(-top, kind="stable"):
+            if top[t] < max(best[0], 5e-324):
                 break
-            i = slice(starts[rows[q]], ends[rows[q]] + 1)
-            j = slice(starts[cols[q]], ends[cols[q]] + 1)
+            i, j = slice(lo_i[t], hi_i[t]), slice(lo_j[t], hi_j[t])
             k, m = np.arange(i.start, i.stop)[:, None], np.arange(j.start, j.stop)
             num = np.abs(v[:, None, j] - v[:, i, None]).max(axis=0)
             if p is not None:
                 num = num**p
             ratio = num / weight(k, m)
-            if j.stop - i.start > cap + 1:  # the block pair straddles the cap
+            if j.stop - i.start > cap + 1:  # the visit straddles the cap
                 ratio[m - k > cap] = -np.inf
             shortest = j.start - i.stop + 1
             offer(num, ratio, shortest, lambda a, b, i=i, j=j: (a + i.start, b + j.start))
@@ -385,7 +447,7 @@ class VectorField:
         deriv1: Callable[[np.ndarray], np.ndarray] | np.ndarray | None = None,
         deriv2: Callable[[np.ndarray], np.ndarray] | np.ndarray | None = None,
     ):
-        self.n, self.d = operator.index(n), operator.index(d)  # a float is refused
+        self.n, self.d = _size(n, "n"), _size(d, "d")
         if min(self.n, self.d) < 1:
             raise ValueError(f"a field needs n, d >= 1, got n={self.n}, d={self.d}")
         self._func = _checked(func, (self.n, self.d), "field")

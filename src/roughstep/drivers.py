@@ -34,6 +34,7 @@ from .core import (
     GrowthEnvelope,
     Trajectory,
     VectorField,
+    _size,
 )
 
 __all__ = [
@@ -83,6 +84,8 @@ class BrownianConfig:
     substeps: int = 16
 
     def __post_init__(self):
+        for name in ("d", "level", "substeps"):
+            object.__setattr__(self, name, _size(getattr(self, name), name))
         if self.d < 1:
             raise ValueError("dimension must be at least 1")
         if not 1 <= self.level <= 24:
@@ -680,12 +683,13 @@ class ChainCurve:
     """
 
     def __init__(self, alpha: float, depth: int):
+        depth = _size(depth, "depth")
         if not 0.5 < alpha < 1:
             raise ValueError("alpha must lie in (1/2, 1)")
         if not 1 <= depth <= 8:
             raise ValueError("depth must lie in 1..8")
         self.alpha = float(alpha)
-        self.depth = int(depth)
+        self.depth = depth
         self.levels = _select_levels(alpha, depth)
         self.n_seq = [2 * k + 1 for k, _ in self.levels]
         self.m_seq = [m for _, m in self.levels]
@@ -987,9 +991,6 @@ class ExplosionDriver:
     def __iter__(self):
         # unpacks as (field, path, t_star) for callers that want the bare triple
         return iter((self.field, self.path, self.t_star))
-
-    def state_of_t(self, t) -> np.ndarray:
-        return np.exp(np.interp(t, self.t_grid, np.log(self.y_grid)))
 
     def state_trajectory(self) -> Trajectory:
         hit = np.flatnonzero(self.y_grid > _EXPLOSION_STATE)

@@ -3,7 +3,8 @@
 Everything in this module is deliberately written against plain numpy and
 math, never against the package under test, so each oracle fails or passes
 on its own arithmetic.  The stored-area oracles read the arrays of the
-package's path and area objects, and ``riemann_area_recovery`` measures its
+package's path and area objects, ``explosion_state_of_t`` reads the blow-up
+driver's construction grid, and ``riemann_area_recovery`` measures its
 sums against ``area.pair``, the quantity it checks.  Where an oracle has a
 tunable resolution the chosen value puts its own error several orders below
 the tolerance it backs.  Two helpers reshape the package's objects for tests
@@ -117,6 +118,12 @@ def explosion_field(processed, state) -> np.ndarray:
                      else math.expm1((phase_e + 1.0) * log_y) / (phase_e + 1.0))
     d_here = c_d * y**e_d
     return np.array([[-math.sin(lam) * d_here, math.cos(lam) * d_here]])
+
+
+def explosion_state_of_t(driver, t) -> np.ndarray:
+    """The blow-up driver's state at times ``t``: ``log y`` interpolated linearly
+    between the construction grid's ``(t_grid, y_grid)`` nodes."""
+    return np.exp(np.interp(t, driver.t_grid, np.log(driver.y_grid)))
 
 
 def milstein_step(y: float, dw: float, h: float) -> float:

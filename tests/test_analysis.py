@@ -123,6 +123,13 @@ class TestConvergenceStudy:
                                    k_values=np.array([16, 64, 256], dtype=np.int32))
         assert report.k_values.tolist() == [16, 64, 256]
 
+    def test_boolean_mesh_sizes_refused(self, bm1, gbm_field):
+        _, path, _ = bm1
+        for ks in ([True, 4, 8], [np.True_, 4]):
+            with pytest.raises(TypeError, match="mesh size must be an integer"):
+                convergence_study(gbm_field, path, np.array([1.0]), k_values=ks,
+                                  reference=gbm_terminal_ito)
+
     def test_negative_drop_coarsest_rejected(self, bm1, gbm_field):
         _, path, _ = bm1
         with pytest.raises(ValueError, match="drop_coarsest"):
@@ -351,7 +358,54 @@ class TestCondition21Exact:
         assert (stat.value, stat.argmax, stat.per_level) == _all_windows_stat(
             area, 0.25, 0.5, [3], 8)
 
-    @pytest.mark.parametrize("block", [1, 2, 64])
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 22, 64])
+    def test_sub_blocks_match_all_windows_scan(self, monkeypatch, areas10, block):
+        """Caps on both sides of the edges of sub-blocks (``max(1, block // 4)``
+        samples) and of blocks; every level's 2**j + 1 prefix samples leave a
+        short last block."""
+        monkeypatch.setattr(core, "_fit_block", lambda n: block)
+        sub = max(1, block // 4)
+        for cap in sorted({sub, sub + 1, block + sub - 1, block + sub + 1, 3 * block + 2}):
+            stat = condition21_stat(areas10[1], 0.45, 0.55, levels=[5, 8], window_cap=cap)
+            want = _all_windows_stat(areas10[1], 0.45, 0.55, [5, 8], cap)
+            assert (stat.value, stat.argmax, stat.per_level) == want
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 22, 64])
+    def test_tie_across_sub_blocks_goes_to_the_smallest_k(self, monkeypatch, block):
+        """Windows (3, 28) and (35, 60) sum to +25 and -25 over 25 blocks and tie
+        at beta 1/2; every other window has a smaller ratio."""
+        monkeypatch.setattr(core, "_fit_block", lambda n: block)
+        blocks = np.zeros(64)
+        blocks[3:28], blocks[35:60] = 1.0, -1.0
+        area = _flat_path_area(blocks)
+        stat = condition21_stat(area, 0.25, 0.5, levels=[6])
+        assert stat.value == 25 / (5 * (1 / 64) ** 0.5)
+        assert stat.argmax == (3, 28, 1 / 64)
+        assert (stat.value, stat.argmax, stat.per_level) == _all_windows_stat(
+            area, 0.25, 0.5, [6], 64)
+        second = condition21_stat(_flat_path_area(np.where(blocks < 0, blocks, 0.0)),
+                                  0.25, 0.5, levels=[6])
+        assert (second.value, second.argmax) == (stat.value, (35, 60, 1 / 64))
+
+    def test_visits_stay_pruned_at_level_12(self, areas12):
+        """Pairs evaluated in full on one level-12 prefix (4,097 samples): 192
+        after sub-block refinement, 116,736 with block pairs visited whole."""
+        prefix, h = oracles.level_prefix(areas12[0], 12)
+        pos = np.arange(prefix.shape[0])
+        table = np.array([w**0.55 for w in range(pos.size)]) * h ** 0.9
+        visited = 0
+
+        def weight(k, m):
+            nonlocal visited
+            if np.ndim(k) == 2:  # a visit: (a, 1) rows against (b,) columns
+                visited += np.broadcast(k, m).size
+            return table[pos[m] - pos[k]]
+
+        got = core._pair_max(prefix.reshape(pos.size, -1).T, None, weight, 2**12)
+        assert got[0] == condition21_stat(areas12[0], 0.45, 0.55, levels=[12]).value
+        assert 0 < visited <= 1000
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 22, 64])
     def test_flat_area_reports_the_first_window_of_the_coarsest_level(self, monkeypatch, block):
         """Every ratio is 0, a tie everywhere: the first window of the coarsest level wins."""
         monkeypatch.setattr(core, "_fit_block", lambda n: block)
@@ -379,6 +433,19 @@ class TestCondition21Exact:
         assert (stat.value, stat.argmax, stat.per_level) == _all_windows_stat(
             area, 0.5, beta, [level], 8)
 
+    def test_subnormal_tie_in_a_later_chunk(self, monkeypatch):
+        """Every window from k <= 4 to m >= 5 rounds to the same subnormal ratio.
+        With one-sample blocks and one pair per chunk, window (0, 5) is visited
+        first; the gap-1 window (4, 5) comes in a later chunk with a bound only
+        equal to that best, and is kept because it could still win the tie."""
+        monkeypatch.setattr(core, "_fit_block", lambda n: 1)
+        monkeypatch.setattr(core, "_FIT_PAIRS", 1)
+        area = _flat_path_area([0.0, 0.0, 0.0, 0.0, 1e-323, 0.0, 0.0, 0.0])
+        stat = condition21_stat(area, 0.5, 0.01, levels=[3])
+        assert stat.argmax[:2] == (4, 5)
+        assert (stat.value, stat.argmax, stat.per_level) == _all_windows_stat(
+            area, 0.5, 0.01, [3], 8)
+
     @settings(max_examples=150, deadline=None)
     @given(area=_random_areas(), alpha=st.floats(0.01, 0.99), beta=st.floats(0.01, 0.99),
            cap=st.integers(1, 300), block=st.integers(1, 70), chunk=st.integers(1, 40))
@@ -395,6 +462,13 @@ class TestCondition21Exact:
     def test_window_cap_below_one_refused(self, areas10):
         with pytest.raises(ValueError):
             condition21_stat(areas10[0], 0.45, 0.55, levels=range(4, 11), window_cap=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(levels=[2.7, 3]), dict(levels=[True, 3]), dict(window_cap=True),
+        dict(window_cap=64.0)], ids=["float-level", "bool-level", "bool-cap", "float-cap"])
+    def test_fractional_or_boolean_sizes_refused(self, areas10, kwargs):
+        with pytest.raises(TypeError, match="must be an integer"):
+            condition21_stat(areas10[0], 0.45, 0.55, **{"levels": [3], **kwargs})
 
 
 class TestRiemannRecovery:
@@ -607,6 +681,11 @@ class TestChenResiduals:
         area = AreaProcess(path, np.zeros((1, 1, 1)), "degenerate")
         with pytest.raises(ValueError):
             chen_residuals(area)
+
+    @pytest.mark.parametrize("n_triples", [True, 200.0])
+    def test_fractional_or_boolean_triple_count_refused(self, poly_pair, n_triples):
+        with pytest.raises(TypeError, match="n_triples must be an integer"):
+            chen_residuals(poly_pair[2], n_triples=n_triples)
 
     @pytest.mark.parametrize("which", ["ito", "strat"])
     def test_equals_the_per_triple_loop_bitwise(self, bm2, which):

@@ -107,6 +107,26 @@ def _all_lags_fit(path: DriverPath, p: float, first_lag: int = 1) -> float:
     return c
 
 
+def _all_pairs_argmax(path: DriverPath, p: float) -> tuple[float, int, int]:
+    """``(c, k, m)`` over every pair, unpruned, under ``core._pair_max``'s tie rule:
+    the smallest gap, then the larger increment, then the smallest ``k``."""
+    t, v = path.times, path.values
+    best = (0.0, 0, 1)
+    for lag in range(1, t.size):
+        inc = np.max(np.abs(v[lag:] - v[:-lag]), axis=1) ** p
+        ratio = inc / (t[lag:] - t[:-lag])
+        r = float(ratio.max())
+        if r > best[0]:
+            hit = np.flatnonzero(ratio == r)
+            k = int(hit[np.lexsort((hit, -inc[hit]))[0]])
+            best = (r, k, k + lag)
+    return best
+
+
+def _fit_argmax(path: DriverPath, p: float) -> tuple[float, int, int]:
+    return core._pair_max(path.values.T, p, lambda k, m: path.times[m] - path.times[k])
+
+
 @st.composite
 def _random_paths(draw):
     """Non-uniform grids of 2-300 points; cumulated draws give walks, runs and ties."""
@@ -182,6 +202,59 @@ class TestControlFitExact:
                           np.cumsum(rng.normal(size=(300, 2)), axis=0))
         monkeypatch.setattr(core, "_fit_block", lambda n: block)
         assert control_fit(path, 2.5).c == _all_lags_fit(path, 2.5)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 22, 64])
+    def test_sub_blocks_find_a_steep_rise(self, monkeypatch, block):
+        """A rise over samples 37-127 holds the maximum, wider than every block.
+
+        Sub-blocks have ``max(1, block // 4)`` samples from each block's start,
+        and 151 samples leave a short last block for every size here (23
+        samples at 64, so two of its four sub-blocks are missing).
+        """
+        rng = np.random.default_rng(block)
+        k = np.arange(151)
+        values = np.column_stack([np.clip(k - 37.0, 0.0, 90.0), np.zeros(151)])
+        values += 0.1 * np.cumsum(rng.normal(size=(151, 2)), axis=0)
+        path = DriverPath(np.cumsum(rng.uniform(0.5, 1.5, size=151)), values)
+        want = _all_pairs_argmax(path, 1.5)
+        assert want[2] - want[1] > 64
+        monkeypatch.setattr(core, "_fit_block", lambda n: block)
+        assert _fit_argmax(path, 1.5) == want
+        assert control_fit(path, 1.5).c == want[0]
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 22, 64])
+    def test_tie_across_sub_blocks_goes_to_the_smallest_k(self, monkeypatch, block):
+        """Two rises of 70 over 70 unit steps tie exactly at ratio 70**1.5 / 70;
+        (10, 80) and (220, 290) lie in different sub-blocks for every block size."""
+        k = np.arange(301.0)
+        rise = np.clip(k - 10, 0, 70) - np.clip(k - 80, 0, 140) / 2 + np.clip(k - 220, 0, 70)
+        path = DriverPath(k, rise - np.clip(k - 290, 0, None) / 2)
+        want = _all_pairs_argmax(path, 1.5)
+        assert want == (70**1.5 / 70, 10, 80)
+        second = DriverPath(k[150:], path.values[150:])  # the rise at 220, alone
+        assert _all_pairs_argmax(second, 1.5) == (want[0], 70, 140)
+        monkeypatch.setattr(core, "_fit_block", lambda n: block)
+        assert _fit_argmax(path, 1.5) == want
+
+    def test_ties_everywhere_visit_each_block_pair_once(self):
+        """On a unit-slope line at p = 1 every ratio is 1, so every sub-block pair
+        survives: a block pair is still one visit, not one per sub-block pair."""
+        t, visits = np.arange(300.0), 0
+
+        def weight(k, m):
+            nonlocal visits
+            visits += np.ndim(k) == 2  # a visit: (a, 1) rows against (b,) columns
+            return t[m] - t[k]
+
+        assert core._pair_max(t[None], 1.0, weight) == (1.0, 0, 1)
+        nb = -(-300 // core._fit_block(300))
+        assert 0 < visits <= nb * (nb - 1) // 2
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 22, 64])
+    def test_constant_path_reports_the_first_pair(self, monkeypatch, block):
+        monkeypatch.setattr(core, "_fit_block", lambda n: block)
+        path = DriverPath(np.arange(151.0), np.full((151, 2), 0.25))
+        assert _fit_argmax(path, 1.5) == (0.0, 0, 1) == _all_pairs_argmax(path, 1.5)
 
     @settings(max_examples=150, deadline=None)
     @given(path=_random_paths(), p=st.floats(1.0, 3.0),
@@ -470,6 +543,11 @@ class TestVectorField:
     def test_refuses_non_integral_or_empty_dimensions(self, n, d, error):
         with pytest.raises(error):
             VectorField(n, d, lambda y: np.zeros(y.shape[:-1] + (2, 1)))
+
+    @pytest.mark.parametrize("n, d", [(True, True), (2, False), (np.True_, 1)])
+    def test_refuses_boolean_dimensions(self, n, d):
+        with pytest.raises(TypeError, match="must be an integer, not a bool"):
+            VectorField(n, d, np.zeros((1, 1)))
 
     def test_accepts_numpy_integer_dimensions(self):
         field = VectorField(np.int64(2), np.uint8(1), np.zeros((2, 1)))

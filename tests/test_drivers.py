@@ -64,6 +64,17 @@ class TestBrownianPath:
         with pytest.raises(ValueError):
             BrownianConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(d=True, level=True, seed=1), dict(d=2, level=4.0, seed=1),
+        dict(d=1.5, level=4, seed=1), dict(d=1, level=4, seed=1, substeps=16.5)])
+    def test_config_refuses_fractional_or_boolean_sizes(self, kwargs):
+        with pytest.raises(TypeError, match="must be an integer"):
+            BrownianConfig(**kwargs)
+
+    def test_config_takes_numpy_integer_sizes_as_int(self):
+        cfg = BrownianConfig(d=np.int64(2), level=np.uint8(5), seed=1)
+        assert (cfg.d, cfg.level) == (2, 5) and type(cfg.level) is int
+
 
 class TestBrownianAreas:
     def test_diagonal_identity_is_exact(self, bm2):
@@ -399,6 +410,11 @@ _REACHABLE_LEVELS = [(3, 7), (3, 9)] + [(k, _chain_capacity(k)) for k in range(4
 
 
 class TestChainCurve:
+    @pytest.mark.parametrize("depth", [True, 4.0, 2.5])
+    def test_fractional_or_boolean_depth_refused(self, depth):
+        with pytest.raises(TypeError, match="depth must be an integer"):
+            ChainCurve(0.7, depth)
+
     def test_level_selection_golden(self, chain6):
         assert chain6.levels == [(3, 9), (3, 9), (5, 25), (6, 35), (7, 49), (6, 35)]
         assert chain6.total_cells == 121550625
@@ -614,7 +630,7 @@ class TestExplosionDriver:
         assert np.allclose(proc.astar(y) / proc.astar(1.0), y**0.4, rtol=1e-12)
 
     def test_state_interpolation_hits_grid_nodes(self, spiral_driver):
-        got = spiral_driver.state_of_t(spiral_driver.t_grid)
+        got = oracles.explosion_state_of_t(spiral_driver, spiral_driver.t_grid)
         assert np.allclose(got, spiral_driver.y_grid, rtol=1e-13)
 
     def test_threshold_crossing(self, spiral_driver):
@@ -653,10 +669,11 @@ class TestExplosionDriver:
         knots = np.concatenate([[t1], inner, [t2]])
         mids = 0.5 * (knots[:-1] + knots[1:])
         dx = spiral_driver.path.eval(knots[1:]) - spiral_driver.path.eval(knots[:-1])
-        rows = np.array([spiral_driver.field.eval(spiral_driver.state_of_t([m]))[0]
-                         for m in mids])
+        states = [oracles.explosion_state_of_t(spiral_driver, [m]) for m in mids]
+        rows = np.array([spiral_driver.field.eval(y)[0] for y in states])
         integral = float(np.sum(rows * dx))
-        dy = float(spiral_driver.state_of_t(t2) - spiral_driver.state_of_t(t1))
+        dy = float(oracles.explosion_state_of_t(spiral_driver, t2)
+                   - oracles.explosion_state_of_t(spiral_driver, t1))
         assert abs(integral - dy) <= 1e-6 * abs(dy)
 
     def test_variation_exponent_needs_room_below_beta(self):

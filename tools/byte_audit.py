@@ -4,11 +4,15 @@
 Usage, from the repository root::
 
     python3 tools/byte_audit.py OUT.json
+    python3 tools/byte_audit.py --diff A.json B.json
 
 Runs each job of ``perfbench.jobs.all_golden_jobs()`` once through
 ``roughstep.cli.main`` into a temporary directory and writes sorted JSON
 ``{job key: [exit code, [file, sha256], ...]}``.  Two trees that give the same
 behaviour write the same file, so ``cmp`` of two such files is the audit.
+``--diff`` runs no job: it prints one line per job whose exit code or any
+file's sha256 differs between two such records, naming what differs, or
+``identical``, and exits 1 or 0 accordingly.
 """
 
 import os
@@ -42,10 +46,31 @@ def audit(key: str, subcommand: str, config: dict, work: Path) -> list:
                    for p in files]
 
 
+def diff(a: dict, b: dict, names: list) -> list[str]:
+    """One line per job of records ``a`` and ``b``, called ``names``, whose exit code
+    or files differ."""
+    lines = []
+    for key in sorted(a.keys() | b.keys()):
+        if key not in a or key not in b:
+            lines.append(f"{key}: only in {names[key in b]}")
+            continue
+        (rc_a, *files_a), (rc_b, *files_b) = a[key], b[key]
+        sha_a, sha_b = dict(files_a), dict(files_b)
+        what = [f"exit {rc_a} -> {rc_b}"] if rc_a != rc_b else []
+        what += [f for f in sorted(sha_a.keys() | sha_b.keys()) if sha_a.get(f) != sha_b.get(f)]
+        if what:
+            lines.append(f"{key}: {', '.join(what)}")
+    return lines
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[0] == "--diff":
+        lines = diff(*(json.loads(Path(f).read_text()) for f in argv[1:]), argv[1:])
+        print("\n".join(lines) if lines else "identical")
+        return 1 if lines else 0
     if len(argv) != 1:
-        print(__doc__.strip().split("\n\n")[1].strip(), file=sys.stderr)
+        print("\n\n".join(__doc__.split("\n\n")[1:3]), file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         record = {job.key: audit(job.key, job.subcommand, job.config, Path(tmp))
