@@ -153,6 +153,7 @@ def convergence_study(
         raise ValueError("every mesh size must divide the driver grid")
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme tag {scheme!r}")
+    drop_coarsest = _size(drop_coarsest, "drop_coarsest")
     if drop_coarsest < 0:
         raise ValueError(f"drop_coarsest must be at least 0, got {drop_coarsest}")
     if scheme == "corrected" and area is None:
@@ -285,11 +286,13 @@ def condition21_stat(
     statistic is the largest ratio ``|P[m] - P[k]| / ((m - k)^beta h^(2 alpha))``
     over windows of at most ``window_cap`` blocks, with ``P`` the level's
     prefix sums and ``|.|`` the max-entry norm.  The search is the exact block
-    branch-and-bound of :func:`roughstep.core._pair_max`, so every window is
-    accounted for without scanning every window length, and each ratio is
-    bitwise the float ``mag / (w**beta * h ** (2 * alpha))``.  Tie rule: among
-    equal ratios the shortest window wins, then the larger magnitude, then
-    the smallest ``k``; across levels the coarsest level wins.
+    branch-and-bound of :func:`roughstep.core._pair_max` at ``p = 1``, so
+    every window is accounted for without scanning every window length, and
+    each ratio is bitwise the float ``mag / (w**beta * h ** (2 * alpha))``.
+    The cap is a weight of ``+inf`` for every longer window, which the
+    search leaves uncounted.  Tie rule: among equal ratios the shortest
+    window wins, then the larger magnitude, then the smallest ``k``; across
+    levels the coarsest level wins.
 
     Summation contract: the blocks are folded once, from the finest grid to
     the coarsest requested level, each fold the pairwise
@@ -327,8 +330,9 @@ def condition21_stat(
         np.cumsum(blocks, axis=0, out=prefix[1:])
         h = (times[-1] - times[0]) / 2**j
         table, pos = wb[: n + 1] * h ** (2 * alpha), np.arange(n + 1)
+        table[window_cap + 1 :] = math.inf  # windows past the cap are not counted
         level_best, k, m = _pair_max(
-            prefix.reshape(n + 1, -1).T, None, lambda k, m: table[pos[m] - pos[k]], window_cap
+            prefix.reshape(n + 1, -1).T, 1.0, lambda k, m: table[pos[m] - pos[k]]
         )
         per_level.insert(0, level_best)
         if level_best >= best_value:  # fine to coarse, so a tie goes to the coarser level
@@ -411,8 +415,8 @@ def explosion_criterion(
         raise ValueError(
             f"need p < gamma <= 1 + beta, got p={p}, gamma={gamma}, beta={env.beta}"
         )
-    if r_max < 1e3:
-        raise ValueError("r_max must be at least 1e3")
+    if not 1e3 <= r_max < math.inf:
+        raise ValueError(f"r_max must be finite and at least 1e3, got {r_max}")
     env.validate()
     beta = env.beta
     n_oct = int(math.floor(math.log2(r_max)))
@@ -557,6 +561,7 @@ def holder_estimate(path: DriverPath, n_resample: int = 4096) -> float:
     """
     if path.times.size < 64:
         raise ValueError("need at least 64 samples for a regularity fit")
+    n_resample = _size(n_resample, "n_resample")
     if n_resample < 3:
         raise ValueError(f"need n_resample >= 3 for two lags to fit, got {n_resample}")
     t = np.linspace(path.times[0], path.times[-1], n_resample + 1)

@@ -134,8 +134,8 @@ class ControlModulus:
     def __post_init__(self):
         if not (self.c >= 0 and math.isfinite(self.c)):
             raise ValueError(f"control constant must be finite and >= 0, got {self.c}")
-        if not (self.p > 0):
-            raise ValueError(f"variation exponent must be positive, got {self.p}")
+        if not 0 < self.p < math.inf:
+            raise ValueError(f"variation exponent must be positive and finite, got {self.p}")
 
     def omega(self, s, t):
         """Evaluate the control; accepts scalars or broadcastable arrays."""
@@ -153,14 +153,16 @@ def _fit_block(n: int) -> int:  # samples per block in _pair_max on n samples
     return min(64, max(1, math.isqrt(n) // 2))
 
 
-def _pair_max(v, p, weight, cap=None) -> tuple[float, int, int]:
+def _pair_max(v, p, weight) -> tuple[float, int, int]:
     """Exact ``max over k < m`` of ``max_c |v[c, m] - v[c, k]|^p / weight(k, m)``.
 
-    ``v`` has shape ``(c, N)``; ``p=None`` leaves the increment unpowered.
-    ``weight(k, m)`` gives positive weights for every pair, never decreasing
-    as ``[k, m]`` widens; ``k`` and ``m`` are broadcastable index arrays or,
-    in the one-gap passes, the slices ``[0, N - gap)`` and ``[gap, N)``.
-    Only pairs with ``m - k <= cap`` count.
+    ``v`` has shape ``(c, N)``.  ``weight(k, m)`` gives a positive weight for
+    every pair, never decreasing as ``[k, m]`` widens; ``k`` and ``m`` are
+    broadcastable index arrays or, in the one-gap passes, the slices
+    ``[0, N - gap)`` and ``[gap, N)``.  A weight of ``+inf`` means the pair
+    is not counted: its ratio is 0, which never displaces the start pair
+    (below), and a block or sub-block bound whose smallest gap weighs
+    ``+inf`` is 0, which is pruned.  A window cap is such a weight.
     Returns ``(ratio, k, m)``.  Among equal ratios the smallest gap ``m - k``
     wins, then the larger increment, then the smallest ``k``.
 
@@ -168,15 +170,14 @@ def _pair_max(v, p, weight, cap=None) -> tuple[float, int, int]:
     vectorized pass per gap.  The index range is cut into ``b``-sample
     blocks; a pair in blocks ``I < J`` has an increment of at most
     ``max(bmax_J - bmin_I, bmax_I - bmin_J)`` and a weight of at least the
-    one at the smallest gap.  Block pairs within the cap whose bound is at
-    or above an attained lower bound (the increment over the widest gap
-    within the cap) are kept, which holds memory near linear in the block
-    count.  Each kept block pair, largest bound first and while its bound
-    is at or above the running best, is split into sub-block pairs:
-    sub-blocks of ``s = max(1, b // 4)`` samples from each block's start,
-    the last one of a block allowed to be short.  Each sub-block pair is
-    bounded by the same rule (``-inf`` when its smallest gap is past the
-    cap), and those below the running best are dropped.  A block pair then
+    one at the smallest gap.  Block pairs whose bound is positive and at or
+    above an attained lower bound (the ratio over the widest gap) are kept,
+    which holds memory near linear in the block count.  Each kept block
+    pair, largest bound first and while its bound is at or above the
+    running best, is split into sub-block pairs: sub-blocks of
+    ``s = max(1, b // 4)`` samples from each block's start, the last one of
+    a block allowed to be short.  Each sub-block pair is bounded by the same
+    rule, and those below the running best are dropped.  A block pair then
     evaluates in full the smallest run of its sub-block rows against the
     smallest run of its sub-block columns that holds every survivor, so it
     is never more than one visit.  Block pairs go largest surviving bound
@@ -209,7 +210,6 @@ def _pair_max(v, p, weight, cap=None) -> tuple[float, int, int]:
     v = np.ascontiguousarray(v)
     n = v.shape[1]
     block = _fit_block(n)
-    cap = n - 1 if cap is None else min(int(cap), n - 1)
     # (ratio, -gap, increment, -k): the largest wins.
     best = (0.0, -1, 0.0, 0)
 
@@ -223,10 +223,8 @@ def _pair_max(v, p, weight, cap=None) -> tuple[float, int, int]:
             i = np.lexsort((k, -num, m - k))[0]
             best = max(best, (r, int(k[i] - m[i]), float(num[i]), -int(k[i])))
 
-    for gap in range(1, min(block, cap + 1)):
-        num = np.max(np.abs(v[:, gap:] - v[:, :-gap]), axis=0)
-        if p is not None:
-            num = num**p
+    for gap in range(1, min(block, n)):
+        num = np.max(np.abs(v[:, gap:] - v[:, :-gap]), axis=0) ** p
         ratio = num / weight(slice(0, n - gap), slice(gap, n))
         offer(num, ratio, gap, lambda a, gap=gap: (a, a + gap))
     starts = np.arange(0, n, block)
@@ -247,16 +245,12 @@ def _pair_max(v, p, weight, cap=None) -> tuple[float, int, int]:
     floor, kept = best[0], [(np.empty(0), blocks[:0], blocks[:0])]  # one block makes no pass
     for i0 in range(0, nb - 1, step):
         r = slice(i0, min(i0 + step, nb - 1))
-        ii, jj = np.nonzero((blocks[r, None] < blocks) & (starts - ends[r, None] <= cap))
+        ii, jj = np.nonzero(blocks[r, None] < blocks)
         reach = np.maximum(bmax[:, None] - bmin[:, r, None], bmax[:, r, None] - bmin[:, None])
         reach = reach.max(axis=0)[ii, jj]
+        reach **= p
         ii += i0
-        if p is not None:
-            reach **= p
-        lower = reach / weight(starts[ii], ends[jj])
-        if cap < n - 1:
-            lower = lower[ends[jj] - starts[ii] <= cap]
-        floor = max(floor, float(lower.max(initial=-math.inf)))
+        floor = max(floor, float((reach / weight(starts[ii], ends[jj])).max()))
         upper = reach / weight(ends[ii], starts[jj]) * (1 + 1e-12)
         keep = (upper >= floor) & (upper > 0)  # zero ratios never beat the start (0, 1)
         kept.append((upper[keep], ii[keep], jj[keep]))
@@ -270,12 +264,8 @@ def _pair_max(v, p, weight, cap=None) -> tuple[float, int, int]:
         ii, jj = rows[q0 : q0 + step], cols[q0 : q0 + step]
         reach = np.max(np.maximum(s_max[:, jj, None, :] - s_min[:, ii, :, None],
                                   s_max[:, ii, :, None] - s_min[:, jj, None, :]), axis=0)
-        if p is not None:
-            reach **= p
-        k, m = s_hi[ii][:, :, None], s_lo[jj][:, None, :]
-        bound = reach / weight(k, m) * (1 + 1e-12)
-        if cap < n - 1:
-            bound[m - k > cap] = -np.inf
+        reach **= p
+        bound = reach / weight(s_hi[ii][:, :, None], s_lo[jj][:, None, :]) * (1 + 1e-12)
         # Each block pair visits the smallest run of its sub-block rows and
         # columns that holds every survivor, so no more visits, nor pairs,
         # than whole block pairs take: ties can keep every sub-block pair.
@@ -291,12 +281,8 @@ def _pair_max(v, p, weight, cap=None) -> tuple[float, int, int]:
                 break
             i, j = slice(lo_i[t], hi_i[t]), slice(lo_j[t], hi_j[t])
             k, m = np.arange(i.start, i.stop)[:, None], np.arange(j.start, j.stop)
-            num = np.abs(v[:, None, j] - v[:, i, None]).max(axis=0)
-            if p is not None:
-                num = num**p
+            num = np.abs(v[:, None, j] - v[:, i, None]).max(axis=0) ** p
             ratio = num / weight(k, m)
-            if j.stop - i.start > cap + 1:  # the visit straddles the cap
-                ratio[m - k > cap] = -np.inf
             shortest = j.start - i.stop + 1
             offer(num, ratio, shortest, lambda a, b, i=i, j=j: (a + i.start, b + j.start))
     k = -best[3]
@@ -311,8 +297,8 @@ def control_fit(path: DriverPath, p: float) -> ControlModulus:
     for the sampled grid: :func:`_pair_max` returns bitwise the value of an
     all-pairs scan.
     """
-    if not p > 0:
-        raise ValueError("p must be positive")
+    if not 0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
     t = path.times
     c, _, _ = _pair_max(path.values.T, p, lambda k, m: t[m] - t[k])
     return ControlModulus(c=c, p=float(p))

@@ -729,6 +729,7 @@ class ChainCurve:
 
     def sample(self, n_samples: int = 2**14) -> DriverPath:
         """Uniform-grid sample of 2 to 2**16 points as a DriverPath."""
+        n_samples = _size(n_samples, "n_samples")
         if not 2 <= n_samples <= 2**16:
             raise ValueError(f"need 2 to 2**16 samples, got {n_samples}")
         times = np.linspace(0.0, 1.0, n_samples)
@@ -751,6 +752,7 @@ class ChainCurve:
         any other bit generator makes those scalar calls.  Pairs are evaluated
         ``_BAND_BLOCK`` at a time; ``n_pairs`` is 1 to 2**20.
         """
+        n_pairs = _size(n_pairs, "n_pairs")
         if not 1 <= n_pairs <= 2**20:
             raise ValueError(f"need 1 to 2**20 query pairs, got {n_pairs}")
         if self.depth < 2:

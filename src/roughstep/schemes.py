@@ -34,6 +34,7 @@ from .core import (
     NumericsError,
     Trajectory,
     VectorField,
+    _size,
     control_fit,
 )
 
@@ -345,6 +346,7 @@ def augmented_solve(
 
 def window_pairs(n_points: int, max_span: int) -> np.ndarray:
     """All index pairs (k, l), k < l <= k + max_span, as an (m, 2) array sorted by k, l."""
+    n_points, max_span = _size(n_points, "n_points"), _size(max_span, "max_span")
     k = np.arange(n_points - 1)[:, None]
     l = k + np.arange(1, min(max_span, n_points - 1) + 1)
     keep = l < n_points
@@ -354,8 +356,10 @@ def window_pairs(n_points: int, max_span: int) -> np.ndarray:
 def _defect_pairs(
     n_points: int, gamma: float, p: float, corrected: bool, area, pairs, max_span: int
 ) -> tuple[np.ndarray, str]:
-    """The checked pairs of a defect report and its policy name; ``ValueError`` for
-    arguments :func:`defect` cannot use, ``IndexError`` for a pair outside the trajectory."""
+    """The checked pairs of a defect report and its policy name; ``TypeError`` for a
+    float or boolean ``max_span`` or pair index, ``ValueError`` for other arguments
+    :func:`defect` cannot use, ``IndexError`` for a pair outside the trajectory."""
+    max_span = _size(max_span, "max_span")
     if not (0 < gamma < np.inf and 0 < p < np.inf):
         raise ValueError("gamma and p must be finite and positive")
     if area is None and (corrected or gamma > 2):

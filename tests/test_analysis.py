@@ -130,6 +130,15 @@ class TestConvergenceStudy:
                 convergence_study(gbm_field, path, np.array([1.0]), k_values=ks,
                                   reference=gbm_terminal_ito)
 
+    @pytest.mark.parametrize("drop", [True, 1.5, 2.0])
+    def test_fractional_or_boolean_drop_coarsest_refused(self, bm1, gbm_field, drop):
+        """``True`` would be reported as ``n_dropped=True``, and a float as a slice bound
+        fails only when the fit has meshes to drop."""
+        _, path, _ = bm1
+        with pytest.raises(TypeError, match="drop_coarsest must be an integer"):
+            convergence_study(gbm_field, path, np.array([1.0]), k_values=[16, 32, 64, 128, 256],
+                              reference=gbm_terminal_ito, drop_coarsest=drop)
+
     def test_negative_drop_coarsest_rejected(self, bm1, gbm_field):
         _, path, _ = bm1
         with pytest.raises(ValueError, match="drop_coarsest"):
@@ -276,9 +285,10 @@ def _refold_stat(area, alpha, beta, levels, window_cap=2**12):
         prefix, h = oracles.level_prefix(area, j)
         n = prefix.shape[0] - 1
         table = np.array([w**beta * h ** (2 * alpha) for w in range(n + 1)])
+        table[window_cap + 1 :] = math.inf
         pos = np.arange(n + 1)
         best, k, m = core._pair_max(
-            prefix.reshape(n + 1, -1).T, None, lambda k, m: table[pos[m] - pos[k]], window_cap
+            prefix.reshape(n + 1, -1).T, 1.0, lambda k, m: table[pos[m] - pos[k]]
         )
         per_level.append(best)
         if best > value:
@@ -401,7 +411,7 @@ class TestCondition21Exact:
                 visited += np.broadcast(k, m).size
             return table[pos[m] - pos[k]]
 
-        got = core._pair_max(prefix.reshape(pos.size, -1).T, None, weight, 2**12)
+        got = core._pair_max(prefix.reshape(pos.size, -1).T, 1.0, weight)
         assert got[0] == condition21_stat(areas12[0], 0.45, 0.55, levels=[12]).value
         assert 0 < visited <= 1000
 
@@ -584,6 +594,13 @@ class TestExplosionCriterion:
         with pytest.raises(ValueError):
             explosion_criterion(env, 1.5, 1.7, r_max=100.0)
 
+    @pytest.mark.parametrize("r_max", [math.inf, math.nan])
+    def test_non_finite_r_max_refused(self, r_max):
+        """Named as a bad argument, not an overflow in the octave count."""
+        env = power_law_envelope(1.2, 0.4, 0.8)
+        with pytest.raises(ValueError, match="r_max must be finite"):
+            explosion_criterion(env, 1.5, 1.7, r_max=r_max)
+
     def test_report_serializes(self):
         payload = self._report(1.2, 0.4).to_dict()
         assert payload["verdict"] in ("diverges-trend", "converges")
@@ -661,6 +678,12 @@ class TestHolderEstimate:
         with pytest.raises(ValueError, match="n_resample >= 3"):
             holder_estimate(path, n_resample=n_resample)
         assert math.isfinite(holder_estimate(path, n_resample=3))
+
+    @pytest.mark.parametrize("n_resample", [True, 4096.0, 100.5])
+    def test_fractional_or_boolean_resample_count_refused(self, bm1, n_resample):
+        _, path, _ = bm1
+        with pytest.raises(TypeError, match="n_resample must be an integer"):
+            holder_estimate(path, n_resample=n_resample)
 
 
 class TestChenResiduals:

@@ -107,12 +107,14 @@ def _all_lags_fit(path: DriverPath, p: float, first_lag: int = 1) -> float:
     return c
 
 
-def _all_pairs_argmax(path: DriverPath, p: float) -> tuple[float, int, int]:
+def _all_pairs_argmax(path: DriverPath, p: float, max_gap: int | None = None
+                      ) -> tuple[float, int, int]:
     """``(c, k, m)`` over every pair, unpruned, under ``core._pair_max``'s tie rule:
-    the smallest gap, then the larger increment, then the smallest ``k``."""
+    the smallest gap, then the larger increment, then the smallest ``k``.  Only gaps
+    up to ``max_gap`` count when it is given."""
     t, v = path.times, path.values
     best = (0.0, 0, 1)
-    for lag in range(1, t.size):
+    for lag in range(1, t.size if max_gap is None else min(t.size, max_gap + 1)):
         inc = np.max(np.abs(v[lag:] - v[:-lag]), axis=1) ** p
         ratio = inc / (t[lag:] - t[:-lag])
         r = float(ratio.max())
@@ -256,6 +258,27 @@ class TestControlFitExact:
         path = DriverPath(np.arange(151.0), np.full((151, 2), 0.25))
         assert _fit_argmax(path, 1.5) == (0.0, 0, 1) == _all_pairs_argmax(path, 1.5)
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 22, 64])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([1.0, 1.5, 2.5]))
+    def test_infinite_weight_leaves_the_pair_out(self, block, data, p):
+        """A weight of ``+inf`` past a random gap is a window cap: the search must
+        give the all-pairs maximum over the gaps within it, value and argmax."""
+        n, d = data.draw(st.integers(2, 300)), data.draw(st.integers(1, 3))
+        gaps = data.draw(hnp.arrays(np.float64, n, elements=st.floats(1e-3, 10.0)))
+        steps = data.draw(hnp.arrays(np.float64, (n, d), elements=st.floats(-10.0, 10.0)))
+        path = DriverPath(np.cumsum(gaps), np.cumsum(steps, axis=0))
+        cap, t, pos = data.draw(st.integers(1, n - 1)), path.times, np.arange(n)
+
+        def weight(k, m):
+            return np.where(pos[m] - pos[k] <= cap, t[m] - t[k], math.inf)
+
+        want = _all_pairs_argmax(path, p, max_gap=cap)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_fit_block", lambda n: block)
+            mp.setattr(core, "_FIT_PAIRS", 1)
+            assert core._pair_max(path.values.T, p, weight) == want
+
     @settings(max_examples=150, deadline=None)
     @given(path=_random_paths(), p=st.floats(1.0, 3.0),
            block=st.integers(4, 70), chunk=st.integers(1, 40))
@@ -282,6 +305,16 @@ class TestControlModulus:
     def test_parameter_validation(self, c, p):
         with pytest.raises(ValueError):
             ControlModulus(c=c, p=p)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_non_finite_exponent_refused(self, p):
+        """On a path whose increments are all below 1, ``|dx|^inf`` is 0 everywhere:
+        a fit at p = inf would report ``c = 0`` as if the path were constant."""
+        with pytest.raises(ValueError, match="variation exponent must be positive and finite"):
+            ControlModulus(c=1.0, p=p)
+        path = DriverPath(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 0.5, 9))
+        with pytest.raises(ValueError, match="p must be positive and finite"):
+            control_fit(path, p)
 
 
 class TestChenCombine:

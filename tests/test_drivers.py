@@ -456,6 +456,17 @@ class TestChainCurve:
         with pytest.raises(ValueError, match=f"cannot reach m={m} at k={k}"):
             drivers._corner_chain(k, m)
 
+    @pytest.mark.parametrize("call", [
+        lambda curve: curve.band_stats(True, np.random.default_rng(0)),
+        lambda curve: curve.band_stats(100.0, np.random.default_rng(0)),
+        lambda curve: curve.sample(True),
+        lambda curve: curve.sample(257.0),
+    ], ids=["bool-pairs", "float-pairs", "bool-samples", "float-samples"])
+    def test_fractional_or_boolean_counts_refused(self, chain6, call):
+        """``band_stats(True, rng)`` would draw one pair."""
+        with pytest.raises(TypeError, match="n_(pairs|samples) must be an integer"):
+            call(chain6)
+
     def test_band_stats_refuse_depth_one(self):
         with pytest.raises(ValueError, match="depth"):
             ChainCurve(0.7, 1).band_stats(10, np.random.default_rng(0))

@@ -776,6 +776,13 @@ class TestWindowPairs:
         assert np.max(got[:, 1] - got[:, 0]) == 16
 
     @pytest.mark.parametrize("n_points, max_span", [
+        (5, 2.5), (5, True), (5.0, 2), (True, 2)])
+    def test_fractional_or_boolean_sizes_refused(self, n_points, max_span):
+        """``window_pairs(5, 2.5)`` would give float pairs spanning 3."""
+        with pytest.raises(TypeError, match="(n_points|max_span) must be an integer"):
+            window_pairs(n_points, max_span)
+
+    @pytest.mark.parametrize("n_points, max_span", [
         (0, 4), (2, 1), (7, 3), (10, 9), (10, 10), (6, 50), (300, 16), (65, 64)])
     def test_matches_brute_force_enumeration(self, n_points, max_span):
         want = [(k, l) for k in range(n_points) for l in range(k + 1, n_points)
@@ -1017,6 +1024,16 @@ class TestDefect:
         traj = euler_solve(gbm_field, sub, np.array([1.0]))
         with pytest.raises(TypeError, match="explicit pairs are integer indices"):
             defect(traj, gbm_field, sub, gamma=1.5, p=2.5, pairs=pairs)
+
+
+    @pytest.mark.parametrize("max_span", [True, 8.0])
+    def test_fractional_or_boolean_max_span_refused(self, bm1, gbm_field, max_span):
+        """``max_span=True`` would check span-1 pairs only."""
+        _, path, _ = bm1
+        sub = oracles.subsample(path, 32)
+        traj = euler_solve(gbm_field, sub, np.array([1.0]))
+        with pytest.raises(TypeError, match="max_span must be an integer"):
+            defect(traj, gbm_field, sub, gamma=1.5, p=2.5, max_span=max_span)
 
 
 class TestAreaBinding:
