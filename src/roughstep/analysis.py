@@ -430,7 +430,7 @@ def explosion_criterion(
     lo = np.ldexp(1.0, np.arange(n_oct))
     mid, half = 1.5 * lo, 0.5 * lo
     rows = integrand((mid[:, None] + half[:, None] * _GAUSS_NODES).ravel()).reshape(n_oct, -1)
-    partials = half * np.array([np.dot(_GAUSS_WEIGHTS, row) for row in rows])
+    partials = half * np.vecdot(rows, _GAUSS_WEIGHTS)
     if np.any(~np.isfinite(partials)) or np.any(partials <= 0):
         raise ValueError("criterion integrand must be positive and finite")
 

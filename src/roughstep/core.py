@@ -337,10 +337,10 @@ class AreaProcess:
     downstream defect reports rely on.
 
     ``kind`` tags the construction ("ito", "stratonovich", "degenerate",
-    "analytic", "perturbed") and is carried through serialization untouched.
+    "analytic") and is carried through serialization untouched.
     """
 
-    KINDS = ("ito", "stratonovich", "degenerate", "analytic", "perturbed")
+    KINDS = ("ito", "stratonovich", "degenerate", "analytic")
 
     def __init__(self, path: DriverPath, per_interval: np.ndarray, kind: str):
         per_interval = np.asarray(per_interval, dtype=float)

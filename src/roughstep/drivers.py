@@ -92,8 +92,8 @@ class BrownianConfig:
             raise ValueError("level must be between 1 and 24")
         if self.substeps < 2:
             raise ValueError("substeps must be at least 2")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
 
     @property
     def n_intervals(self) -> int:
@@ -270,7 +270,10 @@ class PolynomialPath:
 
 def analytic_area(poly: PolynomialPath, path: DriverPath) -> AreaProcess:
     """Exact per-interval area blocks of a polynomial path on the grid of ``path``,
-    which is trusted to come from ``poly.sample``; only its times are used."""
+    refused unless ``path`` is ``poly`` sampled at its times, as ``poly.sample`` gives:
+    its values must equal ``poly.value(path.times)`` exactly."""
+    if not np.array_equal(path.values, poly.value(path.times)):
+        raise ValueError("path is not the polynomial sampled at its times")
     return AreaProcess(path, poly.area(path.times[:-1], path.times[1:]), "analytic")
 
 
@@ -305,6 +308,8 @@ class CounterexampleConfig:
     def __post_init__(self):
         if not self.beta_exp > 0:
             raise ValueError("beta_exp must be positive")
+        if not math.isfinite(self.p):
+            raise ValueError(f"p must be finite, got {self.p}")
         chain = (self.gamma, self.rho_exp / self.beta_exp,
                  (self.rho_exp + 1) / self.beta_exp, self.p)
         if not (chain[0] < chain[1] < chain[2] < chain[3]):
@@ -320,8 +325,8 @@ class CounterexampleConfig:
             raise ValueError("grid too small to be meaningful")
         if not 0 < self.t_min_factor < 1:
             raise ValueError("t_min_factor must lie in (0, 1)")
-        if not self.t_max > 0:
-            raise ValueError("t_max must be positive")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
 
     @property
     def growth_exponent(self) -> float:

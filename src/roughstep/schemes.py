@@ -13,7 +13,7 @@ member bitwise its own solve.
 Beyond the basic solvers this module provides:
 
 * :func:`augmented_solve`: couples the state with its derivative with respect
-  to the initial condition, stepped by differentiating the scheme map itself,
+  to the initial condition, whose directions step through the same kernel,
   so the result is the exact Jacobian of the discrete flow (up to roundoff)
   rather than a new approximation.
 * :func:`defect`: two-point defect report with a fitted constant against a
@@ -58,6 +58,11 @@ def _kernel_layout(d1: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(d1.swapaxes(-3, -2))
 
 
+def _constant_deriv1(field: VectorField) -> np.ndarray | None:
+    """A constant ``D1`` as one ``(n, n, d)`` row in the kernel's layout, None otherwise."""
+    return _kernel_layout(field._deriv1) if isinstance(field._deriv1, np.ndarray) else None
+
+
 def _coefficients(field: VectorField, y: np.ndarray, corrected: bool, d1=None):
     """Left-point coefficients of the step: ``(f(y), D1(y))`` with ``D1`` in the kernel's
     layout (:func:`_kernel_layout`), None for Euler.
@@ -65,8 +70,8 @@ def _coefficients(field: VectorField, y: np.ndarray, corrected: bool, d1=None):
     ``y`` is a state or a batch of states ``(..., n)``.  Both outputs are
     C-contiguous whatever layout the field returns: ``f @ m`` on a transposed
     ``f``, and the contraction on a transposed ``D1``, round differently from
-    the same operation on a row of a stacked batch.  ``d1`` is the first
-    derivative at ``y`` in the kernel's layout if already at hand.
+    the same operation on a row of a stacked batch.  ``d1`` is a constant ``D1``'s
+    row (:func:`_constant_deriv1`), bound once per walk and broadcast over any batch.
     """
     f = np.ascontiguousarray(field.eval(y))
     if not corrected:
@@ -239,13 +244,9 @@ def _solve(field, path, area, y0, partitions, threshold) -> list[Trajectory]:
         raise NotImplementedError("corrected scheme needs the field's first derivative")
     y = _check_fit(field, path, y0, area)
     parts = [_grid_indices(path, p) for p in partitions]
-    tile = row = None  # a constant D1 in the kernel's layout once per walk, a row per member
-    if corrected and isinstance(field._deriv1, np.ndarray):
-        tile = _kernel_layout(np.broadcast_to(field._deriv1, (len(parts),) + field._deriv1.shape))
-        row = tile[-1]
+    d1 = _constant_deriv1(field)
 
     def step(y, m):
-        d1 = row if y.ndim == 1 else None if tile is None else tile[-len(y):]
         return _advance(y, *_coefficients(field, y, corrected, d1), m)[0]
 
     return _run_scheme(path, area, y, parts, threshold, step, "corrected" if corrected else "euler")
@@ -295,7 +296,10 @@ def augmented_solve(
     The sensitivity block is stepped with the literal derivative of the
     one-step map, so its output converges to the Jacobian of the discrete
     flow at the same rate as the state and, for a fixed partition, *is* that
-    Jacobian up to roundoff.  States are ``concat(y, Z.ravel())`` with
+    Jacobian up to roundoff.  That derivative is the step kernel itself: each
+    column ``z`` of ``Z`` is stepped by :func:`_advance` with ``D1 . z`` in place
+    of ``f``, and the corrected step adds ``D2[q, h, i, j] z[q] (f A)[h, j]``.
+    States are ``concat(y, Z.ravel())`` with
     ``Z[i, N] = d y_i / d y0_N`` flattened row-major; the trajectory is
     labelled with ``scheme``.
 
@@ -317,26 +321,18 @@ def augmented_solve(
     if not np.all(np.isfinite(z_init)):
         raise ValueError(f"z0 must be finite, got {z_init.tolist()}")
     big0 = np.concatenate([y, z_init.ravel()])
-    parts = [_grid_indices(path, partition)]
-
-    # a constant D1 in the kernel's layout once per walk
-    const1 = _kernel_layout(field._deriv1) if isinstance(field._deriv1, np.ndarray) else None
+    parts, const = [_grid_indices(path, partition)], _constant_deriv1(field)
 
     def step(big, m):
         y, z = big[:n], big[n:].reshape(n, n)
-        d1 = field.deriv1(y)
-        step1 = const1 if const1 is not None or not corrected else _kernel_layout(d1)
-        f, d1_step = _coefficients(field, y, corrected, step1)
-        y_new, w = _advance(y, f, d1_step, m)
-        # z += K^T z with K[q, i] = d(step)_i / d y_q - delta_qi, one operand pair at a
-        # time: D1 [dx | A] holds D1 dx and D1 A, which is contracted with D1 over
-        # (h, j), as D2 is with the kernel's f A
-        dm = d1 @ m
-        k = dm[..., 0]
+        f, d1 = _coefficients(field, y, True, const)
+        y_new, w = _advance(y, f, d1 if corrected else None, m)
+        # each direction z[:, c] takes the step with D1 . z[:, c] in place of f; the
+        # corrected step adds D2's term, D1 varying along z[:, c] under the fixed f A
+        zt = _advance(z.T, _contract("iqj,qc->cij", d1, z), d1 if corrected else None, m)[0]
         if corrected:
-            k = k + dm[..., 1:].reshape(n, -1) @ d1_step.reshape(n, -1).T
-            k = k + _contract("qhij,hj->qi", field.deriv2(y), w[:, 1:])
-        return np.concatenate([y_new, (z + k.T @ z).ravel()])
+            zt += _contract("qhij,hj,qc->ci", field.deriv2(y), w[:, 1:], z)
+        return np.concatenate([y_new, zt.T.ravel()])
 
     # Explosion is judged on the full augmented state; callers who care about
     # the bare state norm should solve it separately.

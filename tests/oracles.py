@@ -8,8 +8,9 @@ driver's construction grid, and ``riemann_area_recovery`` measures its
 sums against ``area.pair``, the quantity it checks.  Where an oracle has a
 tunable resolution the chosen value puts its own error several orders below
 the tolerance it backs.  Two helpers reshape the package's objects for tests
-and compute nothing: ``subsample`` and ``jacobian_view``.  One builds a test
-area by shifting each block of another: ``perturbed_area``.  One sets numpy's
+and compute nothing: ``subsample`` and ``jacobian_view``.  ``PerturbedArea`` is
+an area process that takes the test-only kind ``"perturbed"``, and
+``perturbed_area`` builds one by shifting each block of another.  One sets numpy's
 PCG64 up to emit chosen words: ``pcg64_state_emitting``.
 """
 from __future__ import annotations
@@ -34,6 +35,12 @@ def subsample(path: DriverPath, stride: int) -> DriverPath:
     return DriverPath(path.times[::stride], path.values[::stride])
 
 
+class PerturbedArea(AreaProcess):
+    """An area process whose blocks no driver construction made, tagged ``"perturbed"``."""
+
+    KINDS = AreaProcess.KINDS + ("perturbed",)
+
+
 def perturbed_area(base: AreaProcess, phi) -> AreaProcess:
     """Add a per-interval perturbation ``phi(s, t)``, a (d, d) array, to an existing area.
 
@@ -44,7 +51,7 @@ def perturbed_area(base: AreaProcess, phi) -> AreaProcess:
     blocks = base.per_interval.copy()
     for k in range(base.n_intervals):
         blocks[k] += np.asarray(phi(t[k], t[k + 1]), dtype=float)
-    return AreaProcess(base.path, blocks, "perturbed")
+    return PerturbedArea(base.path, blocks, "perturbed")
 
 
 def jacobian_view(trajectory, n: int) -> np.ndarray:

@@ -300,7 +300,8 @@ def _flat_path_area(blocks):
     """An area on a constant path, so the finest level's prefix is the blocks' cumsum."""
     n = len(blocks)
     path = DriverPath(np.linspace(0.0, 1.0, n + 1), np.zeros((n + 1, 1)))
-    return AreaProcess(path, np.asarray(blocks, dtype=float).reshape(n, 1, 1), "perturbed")
+    return oracles.PerturbedArea(path, np.asarray(blocks, dtype=float).reshape(n, 1, 1),
+                                 "perturbed")
 
 
 @st.composite
@@ -312,7 +313,7 @@ def _random_areas(draw):
     blocks = draw(hnp.arrays(np.float64, (n, d, d), elements=st.floats(-4.0, 4.0)))
     if draw(st.booleans()):
         x, blocks = np.round(x), np.round(blocks)
-    return AreaProcess(DriverPath(np.linspace(0.0, 1.0, n + 1), x), blocks, "perturbed")
+    return oracles.PerturbedArea(DriverPath(np.linspace(0.0, 1.0, n + 1), x), blocks, "perturbed")
 
 
 @pytest.fixture(scope="module")
@@ -732,7 +733,7 @@ class TestChenResiduals:
         few intervals Floyd's collision rule fires often."""
         rng = np.random.default_rng(n)
         path = DriverPath(np.linspace(0.0, 1.0, n + 1), rng.normal(size=(n + 1, 2)))
-        area = AreaProcess(path, rng.normal(size=(n, 2, 2)), "perturbed")
+        area = oracles.PerturbedArea(path, rng.normal(size=(n, 2, 2)), "perturbed")
         seen, pairs = [], area.pairs
         monkeypatch.setattr(area, "pairs", lambda i, j: seen.append((i, j)) or pairs(i, j))
         drawn, looped = np.random.default_rng(7), np.random.default_rng(7)

@@ -340,7 +340,7 @@ class TestAreaProcess:
         rng = np.random.default_rng(7)
         path = DriverPath(np.linspace(0, 1, 33), np.cumsum(rng.normal(size=(33, 2)), axis=0))
         blocks = rng.normal(size=(32, 2, 2))
-        return path, AreaProcess(path, blocks, "perturbed")
+        return path, oracles.PerturbedArea(path, blocks, "perturbed")
 
     def test_adjacent_pair_is_the_stored_block(self, toy):
         _, area = toy
@@ -418,6 +418,8 @@ class TestAreaProcess:
             AreaProcess(path, np.zeros((32, 3, 3)), "ito")
         with pytest.raises(ValueError):
             AreaProcess(path, np.zeros((32, 2, 2)), "levy")
+        with pytest.raises(ValueError, match="unknown area kind 'perturbed'"):
+            AreaProcess(path, np.zeros((32, 2, 2)), "perturbed")
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(data=st.data(), d=st.integers(1, 3), n=st.integers(2, 64),
@@ -430,7 +432,7 @@ class TestAreaProcess:
         triples = np.sort(data.draw(hnp.arrays(np.intp, (16, 3), elements=st.integers(0, n))),
                           axis=1)
         path = DriverPath(np.linspace(0.0, 1.0, n + 1), np.cumsum(steps, axis=0))
-        area = AreaProcess(path, blocks, "perturbed")
+        area = oracles.PerturbedArea(path, blocks, "perturbed")
         i, j, k = triples.T
         x = path.values
         combined = chen_combine(area.pairs(i, j), area.pairs(j, k), x[j] - x[i], x[k] - x[j])
@@ -443,7 +445,7 @@ class TestAreaProcess:
     def test_prefix_is_the_left_to_right_fold_bitwise(self, d, n):
         rng = np.random.default_rng(d * n)
         path = DriverPath(np.linspace(0, 1, n + 1), np.cumsum(rng.normal(size=(n + 1, d)), axis=0))
-        area = AreaProcess(path, rng.normal(size=(n, d, d)), "perturbed")
+        area = oracles.PerturbedArea(path, rng.normal(size=(n, d, d)), "perturbed")
         x = path.values
         want = np.zeros((n + 1, d, d))
         for k in range(n):
@@ -452,7 +454,7 @@ class TestAreaProcess:
 
     def test_prefix_is_built_on_the_first_query(self, toy):
         path, area = toy
-        fresh = AreaProcess(path, area.per_interval, area.kind)
+        fresh = oracles.PerturbedArea(path, area.per_interval, area.kind)
         assert "_prefix" not in vars(fresh)
         assert np.array_equal(fresh.pairs([3], [11]), area.pairs([3], [11]))
         assert np.array_equal(vars(fresh)["_prefix"], area._prefix)

@@ -18,6 +18,7 @@ from roughstep.drivers import (
     ChainCurve,
     CounterexampleConfig,
     PolynomialPath,
+    analytic_area,
     brownian_path,
     degenerate_area,
     example1_driver,
@@ -70,6 +71,10 @@ class TestBrownianPath:
     def test_config_refuses_fractional_or_boolean_sizes(self, kwargs):
         with pytest.raises(TypeError, match="must be an integer"):
             BrownianConfig(**kwargs)
+
+    def test_config_refuses_infinite_t_end(self):
+        with pytest.raises(ValueError, match="t_end must be positive and finite, got inf"):
+            BrownianConfig(d=1, level=4, seed=0, t_end=math.inf)
 
     def test_config_takes_numpy_integer_sizes_as_int(self):
         cfg = BrownianConfig(d=np.int64(2), level=np.uint8(5), seed=1)
@@ -270,6 +275,16 @@ class TestPolynomialArea:
         assert np.allclose(blocks + np.swapaxes(blocks, 1, 2), want,
                            rtol=0, atol=1e-15)
 
+    def test_analytic_area_refuses_a_path_its_polynomial_did_not_sample(self):
+        poly = PolynomialPath([[0, 1, 0], [0, 0, 1]])
+        other = PolynomialPath([[0, 2, 0], [1, 0, 1]])
+        path = other.sample(np.linspace(0, 1, 5))
+        with pytest.raises(ValueError, match="not the polynomial sampled at its times"):
+            analytic_area(poly, path)
+        area = analytic_area(other, path)
+        assert area.kind == "analytic" and area.path is path
+        assert np.array_equal(area.per_interval, other.area(path.times[:-1], path.times[1:]))
+
     def test_value_matches_polyval(self):
         poly = PolynomialPath(np.array([[1.0, -2.0, 0.5], [0.0, 3.0, 0.0]]))
         t = np.array([0.0, 0.3, 1.7])
@@ -305,6 +320,14 @@ class TestOscillatoryCounterexample:
     def test_config_rejections(self, kwargs):
         with pytest.raises(ValueError):
             CounterexampleConfig(**kwargs)
+
+    def test_config_refuses_infinite_t_max(self):
+        with pytest.raises(ValueError, match="t_max must be positive and finite, got inf"):
+            CounterexampleConfig(t_max=math.inf)
+
+    def test_config_refuses_infinite_p(self):
+        with pytest.raises(ValueError, match="p must be finite, got inf"):
+            CounterexampleConfig(p=math.inf)
 
     def test_driver_grid_and_metadata(self, example1):
         cfg, path, _ = example1

@@ -399,6 +399,26 @@ class TestAugmentedSolve:
             prod = (np.eye(2) + dx * m) @ prod
         assert np.allclose(jac, prod, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("scheme", ["euler", "corrected"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sensitivity_is_the_discrete_propagator_of_a_linear_field(self, scheme, seed):
+        # f[:, j] = M_j y with non-commuting M_j: D1[h, i, j] = M_j[i, h] is not symmetric
+        # under h <-> i, and the discrete flow is linear, so its Jacobian is the matrix
+        # whose columns are the solves from the unit vectors
+        mats = np.array([[[0.3, 0.6], [-0.2, 0.1]], [[-0.1, 0.2], [0.7, 0.4]]])
+        field = VectorField(2, 2, _linear_field_d(mats).eval,
+                            deriv1=np.transpose(mats, (2, 1, 0)), deriv2=np.zeros((2, 2, 2, 2)))
+        cfg = BrownianConfig(d=2, level=10, seed=seed)
+        path = brownian_path(cfg)
+        area = ito_area(path, cfg)
+        y0 = np.array([0.4, -0.2])
+        aug = augmented_solve(field, path, y0, scheme=scheme, area=area)
+        solve = {"euler": lambda e: euler_solve(field, path, e),
+                 "corrected": lambda e: corrected_solve(field, path, area, e)}[scheme]
+        propagator = np.column_stack([solve(e).states[-1] for e in np.eye(2)])
+        gap = np.max(np.abs(oracles.jacobian_view(aug, 2)[-1] - propagator))
+        assert gap <= 1e-13 * np.max(np.abs(propagator))
+
     def test_euler_sensitivity_matches_finite_differences(self, bm2, smooth22):
         _, path, _, _ = bm2
         sub = oracles.subsample(path, 64)
