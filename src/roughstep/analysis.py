@@ -358,10 +358,10 @@ class CriterionReport:
     """Dyadic partial integrals of the growth-envelope criterion.
 
     ``partials[j]`` integrates the envelope expression over
-    ``[2^j, 2^(j+1)]``.  The verdict is a trend call: a fitted tail slope
-    (log2 of partials against octave index) at or above the break-even value
-    means the improper integral keeps accumulating, which rules explosion
-    out; a negative slope means it converges, leaving explosion possible.
+    ``[2^j, 2^(j+1)]``.  The verdict comes from the integrand's exponent ``q``
+    (:meth:`GrowthEnvelope.diverges`): at ``q >= -1`` the integral diverges,
+    which rules explosion out; below it converges, leaving explosion possible.
+    ``tail_slope``, the log2 trend of the last partials (``q + 1``), is a diagnostic.
     """
 
     verdict: str
@@ -389,7 +389,7 @@ class CriterionReport:
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(32)
-# Octaves at the top of the range whose trend decides the verdict.
+# Octaves at the top of the range whose trend the tail slope fits.
 _TAIL_OCTAVES = 5
 
 
@@ -401,13 +401,13 @@ def explosion_criterion(
 ) -> CriterionReport:
     """Classify the growth-envelope integral as convergent or not.
 
-    The integrand is ``(A(R)^(1-p) D(R)^(p-1-beta*p))^(1/beta)`` with
-    ``A = env.area_growth`` and ``D = env.growth``.  Each octave is
-    integrated with 32-point Gauss-Legendre, exact to machine precision for
-    power-law envelopes, which is what the closed-form cross-check uses.
-    Divergence of an improper integral is not decidable from finitely many
-    octaves; the verdict is the trend of the dyadic contributions, with the
-    fitted tail slope exposed for inspection.
+    The integrand is ``(A(R)^(1-p) D(R)^(p-1-beta*p))^(1/beta) = R^q`` with
+    ``A(R) = R^env.area_exp`` and ``D(R) = R^env.growth_exp``.  The verdict is
+    :meth:`GrowthEnvelope.diverges` on ``q``, the rule the blow-up driver
+    refuses by; the string ``"diverges-trend"`` names divergence.  Each octave
+    is integrated with 32-point Gauss-Legendre on that expression, and the
+    fitted tail slope is reported as a diagnostic.  Raises ValueError for
+    exponents whose powers up to ``r_max`` overflow.
     """
     if not p >= 1:
         raise ValueError("p must be at least 1")
@@ -417,29 +417,21 @@ def explosion_criterion(
         )
     if not 1e3 <= r_max < math.inf:
         raise ValueError(f"r_max must be finite and at least 1e3, got {r_max}")
-    env.validate()
-    beta = env.beta
+    env.check_powers(p, r_max)
+    beta, a, g = env.beta, env.area_exp, env.growth_exp
     n_oct = int(math.floor(math.log2(r_max)))
-
-    def integrand(r: np.ndarray) -> np.ndarray:
-        a = np.asarray(env.area_growth(r), dtype=float)
-        d = np.asarray(env.growth(r), dtype=float)
-        return (a ** (1.0 - p) * d ** (p - 1.0 - beta * p)) ** (1.0 / beta)
 
     # octave j is [2^j, 2^(j+1)]: midpoint 1.5 * 2^j, half-width 0.5 * 2^j, both exact
     lo = np.ldexp(1.0, np.arange(n_oct))
     mid, half = 1.5 * lo, 0.5 * lo
-    rows = integrand((mid[:, None] + half[:, None] * _GAUSS_NODES).ravel()).reshape(n_oct, -1)
-    partials = half * np.vecdot(rows, _GAUSS_WEIGHTS)
-    if np.any(~np.isfinite(partials)) or np.any(partials <= 0):
-        raise ValueError("criterion integrand must be positive and finite")
+    r = (mid[:, None] + half[:, None] * _GAUSS_NODES).ravel()
+    rows = ((r**a) ** (1.0 - p) * (r**g) ** (p - 1.0 - beta * p)) ** (1.0 / beta)
+    partials = half * np.vecdot(rows.reshape(n_oct, -1), _GAUSS_WEIGHTS)
 
     n_tail = min(_TAIL_OCTAVES, n_oct)
     idx = np.arange(n_oct - n_tail, n_oct)
     tail_slope = float(np.polyfit(idx, np.log2(partials[idx]), 1)[0])
-    # Octave contributions of R^q scale by 2^(q+1); break-even (q = -1) sits
-    # at slope 0.  A small allowance keeps roundoff on the convergent side.
-    verdict = "diverges-trend" if tail_slope > -0.029 else "converges"
+    verdict = "diverges-trend" if env.diverges(p) else "converges"
     return CriterionReport(
         verdict=verdict,
         p=float(p),

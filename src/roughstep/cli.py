@@ -39,7 +39,7 @@ from .analysis import (
     holder_estimate,
     nonuniqueness_demo,
 )
-from .core import NumericsError, VectorField
+from .core import GrowthEnvelope, NumericsError, VectorField
 from .drivers import (
     BrownianConfig,
     ChainCurve,
@@ -50,7 +50,6 @@ from .drivers import (
     degenerate_area,
     explosion_driver,
     ito_area,
-    power_law_envelope,
     stratonovich_area,
 )
 from .schemes import _explosion_threshold, corrected_solve, defect, euler_solve
@@ -357,7 +356,7 @@ def _cmd_nonuniqueness(config: dict, seed_override) -> dict:
 })
 def _cmd_explosion(config: dict, seed_override) -> dict:
     gamma = config.setdefault("gamma", 1.0 + config["envelope"]["beta"])
-    env = power_law_envelope(**config["envelope"])
+    env = GrowthEnvelope(**config["envelope"])
     payload = {"criterion": explosion_criterion(env, config["p"], gamma,
                                                 config["r_max"]).to_dict()}
     if config["include_driver"]:

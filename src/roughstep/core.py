@@ -616,47 +616,53 @@ class DefectReport:
         }
 
 
-# Radii on which GrowthEnvelope.validate checks the pairing inequality, and
-# the relative slack it allows for roundoff.
-_ENVELOPE_RADII = np.geomspace(1.0, 1e6, 61)
-_ENVELOPE_RADII.flags.writeable = False
-_ENVELOPE_SLACK = 1e-9
+# Roundoff allowed per unit of the exponents' size, four ulps: sums of decimal exponents
+# miss by an ulp or two (0.7 + 0.1 == 0.7999999999999999).
+_ROUNDOFF = 4 * 2.0**-52
+# Bits a power of a radius may take; float64's other 24 cover the sums it enters.
+_POWER_BITS = 1000.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class GrowthEnvelope:
-    """Radial growth data for explosion analysis.
+    """Power-law growth data for explosion analysis.
 
-    ``growth(R)`` bounds the field magnitude on the ball of radius ``R`` and
-    ``area_growth(R)`` bounds the admissible area inhomogeneity there;
+    ``D(R) = R^growth_exp`` bounds the field magnitude on the ball of radius
+    ``R`` and ``A(R) = R^area_exp`` the admissible area inhomogeneity there;
     ``beta`` is the smoothness exponent the bounds are paired with (one less
-    than the field's grade).  Both callables must be positive and vectorized
-    over numpy arrays.
+    than the field's grade).  Construction checks the pairing ``D(R) <=
+    R^beta A(R)``, for R >= 1 ``growth_exp <= beta + area_exp``, to a few ulps.
     """
 
-    growth: Callable[[np.ndarray], np.ndarray]
-    area_growth: Callable[[np.ndarray], np.ndarray]
+    growth_exp: float
+    area_exp: float
     beta: float
 
     def __post_init__(self):
-        if not 0 < self.beta <= 1:
-            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
+        g, a, b = self.growth_exp, self.area_exp, self.beta
+        if not (math.isfinite(g) and math.isfinite(a)):
+            raise ValueError(f"growth_exp and area_exp must be finite, got {g} and {a}")
+        if not 0 < b <= 1:
+            raise ValueError(f"beta must lie in (0, 1], got {b}")
+        if g - (b + a) > _ROUNDOFF * (abs(g) + abs(a) + b):
+            raise ValueError(f"envelope pairing D(R) <= R^beta A(R) fails: growth_exp {g} "
+                             f"exceeds beta {b} + area_exp {a}")
 
-    def validate(self) -> None:
-        """Check D(R) <= R^beta * A(R) on a sample of radii.
+    def criterion_exponent(self, p: float) -> float:
+        """``q`` with ``(A^(1-p) D^(p-1-beta*p))^(1/beta) = R^q``."""
+        return (self.area_exp * (1.0 - p) + self.growth_exp * (p - 1.0 - self.beta * p)) / self.beta
 
-        The pairing inequality is what downstream criteria assume; violating
-        it silently would make their verdicts meaningless, hence the explicit
-        gate.
-        """
-        radii = _ENVELOPE_RADII
-        dvals = np.asarray(self.growth(radii), dtype=float)
-        avals = np.asarray(self.area_growth(radii), dtype=float)
-        if np.any(dvals <= 0) or np.any(avals <= 0):
-            raise ValueError("growth envelopes must be strictly positive")
-        bad = dvals > radii**self.beta * avals * (1 + _ENVELOPE_SLACK)
-        if np.any(bad):
-            r_bad = radii[bad][0]
-            raise ValueError(
-                f"envelope pairing D(R) <= R^beta A(R) fails at R={r_bad:.4g}"
-            )
+    def diverges(self, p: float) -> bool:
+        """Whether ``integral_1^inf R^q dR`` diverges, ``q >= -1``; a ``q`` within
+        the roundoff of its terms of -1 reads as -1."""
+        slack = _ROUNDOFF * (abs(self.growth_exp) + abs(self.area_exp)) / self.beta
+        return self.criterion_exponent(p) >= -1.0 - slack
+
+    def check_powers(self, p: float, r: float, *more: float) -> None:
+        """Refuse exponents whose powers of radii in ``[1, r]`` overflow: ``growth_exp``,
+        ``area_exp``, ``q``, ``q + 1`` (the octave integrals' scaling) and ``more``."""
+        q = self.criterion_exponent(p)
+        e = max(abs(self.growth_exp), abs(self.area_exp), abs(q), abs(q + 1.0), *map(abs, more))
+        if e * math.log2(r) > _POWER_BITS:
+            raise ValueError(f"envelope exponents overflow float64: R**{e:.6g} passes "
+                             f"2**{_POWER_BITS:g} below R = {r:.4g} ({self}, p={p})")

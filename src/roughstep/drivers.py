@@ -50,7 +50,6 @@ __all__ = [
     "example1_field",
     "example1_solution_pair",
     "ChainCurve",
-    "power_law_envelope",
     "ExplosionDriver",
     "explosion_driver",
 ]
@@ -878,25 +877,6 @@ def _power_integral(log_y, e: float):
 
 
 @dataclass
-class _PowerLawEnvelope(GrowthEnvelope):
-    """A growth envelope that remembers its power-law exponents."""
-
-    growth_exp: float
-    area_exp: float
-
-
-def power_law_envelope(growth_exp: float, area_exp: float, beta: float) -> GrowthEnvelope:
-    """Envelope pair D(R) = R^growth_exp, A(R) = R^area_exp."""
-    return _PowerLawEnvelope(
-        growth=lambda r: np.asarray(r, dtype=float) ** growth_exp,
-        area_growth=lambda r: np.asarray(r, dtype=float) ** area_exp,
-        beta=beta,
-        growth_exp=growth_exp,
-        area_exp=area_exp,
-    )
-
-
-@dataclass
 class ProcessedEnvelope:
     """Homogenized and mollified envelope data of the blow-up driver.
 
@@ -954,17 +934,14 @@ def process_envelope(envelope: GrowthEnvelope, p: float) -> ProcessedEnvelope:
     So ``f* (y) = 2^-r min(1, _U_MAX^(r-e)) (weights @ nodes**e) y^e``, for D
     and for A.  Below y = 1 both are held at their value at 1.
 
-    Raises ValueError for an envelope not made by :func:`power_law_envelope`
-    (its exponents are what the closed form needs) and unless
-    ``1 < p < 1 + beta`` (at ``p <= 1`` ``rho2 <= 0`` leaves no
-    homogenization degree).
+    Raises ValueError unless ``1 < p < 1 + beta`` (at ``p <= 1`` ``rho2 <= 0``
+    leaves no homogenization degree), and for exponents whose powers of states
+    up to ``_Y_MAX``, the driver's phase exponent among them, overflow.
     """
-    if not isinstance(envelope, _PowerLawEnvelope):
-        raise ValueError("the blow-up construction takes only power_law_envelope envelopes")
     beta = envelope.beta
     if not (p > 1 and p - 1 < beta):
         raise ValueError(f"need 1 < p < 1 + beta for the construction (beta={beta}, p={p})")
-    envelope.validate()
+    envelope.check_powers(p, _Y_MAX, (envelope.area_exp - envelope.growth_exp) / beta + 1.0)
     rho1 = (beta * p + 1.0 - p) / beta
     rho2 = (p - 1.0) / beta
     r_hom = int(math.floor(1.0 / min(rho1, rho2))) + 1
@@ -1023,15 +1000,11 @@ def explosion_driver(envelope: GrowthEnvelope, p: float) -> ExplosionDriver:
     their integrals from 1 in closed form; the field evaluates that same
     phase at its state.
 
-    ``envelope`` must come from :func:`power_law_envelope`, whose exponents
-    give the processed envelope in closed form (see :func:`process_envelope`);
-    :func:`roughstep.analysis.explosion_criterion` classifies any
-    :class:`GrowthEnvelope`.
-
-    Raises ValueError for any other envelope, when the blow-up integral
-    diverges (no finite t_star), decided from the time density's exponent,
-    and when the envelope blows up so fast that the time grid stops
-    increasing in floating point before ``_Y_MAX``.
+    Raises ValueError as :func:`process_envelope` does, when the blow-up
+    integral diverges (no finite t_star; :meth:`GrowthEnvelope.diverges`, the
+    rule :func:`roughstep.analysis.explosion_criterion` reads), and when the
+    envelope blows up so fast that the time grid stops increasing in floating
+    point before ``_Y_MAX``.
     """
     proc = process_envelope(envelope, p)
     (c_d, e_d), (c_a, e_a) = proc.d_law, proc.a_law
@@ -1039,7 +1012,7 @@ def explosion_driver(envelope: GrowthEnvelope, p: float) -> ExplosionDriver:
     # both powers c y^e of the state
     time_c, time_e = c_a**-proc.rho2 * c_d**-proc.rho1, -(proc.rho2 * e_a + proc.rho1 * e_d)
     phase_c, phase_e = (c_a / c_d) ** (1.0 / proc.beta), (e_a - e_d) / proc.beta
-    if time_e >= -1.0 - 1e-6:
+    if envelope.diverges(p):
         raise ValueError("blow-up time integral diverges for this envelope "
                          f"(tail exponent {-time_e:.4f} <= 1)")
     y = np.geomspace(1.0, _Y_MAX, _N_GRID + 1)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from roughstep.core import VectorField
+from roughstep.core import GrowthEnvelope, VectorField
 from roughstep.drivers import (
     BrownianConfig,
     ChainCurve,
@@ -21,7 +21,6 @@ from roughstep.drivers import (
     example1_solution_pair,
     explosion_driver,
     ito_area,
-    power_law_envelope,
     stratonovich_area,
 )
 
@@ -101,7 +100,7 @@ def example1_pair(example1):
 @pytest.fixture(scope="session")
 def spiral_driver():
     """Blow-up driver for the envelope family D = R^beta A with A = R^0.4."""
-    return explosion_driver(power_law_envelope(1.2, 0.4, 0.8), 1.5)
+    return explosion_driver(GrowthEnvelope(1.2, 0.4, 0.8), 1.5)
 
 
 @pytest.fixture(scope="session")

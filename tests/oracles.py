@@ -16,6 +16,7 @@ PCG64 up to emit chosen words: ``pcg64_state_emitting``.
 from __future__ import annotations
 
 import csv
+import fractions
 import math
 import operator
 
@@ -138,32 +139,34 @@ def milstein_step(y: float, dw: float, h: float) -> float:
     return y * (1.0 + dw + 0.5 * (dw * dw - h))
 
 
-def power_law_criterion_exponent(area_exp: float, growth_exp: float,
-                                 beta: float, p: float) -> float:
-    """Log-slope of the envelope integrand {A^(1-p) D^(p-1-bp)}^(1/b)."""
-    return (area_exp * (1.0 - p) + growth_exp * (p - 1.0 - beta * p)) / beta
+def power_law_criterion_exponent(area_exp, growth_exp, beta, p):
+    """Log-slope of the envelope integrand {A^(1-p) D^(p-1-bp)}^(1/b).
+
+    Floats give a float, ``Fraction`` arguments the exact rational.
+    """
+    return (area_exp * (1 - p) + growth_exp * (p - 1 - beta * p)) / beta
 
 
 def power_law_verdict(area_exp: float, growth_exp: float, beta: float,
                       p: float) -> str:
-    """Trend call for a power-law envelope from its exponent alone.
+    """Verdict for a power-law envelope from its exponent alone.
 
-    Octave masses of R^q scale by 2^(q+1), so the break-even exponent is
-    q = -1; the classifier allows slopes down to -0.029 before calling the
-    trend convergent, and the same allowance is applied here so a boundary
-    exponent computed a few ulps under -1 is not misclassified.
+    Octave masses of R^q scale by 2^(q+1), so the integral diverges exactly
+    when q >= -1.  ``q`` is computed in exact rational arithmetic on the
+    exponents as written in decimal (``Fraction(str(x))``), so no roundoff
+    band is needed and the call does not lean on the package's float rule.
     """
-    q = power_law_criterion_exponent(area_exp, growth_exp, beta, p)
-    return "diverges-trend" if q + 1.0 > -0.029 else "converges"
+    exact = [fractions.Fraction(str(x)) for x in (area_exp, growth_exp, beta, p)]
+    return "diverges-trend" if power_law_criterion_exponent(*exact) >= -1 else "converges"
 
 
-def octave_criterion(growth, area_growth, beta: float, p: float,
+def octave_criterion(growth_exp: float, area_exp: float, beta: float, p: float,
                      r_max: float = 2.0**20) -> tuple[np.ndarray, float, float]:
     """Octave partials of {A^(1-p) D^(p-1-bp)}^(1/b), their sum and tail slope.
 
-    One octave [2^j, 2^(j+1)] at a time, each by 32-point Gauss-Legendre on
-    its own 32 nodes; the slope is the least-squares log2 trend of the last
-    five partials.
+    ``A(R) = R^area_exp`` and ``D(R) = R^growth_exp``.  One octave
+    [2^j, 2^(j+1)] at a time, each by 32-point Gauss-Legendre on its own 32
+    nodes; the slope is the least-squares log2 trend of the last five partials.
     """
     n_oct = int(math.floor(math.log2(r_max)))
     partials = np.empty(n_oct)
@@ -171,8 +174,7 @@ def octave_criterion(growth, area_growth, beta: float, p: float,
         lo, hi = 2.0**j, 2.0 ** (j + 1)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         r = mid + half * GAUSS_X
-        a = np.asarray(area_growth(r), dtype=float)
-        d = np.asarray(growth(r), dtype=float)
+        a, d = r**area_exp, r**growth_exp
         values = (a ** (1.0 - p) * d ** (p - 1.0 - beta * p)) ** (1.0 / beta)
         partials[j] = half * float(np.dot(GAUSS_W, values))
     idx = np.arange(n_oct - 5, n_oct)
@@ -277,28 +279,29 @@ def spiral_grown_component(gamma: float, beta: float, rho: float, t: np.ndarray,
     return out
 
 
-def envelope_tables(growth, area_growth, y_tab: np.ndarray, nodes: np.ndarray,
-                    weights: np.ndarray, u_grid: np.ndarray,
+def envelope_tables(growth_exp: float, area_exp: float, y_tab: np.ndarray,
+                    nodes: np.ndarray, weights: np.ndarray, u_grid: np.ndarray,
                     r_hom: int) -> tuple[np.ndarray, np.ndarray]:
     """Homogenized and mollified envelope tables by a row-wise ``np.min`` scan.
 
-    Each table entry is ``2^-r sum_k w_k min_j u_j^r f(y nodes_k / u_j)``:
+    Each table entry is ``2^-r sum_k w_k min_j u_j^r f(y nodes_k / u_j)``, for
+    ``f(R) = R^growth_exp`` and ``f(R) = R^area_exp``:
     the infimum over the u-grid is one ``np.min(..., axis=1)`` over a
     ``(points, u_grid.size)`` matrix, taken 8,192 points at a time, and the
     weights are contracted in one matmul over the whole table.
     """
     u_pow = u_grid**r_hom
 
-    def homogenized(vals_fn):
+    def homogenized(e):
         y = np.outer(y_tab, nodes).ravel()
         out = np.empty(y.size)
         for lo in range(0, y.size, 8192):
             block = y[lo : lo + 8192, None] / u_grid[None, :]
-            out[lo : lo + 8192] = np.min(u_pow[None, :] * vals_fn(block), axis=1)
+            out[lo : lo + 8192] = np.min(u_pow[None, :] * block**e, axis=1)
         return out.reshape(y_tab.size, nodes.size)
 
     scale = 2.0**-r_hom
-    return scale * homogenized(growth) @ weights, scale * homogenized(area_growth) @ weights
+    return scale * homogenized(growth_exp) @ weights, scale * homogenized(area_exp) @ weights
 
 
 def cumulative_simpson(fn, grid: np.ndarray) -> np.ndarray:

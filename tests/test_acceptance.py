@@ -33,7 +33,7 @@ from roughstep.analysis import (
     nonuniqueness_demo,
 )
 from roughstep.cli import main
-from roughstep.core import VectorField, control_fit
+from roughstep.core import GrowthEnvelope, VectorField, control_fit
 from roughstep.drivers import (
     BrownianConfig,
     PolynomialPath,
@@ -42,7 +42,6 @@ from roughstep.drivers import (
     degenerate_area,
     explosion_driver,
     ito_area,
-    power_law_envelope,
     stratonovich_area,
 )
 from roughstep.schemes import (
@@ -339,7 +338,7 @@ def test_criterion_09_explosion_gallery():
     a 5x5 grid of power-law envelopes.  Budget 60 s.
     """
     t0 = time.perf_counter()
-    driver = explosion_driver(power_law_envelope(1.2, 0.4, 0.8), 1.5)
+    driver = explosion_driver(GrowthEnvelope(1.2, 0.4, 0.8), 1.5)
     _, path, t_star = driver
     traj = driver.state_trajectory()
     hit = traj.exploded_at
@@ -351,7 +350,7 @@ def test_criterion_09_explosion_gallery():
         for delta in (-0.4, -0.2, 0.0, 0.4, 0.8):
             g_exp = a_exp + delta
             got = explosion_criterion(
-                power_law_envelope(g_exp, a_exp, 0.8), 1.5, 1.7
+                GrowthEnvelope(g_exp, a_exp, 0.8), 1.5, 1.7
             ).verdict
             want = oracles.power_law_verdict(a_exp, g_exp, 0.8, 1.5)
             if got != want:

@@ -452,6 +452,23 @@ class TestConfigErrors:
         assert err.startswith("config error") and "too fast" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("envelope, cause", [
+        ({"growth_exp": 400, "area_exp": 400, "beta": 1.0}, "envelope exponents overflow"),
+        ({"growth_exp": 2.0, "area_exp": 0.4, "beta": 0.8}, "envelope pairing"),
+        ({"growth_exp": float("nan"), "area_exp": 0.4, "beta": 0.8}, "must be finite"),
+    ], ids=["overflowing", "unpaired", "nan-growth"])
+    def test_inadmissible_envelope_exits_2_naming_it(self, tmp_path, capsys, envelope,
+                                                     cause):
+        cfg = _write_config(tmp_path, "bad.json", {"envelope": envelope, "p": 1.5})
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["explosion", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert not caught and "Warning" not in err
+        assert err.startswith("config error") and cause in err
+        assert not out.exists()
+
     def test_unwritable_artifact_exits_2_without_manifest(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, "explosion.json",
                             {**EXPLOSION_CONFIG, "include_driver": False})

@@ -634,18 +634,65 @@ class TestTrajectory:
 
 
 class TestGrowthEnvelope:
-    def test_consistent_pair_validates(self):
-        env = GrowthEnvelope(growth=lambda r: np.asarray(r) ** 1.2,
-                             area_growth=lambda r: np.asarray(r) ** 0.4,
-                             beta=0.8)
-        env.validate()
+    def test_consistent_pair_is_accepted(self):
+        GrowthEnvelope(1.2, 0.4, 0.8)
 
     def test_violating_pair_is_refused(self):
-        env = GrowthEnvelope(growth=lambda r: np.asarray(r) ** 2.0,
-                             area_growth=lambda r: np.asarray(r) ** 0.4,
-                             beta=0.8)
-        with pytest.raises(ValueError):
-            env.validate()
+        with pytest.raises(ValueError, match="pairing"):
+            GrowthEnvelope(2.0, 0.4, 0.8)
+
+    @pytest.mark.parametrize("growth_exp, area_exp, beta", [
+        (0.8, 0.1, 0.7),
+        (1.1, 0.3, 0.8), (1.4, 0.6, 0.8), (1.7, 0.9, 0.8), (0.9 + 0.8, 0.9, 0.8),
+        (2.0, 1.2, 0.8), (2.3, 1.5, 0.8),
+    ], ids=["0.7+0.1", "gallery-1.1-0.3", "gallery-1.4-0.6", "gallery-1.7-0.9",
+            "gallery-0.9+0.8-0.9", "gallery-2.0-1.2", "gallery-2.3-1.5"])
+    def test_pairing_at_rounding_is_accepted(self, growth_exp, area_exp, beta):
+        # beta + area_exp - growth_exp is -1.1e-16 for 0.7 + 0.1 against 0.8, 2.2e-16
+        # for 1.7 against 0.8 + 0.9 and 0 for the others: equality, rounded
+        GrowthEnvelope(growth_exp, area_exp, beta)
+
+    @pytest.mark.parametrize("excess", [1e-14, 1e-12, 1e-10, 7e-11])
+    def test_pairing_past_roundoff_is_refused(self, excess):
+        # the former check sampled 61 radii up to 1e6 with a relative slack of 1e-9,
+        # so it let an excess up to about 7.2e-11 through
+        with pytest.raises(ValueError, match="pairing"):
+            GrowthEnvelope(1.2 + excess, 0.4, 0.8)
+
+    @pytest.mark.parametrize("args, match", [
+        ((math.nan, 0.4, 0.8), "must be finite"), ((1.2, math.inf, 0.8), "must be finite"),
+        ((-math.inf, 0.4, 0.8), "must be finite"), ((1.2, 0.4, math.nan), "beta must lie"),
+        ((1.2, 0.4, 0.0), "beta must lie"),
+    ], ids=["nan-growth", "inf-area", "minus-inf-growth", "nan-beta", "zero-beta"])
+    def test_inadmissible_exponents_are_refused(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            GrowthEnvelope(*args)
+
+    @pytest.mark.parametrize("args, p, diverges", [
+        ((0.5, 0.9, 0.8), 1.5, True),  # q == -1.0 exactly
+        ((0.65 / 0.7, 0.3, 0.8), 1.5, True),  # q + 1 == -2.2e-16: -1 rounded
+        ((0.99, 0.0, 1.0), 1.5, True),  # q = -0.99
+        ((1.0, 2e-14, 1.0), 1.5, False),  # q = -1 - 1e-14
+        ((1.0, 0.02, 1.0), 1.5, False),  # q = -1.01
+        ((1.2, 0.4, 0.8), 1.5, False),  # q = -1.3
+    ])
+    def test_divergence_is_q_at_least_minus_one(self, args, p, diverges):
+        assert GrowthEnvelope(*args).diverges(p) is diverges
+
+    @pytest.mark.parametrize("args, p, r", [
+        ((400.0, 400.0, 1.0), 1.5, 2.0**20), ((-40.0, -40.0, 1.0), 1.5, 2.0**20),
+        ((44.0, 44.0, 1.0), 1.5, 1e7), ((0.5, 0.9, 0.8), 1.5, 2.0**1001),
+    ], ids=["400-400", "q-60", "44-44-y-max", "radius-past-2**1000"])
+    def test_overflowing_powers_are_refused(self, args, p, r):
+        with pytest.raises(ValueError, match="envelope exponents overflow float64"):
+            GrowthEnvelope(*args).check_powers(p, r)
+
+    def test_powers_in_range_pass(self):
+        GrowthEnvelope(1.2, 0.4, 0.8).check_powers(1.5, 2.0**20)
+        # q = -1: R^q and the octave masses stay in range far past 2**20
+        GrowthEnvelope(0.5, 0.9, 0.8).check_powers(1.5, 2.0**1000)
+        with pytest.raises(ValueError, match="overflow"):
+            GrowthEnvelope(1.2, 0.4, 0.8).check_powers(1.5, 2.0**20, 51.0)
 
 
 class TestRefusals:
@@ -668,11 +715,9 @@ class TestRefusals:
         (lambda: VectorField(1, 1, np.ones((1, 1))).deriv2([0.0]), NotImplementedError,
          "no second derivative"),
         (lambda: VectorField.constant([1.0, 2.0]), ValueError, r"\(n, d\) matrix"),
-        (lambda: GrowthEnvelope(growth=lambda r: 0.0 * r, area_growth=lambda r: 1.0 + 0.0 * r,
-                                beta=0.5).validate(), ValueError, "strictly positive"),
     ], ids=["driver-times-2d", "trajectory-states-1d", "one-sample-path",
             "repeated-time", "control-fit-p-0", "chen-shape-mismatch", "no-deriv1",
-            "no-deriv2", "constant-field-not-2d", "envelope-not-positive"])
+            "no-deriv2", "constant-field-not-2d"])
     def test_refused(self, call, error, match):
         with pytest.raises(error, match=match):
             call()

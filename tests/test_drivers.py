@@ -12,6 +12,7 @@ import pytest
 
 import oracles
 from roughstep import drivers
+from roughstep.analysis import explosion_criterion
 from roughstep.core import DriverPath, GrowthEnvelope
 from roughstep.drivers import (
     BrownianConfig,
@@ -25,7 +26,6 @@ from roughstep.drivers import (
     example1_solution_pair,
     explosion_driver,
     ito_area,
-    power_law_envelope,
     process_envelope,
     stratonovich_area,
 )
@@ -712,11 +712,11 @@ class TestExplosionDriver:
 
     def test_variation_exponent_needs_room_below_beta(self):
         with pytest.raises(ValueError):
-            explosion_driver(power_law_envelope(0.7, 0.4, 0.4), 1.5)
+            explosion_driver(GrowthEnvelope(0.7, 0.4, 0.4), 1.5)
 
     def test_divergent_time_integral_is_refused(self):
         with pytest.raises(ValueError, match="diverges"):
-            explosion_driver(power_law_envelope(0.6, 0.3, 0.8), 1.5)
+            explosion_driver(GrowthEnvelope(0.6, 0.3, 0.8), 1.5)
 
     @pytest.mark.parametrize("area_exp, delta", [
         (0.3, 0.8), (0.6, 0.4), (0.6, 0.8), (0.9, -0.2), (0.9, 0.0), (0.9, 0.4), (0.9, 0.8),
@@ -727,7 +727,7 @@ class TestExplosionDriver:
         """Time grid, blow-up time and phase against cell-wise Simpson sums of the
         densities, on the 16 envelopes of gate 09's gallery that build (the other
         nine diverge or, at 2.3/1.5, stall the time grid)."""
-        drv = explosion_driver(power_law_envelope(area_exp + delta, area_exp, 0.8), 1.5)
+        drv = explosion_driver(GrowthEnvelope(area_exp + delta, area_exp, 0.8), 1.5)
         proc, y = drv.processed, drv.y_grid
 
         def time_density(u):
@@ -746,10 +746,10 @@ class TestExplosionDriver:
 
     def test_phase_exponent_minus_one_takes_the_log(self):
         # (A / D)^(1/beta) = c y^((0.5 - 1.5) / 1.0) = c / y: the phase is c log y
-        drv = explosion_driver(power_law_envelope(1.5, 0.5, 1.0), 1.5)
+        drv = explosion_driver(GrowthEnvelope(1.5, 0.5, 1.0), 1.5)
         assert drv.t_star == pytest.approx(14.758377771691354, rel=1e-12)
         # a growth exponent 1e-9 off takes the expm1 form; 5.4e-9 apart measured
-        near = explosion_driver(power_law_envelope(1.5 - 1e-9, 0.5, 1.0), 1.5)
+        near = explosion_driver(GrowthEnvelope(1.5 - 1e-9, 0.5, 1.0), 1.5)
         np.testing.assert_allclose(drv.path.values, near.path.values, rtol=0, atol=1e-7)
 
     @pytest.mark.parametrize("growth_exp, area_exp, y_stall", [
@@ -757,31 +757,67 @@ class TestExplosionDriver:
     def test_saturating_time_grid_is_refused(self, growth_exp, area_exp, y_stall):
         # the time increments of these fast blow-ups fall below float resolution
         with pytest.raises(ValueError, match="too fast") as info:
-            explosion_driver(power_law_envelope(growth_exp, area_exp, 0.8), 1.5)
+            explosion_driver(GrowthEnvelope(growth_exp, area_exp, 0.8), 1.5)
         assert str(info.value).endswith(f"y = {y_stall}")
-
-
-def _two_term_envelope():
-    return GrowthEnvelope(
-        growth=lambda r: np.asarray(r) ** 2.4 + np.asarray(r) ** 1.2,
-        area_growth=lambda r: np.asarray(r) ** 1.6 + np.asarray(r) ** 0.4,
-        beta=0.8,
-    )
 
 
 class TestProcessEnvelope:
     """The closed-form power laws of homogenization and mollification."""
 
-    def test_non_power_law_envelope_is_refused(self):
-        for build in (process_envelope, explosion_driver):
-            with pytest.raises(ValueError, match="power_law_envelope"):
-                build(_two_term_envelope(), 1.5)
-
     @pytest.mark.parametrize("p", [1.0, 0.5])
     def test_p_at_most_one_is_refused(self, p):
         # rho2 = (p - 1) / beta is 0 at p = 1 and negative below
         with pytest.raises(ValueError, match="1 < p"):
-            process_envelope(power_law_envelope(1.2, 0.4, 0.8), p)
+            process_envelope(GrowthEnvelope(1.2, 0.4, 0.8), p)
+
+
+# Gate 09's gallery at p 1.5, gamma 1.7, and (1.0, a, 1.0) at p 1.5, gamma 2.0, whose
+# q = -1 - a / 2 sits at the break-even -1 or just past it, with (0.99, 0, 1) at q -0.99.
+_GALLERY = [((a + delta, a, 0.8), 1.5, 1.7)
+            for a in (0.3, 0.6, 0.9, 1.2, 1.5) for delta in (-0.4, -0.2, 0.0, 0.4, 0.8)]
+_BREAK_EVEN = {"q-0.99": (0.99, 0.0), "q-1": (1.0, 0.0), "q-1.000001": (1.0, 2e-6),
+               "q-1.01": (1.0, 0.02), "q-1.025": (1.0, 0.05), "q-1-1e-14": (1.0, 2e-14)}
+
+
+class TestVerdictMatchesDriver:
+    """The criterion and the blow-up driver read divergence from one rule."""
+
+    @pytest.mark.parametrize("args, p, gamma", _GALLERY + [
+        ((g, a, 1.0), 1.5, 2.0) for g, a in _BREAK_EVEN.values()],
+        ids=[f"gallery-{a}-{d}" for a in (0.3, 0.6, 0.9, 1.2, 1.5)
+             for d in (-0.4, -0.2, 0.0, 0.4, 0.8)] + list(_BREAK_EVEN))
+    def test_converges_exactly_when_the_driver_builds(self, args, p, gamma):
+        env = GrowthEnvelope(*args)
+        verdict = explosion_criterion(env, p, gamma).verdict
+        try:
+            explosion_driver(env, p)
+        except ValueError as exc:
+            if "diverges" in str(exc):
+                assert verdict == "diverges-trend"
+                return
+            assert "too fast" in str(exc)  # gallery 2.3/1.5 stalls the time grid
+        assert verdict == "converges"
+
+    @pytest.mark.parametrize("case, verdict", [
+        ("q-0.99", "diverges-trend"), ("q-1", "diverges-trend"),
+        ("q-1.01", "converges"), ("q-1.025", "converges"), ("q-1.000001", "converges"),
+        ("q-1-1e-14", "converges")])
+    def test_break_even_verdicts(self, case, verdict):
+        # q in (-1.029, -1) read diverges-trend under the former fitted-slope band
+        env = GrowthEnvelope(*_BREAK_EVEN[case], 1.0)
+        assert explosion_criterion(env, 1.5, 2.0).verdict == verdict
+
+    @pytest.mark.parametrize("case", ["q-1.000001", "q-1-1e-14"])
+    def test_driver_just_past_break_even_crosses(self, case):
+        drv = explosion_driver(GrowthEnvelope(*_BREAK_EVEN[case], 1.0), 1.5)
+        traj = drv.state_trajectory()
+        assert traj.exploded and math.isfinite(drv.t_star)
+        assert float(traj.times[traj.exploded_at]) == pytest.approx(208.41, abs=0.01)
+        assert float(traj.times[traj.exploded_at]) < drv.t_star
+
+    def test_overflowing_exponents_are_refused_by_name(self):
+        with pytest.raises(ValueError, match="envelope exponents overflow float64"):
+            explosion_driver(GrowthEnvelope(400.0, 400.0, 1.0), 1.5)
 
 
 class TestEnvelopeFold:
@@ -795,20 +831,19 @@ class TestEnvelopeFold:
     ], ids=["benchmark", "gallery-0.9-0.9", "gallery-1.1-0.3", "gallery-2.3-1.5",
             "r-hom-tie", "2.4-1.6", "2.6-2.2"])
     def test_closed_form_matches_the_min_scan(self, growth_exp, area_exp):
-        env = power_law_envelope(growth_exp, area_exp, 0.8)
+        env = GrowthEnvelope(growth_exp, area_exp, 0.8)
         proc = process_envelope(env, 1.5)
         y = np.geomspace(1.0, 2.0 * drivers._Y_MAX, 129)
         nodes, weights = _mollifier_weights()
         u_grid = np.geomspace(1.0, drivers._U_MAX, 512)
-        dstar, astar = oracles.envelope_tables(env.growth, env.area_growth, y,
+        dstar, astar = oracles.envelope_tables(growth_exp, area_exp, y,
                                                nodes, weights, u_grid, proc.r_hom)
         np.testing.assert_allclose(proc.dstar(y), dstar, rtol=2e-15, atol=0)
         np.testing.assert_allclose(proc.astar(y), astar, rtol=2e-15, atol=0)
 
     def test_peak_memory_stays_blocked(self):
-        # the closed form holds only the 65 mollifier nodes and the 61 pairing radii
-        # (3.6 KiB peak measured)
-        env = power_law_envelope(1.2, 0.4, 0.8)
+        # the closed form holds only the 65 mollifier nodes (3.6 KiB peak measured)
+        env = GrowthEnvelope(1.2, 0.4, 0.8)
         process_envelope(env, 1.5)
         tracemalloc.start()
         try:
