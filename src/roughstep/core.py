@@ -562,15 +562,17 @@ class Trajectory:
     def write_csv(self, filename) -> None:
         """Write a ``t,y_1,...,y_n`` header and one row per time: repr floats, CRLF ends.
 
-        Rows go out ``_CSV_ROWS`` at a time as plain floats from ``tolist``,
-        so no whole-file string is ever held.
+        Rows go out ``_CSV_ROWS`` at a time, so no whole-file string is ever
+        held: each block is one ``%`` of the ``"%r,...,%r\\r\\n"`` row pattern,
+        repeated once per row, over the block's plain floats from ``tolist``.
         """
         table = np.column_stack((self.times, self.states))
+        row = ",".join(["%r"] * (self.n + 1)) + "\r\n"
         with open(filename, "w", newline="") as fh:
             fh.write(",".join(["t"] + [f"y_{i + 1}" for i in range(self.n)]) + "\r\n")
             for start in range(0, len(table), _CSV_ROWS):
-                rows = table[start : start + _CSV_ROWS].tolist()
-                fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in rows]))
+                block = table[start : start + _CSV_ROWS]
+                fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 @dataclass

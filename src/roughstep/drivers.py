@@ -34,6 +34,7 @@ from .core import (
     GrowthEnvelope,
     Trajectory,
     VectorField,
+    _POWER_BITS,
     _size,
 )
 
@@ -293,6 +294,7 @@ class CounterexampleConfig:
     (so the coefficient is rough enough to break uniqueness while the driver
     still has finite p-variation), which is validated eagerly.  ``ramp`` is
     the relative width of the smoothstep collar in the coefficient field.
+    ``grid`` is an integer: a float or a bool raises TypeError.
     """
 
     gamma: float = 1.05
@@ -305,6 +307,7 @@ class CounterexampleConfig:
     ramp: float = 0.15
 
     def __post_init__(self):
+        object.__setattr__(self, "grid", _size(self.grid, "grid"))
         if not self.beta_exp > 0:
             raise ValueError("beta_exp must be positive")
         if not math.isfinite(self.p):
@@ -395,6 +398,20 @@ def _example1_grown_component(cfg: CounterexampleConfig, t: np.ndarray) -> np.nd
     six times, pass j needing ``Re sum_k e^{iuk} 2 g_c[k] / (ik)^j``, so one
     phase matrix per block of u serves all twelve passes.  Each pass gains a
     factor ~1/u, and u >= 1e4 puts the truncation far below double precision.
+
+    Rows whose oscillatory part cannot reach the last bit skip their phase
+    row.  With ``w_{c,j} = fac_j u^-(a_c+j-1)`` the pass weights, row c's sum
+    ``acc_c = -sum_j w_{c,j} at_u[c, j]`` is at most ``B_c = sum_j w_{c,j}
+    sum_k |H[k, c, j]|`` in size, inflated by ``1 + 1e-12`` for roundoff as
+    ``core._pair_max`` inflates its bounds.  While ``B_0 + (beta/rho)(|m_1| +
+    B_1) < spacing(|m_0|) / 8``, with ``m_c`` the mean tails, both ``m_0 +
+    acc_0`` and the sum with ``(beta/rho)(m_1 + acc_1)`` round back to
+    ``m_0``: within an eighth of an ulp of a normal ``m_0``, even below a power
+    of two, nothing moves it.  A zero phase row gives ``at_u = ±0``, so
+    ``acc_c = +0`` and the row is ``m_0 + (beta/rho) m_1``, which rounds to
+    ``m_0`` by the same bound: bitwise the full row's value.  A block's leading
+    rows (the largest u) keep a zero phase row while the bound holds; the rest
+    are filled in place, so the matmul sees the same block shape as before.
     """
     # (2 + sin θ)^gamma is analytic in the strip |Im θ| < arccosh 2 ≈ 1.317, so
     # |g_c[k]| falls like e^{-1.317 k} for every gamma.  At the default gamma,
@@ -413,20 +430,36 @@ def _example1_grown_component(cfg: CounterexampleConfig, t: np.ndarray) -> np.nd
     # column c * n_passes + j - 1 holds 2 g_c[k] / (ik)^j
     H = np.stack([2.0 * spec[c, 1 : n_keep + 1] / (1j * freqs) ** j
                   for c in (0, 1) for j in passes], axis=1)
+    reach = np.abs(H).sum(axis=0) * (1 + 1e-12)  # bound on |at_u| per column
     out = np.zeros_like(t)
     pos = np.flatnonzero(t > 0)
+    phase = np.empty((min(block, pos.size), n_keep), dtype=complex)
     for lo in range(0, pos.size, block):
         idx = pos[lo : lo + block]
         u = t[idx] ** (-rho)
-        at_u = (np.exp(1j * np.outer(u, freqs)) @ H).real
-        tails = []
+        weights, means, bounds = [], [], []
         for c, a in enumerate((kappa + 1.0, kappa + 2.0)):
             fac = 1.0
+            for j in passes:
+                weights.append(fac * u ** (-(a + j - 1.0)))
+                fac *= a + j - 1.0
+            means.append(float(spec[c, 0].real) * u ** (1.0 - a) / (a - 1.0))
+            bounds.append(sum(w * b for w, b in zip(weights[c * n_passes :],
+                                                    reach[c * n_passes :])))
+        stuck = bounds[0] + (beta / rho) * (np.abs(means[1]) + bounds[1]) < (
+            np.spacing(np.abs(means[0])) / 8)
+        skip = int(np.argmin(stuck)) if not stuck.all() else u.size
+        rows = phase[: u.size]
+        rows[:skip] = 0.0
+        np.multiply(np.multiply.outer(u[skip:], freqs), 1j, out=rows[skip:])
+        np.exp(rows[skip:], out=rows[skip:])
+        at_u = (rows @ H).real
+        tails = []
+        for c in (0, 1):
             acc = np.zeros(u.size)
             for j in passes:
-                acc -= fac * u ** (-(a + j - 1.0)) * at_u[:, c * n_passes + j - 1]
-                fac *= a + j - 1.0
-            tails.append(float(spec[c, 0].real) * u ** (1.0 - a) / (a - 1.0) + acc)
+                acc -= weights[c * n_passes + j - 1] * at_u[:, c * n_passes + j - 1]
+            tails.append(means[c] + acc)
         out[idx] = tails[0] + (beta / rho) * tails[1]
     return out
 
@@ -606,11 +639,10 @@ def _chain_with_sides(base: np.ndarray, k: int, entry: int, exit_: int):
 
 
 # The largest sub-grid half-width k a level may use, the query pairs
-# ChainCurve.band_stats evaluates per array pass, the pairs it decodes from
-# one block of PCG64 words, and the low half of a 64-bit word.
+# ChainCurve.band_stats draws and evaluates per array pass, and the low half
+# of a 64-bit word.
 _K_MAX = 12
 _BAND_BLOCK = 4096
-_DRAW_CHUNK = 128
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 
@@ -706,7 +738,9 @@ class ChainCurve:
 
         ``index`` is a scalar or an array; the result adds an axis of length 2.
         Level r reads the r-th mixed-radix digit of the index, most
-        significant first.
+        significant first, and takes the square and the successor state of
+        each query with one ``take`` at the flat row ``state * m + digit`` of
+        the level's (16 m)-row tables.
         """
         rest = np.asarray(index)
         if np.any((rest < 0) | (rest >= self.total_cells)):
@@ -718,9 +752,10 @@ class ChainCurve:
             place //= m
             digit, rest = np.divmod(rest, place)
             squares, succ = _chain_table(k, m)
+            flat = state * m + digit
             size /= n
-            corner += squares[state, digit] * size
-            state = succ[state, digit]
+            corner += squares.reshape(-1, 2).take(flat, axis=0) * size
+            state = succ.reshape(-1).take(flat)
         return corner + 0.5 * size
 
     def eval(self, t) -> np.ndarray:
@@ -786,13 +821,22 @@ class ChainCurve:
         ``2**32 % span``; the uniform draw takes a full word w as
         ``(w >> 11) * 2**-53``.  Halves come low first, and a word's high half
         waits as the spare (``has_uint32``, ``uinteger``).  A pair without a
-        rejection spends two words a, b and keeps the phase: with no spare it
-        reads r from low(a), the uniform from b and start from high(a); with
-        one it reads r from the spare, the uniform from a and start from
-        low(b), leaving high(b) spare.  Chunks of ``_DRAW_CHUNK`` pairs are
-        decoded as arrays up to the first rejection.  That pair is drawn by
-        the scalar calls, from the chunk's saved state stepped past the
-        decoded pairs, and it may flip the phase.
+        rejection spends two words and keeps the phase.  At word p with no
+        spare it reads r from low(w_p), the uniform from w_{p+1} and start from
+        high(w_p); with the spare high(w_{p-1}) (the generator's own at p = 0)
+        it reads r from the spare, the uniform from w_p and start from
+        low(w_{p+1}), leaving high(w_{p+1}) spare.
+
+        Every pair spends at least two words, so ``2 n`` are drawn at once and
+        both phases are decoded at every word.  A pair is stopped when its r is
+        rejected or its start may be: the span is tried at the gaps of
+        ``np.exp`` of the exponent, less and more 1e-12, which bracket the gap
+        of ``math.exp``.  The walk takes the runs of unstopped pairs, every
+        second word in one phase, with ``math.exp`` for their gaps, and draws
+        each stopped pair by the scalar rules on the same words, retries and
+        phase flips included; words past the buffer are drawn as needed,
+        never more than the pairs left must spend.  So each kept pair pays
+        ``math.exp`` once, and ``bits.state`` is set once, with the spare.
         Other bit generators, ``depth == 2`` (r takes no bits) and curves over
         2**32 cells (start takes a full word) make the scalar calls throughout.
         """
@@ -802,47 +846,74 @@ class ChainCurve:
             for i in range(n):
                 out[:, i] = self._draw_pair(rng)
             return out
+        total, levels = self.total_cells, self.depth - 1
         # uniform bounds per level index r - 1, as _draw_pair computes them
         log_lo = np.array([math.log(d) for d in self.delta[1:]])
         log_span = np.array([math.log(d) for d in self.delta[:-1]]) - log_lo
-        reject1 = 2**32 % (self.depth - 1)
-        done = 0
-        while done < n:
-            saved = bits.state
-            c = min(_DRAW_CHUNK, n - done)
-            words = bits.random_raw(2 * c)
-            a, b = words[0::2], words[1::2]
-            if saved["has_uint32"]:
-                int_words, word = b, a
-                x1 = np.concatenate(([np.uint64(saved["uinteger"])], b[:-1] >> 32))
-                x2 = b & _LOW32
-            else:
-                int_words, word = a, b
-                x1, x2 = a & _LOW32, a >> 32
-            prod1 = x1 * np.uint64(self.depth - 1)
+        state = bits.state
+        has, spare = state["has_uint32"], state["uinteger"]
+        words = bits.random_raw(2 * n)
+        low, high = words & _LOW32, words >> 32
+        decoded = []  # per phase, pairs decoded at words 0 .. 2 n - 2
+        for x1, word, x2, int_high in ((low[:-1], words[1:], high[:-1], high[:-1]),
+                                       (np.append(np.uint64(spare), high[:-2]), words[:-1],
+                                        low[1:], high[1:])):
+            prod1 = x1 * np.uint64(levels)
             level = prod1 >> 32  # r - 1
             exponent = log_lo[level] + log_span[level] * ((word >> 11) * 2.0**-53)
-            gap = np.fromiter(map(math.exp, exponent.tolist()), float, c)  # math.exp as _draw_pair
-            gap_cells = np.maximum((gap * self.total_cells).astype(np.int64), 1)
-            span = (self.total_cells - gap_cells).astype(np.uint64)
-            prod2 = x2 * span
-            ok = ((prod1 & _LOW32) >= reject1) & ((prod2 & _LOW32) >= 2**32 % span)
-            bad = np.flatnonzero(~ok)
-            j = int(bad[0]) if bad.size else c
-            out[0, done:done + j] = level[:j] + 1
-            out[1, done:done + j] = prod2[:j] >> 32
-            out[2, done:done + j] = gap_cells[:j]
-            # leave the spare slot as the scalar calls would: the high half of
-            # the last pair's integer word, live in the odd phase, stale in the even
-            state = bits.state if j == c else saved
-            if j:
-                state["uinteger"] = int(int_words[j - 1] >> 32)
-            bits.state = state
-            if j < c:
-                bits.random_raw(2 * j)
-                out[:, done + j] = self._draw_pair(rng)
-                j += 1
-            done += j
+            stop = (prod1 & _LOW32) < 2**32 % levels
+            cells = np.exp(exponent) * total
+            for slack in (1 - 1e-12, 1 + 1e-12):
+                gap_cells = np.maximum((cells * slack).astype(np.int64), 1)
+                span = (total - gap_cells).astype(np.uint64)
+                stop |= (x2 * span & _LOW32) < 2**32 % span
+            # and a stop of either parity just past the decoded words
+            stops = np.flatnonzero(np.append(stop, [True, True]))
+            decoded.append((level, exponent, x2, int_high,
+                            (stops[stops % 2 == 0], stops[stops % 2 == 1])))
+
+        def next_word() -> int:
+            nonlocal p, words
+            if p == words.size:  # this pair needs a word, each later pair two
+                words = np.append(words, bits.random_raw(1 + 2 * (n - i - 1)))
+            p += 1
+            return int(words[p - 1])
+
+        def bounded(span: int) -> int:
+            nonlocal has, spare
+            while True:
+                if has:
+                    has, x = 0, spare
+                else:
+                    w = next_word()
+                    has, spare, x = 1, w >> 32, w & 0xFFFFFFFF
+                if x * span & 0xFFFFFFFF >= 2**32 % span:
+                    return x * span >> 32
+
+        p = i = 0
+        while i < n:
+            level, exponent, x2, int_high, stops = decoded[has]
+            ahead = stops[p % 2]
+            k = int(np.searchsorted(ahead, p))
+            m = min((int(ahead[k]) - p) // 2 if k < ahead.size else 0, n - i)
+            if m:
+                run = slice(p, p + 2 * m, 2)
+                gap = np.fromiter(map(math.exp, exponent[run].tolist()), float, m)
+                gap_cells = np.maximum((gap * total).astype(np.int64), 1)
+                out[0, i:i + m] = level[run] + 1
+                out[1, i:i + m] = x2[run] * (total - gap_cells).astype(np.uint64) >> 32
+                out[2, i:i + m] = gap_cells
+                spare = int(int_high[p + 2 * m - 2])
+                p, i = p + 2 * m, i + m
+            if i < n:
+                r = bounded(levels)
+                gap = math.exp(log_lo[r] + log_span[r] * ((next_word() >> 11) * 2.0**-53))
+                gap_cells = max(int(gap * total), 1)
+                out[:, i] = r + 1, bounded(total - gap_cells), gap_cells
+                i += 1
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = has, spare
+        bits.state = state
         return out
 
 
@@ -935,8 +1006,11 @@ def process_envelope(envelope: GrowthEnvelope, p: float) -> ProcessedEnvelope:
     and for A.  Below y = 1 both are held at their value at 1.
 
     Raises ValueError unless ``1 < p < 1 + beta`` (at ``p <= 1`` ``rho2 <= 0``
-    leaves no homogenization degree), and for exponents whose powers of states
-    up to ``_Y_MAX``, the driver's phase exponent among them, overflow.
+    leaves no homogenization degree), for exponents whose powers of states up
+    to ``_Y_MAX``, the driver's phase exponent among them, overflow, and for a
+    degree whose ``u**r_hom`` on [1, _U_MAX] passes ``2**_POWER_BITS``
+    (``r_hom`` past 75, p within about beta / 75 of 1).  A few degrees on,
+    ``_U_MAX**(r_hom - e)`` overflows, and past 1074 ``2**-r_hom`` is 0.
     """
     beta = envelope.beta
     if not (p > 1 and p - 1 < beta):
@@ -945,6 +1019,10 @@ def process_envelope(envelope: GrowthEnvelope, p: float) -> ProcessedEnvelope:
     rho1 = (beta * p + 1.0 - p) / beta
     rho2 = (p - 1.0) / beta
     r_hom = int(math.floor(1.0 / min(rho1, rho2))) + 1
+    if r_hom * math.log2(_U_MAX) > _POWER_BITS:
+        raise ValueError(f"homogenization leaves float64 at p={p}, beta={beta}: degree "
+                         f"r_hom={r_hom} takes u**r_hom past 2**{_POWER_BITS:g} on "
+                         f"u in [1, {_U_MAX:g}]")
     nodes, weights = _mollifier_weights()
 
     def law(e):

@@ -437,6 +437,27 @@ def chain_pair_draws(rng: np.random.Generator, n: int, depth: int, delta,
     return np.array(draws, dtype=np.int64).T
 
 
+def chain_pair_rejections(rng: np.random.Generator, n: int, depth: int, delta,
+                          total_cells: int) -> list[int]:
+    """Rejected 32-bit draws of each of ``n`` pairs of :func:`chain_pair_draws`.
+
+    Counted from what each pair spends on PCG64: its words w (one for the
+    uniform) and the spare flag h before and after, ``2 (w - 1) + h_before -
+    h_after`` halves, two of them kept.
+    """
+    bits, probe = rng.bit_generator, np.random.PCG64(0)
+    out = []
+    for _ in range(n):
+        before = bits.state
+        chain_pair_draws(rng, 1, depth, delta, total_cells)
+        probe.state, words = before, 0
+        while probe.state["state"] != bits.state["state"]:
+            probe.random_raw()
+            words += 1
+        out.append(2 * (words - 1) + before["has_uint32"] - bits.state["has_uint32"] - 2)
+    return out
+
+
 def pcg64_state_emitting(first: int, second: int) -> dict:
     """A PCG64 ``bit_generator.state`` whose next two raw words are ``first``, ``second``.
 

@@ -452,6 +452,16 @@ class TestConfigErrors:
         assert err.startswith("config error") and "too fast" in err
         assert not out.exists()
 
+    def test_homogenization_past_float64_exits_2_naming_it(self, tmp_path, capsys):
+        # r_hom = 80 at p 1.01, where 1e4**(r_hom - e) overflows a float
+        cfg = _write_config(tmp_path, "near1.json", {
+            "envelope": {"growth_exp": 1.2, "area_exp": 0.4, "beta": 0.8}, "p": 1.01})
+        out = tmp_path / "out"
+        assert main(["explosion", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: homogenization leaves float64 at p=1.01, beta=0.8")
+        assert "r_hom=80" in err and not out.exists()
+
     @pytest.mark.parametrize("envelope, cause", [
         ({"growth_exp": 400, "area_exp": 400, "beta": 1.0}, "envelope exponents overflow"),
         ({"growth_exp": 2.0, "area_exp": 0.4, "beta": 0.8}, "envelope pairing"),

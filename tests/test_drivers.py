@@ -321,6 +321,15 @@ class TestOscillatoryCounterexample:
         with pytest.raises(ValueError):
             CounterexampleConfig(**kwargs)
 
+    @pytest.mark.parametrize("grid, message", [
+        (4096.0, "grid must be an integer, got 4096.0"),
+        (4096.5, "grid must be an integer, got 4096.5"),
+        (True, "grid must be an integer, not a bool"),
+    ], ids=["integral-float", "fraction", "bool"])
+    def test_config_refuses_a_non_integer_grid(self, grid, message):
+        with pytest.raises(TypeError, match=message):
+            CounterexampleConfig(grid=grid)
+
     def test_config_refuses_infinite_t_max(self):
         with pytest.raises(ValueError, match="t_max must be positive and finite, got inf"):
             CounterexampleConfig(t_max=math.inf)
@@ -394,6 +403,7 @@ class TestOscillatoryCounterexample:
         dict(gamma=1.5, beta_exp=2.0, rho_exp=3.5, t_max=1.0, p=2.5, grid=8192),
         dict(gamma=1.2, beta_exp=6.0, rho_exp=7.5, t_max=0.9, t_min_factor=0.5, grid=8192),
         dict(grid=32768),
+        dict(grid=8192, t_min_factor=1e-5),  # about half the rows skip their phase row
     ])
     def test_grown_branch_bitwise_equal_to_256_harmonics(self, kwargs):
         cfg = CounterexampleConfig(**kwargs)
@@ -591,6 +601,22 @@ class TestChainCurve:
         assert make_rng().bit_generator.state["has_uint32"] == 1
         self._assert_band_stats_equal_the_loop(chain6, _BAND_BLOCK + 1000, make_rng)
 
+    def test_band_stats_equals_the_loop_through_repeated_rejections(self, chain6):
+        """Seed 3000, the first from 3000 up whose 2000 pairs hold both: pair 1225's
+        start is rejected twice in a row, and pairs 177 and 178 are each rejected
+        once, so the walk resolves two stopped pairs back to back.  (A rejected
+        level draw of 5 levels needs a zero half.)"""
+        rejected = oracles.chain_pair_rejections(np.random.default_rng(3000), 2000,
+                                                 chain6.depth, chain6.delta,
+                                                 chain6.total_cells)
+        assert rejected[1225] == 2 and rejected[177] == rejected[178] == 1
+        self._assert_band_stats_equal_the_loop(chain6, 2000, lambda: np.random.default_rng(3000))
+
+    def test_band_stats_equals_the_loop_over_three_blocks(self, chain6):
+        """Each block's draws start from the state and spare the block before left."""
+        self._assert_band_stats_equal_the_loop(chain6, 2 * _BAND_BLOCK + 777,
+                                               lambda: np.random.default_rng(3001))
+
     def test_band_stats_draw_the_gap_with_math_exp(self, chain6):
         """A pair whose exponent floors to a different gap under ``np.exp``.
 
@@ -769,6 +795,15 @@ class TestProcessEnvelope:
         # rho2 = (p - 1) / beta is 0 at p = 1 and negative below
         with pytest.raises(ValueError, match="1 < p"):
             process_envelope(GrowthEnvelope(1.2, 0.4, 0.8), p)
+
+    @pytest.mark.parametrize("p, r_hom", [(1.01, 80), (1.0001, 8001)])
+    def test_degree_past_float64_is_refused_by_name(self, p, r_hom):
+        # u**r_hom on [1, 1e4] passes 2**1000 from r_hom 76; at 80 1e4**(r_hom - e)
+        # overflows, at 8001 2**-r_hom is 0
+        with pytest.raises(ValueError, match=f"homogenization leaves float64 at p={p}, "
+                                             f"beta=0.8: degree r_hom={r_hom} "):
+            process_envelope(GrowthEnvelope(1.2, 0.4, 0.8), p)
+        assert process_envelope(GrowthEnvelope(1.2, 0.4, 0.8), 1.011).r_hom == 73
 
 
 # Gate 09's gallery at p 1.5, gamma 1.7, and (1.0, a, 1.0) at p 1.5, gamma 2.0, whose
