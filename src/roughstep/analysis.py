@@ -28,7 +28,7 @@ from .core import (
     chen_combine,
     control_fit,
 )
-from .drivers import CounterexampleConfig, example1_driver, example1_solution_pair
+from .drivers import CounterexampleConfig, _power_integral, example1_driver, example1_solution_pair
 from .schemes import _SCHEMES, DefectReport, _solve, corrected_solve, defect
 
 __all__ = [
@@ -122,7 +122,8 @@ def convergence_study(
     All meshes subsample the same driver realization, so the study measures
     discretization error alone, and they are stepped in one lockstep walk
     (see :func:`roughstep.schemes._run_scheme`), each bitwise its own solve.
-    ``k_values`` are integer mesh sizes; a float is refused (``TypeError``).
+    ``k_values`` are distinct integer mesh sizes; a float is refused
+    (``TypeError``), a repeated size (``ValueError``).
     ``reference`` is either a callable ``(path, y0) -> terminal state``
     (closed-form oracle), a terminal state array, each of the field's state
     dimension, or ``None``, in which case the corrected scheme on the full
@@ -149,6 +150,9 @@ def convergence_study(
         raise ValueError("need at least two mesh sizes")
     if ks[0] < 1:
         raise ValueError(f"mesh sizes must be at least 1, got {ks[0]}")
+    for k, k_next in zip(ks, ks[1:]):
+        if k == k_next:
+            raise ValueError(f"mesh size {k} is given more than once")
     if any(path.n_intervals % k for k in ks):
         raise ValueError("every mesh size must divide the driver grid")
     if scheme not in _SCHEMES:
@@ -357,11 +361,11 @@ def condition21_stat(
 class CriterionReport:
     """Dyadic partial integrals of the growth-envelope criterion.
 
-    ``partials[j]`` integrates the envelope expression over
-    ``[2^j, 2^(j+1)]``.  The verdict comes from the integrand's exponent ``q``
+    ``partials[j]`` is the closed-form integral of the envelope expression
+    ``R^q`` over ``[2^j, 2^(j+1)]``.  The verdict comes from ``q``
     (:meth:`GrowthEnvelope.diverges`): at ``q >= -1`` the integral diverges,
     which rules explosion out; below it converges, leaving explosion possible.
-    ``tail_slope``, the log2 trend of the last partials (``q + 1``), is a diagnostic.
+    ``tail_slope = q + 1`` is the log2 ratio of consecutive partials.
     """
 
     verdict: str
@@ -388,11 +392,6 @@ class CriterionReport:
         }
 
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(32)
-# Octaves at the top of the range whose trend the tail slope fits.
-_TAIL_OCTAVES = 5
-
-
 def explosion_criterion(
     env: GrowthEnvelope,
     p: float,
@@ -404,9 +403,9 @@ def explosion_criterion(
     The integrand is ``(A(R)^(1-p) D(R)^(p-1-beta*p))^(1/beta) = R^q`` with
     ``A(R) = R^env.area_exp`` and ``D(R) = R^env.growth_exp``.  The verdict is
     :meth:`GrowthEnvelope.diverges` on ``q``, the rule the blow-up driver
-    refuses by; the string ``"diverges-trend"`` names divergence.  Each octave
-    is integrated with 32-point Gauss-Legendre on that expression, and the
-    fitted tail slope is reported as a diagnostic.  Raises ValueError for
+    refuses by; the string ``"diverges-trend"`` names divergence.  Octave
+    ``j`` is ``2^(j(q+1)) integral_1^2 u^q du``, exactly ``ln 2`` per octave at
+    ``q = -1``, and ``tail_slope`` is ``q + 1``.  Raises ValueError for
     exponents whose powers up to ``r_max`` overflow.
     """
     if not p >= 1:
@@ -418,29 +417,20 @@ def explosion_criterion(
     if not 1e3 <= r_max < math.inf:
         raise ValueError(f"r_max must be finite and at least 1e3, got {r_max}")
     env.check_powers(p, r_max)
-    beta, a, g = env.beta, env.area_exp, env.growth_exp
-    n_oct = int(math.floor(math.log2(r_max)))
-
-    # octave j is [2^j, 2^(j+1)]: midpoint 1.5 * 2^j, half-width 0.5 * 2^j, both exact
-    lo = np.ldexp(1.0, np.arange(n_oct))
-    mid, half = 1.5 * lo, 0.5 * lo
-    r = (mid[:, None] + half[:, None] * _GAUSS_NODES).ravel()
-    rows = ((r**a) ** (1.0 - p) * (r**g) ** (p - 1.0 - beta * p)) ** (1.0 / beta)
-    partials = half * np.vecdot(rows.reshape(n_oct, -1), _GAUSS_WEIGHTS)
-
-    n_tail = min(_TAIL_OCTAVES, n_oct)
-    idx = np.arange(n_oct - n_tail, n_oct)
-    tail_slope = float(np.polyfit(idx, np.log2(partials[idx]), 1)[0])
+    q = env.criterion_exponent(p)
+    octaves = np.arange(int(math.floor(math.log2(r_max))))
+    # integral over [2^j, 2^(j+1)] of R^q is 2^(j(q+1)) times the one over [1, 2]
+    partials = 2.0 ** (octaves * (q + 1.0)) * _power_integral(math.log(2.0), q)
     verdict = "diverges-trend" if env.diverges(p) else "converges"
     return CriterionReport(
         verdict=verdict,
         p=float(p),
         gamma=float(gamma),
-        beta=float(beta),
+        beta=float(env.beta),
         r_max=float(r_max),
         partials=partials,
-        octaves=np.arange(n_oct),
-        tail_slope=tail_slope,
+        octaves=octaves,
+        tail_slope=q + 1.0,
         total=float(np.sum(partials)),
     )
 

@@ -278,6 +278,7 @@ def _cmd_solve(config: dict, seed_override) -> dict:
 
 _ORACLES = {"gbm_ito": gbm_terminal_ito, "gbm_stratonovich": gbm_terminal_stratonovich,
             "fine": None}
+_GBM_FIELDS = ({"kind": "scalar_linear"}, {"kind": "diagonal_linear", "n": 1})  # f(y) = y
 
 
 @_subcommand("convergence", {
@@ -287,6 +288,9 @@ _ORACLES = {"gbm_ito": gbm_terminal_ito, "gbm_stratonovich": gbm_terminal_strato
     "drop_coarsest": (_int, 2),
 })
 def _cmd_convergence(config: dict, seed_override) -> dict:
+    if config["oracle"] != "fine" and config["field"] not in _GBM_FIELDS:
+        raise ConfigError(f"oracle {config['oracle']} solves dY = Y dX, "
+                          f"not the field {config['field']}")
     scheme = config["scheme"]
     need_area = scheme["scheme"] == "corrected" or config["oracle"] == "fine"
     path, area = _driver(config["driver"], seed_override, need_area)

@@ -16,6 +16,7 @@ PCG64 up to emit chosen words: ``pcg64_state_emitting``.
 from __future__ import annotations
 
 import csv
+import decimal
 import fractions
 import math
 import operator
@@ -160,26 +161,18 @@ def power_law_verdict(area_exp: float, growth_exp: float, beta: float,
     return "diverges-trend" if power_law_criterion_exponent(*exact) >= -1 else "converges"
 
 
-def octave_criterion(growth_exp: float, area_exp: float, beta: float, p: float,
-                     r_max: float = 2.0**20) -> tuple[np.ndarray, float, float]:
-    """Octave partials of {A^(1-p) D^(p-1-bp)}^(1/b), their sum and tail slope.
-
-    ``A(R) = R^area_exp`` and ``D(R) = R^growth_exp``.  One octave
-    [2^j, 2^(j+1)] at a time, each by 32-point Gauss-Legendre on its own 32
-    nodes; the slope is the least-squares log2 trend of the last five partials.
-    """
-    n_oct = int(math.floor(math.log2(r_max)))
-    partials = np.empty(n_oct)
-    for j in range(n_oct):
-        lo, hi = 2.0**j, 2.0 ** (j + 1)
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        r = mid + half * GAUSS_X
-        a, d = r**area_exp, r**growth_exp
-        values = (a ** (1.0 - p) * d ** (p - 1.0 - beta * p)) ** (1.0 / beta)
-        partials[j] = half * float(np.dot(GAUSS_W, values))
-    idx = np.arange(n_oct - 5, n_oct)
-    slope = float(np.polyfit(idx, np.log2(partials[idx]), 1)[0])
-    return partials, float(np.sum(partials)), slope
+def octave_partials(q: fractions.Fraction, n_oct: int) -> list[float]:
+    """``integral_{2^j}^{2^(j+1)} R^q dR`` for ``j < n_oct``, from the exact
+    rational ``q`` in 40-digit decimal: ``(2^((j+1)e) - 2^(je)) / e`` with
+    ``e = q + 1``, and ``ln 2`` at ``e = 0``."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        two = decimal.Decimal(2)
+        e = q + 1
+        if e == 0:
+            return [float(two.ln())] * n_oct
+        e = decimal.Decimal(e.numerator) / e.denominator
+        return [float((two ** ((j + 1) * e) - two ** (j * e)) / e) for j in range(n_oct)]
 
 
 def central_jacobian(solver, y0: np.ndarray, eps: float = 1e-5) -> np.ndarray:

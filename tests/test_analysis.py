@@ -1,6 +1,7 @@
 """Tests for the estimators, verifiers, and report objects."""
 from __future__ import annotations
 
+import fractions
 import math
 
 import numpy as np
@@ -109,6 +110,14 @@ class TestConvergenceStudy:
     def test_mesh_below_one_rejected(self, bm1, gbm_field, k_values):
         _, path, _ = bm1
         with pytest.raises(ValueError, match="at least 1"):
+            convergence_study(gbm_field, path, np.array([1.0]), k_values=k_values,
+                              reference=gbm_terminal_ito)
+
+    @pytest.mark.parametrize("k_values", [[256, 256], [64, 16, 64, 256]])
+    def test_repeated_mesh_size_refused(self, bm1, gbm_field, k_values):
+        """Two fit points at one mesh size would fit a slope through a repeat."""
+        _, path, _ = bm1
+        with pytest.raises(ValueError, match=r"mesh size \d+ is given more than once"):
             convergence_study(gbm_field, path, np.array([1.0]), k_values=k_values,
                               reference=gbm_terminal_ito)
 
@@ -559,16 +568,22 @@ class TestExplosionCriterion:
 
     @pytest.mark.parametrize("area_exp", [0.3, 0.6, 0.9, 1.2, 1.5])
     @pytest.mark.parametrize("delta", [-0.4, -0.2, 0.0, 0.4, 0.8])
-    def test_gallery_matches_per_octave_oracle_bitwise(self, area_exp, delta):
+    def test_gallery_matches_exact_rational_partials(self, area_exp, delta):
         env = GrowthEnvelope(area_exp + delta, area_exp, self.ENV["beta"])
-        self._assert_matches_oracle(env)
-
-    def _assert_matches_oracle(self, env):
         report = explosion_criterion(env, self.ENV["p"], self.ENV["gamma"])
-        partials, total, slope = oracles.octave_criterion(
-            env.growth_exp, env.area_exp, env.beta, self.ENV["p"])
-        assert report.partials.tobytes() == partials.tobytes()
-        assert (report.total, report.tail_slope) == (total, slope)
+        exact = [fractions.Fraction(str(x))
+                 for x in (env.area_exp, env.growth_exp, env.beta, self.ENV["p"])]
+        want = oracles.octave_partials(oracles.power_law_criterion_exponent(*exact), 20)
+        np.testing.assert_allclose(report.partials, want, rtol=1e-13, atol=0.0)
+        assert report.total == pytest.approx(math.fsum(want), rel=1e-13)
+        assert report.tail_slope == env.criterion_exponent(self.ENV["p"]) + 1.0
+
+    def test_flat_octaves_at_q_minus_one(self):
+        """growth 0.5, area 0.9 puts q at -1 in floats too: every octave is ln 2."""
+        report = self._report(0.5, 0.9)
+        assert report.tail_slope == 0.0
+        assert report.partials.tolist() == [math.log(2.0)] * 20
+        assert report.verdict == "diverges-trend"
 
     def test_input_validation(self):
         env = GrowthEnvelope(1.2, 0.4, 0.8)

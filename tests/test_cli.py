@@ -225,6 +225,36 @@ class TestConfigErrors:
         assert "explosion_threshold" in err
         assert "must be positive" in err
 
+    @pytest.mark.parametrize("oracle", ["gbm_ito", "gbm_stratonovich"])
+    @pytest.mark.parametrize("field", [{"kind": "constant", "matrix": [[0.0]]},
+                                       {"kind": "diagonal_linear", "n": 2}])
+    def test_gbm_oracle_refused_before_the_driver(self, tmp_path, monkeypatch, capsys,
+                                                  oracle, field):
+        """The closed-form oracles solve dY = Y dX alone."""
+        def unbuilt(config):
+            raise AssertionError("the driver was built before the oracle was refused")
+
+        monkeypatch.setattr(cli, "brownian_path", unbuilt)
+        cfg = _write_config(tmp_path, "bad.json", {
+            "driver": {"kind": "brownian", "d": field.get("n", 1), "level": 8, "seed": 1},
+            "field": field, "y0": [1.0] * field.get("n", 1),
+            "k_values": [16, 64], "oracle": oracle})
+        assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"oracle {oracle} solves dY = Y dX" in capsys.readouterr().err
+
+    def test_gbm_oracle_on_one_diagonal_component(self, tmp_path):
+        """diagonal_linear with n = 1 is the field f(y) = y of scalar_linear."""
+        rates = []
+        for field in ({"kind": "scalar_linear"}, {"kind": "diagonal_linear", "n": 1}):
+            cfg = _write_config(tmp_path, "ok.json", {
+                "driver": {"kind": "brownian", "d": 1, "level": 8, "seed": 1},
+                "field": field, "y0": [1.0], "k_values": [16, 64, 256],
+                "oracle": "gbm_ito"})
+            out = tmp_path / field["kind"]
+            assert main(["convergence", "--config", cfg, "--out", str(out)]) == 0
+            rates.append((out / "rate.json").read_bytes())
+        assert rates[0] == rates[1]
+
     def test_condition21_requires_brownian_driver(self, tmp_path):
         cfg = _write_config(tmp_path, "c21.json", {
             "driver": {"kind": "polynomial", "coeffs": [[0.0, 1.0]],
@@ -367,6 +397,20 @@ class TestConfigErrors:
         ("solve", {**SOLVE_CONFIG, "scheme": {"scheme": "euler"},
                    "driver": {"kind": "polynomial", "coeffs": [[0.0, 1.0]], "area": "none",
                               "samples": 1e17}}),
+        ("convergence", {
+            "driver": {"kind": "brownian", "d": 1, "level": 8, "seed": 42},
+            "field": {"kind": "scalar_linear"},
+            "y0": [1.0],
+            "k_values": [256, 256],
+            "oracle": "gbm_ito",
+        }),
+        ("convergence", {
+            "driver": {"kind": "brownian", "d": 1, "level": 8, "seed": 42},
+            "field": {"kind": "constant", "matrix": [[0.0]]},
+            "y0": [1.0],
+            "k_values": [16, 64, 256],
+            "oracle": "gbm_ito",
+        }),
     ], ids=["level-out-of-range", "nan-y0", "field-driver-mismatch", "oracle-needs-d1",
             "mesh-not-dividing-grid", "null-level", "null-alpha", "null-p", "null-matrix",
             "scheme-gamma", "scheme-p", "c21-no-levels", "c21-level-finer-than-driver",
@@ -387,7 +431,8 @@ class TestConfigErrors:
             "fractional-grid", "boolean-p", "boolean-curve-seed", "boolean-y0",
             "boolean-matrix", "boolean-in-mixed-y0", "boolean-coeffs", "text-y0", "curve-depth-1",
             "explosion-p-1", "nonuniqueness-tail-integral", "oracle-size-not-state",
-            "huge-diagonal-n-not-driver-d", "polynomial-samples-beyond-memory"])
+            "huge-diagonal-n-not-driver-d", "polynomial-samples-beyond-memory",
+            "conv-repeated-mesh", "gbm-oracle-on-constant-field"])
     def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, subcommand, config):
         cfg = _write_config(tmp_path, "bad.json", config)
         out = tmp_path / "out"

@@ -536,17 +536,14 @@ class TestLockstepWalk:
             assert np.array_equal(traj.states, alone.states)
             assert traj.scheme == alone.scheme and not traj.exploded
 
-    def test_duplicate_meshes(self):
+    def test_duplicate_meshes_refused(self):
+        """The study refuses a repeated mesh size by name before it walks; the walk
+        itself steps a repeated partition as its own solve (the test above)."""
         path, area = _walk_driver(2)
         field = _tanh_field(np.random.default_rng(3).uniform(-1.5, 1.5, (2, 2, 2)))
-        y0 = np.array([0.5, 0.1])
-        ks = [16, 4, 16, 64, 4]
-        report = convergence_study(field, path, y0, ks, "corrected", area)
-        errors, slope = oracles.sequential_rate(
-            lambda part: corrected_solve(field, path, area, y0, part).final,
-            ks, path.n_intervals, corrected_solve(field, path, area, y0).final)
-        assert np.array_equal(report.errors, errors) and report.slope == slope
-        assert report.k_values.tolist() == [4, 4, 16, 16, 64]
+        with pytest.raises(ValueError, match="mesh size 4 is given more than once"):
+            convergence_study(field, path, np.array([0.5, 0.1]), [16, 4, 16, 64, 4],
+                              "corrected", area)
 
     @pytest.mark.parametrize("scheme, threshold", [
         ("euler", 1.01), ("euler", 1.12), ("euler", 1.25), ("euler", 1.3),
