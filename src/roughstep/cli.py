@@ -281,6 +281,26 @@ _ORACLES = {"gbm_ito": gbm_terminal_ito, "gbm_stratonovich": gbm_terminal_strato
 _GBM_FIELDS = ({"kind": "scalar_linear"}, {"kind": "diagonal_linear", "n": 1})  # f(y) = y
 
 
+def _check_gbm_limit(oracle: str, scheme: str, driver: dict, need_area: bool) -> None:
+    """Refuse a GBM oracle that is not the limit of the run: ``gbm_ito`` is the limit
+    on a Brownian driver of Euler, or of the corrected scheme on an Ito area; on a
+    Brownian driver ``gbm_stratonovich`` is the limit of the corrected scheme on a
+    Stratonovich area only."""
+    brownian = driver["kind"] == "brownian"
+    area = driver.get("area", "ito" if need_area else "none")
+    if oracle == "gbm_ito" and not brownian:
+        raise ConfigError(f"oracle gbm_ito is the Ito limit on a Brownian driver, "
+                          f"not on a {driver['kind']} driver")
+    if oracle == "gbm_ito" and scheme == "corrected" and area != "ito":
+        raise ConfigError(f"oracle gbm_ito is not the limit of the corrected scheme "
+                          f"on a {area} area; use an ito area or gbm_stratonovich")
+    if oracle == "gbm_stratonovich" and brownian and (scheme, area) != ("corrected",
+                                                                       "stratonovich"):
+        raise ConfigError("on a Brownian driver, oracle gbm_stratonovich is the limit of "
+                          "the corrected scheme on a stratonovich area only, not of "
+                          f"{scheme} on a {area} area")
+
+
 @_subcommand("convergence", {
     **_SYSTEM,
     "k_values": (_ints, _REQUIRED),
@@ -288,12 +308,12 @@ _GBM_FIELDS = ({"kind": "scalar_linear"}, {"kind": "diagonal_linear", "n": 1})  
     "drop_coarsest": (_int, 2),
 })
 def _cmd_convergence(config: dict, seed_override) -> dict:
-    if config["oracle"] != "fine" and config["field"] not in _GBM_FIELDS:
-        raise ConfigError(f"oracle {config['oracle']} solves dY = Y dX, "
-                          f"not the field {config['field']}")
-    scheme = config["scheme"]
-    need_area = scheme["scheme"] == "corrected" or config["oracle"] == "fine"
-    path, area = _driver(config["driver"], seed_override, need_area)
+    oracle, scheme, driver = config["oracle"], config["scheme"], config["driver"]
+    if oracle != "fine" and config["field"] not in _GBM_FIELDS:
+        raise ConfigError(f"oracle {oracle} solves dY = Y dX, not the field {config['field']}")
+    need_area = scheme["scheme"] == "corrected" or oracle == "fine"
+    _check_gbm_limit(oracle, scheme["scheme"], driver, need_area)
+    path, area = _driver(driver, seed_override, need_area)
     report = convergence_study(
         _field(config["field"], path.d), path, config["y0"],
         k_values=config["k_values"],

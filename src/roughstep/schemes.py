@@ -1,11 +1,17 @@
 """One-step schemes for controlled systems, their defects, and derived flows.
 
-Everything here rests on one map, the left-point step ``y -> y + f(y) dx
-(+ G(y) : A)`` over a cell, taken as one matmul ``w = f @ [dx | A]`` and
-``G : A = sum_{h,j} D1[h, i, j] (f A)[h, j]``, so ``G`` is never formed.
-:func:`_coefficients` and :func:`_advance` are its single definition, shared
-by the solvers, :func:`augmented_solve` and :func:`defect`, so adjacent
-defects under the scheme that made a trajectory are zero by construction.
+Everything here rests on one map, the left-point step over a cell: Euler's
+``y -> y + f(y) dx``, and the corrected ``y -> y + T : f(y)``, whose cell operator
+``T[i, h, k] = delta_ih dx_k + sum_j D1[h, i, j] A[k, j]`` carries ``f dx`` and the
+area term ``G(y) : A`` at once, so ``G`` is never formed.  ``T`` is one batched
+matmul of the kernel rows ``[delta | D1]`` against the transposed driver block
+``[dx | A]`` (:func:`_operators`), and it depends on the state through ``D1`` alone:
+a walk whose field has a constant ``D1`` builds its operators from the driver, in
+bounded batches, before it steps them, and a cell then costs ``f(y)``, one
+contraction and one add.
+:func:`_coefficients`, :func:`_operators` and :func:`_advance` are the step's single
+definition, shared by the solvers, :func:`augmented_solve` and :func:`defect`, so
+adjacent defects under the scheme that made a trajectory are zero by construction.
 Every solve is a walk of :func:`_run_scheme`: one partition for the solvers,
 and the nested meshes of a convergence study stepped in lockstep, each
 member bitwise its own solve.
@@ -23,6 +29,8 @@ Beyond the basic solvers this module provides:
 from __future__ import annotations
 
 import math
+from functools import lru_cache, partial
+from itertools import chain
 
 import numpy as np
 
@@ -48,47 +56,78 @@ __all__ = [
 
 _SCHEMES = ("euler", "corrected")
 _DEFECT_BLOCK = 2**14  # pairs reconstructed per stacked step in defect
+_OPERATOR_CHUNK = 2**16  # operator entries a walk builds per batch (512 KiB)
 # einsum's C entry point: ``np.einsum`` without ``optimize`` calls it after a Python-level
 # dispatch that costs about as much as the contraction of one state
 _contract = getattr(np._core.multiarray, "c_einsum", np.einsum)
 
 
-def _kernel_layout(d1: np.ndarray) -> np.ndarray:
-    """``D1[..., h, i, j]`` as the kernel takes it: a C-contiguous ``[..., i, h, j]``."""
-    return np.ascontiguousarray(d1.swapaxes(-3, -2))
+@lru_cache(maxsize=16)
+def _identity_column(n: int) -> np.ndarray:
+    """``delta_ih`` as a read-only ``(n, n, 1)`` column, column 0 of the kernel rows."""
+    eye = np.eye(n)[:, :, None]
+    eye.flags.writeable = False
+    return eye
 
 
-def _constant_deriv1(field: VectorField) -> np.ndarray | None:
-    """A constant ``D1`` as one ``(n, n, d)`` row in the kernel's layout, None otherwise."""
-    return _kernel_layout(field._deriv1) if isinstance(field._deriv1, np.ndarray) else None
+def _kernel_rows(d1: np.ndarray) -> np.ndarray:
+    """``[delta | D1]``: the field's ``D1[..., h, i, j]`` as C-contiguous rows
+    ``[..., i, h, 1 + j]`` behind the identity column ``[..., i, h, 0] = delta_ih``,
+    built in one ``concatenate``."""
+    eye = _identity_column(d1.shape[-2])
+    if d1.ndim > 3:
+        eye = np.broadcast_to(eye, d1.shape[:-1] + (1,))
+    return np.concatenate((eye, d1.swapaxes(-3, -2)), -1)
 
 
-def _coefficients(field: VectorField, y: np.ndarray, corrected: bool, d1=None):
-    """Left-point coefficients of the step: ``(f(y), D1(y))`` with ``D1`` in the kernel's
-    layout (:func:`_kernel_layout`), None for Euler.
+def _constant_rows(field: VectorField) -> np.ndarray | None:
+    """A constant ``D1`` as one ``(n, n, 1 + d)`` block of kernel rows, None otherwise."""
+    return _kernel_rows(field._deriv1) if isinstance(field._deriv1, np.ndarray) else None
 
-    ``y`` is a state or a batch of states ``(..., n)``.  Both outputs are
-    C-contiguous whatever layout the field returns: ``f @ m`` on a transposed
-    ``f``, and the contraction on a transposed ``D1``, round differently from
-    the same operation on a row of a stacked batch.  ``d1`` is a constant ``D1``'s
-    row (:func:`_constant_deriv1`), bound once per walk and broadcast over any batch.
+
+def _operators(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The cell operators ``T[..., i, h, k] = delta_ih dx_k + sum_j D1[h, i, j] A[k, j]``
+    (``D1`` in the field's layout) of the kernel rows (:func:`_kernel_rows`) and the
+    driver blocks ``m = [dx | A]``, ``(..., d, 1 + d)``, broadcast against each other:
+    one batched matmul of each ``(n, 1 + d)`` block of rows against ``m`` transposed,
+    which a batch of blocks meets through a unit axis.  Each operator is bitwise the
+    one its cell gives alone."""
+    return rows @ (m.T if m.ndim == 2 else m.mT[..., None, :, :])
+
+
+def _operator_cells(rows: np.ndarray, blocks: np.ndarray):
+    """The operators of ``blocks`` (:func:`_operators`), one per index of its leading axis,
+    built in batches of at most ``_OPERATOR_CHUNK`` operator entries (one cell at least)."""
+    size = max(1, _OPERATOR_CHUNK // (rows.shape[-2] ** 2 * math.prod(blocks.shape[1:-1])))
+    return chain.from_iterable(_operators(rows, blocks[c: c + size])
+                               for c in range(0, len(blocks), size))
+
+
+def _coefficients(field: VectorField, y: np.ndarray, with_rows: bool, rows=None):
+    """Left-point coefficients of the step: ``f(y)`` and, when ``with_rows``, the kernel
+    rows of ``D1(y)`` (:func:`_kernel_rows`), else None.
+
+    ``y`` is a state or a batch of states ``(..., n)``.  ``f`` is C-contiguous
+    whatever layout the field returns: ``f @ m`` on a transposed ``f``, and the
+    contraction on a transposed operand, round differently from the same operation
+    on a row of a stacked batch.  ``rows`` is a constant ``D1``'s block
+    (:func:`_constant_rows`), bound once per walk and broadcast over any batch.
     """
     f = np.ascontiguousarray(field.eval(y))
-    if not corrected:
+    if not with_rows:
         return f, None
-    return f, _kernel_layout(field.deriv1(y)) if d1 is None else d1
+    return f, _kernel_rows(field.deriv1(y)) if rows is None else rows
 
 
-def _advance(y, f, d1, m) -> tuple[np.ndarray, np.ndarray]:
-    """The step ``y + f dx (+ G : A)`` over leading batch axes from the cell's
-    driver block ``m = [dx | A]`` (``[dx]``, ``d1`` None, for Euler), and ``w = f @ m``,
-    which holds ``f dx`` then ``f A``: ``G : A`` contracts ``D1`` with ``f A`` over
-    one contiguous ``(h, j)`` block, one inner loop on a batch as on one state."""
-    w = f @ m
-    y = y + w[..., 0]
-    if d1 is not None:
-        y = y + _contract("...ihj,...hj->...i", d1, np.ascontiguousarray(w[..., 1:]))
-    return y, w
+def _advance(y, f, cell, corrected: bool) -> np.ndarray:
+    """The step from ``y`` with left-point coefficients ``f`` over leading batch axes:
+    ``y + T : f`` over the cell operator ``cell = T`` (:func:`_operators`) when
+    ``corrected``, ``y + f @ [dx]`` over the Euler block ``cell = [dx]`` otherwise.  The
+    contraction sums one contiguous ``(h, k)`` block, one inner loop on a batch as on
+    one state, so a stacked step is bitwise its rows."""
+    if corrected:
+        return y + _contract("...ihk,...hk->...i", cell, f)
+    return y + (f @ cell)[..., 0]
 
 
 def _check_fit(field: VectorField, path: DriverPath, y0, area: AreaProcess | None):
@@ -157,19 +196,23 @@ def _run_scheme(
     threshold: float,
     step,
     tag: str,
+    cells=iter,
 ) -> list[Trajectory]:
     """Walk the members ``parts``, grid-index arrays of partitions of ``path``, in lockstep
-    from the checked state ``y``; ``step(y, m)`` advances a state ``(n,)`` or a stack of
-    states ``(M, n)`` over its driver blocks ``m`` (``area`` None: ``[dx]``) and returns a
-    new array.
+    from the checked state ``y``; ``step(y, c)`` advances a state ``(n,)`` or a stack of
+    states ``(M, n)`` over its cell inputs ``c`` and returns a new array.  ``cells(m)``
+    iterates the cell inputs of driver blocks ``m`` (``area`` None: ``[dx]``) along their
+    leading axis: the blocks themselves by default, or operators built from them
+    (:func:`_operator_cells`) before the cells they serve are stepped.
 
     Members are stepped in order of cell count, so the ones still running at round ``r``
     are a contiguous suffix of one stack: a round is one ``step`` on that slice, its
-    driver blocks read from one array (filled up to the second-longest member's count)
-    and one threshold check.  Once the longest member is the only one left it continues
-    alone on a 1-D view of its row, into one array sized for its whole walk, so a
-    one-member walk is the single-state loop.  Each member is bitwise its own walk: a
-    stacked step, the field's included (see :class:`VectorField`), equals its rows
+    cell inputs drawn from one array of driver blocks (filled up to the second-longest
+    member's count; ``cells`` runs on the rounds and members between two members' ends)
+    and one threshold check.  Once the longest member is the only one left it continues alone
+    on a 1-D view of its row, into one array sized for its whole walk, so a one-member
+    walk is the single-state loop.  Each member is bitwise its own walk: a stacked step,
+    the field's and the operators' included (see :class:`VectorField`), equals its rows
     stepped alone.
 
     One rule stops the walk: every running member ends at the first index ``stop`` (the
@@ -193,11 +236,13 @@ def _run_scheme(
         p = parts[i][: rounds + 1]
         m[: p.size - 1, pos] = _driver_blocks(path, area, p[:-1], p[1:])
     j0, ys, sq = 0, hist[0], [y.dot(y)] * len(parts)
+    run = cells(m[: counts[0]])  # the rounds every member runs
     stop = None if math.sqrt(sq[0]) <= threshold else 0
     for r in range(rounds if stop is None else 0):
-        while counts[j0] <= r:  # a member finished: drop its row and its blocks
-            j0, ys, m = j0 + 1, ys[1:], m[:, 1:]
-        ys = step(ys, m[r])
+        while counts[j0] <= r:  # a member finished: drop its row; the rest run to the next end
+            j0, ys = j0 + 1, ys[1:]
+            run = cells(m[r: counts[j0], j0:])
+        ys = step(ys, next(run))
         hist[r + 1, j0:] = ys
         sq = np.vecdot(ys, ys).tolist()  # each row's y.dot(y), bitwise
         # a float sum of squares bounds each of them and carries any NaN or inf, so
@@ -207,12 +252,12 @@ def _run_scheme(
         ):
             stop = r + 1
             break
-    del m  # not held through the longest member's tail
+    del m, run  # not held through the longest member's tail
     last = np.empty((counts[-1] + 1, y.size))  # the longest member's states, tail included
     last[: rounds + 1] = hist[:, -1]
     y = last[rounds]
-    for k, b in enumerate(tail_blocks if stop is None else (), rounds):
-        y = last[k + 1] = step(y, b)
+    for k, c in enumerate(cells(tail_blocks) if stop is None else (), rounds):
+        y = last[k + 1] = step(y, c)
         if not math.sqrt(s := y.dot(y)) <= threshold:
             j0, ys, sq, stop = len(parts) - 1, y[None], [s], k + 1
             break
@@ -238,18 +283,23 @@ def _run_scheme(
 
 def _solve(field, path, area, y0, partitions, threshold) -> list[Trajectory]:
     """One walk of ``partitions`` (None: every grid point), Euler when ``area`` is None,
-    corrected otherwise."""
+    corrected otherwise.  A constant ``D1`` has its operators built from the driver
+    before the cells they serve are stepped; any other builds each cell's in its step."""
     corrected = area is not None
     if corrected and not field.has_deriv1:
         raise NotImplementedError("corrected scheme needs the field's first derivative")
     y = _check_fit(field, path, y0, area)
     parts = [_grid_indices(path, p) for p in partitions]
-    d1 = _constant_deriv1(field)
+    rows = _constant_rows(field) if corrected else None
+    per_state = corrected and rows is None  # D1 read at each state
 
-    def step(y, m):
-        return _advance(y, *_coefficients(field, y, corrected, d1), m)[0]
+    def step(y, c):  # c: an Euler block, a built operator, or a corrected driver block
+        f, r = _coefficients(field, y, per_state)
+        return _advance(y, f, c if r is None else _operators(r, c), corrected)
 
-    return _run_scheme(path, area, y, parts, threshold, step, "corrected" if corrected else "euler")
+    cells = iter if rows is None else partial(_operator_cells, rows)
+    tag = "corrected" if corrected else "euler"
+    return _run_scheme(path, area, y, parts, threshold, step, tag, cells)
 
 
 def euler_solve(
@@ -298,7 +348,8 @@ def augmented_solve(
     flow at the same rate as the state and, for a fixed partition, *is* that
     Jacobian up to roundoff.  That derivative is the step kernel itself: each
     column ``z`` of ``Z`` is stepped by :func:`_advance` with ``D1 . z`` in place
-    of ``f``, and the corrected step adds ``D2[q, h, i, j] z[q] (f A)[h, j]``.
+    of ``f``, through the state's own cell operator ``T`` when corrected, so
+    ``z + T : (D1 . z)``, plus ``D2[q, h, i, j] z[q] (f A)[h, j]``.
     States are ``concat(y, Z.ravel())`` with
     ``Z[i, N] = d y_i / d y0_N`` flattened row-major; the trajectory is
     labelled with ``scheme``.
@@ -321,18 +372,20 @@ def augmented_solve(
     if not np.all(np.isfinite(z_init)):
         raise ValueError(f"z0 must be finite, got {z_init.tolist()}")
     big0 = np.concatenate([y, z_init.ravel()])
-    parts, const = [_grid_indices(path, partition)], _constant_deriv1(field)
+    parts, const = [_grid_indices(path, partition)], _constant_rows(field)
 
     def step(big, m):
         y, z = big[:n], big[n:].reshape(n, n)
-        f, d1 = _coefficients(field, y, True, const)
-        y_new, w = _advance(y, f, d1 if corrected else None, m)
-        # each direction z[:, c] takes the step with D1 . z[:, c] in place of f; the
-        # corrected step adds D2's term, D1 varying along z[:, c] under the fixed f A
-        zt = _advance(z.T, _contract("iqj,qc->cij", d1, z), d1 if corrected else None, m)[0]
+        f, rows = _coefficients(field, y, True, const)
+        g = _contract("iqj,qc->cij", rows[..., 1:], z)  # each direction's D1 . z[:, c]
+        # each direction z[:, c] takes the state's step, its operator when corrected,
+        # with D1 . z[:, c] in place of f; the corrected step adds D2's term, D1 varying
+        # along z[:, c] under the fixed f A
+        c = _operators(rows, m) if corrected else m
+        zt = _advance(z.T, g, c, corrected)
         if corrected:
-            zt += _contract("qhij,hj,qc->ci", field.deriv2(y), w[:, 1:], z)
-        return np.concatenate([y_new, zt.T.ravel()])
+            zt += _contract("qhij,hj,qc->ci", field.deriv2(y), f @ m[:, 1:], z)
+        return np.concatenate([_advance(y, f, c, corrected), zt.T.ravel()])
 
     # Explosion is judged on the full augmented state; callers who care about
     # the bare state norm should solve it separately.
@@ -428,18 +481,20 @@ def defect(
     elif control.p != p:
         raise ValueError(f"control was fitted for p={control.p}, the defect is asked at p={p}")
 
-    # f and D1 at every distinct left point in one call, then the reconstructions
-    # a block of pairs at a time
+    # f and D1's kernel rows at every distinct left point in one call (a constant D1's
+    # one block), then the reconstructions a block of pairs, and its operators, at a time
     counts = np.bincount(pair_arr[:, 0], minlength=idx.size)
     left, inv = np.flatnonzero(counts), (np.cumsum(counts > 0) - 1)[pair_arr[:, 0]]
-    f_left, d1_left = _coefficients(field, y[left], corrected)
+    const = _constant_rows(field) if corrected else None
+    f_left, rows_left = _coefficients(field, y[left], corrected, const)
     mags = np.empty(pair_arr.shape[0])
     for b in range(0, mags.size, _DEFECT_BLOCK):
         blk = slice(b, b + _DEFECT_BLOCK)
         k, l = pair_arr[blk].T
-        m = _driver_blocks(path, area if corrected else None, idx[k], idx[l])
-        d1 = d1_left[inv[blk]] if corrected else None
-        y_l = _advance(y[k], f_left[inv[blk]], d1, m)[0]
+        c = _driver_blocks(path, area if corrected else None, idx[k], idx[l])
+        if corrected:
+            c = _operators(rows_left if const is not None else rows_left[inv[blk]], c)
+        y_l = _advance(y[k], f_left[inv[blk]], c, corrected)
         mags[blk] = np.max(np.abs(y[l] - y_l), axis=1)
 
     omegas = control.omega(trajectory.times[pair_arr[:, 0]], trajectory.times[pair_arr[:, 1]])

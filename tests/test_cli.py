@@ -54,6 +54,21 @@ CHAIN_SOLVE_CONFIG = {
     "y0": [0.0],
 }
 
+# convergence runs whose GBM oracle is not their limit: before they were refused, each
+# exited 0 with a slope within 0.003 of 0 (+0.0027, -0.0004, -0.0012, -0.0008)
+_BROWNIAN_SEED_7 = {"kind": "brownian", "d": 1, "level": 12, "seed": 7}
+_GBM_LIMIT_MISMATCHES = [
+    {"driver": {"kind": "polynomial", "coeffs": [[0.0, 1.0]], "samples": 4097},
+     "scheme": {"scheme": "euler"}, "oracle": "gbm_ito"},
+    {"driver": {**_BROWNIAN_SEED_7, "area": "stratonovich"},
+     "scheme": {"scheme": "corrected"}, "oracle": "gbm_ito"},
+    {"driver": _BROWNIAN_SEED_7, "scheme": {"scheme": "euler"}, "oracle": "gbm_stratonovich"},
+    {"driver": {**_BROWNIAN_SEED_7, "area": "ito"},
+     "scheme": {"scheme": "corrected"}, "oracle": "gbm_stratonovich"},
+]
+_GBM_LIMIT_MISMATCHES = [{**c, "field": {"kind": "scalar_linear"}, "y0": [1.0],
+                          "k_values": [16, 64, 256, 1024]} for c in _GBM_LIMIT_MISMATCHES]
+
 
 class TestSolve:
     def test_writes_expected_artifacts(self, tmp_path):
@@ -242,6 +257,21 @@ class TestConfigErrors:
         assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"oracle {oracle} solves dY = Y dX" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", _GBM_LIMIT_MISMATCHES, ids=[
+        "gbm-ito-on-polynomial", "gbm-ito-on-corrected-stratonovich",
+        "gbm-stratonovich-on-euler", "gbm-stratonovich-on-corrected-ito"])
+    def test_gbm_oracle_that_is_not_the_limit_refused_before_the_driver(
+            self, tmp_path, monkeypatch, capsys, config):
+        """Against such an oracle the errors stall and the slope reads near 0."""
+        def unbuilt(*args):
+            raise AssertionError("the driver was built before the oracle was refused")
+
+        monkeypatch.setattr(cli, "brownian_path", unbuilt)
+        monkeypatch.setattr(cli, "PolynomialPath", unbuilt)
+        cfg = _write_config(tmp_path, "bad.json", config)
+        assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"oracle {config['oracle']} is" in capsys.readouterr().err
+
     def test_gbm_oracle_on_one_diagonal_component(self, tmp_path):
         """diagonal_linear with n = 1 is the field f(y) = y of scalar_linear."""
         rates = []
@@ -411,6 +441,7 @@ class TestConfigErrors:
             "k_values": [16, 64, 256],
             "oracle": "gbm_ito",
         }),
+        *[("convergence", config) for config in _GBM_LIMIT_MISMATCHES],
     ], ids=["level-out-of-range", "nan-y0", "field-driver-mismatch", "oracle-needs-d1",
             "mesh-not-dividing-grid", "null-level", "null-alpha", "null-p", "null-matrix",
             "scheme-gamma", "scheme-p", "c21-no-levels", "c21-level-finer-than-driver",
@@ -432,7 +463,9 @@ class TestConfigErrors:
             "boolean-matrix", "boolean-in-mixed-y0", "boolean-coeffs", "text-y0", "curve-depth-1",
             "explosion-p-1", "nonuniqueness-tail-integral", "oracle-size-not-state",
             "huge-diagonal-n-not-driver-d", "polynomial-samples-beyond-memory",
-            "conv-repeated-mesh", "gbm-oracle-on-constant-field"])
+            "conv-repeated-mesh", "gbm-oracle-on-constant-field", "gbm-ito-on-polynomial",
+            "gbm-ito-on-corrected-stratonovich", "gbm-stratonovich-on-euler",
+            "gbm-stratonovich-on-corrected-ito"])
     def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, subcommand, config):
         cfg = _write_config(tmp_path, "bad.json", config)
         out = tmp_path / "out"
@@ -557,8 +590,10 @@ class TestConfigErrors:
     def test_oracle_overflow_exits_3_without_output(self, tmp_path, capsys):
         # on seed 1 the increment over t_end = 1e6 is about 941, and exp(941) overflows
         cfg = _write_config(tmp_path, "huge.json", {
-            "driver": {"kind": "brownian", "d": 1, "level": 6, "t_end": 1e6},
+            "driver": {"kind": "brownian", "d": 1, "level": 6, "t_end": 1e6,
+                       "area": "stratonovich"},
             "field": {"kind": "scalar_linear"},
+            "scheme": {"scheme": "corrected"},
             "y0": [1.0],
             "k_values": [4, 16],
             "oracle": "gbm_stratonovich",

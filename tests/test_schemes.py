@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 import warnings
 from functools import lru_cache
 
@@ -28,10 +29,14 @@ from roughstep.drivers import (
     brownian_path,
     ito_area,
 )
+from roughstep import schemes
 from roughstep.schemes import (
     _advance,
     _coefficients,
     _contract,
+    _kernel_rows,
+    _operator_cells,
+    _operators,
     _solve,
     augmented_solve,
     corrected_solve,
@@ -130,10 +135,20 @@ def _brownian_with_area(d: int):
     return path, ito_area(path, cfg)
 
 
+def _reference_operator(d1: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """One cell's operator ``T[i, h, k] = delta_ih dx_k + sum_j D1[h, i, j] A[k, j]`` from
+    ``D1`` in the field's layout and the block ``[dx | A]``: the rows ``[delta | D1]``,
+    ``D1`` as ``[i, h, j]``, as an ``(n n, 1 + d)`` matrix times the block transposed."""
+    n = d1.shape[0]
+    rows = np.concatenate([np.eye(n)[:, :, None], d1.swapaxes(0, 1)], axis=-1)
+    return (rows.reshape(n * n, -1) @ block.T).reshape(n, n, -1)
+
+
 def _reference_magnitudes(traj, field, path, area, pairs) -> np.ndarray:
-    """The defect of each pair, one pair at a time: the left-point step over
-    the pair with C-ordered coefficients, ``w = f @ [dx | A]`` and then ``D1``,
-    as ``[i, h, j]``, contracted with ``f A``, against the state at its right end."""
+    """The defect of each pair, one pair at a time: the left-point step over the pair
+    with C-ordered coefficients, ``y + f @ [dx]`` for Euler and ``y + T : f`` with the
+    pair's operator (:func:`_reference_operator`) when corrected, against the state
+    at its right end."""
     idx = np.searchsorted(path.times, traj.times)
     x, y = path.values, traj.states
     corrected = traj.scheme == "corrected"
@@ -143,17 +158,17 @@ def _reference_magnitudes(traj, field, path, area, pairs) -> np.ndarray:
         block = (x[idx[l]] - x[idx[k]])[:, None]
         if corrected:
             block = np.hstack([block, area.pairs([idx[k]], [idx[l]])[0]])
-        w = f @ block
-        y_l = y[k] + w[:, 0]
-        if corrected:
-            d1 = np.ascontiguousarray(field.deriv1(y[k]).swapaxes(0, 1))
-            y_l = y_l + np.einsum("ihj,hj->i", d1, np.ascontiguousarray(w[:, 1:]))
+            t = _reference_operator(field.deriv1(y[k]), block)
+            y_l = y[k] + np.einsum("ihk,hk->i", t, f)
+        else:
+            y_l = y[k] + (f @ block)[:, 0]
         mags[m] = np.max(np.abs(y[l] - y_l))
     return mags
 
 
 class TestStepKernel:
-    """The corrected step's ``G : A`` is ``D1`` contracted with ``f A``; ``G`` is never formed.
+    """The corrected step is ``y + T : f`` with the cell operator ``T`` built from ``D1``
+    and the driver block; the correction tensor ``G`` is never formed.
 
     With ``y = 0`` and ``dx = 0`` the step returns its correction term alone, exactly.
     """
@@ -166,14 +181,17 @@ class TestStepKernel:
         y = rng.uniform(-1.0, 1.0, (32, n))
         a = rng.normal(size=(32, d, d))
         m = np.concatenate([np.zeros((32, d, 1)), a], axis=-1)
-        got, _ = _advance(np.zeros((32, n)), *_coefficients(field, y, True), m)
+        f_all, rows = _coefficients(field, y, True)
+        got = _advance(np.zeros((32, n)), f_all, _operators(rows, m), True)
         f = np.stack([field.eval(v) for v in y])
         d1 = np.stack([field.deriv1(v) for v in y])
         want = np.einsum("...irj,...rj->...i", oracles.correction_tensor(f, d1), a)
         scale = np.einsum("...hr,...hij,...rj->...i", np.abs(f), np.abs(d1), np.abs(a))
         assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
-        single = [_advance(np.zeros(n), *_coefficients(field, v, True), mk)[0]
-                  for v, mk in zip(y, m)]
+        single = []
+        for v, mk in zip(y, m):
+            fv, rv = _coefficients(field, v, True)
+            single.append(_advance(np.zeros(n), fv, _operators(rv, mk), True))
         assert np.array_equal(np.array(single), got)
 
     @pytest.mark.parametrize("rows", [1, 7, 64])
@@ -186,6 +204,25 @@ class TestStepKernel:
         assert np.array_equal(got, np.einsum("...ihj,...hj->...i", d1, fa))
         single = [_contract("...ihj,...hj->...i", a, b) for a, b in zip(d1, fa)]
         assert np.array_equal(np.array(single), got)
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("n, d", [(n, d) for n in (1, 2, 3) for d in (1, 2, 3)])
+    def test_operator_build_is_its_single_cell_builds_bitwise(self, n, d, rows, monkeypatch):
+        # per-state rows, one shared block of rows, a lockstep stack of members and the
+        # walk's chunked build each give every cell the operator it gets alone
+        rng = np.random.default_rng(2000 * rows + 10 * n + d)
+        d1, m = rng.normal(size=(rows, n, n, d)), rng.normal(size=(rows, d, 1 + d))
+        per_state, shared = _kernel_rows(d1), _kernel_rows(d1[0])
+        assert np.array_equal(per_state[0], shared) and shared.shape == (n, n, 1 + d)
+        assert np.array_equal(_operators(per_state, m)[0], _reference_operator(d1[0], m[0]))
+        for got, kernel in [(_operators(per_state, m), per_state), (_operators(shared, m),
+                                                                    [shared] * rows)]:
+            assert np.array_equal(np.array([_operators(r, c) for r, c in zip(kernel, m)]), got)
+        stacked = _operators(shared, m.reshape(1, rows, d, 1 + d)[:, ::-1])[0, ::-1]
+        assert np.array_equal(stacked, _operators(shared, m))
+        monkeypatch.setattr(schemes, "_OPERATOR_CHUNK", 3 * n * n * d)  # chunks of 3 cells
+        chunked = np.array(list(_operator_cells(shared, m)))
+        assert np.array_equal(chunked, _operators(shared, m))
 
     def test_tensor_oracle_contracts_first_derivative(self, smooth22):
         y = np.array([0.3, -0.8])
@@ -201,8 +238,8 @@ class TestStepKernel:
     def test_constant_field_has_zero_correction(self):
         field = VectorField.constant(np.array([[1.0, 2.0], [0.0, 1.0]]))
         m = np.concatenate([np.zeros((2, 1)), np.array([[0.3, -1.2], [0.7, 0.4]])], axis=-1)
-        assert np.array_equal(_advance(np.zeros(2), *_coefficients(field, np.zeros(2), True), m)[0],
-                              np.zeros(2))
+        f, rows = _coefficients(field, np.zeros(2), True)
+        assert np.array_equal(_advance(np.zeros(2), f, _operators(rows, m), True), np.zeros(2))
 
 
 class TestSchemeConfig:
@@ -693,11 +730,10 @@ class TestStopRule:
         owner = fine.states if fine.states.base is None else fine.states.base
         assert owner.nbytes == fine.states.nbytes  # no buffer for the uncrossed cells
         y, want = np.array([1.0]), [[1.0]]
-        d1 = np.ascontiguousarray(gbm_field.deriv1(y).swapaxes(0, 1))
-        for k in range(fine.exploded_at):  # the step as np.einsum contracts it
-            w = gbm_field.eval(y) @ np.hstack([(path.values[k + 1] - path.values[k])[:, None],
-                                               area.pairs([k], [k + 1])[0]])
-            y = y + w[:, 0] + np.einsum("ihj,hj->i", d1, np.ascontiguousarray(w[:, 1:]))
+        for k in range(fine.exploded_at):  # the step y + T : f with np.einsum, cell by cell
+            t = _reference_operator(gbm_field.deriv1(y), np.hstack(
+                [(path.values[k + 1] - path.values[k])[:, None], area.pairs([k], [k + 1])[0]]))
+            y = y + np.einsum("ihk,hk->i", t, gbm_field.eval(y))
             want.append(y)
         assert np.array_equal(fine.states, np.array(want))
 
@@ -777,6 +813,19 @@ class TestConstantDerivatives:
 
         for got, want in zip(outputs(field), outputs(twin), strict=True):
             assert np.array_equal(got, want)
+
+    def test_a_wide_constant_field_builds_its_operators_in_bounded_chunks(self, bm1):
+        # n = 48, d = 1 at L12: the 4,096 operators at once would take 72 MiB
+        _, path, area = bm1
+        field = VectorField.constant(np.linspace(-1.0, 1.0, 48)[:, None])
+        tracemalloc.start()
+        try:
+            traj = corrected_solve(field, path, area, np.zeros(48))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.states.shape == (path.times.size, 48)
+        assert peak < 8 * 2**20
 
 
 class TestWindowPairs:
