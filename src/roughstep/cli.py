@@ -150,6 +150,13 @@ def _array(value) -> list:
     return out.tolist()
 
 
+def _vector(value) -> list:
+    """A flat list of finite numbers, read by :func:`_array`; a nested list is refused."""
+    if not isinstance(value, list) or any(isinstance(v, list) for v in value):
+        raise TypeError("expected a flat list of numbers")
+    return _array(value)
+
+
 def _ints(value) -> list:
     if not isinstance(value, list):
         raise TypeError("expected a list")
@@ -246,7 +253,7 @@ _SYSTEM = {  # a field driven from y0 by one scheme
     "driver": (_DRIVER, _REQUIRED),
     "field": (_FIELD, _REQUIRED),
     "scheme": (_SCHEME, {}),
-    "y0": (_array, _REQUIRED),
+    "y0": (_vector, _REQUIRED),
 }
 
 

@@ -439,23 +439,13 @@ class VectorField:
         self._func = _checked(func, (self.n, self.d), "field")
         self._deriv1 = _checked(deriv1, (self.n, self.n, self.d), "deriv1")
         self._deriv2 = _checked(deriv2, (self.n, self.n, self.n, self.d), "deriv2")
-
-    def _apply(self, fn, y, tail: tuple, what: str) -> np.ndarray:
-        """``fn`` at a state or a batch of states, its shape checked."""
-        if type(y) is not np.ndarray or y.dtype is not _FLOAT:
-            y = np.asarray(y, dtype=float)
-        if type(fn) is np.ndarray:
-            return fn if y.ndim <= 1 else np.broadcast_to(fn, y.shape[:-1] + fn.shape)
-        expected = y.shape[:-1] + tail
-        out = fn(y)
-        if type(out) is not np.ndarray or out.dtype is not _FLOAT:
-            out = np.asarray(out, dtype=float)
-        if out.shape != expected:
-            raise ValueError(f"{what} returned shape {out.shape}, expected {expected}")
-        return out
+        # bound once to their output checks: a walk calls ``_evaluate`` on its own states
+        self._evaluate = _bound(self._func, (self.n, self.d), "field")
+        self._evaluate1 = _bound(self._deriv1, (self.n, self.n, self.d), "deriv1")
+        self._evaluate2 = _bound(self._deriv2, (self.n, self.n, self.n, self.d), "deriv2")
 
     def eval(self, y) -> np.ndarray:
-        return self._apply(self._func, y, (self.n, self.d), "field")
+        return self._evaluate(_float_states(y))
 
     @property
     def has_deriv1(self) -> bool:
@@ -468,12 +458,12 @@ class VectorField:
     def deriv1(self, y) -> np.ndarray:
         if self._deriv1 is None:
             raise NotImplementedError("this field has no first derivative attached")
-        return self._apply(self._deriv1, y, (self.n, self.n, self.d), "deriv1")
+        return self._evaluate1(_float_states(y))
 
     def deriv2(self, y) -> np.ndarray:
         if self._deriv2 is None:
             raise NotImplementedError("this field has no second derivative attached")
-        return self._apply(self._deriv2, y, (self.n, self.n, self.n, self.d), "deriv2")
+        return self._evaluate2(_float_states(y))
 
     @classmethod
     def constant(cls, matrix) -> "VectorField":
@@ -520,6 +510,34 @@ def _checked(value, shape: tuple, what: str):
         raise ValueError(f"constant {what} must be finite")
     value.flags.writeable = False
     return value
+
+
+def _bound(fn, tail: tuple, what: str):
+    """``fn``, a constant or a callable, as a map of float64 states ``(..., n)``: a partial
+    of a module function, so a field pickles whenever its parts do."""
+    if type(fn) is np.ndarray:
+        return functools.partial(_broadcast, fn)
+    return functools.partial(_apply, fn, tail, what)
+
+
+def _broadcast(value: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A constant part at a state, broadcast over a batch of states."""
+    return value if y.ndim <= 1 else np.broadcast_to(value, y.shape[:-1] + value.shape)
+
+
+def _apply(fn, tail: tuple, what: str, y: np.ndarray) -> np.ndarray:
+    """``fn(y)`` as a float array, refused unless of shape ``(..., *tail)``."""
+    out = fn(y)
+    if type(out) is not np.ndarray or out.dtype is not _FLOAT:
+        out = np.asarray(out, dtype=float)
+    if out.shape != y.shape[:-1] + tail:
+        raise ValueError(f"{what} returned shape {out.shape}, expected {y.shape[:-1] + tail}")
+    return out
+
+
+def _float_states(y) -> np.ndarray:
+    """``y`` as a float64 array, not copied when it is one."""
+    return y if type(y) is np.ndarray and y.dtype is _FLOAT else np.asarray(y, dtype=float)
 
 
 _CSV_ROWS = 4096  # rows per block written by Trajectory.write_csv

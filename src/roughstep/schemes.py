@@ -8,7 +8,9 @@ matmul of the kernel rows ``[delta | D1]`` against the transposed driver block
 ``[dx | A]`` (:func:`_operators`), and it depends on the state through ``D1`` alone:
 a walk whose field has a constant ``D1`` builds its operators from the driver, in
 bounded batches, before it steps them, and a cell then costs ``f(y)``, one
-contraction and one add.
+contraction and one add.  One Euler state steps through one gemv, ``f.dot(dx)``, bitwise
+the rows of a stacked step, and a walk binds the field's evaluation once
+(``VectorField._evaluate``), so a cell calls the field and its output checks directly.
 :func:`_coefficients`, :func:`_operators` and :func:`_advance` are the step's single
 definition, shared by the solvers, :func:`augmented_solve` and :func:`defect`, so
 adjacent defects under the scheme that made a trajectory are zero by construction.
@@ -124,10 +126,11 @@ def _advance(y, f, cell, corrected: bool) -> np.ndarray:
     ``y + T : f`` over the cell operator ``cell = T`` (:func:`_operators`) when
     ``corrected``, ``y + f @ [dx]`` over the Euler block ``cell = [dx]`` otherwise.  The
     contraction sums one contiguous ``(h, k)`` block, one inner loop on a batch as on
-    one state, so a stacked step is bitwise its rows."""
+    one state, and one Euler state is one gemv, ``f.dot(dx)``, bitwise each row of a
+    stack's ``f @ [dx]``, so a stacked step is bitwise its rows."""
     if corrected:
         return y + _contract("...ihk,...hk->...i", cell, f)
-    return y + (f @ cell)[..., 0]
+    return y + f.dot(cell[:, 0]) if y.ndim == 1 else y + (f @ cell)[..., 0]
 
 
 def _check_fit(field: VectorField, path: DriverPath, y0, area: AreaProcess | None):
@@ -292,10 +295,13 @@ def _solve(field, path, area, y0, partitions, threshold) -> list[Trajectory]:
     parts = [_grid_indices(path, p) for p in partitions]
     rows = _constant_rows(field) if corrected else None
     per_state = corrected and rows is None  # D1 read at each state
+    evaluate = field._evaluate  # bound once: the walk's states are its own float arrays
 
     def step(y, c):  # c: an Euler block, a built operator, or a corrected driver block
-        f, r = _coefficients(field, y, per_state)
-        return _advance(y, f, c if r is None else _operators(r, c), corrected)
+        if per_state:
+            f, r = _coefficients(field, y, True)
+            return _advance(y, f, _operators(r, c), True)
+        return _advance(y, np.ascontiguousarray(evaluate(y)), c, corrected)
 
     cells = iter if rows is None else partial(_operator_cells, rows)
     tag = "corrected" if corrected else "euler"

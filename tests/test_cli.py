@@ -442,6 +442,11 @@ class TestConfigErrors:
             "oracle": "gbm_ito",
         }),
         *[("convergence", config) for config in _GBM_LIMIT_MISMATCHES],
+        # a nested y0 was flattened: [[1.0]] ran as [1.0], two rows as a 2-state field
+        ("solve", {**SOLVE_CONFIG, "y0": [[1.0]]}),
+        ("solve", {**SOLVE_CONFIG, "driver": {**SOLVE_CONFIG["driver"], "d": 2},
+                   "field": {"kind": "diagonal_linear", "n": 2}, "y0": [[1.0], [1.0]]}),
+        ("solve", {**SOLVE_CONFIG, "y0": 1.0}),
     ], ids=["level-out-of-range", "nan-y0", "field-driver-mismatch", "oracle-needs-d1",
             "mesh-not-dividing-grid", "null-level", "null-alpha", "null-p", "null-matrix",
             "scheme-gamma", "scheme-p", "c21-no-levels", "c21-level-finer-than-driver",
@@ -465,7 +470,7 @@ class TestConfigErrors:
             "huge-diagonal-n-not-driver-d", "polynomial-samples-beyond-memory",
             "conv-repeated-mesh", "gbm-oracle-on-constant-field", "gbm-ito-on-polynomial",
             "gbm-ito-on-corrected-stratonovich", "gbm-stratonovich-on-euler",
-            "gbm-stratonovich-on-corrected-ito"])
+            "gbm-stratonovich-on-corrected-ito", "nested-y0", "nested-y0-rows", "scalar-y0"])
     def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, subcommand, config):
         cfg = _write_config(tmp_path, "bad.json", config)
         out = tmp_path / "out"

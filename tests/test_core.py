@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -485,6 +486,11 @@ def _builtin_field(name: str, request) -> VectorField:
     return request.getfixturevalue("spiral_driver").field
 
 
+def _outer(y: np.ndarray) -> np.ndarray:
+    """f[i, j] = y[i] y[j], a module-level callable, as a pickled field needs."""
+    return y[..., :, None] * y[..., None, :]
+
+
 def _random_states(n: int) -> np.ndarray:
     """States ``(3, 40, n)`` over several scales, zeros included; for n = 2 one
     sheet crosses example 1's collar ``|y1| / y2`` in (0.15, 0.3)."""
@@ -565,6 +571,13 @@ class TestVectorField:
     def test_diagonal_linear_refuses_empty_dimension(self, n):
         with pytest.raises(ValueError, match="diagonal_linear"):
             VectorField.diagonal_linear(n)
+
+    def test_a_field_pickles_when_its_parts_do(self):
+        y = np.array([[0.5, -2.0], [1.5, 3.0]])
+        for field in (VectorField.constant([[1.0, 2.0], [3.0, 4.0]]),
+                      VectorField(2, 2, _outer, deriv1=np.zeros((2, 2, 2)))):
+            copy = pickle.loads(pickle.dumps(field))
+            assert np.array_equal(copy.eval(y), field.eval(y))
 
     def test_eval_rejects_wrong_output_shape(self):
         bad = VectorField(n=2, d=2, func=lambda y: np.zeros((3, 2)))

@@ -206,6 +206,27 @@ class TestStepKernel:
         assert np.array_equal(np.array(single), got)
 
     @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("n, d", [(n, d) for n in (1, 2, 3, 8, 17, 33)
+                                      for d in (1, 2, 3, 8, 17, 33)])
+    def test_euler_step_of_one_state_is_its_stacked_row_bitwise(self, n, d, rows):
+        # one state steps as y + f.dot(dx): bitwise its row of a stacked f @ [dx] and
+        # (f @ [dx])[..., 0] on that state, also on the C-ordered values of a field returning
+        # them transposed, taken per state as a walk takes them.  Every golden Euler job
+        # has d = 1, so no byte audit sees these bits at d >= 2
+        rng = np.random.default_rng(3000 * rows + 40 * n + d)
+        y, dx = rng.normal(size=(rows, n)), rng.normal(size=(rows, d))
+        field = _tanh_field(rng.uniform(-1.5, 1.5, (d, n, n)), "transposed")
+        for f, per_state in [(rng.normal(size=(rows, n, d)), None),
+                             (_coefficients(field, y, False)[0],
+                              [_coefficients(field, v, False)[0] for v in y])]:
+            stacked = _advance(y, f, dx[..., None], False)
+            single = np.array([_advance(v, fv, x[:, None], False)
+                               for v, fv, x in zip(y, f if per_state is None else per_state, dx)])
+            assert np.array_equal(single, stacked)
+            assert np.array_equal(single, [v + (fv @ x[:, None])[..., 0]
+                                           for v, fv, x in zip(y, f, dx)])
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
     @pytest.mark.parametrize("n, d", [(n, d) for n in (1, 2, 3) for d in (1, 2, 3)])
     def test_operator_build_is_its_single_cell_builds_bitwise(self, n, d, rows, monkeypatch):
         # per-state rows, one shared block of rows, a lockstep stack of members and the
@@ -758,6 +779,52 @@ class TestStopRule:
         coarse, fine = _solve(field, path, None, [1.0], parts[::-1], 1.15)
         assert coarse.exploded_at == 3 and fine.exploded_at is None
         assert fine.times.size == 4 and np.isnan(fine.states[-1, 0])
+
+
+class TestBoundEvaluation:
+    """A walk calls the field through the evaluator bound at its construction, not through
+    ``eval``: the output checks and conversions stay with it in every loop of the walk."""
+
+    @staticmethod
+    def _late_wrong_shape_field():
+        """y until a state passes 1.05, then a ``(2, 1)`` block per state: the 64-cell
+        Euler walk from 1 and the 32-cell one pass it within four cells."""
+        def func(y):
+            return y[..., None] if np.all(y <= 1.05) else np.zeros(y.shape[:-1] + (2, 1))
+
+        return VectorField(1, 1, func, deriv1=np.ones((1, 1, 1)))
+
+    def test_a_wrong_shape_is_refused_in_every_loop_of_a_walk(self):
+        field, path = self._late_wrong_shape_field(), TestStopRule._ramp()
+        area = analytic_area(PolynomialPath(np.array([[0.0, 1.0]])), path)
+        single = re.escape("field returned shape (2, 1), expected (1, 1)")
+        with pytest.raises(ValueError, match=single):  # the single-state tail
+            euler_solve(field, path, [1.0])
+        with pytest.raises(ValueError, match=single):  # a constant-D1 corrected tail
+            corrected_solve(field, path, area, [1.0])
+        # a lockstep round of the full grid and a 32-cell mesh
+        with pytest.raises(ValueError, match=re.escape(
+                "field returned shape (2, 2, 1), expected (2, 1, 1)")):
+            _solve(field, path, None, [1.0], [None, np.arange(0, 65, 2)], 1e6)
+
+    @pytest.mark.parametrize("kind", ["list", "int"])
+    def test_list_and_integer_values_step_as_their_float_twin(self, kind):
+        convert = {"list": lambda f: f.tolist(), "int": lambda f: f.astype(np.int64)}[kind]
+
+        def field(cast):  # integral values, so the integer twin holds them exactly
+            return VectorField(1, 1, lambda y: cast(np.rint(8.0 * y)[..., None]),
+                               deriv1=np.full((1, 1, 1), 8.0))
+
+        twin, other = field(lambda f: f), field(convert)
+        path, area = _walk_driver(1)
+        coarse = np.arange(0, path.n_intervals + 1, 16)
+        for walk in [lambda f: [euler_solve(f, path, [0.5])],
+                     lambda f: [corrected_solve(f, path, area, [0.5])],
+                     lambda f: _solve(f, path, None, [0.5], [None, coarse], 1e6),
+                     lambda f: _solve(f, path, area, [0.5], [coarse, None], 1e6)]:
+            for want, got in zip(walk(twin), walk(other)):
+                assert want.exploded_at == got.exploded_at
+                assert np.array_equal(want.states, got.states)
 
 
 def _as_callables(field: VectorField) -> VectorField:
