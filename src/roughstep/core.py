@@ -159,16 +159,23 @@ def _pair_max(v, p, weight) -> tuple[float, int, int]:
     ``v`` has shape ``(c, N)``.  ``weight(k, m)`` gives a positive weight for
     every pair, never decreasing as ``[k, m]`` widens; ``k`` and ``m`` are
     broadcastable index arrays or, in the one-gap passes, the slices
-    ``[0, N - gap)`` and ``[gap, N)``.  A weight of ``+inf`` means the pair
-    is not counted: its ratio is 0, which never displaces the start pair
-    (below), and a block or sub-block bound whose smallest gap weighs
+    ``[lo, hi - gap)`` and ``[lo + gap, hi)``.  A weight of ``+inf`` means
+    the pair is not counted: its ratio is 0, which never displaces the start
+    pair (below), and a block or sub-block bound whose smallest gap weighs
     ``+inf`` is 0, which is pruned.  A window cap is such a weight.
     Returns ``(ratio, k, m)``.  Among equal ratios the smallest gap ``m - k``
     wins, then the larger increment, then the smallest ``k``.
 
-    Gaps under the block size ``b = _fit_block(N)`` are scanned one
-    vectorized pass per gap.  The index range is cut into ``b``-sample
-    blocks; a pair in blocks ``I < J`` has an increment of at most
+    The index range is cut into blocks of ``b = _fit_block(N)`` samples and
+    gaps under ``b`` are scanned one vectorized pass per gap.  A pair at gap
+    2 or more inside block ``I`` is bounded by the block's largest component
+    range ``bmax_I - bmin_I`` to the ``p`` over the smallest weight of an
+    adjacent pair starting in ``I`` (a pair weighs at least its first
+    adjacent pair), so those passes cover only the samples from the first
+    to the last block whose bound is positive and at or above the running
+    best, and stop when none is: on a constant path, after gap 1.  Pairs in
+    two blocks are left to the block bounds: a pair in blocks ``I < J`` has
+    an increment of at most
     ``max(bmax_J - bmin_I, bmax_I - bmin_J)`` and a weight of at least the
     one at the smallest gap.  Block pairs whose bound is positive and at or
     above an attained lower bound (the ratio over the widest gap) are kept,
@@ -191,7 +198,10 @@ def _pair_max(v, p, weight) -> tuple[float, int, int]:
     result is bitwise that of an all-pairs scan, whatever the block and
     sub-block sizes.
 
-    Cost.  The one-gap passes are ``b`` sweeps, the block bounds cover
+    Cost.  The one-gap passes are at most ``b`` sweeps.  Past gap 1 they
+    cover every sample of Brownian paths and condition-2.1 prefixes, but 45
+    of 8,193 and 192 of 32,769 on the non-uniqueness driver's geometric
+    grids (control fits 3.6 -> 1.5 and 23 -> 8.3 ms).  The block bounds cover
     ``(N / b)^2`` block pairs (formed by broadcasting a chunk of rows against
     every block, cheaper than gathering each pair's extrema) and each
     refined block pair has ``ceil(b / s)^2`` sub-block pairs, 16 when 4
@@ -223,10 +233,6 @@ def _pair_max(v, p, weight) -> tuple[float, int, int]:
             i = np.lexsort((k, -num, m - k))[0]
             best = max(best, (r, int(k[i] - m[i]), float(num[i]), -int(k[i])))
 
-    for gap in range(1, min(block, n)):
-        num = np.max(np.abs(v[:, gap:] - v[:, :-gap]), axis=0) ** p
-        ratio = num / weight(slice(0, n - gap), slice(gap, n))
-        offer(num, ratio, gap, lambda a, gap=gap: (a, a + gap))
     starts = np.arange(0, n, block)
     ends = np.minimum(starts + block, n) - 1
     nb = starts.size
@@ -240,6 +246,21 @@ def _pair_max(v, p, weight) -> tuple[float, int, int]:
     s_lo = np.minimum(s_lo, n - 1)
     s_hi = np.minimum(s_lo + sub - 1, ends[:, None])
     bmin, bmax = s_min.min(axis=2), s_max.max(axis=2)
+    lo, hi, seen = 0, n, None  # the one-gap passes cover samples [lo, hi)
+    for gap in range(1, min(block, n)):
+        if gap == 2:  # bound each block's pairs at gap >= 2 (+inf: no pair after the last sample)
+            inner = (bmax - bmin).max(axis=0) ** p / np.minimum.reduceat(
+                np.append(w, math.inf), starts) * (1 + 1e-12)
+        if gap > 1 and best[0] != seen:  # the live blocks change only with the best
+            seen, live = best[0], np.flatnonzero(inner >= max(best[0], 5e-324))
+            if live.size == 0:
+                break
+            lo, hi = int(starts[live[0]]), int(ends[live[-1]]) + 1
+        if hi - lo <= gap:
+            break
+        w = weight(slice(lo, hi - gap), slice(lo + gap, hi))
+        num = np.max(np.abs(v[:, lo + gap : hi] - v[:, lo : hi - gap]), axis=0) ** p
+        offer(num, num / w, gap, lambda a, lo=lo, gap=gap: (a + lo, a + lo + gap))
     step = max(1, _FIT_PAIRS // nb)
     blocks = np.arange(nb)
     floor, kept = best[0], [(np.empty(0), blocks[:0], blocks[:0])]  # one block makes no pass
@@ -295,12 +316,16 @@ def control_fit(path: DriverPath, p: float) -> ControlModulus:
     The constant is ``c = max over all grid pairs (s, t)`` of
     ``max_i |x_i(t) - x_i(s)|^p / (t - s)`` (componentwise sup norm), exact
     for the sampled grid: :func:`_pair_max` returns bitwise the value of an
-    all-pairs scan.
+    all-pairs scan.  A constant past float64 (an increment whose ``p``-th
+    power overflows) raises :class:`NumericsError`, with no warning.
     """
     if not 0 < p < math.inf:
         raise ValueError(f"p must be positive and finite, got {p}")
     t = path.times
-    c, _, _ = _pair_max(path.values.T, p, lambda k, m: t[m] - t[k])
+    with np.errstate(over="ignore"):  # an overflowing power is an inf ratio, refused below
+        c, _, _ = _pair_max(path.values.T, p, lambda k, m: t[m] - t[k])
+    if not math.isfinite(c):
+        raise NumericsError(f"control constant at p = {p} is {c}: |increment|^p overflows float64")
     return ControlModulus(c=c, p=float(p))
 
 

@@ -517,6 +517,22 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith("numerical failure")
         assert not out.exists()
 
+    def test_overflowing_control_exits_3_without_output(self, tmp_path, capsys):
+        # increments near 1e200 square past float64, so the control constant is inf
+        cfg = _write_config(tmp_path, "huge.json", {
+            "driver": {"kind": "polynomial", "coeffs": [[0.0, 1e200]],
+                       "area": "none", "samples": 65},
+            "field": {"kind": "constant", "matrix": [[0.0]]},
+            "y0": [0.0],
+            "defect": {"gamma": 1.5, "p": 2.0, "pairs": "window"},
+        })
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure") and "p = 2.0" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_out_naming_a_file_exits_2_and_leaves_it(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, "solve.json", SOLVE_CONFIG)
         out = tmp_path / "taken"

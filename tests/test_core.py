@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from roughstep.core import (
     ControlModulus,
     DriverPath,
     GrowthEnvelope,
+    NumericsError,
     Trajectory,
     VectorField,
     chen_combine,
@@ -97,6 +99,14 @@ class TestControlFit:
             gap = sub.times[lag:] - sub.times[:-lag]
             assert np.all(inc**2.5 <= fit.c * gap * (1 + 1e-12))
 
+    def test_overflowing_constant_is_a_numerics_error_without_warning(self):
+        """Increments near 1e200 square past float64: refused by name, not warned."""
+        path = DriverPath(np.linspace(0, 1, 65), np.linspace(0, 1e200, 65)[:, None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match=r"control constant at p = 2\.0 is inf"):
+                control_fit(path, 2.0)
+
 
 def _all_lags_fit(path: DriverPath, p: float, first_lag: int = 1) -> float:
     """Max of ``max_i |dx_i|^p / dt`` over every pair from ``first_lag`` up, unpruned."""
@@ -138,6 +148,44 @@ def _random_paths(draw):
     gaps = draw(hnp.arrays(np.float64, n, elements=st.floats(1e-3, 10.0)))
     steps = draw(hnp.arrays(np.float64, (n, d), elements=st.floats(-10.0, 10.0)))
     return DriverPath(np.cumsum(gaps), np.cumsum(steps, axis=0))
+
+
+@st.composite
+def _geometric_paths(draw):
+    """Time steps growing geometrically from the start and increments scaled as a
+    power of them, so the ratios grow toward the fine start and the within-block
+    bound prunes."""
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 2))
+    gaps = draw(st.floats(0.8, 0.99)) ** np.arange(n)[::-1]
+    steps = draw(hnp.arrays(np.float64, (n, d), elements=st.floats(-10.0, 10.0)))
+    steps *= gaps[:, None] ** draw(st.floats(0.2, 1.0))
+    return DriverPath(np.cumsum(gaps), np.cumsum(steps, axis=0))
+
+
+def _inner_pass_spans(path: DriverPath, p: float) -> list[int]:
+    """Samples covered by each one-gap pass at gap >= 2 of ``_pair_max`` on ``path``."""
+    t, spans = path.times, []
+
+    def weight(k, m):
+        if isinstance(k, slice) and m.start - k.start >= 2:
+            spans.append(m.stop - k.start)
+        return t[m] - t[k]
+
+    core._pair_max(path.values.T, p, weight)
+    return spans
+
+
+def _rises(n: int, rises: list[int], spike: int) -> DriverPath:
+    """Unit time steps; a rise of 3 over samples k..k+2 for each k in ``rises`` and a
+    jump of 2 at ``spike``.  At p = 2 a rise's ratio 9 / 2 beats the jump's 4, the
+    largest at gap 1, and the rise's own steps (2.25)."""
+    values = np.zeros(n)
+    for k in rises:
+        values[k + 1 :] += 1.5
+        values[k + 2 :] += 1.5
+    values[spike + 1 :] += 2.0
+    return DriverPath(np.arange(float(n)), values)
 
 
 class TestControlFitExact:
@@ -253,6 +301,37 @@ class TestControlFitExact:
         nb = -(-300 // core._fit_block(300))
         assert 0 < visits <= nb * (nb - 1) // 2
 
+    def test_inner_passes_cover_few_samples_on_the_geometric_grid(self):
+        """On the non-uniqueness grid only the blocks near the fine end can hold a
+        pair at gap >= 2 that reaches the adjacent maximum."""
+        cfg = CounterexampleConfig(grid=8192)
+        path, _ = example1_driver(cfg)
+        spans = _inner_pass_spans(path, cfg.p)
+        assert spans and max(spans) < 0.01 * path.times.size
+
+    def test_inner_passes_cover_every_sample_on_a_brownian_walk(self):
+        rng = np.random.default_rng(2024)
+        path = DriverPath(np.arange(1000.0), np.cumsum(rng.normal(size=(1000, 2)), axis=0))
+        assert _inner_pass_spans(path, 2.5)[0] == 1000
+
+    def test_inner_passes_stop_after_gap_one_on_a_constant_path(self):
+        assert _inner_pass_spans(DriverPath(np.arange(151.0), np.full((151, 2), 0.25)), 1.5) == []
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 22, 64])
+    @pytest.mark.parametrize("rises, spike", [([0], 120), ([150], 10), ([90], 10), ([30, 90], 10)],
+                             ids=["first-block", "short-last-block", "far-from-gap-one-max",
+                                  "tie-goes-to-the-smallest-k"])
+    def test_within_block_maximum(self, monkeypatch, block, rises, spike):
+        """153 samples leave a short last block at 5, 22 and 64; samples k..k+2 of
+        each rise lie in one block at every block size from 3, the two rises of the
+        tie in different blocks."""
+        path = _rises(153, rises, spike)
+        want = _all_pairs_argmax(path, 2.0)
+        assert want == (4.5, rises[0], rises[0] + 2)
+        assert _all_pairs_argmax(path, 2.0, max_gap=1)[1] == spike
+        monkeypatch.setattr(core, "_fit_block", lambda n: block)
+        assert _fit_argmax(path, 2.0) == want
+
     @pytest.mark.parametrize("block", [1, 2, 3, 5, 22, 64])
     def test_constant_path_reports_the_first_pair(self, monkeypatch, block):
         monkeypatch.setattr(core, "_fit_block", lambda n: block)
@@ -280,8 +359,8 @@ class TestControlFitExact:
             mp.setattr(core, "_FIT_PAIRS", 1)
             assert core._pair_max(path.values.T, p, weight) == want
 
-    @settings(max_examples=150, deadline=None)
-    @given(path=_random_paths(), p=st.floats(1.0, 3.0),
+    @settings(max_examples=300, deadline=None)  # about 150 from each path strategy
+    @given(path=st.one_of(_random_paths(), _geometric_paths()), p=st.floats(1.0, 3.0),
            block=st.integers(4, 70), chunk=st.integers(1, 40))
     def test_matches_all_lags_on_random_paths(self, path, p, block, chunk):
         want = _all_lags_fit(path, p)
