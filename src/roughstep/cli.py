@@ -186,6 +186,7 @@ _FIELD = partial(_kinded, where="field", specs={
     "scalar_linear": {},
     "diagonal_linear": {"n": (_int, _REQUIRED)},
     "constant": {"matrix": (_array, _REQUIRED)},
+    "linear": {"matrices": (_array, _REQUIRED)},  # (d, n, n): f(y)[:, j] = M_j y
 })
 _SCHEME = partial(_block, where="scheme", spec={
     "scheme": (_choice("euler", "corrected"), "euler"),

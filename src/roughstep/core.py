@@ -448,7 +448,13 @@ class VectorField:
 
     Missing derivatives raise on access; schemes that need them say so in the
     error.  No approximation is ever silently substituted.
+
+    A linear field (:meth:`linear`) carries its matrices ``M_j``: each step of a scheme
+    is then linear in the state, ``y + S y`` with ``S`` a function of the cell's driver
+    block alone, which the schemes build from the driver before they step.
     """
+
+    matrices = None  # a linear field's (d, n, n) matrices M_j, read-only (see linear)
 
     def __init__(
         self,
@@ -501,24 +507,39 @@ class VectorField:
                    deriv2=np.broadcast_to(0.0, (n, n, n, d)))
 
     @classmethod
+    def linear(cls, matrices) -> "VectorField":
+        """The linear field ``f(y)[:, j] = M_j y`` of matrices ``(d, n, n)``, made read-only:
+        ``D1[h, i, j] = M_j[i, h]`` is constant and ``D2`` a zero-stride zero."""
+        m = np.asarray(matrices, dtype=float)
+        if m.ndim != 3 or m.shape[1] != m.shape[2]:
+            raise ValueError(f"a linear field needs (d, n, n) matrices, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("linear field matrices must be finite")
+        d, n, _ = m.shape
+        field = cls(n, d, functools.partial(_linear_values, m), deriv1=m.transpose(2, 1, 0),
+                    deriv2=np.broadcast_to(0.0, (n, n, n, d)))
+        m.flags.writeable = False
+        field.matrices = m
+        return field
+
+    @classmethod
     def scalar_linear(cls) -> "VectorField":
         """The 1-by-1 multiplicative field f(y) = y (geometric testbed)."""
-        return cls(1, 1, lambda y: y[..., None].copy(), deriv1=np.ones((1, 1, 1)),
-                   deriv2=np.zeros((1, 1, 1, 1)))
+        return cls.linear(np.ones((1, 1, 1)))
 
     @classmethod
     def diagonal_linear(cls, n: int) -> "VectorField":
         """f[i, j] = delta_ij * y[i]: independent multiplicative components."""
+        n = _size(n, "n")
         if n < 1:
             raise ValueError(f"diagonal_linear field needs n >= 1, got {n}")
-        d1 = np.einsum("hi,ij->hij", np.eye(n), np.eye(n))  # delta_hi delta_ij
+        return cls.linear(np.einsum("hi,ij->hij", np.eye(n), np.eye(n)))  # M_j = e_j e_j^T
 
-        def func(y):
-            out = np.zeros(y.shape + (n,))
-            out.reshape(y.shape[:-1] + (n * n,))[..., :: n + 1] = y
-            return out
 
-        return cls(n, n, func, deriv1=d1, deriv2=np.broadcast_to(0.0, (n, n, n, n)))
+def _linear_values(m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``f(y)[..., i, j] = sum_h M_j[i, h] y[..., h]``, each row of a batch a product and a
+    last-axis sum, bitwise its state alone."""
+    return (m * y[..., None, None, :]).sum(-1).swapaxes(-1, -2)
 
 
 def _checked(value, shape: tuple, what: str):

@@ -2,18 +2,19 @@
 
 Everything here rests on one map, the left-point step over a cell: Euler's
 ``y -> y + f(y) dx``, and the corrected ``y -> y + T : f(y)``, whose cell operator
-``T[i, h, k] = delta_ih dx_k + sum_j D1[h, i, j] A[k, j]`` carries ``f dx`` and the
-area term ``G(y) : A`` at once, so ``G`` is never formed.  ``T`` is one batched
-matmul of the kernel rows ``[delta | D1]`` against the transposed driver block
-``[dx | A]`` (:func:`_operators`), and it depends on the state through ``D1`` alone:
-a walk whose field has a constant ``D1`` builds its operators from the driver, in
-bounded batches, before it steps them, and a cell then costs ``f(y)``, one
-contraction and one add.  One Euler state steps through one gemv, ``f.dot(dx)``, bitwise
-the rows of a stacked step, and a walk binds the field's evaluation once
-(``VectorField._evaluate``), so a cell calls the field and its output checks directly.
-:func:`_coefficients`, :func:`_operators` and :func:`_advance` are the step's single
-definition, shared by the solvers, :func:`augmented_solve` and :func:`defect`, so
-adjacent defects under the scheme that made a trajectory are zero by construction.
+``T[i, h, k] = delta_ih dx_k + sum_j D1[h, i, j] A[k, j]``, one batched matmul of the
+kernel rows ``[delta | D1]`` against the driver block ``[dx | A]`` (:func:`_operators`),
+carries ``f dx`` and the area term ``G(y) : A`` at once, so ``G`` is never formed.  A
+walk on a constant ``D1`` builds its operators from the driver, in bounded batches,
+before it steps them; one Euler state steps through one gemv, ``f.dot(dx)``, bitwise
+the rows of a stacked step; a walk binds the field's evaluation once.  A linear field,
+``f(y)[:, j] = M_j y``, is not evaluated: with ``f`` and ``D1`` inserted the step is
+exactly ``y + S y``, ``S = sum_k dx_k M_k + sum_{k, j} A[k, j] M_j M_k`` (the Milstein
+form; Euler: the first sum), a matrix of the driver block alone, built like the
+operators.  :func:`_coefficients`, :func:`_operators` and :func:`_advance`, or
+:func:`_step_matrices` and :func:`_linear_step`, are the step's single definition, shared
+by the solvers, :func:`augmented_solve` and :func:`defect`, so adjacent defects under
+the scheme that made a trajectory are zero by construction.
 Every solve is a walk of :func:`_run_scheme`: one partition for the solvers,
 and the nested meshes of a convergence study stepped in lockstep, each
 member bitwise its own solve.
@@ -97,12 +98,46 @@ def _operators(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
     return rows @ (m.T if m.ndim == 2 else m.mT[..., None, :, :])
 
 
+def _built_cells(build, width: int, blocks: np.ndarray):
+    """``build`` of ``blocks``, one cell input per index of its leading axis, in batches of
+    at most ``_OPERATOR_CHUNK`` entries (one cell at least), ``width`` per member's cell."""
+    size = max(1, _OPERATOR_CHUNK // (width * math.prod(blocks.shape[1:-2])))
+    return chain.from_iterable(build(blocks[c: c + size]) for c in range(0, len(blocks), size))
+
+
 def _operator_cells(rows: np.ndarray, blocks: np.ndarray):
-    """The operators of ``blocks`` (:func:`_operators`), one per index of its leading axis,
-    built in batches of at most ``_OPERATOR_CHUNK`` operator entries (one cell at least)."""
-    size = max(1, _OPERATOR_CHUNK // (rows.shape[-2] ** 2 * math.prod(blocks.shape[1:-1])))
-    return chain.from_iterable(_operators(rows, blocks[c: c + size])
-                               for c in range(0, len(blocks), size))
+    """The operators of ``blocks`` (:func:`_operators`), built by :func:`_built_cells`."""
+    return _built_cells(partial(_operators, rows), rows[..., 1:].size, blocks)
+
+
+def _matrix_cells(words: np.ndarray, blocks: np.ndarray):
+    """The step matrices of ``blocks`` (:func:`_step_matrices`), built by :func:`_built_cells`."""
+    return _built_cells(partial(_step_matrices, words), words.shape[1], blocks)
+
+
+def _linear_words(field: VectorField, corrected: bool) -> np.ndarray | None:
+    """A linear field's ``W[k, 0] = M_k`` and, corrected, ``W[k, 1 + j] = M_j M_k`` as rows
+    ``(k, c)`` of a ``(d (1 + d), n n)`` matrix (Euler: ``(d, n n)``); None for any other."""
+    if field.matrices is None:
+        return None
+    words = field.matrices[:, None]
+    if corrected:
+        words = np.concatenate((words, field.matrices[None] @ words), 1)
+    return words.reshape(-1, field.n ** 2)
+
+
+def _step_matrices(words: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``S = sum_k dx_k M_k + sum_{k, j} A[k, j] M_j M_k`` of each driver block ``m = [dx | A]``
+    (Euler: ``[dx]``), ``(..., d, 1 + d)``: one matmul of the flattened block against the
+    words, a batch through a unit axis, so each is bitwise the one its cell gives alone."""
+    n = math.isqrt(words.shape[1])
+    return (m.reshape(m.shape[:-2] + (1, -1)) @ words).reshape(m.shape[:-2] + (n, n))
+
+
+def _linear_step(y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``y + S y``: one state through one gemv, ``S.dot(y)``, bitwise each row of a stack
+    ``(..., n)`` stepped by the matmul against its matrices (or one shared)."""
+    return y + s.dot(y) if y.ndim == 1 else y + (s @ y[..., None])[..., 0]
 
 
 def _coefficients(field: VectorField, y: np.ndarray, with_rows: bool, rows=None):
@@ -205,8 +240,8 @@ def _run_scheme(
     from the checked state ``y``; ``step(y, c)`` advances a state ``(n,)`` or a stack of
     states ``(M, n)`` over its cell inputs ``c`` and returns a new array.  ``cells(m)``
     iterates the cell inputs of driver blocks ``m`` (``area`` None: ``[dx]``) along their
-    leading axis: the blocks themselves by default, or operators built from them
-    (:func:`_operator_cells`) before the cells they serve are stepped.
+    leading axis: the blocks themselves by default, or operators or step matrices built
+    from them (:func:`_built_cells`) before the cells they serve are stepped.
 
     Members are stepped in order of cell count, so the ones still running at round ``r``
     are a contiguous suffix of one stack: a round is one ``step`` on that slice, its
@@ -286,13 +321,19 @@ def _run_scheme(
 
 def _solve(field, path, area, y0, partitions, threshold) -> list[Trajectory]:
     """One walk of ``partitions`` (None: every grid point), Euler when ``area`` is None,
-    corrected otherwise.  A constant ``D1`` has its operators built from the driver
-    before the cells they serve are stepped; any other builds each cell's in its step."""
+    corrected otherwise.  A linear field steps ``y + S y``, and a constant ``D1`` its
+    operators, each built from the driver before the cells they serve are stepped; any
+    other field builds each cell's operator in its step."""
     corrected = area is not None
     if corrected and not field.has_deriv1:
         raise NotImplementedError("corrected scheme needs the field's first derivative")
     y = _check_fit(field, path, y0, area)
     parts = [_grid_indices(path, p) for p in partitions]
+    tag = "corrected" if corrected else "euler"
+    words = _linear_words(field, corrected)
+    if words is not None:
+        return _run_scheme(path, area, y, parts, threshold, _linear_step, tag,
+                           partial(_matrix_cells, words))
     rows = _constant_rows(field) if corrected else None
     per_state = corrected and rows is None  # D1 read at each state
     evaluate = field._evaluate  # bound once: the walk's states are its own float arrays
@@ -304,7 +345,6 @@ def _solve(field, path, area, y0, partitions, threshold) -> list[Trajectory]:
         return _advance(y, np.ascontiguousarray(evaluate(y)), c, corrected)
 
     cells = iter if rows is None else partial(_operator_cells, rows)
-    tag = "corrected" if corrected else "euler"
     return _run_scheme(path, area, y, parts, threshold, step, tag, cells)
 
 
@@ -379,9 +419,12 @@ def augmented_solve(
         raise ValueError(f"z0 must be finite, got {z_init.tolist()}")
     big0 = np.concatenate([y, z_init.ravel()])
     parts, const = [_grid_indices(path, partition)], _constant_rows(field)
+    words = _linear_words(field, corrected)
 
     def step(big, m):
         y, z = big[:n], big[n:].reshape(n, n)
+        if words is not None:  # m: the cell's S; D2 = 0, so each direction steps as a state
+            return np.concatenate([_linear_step(y, m), _linear_step(z.T, m).T.ravel()])
         f, rows = _coefficients(field, y, True, const)
         g = _contract("iqj,qc->cij", rows[..., 1:], z)  # each direction's D1 . z[:, c]
         # each direction z[:, c] takes the state's step, its operator when corrected,
@@ -395,8 +438,9 @@ def augmented_solve(
 
     # Explosion is judged on the full augmented state; callers who care about
     # the bare state norm should solve it separately.
+    cells = iter if words is None else partial(_matrix_cells, words)
     area = area if corrected else None
-    return _run_scheme(path, area, big0, parts, explosion_threshold, step, scheme)[0]
+    return _run_scheme(path, area, big0, parts, explosion_threshold, step, scheme, cells)[0]
 
 
 def window_pairs(n_points: int, max_span: int) -> np.ndarray:
@@ -487,20 +531,26 @@ def defect(
     elif control.p != p:
         raise ValueError(f"control was fitted for p={control.p}, the defect is asked at p={p}")
 
-    # f and D1's kernel rows at every distinct left point in one call (a constant D1's
-    # one block), then the reconstructions a block of pairs, and its operators, at a time
-    counts = np.bincount(pair_arr[:, 0], minlength=idx.size)
-    left, inv = np.flatnonzero(counts), (np.cumsum(counts > 0) - 1)[pair_arr[:, 0]]
-    const = _constant_rows(field) if corrected else None
-    f_left, rows_left = _coefficients(field, y[left], corrected, const)
+    # f and D1's kernel rows at every distinct left point in one call (a constant D1's one
+    # block), then the reconstructions a block of pairs, with its step matrices or operators
+    words = _linear_words(field, corrected)
+    if words is None:
+        counts = np.bincount(pair_arr[:, 0], minlength=idx.size)
+        left, inv = np.flatnonzero(counts), (np.cumsum(counts > 0) - 1)[pair_arr[:, 0]]
+        const = _constant_rows(field) if corrected else None
+        f_left, rows_left = _coefficients(field, y[left], corrected, const)
     mags = np.empty(pair_arr.shape[0])
-    for b in range(0, mags.size, _DEFECT_BLOCK):
-        blk = slice(b, b + _DEFECT_BLOCK)
+    size = _DEFECT_BLOCK if words is None else max(1, _DEFECT_BLOCK // field.n)
+    for b in range(0, mags.size, size):  # a block's step matrices hold n times its states
+        blk = slice(b, b + size)
         k, l = pair_arr[blk].T
         c = _driver_blocks(path, area if corrected else None, idx[k], idx[l])
-        if corrected:
-            c = _operators(rows_left if const is not None else rows_left[inv[blk]], c)
-        y_l = _advance(y[k], f_left[inv[blk]], c, corrected)
+        if words is not None:
+            y_l = _linear_step(y[k], _step_matrices(words, c))
+        else:
+            if corrected:
+                c = _operators(rows_left if const is not None else rows_left[inv[blk]], c)
+            y_l = _advance(y[k], f_left[inv[blk]], c, corrected)
         mags[blk] = np.max(np.abs(y[l] - y_l), axis=1)
 
     omegas = control.omega(trajectory.times[pair_arr[:, 0]], trajectory.times[pair_arr[:, 1]])

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from roughstep import __version__, cli
 from roughstep.cli import main
-from roughstep.drivers import ChainCurve
+from roughstep.core import VectorField
+from roughstep.drivers import BrownianConfig, ChainCurve, brownian_path, ito_area
+from roughstep.schemes import corrected_solve
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -47,6 +50,12 @@ CURVE_CONFIG = {"alpha": 0.7, "depth": 4, "seed": 1, "n_pairs": 50, "samples": 2
 
 EXPLOSION_CONFIG = {"envelope": {"growth_exp": 1.2, "area_exp": 0.4, "beta": 0.8},
                     "p": 1.5, "gamma": 1.7}
+
+# linear field matrices refused on SOLVE_CONFIG's d = 1 driver, with a fitting y0: ragged,
+# 2-D, not square, not finite, of d = 2, empty
+_LINEAR_REFUSALS = [([[[1.0, 2.0], [3.0]]], [1.0]), ([[1.0]], [1.0]), ([[[1.0, 2.0]]], [1.0]),
+                    ([[[float("inf")]]], [1.0]), ([[[1.0, 0.0], [0.0, 1.0]]] * 2, [1.0, 1.0]),
+                    ([], [1.0])]
 
 CHAIN_SOLVE_CONFIG = {
     "driver": {"kind": "chain", "alpha": 0.7, "depth": 3, "samples": 257},
@@ -285,6 +294,32 @@ class TestConfigErrors:
             rates.append((out / "rate.json").read_bytes())
         assert rates[0] == rates[1]
 
+    def test_linear_field_solves_and_converges(self, tmp_path):
+        """The non-commuting pair ``M_0``, ``M_1`` as a ``linear`` field: a corrected solve
+        with its window defect, the library's states to the last bit, and a study against
+        the fine-grid reference that converges."""
+        mats = [[[0.3, 0.6], [-0.2, 0.1]], [[-0.1, 0.2], [0.7, 0.4]]]
+        system = {"driver": {"kind": "brownian", "d": 2, "level": 12, "seed": 7},
+                  "field": {"kind": "linear", "matrices": mats},
+                  "scheme": {"scheme": "corrected"}, "y0": [1.0, 0.0]}
+        cfg = _write_config(tmp_path, "solve.json", {
+            **system, "defect": {"gamma": 3.0, "p": 2.0, "max_span": 16}})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "solve")]) == 0
+        report = json.loads((tmp_path / "solve" / "defect.json").read_text())
+        assert report["pair_policy"] == "window" and report["n_pairs"] == 65_416
+        assert 0.0 < report["fitted_constant"] < math.inf
+        bc = BrownianConfig(d=2, level=12, seed=7)
+        path = brownian_path(bc)
+        traj = corrected_solve(VectorField.linear(mats), path, ito_area(path, bc), [1.0, 0.0])
+        rows = (tmp_path / "solve" / "trajectory.csv").read_text().splitlines()[1:]
+        assert [[float(v) for v in row.split(",")[1:]] for row in rows] == traj.states.tolist()
+        cfg = _write_config(tmp_path, "conv.json", {
+            **system, "k_values": [16, 64, 256], "oracle": "fine", "drop_coarsest": 0})
+        assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "conv")]) == 0
+        rate = json.loads((tmp_path / "conv" / "rate.json").read_text())
+        # slopes over seeds 7-11 read -0.68 to -1.15: the corrected scheme's order 1
+        assert rate["slope"] < -0.5 and rate["errors"][-1] < rate["errors"][0] / 4
+
     def test_condition21_requires_brownian_driver(self, tmp_path):
         cfg = _write_config(tmp_path, "c21.json", {
             "driver": {"kind": "polynomial", "coeffs": [[0.0, 1.0]],
@@ -442,6 +477,13 @@ class TestConfigErrors:
             "oracle": "gbm_ito",
         }),
         *[("convergence", config) for config in _GBM_LIMIT_MISMATCHES],
+        *[("solve", {**SOLVE_CONFIG, "field": {"kind": "linear", "matrices": m}, "y0": y0})
+          for m, y0 in _LINEAR_REFUSALS],
+        ("convergence", {  # f(y) = y, but the GBM oracles take the GBM fields alone
+            "driver": {"kind": "brownian", "d": 1, "level": 8, "seed": 42},
+            "field": {"kind": "linear", "matrices": [[[1.0]]]},
+            "y0": [1.0], "k_values": [16, 64], "oracle": "gbm_ito",
+        }),
         # a nested y0 was flattened: [[1.0]] ran as [1.0], two rows as a 2-state field
         ("solve", {**SOLVE_CONFIG, "y0": [[1.0]]}),
         ("solve", {**SOLVE_CONFIG, "driver": {**SOLVE_CONFIG["driver"], "d": 2},
@@ -470,7 +512,9 @@ class TestConfigErrors:
             "huge-diagonal-n-not-driver-d", "polynomial-samples-beyond-memory",
             "conv-repeated-mesh", "gbm-oracle-on-constant-field", "gbm-ito-on-polynomial",
             "gbm-ito-on-corrected-stratonovich", "gbm-stratonovich-on-euler",
-            "gbm-stratonovich-on-corrected-ito", "nested-y0", "nested-y0-rows", "scalar-y0"])
+            "gbm-stratonovich-on-corrected-ito", "linear-ragged", "linear-2d", "linear-not-square",
+            "linear-infinite", "linear-d-not-driver-d", "linear-empty", "gbm-oracle-on-linear",
+            "nested-y0", "nested-y0-rows", "scalar-y0"])
     def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, subcommand, config):
         cfg = _write_config(tmp_path, "bad.json", config)
         out = tmp_path / "out"
@@ -492,8 +536,17 @@ class TestConfigErrors:
          "t_end must be finite, got inf"),
         ({**SOLVE_CONFIG, "defect": {**SOLVE_CONFIG["defect"], "pairs": 5}},
          "pairs has an invalid value 5: expected a list of index pairs"),
+        *[({**SOLVE_CONFIG, "field": {"kind": "linear", "matrices": m}, "y0": y0}, message)
+          for (m, y0), message in zip(_LINEAR_REFUSALS, [
+              "matrices has an invalid value [[[1.0, 2.0], [3.0]]]: setting an array element",
+              "a linear field needs (d, n, n) matrices, got shape (1, 1)",
+              "a linear field needs (d, n, n) matrices, got shape (1, 1, 2)",
+              "matrices has an invalid value [[[inf]]]: entries must be finite",
+              "field is driven by d=2, the path has d=1",
+              "a linear field needs (d, n, n) matrices, got shape (0,)"])],
     ], ids=["threshold-above-1e150", "threshold-below-1e-150", "defect-on-a-single-state",
-            "infinite-t-end", "pairs-a-number"])
+            "infinite-t-end", "pairs-a-number", "linear-ragged", "linear-2d",
+            "linear-not-square", "linear-infinite", "linear-d-not-driver-d", "linear-empty"])
     def test_refusal_names_its_cause(self, tmp_path, capsys, config, message):
         cfg = _write_config(tmp_path, "bad.json", config)
         out = tmp_path / "out"

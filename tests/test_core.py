@@ -651,6 +651,25 @@ class TestVectorField:
         with pytest.raises(ValueError, match="diagonal_linear"):
             VectorField.diagonal_linear(n)
 
+    @pytest.mark.parametrize("n", [2.0, 2.5, True])
+    def test_diagonal_linear_refuses_a_fractional_or_boolean_size(self, n):
+        with pytest.raises(TypeError, match="^n must be an integer"):
+            VectorField.diagonal_linear(n)
+
+    def test_diagonal_linear_accepts_a_numpy_integer_size(self):
+        field = VectorField.diagonal_linear(np.int64(2))
+        assert (field.n, field.d) == (2, 2) and type(field.n) is int
+
+    def test_builtin_linear_fields_carry_their_matrices(self):
+        assert np.array_equal(VectorField.scalar_linear().matrices, np.ones((1, 1, 1)))
+        assert np.array_equal(VectorField.diagonal_linear(3).matrices,
+                              [np.diag(e) for e in np.eye(3)])
+        assert VectorField.constant([[1.0]]).matrices is None
+        field = VectorField.linear([[[0.3, 0.6], [-0.2, 0.1]], [[-0.1, 0.2], [0.7, 0.4]]])
+        copy, y = pickle.loads(pickle.dumps(field)), np.array([[0.5, -2.0], [1.5, 3.0]])
+        assert np.array_equal(copy.matrices, field.matrices)
+        assert np.array_equal(copy.eval(y), field.eval(y))
+
     def test_a_field_pickles_when_its_parts_do(self):
         y = np.array([[0.5, -2.0], [1.5, 3.0]])
         for field in (VectorField.constant([[1.0, 2.0], [3.0, 4.0]]),

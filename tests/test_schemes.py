@@ -35,9 +35,13 @@ from roughstep.schemes import (
     _coefficients,
     _contract,
     _kernel_rows,
+    _linear_step,
+    _linear_words,
+    _matrix_cells,
     _operator_cells,
     _operators,
     _solve,
+    _step_matrices,
     augmented_solve,
     corrected_solve,
     defect,
@@ -526,10 +530,13 @@ class TestAugmentedSolve:
         with pytest.raises(NotImplementedError):
             augmented_solve(no_d2, path, np.zeros(2), scheme="corrected", area=ito)
 
-    @pytest.mark.parametrize("scheme", ["euler", "corrected"])
+    @pytest.mark.parametrize("scheme, field", [
+        ("euler", "smooth22"), ("corrected", "smooth22"), ("euler", "linear"),
+        ("corrected", "linear")], ids=["euler", "corrected", "euler-linear", "corrected-linear"])
     def test_state_block_equals_plain_solve_bitwise(
-            self, bm2, smooth22, uniform_partition, scheme):
+            self, bm2, smooth22, uniform_partition, scheme, field):
         _, path, ito, _ = bm2
+        smooth22 = smooth22 if field == "smooth22" else VectorField.linear(_NONCOMMUTING)
         part = uniform_partition(path, 64)
         y0 = np.array([0.4, -0.2])
         aug = augmented_solve(smooth22, path, y0, scheme=scheme, area=ito, partition=part)
@@ -893,6 +900,150 @@ class TestConstantDerivatives:
             tracemalloc.stop()
         assert traj.states.shape == (path.times.size, 48)
         assert peak < 8 * 2**20
+
+
+_NONCOMMUTING = np.array([[[0.3, 0.6], [-0.2, 0.1]], [[-0.1, 0.2], [0.7, 0.4]]])
+_LINEAR_MATS = {"pair": _NONCOMMUTING,
+                "random": np.random.default_rng(8).normal(scale=0.3, size=(3, 8, 8))}
+
+
+class TestLinearField:
+    """A linear field carries its matrices: a walk, the defect report and the sensitivity
+    flow step it as ``y + S y``, ``S`` built from the driver block alone.  The non-commuting
+    pair and a random n = 8, d = 3 field, whose ``D1`` is not symmetric in ``h <-> i``."""
+
+    @staticmethod
+    def _run(mats, scheme, level=12):
+        d, n, _ = mats.shape
+        cfg = BrownianConfig(d=d, level=level, seed=70 + n)
+        path = brownian_path(cfg)
+        area = ito_area(path, cfg) if scheme == "corrected" else None
+        return path, area, np.linspace(1.0, -0.5, n)
+
+    @pytest.mark.parametrize("name", ["pair", "random"])
+    def test_parts_are_its_matrices_and_a_batch_is_its_rows(self, name):
+        mats = _LINEAR_MATS[name]
+        field = VectorField.linear(mats.tolist())
+        d, n, _ = mats.shape
+        assert (field.n, field.d) == (n, d) and not field.matrices.flags.writeable
+        assert np.array_equal(field.matrices, mats)
+        states = np.random.default_rng(n).normal(size=(5, 4, n))
+        assert np.array_equal(field.deriv1(states[0, 0]), np.transpose(mats, (2, 1, 0)))
+        assert not np.any(field.deriv2(states))
+        batch = field.eval(states)
+        single = np.array([field.eval(y) for y in states.reshape(-1, n)])
+        assert np.ascontiguousarray(batch).reshape(-1, n, d).tobytes() == single.tobytes()
+        want = np.einsum("jih,...h->...ij", mats, states)
+        assert np.allclose(batch, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("shape, match", [
+        ((2, 2), "needs \\(d, n, n\\) matrices"), ((1, 2, 3), "needs \\(d, n, n\\) matrices"),
+        ((0, 2, 2), "n, d >= 1"), ((1, 0, 0), "n, d >= 1")])
+    def test_malformed_matrices_refused(self, shape, match):
+        with pytest.raises(ValueError, match=match):
+            VectorField.linear(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_matrices_refused(self, bad):
+        with pytest.raises(ValueError, match="linear field matrices must be finite"):
+            VectorField.linear([[[1.0, bad], [0.0, 1.0]]])
+
+    @pytest.mark.parametrize("scheme", ["euler", "corrected"])
+    @pytest.mark.parametrize("name", ["pair", "random"])
+    def test_solves_agree_with_the_callable_field(self, name, scheme):
+        # measured: at most rel 6.6e-15 over Brownian seeds 0-19 at L12, both fields
+        mats = _LINEAR_MATS[name]
+        path, area, y0 = self._run(mats, scheme)
+        twin = _linear_field_d(mats)
+        assert twin.matrices is None
+        got, want = (_solve(f, path, area, y0, [None], 1e6)[0].states
+                     for f in (VectorField.linear(mats), twin))
+        assert got.shape == want.shape == (path.times.size, y0.size)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("scheme", ["euler", "corrected"])
+    @pytest.mark.parametrize("name", ["pair", "random"])
+    def test_adjacent_defects_are_exactly_zero(self, name, scheme):
+        mats = _LINEAR_MATS[name]
+        path, area, y0 = self._run(mats, scheme, level=10)
+        field = VectorField.linear(mats)
+        part = np.r_[0:256:3, 256:1025]  # cells of 3 and of 1 grid cells
+        traj = _solve(field, path, area, y0, [part], 1e6)[0]
+        gamma = 2.0 if area is None else 3.0
+        assert not defect(traj, field, path, gamma, 2.0, area, "adjacent").magnitudes.any()
+        window = defect(traj, field, path, gamma, 2.0, area, max_span=8).magnitudes
+        twin = defect(traj, _linear_field_d(mats), path, gamma, 2.0, area, max_span=8)
+        assert window.any() and np.allclose(window, twin.magnitudes, rtol=1e-10, atol=1e-15)
+
+    @pytest.mark.parametrize("scheme", ["euler", "corrected"])
+    @pytest.mark.parametrize("name", ["pair", "random"])
+    def test_each_study_member_is_its_own_solve(self, name, scheme):
+        mats = _LINEAR_MATS[name]
+        path, area, y0 = self._run(mats, scheme, level=10)
+        field = VectorField.linear(mats)
+        parts = [np.arange(0, 1025, 1024 // k) for k in (64, 4, 256, 16)] + [None]
+        for part, traj in zip(parts, _solve(field, path, area, y0, parts, 1e6)):
+            alone = _solve(field, path, area, y0, [part], 1e6)[0]
+            assert np.array_equal(traj.states, alone.states)
+        # a corrected study walks its fine-grid reference as a member too
+        fine = _solve(field, path, area, y0, [None], 1e6)[0].final
+        study = convergence_study(field, path, y0, [4, 16, 64], scheme, area,
+                                  reference=None if scheme == "corrected" else fine)
+        finals = [_solve(field, path, area, y0, [np.arange(0, 1025, 1024 // k)], 1e6)[0].final
+                  for k in (4, 16, 64)]
+        assert np.array_equal(study.errors, [np.linalg.norm(f - fine) for f in finals])
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("corrected", [False, True], ids=["euler", "corrected"])
+    @pytest.mark.parametrize("n, d", [(1, 1), (2, 2), (3, 2), (8, 3), (33, 1)])
+    def test_step_matrices_are_their_single_cell_builds_bitwise(self, n, d, corrected, rows,
+                                                                monkeypatch):
+        # a batch, a lockstep stack of members and the walk's chunked build each give every
+        # cell the matrix it gets alone, and a stacked step is bitwise its rows
+        rng = np.random.default_rng(4000 * rows + 10 * n + d)
+        mats = rng.normal(size=(d, n, n))
+        words = _linear_words(VectorField.linear(mats), corrected)
+        m = rng.normal(size=(rows, d, 1 + d if corrected else 1))
+        got = _step_matrices(words, m)
+        assert np.array_equal(got, np.array([_step_matrices(words, c) for c in m]))
+        want = np.einsum("ck,kih->cih", m[..., 0], mats)
+        if corrected:
+            want += np.einsum("ckj,jig,kgh->cih", m[..., 1:], mats, mats)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        stacked = _step_matrices(words, m.reshape((1, rows) + m.shape[1:])[:, ::-1])[0, ::-1]
+        assert np.array_equal(stacked, got)
+        monkeypatch.setattr(schemes, "_OPERATOR_CHUNK", 3 * n * n)  # chunks of 3 cells
+        assert np.array_equal(np.array(list(_matrix_cells(words, m))), got)
+        y = rng.normal(size=(rows, n))
+        single = np.array([_linear_step(v, s) for v, s in zip(y, got)])
+        assert np.array_equal(_linear_step(y, got), single)
+        assert np.array_equal(single, [v + s.dot(v) for v, s in zip(y, got)])
+
+    @pytest.mark.parametrize("scheme", ["euler", "corrected"])
+    @pytest.mark.parametrize("name", ["pair", "random"])
+    def test_sensitivity_columns_are_the_solves_from_unit_vectors_bitwise(self, name, scheme):
+        # D2 = 0: each direction steps as a state through the cell's S, so the discrete
+        # flow's Jacobian is exactly the matrix of the solves from the unit vectors
+        mats = _LINEAR_MATS[name]
+        path, area, y0 = self._run(mats, scheme, level=10)
+        field = VectorField.linear(mats)
+        aug = augmented_solve(field, path, y0, scheme, area)
+        columns = [_solve(field, path, area, e, [None], 1e6)[0].final for e in np.eye(y0.size)]
+        assert np.array_equal(oracles.jacobian_view(aug, y0.size)[-1], np.column_stack(columns))
+
+    @pytest.mark.parametrize("scheme", ["euler", "corrected"])
+    @pytest.mark.parametrize("threshold", [2.0, 5.0])
+    def test_a_crossing_stops_where_the_callable_twin_does(self, scheme, threshold):
+        path, area = _walk_driver(2)
+        area = area if scheme == "corrected" else None
+        coarse, mats = np.arange(0, path.n_intervals + 1, 16), 4 * _NONCOMMUTING
+        runs = [[traj for parts in ([None], [coarse], [coarse, None])
+                 for traj in _solve(f, path, area, [1.0, 0.0], parts, threshold)]
+                for f in (VectorField.linear(mats), _linear_field_d(mats))]
+        assert runs[0][1].exploded
+        for got, want in zip(*runs, strict=True):
+            assert got.exploded_at == want.exploded_at
+            assert got.states.shape == want.states.shape
 
 
 class TestWindowPairs:
