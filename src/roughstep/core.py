@@ -513,7 +513,7 @@ class VectorField:
         m = np.asarray(matrices, dtype=float)
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
             raise ValueError(f"a linear field needs (d, n, n) matrices, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
             raise ValueError("linear field matrices must be finite")
         d, n, _ = m.shape
         field = cls(n, d, functools.partial(_linear_values, m), deriv1=m.transpose(2, 1, 0),

@@ -98,40 +98,52 @@ def _operators(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
     return rows @ (m.T if m.ndim == 2 else m.mT[..., None, :, :])
 
 
+def _batch(width: int) -> int:
+    """Cells per batch of ``width`` entries each: ``_OPERATOR_CHUNK`` entries, one at least."""
+    return max(1, _OPERATOR_CHUNK // width)
+
+
 def _built_cells(build, width: int, blocks: np.ndarray):
-    """``build`` of ``blocks``, one cell input per index of its leading axis, in batches of
-    at most ``_OPERATOR_CHUNK`` entries (one cell at least), ``width`` per member's cell."""
-    size = max(1, _OPERATOR_CHUNK // (width * math.prod(blocks.shape[1:-2])))
+    """``build`` of ``blocks``, one cell input per index of its leading axis, in batches
+    (:func:`_batch`) of ``width`` entries per member's cell."""
+    size = _batch(width * math.prod(blocks.shape[1:-2]))
     return chain.from_iterable(build(blocks[c: c + size]) for c in range(0, len(blocks), size))
 
 
-def _operator_cells(rows: np.ndarray, blocks: np.ndarray):
-    """The operators of ``blocks`` (:func:`_operators`), built by :func:`_built_cells`."""
-    return _built_cells(partial(_operators, rows), rows[..., 1:].size, blocks)
-
-
-def _matrix_cells(words: np.ndarray, blocks: np.ndarray):
-    """The step matrices of ``blocks`` (:func:`_step_matrices`), built by :func:`_built_cells`."""
-    return _built_cells(partial(_step_matrices, words), words.shape[1], blocks)
-
-
-def _linear_words(field: VectorField, corrected: bool) -> np.ndarray | None:
-    """A linear field's ``W[k, 0] = M_k`` and, corrected, ``W[k, 1 + j] = M_j M_k`` as rows
-    ``(k, c)`` of a ``(d (1 + d), n n)`` matrix (Euler: ``(d, n n)``); None for any other."""
+def _linear_cells(field: VectorField, corrected: bool):
+    """A linear field's step-matrix builder (:func:`_step_matrices`) and its entries per
+    cell, ``(1 + d) n^2`` corrected and ``n^2`` Euler; None for any other field."""
     if field.matrices is None:
         return None
-    words = field.matrices[:, None]
-    if corrected:
-        words = np.concatenate((words, field.matrices[None] @ words), 1)
-    return words.reshape(-1, field.n ** 2)
+    mats, n = field.matrices, field.n
+    flat = mats.reshape(field.d, n * n)
+    # the entries some M_k holds and, corrected, the (j, h) whose column h of M_j is not
+    # zero; all of them as a slice, which takes no scatter or gather
+    keep = flat.any(0), mats.any(1) if corrected else np.zeros((field.d, n), bool)
+    cols, pairs = (slice(None) if k.all() else np.flatnonzero(k) for k in keep)
+    left = mats.transpose(1, 0, 2)[:, keep[1]]  # [i, (j, h)] = M_j[i, h]
+    width = n * n * (1 + field.d if corrected else 1)
+    return partial(_step_matrices, cols, flat[:, cols], pairs, left), width
 
 
-def _step_matrices(words: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``S = sum_k dx_k M_k + sum_{k, j} A[k, j] M_j M_k`` of each driver block ``m = [dx | A]``
-    (Euler: ``[dx]``), ``(..., d, 1 + d)``: one matmul of the flattened block against the
-    words, a batch through a unit axis, so each is bitwise the one its cell gives alone."""
-    n = math.isqrt(words.shape[1])
-    return (m.reshape(m.shape[:-2] + (1, -1)) @ words).reshape(m.shape[:-2] + (n, n))
+def _step_matrices(cols, words, pairs, left, m: np.ndarray) -> np.ndarray:
+    """``S = sum_k dx_k M_k + sum_j M_j B_j``, ``B_j = sum_k A[k, j] M_k``, of each driver
+    block ``m = [dx | A]`` (Euler: ``[dx]``), ``(..., d, 1 + d)``; the terms left out by
+    ``cols`` and ``pairs`` are exact zeros, and each cell is bitwise its build alone."""
+    n, lead = left.shape[0], m.shape[:-2]
+
+    def spread(x):  # x's columns at ``cols`` of n n zero columns; x itself for all of them
+        if isinstance(cols, slice):
+            return x
+        out = np.zeros(x.shape[:-1] + (n * n,))
+        out[..., cols] = x
+        return out
+
+    s = spread(m[..., None, :, 0] @ words)
+    if m.shape[-1] > 1:
+        b = spread(m[..., 1:].mT @ words).reshape(lead + (-1, n))
+        s += (left @ b[..., pairs, :]).reshape(s.shape)
+    return s.reshape(lead + (n, n))
 
 
 def _linear_step(y: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -321,19 +333,18 @@ def _run_scheme(
 
 def _solve(field, path, area, y0, partitions, threshold) -> list[Trajectory]:
     """One walk of ``partitions`` (None: every grid point), Euler when ``area`` is None,
-    corrected otherwise.  A linear field steps ``y + S y``, and a constant ``D1`` its
-    operators, each built from the driver before the cells they serve are stepped; any
-    other field builds each cell's operator in its step."""
+    corrected otherwise.  A linear field's step matrices and a constant ``D1``'s operators
+    are built from the driver before the cells they serve; any other builds them per step."""
     corrected = area is not None
     if corrected and not field.has_deriv1:
         raise NotImplementedError("corrected scheme needs the field's first derivative")
     y = _check_fit(field, path, y0, area)
     parts = [_grid_indices(path, p) for p in partitions]
     tag = "corrected" if corrected else "euler"
-    words = _linear_words(field, corrected)
-    if words is not None:
+    lin = _linear_cells(field, corrected)
+    if lin is not None:
         return _run_scheme(path, area, y, parts, threshold, _linear_step, tag,
-                           partial(_matrix_cells, words))
+                           partial(_built_cells, *lin))
     rows = _constant_rows(field) if corrected else None
     per_state = corrected and rows is None  # D1 read at each state
     evaluate = field._evaluate  # bound once: the walk's states are its own float arrays
@@ -344,7 +355,8 @@ def _solve(field, path, area, y0, partitions, threshold) -> list[Trajectory]:
             return _advance(y, f, _operators(r, c), True)
         return _advance(y, np.ascontiguousarray(evaluate(y)), c, corrected)
 
-    cells = iter if rows is None else partial(_operator_cells, rows)
+    cells = iter if rows is None else partial(_built_cells, partial(_operators, rows),
+                                              rows[..., 1:].size)
     return _run_scheme(path, area, y, parts, threshold, step, tag, cells)
 
 
@@ -419,11 +431,11 @@ def augmented_solve(
         raise ValueError(f"z0 must be finite, got {z_init.tolist()}")
     big0 = np.concatenate([y, z_init.ravel()])
     parts, const = [_grid_indices(path, partition)], _constant_rows(field)
-    words = _linear_words(field, corrected)
+    lin = _linear_cells(field, corrected)
 
     def step(big, m):
         y, z = big[:n], big[n:].reshape(n, n)
-        if words is not None:  # m: the cell's S; D2 = 0, so each direction steps as a state
+        if lin is not None:  # m: the cell's S; D2 = 0, so each direction steps as a state
             return np.concatenate([_linear_step(y, m), _linear_step(z.T, m).T.ravel()])
         f, rows = _coefficients(field, y, True, const)
         g = _contract("iqj,qc->cij", rows[..., 1:], z)  # each direction's D1 . z[:, c]
@@ -438,7 +450,7 @@ def augmented_solve(
 
     # Explosion is judged on the full augmented state; callers who care about
     # the bare state norm should solve it separately.
-    cells = iter if words is None else partial(_matrix_cells, words)
+    cells = iter if lin is None else partial(_built_cells, *lin)
     area = area if corrected else None
     return _run_scheme(path, area, big0, parts, explosion_threshold, step, scheme, cells)[0]
 
@@ -533,24 +545,22 @@ def defect(
 
     # f and D1's kernel rows at every distinct left point in one call (a constant D1's one
     # block), then the reconstructions a block of pairs, with its step matrices or operators
-    words = _linear_words(field, corrected)
-    if words is None:
+    lin = _linear_cells(field, corrected)
+    if lin is None:
         counts = np.bincount(pair_arr[:, 0], minlength=idx.size)
         left, inv = np.flatnonzero(counts), (np.cumsum(counts > 0) - 1)[pair_arr[:, 0]]
         const = _constant_rows(field) if corrected else None
         f_left, rows_left = _coefficients(field, y[left], corrected, const)
     mags = np.empty(pair_arr.shape[0])
-    size = _DEFECT_BLOCK if words is None else max(1, _DEFECT_BLOCK // field.n)
-    for b in range(0, mags.size, size):  # a block's step matrices hold n times its states
+    size = _DEFECT_BLOCK if lin is None else _batch(lin[1])  # a linear block as a walk's
+    for b in range(0, mags.size, size):
         blk = slice(b, b + size)
         k, l = pair_arr[blk].T
         c = _driver_blocks(path, area if corrected else None, idx[k], idx[l])
-        if words is not None:
-            y_l = _linear_step(y[k], _step_matrices(words, c))
-        else:
-            if corrected:
-                c = _operators(rows_left if const is not None else rows_left[inv[blk]], c)
-            y_l = _advance(y[k], f_left[inv[blk]], c, corrected)
+        if lin is None and corrected:
+            c = _operators(rows_left if const is not None else rows_left[inv[blk]], c)
+        y_l = _advance(y[k], f_left[inv[blk]], c, corrected) if lin is None else _linear_step(
+            y[k], lin[0](c))
         mags[blk] = np.max(np.abs(y[l] - y_l), axis=1)
 
     omegas = control.omega(trajectory.times[pair_arr[:, 0]], trajectory.times[pair_arr[:, 1]])

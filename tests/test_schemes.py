@@ -4,7 +4,7 @@ from __future__ import annotations
 import re
 import tracemalloc
 import warnings
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -32,16 +32,14 @@ from roughstep.drivers import (
 from roughstep import schemes
 from roughstep.schemes import (
     _advance,
+    _built_cells,
     _coefficients,
     _contract,
     _kernel_rows,
+    _linear_cells,
     _linear_step,
-    _linear_words,
-    _matrix_cells,
-    _operator_cells,
     _operators,
     _solve,
-    _step_matrices,
     augmented_solve,
     corrected_solve,
     defect,
@@ -246,7 +244,7 @@ class TestStepKernel:
         stacked = _operators(shared, m.reshape(1, rows, d, 1 + d)[:, ::-1])[0, ::-1]
         assert np.array_equal(stacked, _operators(shared, m))
         monkeypatch.setattr(schemes, "_OPERATOR_CHUNK", 3 * n * n * d)  # chunks of 3 cells
-        chunked = np.array(list(_operator_cells(shared, m)))
+        chunked = np.array(list(_built_cells(partial(_operators, shared), n * n * d, m)))
         assert np.array_equal(chunked, _operators(shared, m))
 
     def test_tensor_oracle_contracts_first_derivative(self, smooth22):
@@ -1002,22 +1000,53 @@ class TestLinearField:
         # cell the matrix it gets alone, and a stacked step is bitwise its rows
         rng = np.random.default_rng(4000 * rows + 10 * n + d)
         mats = rng.normal(size=(d, n, n))
-        words = _linear_words(VectorField.linear(mats), corrected)
+        build, width = _linear_cells(VectorField.linear(mats), corrected)
         m = rng.normal(size=(rows, d, 1 + d if corrected else 1))
-        got = _step_matrices(words, m)
-        assert np.array_equal(got, np.array([_step_matrices(words, c) for c in m]))
+        got = build(m)
+        assert np.array_equal(got, np.array([build(c) for c in m]))
         want = np.einsum("ck,kih->cih", m[..., 0], mats)
         if corrected:
             want += np.einsum("ckj,jig,kgh->cih", m[..., 1:], mats, mats)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-        stacked = _step_matrices(words, m.reshape((1, rows) + m.shape[1:])[:, ::-1])[0, ::-1]
+        stacked = build(m.reshape((1, rows) + m.shape[1:])[:, ::-1])[0, ::-1]
         assert np.array_equal(stacked, got)
-        monkeypatch.setattr(schemes, "_OPERATOR_CHUNK", 3 * n * n)  # chunks of 3 cells
-        assert np.array_equal(np.array(list(_matrix_cells(words, m))), got)
+        monkeypatch.setattr(schemes, "_OPERATOR_CHUNK", 3 * width)  # chunks of 3 cells
+        assert np.array_equal(np.array(list(_built_cells(build, width, m))), got)
         y = rng.normal(size=(rows, n))
         single = np.array([_linear_step(v, s) for v, s in zip(y, got)])
         assert np.array_equal(_linear_step(y, got), single)
         assert np.array_equal(single, [v + s.dot(v) for v, s in zip(y, got)])
+
+    @pytest.mark.parametrize("corrected", [False, True], ids=["euler", "corrected"])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_diagonal_step_matrices_are_exact(self, n, corrected):
+        # only the entries and columns the matrices hold enter, so diagonal_linear's S is
+        # diag(dx + diag(A)) to the bit, the generic step's own coefficient
+        build, _ = _linear_cells(VectorField.diagonal_linear(n), corrected)
+        m = np.random.default_rng(n).normal(size=(7, n, 1 + n if corrected else 1))
+        diag = m[..., 0] + (np.diagonal(m[..., 1:], axis1=1, axis2=2) if corrected else 0)
+        want = np.zeros((7, n, n))
+        want[:, np.arange(n), np.arange(n)] = diag
+        assert build(m).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["euler", "corrected"])
+    def test_a_large_diagonal_walk_holds_d_n2_floats(self, scheme):
+        # d = n = 48: the pairwise products M_j M_k would take d^2 n^2 floats (42 MB); a
+        # walk holds the matrices and one batch of the d n^2 sums B_j
+        n = 48
+        field = VectorField.diagonal_linear(n)
+        cfg = BrownianConfig(d=n, level=3, seed=4)
+        path = brownian_path(cfg)
+        area = ito_area(path, cfg) if scheme == "corrected" else None
+        tracemalloc.start()
+        try:
+            traj = _solve(field, path, area, np.ones(n), [None], 1e6)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+        twin = _solve(_as_callables(field), path, area, np.ones(n), [None], 1e6)[0]
+        assert traj.states.tobytes() == twin.states.tobytes()
 
     @pytest.mark.parametrize("scheme", ["euler", "corrected"])
     @pytest.mark.parametrize("name", ["pair", "random"])
