@@ -455,6 +455,8 @@ class VectorField:
     """
 
     matrices = None  # a linear field's (d, n, n) matrices M_j, read-only (see linear)
+    support = None  # where a linear field's matrices are not zero (see linear)
+    diagonal = False  # a linear field whose every M_j is diagonal
 
     def __init__(
         self,
@@ -509,7 +511,10 @@ class VectorField:
     @classmethod
     def linear(cls, matrices) -> "VectorField":
         """The linear field ``f(y)[:, j] = M_j y`` of matrices ``(d, n, n)``, made read-only:
-        ``D1[h, i, j] = M_j[i, h]`` is constant and ``D2`` a zero-stride zero."""
+        ``D1[h, i, j] = M_j[i, h]`` is constant and ``D2`` a zero-stride zero.  Its ``support``
+        is read once, here: the flat indices of the ``n n`` entries some ``M_j`` holds and of
+        the ``d n`` pairs ``(j, h)`` whose column ``h`` of ``M_j`` is not zero (a slice when
+        that is all of them); ``diagonal`` says whether every ``M_j`` is diagonal."""
         m = np.asarray(matrices, dtype=float)
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
             raise ValueError(f"a linear field needs (d, n, n) matrices, got shape {m.shape}")
@@ -519,7 +524,9 @@ class VectorField:
         field = cls(n, d, functools.partial(_linear_values, m), deriv1=m.transpose(2, 1, 0),
                     deriv2=np.broadcast_to(0.0, (n, n, n, d)))
         m.flags.writeable = False
-        field.matrices = m
+        held = m.reshape(d, n * n).any(0)
+        field.matrices, field.support = m, (_indices(held), _indices(m.any(1).reshape(-1)))
+        field.diagonal = not held.reshape(n, n)[~np.eye(n, dtype=bool)].any()
         return field
 
     @classmethod
@@ -534,6 +541,15 @@ class VectorField:
         if n < 1:
             raise ValueError(f"diagonal_linear field needs n >= 1, got {n}")
         return cls.linear(np.einsum("hi,ij->hij", np.eye(n), np.eye(n)))  # M_j = e_j e_j^T
+
+
+def _indices(mask: np.ndarray):
+    """Where ``mask`` holds: a slice when everywhere, else a read-only index array."""
+    if mask.all():
+        return slice(None)
+    idx = np.flatnonzero(mask)
+    idx.flags.writeable = False
+    return idx
 
 
 def _linear_values(m: np.ndarray, y: np.ndarray) -> np.ndarray:

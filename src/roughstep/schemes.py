@@ -17,7 +17,8 @@ by the solvers, :func:`augmented_solve` and :func:`defect`, so adjacent defects 
 the scheme that made a trajectory are zero by construction.
 Every solve is a walk of :func:`_run_scheme`: one partition for the solvers,
 and the nested meshes of a convergence study stepped in lockstep, each
-member bitwise its own solve.
+member bitwise its own solve; a diagonal linear field of ``n <= _SCALAR_N``, whose ``S``
+holds one product a row, walks as scalar recurrences in Python floats (:func:`_run_scalar`).
 
 Beyond the basic solvers this module provides:
 
@@ -58,8 +59,8 @@ __all__ = [
 ]
 
 _SCHEMES = ("euler", "corrected")
-_DEFECT_BLOCK = 2**14  # pairs reconstructed per stacked step in defect
 _OPERATOR_CHUNK = 2**16  # operator entries a walk builds per batch (512 KiB)
+_SCALAR_N = 8  # the largest n of a diagonal linear field walked as scalar recurrences
 # einsum's C entry point: ``np.einsum`` without ``optimize`` calls it after a Python-level
 # dispatch that costs about as much as the contraction of one state
 _contract = getattr(np._core.multiarray, "c_einsum", np.einsum)
@@ -112,18 +113,15 @@ def _built_cells(build, width: int, blocks: np.ndarray):
 
 def _linear_cells(field: VectorField, corrected: bool):
     """A linear field's step-matrix builder (:func:`_step_matrices`) and its entries per
-    cell, ``(1 + d) n^2`` corrected and ``n^2`` Euler; None for any other field."""
+    cell, ``(1 + d) n^2`` corrected and ``n^2`` Euler; None for any other field.  It takes
+    in only the field's ``support`` (:meth:`VectorField.linear`)."""
     if field.matrices is None:
         return None
-    mats, n = field.matrices, field.n
-    flat = mats.reshape(field.d, n * n)
-    # the entries some M_k holds and, corrected, the (j, h) whose column h of M_j is not
-    # zero; all of them as a slice, which takes no scatter or gather
-    keep = flat.any(0), mats.any(1) if corrected else np.zeros((field.d, n), bool)
-    cols, pairs = (slice(None) if k.all() else np.flatnonzero(k) for k in keep)
-    left = mats.transpose(1, 0, 2)[:, keep[1]]  # [i, (j, h)] = M_j[i, h]
-    width = n * n * (1 + field.d if corrected else 1)
-    return partial(_step_matrices, cols, flat[:, cols], pairs, left), width
+    mats, (n, d), (cols, pairs) = field.matrices, (field.n, field.d), field.support
+    j, h = np.divmod(np.arange(d * n)[pairs] if corrected else np.arange(0), n)
+    left = mats.transpose(1, 0, 2)[:, j, h]  # [i, (j, h)] = M_j[i, h], the pairs taken in
+    width = n * n * (1 + d if corrected else 1)
+    return partial(_step_matrices, cols, mats.reshape(d, n * n)[:, cols], pairs, left), width
 
 
 def _step_matrices(cols, words, pairs, left, m: np.ndarray) -> np.ndarray:
@@ -267,11 +265,8 @@ def _run_scheme(
 
     One rule stops the walk: every running member ends at the first index ``stop`` (the
     initial state is index 0) at which one of them fails ``sqrt(y . y) <= threshold``,
-    as a NaN does.  The loops only detect ``stop`` and keep the running members' ``y . y``;
-    one classifier then judges those members by them (an overflow warns once), in the
-    order of ``parts``.  A non-finite state raises :class:`NumericsError` unless an
-    earlier member crossed; a finite one whose norm exceeds ``threshold``, its square
-    overflowing or not, crossed, with ``exploded_at = stop``.
+    as a NaN does.  The loops only detect ``stop``; one classifier (:func:`_trajectories`)
+    then judges the members running there.
     """
     threshold = _explosion_threshold(threshold)
     order = sorted(range(len(parts)), key=lambda i: parts[i].size)
@@ -285,9 +280,9 @@ def _run_scheme(
     for pos, i in enumerate(order):
         p = parts[i][: rounds + 1]
         m[: p.size - 1, pos] = _driver_blocks(path, area, p[:-1], p[1:])
-    j0, ys, sq = 0, hist[0], [y.dot(y)] * len(parts)
+    j0, ys = 0, hist[0]
     run = cells(m[: counts[0]])  # the rounds every member runs
-    stop = None if math.sqrt(sq[0]) <= threshold else 0
+    stop = None if math.sqrt(y.dot(y)) <= threshold else 0
     for r in range(rounds if stop is None else 0):
         while counts[j0] <= r:  # a member finished: drop its row; the rest run to the next end
             j0, ys = j0 + 1, ys[1:]
@@ -308,33 +303,79 @@ def _run_scheme(
     y = last[rounds]
     for k, c in enumerate(cells(tail_blocks) if stop is None else (), rounds):
         y = last[k + 1] = step(y, c)
-        if not math.sqrt(s := y.dot(y)) <= threshold:
-            j0, ys, sq, stop = len(parts) - 1, y[None], [s], k + 1
+        if not math.sqrt(y.dot(y)) <= threshold:
+            stop = k + 1
             break
     if stop is not None:  # the longest member stopped: keep none of its buffer past stop
         last = last[: stop + 1].copy()
+    states = [last if i == order[-1] else hist[:, order.index(i)] for i in range(len(parts))]
+    with np.errstate(over="ignore"):  # the loop's square warned of an overflow
+        return _trajectories(path, parts, states, stop, threshold, tag)
 
-    out, crossed = [], False  # the classifier, in the order of ``parts``
-    for i, p in enumerate(parts):
-        pos = order.index(i)
-        end, exploded_at = counts[pos], None
-        if stop is not None and pos >= j0:  # running when the walk stopped
-            end, row = stop, ys[pos - j0]
-            if not np.all(np.isfinite(row)):
+
+def _trajectories(path, parts, states, stop, threshold, tag) -> list[Trajectory]:
+    """A walk's classifier: each member's trajectory from its states ``states[i]``, in the
+    order of ``parts``.  A walk stopped at ``stop`` ends there the members that reach it,
+    their states there squared in one ``vecdot`` (an overflow warns once): a non-finite one
+    raises :class:`NumericsError` unless an earlier member crossed, a finite one whose norm
+    exceeds ``threshold`` crossed, with ``exploded_at = stop``."""
+    running = [i for i, p in enumerate(parts) if stop is not None and p.size > stop]
+    rows = np.array([states[i][stop] for i in running])
+    sq = dict(zip(running, np.vecdot(rows, rows).tolist() if running else ()))
+    out, crossed = [], False
+    for i, (p, ys) in enumerate(zip(parts, states)):
+        end, exploded_at = p.size - 1, None
+        if i in sq:  # running when the walk stopped
+            end = stop
+            if not np.all(np.isfinite(ys[stop])):
                 if not crossed:
                     raise NumericsError(f"non-finite state after step {stop - 1} "
                                         f"(t={path.times[p[stop]]:.6g}, scheme={tag})")
-            elif math.sqrt(sq[pos - j0]) > threshold:
+            elif math.sqrt(sq[i]) > threshold:
                 crossed, exploded_at = True, stop
-        states = last if pos == len(parts) - 1 else hist[:, pos]
-        out.append(Trajectory(path.times[p[: end + 1]], states[: end + 1], tag, exploded_at))
+        out.append(Trajectory(path.times[p[: end + 1]], ys[: end + 1], tag, exploded_at))
     return out
+
+
+def _run_scalar(path, area, y, parts, threshold, build, width, tag) -> list[Trajectory]:
+    """:func:`_run_scheme`'s walk of a diagonal linear field: ``y_i + s_i y_i`` per member
+    and component, ``s`` the diagonal of each ``S`` (:func:`_linear_cells`).  ``S.dot(y)``
+    sums one product and zeros from ``+0.0`` (at n = 1 one state's is the product alone), so
+    a ``-0.0`` starts as ``+0.0`` but in a one-member walk at n = 1.  A member steps blocks of
+    up to 4,096 cells, each checked by one ``vecdot``, up to where an earlier one stopped."""
+    threshold, stop = _explosion_threshold(threshold), None
+    start = (y if y.size == 1 and len(parts) == 1 else y + 0.0).tolist()
+    size, states = min(2**12, _batch(width)), []
+    for p in parts:
+        p = p[: p.size if stop is None else stop + 1]
+        ys, z = np.empty((p.size, y.size)), list(start)
+        ys[0] = y
+        for c in range(0, p.size - 1, size):
+            s = build(_driver_blocks(path, area, p[:-1][c: c + size], p[1:][c: c + size]))
+            diag = np.diagonal(s, 0, -2, -1)
+            for i in range(y.size):  # one component's floats at a time
+                zi, out = z[i], []
+                for si in diag[:, i].tolist():
+                    zi = zi + si * zi
+                    out.append(zi)
+                ys[c + 1: c + size + 1, i], z[i] = out, zi
+            block = ys[c: c + size + 1]  # from the block's first state, the initial one first
+            with np.errstate(over="ignore"):  # an overflowing square warns in the classifier
+                bad = ~(np.sqrt(np.vecdot(block, block)) <= threshold)
+            if bad.any():
+                stop = c + int(bad.argmax())
+                break
+        states.append(ys)
+    if stop is not None:  # keep no buffer past stop
+        states = [ys[: stop + 1].copy() if len(ys) > stop + 1 else ys for ys in states]
+    return _trajectories(path, parts, states, stop, threshold, tag)
 
 
 def _solve(field, path, area, y0, partitions, threshold) -> list[Trajectory]:
     """One walk of ``partitions`` (None: every grid point), Euler when ``area`` is None,
     corrected otherwise.  A linear field's step matrices and a constant ``D1``'s operators
-    are built from the driver before the cells they serve; any other builds them per step."""
+    are built from the driver before the cells they serve, any other's per step; a diagonal
+    linear field of ``n <= _SCALAR_N`` walks as scalar recurrences (:func:`_run_scalar`)."""
     corrected = area is not None
     if corrected and not field.has_deriv1:
         raise NotImplementedError("corrected scheme needs the field's first derivative")
@@ -342,6 +383,8 @@ def _solve(field, path, area, y0, partitions, threshold) -> list[Trajectory]:
     parts = [_grid_indices(path, p) for p in partitions]
     tag = "corrected" if corrected else "euler"
     lin = _linear_cells(field, corrected)
+    if lin is not None and field.diagonal and field.n <= _SCALAR_N:
+        return _run_scalar(path, area, y, parts, threshold, *lin, tag)
     if lin is not None:
         return _run_scheme(path, area, y, parts, threshold, _linear_step, tag,
                            partial(_built_cells, *lin))
@@ -552,7 +595,8 @@ def defect(
         const = _constant_rows(field) if corrected else None
         f_left, rows_left = _coefficients(field, y[left], corrected, const)
     mags = np.empty(pair_arr.shape[0])
-    size = _DEFECT_BLOCK if lin is None else _batch(lin[1])  # a linear block as a walk's
+    n, d = field.n, field.d  # blocks by their largest temporary: S, operators or Euler's f
+    size = _batch(lin[1] if lin is not None else n * (n * (1 + d) if corrected else d))
     for b in range(0, mags.size, size):
         blk = slice(b, b + size)
         k, l = pair_arr[blk].T

@@ -1,6 +1,7 @@
 """Tests for the step schemes, augmented flows, and defect reports."""
 from __future__ import annotations
 
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -1073,6 +1074,213 @@ class TestLinearField:
         for got, want in zip(*runs, strict=True):
             assert got.exploded_at == want.exploded_at
             assert got.states.shape == want.states.shape
+
+
+def _diagonal_field(n: int, d: int, seed: int) -> VectorField:
+    """A linear field of diagonal ``M_j`` with random entries, about a third of them zero,
+    and the last component's zero in every ``M_j`` when ``n > 1`` (so ``s`` is 0 there)."""
+    rng = np.random.default_rng(seed)
+    diag = rng.normal(scale=0.5, size=(d, n))
+    diag[rng.random((d, n)) < 0.3] = 0.0
+    if n > 1:
+        diag[:, -1] = 0.0
+    return VectorField.linear(diag[:, :, None] * np.eye(n))
+
+
+_SIGNED_Y0 = {"mixed": [0.0, -0.0, -0.7, 1.3, 0.4, -2.0, -0.0, 0.9],
+              "zeros": [-0.0, 0.0] * 4, "negative": [-1.1, -0.3, -2.5, -0.6] * 2}
+
+
+def _walks(monkeypatch, walk):
+    """``walk()`` through the scalar walk, then through the matrix walk (``_SCALAR_N`` 0):
+    its trajectories, or the text of the ``NumericsError`` it raised."""
+    def run():
+        try:
+            return walk()
+        except NumericsError as err:
+            return str(err)
+
+    scalar = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(schemes, "_SCALAR_N", 0)
+        return scalar, run()
+
+
+def _assert_same_walks(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.scheme, a.exploded_at) == (b.scheme, b.exploded_at)
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.states.shape == b.states.shape and a.states.tobytes() == b.states.tobytes()
+
+
+def _owns_its_states(traj) -> bool:
+    owner = traj.states if traj.states.base is None else traj.states.base
+    return owner.nbytes == traj.states.nbytes
+
+
+class TestScalarWalk:
+    """A diagonal linear field of ``n <= _SCALAR_N`` walks as scalar recurrences, bitwise
+    the matrix walk ``y + S y`` (forced here by setting ``_SCALAR_N`` to 0): signed zeros,
+    lockstep members, block edges and the stop rule included."""
+
+    @staticmethod
+    def _driver(d, scheme, level=8):
+        cfg = BrownianConfig(d=d, level=level, seed=90 + d)
+        path = brownian_path(cfg)
+        return path, ito_area(path, cfg) if scheme == "corrected" else None
+
+    @pytest.mark.parametrize("chunk", [None, 2**7], ids=["one_block", "small_blocks"])
+    @pytest.mark.parametrize("y0", sorted(_SIGNED_Y0))
+    @pytest.mark.parametrize("scheme", ["euler", "corrected"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_is_the_matrix_walk_bitwise(self, monkeypatch, n, d, scheme, y0, chunk):
+        if chunk is not None:  # blocks of 2**7 // width cells, one at least
+            monkeypatch.setattr(schemes, "_OPERATOR_CHUNK", chunk)
+        field, (path, area) = _diagonal_field(n, d, 10 * n + d), self._driver(d, scheme)
+        assert field.diagonal and field.n <= schemes._SCALAR_N
+        y = np.array(_SIGNED_Y0[y0][:n])
+        coarse, mid = (np.arange(0, path.n_intervals + 1, k) for k in (64, 4))
+        for parts in ([None], [coarse], [coarse, None, mid], [None, coarse], [mid, mid]):
+            _assert_same_walks(*_walks(monkeypatch, lambda: _solve(
+                field, path, area, y, parts, 1e6)))
+        single = _walks(monkeypatch, lambda: [euler_solve(field, path, y)] if area is None
+                        else [corrected_solve(field, path, area, y)])
+        _assert_same_walks(*single)
+        study = _walks(monkeypatch, lambda: convergence_study(  # Euler: a terminal state
+            field, path, y, [4, 8, 16], scheme, area, None if area else np.zeros(n)))
+        assert study[0].errors.tobytes() == study[1].errors.tobytes()
+        report = defect(single[0][0], field, path, 1.5, 2.5, area, pairs="adjacent")
+        assert not report.magnitudes.any()  # adjacent defects are exactly 0
+
+    def test_a_signed_zero_keeps_the_single_state_rule_at_n_1(self, monkeypatch):
+        # one state at n = 1 steps by the product alone, so -0.0 + s * -0.0 stays -0.0; a
+        # stacked step sums from +0.0, so a lockstep member's first step gives +0.0
+        path = TestStopRule._ramp()  # dx > 0, so s * -0.0 is -0.0
+        field, coarse = VectorField.scalar_linear(), np.arange(0, path.n_intervals + 1, 16)
+        alone = euler_solve(field, path, [-0.0])
+        fine, _ = _solve(field, path, None, [-0.0], [None, coarse], 1e6)
+        assert np.signbit(alone.states).all() and not np.signbit(fine.states[1:]).any()
+        _assert_same_walks(*_walks(monkeypatch, lambda: [euler_solve(field, path, [-0.0])]))
+
+    @pytest.mark.parametrize("scheme", ["euler", "corrected"])
+    @pytest.mark.parametrize("threshold", [0.5, 1.3, 2.0, 5.0])
+    def test_stops_where_the_matrix_walk_does(self, monkeypatch, scheme, threshold):
+        field = VectorField.linear(4 * _diagonal_field(2, 2, 3).matrices)
+        path, area = _walk_driver(2)
+        area = area if scheme == "corrected" else None
+        coarse, mid = (np.arange(0, path.n_intervals + 1, k) for k in (16, 4))
+        for parts in ([None], [coarse], [coarse, None], [None, coarse], [mid, coarse, None]):
+            got, want = _walks(monkeypatch, lambda: _solve(
+                field, path, area, [1.0, -0.5], parts, threshold))
+            _assert_same_walks(got, want)
+            assert all(_owns_its_states(traj) for traj in got)  # no buffer past a stop
+        if threshold == 0.5:  # y0 is above it: every member ends at index 0
+            assert [traj.exploded_at for traj in got] == [0, 0, 0]
+
+    @pytest.mark.parametrize("parts", [[None], [None, np.arange(0, 9, 2)]],
+                             ids=["alone", "lockstep"])
+    def test_a_non_finite_state_raises_as_the_matrix_walk_does(self, monkeypatch, parts):
+        # 1e10 * dx overflows, so S is inf: y0 = 1 goes to inf and y0 = 0 to NaN
+        path = PolynomialPath(np.array([[0.0, 1e300]])).sample(np.linspace(0.0, 1.0, 9))
+        field = VectorField.linear(np.full((1, 2, 1), 1e10) * np.eye(2))
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got, want = _walks(monkeypatch, lambda: _solve(field, path, None, [1.0, 0.0],
+                                                           parts, 1e6))
+        assert got == want == "non-finite state after step 0 (t=0.125, scheme=euler)"
+
+    @pytest.mark.parametrize("parts", [[None], [None, np.arange(0, 65, 2)]],
+                             ids=["alone", "lockstep"])
+    def test_a_crossing_whose_square_overflows_warns_once(self, monkeypatch, parts):
+        # x(t) = 1e6 t on 64 cells: the first step takes 1e150 to 1.6e154, whose square
+        # overflows; later states of the block overflow to inf and warn nothing
+        path = PolynomialPath(np.array([[0.0, 1e6]])).sample(np.linspace(0.0, 1.0, 65))
+        field = VectorField.scalar_linear()
+        caught = []
+        for forced in (False, True):
+            with monkeypatch.context() as patch, warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                if forced:
+                    patch.setattr(schemes, "_SCALAR_N", 0)
+                walked = _solve(field, path, None, [1e150], parts, 1e150)
+            caught.append([str(w.message) for w in seen])
+            assert [traj.exploded_at for traj in walked] == [1] * len(parts)
+            assert all(np.isfinite(traj.states).all() for traj in walked)
+        assert [len(c) for c in caught] == [1, 1]
+        assert all(c[0].startswith("overflow encountered in ") for c in caught)
+
+    def test_a_dense_or_large_field_keeps_the_matrix_walk(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(schemes, "_run_scalar", lambda *a: calls.append(a) or [None])
+        path, area = _walk_driver(2)
+        for field in (VectorField.linear(_NONCOMMUTING), VectorField.diagonal_linear(2)):
+            _solve(field, path, area, [1.0, 0.0], [None], 1e6)
+        big = VectorField.diagonal_linear(schemes._SCALAR_N + 1)
+        path = brownian_path(BrownianConfig(d=big.n, level=3, seed=1))
+        _solve(big, path, None, np.ones(big.n), [None], 1e6)
+        assert len(calls) == 1 and not VectorField.linear(_NONCOMMUTING).diagonal
+
+    def test_support_is_read_once_and_the_field_pickles(self):
+        field = VectorField.diagonal_linear(3)
+        held, cols = field.support  # M_j = e_j e_j^T: entry (j, j), column j of M_j
+        assert not (held.flags.writeable or cols.flags.writeable)
+        assert held.tolist() == [0, 4, 8] and cols.tolist() == [0, 4, 8]
+        for corrected in (False, True):
+            first, second = _linear_cells(field, corrected)[0], _linear_cells(field, corrected)[0]
+            assert first.args[0] is second.args[0] is held
+            assert first.args[2] is second.args[2] is cols
+        twin = pickle.loads(pickle.dumps(field))
+        assert twin.diagonal and [k.tolist() for k in twin.support] == [
+            k.tolist() for k in field.support]
+        path, area = _walk_driver(3)
+        assert np.array_equal(corrected_solve(twin, path, area, np.ones(3)).states,
+                              corrected_solve(field, path, area, np.ones(3)).states)
+
+
+class TestDefectBlocks:
+    """Every defect block is sized by ``_batch`` of its largest temporary's entries per pair."""
+
+    def test_a_constant_corrected_window_defect_peak_is_bounded(self, bm2):
+        # n = 16, d = 2: blocks of 16,384 pairs held 77 MiB of operators at once
+        _, path, area, _ = bm2
+        field = VectorField.constant(np.random.default_rng(16).normal(size=(16, 2)))
+        traj = corrected_solve(field, path, area, np.zeros(16))
+        tracemalloc.start()
+        try:
+            report = defect(traj, field, path, 3.0, 2.5, area, max_span=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.magnitudes.size == 65_416
+        assert peak < 8 * 2**20  # 5.4 MiB measured
+
+    @pytest.mark.parametrize("scheme", ["euler", "corrected"])
+    @pytest.mark.parametrize("kind", ["constant", "callable", "linear", "diagonal"])
+    def test_block_size_leaves_the_magnitudes_bitwise(self, monkeypatch, bm2, smooth22, kind,
+                                                      scheme):
+        _, path, area, _ = bm2
+        field = {"constant": lambda: VectorField.constant(_TWIN_MATS[0]),
+                 "callable": lambda: smooth22,
+                 "linear": lambda: VectorField.linear(_NONCOMMUTING),
+                 "diagonal": lambda: VectorField.diagonal_linear(2)}[kind]()
+        area = area if scheme == "corrected" else None
+        traj = (corrected_solve(field, path, area, [0.4, -0.2], np.arange(0, 4097, 8))
+                if area is not None else euler_solve(field, path, [0.4, -0.2],
+                                                     np.arange(0, 4097, 8)))
+
+        def magnitudes():
+            return defect(traj, field, path, 3.0 if area else 1.5, 2.5, area,
+                          max_span=16).magnitudes.tobytes()
+
+        want = magnitudes()
+        monkeypatch.setattr(schemes, "_OPERATOR_CHUNK", 2**6)  # a few pairs a block
+        assert magnitudes() == want
 
 
 class TestWindowPairs:
