@@ -18,7 +18,9 @@ the scheme that made a trajectory are zero by construction.
 Every solve is a walk of :func:`_run_scheme`: one partition for the solvers,
 and the nested meshes of a convergence study stepped in lockstep, each
 member bitwise its own solve; a diagonal linear field of ``n <= _SCALAR_N``, whose ``S``
-holds one product a row, walks as scalar recurrences in Python floats (:func:`_run_scalar`).
+holds one product a row, walks as scalar recurrences in Python floats (:func:`_run_scalar`),
+bitwise ``y + S y``: a ``-0.0`` component starts as the ``+0.0`` that ``S.dot(y)``'s sum
+from ``+0.0`` gives, save in a one-member walk at n = 1, whose ``dot`` is the product alone.
 
 Beyond the basic solvers this module provides:
 
